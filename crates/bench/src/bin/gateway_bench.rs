@@ -31,7 +31,7 @@
 //! land in the stats counters and the flight recorder, health flips
 //! off `ok` and pins an incident snapshot, and once the plan disarms
 //! the same gateway serves bit-exact traffic and health returns to
-//! `ok`. CI runs this phase under both `PANACEA_IO_MODEL` transports.
+//! `ok`.
 //!
 //! Results go to `BENCH_gateway.json` so the serving-latency trajectory
 //! is tracked across PRs. Set `GATEWAY_BENCH_SMOKE=1` to run a reduced
@@ -48,7 +48,7 @@ use panacea_faultline::{Fault, FaultPlan, Scenario};
 use panacea_gateway::testutil::{block_model, hidden, models};
 use panacea_gateway::{
     AdmissionConfig, CacheConfig, ClientConfig, ErrorKind, Gateway, GatewayClient, GatewayConfig,
-    GatewayError, GatewayServer, IoModel, ServerConfig, SloConfig, SloStatus, SloTarget,
+    GatewayError, GatewayServer, ServerConfig, SloConfig, SloStatus, SloTarget,
 };
 use panacea_serve::{BatchPolicy, RuntimeConfig};
 use serde_json::{json, Value};
@@ -467,17 +467,11 @@ fn run_export(smoke: bool) -> Value {
     })
 }
 
-/// C10K gates. The reactor's whole point is that thread count stays
+/// C10K gate. The reactor's whole point is that thread count stays
 /// O(workers) while connections scale — so the server-side thread
 /// growth under hundreds of idle sessions is a hard bound, not a
-/// recording. The latency gate compares the reactor against the
-/// threaded baseline at the nominal client levels; best-of-3 per arm
-/// plus a small absolute slack absorbs single-core scheduler noise on
-/// samples this small without hiding a real regression.
+/// recording.
 const C10K_MAX_IO_THREAD_FACTOR: usize = 2;
-const C10K_P99_RATIO: f64 = 1.15;
-const C10K_P99_SLACK_US: f64 = 2_000.0;
-const C10K_TRIALS: usize = 3;
 
 /// Thread count of this process from `/proc/self/status`. The bench
 /// opens its idle sessions from the main thread, so any growth between
@@ -501,35 +495,14 @@ fn proc_fds() -> usize {
         .expect("read /proc/self/fd")
 }
 
-/// One nominal-load trial against a fresh server under the given io
-/// model, returning the client-side infer p99 in microseconds.
-fn nominal_infer_p99(io_model: IoModel, clients: usize, requests: usize) -> f64 {
-    let gateway = nominal_gateway();
-    let mut server = GatewayServer::bind_with(
-        gateway,
-        "127.0.0.1:0",
-        ServerConfig {
-            io_model,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let out = run_level(server.local_addr(), clients, requests);
-    server.shutdown();
-    quantile_us(&out.infer_us, 0.99)
-}
-
 /// The `--c10k` phase: hold hundreds of mostly-idle decode sessions
-/// open on one reactor-model server while a mixed infer/decode load
-/// runs through it, and prove the resource story — file descriptors
-/// scale with connections, threads do not. Then race the reactor
-/// against the threaded transport at the nominal client levels and
-/// gate the p99 regression.
-fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
+/// open on one server while a mixed infer/decode load runs through it,
+/// and prove the resource story — file descriptors scale with
+/// connections, threads do not.
+fn run_c10k(smoke: bool) -> Value {
     let sessions = if smoke { 160 } else { 512 };
     let active_clients = 8;
     let active_requests = if smoke { 8 } else { 30 };
-    let compare_requests = if smoke { 12 } else { 30 };
     let nofile = sys_poll::raise_nofile_limit().expect("raise RLIMIT_NOFILE");
     assert!(
         nofile as usize > 2 * sessions + 64,
@@ -537,7 +510,7 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
     );
 
     let gateway = nominal_gateway();
-    let workers = ServerConfig::default().reactor_workers;
+    let workers = ServerConfig::default().workers;
     let threads_before = proc_threads();
     let fds_before = proc_fds();
     let mut server = GatewayServer::bind_with(
@@ -545,7 +518,6 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         "127.0.0.1:0",
         ServerConfig {
             max_connections: sessions + 64,
-            io_model: IoModel::Reactor,
             ..ServerConfig::default()
         },
     )
@@ -626,36 +598,6 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         fds_idle - fds_before
     );
 
-    // Reactor-vs-threaded latency at the nominal levels.
-    let mut comparisons: Vec<Value> = Vec::new();
-    for &clients in levels {
-        let best = |io_model: IoModel| {
-            (0..C10K_TRIALS)
-                .map(|_| nominal_infer_p99(io_model, clients, compare_requests))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let threaded_p99 = best(IoModel::Threaded);
-        let reactor_p99 = best(IoModel::Reactor);
-        let ratio = reactor_p99 / threaded_p99;
-        println!(
-            "c10k compare {clients:>2} clients: threaded p99 {threaded_p99:>9.1}µs  \
-             reactor p99 {reactor_p99:>9.1}µs  ratio {ratio:.3}"
-        );
-        assert!(
-            reactor_p99 <= threaded_p99 * C10K_P99_RATIO + C10K_P99_SLACK_US,
-            "reactor infer p99 {reactor_p99:.1}µs regressed past the threaded \
-             baseline {threaded_p99:.1}µs at {clients} clients \
-             (gate {C10K_P99_RATIO}x + {C10K_P99_SLACK_US}µs)"
-        );
-        comparisons.push(json!({
-            "clients": clients,
-            "threaded_infer_p99_us": threaded_p99,
-            "reactor_infer_p99_us": reactor_p99,
-            "ratio": ratio,
-        }));
-    }
-    println!("c10k gates: threads O(workers), reactor p99 within {C10K_P99_RATIO}x threaded ✓");
-
     json!({
         "sessions": sessions,
         "nofile_limit": nofile,
@@ -669,7 +611,6 @@ fn run_c10k(smoke: bool, levels: &[usize]) -> Value {
         "active_infer_p99_us": active_infer_p99,
         "active_decode_p50_us": active_decode_p50,
         "active_decode_p99_us": active_decode_p99,
-        "io_model_comparison": Value::Array(comparisons),
     })
 }
 
@@ -782,9 +723,9 @@ fn run_chaos(smoke: bool) -> Value {
         .fire_within("serve.decode.fused_pass", Fault::Panic, 2, 16)
         .fire_at("serve.decode.solo_retry", 0, Fault::Panic)
         // Layer 3 — transport: a panic that unwinds out of the request
-        // handler entirely (the reactor's dispatch job or the threaded
-        // model's connection thread catches it), an injected error
-        // return, and a stall that overruns the client deadline.
+        // handler entirely (the reactor's dispatch job catches it), an
+        // injected error return, and a stall that overruns the client
+        // deadline.
         .fire_at("gateway.execute", 2, Fault::Panic)
         .fire_at("gateway.execute", 7, Fault::Error)
         .fire_at(
@@ -792,9 +733,7 @@ fn run_chaos(smoke: bool) -> Value {
             12,
             Fault::Delay(CHAOS_DEADLINE + Duration::from_millis(400)),
         )
-        // Connection faults. These sites are traversed by the reactor
-        // transport only; under the threaded model they never fire and
-        // the plan is simply quieter.
+        // Connection faults, inside the reactor itself.
         .fire_at("netcore.read", 40, Fault::Reset)
         .fire_at("netcore.write", 60, Fault::ShortWrite)
         .fire_within("netcore.dispatch", Fault::Panic, 1, 40);
@@ -816,9 +755,6 @@ fn run_chaos(smoke: bool) -> Value {
             ..GatewayConfig::default()
         },
     ));
-    // Default `ServerConfig`: the transport comes from PANACEA_IO_MODEL,
-    // so CI exercises the storm under both io models.
-    let io_model = ServerConfig::default().io_model;
     let mut server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
@@ -930,7 +866,20 @@ fn run_chaos(smoke: bool) -> Value {
             decode.absorb(&out);
         }
     }
-    drop(guard);
+    // Gate: the scripted connection faults met real traffic — every
+    // reactor site was traversed, and the dispatch panic (scripted
+    // inside the first 40 dispatches) fired.
+    for site in ["netcore.read", "netcore.write", "netcore.dispatch"] {
+        assert!(
+            guard.queries(site) > 0,
+            "scripted site {site} was never traversed"
+        );
+    }
+    let firings = guard.disarm();
+    assert!(
+        firings.iter().any(|f| f.site == "netcore.dispatch"),
+        "the scripted netcore.dispatch panic never fired: {firings:?}"
+    );
 
     // Gate: no call outlived the retry/deadline budget — graceful
     // degradation means bounded waits, not hangs.
@@ -999,14 +948,12 @@ fn run_chaos(smoke: bool) -> Value {
         stats.connections.worker_panics >= 1,
         "the transport layer never caught (and counted) the handler panic"
     );
-    if io_model == IoModel::Reactor {
-        // Every pool worker survived its caught panics.
-        assert_eq!(
-            stats.connections.workers_alive as usize,
-            ServerConfig::default().reactor_workers,
-            "reactor worker pool did not recover to full strength"
-        );
-    }
+    // Every pool worker survived its caught panics.
+    assert_eq!(
+        stats.connections.workers_alive as usize,
+        ServerConfig::default().workers,
+        "reactor worker pool did not recover to full strength"
+    );
 
     // Recovery: with the plan disarmed, the same gateway must serve
     // bit-exact traffic and health must drain back to `ok` once the
@@ -1062,7 +1009,7 @@ fn run_chaos(smoke: bool) -> Value {
     server.shutdown();
 
     println!(
-        "chaos ({io_model:?}): {}/{} calls ok, {} faulted ({} deadline_exceeded), \
+        "chaos: {}/{} calls ok, {} faulted ({} deadline_exceeded), \
          {} panics / {} transport panics / {} evictions on the wire, \
          max call {:.0}ms (budget {:.0}ms), health {} -> ok in {:.1}s ✓",
         infer.ok + decode.ok,
@@ -1079,7 +1026,6 @@ fn run_chaos(smoke: bool) -> Value {
     );
 
     json!({
-        "io_model": format!("{io_model:?}"),
         "clients": clients,
         "requests_per_client": requests,
         "ok": infer.ok + decode.ok,
@@ -1218,7 +1164,7 @@ fn main() {
     };
 
     let connections = if std::env::args().any(|a| a == "--c10k") {
-        run_c10k(smoke, levels)
+        run_c10k(smoke)
     } else {
         Value::Null
     };

@@ -71,7 +71,7 @@ pub use protocol::{
     ShardStats, ShedStats, SpanSummary, StageSummary, TraceKind, TraceReply, TraceSummary,
 };
 pub use router::ShardRouter;
-pub use server::{Gateway, GatewayConfig, GatewayServer, IoModel, ServerConfig};
+pub use server::{Gateway, GatewayConfig, GatewayServer, ServerConfig};
 
 /// Errors surfaced by the gateway layer (client or server side).
 #[derive(Debug)]

@@ -1,36 +1,25 @@
 //! The gateway itself: protocol handling glued to routing, caching, and
-//! admission — plus the blocking TCP server that exposes it.
+//! admission — plus the TCP server that exposes it.
 //!
 //! [`Gateway`] is the transport-free core (handy for in-process use and
-//! tests); [`GatewayServer`] wraps it in a `TcpListener` served by one
-//! of two [`IoModel`]s, both bounded by
-//! [`ServerConfig::max_connections`]:
+//! tests); [`GatewayServer`] serves it on a `TcpListener` through the
+//! `panacea-netcore` reactor: a `poll(2)` readiness loop multiplexing
+//! every connection on one thread, with a fixed worker pool executing
+//! requests, so threads stay O(workers) at any connection count up to
+//! [`ServerConfig::max_connections`].
 //!
-//! * [`IoModel::Reactor`] (the default) — a `poll(2)` readiness loop
-//!   from `panacea-netcore` multiplexing every connection on one
-//!   thread, with a fixed worker pool executing requests. Threads stay
-//!   O(workers) at any connection count.
-//! * [`IoModel::Threaded`] — one blocking handler thread per
-//!   connection. Shutdown is wakeup-driven (Condvar plus socket
-//!   half-close), not poll-interval-driven.
-//!
-//! Either way, dropping the server stops accepting, drains or
-//! disconnects live connections, and joins every server thread.
+//! Dropping the server stops accepting, drains in-flight responses,
+//! evicts surviving connections, and joins every server thread.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use panacea_faultline::Fault;
 
 use panacea_netcore::{
-    ConnObserver, ConnStage, ConnectionCounters, EvictReason, Reactor, ReactorConfig,
-    Service as NetService,
+    ConnObserver, ConnStage, ConnectionCounters, EvictReason, Reactor, Service as NetService,
 };
 use panacea_serve::{
     OverloadReason, Payload, PreparedModel, RuntimeConfig, ServeError, SessionConfig,
@@ -699,8 +688,8 @@ impl Gateway {
         }
     }
 
-    /// The transport-level connection gauges this gateway's server (of
-    /// either io model) updates and the `stats` verb reports.
+    /// The transport-level connection gauges this gateway's server
+    /// updates and the `stats` verb reports.
     pub fn connections(&self) -> &ConnectionCounters {
         &self.conns
     }
@@ -1015,94 +1004,6 @@ fn error_kind(e: &ServeError) -> ErrorKind {
     }
 }
 
-/// Bound on accept-failure backoff, and the pacing unit a couple of
-/// transport tests reuse. Sleeps against it are Condvar waits that
-/// shutdown interrupts immediately — nothing busy-polls at this
-/// interval anymore.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Largest accepted request line; a connection streaming more without a
-/// newline is answered with an error and closed, bounding per-connection
-/// memory.
-const MAX_LINE_BYTES: usize = 16 << 20;
-
-/// Bound on how long a response write may stall on a non-reading client
-/// before the connection is dropped.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Upper bound on the reactor's shutdown drain (in-flight requests
-/// completing and flushing) before survivors are force-evicted.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Which transport serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One blocking handler thread per connection: threads grow with
-    /// connections. Simple, and still available for comparison runs.
-    Threaded,
-    /// One `poll(2)` reactor thread multiplexing every connection, with
-    /// a fixed worker pool executing requests: threads stay O(workers)
-    /// however many connections are open. The default.
-    Reactor,
-}
-
-impl IoModel {
-    /// Reads `PANACEA_IO_MODEL` (`"threaded"` / `"reactor"`), defaulting
-    /// to [`IoModel::Reactor`] when unset or unrecognized.
-    pub fn from_env() -> IoModel {
-        match std::env::var("PANACEA_IO_MODEL").as_deref() {
-            Ok("threaded") => IoModel::Threaded,
-            _ => IoModel::Reactor,
-        }
-    }
-
-    /// Stable spelling (matches the `PANACEA_IO_MODEL` values).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Threaded => "threaded",
-            IoModel::Reactor => "reactor",
-        }
-    }
-}
-
-/// Transport-level knobs for [`GatewayServer`] (distinct from
-/// [`GatewayConfig`], which sizes the transport-free [`Gateway`] core).
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Maximum simultaneously connected clients. Connections past the
-    /// bound are answered with one [`ErrorKind::Overloaded`] error line
-    /// and closed, so an untrusted peer opening sockets cannot force
-    /// unbounded resource use.
-    pub max_connections: usize,
-    /// Which transport serves connections. Defaults to
-    /// [`IoModel::from_env`] — reactor unless `PANACEA_IO_MODEL`
-    /// says otherwise.
-    pub io_model: IoModel,
-    /// Request-execution worker threads under [`IoModel::Reactor`]
-    /// (ignored by the threaded model, whose handler threads do their
-    /// own execution).
-    pub reactor_workers: usize,
-    /// Reactor write backlog (bytes) above which a connection stops
-    /// being read from and dispatched until the peer drains.
-    pub max_write_backlog: usize,
-    /// How long a response write may make zero progress on a
-    /// non-reading client before the connection is evicted. Under the
-    /// threaded model this is the socket write timeout.
-    pub write_stall_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_connections: 1024,
-            io_model: IoModel::from_env(),
-            reactor_workers: 4,
-            max_write_backlog: 4 << 20,
-            write_stall_timeout: WRITE_TIMEOUT,
-        }
-    }
-}
-
 /// The [`panacea_netcore::Service`] gluing the reactor to the gateway:
 /// parse (timed into the `parse` stage histogram) → handle → encode.
 struct GatewayService {
@@ -1151,10 +1052,9 @@ impl NetService for GatewayService {
     }
 }
 
-/// Connection-lifecycle telemetry shared by both io models: flight
-/// recorder events for open/close/evict, and per-stage latencies under
-/// the `(model="-", verb="conn", stage=accept|read|write|dispatch)`
-/// dims.
+/// Connection-lifecycle telemetry: flight recorder events for
+/// open/close/evict, and per-stage latencies under the
+/// `(model="-", verb="conn", stage=accept|read|write|dispatch)` dims.
 struct GatewayConnObserver {
     gateway: Arc<Gateway>,
 }
@@ -1192,101 +1092,20 @@ impl ConnObserver for GatewayConnObserver {
     }
 }
 
-/// A TCP front-end over a shared [`Gateway`], serving with whichever
-/// [`IoModel`] the [`ServerConfig`] selects.
+/// Transport-level knobs for [`GatewayServer`] (distinct from
+/// [`GatewayConfig`], which sizes the transport-free [`Gateway`] core).
+/// This is the reactor's own configuration, so every transport default
+/// (connection cap, workers, 16 MiB line bound, write backlog, stall and
+/// drain timeouts) is defined once, in `panacea-netcore`.
+pub use panacea_netcore::ReactorConfig as ServerConfig;
+
+/// A TCP front-end over a shared [`Gateway`]: a `panacea-netcore`
+/// [`Reactor`] whose service parses, handles, and encodes one protocol
+/// line per request.
 #[derive(Debug)]
 pub struct GatewayServer {
     gateway: Arc<Gateway>,
-    local_addr: SocketAddr,
-    transport: Transport,
-}
-
-enum Transport {
-    Threaded {
-        shared: Arc<ThreadedShared>,
-        acceptor: Option<JoinHandle<()>>,
-    },
-    Reactor(Option<Reactor>),
-}
-
-impl std::fmt::Debug for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Transport::Threaded { .. } => f.write_str("Transport::Threaded"),
-            Transport::Reactor(_) => f.write_str("Transport::Reactor"),
-        }
-    }
-}
-
-/// State the threaded transport shares between the acceptor, its
-/// handler threads, and shutdown: the stop flag, a Condvar making every
-/// backoff sleep interruptible, and read-half clones of live
-/// connections so shutdown can `shutdown(2)` blocked reads awake
-/// instead of having handlers poll a flag on short read timeouts.
-#[derive(Debug, Default)]
-struct ThreadedShared {
-    stop: AtomicBool,
-    sleep_lock: Mutex<()>,
-    stop_cv: Condvar,
-    registry: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl ThreadedShared {
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Sleeps up to `d`; returns whether shutdown has been triggered
-    /// (which also interrupts the sleep immediately).
-    fn backoff(&self, d: Duration) -> bool {
-        let guard = self
-            .sleep_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if self.stopped() {
-            return true;
-        }
-        let _ = self.stop_cv.wait_timeout(guard, d);
-        self.stopped()
-    }
-
-    /// Triggers shutdown: flips the flag, wakes every backoff sleeper,
-    /// and half-closes every registered connection so blocked reads
-    /// return EOF at once.
-    fn trigger(&self) {
-        self.stop.store(true, Ordering::Release);
-        {
-            let _guard = self
-                .sleep_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.stop_cv.notify_all();
-        }
-        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-        for stream in registry.values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Registers a connection for shutdown wakeup; refuses (returning
-    /// `false`) once shutdown has been triggered, closing the race
-    /// where a handler would otherwise register just after the trigger
-    /// swept the registry.
-    fn register(&self, id: u64, stream: TcpStream) -> bool {
-        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.stopped() {
-            return false;
-        }
-        registry.insert(id, stream);
-        true
-    }
-
-    fn deregister(&self, id: u64) {
-        self.registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-    }
+    reactor: Reactor,
 }
 
 impl GatewayServer {
@@ -1310,56 +1129,23 @@ impl GatewayServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let transport = match config.io_model {
-            IoModel::Reactor => {
-                let reactor = Reactor::spawn(
-                    listener,
-                    Arc::new(GatewayService {
-                        gateway: Arc::clone(&gateway),
-                    }),
-                    Arc::new(GatewayConnObserver {
-                        gateway: Arc::clone(&gateway),
-                    }),
-                    gateway.connections().clone(),
-                    ReactorConfig {
-                        max_connections: config.max_connections.max(1),
-                        workers: config.reactor_workers,
-                        max_line_bytes: MAX_LINE_BYTES,
-                        max_write_backlog: config.max_write_backlog,
-                        write_stall_timeout: config.write_stall_timeout,
-                        drain_timeout: DRAIN_TIMEOUT,
-                    },
-                )?;
-                Transport::Reactor(Some(reactor))
-            }
-            IoModel::Threaded => {
-                let shared = Arc::new(ThreadedShared::default());
-                let acceptor = {
-                    let gateway = Arc::clone(&gateway);
-                    let shared = Arc::clone(&shared);
-                    thread::Builder::new()
-                        .name("panacea-gateway-accept".to_string())
-                        .spawn(move || accept_loop(&listener, &gateway, &shared, config))
-                        .expect("spawn acceptor")
-                };
-                Transport::Threaded {
-                    shared,
-                    acceptor: Some(acceptor),
-                }
-            }
-        };
-        Ok(GatewayServer {
-            gateway,
-            local_addr,
-            transport,
-        })
+        let reactor = Reactor::spawn(
+            TcpListener::bind(addr)?,
+            Arc::new(GatewayService {
+                gateway: Arc::clone(&gateway),
+            }),
+            Arc::new(GatewayConnObserver {
+                gateway: Arc::clone(&gateway),
+            }),
+            gateway.connections().clone(),
+            config,
+        )?;
+        Ok(GatewayServer { gateway, reactor })
     }
 
     /// The bound address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.reactor.local_addr()
     }
 
     /// The gateway this server fronts.
@@ -1367,271 +1153,11 @@ impl GatewayServer {
         &self.gateway
     }
 
-    /// Stops accepting, drains or disconnects live connections, and
-    /// joins every server thread. Idempotent; also invoked by `Drop`.
+    /// Stops accepting, drains in-flight responses, evicts surviving
+    /// connections, and joins every server thread. Idempotent; dropping
+    /// the server does the same.
     pub fn shutdown(&mut self) {
-        match &mut self.transport {
-            Transport::Reactor(reactor) => {
-                if let Some(mut r) = reactor.take() {
-                    r.shutdown();
-                }
-            }
-            Transport::Threaded { shared, acceptor } => {
-                let Some(handle) = acceptor.take() else {
-                    return;
-                };
-                shared.trigger();
-                // Unblock the acceptor with a throwaway connection. A
-                // wildcard bind address is not connectable, so nudge
-                // via loopback.
-                let mut nudge_addr = self.local_addr;
-                if nudge_addr.ip().is_unspecified() {
-                    nudge_addr.set_ip(match nudge_addr {
-                        SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                        SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                    });
-                }
-                let _ = TcpStream::connect(nudge_addr);
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl Drop for GatewayServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    gateway: &Arc<Gateway>,
-    shared: &Arc<ThreadedShared>,
-    config: ServerConfig,
-) {
-    let max_connections = config.max_connections.max(1);
-    let observer = Arc::new(GatewayConnObserver {
-        gateway: Arc::clone(gateway),
-    });
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for (conn, stream) in listener.incoming().enumerate() {
-        if shared.stopped() {
-            break;
-        }
-        let Ok(stream) = stream else {
-            // Accept failures can be persistent (fd exhaustion while
-            // every handler slot is held open); backing off keeps the
-            // acceptor from busy-spinning a core until they clear —
-            // and shutdown interrupts the backoff immediately.
-            if shared.backoff(POLL_INTERVAL) {
-                break;
-            }
-            continue;
-        };
-        let accept_started = Instant::now();
-        handlers.retain(|h| !h.is_finished());
-        if handlers.len() >= max_connections {
-            reject_connection(gateway, &observer, stream, max_connections);
-            continue;
-        }
-        let gateway = Arc::clone(gateway);
-        let shared = Arc::clone(shared);
-        let handler_observer = Arc::clone(&observer);
-        let write_timeout = config.write_stall_timeout;
-        let spawned = thread::Builder::new()
-            .name(format!("panacea-gateway-conn-{conn}"))
-            .spawn(move || {
-                serve_connection(
-                    &gateway,
-                    &handler_observer,
-                    &shared,
-                    conn as u64,
-                    stream,
-                    write_timeout,
-                )
-            });
-        match spawned {
-            Ok(handle) => {
-                observer.stage_time(ConnStage::Accept, accept_started.elapsed());
-                handlers.push(handle);
-            }
-            // Thread creation failing (resource exhaustion) must not
-            // take the acceptor down; dropping the closure closed the
-            // socket, and the next accept tries again.
-            Err(_) => continue,
-        }
-    }
-    for handle in handlers {
-        let _ = handle.join();
-    }
-}
-
-/// Answers an over-limit connection with a single `Overloaded` error
-/// line (best-effort) and closes it.
-fn reject_connection(
-    gateway: &Gateway,
-    observer: &GatewayConnObserver,
-    mut stream: TcpStream,
-    limit: usize,
-) {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let encoded = encode_response(&Response::Error {
-        kind: ErrorKind::Overloaded,
-        message: format!("connection limit {limit} reached; retry later"),
-    });
-    let _ = stream
-        .write_all(encoded.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"));
-    let open_now = gateway.connections().on_evict(false);
-    observer.conn_evict(EvictReason::MaxConnections, open_now);
-}
-
-/// One threaded handler's full lifecycle: register for shutdown wakeup,
-/// record open/close (or shutdown-evict) telemetry, and drive the
-/// request loop in between.
-fn serve_connection(
-    gateway: &Gateway,
-    observer: &GatewayConnObserver,
-    shared: &ThreadedShared,
-    conn_id: u64,
-    stream: TcpStream,
-    write_timeout: Duration,
-) {
-    if stream.set_write_timeout(Some(write_timeout)).is_err() {
-        return;
-    }
-    let Ok(registered) = stream.try_clone() else {
-        return;
-    };
-    if !shared.register(conn_id, registered) {
-        return; // shutdown already swept the registry
-    }
-    observer.conn_open(gateway.connections().on_open());
-    drive_connection(gateway, observer, shared, stream);
-    shared.deregister(conn_id);
-    if shared.stopped() {
-        let open_now = gateway.connections().on_evict(true);
-        observer.conn_evict(EvictReason::Shutdown, open_now);
-    } else {
-        observer.conn_close(gateway.connections().on_close());
-    }
-}
-
-/// The threaded request loop: blocking chunk reads (woken by shutdown's
-/// socket half-close, not by a poll interval), line reassembly, and one
-/// response per request line.
-fn drive_connection(
-    gateway: &Gateway,
-    observer: &GatewayConnObserver,
-    shared: &ThreadedShared,
-    stream: TcpStream,
-) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    let mut line_started: Option<Instant> = None;
-    let respond = |writer: &mut BufWriter<TcpStream>, response: &Response| {
-        let encoded = encode_response(response);
-        writer
-            .write_all(encoded.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok()
-    };
-    loop {
-        // Checked once per buffered chunk, so a client dripping bytes
-        // mid-line cannot starve shutdown between wakeups.
-        if shared.stopped() {
-            return;
-        }
-        // Accumulate raw bytes rather than `read_line`-ing a String: one
-        // `fill_buf` returns per chunk, and a multi-byte UTF-8 sequence
-        // split across reads stays intact because decoding happens only
-        // once the full line is assembled.
-        let newline_at = match reader.fill_buf() {
-            Ok([]) => return, // EOF (peer close, or shutdown's half-close)
-            Ok(buf) => {
-                let newline = buf.iter().position(|&b| b == b'\n');
-                let take = newline.map_or(buf.len(), |i| i + 1);
-                line.extend_from_slice(&buf[..take]);
-                reader.consume(take);
-                line_started.get_or_insert_with(Instant::now);
-                newline
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        };
-        if line.len() > MAX_LINE_BYTES {
-            let _ = respond(
-                &mut writer,
-                &Response::Error {
-                    kind: ErrorKind::BadRequest,
-                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                },
-            );
-            return;
-        }
-        if newline_at.is_none() {
-            continue; // keep accumulating this line
-        }
-        if let Some(started) = line_started.take() {
-            observer.stage_time(ConnStage::Read, started.elapsed());
-        }
-        let response = match std::str::from_utf8(&line) {
-            Ok(text) if text.trim().is_empty() => {
-                line.clear();
-                continue;
-            }
-            Ok(text) => {
-                let parse_started = Instant::now();
-                let decoded = decode_request(text);
-                gateway.record_parse(parse_started.elapsed());
-                match decoded {
-                    Ok(request) => {
-                        let dispatch_started = Instant::now();
-                        // Panic isolation, threaded-model edition: a
-                        // handler panic answers this request and keeps
-                        // the connection's thread (and every other
-                        // connection) alive, mirroring the reactor's
-                        // worker-pool catch.
-                        let handled = catch_unwind(AssertUnwindSafe(|| gateway.handle(request)))
-                            .unwrap_or_else(|_| {
-                                gateway.connections().on_worker_panic();
-                                gateway.recorder().record(
-                                    EventSeverity::Error,
-                                    "worker_panic",
-                                    "request handler panicked".to_string(),
-                                );
-                                Response::Error {
-                                    kind: ErrorKind::Internal,
-                                    message: "request handler panicked".to_string(),
-                                }
-                            });
-                        observer.stage_time(ConnStage::Dispatch, dispatch_started.elapsed());
-                        handled
-                    }
-                    Err(e) => Response::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: e.to_string(),
-                    },
-                }
-            }
-            Err(_) => Response::Error {
-                kind: ErrorKind::BadRequest,
-                message: "request line is not valid UTF-8".to_string(),
-            },
-        };
-        line.clear();
-        let write_started = Instant::now();
-        let wrote = respond(&mut writer, &response);
-        observer.stage_time(ConnStage::Write, write_started.elapsed());
-        if !wrote {
-            return; // client hung up or stalled mid-response
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -1642,6 +1168,8 @@ mod tests {
     use panacea_serve::BatchPolicy;
     use panacea_tensor::dist::DistributionKind;
     use panacea_tensor::Matrix;
+    use std::sync::atomic::AtomicBool;
+    use std::thread;
 
     #[test]
     fn infer_hits_cache_on_identical_payload() {
@@ -2062,7 +1590,7 @@ mod tests {
     }
 
     #[test]
-    fn multibyte_utf8_split_across_read_timeouts_survives() {
+    fn multibyte_utf8_split_across_reads_survives() {
         use std::io::{BufRead, BufReader, Write};
         use std::net::TcpStream;
         let gateway = Arc::new(Gateway::new(models(&["m"], 12), GatewayConfig::default()));
@@ -2070,14 +1598,14 @@ mod tests {
         let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
         let line =
             "{\"verb\":\"infer\",\"model\":\"modèle\",\"payload\":{\"kind\":\"codes\",\"rows\":1,\"cols\":1,\"data\":[1]}}\n";
-        // Split the line *inside* the two-byte 'è' and stall past the
-        // handler's read timeout: the name must reassemble intact (the
-        // server answers unknown_model naming it), not be dropped or
-        // mangled into a JSON parse error.
+        // Split the line *inside* the two-byte 'è' and pause so the
+        // reactor reads the head on its own: the name must reassemble
+        // intact (the server answers unknown_model naming it), not be
+        // dropped or mangled into a JSON parse error.
         let split = line.find('è').expect("è present") + 1;
         raw.write_all(&line.as_bytes()[..split]).expect("send head");
         raw.flush().expect("flush head");
-        thread::sleep(POLL_INTERVAL * 3);
+        thread::sleep(Duration::from_millis(150));
         raw.write_all(&line.as_bytes()[split..]).expect("send tail");
         let mut reply = String::new();
         BufReader::new(&raw)
@@ -2097,8 +1625,8 @@ mod tests {
         let mut server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
         // A client dripping bytes without ever finishing a line: each
-        // chunk keeps the handler's read loop spinning, so shutdown must
-        // still be noticed between chunks.
+        // chunk wakes the reactor for a read that completes no request,
+        // and shutdown must not wait for a line that never ends.
         let stop_drip = Arc::new(AtomicBool::new(false));
         let dripper = {
             let stop_drip = Arc::clone(&stop_drip);
@@ -2141,9 +1669,9 @@ mod tests {
         let mut second = GatewayClient::connect(server.local_addr()).expect("connect");
         let err = second.stats().expect_err("over-limit connection served");
         assert!(err.is_overloaded(), "wrong rejection: {err}");
-        // Closing the first connection frees the slot (its handler exits
-        // on EOF; the acceptor prunes finished handlers on the next
-        // accept), so a later connection must get through.
+        // Closing the first connection frees the slot (the reactor drops
+        // it on EOF, asynchronously), so a later connection must get
+        // through.
         drop(first);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

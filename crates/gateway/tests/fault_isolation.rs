@@ -7,9 +7,6 @@
 //! that traverse the same sites. Every test arms a plan (an empty one
 //! when it needs no faults) so the arm guard's serialization lock keeps
 //! the scripts from overlapping.
-//!
-//! The server binds with the default [`ServerConfig`], which reads
-//! `PANACEA_IO_MODEL` — CI runs this suite under both transports.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

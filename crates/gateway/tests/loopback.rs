@@ -1017,18 +1017,18 @@ fn over_limit_connection_is_counted_evicted_with_reason() {
 
 #[test]
 fn reactor_evicts_slow_consumers_and_drain_evicts_survivors() {
-    use panacea_gateway::{IoModel, ServerConfig};
+    use panacea_gateway::ServerConfig;
     use std::io::Write;
     use std::net::TcpStream;
-    // Explicitly the reactor model (independent of PANACEA_IO_MODEL)
-    // with a tiny write backlog and a short stall timeout so a
-    // non-reading client is evicted quickly.
+    // A tiny write backlog and a short stall timeout so a non-reading
+    // client is evicted quickly. netcore's `reactor_loopback` suite owns
+    // the eviction and the drain themselves; this checks that they
+    // surface as flight-recorder events on the gateway.
     let gateway = Arc::new(Gateway::new(models(&["m"], 23), GatewayConfig::default()));
     let mut server = GatewayServer::bind_with(
         Arc::clone(&gateway),
         "127.0.0.1:0",
         ServerConfig {
-            io_model: IoModel::Reactor,
             max_write_backlog: 16 * 1024,
             write_stall_timeout: Duration::from_millis(300),
             ..ServerConfig::default()
@@ -1067,7 +1067,6 @@ fn reactor_evicts_slow_consumers_and_drain_evicts_survivors() {
         );
         thread::sleep(Duration::from_millis(25));
     }
-    assert!(healthy.stats().is_ok(), "healthy client must survive");
     slow_writer.join().expect("slow writer");
 
     // Shutdown drains, then evicts the surviving idle connection with

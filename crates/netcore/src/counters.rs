@@ -1,9 +1,9 @@
 //! Shared connection gauges: how many connections are open, the
 //! high-water mark, and how many were forcibly evicted.
 //!
-//! One [`ConnectionCounters`] handle is shared between the transport
-//! (which updates it on accept/close/evict, whichever io model is
-//! running) and whoever reports stats (the gateway's `stats` verb).
+//! One [`ConnectionCounters`] handle is shared between the reactor
+//! (which updates it on accept/close/evict) and whoever reports stats
+//! (the gateway's `stats` verb).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

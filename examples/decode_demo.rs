@@ -7,9 +7,9 @@
 //! 2. **cross-client determinism** — concurrent sessions fed the same
 //!    token stream produce bit-identical generations;
 //! 3. **continuous batching** — 8 concurrent sessions' single-token
-//!    steps fuse into shared GEMM passes (batch occupancy > 1), their
-//!    outputs stay bit-identical to the batching-disabled serial path,
-//!    and aggregate tokens/s beats serial per-session stepping ≥ 2×;
+//!    steps fuse into shared GEMM passes (batch occupancy > 1),
+//!    and their outputs stay bit-identical to the batching-disabled
+//!    serial path (the speed-up itself is `decode_bench`'s gate);
 //! 4. **session lifecycle** — stats report the sessions and their KV
 //!    bytes while open, closing frees them, and a closed session errors
 //!    with `unknown_session`.
@@ -77,15 +77,15 @@ fn main() {
         vec![Arc::clone(&model)],
         GatewayConfig::default(),
     ));
-    // Under the reactor transport, fused-decode occupancy is bounded by
-    // the in-flight request cap — the worker pool. The batching phase
-    // below drives 8 concurrent sessions and gates their fusion, so
-    // provision at least that many execution workers.
+    // Fused-decode occupancy is bounded by the in-flight request cap —
+    // the server's worker pool. The batching phase below drives 8
+    // concurrent sessions and gates their fusion, so provision at least
+    // that many execution workers.
     let server = GatewayServer::bind_with(
         Arc::clone(&gateway),
         "127.0.0.1:0",
         ServerConfig {
-            reactor_workers: BATCH_SESSIONS,
+            workers: BATCH_SESSIONS,
             ..ServerConfig::default()
         },
     )
@@ -322,16 +322,10 @@ fn main() {
         "concurrent sessions never shared a fused pass (occupancy {occupancy:.2})"
     );
 
-    // Gate: continuous batching pays off end to end.
     let speedup = batched_tps / serial_tps;
     println!(
         "\ncontinuous batching @ {BATCH_SESSIONS} sessions: serial {serial_tps:.1} tok/s, \
          batched {batched_tps:.1} tok/s ({speedup:.2}x, occupancy {occupancy:.2})"
-    );
-    assert!(
-        speedup >= 2.0,
-        "continuous batching underperformed: {speedup:.2}x aggregate speedup at \
-         {BATCH_SESSIONS} sessions (need >= 2x)"
     );
 
     // 6. Lifecycle gates: a closed session errors explicitly, and the
