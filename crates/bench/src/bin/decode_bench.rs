@@ -16,12 +16,6 @@
 //! trajectory is tracked across PRs, and the 8-session speedup is gated
 //! so CI catches a regression that serializes decode again.
 //!
-//! A telemetry A/B section re-runs the fused workload with block
-//! sub-layer stage timing toggled off and on
-//! ([`set_stage_timing_enabled`]) and gates the instrumentation cost at
-//! ≤3% of decode tokens/s, so observability never quietly taxes the
-//! serving hot path.
-//!
 //! A faultline A/B section drives serve-layer decode (the session
 //! manager's batching worker, whose fused pass hosts the
 //! `serve.decode.fused_pass` chaos hook) with no plan armed vs an armed
@@ -35,9 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use panacea_block::{
-    decode_step, decode_step_batch, set_stage_timing_enabled, KvCache, QuantizedBlock,
-};
+use panacea_block::{decode_step, decode_step_batch, KvCache, QuantizedBlock};
 use panacea_faultline::{FaultPlan, Scenario};
 use panacea_models::engine::TransformerConfig;
 use panacea_models::zoo::Benchmark;
@@ -55,14 +47,11 @@ const SESSION_COUNTS: [usize; 4] = [1, 4, 8, 16];
 /// stepping by at least this factor (the MAC ratio alone is ~4×).
 const GATED_SESSIONS: usize = 8;
 const GATED_SPEEDUP: f64 = 2.0;
-/// Telemetry gate: stage timing on must cost at most this fraction of
-/// fused decode throughput relative to timing off. Best-of-N on each
-/// arm so scheduler noise doesn't fail the gate spuriously.
-const OVERHEAD_TRIALS: usize = 5;
-const MAX_TELEMETRY_OVERHEAD: f64 = 0.03;
 /// Faultline gate: fused decode through the session manager's batching
 /// worker with an armed (but empty) fault plan must stay within this
-/// fraction of the no-plan baseline.
+/// fraction of the no-plan baseline. Best-of-N on each arm so scheduler
+/// noise doesn't fail the gate spuriously.
+const OVERHEAD_TRIALS: usize = 5;
 const MAX_FAULTLINE_OVERHEAD: f64 = 0.01;
 const FAULTLINE_ROUNDS: usize = 64;
 
@@ -83,22 +72,6 @@ fn prefilled(blocks: &[QuantizedBlock], sessions: usize) -> Vec<KvCache> {
             kv
         })
         .collect()
-}
-
-/// One fused-decode throughput trial at `sessions` concurrency:
-/// prefill, then `ROUNDS` batched steps, returning tokens/s.
-fn fused_trial(blocks: &[QuantizedBlock], sessions: usize) -> f64 {
-    let tokens: Vec<Matrix<f32>> = (0..sessions).map(token).collect();
-    let refs: Vec<&Matrix<f32>> = tokens.iter().collect();
-    let stacked = Matrix::hstack(&refs).expect("same width");
-    let segments = vec![1usize; sessions];
-    let mut fused = prefilled(blocks, sessions);
-    let started = Instant::now();
-    for _ in 0..ROUNDS {
-        let mut kv_refs: Vec<&mut KvCache> = fused.iter_mut().collect();
-        decode_step_batch(blocks, &stacked, &segments, &mut kv_refs);
-    }
-    (sessions * ROUNDS) as f64 / started.elapsed().as_secs_f64()
 }
 
 /// One serve-layer decode trial: a fresh session stepping
@@ -197,29 +170,11 @@ fn main() {
         }));
     }
 
-    // Telemetry overhead A/B: the same fused-decode workload with block
-    // sub-layer stage timing off vs on. Arms are interleaved per trial
-    // so clock/thermal drift taxes both equally, and each arm takes its
-    // best of OVERHEAD_TRIALS runs — best-of is the right statistic for
-    // an overhead bound because noise only ever slows a trial down.
-    fused_trial(&blocks, GATED_SESSIONS); // warmup
-    let mut disabled_tps = 0.0f64;
-    let mut enabled_tps = 0.0f64;
-    for _ in 0..OVERHEAD_TRIALS {
-        set_stage_timing_enabled(false);
-        disabled_tps = disabled_tps.max(fused_trial(&blocks, GATED_SESSIONS));
-        set_stage_timing_enabled(true);
-        enabled_tps = enabled_tps.max(fused_trial(&blocks, GATED_SESSIONS));
-    }
-    let overhead = 1.0 - enabled_tps / disabled_tps;
-    println!(
-        "\ntelemetry A/B @ {GATED_SESSIONS} sessions: timing off {disabled_tps:.1} tok/s, \
-         on {enabled_tps:.1} tok/s ({:+.2}% overhead)",
-        overhead * 100.0
-    );
-
     // Faultline overhead A/B: serve-layer decode with no plan armed vs
-    // an armed empty plan, interleaved best-of like the telemetry gate.
+    // an armed empty plan. Arms are interleaved per trial so clock/thermal
+    // drift taxes both equally, and each arm takes its best of
+    // OVERHEAD_TRIALS runs — best-of is the right statistic for an
+    // overhead bound because noise only ever slows a trial down.
     // Arming serializes on the global plan lock, so the armed arm holds
     // one guard across its trials and the disarmed arm runs outside it.
     let (fl_model, _) = block_model("faultline-ab", 19);
@@ -266,12 +221,6 @@ fn main() {
         "prefix_tokens": PREFIX,
         "tokens_per_session": ROUNDS,
         "results": Value::Array(rows),
-        "telemetry_overhead": json!({
-            "sessions": GATED_SESSIONS,
-            "timing_disabled_tokens_per_s": disabled_tps,
-            "timing_enabled_tokens_per_s": enabled_tps,
-            "overhead_frac": overhead,
-        }),
         "faultline_overhead": json!({
             "rounds": FAULTLINE_ROUNDS,
             "disarmed_tokens_per_s": disarmed_tps,
@@ -289,19 +238,6 @@ fn main() {
          (need >= {GATED_SPEEDUP}x)"
     );
     println!("{GATED_SESSIONS}-session fused speedup {gated_speedup:.2}x >= {GATED_SPEEDUP}x ✓");
-
-    assert!(
-        enabled_tps >= (1.0 - MAX_TELEMETRY_OVERHEAD) * disabled_tps,
-        "stage timing costs {:.2}% of fused decode throughput \
-         (gate: <= {:.0}%)",
-        overhead * 100.0,
-        MAX_TELEMETRY_OVERHEAD * 100.0
-    );
-    println!(
-        "telemetry overhead {:+.2}% <= {:.0}% ✓",
-        overhead * 100.0,
-        MAX_TELEMETRY_OVERHEAD * 100.0
-    );
 
     assert!(
         armed_tps >= (1.0 - MAX_FAULTLINE_OVERHEAD) * disarmed_tps,

@@ -393,19 +393,23 @@ fn run_export(smoke: bool) -> Value {
     }
     let exposition = gateway.prometheus();
 
-    // The exposition carries the dims the load just exercised plus the
-    // per-layer stage histograms, in the standard text format.
-    let model_label = format!("model=\"{BLOCK_MODEL}\"");
+    // The exposition carries every cell the load just exercised — the
+    // wire verbs' and every layer's stages — as one histogram family in
+    // the standard text format.
+    let step_series = format!(
+        "panacea_dim_latency_ns_bucket{{model=\"{BLOCK_MODEL}\",verb=\"decode\",stage=\"step\""
+    );
+    let block_series = format!(
+        "panacea_dim_latency_ns_bucket{{model=\"{BLOCK_MODEL}\",verb=\"block\",stage=\"qkv\""
+    );
     for needle in [
         "# TYPE panacea_dim_latency_ns histogram",
         "# TYPE panacea_dim_outcomes_total counter",
-        "panacea_dim_latency_ns_bucket{",
         "le=\"+Inf\"",
-        model_label.as_str(),
-        "stage=\"step\"",
+        step_series.as_str(),
+        block_series.as_str(),
+        "panacea_dim_latency_ns_bucket{model=\"-\",verb=\"gateway\",stage=\"execute\"",
         "outcome=\"ok\"",
-        "panacea_stage_duration_ns_bucket{scope=\"gateway\",stage=\"execute\"",
-        "scope=\"block\"",
         "panacea_events_total",
     ] {
         assert!(
@@ -415,7 +419,7 @@ fn run_export(smoke: bool) -> Value {
     }
 
     // Every JSONL line must be one valid JSON object with a wall-clock
-    // anchor and the per-dim quantiles.
+    // anchor and the per-cell quantiles.
     assert!(
         !jsonl_lines.is_empty(),
         "scraper collected no JSONL metric lines"
@@ -428,8 +432,8 @@ fn run_export(smoke: bool) -> Value {
             "JSONL metric line lacks a unix_ms anchor: {line}"
         );
         assert!(
-            v.get("dims").and_then(Value::as_array).is_some(),
-            "JSONL metric line lacks a dims array: {line}"
+            v.get("cells").and_then(Value::as_array).is_some(),
+            "JSONL metric line lacks a cells array: {line}"
         );
     }
 
@@ -1069,12 +1073,12 @@ fn main() {
         let mut probe = GatewayClient::connect(server.local_addr()).expect("connect");
         let metrics = probe.metrics().expect("metrics");
         let infer_dim = metrics
-            .dims
+            .cells
             .iter()
             .find(|d| d.model == CHAIN_MODEL && d.verb == "infer" && d.stage == "request")
             .expect("no (chain, infer, request) dimension on the wire");
         let step_dim = metrics
-            .dims
+            .cells
             .iter()
             .find(|d| d.model == BLOCK_MODEL && d.verb == "decode" && d.stage == "step")
             .expect("no (block, decode, step) dimension on the wire");
@@ -1086,7 +1090,7 @@ fn main() {
         let infer_p99 = quantile_us(&out.infer_us, 0.99);
         let decode_p50 = quantile_us(&out.decode_us, 0.50);
         let decode_p99 = quantile_us(&out.decode_us, 0.99);
-        let server_p99 = infer_dim.p99_us as f64;
+        let server_p99 = infer_dim.win_p99 as f64 / 1e3;
         let tokens_per_s = out.decode_tokens as f64 / out.elapsed.as_secs_f64();
         let requests_per_s = out.infer_us.len() as f64 / out.elapsed.as_secs_f64();
         println!(
@@ -1122,7 +1126,7 @@ fn main() {
         // append + batched pass, measured inside the shard) must sit
         // below the client's decode round trip but not implausibly far
         // below it — the step dimension really is timing these steps.
-        let step_p99 = step_dim.p99_us as f64;
+        let step_p99 = step_dim.win_p99 as f64 / 1e3;
         assert!(
             step_p99 <= decode_p99 * P99_UPPER_RATIO + P99_UPPER_SLACK_US,
             "decode step p99 {step_p99:.1}µs above client decode p99 {decode_p99:.1}µs \

@@ -1,12 +1,14 @@
 //! The block executor: four prepared AQS GEMMs plus the shared f32 glue.
 
+use std::time::Instant;
+
 use panacea_bitslice::VECTOR_LEN;
 use panacea_core::pipeline::QuantizedLinear;
 use panacea_core::Workload;
 use panacea_quant::Quantizer;
 use panacea_tensor::{ops, Matrix};
 
-use crate::stage_timing::{stage_end, stage_start, Stage};
+use crate::stage_timing::{stage_end, Stage};
 
 /// Per-sub-layer AQS workload of one block execution — which of the four
 /// weight GEMMs the multiplies and slice traffic went to.
@@ -189,11 +191,11 @@ impl QuantizedBlock {
         };
 
         // Attention sub-layer.
-        let t = stage_start();
+        let t = Instant::now();
         let ln1 = ops::layer_norm(xp);
         let (qkv_f, wl_qkv) = self.run_dequant(&self.qkv, &ln1);
         stage_end(Stage::Qkv, t);
-        let t = stage_start();
+        let t = Instant::now();
         let mut ctx = Matrix::<f32>::zeros(self.d_model, aligned);
         let mut col = 0;
         for &len in segments {
@@ -214,7 +216,7 @@ impl QuantizedBlock {
             col += len;
         }
         stage_end(Stage::Attn, t);
-        let t = stage_start();
+        let t = Instant::now();
         let (attn_out, wl_proj) = self.run_dequant(&self.proj, &ctx);
         let h = ops::add(xp, &attn_out);
         stage_end(Stage::Proj, t);
@@ -333,11 +335,11 @@ impl QuantizedBlock {
             &padded
         };
 
-        let t = stage_start();
+        let t = Instant::now();
         let ln1 = ops::layer_norm(xp);
         let (qkv_f, wl_qkv) = self.run_dequant(&self.qkv, &ln1);
         stage_end(Stage::Qkv, t);
-        let t = stage_start();
+        let t = Instant::now();
         let mut ctx = Matrix::<f32>::zeros(self.d_model, aligned);
         let mut col = 0;
         for (&len, state) in segments.iter().zip(states.iter_mut()) {
@@ -357,7 +359,7 @@ impl QuantizedBlock {
             col += len;
         }
         stage_end(Stage::Attn, t);
-        let t = stage_start();
+        let t = Instant::now();
         let (attn_out, wl_proj) = self.run_dequant(&self.proj, &ctx);
         let h = ops::add(xp, &attn_out);
         stage_end(Stage::Proj, t);
@@ -386,12 +388,12 @@ impl QuantizedBlock {
     /// f32 round-trip between the two GEMMs. Returns the post-residual
     /// hidden states plus the two GEMM workloads.
     fn mlp_sublayer(&self, h: &Matrix<f32>) -> (Matrix<f32>, Workload, Workload) {
-        let t = stage_start();
+        let t = Instant::now();
         let ln2 = ops::layer_norm(h);
         let fc1_codes = self.fc1.input_config().quantizer.quantize_matrix(&ln2);
         let (mid_codes, wl_fc1) = self.fc1.forward_codes(&fc1_codes);
         stage_end(Stage::Fc1, t);
-        let t = stage_start();
+        let t = Instant::now();
         let fc2_codes = mid_codes.map(|&c| self.gelu_lut[c as usize]);
         let (fc2_acc, wl_fc2) = self.fc2.forward(&fc2_codes);
         let s_fc2 = self.fc2.accumulator_scale();

@@ -54,7 +54,7 @@ use panacea_tensor::matrix::MatrixError;
 pub use builder::{sqnr_report, zoo_hidden_states, zoo_transformer, BlockBuilder, BlockSqnr};
 pub use engine::{BlockWorkload, QuantizedBlock};
 pub use kv::{decode_step, decode_step_batch, BlockKvState, KvCache};
-pub use stage_timing::{set_stage_timing_enabled, stage_snapshots, stage_timing_enabled};
+pub use stage_timing::{with_stage_times, StageTimes, STAGE_NAMES};
 
 /// Errors from block preparation.
 #[derive(Debug)]

@@ -1,48 +1,27 @@
-//! Process-global sub-layer stage timing for block execution.
+//! Per-thread sub-layer timing for block execution.
 //!
-//! Every [`QuantizedBlock`](crate::QuantizedBlock) forward pass times
-//! its five sub-stages — the QKV GEMM, attention, the output
-//! projection, and the two MLP GEMMs — into one process-global set of
-//! [`Histogram`]s. The rollup is global rather than per-block because
-//! a serving deployment runs many blocks per model per shard and the
-//! question the histograms answer ("where does a forward pass spend
-//! its time?") is a process-level one; the serve-layer histograms
-//! carry the per-shard breakdown.
-//!
-//! Timing is on by default and costs two `Instant::now()` calls per
-//! GEMM — negligible next to the GEMM itself, and gated by the decode
-//! bench's ≤3% overhead assertion. [`set_stage_timing_enabled`] turns
-//! it off entirely (one relaxed atomic load per stage), which is what
-//! the bench's A/B comparison toggles.
+//! Every [`QuantizedBlock`](crate::QuantizedBlock) pass adds the time
+//! of its five sub-stages — the QKV GEMM, attention, the output
+//! projection, and the two MLP GEMMs — to a thread-local accumulator
+//! (two `Instant::now()` calls per stage, negligible next to a GEMM).
+//! The durations leave this crate as data: a serving layer wraps a
+//! model pass in [`with_stage_times`] and records what it gets back
+//! under its own model's name.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
+use std::cell::Cell;
+use std::time::{Duration, Instant};
 
-use panacea_telemetry::{Histogram, HistogramSnapshot};
+/// The timed sub-stages, in [`StageTimes`] order.
+pub const STAGE_NAMES: [&str; 5] = ["qkv", "attn", "proj", "fc1", "fc2"];
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
+/// Time spent in each sub-stage, indexed like [`STAGE_NAMES`].
+pub type StageTimes = [Duration; 5];
 
-struct StageSet {
-    qkv: Histogram,
-    attn: Histogram,
-    proj: Histogram,
-    fc1: Histogram,
-    fc2: Histogram,
+thread_local! {
+    static TIMES: Cell<StageTimes> = const { Cell::new([Duration::ZERO; 5]) };
 }
 
-fn stages() -> &'static StageSet {
-    static STAGES: OnceLock<StageSet> = OnceLock::new();
-    STAGES.get_or_init(|| StageSet {
-        qkv: Histogram::new(),
-        attn: Histogram::new(),
-        proj: Histogram::new(),
-        fc1: Histogram::new(),
-        fc2: Histogram::new(),
-    })
-}
-
-/// One of the five timed sub-stages of a block forward pass.
+/// One of the five timed sub-stages of a block pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Stage {
     Qkv,
@@ -52,66 +31,20 @@ pub(crate) enum Stage {
     Fc2,
 }
 
-/// Starts timing a stage; `None` when timing is disabled.
-pub(crate) fn stage_start() -> Option<Instant> {
-    ENABLED.load(Ordering::Relaxed).then(Instant::now)
+/// Adds the time since `started` to this thread's total for `stage`.
+pub(crate) fn stage_end(stage: Stage, started: Instant) {
+    TIMES.with(|t| {
+        let mut times = t.get();
+        times[stage as usize] += started.elapsed();
+        t.set(times);
+    });
 }
 
-/// Finishes timing a stage started with [`stage_start`].
-pub(crate) fn stage_end(stage: Stage, started: Option<Instant>) {
-    let Some(started) = started else { return };
-    let set = stages();
-    let hist = match stage {
-        Stage::Qkv => &set.qkv,
-        Stage::Attn => &set.attn,
-        Stage::Proj => &set.proj,
-        Stage::Fc1 => &set.fc1,
-        Stage::Fc2 => &set.fc2,
-    };
-    hist.record_duration(started.elapsed());
-}
-
-/// Turns block sub-layer stage timing on or off process-wide.
-pub fn set_stage_timing_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether block sub-layer stage timing is currently on.
-pub fn stage_timing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Snapshots of the process-global block stage histograms (nanosecond
-/// samples), tagged with their wire-format stage names.
-pub fn stage_snapshots() -> Vec<(&'static str, HistogramSnapshot)> {
-    let set = stages();
-    vec![
-        ("block_qkv", set.qkv.snapshot()),
-        ("block_attn", set.attn.snapshot()),
-        ("block_proj", set.proj.snapshot()),
-        ("block_fc1", set.fc1.snapshot()),
-        ("block_fc2", set.fc2.snapshot()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toggle_gates_recording_and_snapshots_roll_up() {
-        // The stage set is process-global and other tests record into
-        // it concurrently, so assert deltas, never absolute counts.
-        set_stage_timing_enabled(false);
-        let t = stage_start();
-        assert!(t.is_none(), "disabled timing must not start timers");
-        stage_end(Stage::Qkv, t);
-        set_stage_timing_enabled(true);
-        let before: u64 = stage_snapshots().iter().map(|(_, s)| s.count).sum();
-        let t = stage_start();
-        assert!(t.is_some());
-        stage_end(Stage::Fc2, t);
-        let after: u64 = stage_snapshots().iter().map(|(_, s)| s.count).sum();
-        assert!(after > before, "enabled timing must record");
-    }
+/// Runs `f` and returns, next to its result, how long the block passes
+/// it executed on this thread spent in each sub-stage (summed over the
+/// blocks of a stack; all zero if `f` ran no block).
+pub fn with_stage_times<T>(f: impl FnOnce() -> T) -> (T, StageTimes) {
+    TIMES.with(|t| t.set([Duration::ZERO; 5]));
+    let out = f();
+    (out, TIMES.with(|t| t.replace([Duration::ZERO; 5])))
 }

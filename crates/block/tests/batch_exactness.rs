@@ -82,3 +82,20 @@ fn empty_batch_is_empty() {
     assert!(outs.is_empty());
     assert_eq!(wl.total().mul, 0);
 }
+
+/// Sub-layer durations leave the crate as data, scoped to the closure
+/// that ran the pass: all five stages timed, nothing carried over from
+/// (or into) work outside the scope.
+#[test]
+fn stage_times_cover_exactly_the_scoped_pass() {
+    use panacea_block::with_stage_times;
+    use std::time::Duration;
+    let block = prepared_block(0);
+    let x = hidden(16, 4, 0);
+    block.forward(&x); // unscoped work on this thread must not leak in
+    let ((out, _), times) = with_stage_times(|| block.forward(&x));
+    assert_eq!(out, block.forward(&x).0);
+    assert!(times.iter().all(|t| *t > Duration::ZERO), "{times:?}");
+    let ((), idle) = with_stage_times(|| ());
+    assert_eq!(idle, [Duration::ZERO; 5]);
+}

@@ -380,8 +380,8 @@ impl GatewayClient {
         }
     }
 
-    /// Fetches per-stage latency quantile summaries (gateway stages,
-    /// per-shard serving stages, block sub-layer stages).
+    /// Fetches every metric-registry cell's quantile summary (every
+    /// layer's stages plus each wire verb's `request` dimension).
     ///
     /// # Errors
     ///

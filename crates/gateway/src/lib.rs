@@ -61,14 +61,14 @@ pub use client::{ClientConfig, GatewayClient};
 pub use panacea_netcore::{ConnectionCounters, ConnectionStats};
 pub use panacea_serve::{OverloadReason, Payload, PayloadKind, SessionConfig, SessionStats};
 pub use panacea_telemetry::{
-    jsonl_metrics_line, unix_ms_now, Event, EventSeverity, FlightRecorder, HealthReport,
-    IncidentSnapshot, MetricKey, MetricRegistry, PrometheusText, SloConfig, SloStatus, SloTarget,
-    TargetReport, TraceConfig, TraceContext, Tracer, WindowConfig,
+    unix_ms_now, CellSummary, Event, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
+    MetricKey, MetricRegistry, PrometheusText, SloConfig, SloStatus, SloTarget, TargetReport,
+    TraceConfig, TraceContext, Tracer, WindowConfig,
 };
 pub use protocol::{
-    DecodeReply, DimSummary, ErrorKind, EventSummary, EventsReply, GatewayMetrics, GatewayStats,
+    DecodeReply, ErrorKind, EventSummary, EventsReply, GatewayMetrics, GatewayStats,
     IncidentSummary, InferReply, Request, Response, SessionCloseReply, SessionOpenReply,
-    ShardStats, ShedStats, SpanSummary, StageSummary, TraceKind, TraceReply, TraceSummary,
+    ShardStats, ShedStats, SpanSummary, TraceKind, TraceReply, TraceSummary,
 };
 pub use router::ShardRouter;
 pub use server::{Gateway, GatewayConfig, GatewayServer, ServerConfig};

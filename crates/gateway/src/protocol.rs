@@ -15,10 +15,10 @@
 //! * `"stats"` — gateway counters, including per-shard session counts
 //!   and resident KV bytes, plus `uptime_ms` and a monotonic snapshot
 //!   `seq`.
-//! * `"metrics"` — per-stage latency quantile summaries
-//!   (count/sum/p50/p90/p99/max per stage) for the gateway's
-//!   connection-handling stages, every shard's serving stages, and the
-//!   block engine's sub-layer stages.
+//! * `"metrics"` — one `cells` array: a quantile summary
+//!   ([`CellSummary`]: cumulative count/sum/p50/p90/p99/max, the same
+//!   over the last `window_ms`, and windowed ok/error/shed outcomes)
+//!   for every `(model, verb, stage)` cell of the metric registry.
 //! * `"trace"` — recorded request traces as structured span lists
 //!   (id/parent/stage/start_us/dur_us). An optional `kind` field picks
 //!   the ring: `"slow"` (default — pinned slow-request traces) or
@@ -27,7 +27,7 @@
 //!   sliding windows plus an overall `ok`/`degraded`/`critical` status.
 //! * `"events"` — the flight recorder: recent structured operational
 //!   events (seq/unix_ms/severity/kind/detail, newest first) plus the
-//!   pinned incident snapshot (events + slow traces + dims frozen when
+//!   pinned incident snapshot (events + slow traces + cells frozen when
 //!   SLO health last flipped to degraded/critical), or `null` if health
 //!   never flipped.
 //!
@@ -44,7 +44,7 @@ use std::time::Duration;
 use panacea_netcore::ConnectionStats;
 use panacea_serve::Payload;
 use panacea_telemetry::{
-    Event, EventSeverity, HealthReport, IncidentSnapshot, MetricKey, SloStatus, TargetReport,
+    CellSummary, Event, EventSeverity, HealthReport, IncidentSnapshot, SloStatus, TargetReport,
 };
 use panacea_tensor::Matrix;
 use serde_json::{json, Value};
@@ -109,8 +109,7 @@ pub enum Request {
     },
     /// Fetch gateway-level metrics.
     Stats,
-    /// Fetch per-stage latency quantile summaries (gateway stages,
-    /// per-shard serving stages, block sub-layer stages).
+    /// Fetch every metric-registry cell's quantile summary.
     Metrics,
     /// Fetch recorded request traces as span trees.
     Trace {
@@ -375,92 +374,8 @@ pub struct GatewayStats {
     pub seq: u64,
 }
 
-/// Quantile summary of one stage's latency histogram, as reported by
-/// the `metrics` verb. Values are in the histogram's native unit —
-/// nanoseconds for duration stages, raw counts for occupancy stages
-/// (`decode_occupancy`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageSummary {
-    /// Stage name (e.g. `"queue_wait"`, `"decode_pass"`, `"block_qkv"`).
-    pub stage: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Estimated 50th-percentile sample (upper bucket bound).
-    pub p50: u64,
-    /// Estimated 90th-percentile sample.
-    pub p90: u64,
-    /// Estimated 99th-percentile sample.
-    pub p99: u64,
-    /// Exact maximum sample.
-    pub max: u64,
-}
-
-impl StageSummary {
-    /// Summarizes one named histogram snapshot.
-    pub fn from_snapshot(stage: &str, snap: &panacea_telemetry::HistogramSnapshot) -> Self {
-        StageSummary {
-            stage: stage.to_string(),
-            count: snap.count,
-            sum: snap.sum,
-            p50: snap.p50(),
-            p90: snap.p90(),
-            p99: snap.p99(),
-            max: snap.max,
-        }
-    }
-}
-
-/// One dimension's windowed summary — quantiles and outcome counts for
-/// a (model, verb, stage) cell over the metrics window — as reported by
-/// the `metrics` verb. Latency values are in microseconds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DimSummary {
-    /// Model name the cell is keyed by.
-    pub model: String,
-    /// Wire verb or internal path ("infer", "decode", "batch", …).
-    pub verb: String,
-    /// Pipeline stage ("request", "execute", "step", "fused_pass", …).
-    pub stage: String,
-    /// Latency samples in the window.
-    pub count: u64,
-    /// Estimated windowed p50 latency (µs).
-    pub p50_us: u64,
-    /// Estimated windowed p90 latency (µs).
-    pub p90_us: u64,
-    /// Estimated windowed p99 latency (µs).
-    pub p99_us: u64,
-    /// Windowed maximum latency (µs).
-    pub max_us: u64,
-    /// Successful outcomes in the window.
-    pub ok: u64,
-    /// Failed outcomes in the window (excluding sheds).
-    pub error: u64,
-    /// Shed (overload-rejected) outcomes in the window.
-    pub shed: u64,
-}
-
-impl DimSummary {
-    /// Summarizes one dimension's window (nanosecond latencies → µs).
-    pub fn from_window(key: &MetricKey, w: &panacea_telemetry::DimWindow) -> Self {
-        DimSummary {
-            model: key.model.clone(),
-            verb: key.verb.clone(),
-            stage: key.stage.clone(),
-            count: w.latency.count,
-            p50_us: w.latency.p50() / 1_000,
-            p90_us: w.latency.p90() / 1_000,
-            p99_us: w.latency.p99() / 1_000,
-            max_us: w.latency.max / 1_000,
-            ok: w.ok,
-            error: w.error,
-            shed: w.shed,
-        }
-    }
-}
-
-/// Per-stage latency quantiles returned by the `metrics` verb.
+/// Every registry cell's quantile summary, returned by the `metrics`
+/// verb.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GatewayMetrics {
     /// Milliseconds since the gateway started.
@@ -468,20 +383,13 @@ pub struct GatewayMetrics {
     /// Monotonic snapshot sequence number (shared counter with the
     /// `stats` verb).
     pub seq: u64,
-    /// Gateway connection-handling stages: `parse`, `cache_probe`,
-    /// `admission_wait`, `route`, `execute`.
-    pub gateway: Vec<StageSummary>,
-    /// Per-shard serving stages (`queue_wait`, `batch_form`, `execute`,
-    /// `split_back`, `step`, `decode_linger`, `decode_pass`,
-    /// `decode_occupancy`), indexed by shard id.
-    pub shards: Vec<Vec<StageSummary>>,
-    /// Process-global block sub-layer stages (`block_qkv`,
-    /// `block_attn`, `block_proj`, `block_fc1`, `block_fc2`).
-    pub block: Vec<StageSummary>,
-    /// The sliding window the dimensional summaries cover, in ms.
-    pub dims_window_ms: u64,
-    /// Windowed dimensional summaries, sorted by (model, verb, stage).
-    pub dims: Vec<DimSummary>,
+    /// Wall-clock anchor of the sweep, milliseconds since the Unix
+    /// epoch — what makes a reply line a self-contained JSONL record.
+    pub unix_ms: u64,
+    /// The sliding window the `win_*` and outcome fields cover, in ms.
+    pub window_ms: u64,
+    /// One summary per (model, verb, stage) cell, sorted by key.
+    pub cells: Vec<CellSummary>,
 }
 
 /// One span of a recorded trace, as reported by the `trace` verb.
@@ -589,8 +497,8 @@ pub struct IncidentSummary {
     pub events: Vec<EventSummary>,
     /// Pinned slow traces at the flip, newest first.
     pub traces: Vec<TraceSummary>,
-    /// The windowed dims frozen at the flip, sorted by key.
-    pub dims: Vec<DimSummary>,
+    /// Every registry cell's summary frozen at the flip, sorted by key.
+    pub cells: Vec<CellSummary>,
 }
 
 impl From<&IncidentSnapshot> for IncidentSummary {
@@ -600,11 +508,7 @@ impl From<&IncidentSnapshot> for IncidentSummary {
             status: s.status,
             events: s.events.iter().map(EventSummary::from).collect(),
             traces: s.traces.iter().map(TraceSummary::from).collect(),
-            dims: s
-                .dims
-                .iter()
-                .map(|(key, w)| DimSummary::from_window(key, w))
-                .collect(),
+            cells: s.cells.clone(),
         }
     }
 }
@@ -1040,20 +944,32 @@ fn value_to_stats(v: &Value) -> Result<GatewayStats, GatewayError> {
     })
 }
 
-fn stage_summary_to_value(s: &StageSummary) -> Value {
+fn cell_to_value(c: &CellSummary) -> Value {
     json!({
-        "stage": s.stage.clone(),
-        "count": s.count,
-        "sum": s.sum,
-        "p50": s.p50,
-        "p90": s.p90,
-        "p99": s.p99,
-        "max": s.max,
+        "model": c.model.clone(),
+        "verb": c.verb.clone(),
+        "stage": c.stage.clone(),
+        "count": c.count,
+        "sum": c.sum,
+        "p50": c.p50,
+        "p90": c.p90,
+        "p99": c.p99,
+        "max": c.max,
+        "win_count": c.win_count,
+        "win_p50": c.win_p50,
+        "win_p90": c.win_p90,
+        "win_p99": c.win_p99,
+        "win_max": c.win_max,
+        "ok": c.ok,
+        "error": c.error,
+        "shed": c.shed,
     })
 }
 
-fn value_to_stage_summary(v: &Value) -> Result<StageSummary, GatewayError> {
-    Ok(StageSummary {
+fn value_to_cell(v: &Value) -> Result<CellSummary, GatewayError> {
+    Ok(CellSummary {
+        model: str_field(v, "model")?.to_string(),
+        verb: str_field(v, "verb")?.to_string(),
         stage: str_field(v, "stage")?.to_string(),
         count: u64_field(v, "count")?,
         sum: u64_field(v, "sum")?,
@@ -1061,51 +977,30 @@ fn value_to_stage_summary(v: &Value) -> Result<StageSummary, GatewayError> {
         p90: u64_field(v, "p90")?,
         p99: u64_field(v, "p99")?,
         max: u64_field(v, "max")?,
-    })
-}
-
-fn stage_summaries_to_value(stages: &[StageSummary]) -> Value {
-    Value::Array(stages.iter().map(stage_summary_to_value).collect())
-}
-
-fn value_to_stage_summaries(v: &Value) -> Result<Vec<StageSummary>, GatewayError> {
-    v.as_array()
-        .ok_or_else(|| bad("stage list is not an array"))?
-        .iter()
-        .map(value_to_stage_summary)
-        .collect()
-}
-
-fn dim_summary_to_value(d: &DimSummary) -> Value {
-    json!({
-        "model": d.model.clone(),
-        "verb": d.verb.clone(),
-        "stage": d.stage.clone(),
-        "count": d.count,
-        "p50_us": d.p50_us,
-        "p90_us": d.p90_us,
-        "p99_us": d.p99_us,
-        "max_us": d.max_us,
-        "ok": d.ok,
-        "error": d.error,
-        "shed": d.shed,
-    })
-}
-
-fn value_to_dim_summary(v: &Value) -> Result<DimSummary, GatewayError> {
-    Ok(DimSummary {
-        model: str_field(v, "model")?.to_string(),
-        verb: str_field(v, "verb")?.to_string(),
-        stage: str_field(v, "stage")?.to_string(),
-        count: u64_field(v, "count")?,
-        p50_us: u64_field(v, "p50_us")?,
-        p90_us: u64_field(v, "p90_us")?,
-        p99_us: u64_field(v, "p99_us")?,
-        max_us: u64_field(v, "max_us")?,
+        win_count: u64_field(v, "win_count")?,
+        win_p50: u64_field(v, "win_p50")?,
+        win_p90: u64_field(v, "win_p90")?,
+        win_p99: u64_field(v, "win_p99")?,
+        win_max: u64_field(v, "win_max")?,
         ok: u64_field(v, "ok")?,
         error: u64_field(v, "error")?,
         shed: u64_field(v, "shed")?,
     })
+}
+
+/// The `cells` array shared by the `metrics` reply and a pinned
+/// incident.
+fn cells_to_value(cells: &[CellSummary]) -> Value {
+    Value::Array(cells.iter().map(cell_to_value).collect())
+}
+
+fn value_to_cells(v: &Value) -> Result<Vec<CellSummary>, GatewayError> {
+    field(v, "cells")?
+        .as_array()
+        .ok_or_else(|| bad("cells is not an array"))?
+        .iter()
+        .map(value_to_cell)
+        .collect()
 }
 
 fn metrics_to_value(m: &GatewayMetrics) -> Value {
@@ -1114,11 +1009,9 @@ fn metrics_to_value(m: &GatewayMetrics) -> Value {
         "kind": "metrics",
         "uptime_ms": m.uptime_ms,
         "seq": m.seq,
-        "gateway": stage_summaries_to_value(&m.gateway),
-        "shards": Value::Array(m.shards.iter().map(|s| stage_summaries_to_value(s)).collect()),
-        "block": stage_summaries_to_value(&m.block),
-        "dims_window_ms": m.dims_window_ms,
-        "dims": Value::Array(m.dims.iter().map(dim_summary_to_value).collect()),
+        "unix_ms": m.unix_ms,
+        "window_ms": m.window_ms,
+        "cells": cells_to_value(&m.cells),
     })
 }
 
@@ -1126,21 +1019,9 @@ fn value_to_metrics(v: &Value) -> Result<GatewayMetrics, GatewayError> {
     Ok(GatewayMetrics {
         uptime_ms: u64_field(v, "uptime_ms")?,
         seq: u64_field(v, "seq")?,
-        gateway: value_to_stage_summaries(field(v, "gateway")?)?,
-        shards: field(v, "shards")?
-            .as_array()
-            .ok_or_else(|| bad("shards is not an array"))?
-            .iter()
-            .map(value_to_stage_summaries)
-            .collect::<Result<Vec<_>, _>>()?,
-        block: value_to_stage_summaries(field(v, "block")?)?,
-        dims_window_ms: u64_field(v, "dims_window_ms")?,
-        dims: field(v, "dims")?
-            .as_array()
-            .ok_or_else(|| bad("dims is not an array"))?
-            .iter()
-            .map(value_to_dim_summary)
-            .collect::<Result<Vec<_>, _>>()?,
+        unix_ms: u64_field(v, "unix_ms")?,
+        window_ms: u64_field(v, "window_ms")?,
+        cells: value_to_cells(v)?,
     })
 }
 
@@ -1333,7 +1214,7 @@ fn incident_to_value(s: &IncidentSummary) -> Value {
         "status": s.status.as_str(),
         "events": events_to_value(&s.events),
         "traces": Value::Array(s.traces.iter().map(trace_to_value).collect()),
-        "dims": Value::Array(s.dims.iter().map(dim_summary_to_value).collect()),
+        "cells": cells_to_value(&s.cells),
     })
 }
 
@@ -1348,12 +1229,7 @@ fn value_to_incident(v: &Value) -> Result<IncidentSummary, GatewayError> {
             .iter()
             .map(value_to_trace)
             .collect::<Result<Vec<_>, _>>()?,
-        dims: field(v, "dims")?
-            .as_array()
-            .ok_or_else(|| bad("dims is not an array"))?
-            .iter()
-            .map(value_to_dim_summary)
-            .collect::<Result<Vec<_>, _>>()?,
+        cells: value_to_cells(v)?,
     })
 }
 
@@ -1743,15 +1619,25 @@ mod tests {
         );
     }
 
-    fn stage(name: &str, count: u64) -> StageSummary {
-        StageSummary {
-            stage: name.to_string(),
+    fn cell(model: &str, verb: &str, stage: &str, count: u64) -> CellSummary {
+        CellSummary {
+            model: model.to_string(),
+            verb: verb.to_string(),
+            stage: stage.to_string(),
             count,
             sum: count * 100,
             p50: 90,
             p90: 180,
             p99: 400,
             max: 417,
+            win_count: count / 2,
+            win_p50: 80,
+            win_p90: 170,
+            win_p99: 390,
+            win_max: 401,
+            ok: 38,
+            error: 1,
+            shed: 1,
         }
     }
 
@@ -1760,26 +1646,14 @@ mod tests {
         let resp = Response::Metrics(GatewayMetrics {
             uptime_ms: 5_000,
             seq: 3,
-            gateway: vec![stage("parse", 9), stage("route", 9)],
-            shards: vec![
-                vec![stage("queue_wait", 4), stage("execute", 4)],
-                vec![], // a shard with no summaries survives too
+            unix_ms: 1_700_000_000_000,
+            window_ms: 10_000,
+            cells: vec![
+                cell("-", "gateway", "parse", 9),
+                cell("m", "batch", "queue_wait", 4),
+                cell("m", "block", "qkv", 32),
+                cell("m", "infer", "request", 40),
             ],
-            block: vec![stage("block_qkv", 32)],
-            dims_window_ms: 10_000,
-            dims: vec![DimSummary {
-                model: "m".to_string(),
-                verb: "infer".to_string(),
-                stage: "request".to_string(),
-                count: 40,
-                p50_us: 120,
-                p90_us: 300,
-                p99_us: 900,
-                max_us: 1_050,
-                ok: 38,
-                error: 1,
-                shed: 1,
-            }],
         });
         assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
         // An all-empty bundle round-trips as well.
@@ -1912,19 +1786,7 @@ mod tests {
                         links: vec![],
                     }],
                 }],
-                dims: vec![DimSummary {
-                    model: "m".to_string(),
-                    verb: "decode".to_string(),
-                    stage: "step".to_string(),
-                    count: 12,
-                    p50_us: 900,
-                    p90_us: 1_800,
-                    p99_us: 2_400,
-                    max_us: 2_500,
-                    ok: 10,
-                    error: 0,
-                    shed: 2,
-                }],
+                cells: vec![cell("m", "decode", "step", 12)],
             }),
         });
         assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
@@ -1950,20 +1812,6 @@ mod tests {
         assert_eq!(summary.kind, "health_transition");
         assert_eq!(summary.detail, "to=critical");
         assert!(summary.unix_ms > 0);
-    }
-
-    #[test]
-    fn stage_summary_matches_histogram_snapshot() {
-        let h = panacea_telemetry::Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let s = StageSummary::from_snapshot("execute", &h.snapshot());
-        assert_eq!(s.stage, "execute");
-        assert_eq!(s.count, 100);
-        assert_eq!(s.sum, 5050);
-        assert_eq!(s.p50, 50);
-        assert_eq!(s.max, 100);
     }
 
     #[test]
@@ -1996,9 +1844,9 @@ mod tests {
             "{\"verb\":\"trace\",\"limit\":1,\"kind\":7}",
             // metrics responses with missing or mistyped pieces
             "{\"ok\":true,\"kind\":\"metrics\"}",
-            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"gateway\":7,\"shards\":[],\"block\":[]}",
-            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"gateway\":[{\"stage\":\"parse\"}],\"shards\":[],\"block\":[]}",
-            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"gateway\":[],\"shards\":[[{\"count\":1}]],\"block\":[]}",
+            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"unix_ms\":1,\"window_ms\":1,\"cells\":7}",
+            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"unix_ms\":1,\"window_ms\":1,\"cells\":[{\"stage\":\"parse\"}]}",
+            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"unix_ms\":1,\"window_ms\":1,\"cells\":[{\"model\":\"m\",\"verb\":\"infer\",\"stage\":\"request\",\"count\":\"many\"}]}",
             // trace responses with malformed spans
             "{\"ok\":true,\"kind\":\"trace\"}",
             "{\"ok\":true,\"kind\":\"trace\",\"traces\":{}}",
@@ -2023,8 +1871,9 @@ mod tests {
             "{\"ok\":true,\"kind\":\"stats\",\"shards\":[],\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,\"entries\":0},\"admission\":{\"admitted\":0,\"rejected_capacity\":0,\"rejected_timeout\":0,\"in_flight\":0}}",
             // stats response missing the per-reason shed breakdown
             "{\"ok\":true,\"kind\":\"stats\",\"uptime_ms\":1,\"seq\":1,\"shards\":[],\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":0,\"entries\":0},\"admission\":{\"admitted\":0,\"rejected_capacity\":0,\"rejected_timeout\":0,\"in_flight\":0}}",
-            // metrics response missing the dimensional summaries
-            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"gateway\":[],\"shards\":[],\"block\":[]}",
+            // metrics response missing the cells (or their window)
+            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"unix_ms\":1,\"window_ms\":1}",
+            "{\"ok\":true,\"kind\":\"metrics\",\"uptime_ms\":1,\"seq\":1,\"unix_ms\":1,\"cells\":[]}",
             // health responses with missing or mistyped pieces
             "{\"ok\":true,\"kind\":\"health\"}",
             "{\"ok\":true,\"kind\":\"health\",\"status\":\"fine\",\"targets\":[]}",

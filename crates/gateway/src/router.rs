@@ -36,31 +36,26 @@ impl ShardRouter {
     }
 
     /// [`new`](Self::new) for models that are already shared handles —
-    /// no weight cloning happens either way.
+    /// no weight cloning happens either way. Every shard records into a
+    /// metric registry and flight recorder private to this router.
     pub fn from_shared(
         models: Vec<Arc<PreparedModel>>,
         shards: usize,
         config: RuntimeConfig,
     ) -> Self {
-        Self::build(models, shards, config, None, None)
+        Self::from_shared_with_observability(
+            models,
+            shards,
+            config,
+            panacea_telemetry::MetricRegistry::default(),
+            panacea_telemetry::FlightRecorder::default(),
+        )
     }
 
-    /// [`from_shared`](Self::from_shared) with a dimensional metric
-    /// registry threaded into every shard's runtime, so per-model
-    /// windowed batch-execute latencies are recorded alongside the
-    /// aggregate histograms.
-    pub fn from_shared_with_dims(
-        models: Vec<Arc<PreparedModel>>,
-        shards: usize,
-        config: RuntimeConfig,
-        dims: panacea_telemetry::MetricRegistry,
-    ) -> Self {
-        Self::build(models, shards, config, Some(dims), None)
-    }
-
-    /// [`from_shared_with_dims`](Self::from_shared_with_dims) plus a
-    /// flight recorder: model registrations and batch formations on
-    /// every shard land in the event ring.
+    /// [`from_shared`](Self::from_shared) recording into a shared pair
+    /// instead: every shard's batch and block stage latencies land in
+    /// `dims`; model registrations, batch formations and worker panics
+    /// in `recorder`.
     pub fn from_shared_with_observability(
         models: Vec<Arc<PreparedModel>>,
         shards: usize,
@@ -68,35 +63,13 @@ impl ShardRouter {
         dims: panacea_telemetry::MetricRegistry,
         recorder: panacea_telemetry::FlightRecorder,
     ) -> Self {
-        Self::build(models, shards, config, Some(dims), Some(recorder))
-    }
-
-    fn build(
-        models: Vec<Arc<PreparedModel>>,
-        shards: usize,
-        config: RuntimeConfig,
-        dims: Option<panacea_telemetry::MetricRegistry>,
-        recorder: Option<panacea_telemetry::FlightRecorder>,
-    ) -> Self {
         let shards = (0..shards.max(1))
             .map(|_| {
-                let registry = Arc::new(ModelRegistry::new());
-                if let Some(recorder) = &recorder {
-                    registry.set_recorder(recorder.clone());
-                }
+                let registry = Arc::new(ModelRegistry::with_recorder(recorder.clone()));
                 for model in &models {
                     registry.insert_shared(Arc::clone(model));
                 }
-                match (&dims, &recorder) {
-                    (Some(dims), Some(recorder)) => Runtime::start_with_observability(
-                        registry,
-                        config,
-                        dims.clone(),
-                        recorder.clone(),
-                    ),
-                    (Some(dims), None) => Runtime::start_with_dims(registry, config, dims.clone()),
-                    _ => Runtime::start(registry, config),
-                }
+                Runtime::start_with_observability(registry, config, dims.clone(), recorder.clone())
             })
             .collect();
         ShardRouter { shards }

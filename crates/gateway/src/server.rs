@@ -26,23 +26,22 @@ use panacea_serve::{
     SessionManager,
 };
 use panacea_telemetry::{
-    jsonl_metrics_line, unix_ms_now, EventSeverity, FlightRecorder, HealthReport, Histogram,
-    IncidentSnapshot, MetricRegistry, PrometheusText, SloConfig, SloStatus, TraceBuilder,
-    TraceConfig, Tracer, ROOT_SPAN, STAGE_REQUEST,
+    unix_ms_now, DimCell, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
+    MetricRegistry, PrometheusText, SloConfig, SloStatus, TraceBuilder, TraceConfig, Tracer,
+    ROOT_SPAN, STAGE_REQUEST,
 };
 use panacea_tensor::Matrix;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::cache::{CacheConfig, CachedOutput, RequestCache};
 use crate::protocol::{
-    decode_request, encode_response, DecodeReply, DimSummary, ErrorKind, EventSummary, EventsReply,
+    decode_request, encode_response, DecodeReply, ErrorKind, EventSummary, EventsReply,
     GatewayMetrics, GatewayStats, IncidentSummary, InferReply, Request, Response,
-    SessionCloseReply, SessionOpenReply, ShedStats, StageSummary, TraceKind, TraceReply,
-    TraceSummary,
+    SessionCloseReply, SessionOpenReply, ShedStats, TraceKind, TraceReply, TraceSummary,
 };
 use crate::router::ShardRouter;
 
-/// The sliding window the `metrics` verb's dimensional summaries cover.
+/// The sliding window the windowed half of every cell summary covers.
 const DIMS_WINDOW: Duration = Duration::from_secs(10);
 
 /// Flight-recorder ring capacity: enough to hold the lifecycle of a
@@ -89,14 +88,26 @@ impl Default for GatewayConfig {
     }
 }
 
-/// The gateway's connection-handling stage histograms (nanoseconds).
-#[derive(Debug, Default)]
-struct GatewayStages {
-    parse: Histogram,
-    cache_probe: Histogram,
-    admission_wait: Histogram,
-    route: Histogram,
-    execute: Histogram,
+/// Pre-resolved `("-", "gateway", …)` cells for the gateway's own
+/// request-handling stages (`parse` is the TCP service's).
+#[derive(Debug)]
+struct GatewayCells {
+    cache_probe: Arc<DimCell>,
+    admission_wait: Arc<DimCell>,
+    route: Arc<DimCell>,
+    execute: Arc<DimCell>,
+}
+
+impl GatewayCells {
+    fn resolve(dims: &MetricRegistry) -> Self {
+        let cell = |stage| dims.cell("-", "gateway", stage);
+        GatewayCells {
+            cache_probe: cell("cache_probe"),
+            admission_wait: cell("admission_wait"),
+            route: cell("route"),
+            execute: cell("execute"),
+        }
+    }
 }
 
 /// Per-reason overload shed counters, incremented where errors surface
@@ -146,7 +157,7 @@ pub struct Gateway {
     sessions: Vec<SessionManager>,
     started: Instant,
     seq: AtomicU64,
-    stages: GatewayStages,
+    stages: GatewayCells,
     tracer: Tracer,
     dims: MetricRegistry,
     slo: SloConfig,
@@ -189,7 +200,7 @@ impl Gateway {
             sessions,
             started: Instant::now(),
             seq: AtomicU64::new(0),
-            stages: GatewayStages::default(),
+            stages: GatewayCells::resolve(&dims),
             tracer: Tracer::new(config.trace),
             dims,
             slo: config.slo,
@@ -200,9 +211,9 @@ impl Gateway {
         }
     }
 
-    /// The dimensional metric registry shared by every layer of this
-    /// gateway (wire verbs, runtimes, session managers, decode
-    /// batchers).
+    /// The metric registry shared by every layer of this gateway
+    /// (transport, wire verbs, runtimes, session managers, decode
+    /// batchers) — the one store every latency sample lands in.
     pub fn dims(&self) -> &MetricRegistry {
         &self.dims
     }
@@ -399,9 +410,7 @@ impl Gateway {
         let resolved = self.resolve(model)?;
         let span = tb.start_span("admission_wait", ROOT_SPAN);
         let permit = self.admission.try_admit();
-        self.stages
-            .admission_wait
-            .record_duration(tb.end_span(span));
+        self.stages.admission_wait.record_latency(tb.end_span(span));
         let permit = permit?;
         let span = tb.start_span("route", ROOT_SPAN);
         let shard = self
@@ -414,10 +423,10 @@ impl Gateway {
             })
             .map(|(i, _)| i)
             .expect("gateway always has at least one shard");
-        self.stages.route.record_duration(tb.end_span(span));
+        self.stages.route.record_latency(tb.end_span(span));
         let span = tb.start_span("execute", ROOT_SPAN);
         let session = self.sessions[shard].open(resolved);
-        self.stages.execute.record_duration(tb.end_span(span));
+        self.stages.execute.record_latency(tb.end_span(span));
         let session = session?;
         drop(permit);
         Ok(SessionOpenReply { session, shard })
@@ -479,13 +488,11 @@ impl Gateway {
         let started = Instant::now();
         let span = tb.start_span("admission_wait", ROOT_SPAN);
         let permit = self.admission.try_admit();
-        self.stages
-            .admission_wait
-            .record_duration(tb.end_span(span));
+        self.stages.admission_wait.record_latency(tb.end_span(span));
         let permit = permit?;
         let span = tb.start_span("route", ROOT_SPAN);
         let shard = self.find_session(session);
-        self.stages.route.record_duration(tb.end_span(span));
+        self.stages.route.record_latency(tb.end_span(span));
         let shard = shard.ok_or(ServeError::UnknownSession { session })?;
         let span = tb.start_span("execute", ROOT_SPAN);
         // The step executes on other threads (the shard's decode
@@ -494,7 +501,7 @@ impl Gateway {
         let ctx = self.tracer.context(tb, span);
         let stepped =
             self.sessions[shard].step_traced_deadline(session, hidden, Some(ctx), deadline);
-        self.stages.execute.record_duration(tb.end_span(span));
+        self.stages.execute.record_latency(tb.end_span(span));
         let (out, tokens, _wl) = stepped?;
         drop(permit);
         Ok(DecodeReply {
@@ -517,13 +524,13 @@ impl Gateway {
         let mut tb = self.tracer.begin("session_close");
         let span = tb.start_span("route", ROOT_SPAN);
         let shard = self.find_session(session);
-        self.stages.route.record_duration(tb.end_span(span));
+        self.stages.route.record_latency(tb.end_span(span));
         let out = shard
             .ok_or(ServeError::UnknownSession { session })
             .and_then(|shard| {
                 let span = tb.start_span("execute", ROOT_SPAN);
                 let closed = self.sessions[shard].close(session);
-                self.stages.execute.record_duration(tb.end_span(span));
+                self.stages.execute.record_latency(tb.end_span(span));
                 closed
             })
             .map(|tokens| SessionCloseReply { session, tokens });
@@ -586,7 +593,7 @@ impl Gateway {
         // key equality, so an invalid payload can never match one.
         let span = tb.start_span("route", ROOT_SPAN);
         let shard = self.router.route(resolved.name());
-        self.stages.route.record_duration(tb.end_span(span));
+        self.stages.route.record_latency(tb.end_span(span));
         // A disabled cache — or an entry the size bound would reject
         // anyway (its result dims are known up front) — skips the whole
         // probe-and-insert dance, including the payload clones and the
@@ -600,16 +607,14 @@ impl Gateway {
         if cached {
             let span = tb.start_span("cache_probe", ROOT_SPAN);
             let hit = self.cache.get(resolved_id, &payload);
-            self.stages.cache_probe.record_duration(tb.end_span(span));
+            self.stages.cache_probe.record_latency(tb.end_span(span));
             if let Some(hit) = hit {
                 return Ok((hit.payload, hit.scale, shard, true));
             }
         }
         let span = tb.start_span("admission_wait", ROOT_SPAN);
         let permit = self.admission.try_admit();
-        self.stages
-            .admission_wait
-            .record_duration(tb.end_span(span));
+        self.stages.admission_wait.record_latency(tb.end_span(span));
         let permit = permit?;
         let span = tb.start_span("execute", ROOT_SPAN);
         // The runtime's batch worker records queue_wait / batch_form /
@@ -642,7 +647,7 @@ impl Gateway {
                 kept_payload,
             ))
         })();
-        self.stages.execute.record_duration(tb.end_span(span));
+        self.stages.execute.record_latency(tb.end_span(span));
         let (out, kept_payload) = ran?;
         drop(permit);
         if let Some(payload) = kept_payload {
@@ -709,56 +714,16 @@ impl Gateway {
         &self.tracer
     }
 
-    /// Records one wire-parse duration into the gateway's `parse` stage
-    /// histogram (called by the TCP handler; in-process callers skip
-    /// parsing entirely).
-    pub fn record_parse(&self, elapsed: Duration) {
-        self.stages.parse.record_duration(elapsed);
-    }
-
-    /// Per-stage latency quantile summaries: the gateway's own
-    /// connection-handling stages, every shard's serving and session
-    /// stages, and the process-global block sub-layer stages.
+    /// Every registry cell's quantile summary — cumulative since boot
+    /// plus the last [`GatewayMetrics::window_ms`] — for every layer's
+    /// stages and every wire verb's `request` dimension.
     pub fn metrics(&self) -> GatewayMetrics {
-        let gateway = [
-            ("parse", self.stages.parse.snapshot()),
-            ("cache_probe", self.stages.cache_probe.snapshot()),
-            ("admission_wait", self.stages.admission_wait.snapshot()),
-            ("route", self.stages.route.snapshot()),
-            ("execute", self.stages.execute.snapshot()),
-        ]
-        .iter()
-        .map(|(name, snap)| StageSummary::from_snapshot(name, snap))
-        .collect();
-        let shards = (0..self.router.num_shards())
-            .map(|i| {
-                self.router
-                    .shard(i)
-                    .stage_snapshots()
-                    .iter()
-                    .chain(self.sessions[i].stage_snapshots().iter())
-                    .map(|(name, snap)| StageSummary::from_snapshot(name, snap))
-                    .collect()
-            })
-            .collect();
-        let block = panacea_block::stage_snapshots()
-            .iter()
-            .map(|(name, snap)| StageSummary::from_snapshot(name, snap))
-            .collect();
-        let dims = self
-            .dims
-            .windows(DIMS_WINDOW)
-            .iter()
-            .map(|(key, w)| DimSummary::from_window(key, w))
-            .collect();
         GatewayMetrics {
             uptime_ms: self.uptime_ms(),
             seq: self.next_seq(),
-            gateway,
-            shards,
-            block,
-            dims_window_ms: u64::try_from(DIMS_WINDOW.as_millis()).unwrap_or(u64::MAX),
-            dims,
+            unix_ms: unix_ms_now(),
+            window_ms: u64::try_from(DIMS_WINDOW.as_millis()).unwrap_or(u64::MAX),
+            cells: self.dims.summaries(DIMS_WINDOW),
         }
     }
 
@@ -771,8 +736,8 @@ impl Gateway {
     /// `health_transition` event is recorded (warn for degraded, error
     /// for critical, info for recovery), and a flip *into*
     /// degraded/critical additionally pins an [`IncidentSnapshot`] —
-    /// the recent events, the slow traces, and the dims window frozen
-    /// at the flip — retrievable via the `events` verb long after the
+    /// the recent events, the slow traces, and every cell's summary
+    /// frozen at the flip — retrievable via the `events` verb long after the
     /// ring has churned and health has recovered.
     pub fn health(&self) -> HealthReport {
         let report = self.slo.evaluate(&self.dims);
@@ -801,7 +766,7 @@ impl Gateway {
                     status: report.status,
                     events: self.recorder.recent(EVENT_CAPACITY),
                     traces: self.tracer.slow(INCIDENT_TRACES),
-                    dims: self.dims.windows(DIMS_WINDOW),
+                    cells: self.dims.summaries(DIMS_WINDOW),
                 });
             }
         }
@@ -828,72 +793,39 @@ impl Gateway {
         }
     }
 
-    /// Renders the gateway's metrics as a Prometheus text exposition:
-    /// every registry dim as a `panacea_dim_latency_ns` histogram plus
-    /// `panacea_dim_outcomes_total` counters, and every stage histogram
-    /// as `panacea_stage_duration_ns` scoped by layer (`gateway`,
-    /// `shard<N>`, `block`).
+    /// Renders the registry as a Prometheus text exposition: every
+    /// cell's cumulative histogram as `panacea_dim_latency_ns{model,
+    /// verb,stage}` (nanoseconds; a raw count for `occupancy`) plus its
+    /// cumulative `panacea_dim_outcomes_total` counters.
     pub fn prometheus(&self) -> String {
         let mut text = PrometheusText::new();
-        for (key, w) in self.dims.windows(DIMS_WINDOW) {
+        for (key, cell) in self.dims.cells() {
+            let total = cell.total();
             let labels = [
                 ("model", key.model.as_str()),
                 ("verb", key.verb.as_str()),
                 ("stage", key.stage.as_str()),
             ];
-            text.histogram("panacea_dim_latency_ns", &labels, &w.latency);
-            for (outcome, value) in [("ok", w.ok), ("error", w.error), ("shed", w.shed)] {
+            text.histogram("panacea_dim_latency_ns", &labels, &total.latency);
+            for (outcome, value) in [
+                ("ok", total.ok),
+                ("error", total.error),
+                ("shed", total.shed),
+            ] {
                 let mut with_outcome = labels.to_vec();
                 with_outcome.push(("outcome", outcome));
                 text.counter("panacea_dim_outcomes_total", &with_outcome, value);
             }
         }
-        let gateway_stages = [
-            ("parse", self.stages.parse.snapshot()),
-            ("cache_probe", self.stages.cache_probe.snapshot()),
-            ("admission_wait", self.stages.admission_wait.snapshot()),
-            ("route", self.stages.route.snapshot()),
-            ("execute", self.stages.execute.snapshot()),
-        ];
-        for (stage, snap) in &gateway_stages {
-            text.histogram(
-                "panacea_stage_duration_ns",
-                &[("scope", "gateway"), ("stage", stage)],
-                snap,
-            );
-        }
-        for i in 0..self.router.num_shards() {
-            let scope = format!("shard{i}");
-            let stages = self
-                .router
-                .shard(i)
-                .stage_snapshots()
-                .into_iter()
-                .chain(self.sessions[i].stage_snapshots());
-            for (stage, snap) in stages {
-                text.histogram(
-                    "panacea_stage_duration_ns",
-                    &[("scope", scope.as_str()), ("stage", stage)],
-                    &snap,
-                );
-            }
-        }
-        for (stage, snap) in panacea_block::stage_snapshots() {
-            text.histogram(
-                "panacea_stage_duration_ns",
-                &[("scope", "block"), ("stage", stage)],
-                &snap,
-            );
-        }
         text.counter("panacea_events_total", &[], self.recorder.recorded());
         text.finish()
     }
 
-    /// Renders one sweep of the windowed dims as a single JSONL metric
-    /// line anchored at the current wall clock (see
-    /// [`jsonl_metrics_line`]).
+    /// One sweep of the registry as a single JSONL metric line — the
+    /// `metrics` verb's reply line, whose `unix_ms` anchors it for
+    /// offline trajectory analysis.
     pub fn metrics_jsonl(&self) -> String {
-        jsonl_metrics_line(unix_ms_now(), &self.dims.windows(DIMS_WINDOW))
+        encode_response(&Response::Metrics(self.metrics()))
     }
 
     /// Recorded request traces, newest first: the pinned slow ring
@@ -1004,17 +936,41 @@ fn error_kind(e: &ServeError) -> ErrorKind {
     }
 }
 
-/// The [`panacea_netcore::Service`] gluing the reactor to the gateway:
-/// parse (timed into the `parse` stage histogram) → handle → encode.
+/// The reactor-facing adapter over a gateway — its
+/// [`panacea_netcore::Service`] (parse → handle → encode) and its
+/// [`ConnObserver`] (lifecycle events, connection stage timings) —
+/// holding the pre-resolved cells both record into.
 struct GatewayService {
     gateway: Arc<Gateway>,
+    /// `("-", "gateway", "parse")`: only wire requests are parsed.
+    parse: Arc<DimCell>,
+    /// `("-", "conn", accept|read|write|dispatch)`, indexed by
+    /// `ConnStage as usize`.
+    conn: [Arc<DimCell>; 4],
+}
+
+impl GatewayService {
+    fn new(gateway: Arc<Gateway>) -> Self {
+        let dims = gateway.dims();
+        GatewayService {
+            parse: dims.cell("-", "gateway", "parse"),
+            conn: [
+                ConnStage::Accept,
+                ConnStage::Read,
+                ConnStage::Write,
+                ConnStage::Dispatch,
+            ]
+            .map(|stage| dims.cell("-", "conn", stage.as_str())),
+            gateway,
+        }
+    }
 }
 
 impl NetService for GatewayService {
     fn serve(&self, line: &str) -> String {
         let parse_started = Instant::now();
         let decoded = decode_request(line);
-        self.gateway.record_parse(parse_started.elapsed());
+        self.parse.record_latency(parse_started.elapsed());
         let response = match decoded {
             Ok(request) => self.gateway.handle(request),
             Err(e) => Response::Error {
@@ -1052,14 +1008,7 @@ impl NetService for GatewayService {
     }
 }
 
-/// Connection-lifecycle telemetry: flight recorder events for
-/// open/close/evict, and per-stage latencies under the
-/// `(model="-", verb="conn", stage=accept|read|write|dispatch)` dims.
-struct GatewayConnObserver {
-    gateway: Arc<Gateway>,
-}
-
-impl ConnObserver for GatewayConnObserver {
+impl ConnObserver for GatewayService {
     fn conn_open(&self, open_now: u64) {
         self.gateway.recorder().record(
             EventSeverity::Info,
@@ -1085,10 +1034,7 @@ impl ConnObserver for GatewayConnObserver {
     }
 
     fn stage_time(&self, stage: ConnStage, elapsed: Duration) {
-        self.gateway
-            .dims()
-            .cell("-", "conn", stage.as_str())
-            .record_latency(elapsed);
+        self.conn[stage as usize].record_latency(elapsed);
     }
 }
 
@@ -1129,14 +1075,11 @@ impl GatewayServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
+        let service = Arc::new(GatewayService::new(Arc::clone(&gateway)));
         let reactor = Reactor::spawn(
             TcpListener::bind(addr)?,
-            Arc::new(GatewayService {
-                gateway: Arc::clone(&gateway),
-            }),
-            Arc::new(GatewayConnObserver {
-                gateway: Arc::clone(&gateway),
-            }),
+            Arc::clone(&service) as _,
+            service,
             gateway.connections().clone(),
             config,
         )?;

@@ -353,69 +353,194 @@ fn metrics_verb_reports_stage_quantiles_over_the_wire() {
     assert!(second.seq > first.seq, "metrics seq did not increase");
     assert!(second.uptime_ms >= first.uptime_ms);
 
-    let by_name = |stages: &[panacea_gateway::StageSummary], name: &str| {
-        stages
+    let cell = |model: &str, verb: &str, stage: &str| {
+        first
+            .cells
             .iter()
-            .find(|s| s.stage == name)
-            .unwrap_or_else(|| panic!("stage {name:?} missing"))
+            .find(|c| c.model == model && c.verb == verb && c.stage == stage)
+            .unwrap_or_else(|| panic!("cell ({model}, {verb}, {stage}) missing"))
             .clone()
     };
     // Gateway stages: every wire request was parsed, routed, executed.
     for name in ["parse", "route", "execute"] {
-        let s = by_name(&first.gateway, name);
+        let s = cell("-", "gateway", name);
         assert!(s.count > 0, "gateway stage {name:?} recorded nothing");
         assert!(
             s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
             "quantiles out of order for {name:?}: {s:?}"
         );
         assert!(s.sum > 0 && s.max > 0);
+        // The traffic is seconds old: the window still holds all of it.
+        assert_eq!(s.win_count, s.count);
     }
     // The cache admits the chain requests, so probes were timed too.
-    assert!(by_name(&first.gateway, "cache_probe").count > 0);
-    assert!(by_name(&first.gateway, "admission_wait").count > 0);
+    assert!(cell("-", "gateway", "cache_probe").count > 0);
+    assert!(cell("-", "gateway", "admission_wait").count > 0);
+    // The transport's stages share the store.
+    assert!(cell("-", "conn", "dispatch").count > 0);
 
-    // Per-shard serving stages: the three chain requests all landed on
-    // one shard (same model routes to the same shard); that shard's
-    // queue_wait/batch_form/execute/split_back all saw every batch.
-    assert_eq!(first.shards.len(), 2);
-    let serving: Vec<_> = first
-        .shards
+    // Batch stages, keyed by the model they served: one queue wait per
+    // chain request, and every batch formed, executed and split back.
+    assert_eq!(cell("chain", "batch", "queue_wait").count, 3);
+    let batches = cell("chain", "batch", "execute").count;
+    assert!(
+        (1..=3).contains(&batches),
+        "{batches} batches for 3 requests"
+    );
+    for name in ["batch_form", "split_back"] {
+        let s = cell("chain", "batch", name);
+        assert_eq!(s.count, batches, "batch stage {name:?} missed a batch");
+        assert!(s.p50 <= s.max, "p50 exceeds max for {name:?}");
+    }
+    // The decode session: one step riding one fused pass, with an
+    // occupancy of exactly 1 for a solo client — a raw count the wire
+    // carries unscaled.
+    for name in ["step", "linger", "fused_pass"] {
+        assert_eq!(cell("decoder", "decode", name).count, 1, "{name:?}");
+    }
+    let occupancy = cell("decoder", "decode", "occupancy");
+    assert_eq!((occupancy.count, occupancy.max, occupancy.p50), (1, 1, 1));
+
+    // Block sub-layer stages: that pass's time per sub-layer, under the
+    // model that ran it — and none for the chain, which runs no block.
+    for name in ["qkv", "attn", "proj", "fc1", "fc2"] {
+        let s = cell("decoder", "block", name);
+        assert_eq!(s.count, 1, "block stage {name:?}");
+        assert!(s.sum > 0, "block stage {name:?} timed nothing");
+    }
+    assert!(!first
+        .cells
         .iter()
-        .filter(|s| by_name(s, "queue_wait").count > 0)
+        .any(|c| c.model == "chain" && c.verb == "block"));
+}
+
+#[test]
+fn block_stage_cells_are_isolated_per_gateway() {
+    use panacea_gateway::testutil::{block_model, hidden};
+    let gateway_with_decoder = |seed| {
+        let (model, _) = block_model("decoder", seed);
+        Gateway::new(vec![model], GatewayConfig::default())
+    };
+    let (a, b) = (gateway_with_decoder(52), gateway_with_decoder(52));
+    // Both resolve their block cells (a session open does), but only A
+    // runs any block: a stateless infer plus a decode step.
+    let open_a = a.session_open("decoder").expect("opened");
+    let open_b = b.session_open("decoder").expect("opened");
+    a.infer(
+        "decoder",
+        panacea_gateway::Payload::Hidden(hidden(16, 3, 0)),
+    )
+    .expect("served");
+    a.decode(open_a.session, &hidden(16, 2, 1)).expect("step");
+    b.session_close(open_b.session).expect("closed");
+
+    let block_counts = |g: &Gateway| -> Vec<u64> {
+        let cells = g.metrics().cells;
+        cells
+            .iter()
+            .filter(|c| c.verb == "block")
+            .map(|c| c.count)
+            .collect()
+    };
+    assert_eq!(block_counts(&a), [2; 5], "A: one sample per pass per stage");
+    assert_eq!(block_counts(&b), [0; 5], "A's block traffic leaked into B");
+}
+
+#[test]
+fn metrics_verb_prometheus_and_jsonl_are_views_of_one_store() {
+    use panacea_gateway::protocol::{decode_response, encode_response, Request, Response};
+    use panacea_gateway::testutil::{block_model, hidden};
+    use std::collections::BTreeMap;
+    type Counts = BTreeMap<(String, String, String), u64>;
+
+    let (model, _) = block_model("decoder", 53);
+    let mut set = models(&["chain"], 54);
+    set.push(model);
+    let gateway = Gateway::new(set, GatewayConfig::default());
+    // Mixed traffic, driven in-process so nothing records once it
+    // returns: 4 distinct chain infers (one a cache replay) and a
+    // 3-step decode session.
+    let chain = gateway.router().model("chain").expect("registered");
+    for salt in [0, 1, 2, 2] {
+        gateway
+            .infer("chain", codes(&chain, 1, salt).into())
+            .expect("served");
+    }
+    let open = gateway.session_open("decoder").expect("opened");
+    for i in 0..3 {
+        gateway
+            .decode(open.session, &hidden(16, 1, i))
+            .expect("step");
+    }
+    gateway.session_close(open.session).expect("closed");
+
+    // View 1: the metrics verb, through the wire codec.
+    let line = encode_response(&gateway.handle(Request::Metrics));
+    let Response::Metrics(metrics) = decode_response(&line).expect("decodes") else {
+        panic!("metrics verb answered something else: {line}");
+    };
+    let verb: Counts = metrics
+        .cells
+        .iter()
+        .map(|c| ((c.model.clone(), c.verb.clone(), c.stage.clone()), c.count))
         .collect();
-    assert!(!serving.is_empty(), "no shard recorded serving stages");
-    for shard in &serving {
-        for name in ["queue_wait", "batch_form", "execute", "split_back"] {
-            let s = by_name(shard, name);
-            assert!(s.count > 0, "shard stage {name:?} recorded nothing");
-            assert!(s.p50 <= s.max, "p50 exceeds max for {name:?}");
-        }
-    }
-    // The decode session ran on some shard: step latency and the fused
-    // decode pass stages recorded there, with occupancy exactly 1 per
-    // pass for a solo client.
-    let decode_shard = first
-        .shards
+    // View 2: the Prometheus exposition's `_count` series, parsed back.
+    let label = |line: &str, name: &str| {
+        let rest = &line[line.find(&format!("{name}=\"")).expect("label") + name.len() + 2..];
+        rest[..rest.find('"').expect("label closes")].to_string()
+    };
+    let prom: Counts = gateway
+        .prometheus()
+        .lines()
+        .filter(|l| l.starts_with("panacea_dim_latency_ns_count{"))
+        .map(|l| {
+            let count = l.rsplit_once(' ').expect("value").1.parse().expect("count");
+            (
+                (label(l, "model"), label(l, "verb"), label(l, "stage")),
+                count,
+            )
+        })
+        .collect();
+    // View 3: the JSONL metric line.
+    let jsonl: serde_json::Value =
+        serde_json::from_str(&gateway.metrics_jsonl()).expect("JSONL line parses");
+    let text = |c: &serde_json::Value, k: &str| c.get(k).and_then(|v| v.as_str()).unwrap().into();
+    let jsonl: Counts = jsonl
+        .get("cells")
+        .and_then(|c| c.as_array())
+        .expect("cells array")
         .iter()
-        .find(|s| by_name(s, "step").count > 0)
-        .expect("no shard recorded decode steps");
-    assert!(by_name(decode_shard, "decode_linger").count > 0);
-    assert!(by_name(decode_shard, "decode_pass").count > 0);
-    let occupancy = by_name(decode_shard, "decode_occupancy");
-    assert!(occupancy.count > 0);
-    assert_eq!(occupancy.max, 1, "solo decode pass occupancy must be 1");
+        .map(|c| {
+            let count = c.get("count").and_then(|v| v.as_u64()).expect("count");
+            ((text(c, "model"), text(c, "verb"), text(c, "stage")), count)
+        })
+        .collect();
+    assert!(!verb.is_empty());
+    assert_eq!(verb, prom, "metrics verb and Prometheus disagree");
+    assert_eq!(verb, jsonl, "metrics verb and JSONL disagree");
 
-    // Block sub-layer stages: the decoder's forward passes rolled up.
-    for name in [
-        "block_qkv",
-        "block_attn",
-        "block_proj",
-        "block_fc1",
-        "block_fc2",
-    ] {
-        let s = by_name(&first.block, name);
-        assert!(s.count > 0, "block stage {name:?} recorded nothing");
-    }
+    // One store means one sample per event: the cells agree with the
+    // typed counters that count the same events.
+    let stats = gateway.stats();
+    let count = |m: &str, v: &str, s: &str| verb[&(m.to_string(), v.to_string(), s.to_string())];
+    let total =
+        |f: fn(&panacea_gateway::ShardStats) -> u64| stats.shards.iter().map(f).sum::<u64>();
+    assert_eq!(count("chain", "batch", "execute"), total(|s| s.batches));
+    assert_eq!(
+        count("chain", "batch", "queue_wait"),
+        3,
+        "the replay never queued"
+    );
+    assert_eq!(count("decoder", "decode", "step"), 3);
+    assert_eq!(
+        count("decoder", "decode", "fused_pass"),
+        total(|s| s.decode_batches)
+    );
+    assert_eq!(
+        count("decoder", "block", "qkv"),
+        total(|s| s.decode_batches)
+    );
+    assert_eq!(count("chain", "infer", "request"), 4);
 }
 
 #[test]
@@ -510,9 +635,9 @@ fn health_verb_reports_ok_and_dims_appear_in_metrics_after_traffic() {
     // The same traffic shows up as a (model, verb, stage) dimension in
     // the metrics verb's windowed summaries.
     let metrics = client.metrics().expect("metrics");
-    assert!(metrics.dims_window_ms > 0);
+    assert!(metrics.window_ms > 0);
     let dim = metrics
-        .dims
+        .cells
         .iter()
         .find(|d| d.model == "m" && d.verb == "infer" && d.stage == "request")
         .expect("no (m, infer, request) dimension recorded");
@@ -905,9 +1030,9 @@ fn health_flip_pins_an_incident_retrievable_after_recovery() {
         "flip transition missing from the snapshot"
     );
     assert!(
-        pinned.dims.iter().any(|d| d.shed > 0),
+        pinned.cells.iter().any(|d| d.shed > 0),
         "frozen dims lost the shed: {:?}",
-        pinned.dims
+        pinned.cells
     );
     // The live ring additionally recorded the recovery transition.
     assert!(

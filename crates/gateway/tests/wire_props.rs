@@ -5,14 +5,13 @@
 
 use panacea_gateway::protocol::{decode_request, decode_response, encode_request, encode_response};
 use panacea_gateway::{
-    DimSummary, EventSummary, EventsReply, GatewayMetrics, HealthReport, IncidentSummary, Request,
-    Response, SloStatus, SpanSummary, StageSummary, TargetReport, TraceKind, TraceReply,
-    TraceSummary,
+    CellSummary, EventSummary, EventsReply, GatewayMetrics, HealthReport, IncidentSummary, Request,
+    Response, SloStatus, SpanSummary, TargetReport, TraceKind, TraceReply, TraceSummary,
 };
 use proptest::prelude::*;
 
+/// Span stage tags the trace round trips draw from.
 const STAGE_NAMES: &[&str] = &[
-    "parse",
     "cache_probe",
     "admission_wait",
     "route",
@@ -20,50 +19,33 @@ const STAGE_NAMES: &[&str] = &[
     "queue_wait",
     "batch_form",
     "split_back",
-    "step",
-    "decode_linger",
     "decode_pass",
-    "decode_occupancy",
-    "block_qkv",
-    "block_attn",
-    "block_proj",
-    "block_fc1",
-    "block_fc2",
 ];
 
-/// Builds one stage summary from six raw u64s. Values stay below the
-/// wire format's 9e15 integral bound (JSON numbers are f64) — the same
+/// Builds one cell summary from raw u64s. Values stay below the wire
+/// format's 9e15 integral bound (JSON numbers are f64) — the same
 /// bound the real histograms' nanosecond samples respect for any
 /// practical uptime.
-fn stage(i: usize, vals: &[u64]) -> StageSummary {
-    let v = |j: usize| vals[(i * 6 + j) % vals.len()] % 9_000_000_000_000_000;
-    StageSummary {
-        stage: STAGE_NAMES[i % STAGE_NAMES.len()].to_string(),
+fn cell(i: usize, vals: &[u64]) -> CellSummary {
+    let v = |j: usize| vals[(i * 14 + j) % vals.len()] % 9_000_000_000_000_000;
+    CellSummary {
+        model: ["-", "model-1", "model-2"][i % 3].to_string(),
+        verb: ["infer", "decode", "batch", "block", "gateway", "conn"][i % 6].to_string(),
+        stage: ["request", "execute", "step", "occupancy", "qkv"][(i / 3) % 5].to_string(),
         count: v(0),
         sum: v(1),
         p50: v(2),
         p90: v(3),
         p99: v(4),
         max: v(5),
-    }
-}
-
-/// Builds one dimensional summary from raw u64s, under the same
-/// integral bound as [`stage`].
-fn dim(i: usize, vals: &[u64]) -> DimSummary {
-    let v = |j: usize| vals[(i * 11 + j) % vals.len()] % 9_000_000_000_000_000;
-    DimSummary {
-        model: format!("model-{}", i % 3),
-        verb: ["infer", "decode", "batch"][i % 3].to_string(),
-        stage: ["request", "execute", "step"][(i / 3) % 3].to_string(),
-        count: v(0),
-        p50_us: v(1),
-        p90_us: v(2),
-        p99_us: v(3),
-        max_us: v(4),
-        ok: v(5),
-        error: v(6),
-        shed: v(7),
+        win_count: v(6),
+        win_p50: v(7),
+        win_p90: v(8),
+        win_p99: v(9),
+        win_max: v(10),
+        ok: v(11),
+        error: v(12),
+        shed: v(13),
     }
 }
 
@@ -73,24 +55,16 @@ proptest! {
     #[test]
     fn metrics_responses_round_trip(
         vals in proptest::collection::vec(0u64..u64::MAX, 6..48),
-        gateway_stages in 0usize..6,
-        shard_count in 0usize..4,
-        shard_stages in 0usize..9,
-        block_stages in 0usize..6,
-        dim_count in 0usize..8,
+        cell_count in 0usize..40,
         uptime_ms in 0u64..9_000_000_000_000_000,
         seq in 0u64..9_000_000_000_000_000,
     ) {
         let resp = Response::Metrics(GatewayMetrics {
             uptime_ms,
             seq,
-            gateway: (0..gateway_stages).map(|i| stage(i, &vals)).collect(),
-            shards: (0..shard_count)
-                .map(|s| (0..shard_stages).map(|i| stage(s * 7 + i, &vals)).collect())
-                .collect(),
-            block: (0..block_stages).map(|i| stage(i + 12, &vals)).collect(),
-            dims_window_ms: uptime_ms / 2,
-            dims: (0..dim_count).map(|i| dim(i, &vals)).collect(),
+            unix_ms: uptime_ms / 3,
+            window_ms: uptime_ms / 2,
+            cells: (0..cell_count).map(|i| cell(i, &vals)).collect(),
         });
         let line = encode_response(&resp);
         prop_assert!(!line.contains('\n'));
@@ -214,7 +188,7 @@ proptest! {
                     links: vec![],
                 }],
             }],
-            dims: (0..2).map(|i| dim(i, &vals)).collect(),
+            cells: (0..2).map(|i| cell(i, &vals)).collect(),
         });
         let resp = Response::Events(EventsReply { events, pinned });
         let line = encode_response(&resp);
@@ -233,31 +207,9 @@ fn dropping_any_required_field_errors_cleanly() {
     let metrics = Response::Metrics(GatewayMetrics {
         uptime_ms: 12,
         seq: 3,
-        gateway: vec![StageSummary {
-            stage: "parse".to_string(),
-            count: 1,
-            sum: 2,
-            p50: 3,
-            p90: 4,
-            p99: 5,
-            max: 6,
-        }],
-        shards: vec![vec![]],
-        block: vec![],
-        dims_window_ms: 10_000,
-        dims: vec![DimSummary {
-            model: "m".to_string(),
-            verb: "infer".to_string(),
-            stage: "request".to_string(),
-            count: 4,
-            p50_us: 5,
-            p90_us: 6,
-            p99_us: 7,
-            max_us: 8,
-            ok: 3,
-            error: 1,
-            shed: 0,
-        }],
+        unix_ms: 1_700_000_000_000,
+        window_ms: 10_000,
+        cells: vec![cell(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])],
     });
     let trace = Response::Trace(TraceReply {
         traces: vec![TraceSummary {
@@ -300,7 +252,7 @@ fn dropping_any_required_field_errors_cleanly() {
             status: SloStatus::Degraded,
             events: vec![],
             traces: vec![],
-            dims: vec![],
+            cells: vec![],
         }),
     });
     for resp in [metrics, trace, health, events] {
@@ -313,9 +265,8 @@ fn dropping_any_required_field_errors_cleanly() {
         for key in [
             "uptime_ms",
             "seq",
-            "gateway",
-            "shards",
-            "block",
+            "window_ms",
+            "cells",
             "stage",
             "count",
             "sum",
@@ -330,13 +281,13 @@ fn dropping_any_required_field_errors_cleanly() {
             "parent",
             "start_us",
             "dur_us",
-            "dims_window_ms",
-            "dims",
             "model",
-            "p50_us",
-            "p90_us",
+            "win_count",
+            "win_p50",
+            "win_p90",
+            "win_p99",
+            "win_max",
             "p99_us",
-            "max_us",
             "ok",
             "error",
             "shed",

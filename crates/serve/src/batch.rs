@@ -17,10 +17,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use panacea_bitslice::VECTOR_LEN;
-use panacea_telemetry::TraceContext;
+use panacea_telemetry::{DimCell, TraceContext};
 
 use crate::metrics::Metrics;
-use crate::model::PreparedModel;
+use crate::model::{timed_blocks, PreparedModel};
 use crate::{InferenceOutput, Payload, ServeError};
 
 /// Batching policy knobs.
@@ -63,6 +63,41 @@ pub(crate) struct Job {
     /// `execute` / `split_back` spans into the submitting request's
     /// trace before answering.
     pub(crate) ctx: Option<TraceContext>,
+}
+
+/// One model's pre-resolved `(model, "batch", …)` stage cells plus its
+/// block sub-layer cells. A worker resolves these when it first runs a
+/// model and reuses them for every following batch of the same
+/// prepared instance.
+#[derive(Debug)]
+pub(crate) struct BatchCells {
+    /// [`PreparedModel::instance_id`] of the model these belong to.
+    pub(crate) instance: u64,
+    /// Enqueue-to-execution-start wait, per request.
+    queue_wait: Arc<DimCell>,
+    /// Linger-start-to-batch-taken formation time, per batch.
+    pub(crate) batch_form: Arc<DimCell>,
+    /// Coalesced forward-pass duration, per batch.
+    execute: Arc<DimCell>,
+    /// Split-and-respond fan-out duration, per batch.
+    split_back: Arc<DimCell>,
+    /// See [`PreparedModel::block_cells`].
+    block: Vec<Arc<DimCell>>,
+}
+
+impl BatchCells {
+    pub(crate) fn resolve(metrics: &Metrics, model: &PreparedModel) -> Self {
+        let registry = metrics.registry();
+        let cell = |stage| registry.cell(model.name(), "batch", stage);
+        BatchCells {
+            instance: model.instance_id(),
+            queue_wait: cell("queue_wait"),
+            batch_form: cell("batch_form"),
+            execute: cell("execute"),
+            split_back: cell("split_back"),
+            block: model.block_cells(registry),
+        }
+    }
 }
 
 /// A dispatchable group of same-model jobs.
@@ -192,18 +227,20 @@ pub(crate) fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<
 /// worker thread survives and the callers are released, not abandoned.
 /// Stateless requests tolerate the batch-wide answer because infer is
 /// idempotent; clients simply retry.
-pub(crate) fn execute(batch: Batch, metrics: &Metrics) {
+pub(crate) fn execute(batch: Batch, metrics: &Metrics, cells: &BatchCells) {
     let Batch { model, jobs } = batch;
     let refs: Vec<&Payload> = jobs.iter().map(|j| &j.payload).collect();
     let total_cols: usize = refs.iter().map(|p| p.cols()).sum();
 
     let started = Instant::now();
     for job in &jobs {
-        metrics.record_queue_wait(started.duration_since(job.enqueued_at));
+        cells
+            .queue_wait
+            .record_latency(started.duration_since(job.enqueued_at));
     }
     let ran = catch_unwind(AssertUnwindSafe(|| {
         panacea_faultline::point("serve.worker.execute");
-        model.forward_batch(&refs)
+        timed_blocks(&cells.block, || model.forward_batch(&refs))
     }));
     let (outputs, workload) = match ran {
         Ok(out) => out,
@@ -238,7 +275,7 @@ pub(crate) fn execute(batch: Batch, metrics: &Metrics) {
         compute,
         batch_max_latency,
     );
-    metrics.record_model_execute(model.name(), compute);
+    cells.execute.record_latency(compute);
     let split_started = Instant::now();
     for ((job, out), latency) in jobs.iter().zip(outputs).zip(latencies) {
         // Record remote spans *before* answering: the submitting thread
@@ -258,7 +295,7 @@ pub(crate) fn execute(batch: Batch, metrics: &Metrics) {
             latency,
         }));
     }
-    metrics.record_split_back(split_started.elapsed());
+    cells.split_back.record_latency(split_started.elapsed());
 }
 
 #[cfg(test)]
@@ -292,6 +329,11 @@ mod tests {
     }
 
     type Reply = Result<InferenceOutput, ServeError>;
+
+    fn run(batch: Batch, metrics: &Metrics) {
+        let cells = BatchCells::resolve(metrics, &batch.model);
+        execute(batch, metrics, &cells);
+    }
 
     fn job(model: &Arc<PreparedModel>, cols: usize) -> (Job, mpsc::Receiver<Reply>) {
         let (tx, rx) = mpsc::channel();
@@ -413,7 +455,7 @@ mod tests {
         assert_eq!(batch.jobs.len(), 1);
         assert_eq!(queue.len(), 1);
         let metrics = Metrics::default();
-        execute(batch, &metrics);
+        run(batch, &metrics);
         assert_eq!(metrics.snapshot().padded_cols, 1);
     }
 
@@ -452,7 +494,7 @@ mod tests {
         let singles: Vec<Payload> = queue.iter().map(|j| a.forward(&j.payload).0).collect();
         let metrics = Metrics::default();
         let batch = take_batch(&mut queue, 64).expect("non-empty");
-        execute(batch, &metrics);
+        run(batch, &metrics);
         for (rx, alone) in rxs.iter().zip(singles) {
             let out = rx.try_recv().expect("answered").expect("succeeded");
             assert_eq!(out.payload, alone);
@@ -462,6 +504,15 @@ mod tests {
         assert_eq!(snap.requests, 3);
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.columns, 9);
+        // Each stage sample lands in the registry exactly once: one
+        // queue wait per request, one execute / split-back per batch.
+        let count = |stage| {
+            let cell = metrics.registry().cell("m", "batch", stage);
+            cell.latency().total().count
+        };
+        assert_eq!(count("queue_wait"), 3);
+        assert_eq!(count("execute"), 1);
+        assert_eq!(count("split_back"), 1);
     }
 
     #[test]
@@ -503,7 +554,7 @@ mod tests {
         let (j, rx) = job(&a, 2);
         drop(rx);
         let metrics = Metrics::default();
-        execute(
+        run(
             Batch {
                 model: Arc::clone(&a),
                 jobs: vec![j],

@@ -45,11 +45,10 @@ use std::time::{Duration, Instant};
 use panacea_bitslice::VECTOR_LEN;
 use panacea_block::KvCache;
 use panacea_core::Workload;
-use panacea_telemetry::{
-    EventSeverity, FlightRecorder, Histogram, HistogramSnapshot, MetricRegistry, TraceContext,
-};
+use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
 use panacea_tensor::Matrix;
 
+use crate::model::timed_blocks;
 use crate::session::{Session, Slot};
 
 /// What a fused pass hands back to each waiting step: the session's
@@ -107,19 +106,12 @@ struct Shared {
     panics: AtomicU64,
     /// Steps answered `DeadlineExceeded` at dequeue.
     expired: AtomicU64,
-    /// Enqueue-to-pass-start linger, per step (ns).
-    linger: Histogram,
-    /// Fused-pass duration, per pass (ns).
-    pass: Histogram,
-    /// Sessions fused per pass (raw counts, not durations) — the full
-    /// occupancy distribution rather than just a mean.
-    occupancy: Histogram,
-    /// Optional dimensional registry: per-model windowed pass duration
-    /// under (model, "decode", "fused_pass").
-    dims: Option<MetricRegistry>,
-    /// Optional flight recorder: fused-pass formations land in the
-    /// event ring.
-    recorder: Option<FlightRecorder>,
+    /// Caught panics count as errors under `(model, "worker", at)`
+    /// here; the per-pass stage samples go through the cells each
+    /// session's [`Slot`] carries.
+    registry: MetricRegistry,
+    /// Fused-pass formations and caught panics land in this event ring.
+    recorder: FlightRecorder,
 }
 
 /// The continuous-batching executor behind
@@ -136,14 +128,13 @@ pub struct DecodeBatcher {
 impl DecodeBatcher {
     /// Spawns the batching worker. `max_batch` bounds a fused pass's
     /// total columns (at least the head step always dispatches);
-    /// `max_wait` is the linger for batchmates; `dims`, when present,
-    /// receives per-model windowed fused-pass durations; `recorder`,
-    /// when present, receives fused-pass formation events.
+    /// `max_wait` is the linger for batchmates; `registry` and
+    /// `recorder` are the session manager's.
     pub(crate) fn new(
         max_batch: usize,
         max_wait: Duration,
-        dims: Option<MetricRegistry>,
-        recorder: Option<FlightRecorder>,
+        registry: MetricRegistry,
+        recorder: FlightRecorder,
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(BatchQueue {
@@ -157,10 +148,7 @@ impl DecodeBatcher {
             padded_cols: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             expired: AtomicU64::new(0),
-            linger: Histogram::new(),
-            pass: Histogram::new(),
-            occupancy: Histogram::new(),
-            dims,
+            registry,
             recorder,
         });
         let worker = {
@@ -223,17 +211,6 @@ impl DecodeBatcher {
     /// Steps answered `DeadlineExceeded` at dequeue instead of executed.
     pub fn expired_steps(&self) -> u64 {
         self.shared.expired.load(Ordering::Relaxed)
-    }
-
-    /// Per-stage histograms: `decode_linger` and `decode_pass` carry
-    /// nanosecond samples, `decode_occupancy` carries sessions-per-pass
-    /// counts.
-    pub fn stage_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        vec![
-            ("decode_linger", self.shared.linger.snapshot()),
-            ("decode_pass", self.shared.pass.snapshot()),
-            ("decode_occupancy", self.shared.occupancy.snapshot()),
-        ]
     }
 }
 
@@ -314,16 +291,15 @@ fn take_decode_batch(queue: &mut VecDeque<DecodeJob>, max_batch: usize) -> Optio
 /// SLO error-rate targets see it), and a `worker_panic` event.
 fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
     shared.panics.fetch_add(1, Ordering::Relaxed);
-    if let Some(dims) = &shared.dims {
-        dims.cell(model_name, "worker", at).record_error();
-    }
-    if let Some(recorder) = &shared.recorder {
-        recorder.record(
-            EventSeverity::Error,
-            "worker_panic",
-            format!("at={at} model={model_name}"),
-        );
-    }
+    shared
+        .registry
+        .cell(model_name, "worker", at)
+        .record_error();
+    shared.recorder.record(
+        EventSeverity::Error,
+        "worker_panic",
+        format!("at={at} model={model_name}"),
+    );
 }
 
 /// Drops every queued step whose deadline has already passed, answering
@@ -365,13 +341,15 @@ fn purge_expired_steps(queue: &mut VecDeque<DecodeJob>, now: Instant, shared: &S
 /// the session. A single-step pass attributes the panic directly.
 fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
     let model = Arc::clone(&jobs[0].slot.model);
+    // Batchmates share a prepared model, hence (by name) these cells.
+    let cells = &jobs[0].slot.cells;
     let pass_started = Instant::now();
     for job in &jobs {
-        shared
+        cells
             .linger
-            .record_duration(pass_started.duration_since(job.enqueued_at));
+            .record_latency(pass_started.duration_since(job.enqueued_at));
     }
-    shared.occupancy.record(jobs.len() as u64);
+    cells.occupancy.latency().record(jobs.len() as u64);
     // Poison-tolerant lock: a cell poisoned by a caller-thread panic
     // (inline stepping) has already been rolled back to a consistent
     // prefix by that path's own isolation before the lock released.
@@ -387,7 +365,9 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
     let ran = catch_unwind(AssertUnwindSafe(|| {
         panacea_faultline::point("serve.decode.fused_pass");
         let mut kvs: Vec<&mut KvCache> = guards.iter_mut().map(|g| &mut g.kv).collect();
-        model.forward_decode_batch_prevalidated(&stacked, &segments, &mut kvs)
+        timed_blocks(&cells.block, || {
+            model.forward_decode_batch_prevalidated(&stacked, &segments, &mut kvs)
+        })
     }));
     let outcome = match ran {
         Ok(outcome) => outcome,
@@ -459,13 +439,9 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
     };
     {
         let now = Instant::now();
-        shared
-            .pass
-            .record_duration(now.duration_since(pass_started));
-        if let Some(dims) = &shared.dims {
-            dims.cell(model.name(), "decode", "fused_pass")
-                .record_latency(now.duration_since(pass_started));
-        }
+        cells
+            .fused_pass
+            .record_latency(now.duration_since(pass_started));
         let tokens: Vec<usize> = guards
             .iter_mut()
             .map(|g| {
@@ -480,13 +456,11 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
             ((VECTOR_LEN - total % VECTOR_LEN) % VECTOR_LEN) as u64,
             Ordering::Relaxed,
         );
-        if let Some(recorder) = &shared.recorder {
-            recorder.record(
-                EventSeverity::Info,
-                "batch_formed",
-                format!("fused=decode sessions={} cols={total}", jobs.len()),
-            );
-        }
+        shared.recorder.record(
+            EventSeverity::Info,
+            "batch_formed",
+            format!("fused=decode sessions={} cols={total}", jobs.len()),
+        );
         let parts = out
             .split_cols(&segments)
             .expect("decode keeps one output column per input column");

@@ -1,6 +1,7 @@
 //! Aggregated serving metrics: request/batch counts, coalesced columns,
-//! summed AQS workload, latency extremes, and per-stage latency
-//! histograms.
+//! summed AQS workload and latency extremes. Stage latencies are not
+//! stored here: workers record them into the [`MetricRegistry`] this
+//! struct carries — the only place a latency sample is stored.
 //!
 //! Counters are sharded atomics ([`ShardedCounter`]) rather than one
 //! `Mutex`-guarded struct, so steady-state fused decode passes and wide
@@ -13,9 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use panacea_core::Workload;
-use panacea_telemetry::{
-    EventSeverity, FlightRecorder, Histogram, HistogramSnapshot, MetricRegistry, ShardedCounter,
-};
+use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, ShardedCounter};
 
 /// A point-in-time copy of the runtime's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -82,8 +81,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Shared serving counters plus per-stage latency histograms, updated
-/// on the worker hot path without locks.
+/// Shared serving counters, updated on the worker hot path without
+/// locks, plus the registry and flight recorder this runtime records
+/// stage latencies and events into.
 #[derive(Debug, Default)]
 pub struct Metrics {
     requests: ShardedCounter,
@@ -101,48 +101,24 @@ pub struct Metrics {
     wl_comp_add: ShardedCounter,
     max_latency_nanos: AtomicU64,
     widest_batch: AtomicU64,
-    /// Enqueue-to-execution-start wait, per request (ns).
-    queue_wait: Histogram,
-    /// Linger-start-to-batch-taken formation time, per batch (ns).
-    batch_form: Histogram,
-    /// Coalesced forward-pass duration, per batch (ns).
-    execute: Histogram,
-    /// Split-and-respond fan-out duration, per batch (ns).
-    split_back: Histogram,
-    /// Optional dimensional registry: when present, per-model windowed
-    /// latencies are recorded under (model, "batch", "execute") in
-    /// addition to the aggregate histograms above.
-    dims: Option<MetricRegistry>,
-    /// Optional flight recorder: when present, batch formations land in
-    /// the event ring.
-    recorder: Option<FlightRecorder>,
+    registry: MetricRegistry,
+    recorder: FlightRecorder,
 }
 
 impl Metrics {
-    /// Metrics that additionally record per-model windowed dimensions
-    /// into `dims`.
-    pub(crate) fn with_dims(dims: MetricRegistry) -> Self {
+    /// Metrics recording stage latencies into `registry` and events
+    /// into `recorder`.
+    pub(crate) fn new(registry: MetricRegistry, recorder: FlightRecorder) -> Self {
         Metrics {
-            dims: Some(dims),
+            registry,
+            recorder,
             ..Metrics::default()
         }
     }
 
-    /// Metrics that record dimensions *and* flight-recorder events.
-    pub(crate) fn with_observability(dims: MetricRegistry, recorder: FlightRecorder) -> Self {
-        Metrics {
-            dims: Some(dims),
-            recorder: Some(recorder),
-            ..Metrics::default()
-        }
-    }
-
-    /// Records one batch's compute latency under its model's dimension
-    /// — a no-op without a registry.
-    pub(crate) fn record_model_execute(&self, model: &str, compute: Duration) {
-        if let Some(dims) = &self.dims {
-            dims.cell(model, "batch", "execute").record_latency(compute);
-        }
+    /// The registry this runtime's stage latencies land in.
+    pub(crate) fn registry(&self) -> &MetricRegistry {
+        &self.registry
     }
 
     /// Records one completed batch.
@@ -169,14 +145,11 @@ impl Metrics {
             .fetch_max(duration_nanos(max_latency), Ordering::Relaxed);
         self.widest_batch
             .fetch_max(columns as u64, Ordering::Relaxed);
-        self.execute.record_duration(compute);
-        if let Some(recorder) = &self.recorder {
-            recorder.record(
-                EventSeverity::Info,
-                "batch_formed",
-                format!("jobs={requests} cols={columns} padded={padded}"),
-            );
-        }
+        self.recorder.record(
+            EventSeverity::Info,
+            "batch_formed",
+            format!("jobs={requests} cols={columns} padded={padded}"),
+        );
     }
 
     /// Records queued requests purged because their caller went away.
@@ -185,40 +158,21 @@ impl Metrics {
     }
 
     /// Records one caught worker panic: a `worker_panic` event in the
-    /// flight recorder (when wired) plus a dimensional error count under
+    /// flight recorder plus a dimensional error count under
     /// `(model, "worker", at)`, so SLO error-rate targets see it.
     pub(crate) fn record_worker_panic(&self, model: &str, at: &'static str) {
         self.worker_panics.add(1);
-        if let Some(dims) = &self.dims {
-            dims.cell(model, "worker", at).record_error();
-        }
-        if let Some(recorder) = &self.recorder {
-            recorder.record(
-                EventSeverity::Error,
-                "worker_panic",
-                format!("at={at} model={model}"),
-            );
-        }
+        self.registry.cell(model, "worker", at).record_error();
+        self.recorder.record(
+            EventSeverity::Error,
+            "worker_panic",
+            format!("at={at} model={model}"),
+        );
     }
 
     /// Records requests dropped at dequeue with an expired deadline.
     pub(crate) fn record_expired(&self, requests: usize) {
         self.expired.add(requests as u64);
-    }
-
-    /// Records one request's enqueue-to-execution-start wait.
-    pub(crate) fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record_duration(wait);
-    }
-
-    /// Records how long a worker spent forming (lingering for) a batch.
-    pub(crate) fn record_batch_form(&self, form: Duration) {
-        self.batch_form.record_duration(form);
-    }
-
-    /// Records the post-GEMM split-and-respond fan-out time of a batch.
-    pub(crate) fn record_split_back(&self, split: Duration) {
-        self.split_back.record_duration(split);
     }
 
     /// Copies out the current counters.
@@ -242,17 +196,6 @@ impl Metrics {
             worker_panics: self.worker_panics.sum(),
             expired: self.expired.sum(),
         }
-    }
-
-    /// Per-stage latency histograms (nanosecond samples), tagged with
-    /// their stage names.
-    pub fn stage_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        vec![
-            ("queue_wait", self.queue_wait.snapshot()),
-            ("batch_form", self.batch_form.snapshot()),
-            ("execute", self.execute.snapshot()),
-            ("split_back", self.split_back.snapshot()),
-        ]
     }
 }
 
@@ -312,29 +255,5 @@ mod tests {
         assert_eq!(s.mean_batch_cols(), 0.0);
         assert_eq!(s.columns_per_second(), 0.0);
         assert_eq!(s.padding_overhead(), 0.0);
-    }
-
-    #[test]
-    fn stage_histograms_capture_batch_stages() {
-        let m = Metrics::default();
-        m.record_queue_wait(Duration::from_micros(50));
-        m.record_batch_form(Duration::from_micros(10));
-        m.record_split_back(Duration::from_micros(5));
-        m.record_batch(
-            1,
-            4,
-            0,
-            &Workload::default(),
-            Duration::from_micros(200),
-            Duration::from_micros(260),
-        );
-        let stages = m.stage_snapshots();
-        let by_name: std::collections::HashMap<_, _> = stages.into_iter().collect();
-        assert_eq!(by_name["queue_wait"].count, 1);
-        assert_eq!(by_name["batch_form"].count, 1);
-        assert_eq!(by_name["split_back"].count, 1);
-        let exec = &by_name["execute"];
-        assert_eq!(exec.count, 1);
-        assert!(exec.p50() >= 200_000, "execute p50 in ns: {}", exec.p50());
     }
 }

@@ -9,12 +9,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use panacea_telemetry::{EventSeverity, FlightRecorder};
+use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry};
 
 use panacea_bitslice::VECTOR_LEN;
-use panacea_block::{KvCache, QuantizedBlock};
+use panacea_block::{with_stage_times, KvCache, QuantizedBlock, STAGE_NAMES};
 use panacea_core::pipeline::{pad_cols_to_vector_len, run_coalesced, QuantizedLinear};
 use panacea_core::Workload;
 use panacea_models::engine::CapturedLayer;
@@ -233,6 +233,18 @@ impl PreparedModel {
     /// requests) rather than a code-domain linear chain.
     pub fn is_block(&self) -> bool {
         matches!(self.body, Body::Blocks { .. })
+    }
+
+    /// This model's `(model, "block", qkv|attn|proj|fc1|fc2)` cells in
+    /// `registry` — none for a linear chain, which runs no block.
+    pub(crate) fn block_cells(&self, registry: &MetricRegistry) -> Vec<Arc<DimCell>> {
+        if !self.is_block() {
+            return Vec::new();
+        }
+        STAGE_NAMES
+            .iter()
+            .map(|stage| registry.cell(&self.name, "block", stage))
+            .collect()
     }
 
     /// Prepares a single-layer model from a [`CapturedLayer`] recorded by
@@ -688,6 +700,18 @@ impl PreparedModel {
     }
 }
 
+/// Runs one model pass and records what it spent in each block
+/// sub-layer (summed over the stack's blocks) into the cells
+/// [`PreparedModel::block_cells`] resolved — the per-(model, layer)
+/// signal, recorded by the serving layer that knows the model's name.
+pub(crate) fn timed_blocks<T>(cells: &[Arc<DimCell>], pass: impl FnOnce() -> T) -> T {
+    let (out, times) = with_stage_times(pass);
+    for (cell, spent) in cells.iter().zip(times) {
+        cell.record_latency(spent);
+    }
+    out
+}
+
 /// A concurrent name → [`PreparedModel`] map shared by every worker.
 ///
 /// Models are immutable once inserted; lookups hand out cheap [`Arc`]
@@ -695,21 +719,23 @@ impl PreparedModel {
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<PreparedModel>>>,
-    /// Optional flight recorder: registrations and re-registrations
-    /// land in the event ring once one is attached.
-    recorder: Mutex<Option<FlightRecorder>>,
+    /// Registrations and re-registrations land in this event ring.
+    recorder: FlightRecorder,
 }
 
 impl ModelRegistry {
-    /// An empty registry.
+    /// An empty registry recording into a private flight recorder.
     pub fn new() -> Self {
         ModelRegistry::default()
     }
 
-    /// Attaches a flight recorder: subsequent (re-)registrations record
-    /// `model_register` / `model_reregister` events.
-    pub fn set_recorder(&self, recorder: FlightRecorder) {
-        *self.recorder.lock().expect("recorder slot poisoned") = Some(recorder);
+    /// An empty registry whose (re-)registrations record
+    /// `model_register` / `model_reregister` events into `recorder`.
+    pub fn with_recorder(recorder: FlightRecorder) -> Self {
+        ModelRegistry {
+            models: RwLock::default(),
+            recorder,
+        }
     }
 
     /// Registers a prepared model under its name, returning the shared
@@ -729,14 +755,13 @@ impl ModelRegistry {
             .write()
             .expect("registry lock poisoned")
             .insert(model.name().to_string(), Arc::clone(&model));
-        if let Some(recorder) = &*self.recorder.lock().expect("recorder slot poisoned") {
-            let kind = if replaced.is_some() {
-                "model_reregister"
-            } else {
-                "model_register"
-            };
-            recorder.record(EventSeverity::Info, kind, format!("model={}", model.name()));
-        }
+        let kind = if replaced.is_some() {
+            "model_reregister"
+        } else {
+            "model_register"
+        };
+        self.recorder
+            .record(EventSeverity::Info, kind, format!("model={}", model.name()));
         model
     }
 

@@ -22,7 +22,7 @@ use panacea_telemetry::TraceContext;
 
 use crate::batch::{
     execute, head_dispatch_deadline, head_model_cols, purge_cancelled, purge_expired,
-    queue_is_single_model, take_batch, BatchPolicy, Job,
+    queue_is_single_model, take_batch, BatchCells, BatchPolicy, Job,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::model::{ModelRegistry, PreparedModel};
@@ -163,35 +163,24 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Spawns the worker pool (at least one worker) over `registry`.
+    /// Spawns the worker pool (at least one worker) over `registry`,
+    /// recording stage latencies and events into a metric registry and
+    /// flight recorder private to this runtime.
     pub fn start(registry: Arc<ModelRegistry>, config: RuntimeConfig) -> Self {
         Runtime::spawn(registry, config, Metrics::default())
     }
 
-    /// [`start`](Self::start) with a dimensional metric registry:
-    /// workers additionally record per-model windowed execute latency
-    /// under (model, "batch", "execute").
-    pub fn start_with_dims(
-        registry: Arc<ModelRegistry>,
-        config: RuntimeConfig,
-        dims: panacea_telemetry::MetricRegistry,
-    ) -> Self {
-        Runtime::spawn(registry, config, Metrics::with_dims(dims))
-    }
-
-    /// [`start_with_dims`](Self::start_with_dims) plus a flight
-    /// recorder: batch formations additionally land in the event ring.
+    /// [`start`](Self::start) recording into a shared pair instead: the
+    /// workers' `(model, "batch", queue_wait|batch_form|execute|split_back)`
+    /// and `(model, "block", …)` stage latencies land in `dims`, batch
+    /// formations and worker panics in `recorder`.
     pub fn start_with_observability(
         registry: Arc<ModelRegistry>,
         config: RuntimeConfig,
         dims: panacea_telemetry::MetricRegistry,
         recorder: panacea_telemetry::FlightRecorder,
     ) -> Self {
-        Runtime::spawn(
-            registry,
-            config,
-            Metrics::with_observability(dims, recorder),
-        )
+        Runtime::spawn(registry, config, Metrics::new(dims, recorder))
     }
 
     fn spawn(registry: Arc<ModelRegistry>, config: RuntimeConfig, metrics: Metrics) -> Self {
@@ -319,12 +308,6 @@ impl Runtime {
     /// Current aggregate metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
-    }
-
-    /// Per-stage latency histograms (`queue_wait`, `batch_form`,
-    /// `execute`, `split_back`), nanosecond samples.
-    pub fn stage_snapshots(&self) -> Vec<(&'static str, panacea_telemetry::HistogramSnapshot)> {
-        self.shared.metrics.stage_snapshots()
     }
 
     /// Snapshot of the queued and in-flight work — what a shard router
@@ -580,6 +563,9 @@ fn worker_loop(shared: &Shared) {
             shared.metrics.record_expired(e);
         }
     };
+    // Stage cells of the model this worker ran last — re-resolved only
+    // when a batch for a different prepared instance comes up.
+    let mut cells: Option<BatchCells> = None;
     let mut st = shared.state.lock().expect("queue lock poisoned");
     loop {
         purge(&mut st);
@@ -632,7 +618,6 @@ fn worker_loop(shared: &Shared) {
         let Some(batch) = take_batch(&mut st.queue, shared.policy.max_batch) else {
             continue;
         };
-        shared.metrics.record_batch_form(form_started.elapsed());
         let form_done = Instant::now();
         for job in &batch.jobs {
             if let Some(ctx) = &job.ctx {
@@ -645,7 +630,14 @@ fn worker_loop(shared: &Shared) {
         // If the batch left same-model stragglers (over budget) or other
         // models queued, make sure an idle sibling picks them up.
         shared.work_ready.notify_one();
-        execute(batch, &shared.metrics);
+        let cells = match &mut cells {
+            Some(cells) if cells.instance == batch.model.instance_id() => cells,
+            stale => stale.insert(BatchCells::resolve(&shared.metrics, &batch.model)),
+        };
+        cells
+            .batch_form
+            .record_latency(form_done.duration_since(form_started));
+        execute(batch, &shared.metrics, cells);
         st = shared.state.lock().expect("queue lock poisoned");
         st.in_flight_cols -= batch_cols;
     }

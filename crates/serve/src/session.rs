@@ -55,13 +55,11 @@ use std::time::{Duration, Instant};
 use panacea_block::KvCache;
 use panacea_core::Workload;
 use panacea_faultline::Fault;
-use panacea_telemetry::{
-    EventSeverity, FlightRecorder, Histogram, HistogramSnapshot, MetricRegistry, TraceContext,
-};
+use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
 use panacea_tensor::Matrix;
 
 use crate::decode_batch::{DecodeBatcher, StepFailure};
-use crate::model::PreparedModel;
+use crate::model::{timed_blocks, PreparedModel};
 use crate::ServeError;
 
 /// Lifecycle, footprint, and continuous-batching knobs for a
@@ -166,6 +164,37 @@ pub(crate) struct Session {
     pub(crate) last_used: Instant,
 }
 
+/// A model's `(model, "decode", …)` stage cells plus its block
+/// sub-layer cells, resolved once when a session opens and carried by
+/// its [`Slot`] so neither the stepping thread nor the batching worker
+/// looks anything up per step.
+#[derive(Debug)]
+pub(crate) struct DecodeCells {
+    /// End-to-end [`SessionManager::step`] latency, successes only.
+    step: Arc<DimCell>,
+    /// Enqueue-to-pass-start linger, per batched step.
+    pub(crate) linger: Arc<DimCell>,
+    /// Fused-pass duration, per pass.
+    pub(crate) fused_pass: Arc<DimCell>,
+    /// Sessions fused per pass — a raw count, not a duration.
+    pub(crate) occupancy: Arc<DimCell>,
+    /// See [`PreparedModel::block_cells`].
+    pub(crate) block: Vec<Arc<DimCell>>,
+}
+
+impl DecodeCells {
+    fn resolve(registry: &MetricRegistry, model: &PreparedModel) -> Self {
+        let cell = |stage| registry.cell(model.name(), "decode", stage);
+        DecodeCells {
+            step: cell("step"),
+            linger: cell("linger"),
+            fused_pass: cell("fused_pass"),
+            occupancy: cell("occupancy"),
+            block: model.block_cells(registry),
+        }
+    }
+}
+
 /// One session's map entry: the per-session lock plus the immutable
 /// metadata the manager (and the decode batcher) read without taking it.
 #[derive(Debug)]
@@ -175,6 +204,7 @@ pub(crate) struct Slot {
     /// session's lifetime, so the batcher groups same-model steps by
     /// pointer identity without touching the cell.
     pub(crate) model: Arc<PreparedModel>,
+    pub(crate) cells: DecodeCells,
     bytes_per_token: usize,
     /// Bytes this slot currently contributes to the manager's
     /// `total_bytes` — resident KV plus any reservation for a step in
@@ -217,54 +247,42 @@ pub struct SessionManager {
     /// [`SessionConfig::max_decode_batch`] disables batching (steps run
     /// inline on the caller's thread).
     batcher: Option<DecodeBatcher>,
-    /// End-to-end [`step`](Self::step) latency (ns), successes only.
-    step_latency: Histogram,
     /// Panics caught on the inline (caller-thread) step path; the
     /// batcher counts its own.
     inline_panics: AtomicU64,
-    /// Optional dimensional registry: per-model windowed step latency
-    /// under (model, "decode", "step"), plus the batcher's fused-pass
-    /// dimension.
-    dims: Option<MetricRegistry>,
-    /// Optional flight recorder: session opens, closes, and evictions
-    /// land in the event ring.
-    recorder: Option<FlightRecorder>,
+    /// Where every session's [`DecodeCells`] live.
+    registry: MetricRegistry,
+    /// Session opens, closes, and evictions land in this event ring.
+    recorder: FlightRecorder,
 }
 
 impl SessionManager {
-    /// An empty manager enforcing `config`.
+    /// An empty manager enforcing `config`, recording stage latencies
+    /// and events into a metric registry and flight recorder private to
+    /// this manager.
     pub fn new(config: SessionConfig) -> Self {
-        SessionManager::build(config, None, None)
+        SessionManager::with_observability(
+            config,
+            MetricRegistry::default(),
+            FlightRecorder::default(),
+        )
     }
 
-    /// [`new`](Self::new) with a dimensional metric registry: steps
-    /// record per-model windowed latency under (model, "decode",
-    /// "step") and fused passes under (model, "decode", "fused_pass").
-    pub fn with_dims(config: SessionConfig, dims: MetricRegistry) -> Self {
-        SessionManager::build(config, Some(dims), None)
-    }
-
-    /// [`with_dims`](Self::with_dims) plus a flight recorder: session
-    /// lifecycle (open/close/evict) and fused-pass formations land in
-    /// the event ring.
+    /// [`new`](Self::new) recording into a shared pair instead: per-model
+    /// `(model, "decode", step|linger|fused_pass|occupancy)` and
+    /// `(model, "block", …)` stage samples land in `registry`; session
+    /// lifecycle (open/close/evict) and fused-pass formations in
+    /// `recorder`.
     pub fn with_observability(
         config: SessionConfig,
-        dims: MetricRegistry,
+        registry: MetricRegistry,
         recorder: FlightRecorder,
-    ) -> Self {
-        SessionManager::build(config, Some(dims), Some(recorder))
-    }
-
-    fn build(
-        config: SessionConfig,
-        dims: Option<MetricRegistry>,
-        recorder: Option<FlightRecorder>,
     ) -> Self {
         let batcher = (config.max_decode_batch > 1).then(|| {
             DecodeBatcher::new(
                 config.max_decode_batch,
                 config.decode_max_wait,
-                dims.clone(),
+                registry.clone(),
                 recorder.clone(),
             )
         });
@@ -277,9 +295,8 @@ impl SessionManager {
                 counters: Counters::default(),
             }),
             batcher,
-            step_latency: Histogram::new(),
             inline_panics: AtomicU64::new(0),
-            dims,
+            registry,
             recorder,
         }
     }
@@ -310,6 +327,7 @@ impl SessionManager {
                 kv,
                 last_used: Instant::now(),
             }),
+            cells: DecodeCells::resolve(&self.registry, &model),
             model,
             bytes_per_token,
             accounted: AtomicUsize::new(0),
@@ -321,13 +339,11 @@ impl SessionManager {
             inner.sessions.insert(id, slot);
             inner.counters.opened += 1;
         }
-        if let Some(recorder) = &self.recorder {
-            recorder.record(
-                EventSeverity::Info,
-                "session_open",
-                format!("session={id} model={model_name}"),
-            );
-        }
+        self.recorder.record(
+            EventSeverity::Info,
+            "session_open",
+            format!("session={id} model={model_name}"),
+        );
         Ok(id)
     }
 
@@ -500,7 +516,9 @@ impl SessionManager {
                     let snapshot = s.kv.tokens();
                     let ran = catch_unwind(AssertUnwindSafe(|| {
                         panacea_faultline::point("serve.decode.fused_pass");
-                        slot.model.forward_decode_prevalidated(hidden, &mut s.kv)
+                        timed_blocks(&slot.cells.block, || {
+                            slot.model.forward_decode_prevalidated(hidden, &mut s.kv)
+                        })
                     }));
                     match ran {
                         Ok(r) => {
@@ -516,20 +534,17 @@ impl SessionManager {
                             s.kv.truncate_tokens(snapshot);
                             drop(s);
                             self.inline_panics.fetch_add(1, Ordering::Relaxed);
-                            if let Some(dims) = &self.dims {
-                                dims.cell(slot.model.name(), "decode", "decode_inline")
-                                    .record_error();
-                            }
-                            if let Some(recorder) = &self.recorder {
-                                recorder.record(
-                                    EventSeverity::Error,
-                                    "worker_panic",
-                                    format!(
-                                        "at=decode_inline model={} session={session}",
-                                        slot.model.name()
-                                    ),
-                                );
-                            }
+                            self.registry
+                                .cell(slot.model.name(), "decode", "decode_inline")
+                                .record_error();
+                            self.recorder.record(
+                                EventSeverity::Error,
+                                "worker_panic",
+                                format!(
+                                    "at=decode_inline model={} session={session}",
+                                    slot.model.name()
+                                ),
+                            );
                             self.evict_poisoned(session, "decode_inline");
                             Err(ServeError::Internal {
                                 at: "decode_inline",
@@ -550,11 +565,7 @@ impl SessionManager {
             Ok((_, _, _)) => {
                 inner.counters.steps += 1;
                 inner.counters.tokens += hidden.cols() as u64;
-                self.step_latency.record_duration(now.elapsed());
-                if let Some(dims) = &self.dims {
-                    dims.cell(slot.model.name(), "decode", "step")
-                        .record_latency(now.elapsed());
-                }
+                slot.cells.step.record_latency(now.elapsed());
             }
             // A failed step grew nothing: release the reservation —
             // unless a concurrent removal already settled it.
@@ -599,13 +610,11 @@ impl SessionManager {
             .unwrap_or_else(PoisonError::into_inner)
             .kv
             .tokens();
-        if let Some(recorder) = &self.recorder {
-            recorder.record(
-                EventSeverity::Info,
-                "session_close",
-                format!("session={session} tokens={tokens}"),
-            );
-        }
+        self.recorder.record(
+            EventSeverity::Info,
+            "session_close",
+            format!("session={session} tokens={tokens}"),
+        );
         Ok(tokens)
     }
 
@@ -624,13 +633,11 @@ impl SessionManager {
                 .total_bytes
                 .saturating_sub(slot.accounted.load(Ordering::Relaxed));
             inner.counters.evicted_poisoned += 1;
-            if let Some(recorder) = &self.recorder {
-                recorder.record(
-                    EventSeverity::Warn,
-                    "session_evict",
-                    format!("session={session} reason=poisoned at={at}"),
-                );
-            }
+            self.recorder.record(
+                EventSeverity::Warn,
+                "session_evict",
+                format!("session={session} reason=poisoned at={at}"),
+            );
         }
     }
 
@@ -667,23 +674,6 @@ impl SessionManager {
                 .as_ref()
                 .map_or(0, DecodeBatcher::expired_steps),
         }
-    }
-
-    /// Per-stage histograms for the decode path: `step` (end-to-end
-    /// step latency, ns) plus the batcher's `decode_linger` /
-    /// `decode_pass` (ns) and `decode_occupancy` (sessions per fused
-    /// pass). Batcher stages are empty when batching is disabled.
-    pub fn stage_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        let mut stages = vec![("step", self.step_latency.snapshot())];
-        match &self.batcher {
-            Some(batcher) => stages.extend(batcher.stage_snapshots()),
-            None => stages.extend([
-                ("decode_linger", HistogramSnapshot::empty()),
-                ("decode_pass", HistogramSnapshot::empty()),
-                ("decode_occupancy", HistogramSnapshot::empty()),
-            ]),
-        }
-        stages
     }
 
     /// The amortized idle scan: a no-op until the sweep deadline, so
@@ -723,13 +713,11 @@ impl SessionManager {
             inner.sessions.remove(&id);
             inner.total_bytes = inner.total_bytes.saturating_sub(bytes);
             inner.counters.evicted_idle += 1;
-            if let Some(recorder) = &self.recorder {
-                recorder.record(
-                    EventSeverity::Warn,
-                    "session_evict",
-                    format!("session={id} reason=idle"),
-                );
-            }
+            self.recorder.record(
+                EventSeverity::Warn,
+                "session_evict",
+                format!("session={id} reason=idle"),
+            );
         }
         n
     }
@@ -760,13 +748,11 @@ impl SessionManager {
             inner.sessions.remove(&id);
             inner.total_bytes = inner.total_bytes.saturating_sub(bytes);
             inner.counters.evicted_budget += 1;
-            if let Some(recorder) = &self.recorder {
-                recorder.record(
-                    EventSeverity::Warn,
-                    "session_evict",
-                    format!("session={id} reason=budget"),
-                );
-            }
+            self.recorder.record(
+                EventSeverity::Warn,
+                "session_evict",
+                format!("session={id} reason=budget"),
+            );
         }
     }
 }

@@ -92,8 +92,11 @@ fn injected_panic_answers_internal_and_worker_survives() {
     let panics = runtime.metrics().worker_panics;
     assert!((1..=2).contains(&panics), "got {panics} panics");
     // Disarm, then prove the single worker thread survived the panic:
-    // the next request is served normally.
+    // the next request is served normally. (Under an empty plan, so this
+    // tail cannot consume the scripted positions of whichever test arms
+    // next.)
     drop(guard);
+    let _quiet = FaultPlan::compile(0, &Scenario::new()).arm();
     let codes = codes_for(&model, 4, 2);
     let (expect, _) = model.forward_codes(&codes);
     let out = runtime.infer("m", codes).expect("worker survived");
@@ -242,7 +245,9 @@ fn mid_step_panic_evicts_the_session_and_batchmates_stay_exact() {
     ));
     drop(guard);
     // Bit-exactness oracle: replay each survivor's input through solo
-    // inline stepping on a fresh manager (after disarm).
+    // inline stepping on a fresh manager (after disarm, under an empty
+    // plan for the same reason as above).
+    let _quiet = FaultPlan::compile(0, &Scenario::new()).arm();
     let solo = SessionManager::new(SessionConfig {
         max_decode_batch: 0,
         ..SessionConfig::default()

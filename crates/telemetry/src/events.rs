@@ -13,15 +13,15 @@
 //!
 //! When SLO health flips to `degraded`/`critical` the gateway
 //! additionally [`pin`](FlightRecorder::pin)s an [`IncidentSnapshot`]
-//! — the recent events, the slow traces, and the dims window frozen
-//! at the flip — so the diagnosis survives even after the ring has
+//! — the recent events, the slow traces, and the registry's cell
+//! summaries frozen at the flip — so the diagnosis survives even after the ring has
 //! churned past the incident and health has recovered.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::registry::{DimWindow, MetricKey};
+use crate::registry::CellSummary;
 use crate::slo::SloStatus;
 use crate::trace::Trace;
 
@@ -85,7 +85,7 @@ pub struct Event {
 }
 
 /// Everything frozen at the moment health flipped: the recent events,
-/// the pinned slow traces, and the dims window as it looked then.
+/// the pinned slow traces, and the registry's cells as they looked then.
 #[derive(Debug, Clone)]
 pub struct IncidentSnapshot {
     /// When the flip was observed, milliseconds since the Unix epoch.
@@ -96,8 +96,8 @@ pub struct IncidentSnapshot {
     pub events: Vec<Event>,
     /// Pinned slow traces at the flip, newest first.
     pub traces: Vec<Trace>,
-    /// The windowed dims frozen at the flip, sorted by key.
-    pub dims: Vec<(MetricKey, DimWindow)>,
+    /// Every registry cell's summary frozen at the flip, sorted by key.
+    pub cells: Vec<CellSummary>,
 }
 
 #[derive(Debug)]
@@ -257,7 +257,7 @@ mod tests {
             status: SloStatus::Degraded,
             events: rec.recent(8),
             traces: Vec::new(),
-            dims: Vec::new(),
+            cells: Vec::new(),
         });
         // Churn the ring far past the incident.
         for _ in 0..16 {
@@ -268,7 +268,7 @@ mod tests {
             status: SloStatus::Critical,
             events: rec.recent(8),
             traces: Vec::new(),
-            dims: Vec::new(),
+            cells: Vec::new(),
         });
         let pinned = rec.pinned().expect("snapshot pinned");
         assert_eq!(pinned.status, SloStatus::Critical, "latest flip wins");

@@ -1,5 +1,4 @@
-//! Metric exporters: Prometheus-style text exposition and JSONL
-//! metric lines.
+//! Metric exporter: Prometheus-style text exposition.
 //!
 //! [`PrometheusText`] assembles the standard text exposition format —
 //! `# TYPE` headers, `name{label="value"} value` samples, and
@@ -8,17 +7,11 @@
 //! `_count`. Metric names are sanitized to `[a-zA-Z0-9_:]` and label
 //! values escaped per the exposition rules (`\\`, `\"`, `\n`), so
 //! arbitrary model names survive scraping.
-//!
-//! [`jsonl_metrics_line`] renders one registry sweep as a single JSON
-//! line — a wall-clock anchor plus every dim's windowed quantiles and
-//! outcome counts — for offline trajectory analysis: append a line
-//! every N milliseconds and replay the fleet's behavior later.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::histogram::HistogramSnapshot;
-use crate::registry::{DimWindow, MetricKey};
 
 /// Appends `name` mapped into the Prometheus metric-name alphabet
 /// `[a-zA-Z0-9_:]`, every other byte becoming `_` and a leading digit
@@ -161,52 +154,6 @@ impl PrometheusText {
     pub fn finish(self) -> String {
         self.out
     }
-}
-
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one sweep of the registry's windowed dims as a single JSON
-/// line (no trailing newline): a `unix_ms` anchor plus per-dim latency
-/// quantiles (microseconds) and outcome counts.
-pub fn jsonl_metrics_line(unix_ms: u64, dims: &[(MetricKey, DimWindow)]) -> String {
-    let mut line = format!("{{\"unix_ms\":{unix_ms},\"dims\":[");
-    for (i, (key, w)) in dims.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!(
-            "{{\"model\":\"{}\",\"verb\":\"{}\",\"stage\":\"{}\",\
-             \"count\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{},\
-             \"ok\":{},\"error\":{},\"shed\":{}}}",
-            json_escape(&key.model),
-            json_escape(&key.verb),
-            json_escape(&key.stage),
-            w.latency.count,
-            w.latency.p50() as f64 / 1_000.0,
-            w.latency.p90() as f64 / 1_000.0,
-            w.latency.p99() as f64 / 1_000.0,
-            w.latency.max as f64 / 1_000.0,
-            w.ok,
-            w.error,
-            w.shed
-        ));
-    }
-    line.push_str("]}");
-    line
 }
 
 #[cfg(test)]
@@ -371,30 +318,5 @@ mod tests {
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name("ok:name_1"), "ok:name_1");
         assert_eq!(sanitize_metric_name(""), "_");
-    }
-
-    #[test]
-    fn jsonl_line_is_valid_json_with_escaped_names() {
-        let reg = crate::registry::MetricRegistry::default();
-        let cell = reg.cell("m\"odel\\", "infer", "request");
-        cell.record_latency(std::time::Duration::from_micros(250));
-        cell.record_ok();
-        cell.record_shed();
-        let dims = reg.windows(std::time::Duration::from_secs(10));
-        let line = jsonl_metrics_line(1_700_000_000_000, &dims);
-        assert!(!line.contains('\n'), "JSONL lines are single lines");
-        assert!(line.starts_with("{\"unix_ms\":1700000000000,\"dims\":["));
-        assert!(line.contains("\"model\":\"m\\\"odel\\\\\""));
-        assert!(line.contains("\"ok\":1"));
-        assert!(line.contains("\"shed\":1"));
-        // The p99 of a single 250µs sample lands within bucket error.
-        assert!(line.contains("\"count\":1"));
-        let p99_field = line
-            .split("\"p99_us\":")
-            .nth(1)
-            .and_then(|rest| rest.split(',').next())
-            .expect("p99 field present");
-        let p99: f64 = p99_field.parse().expect("p99 parses");
-        assert!((250.0..=260.0).contains(&p99), "p99_us={p99}");
     }
 }

@@ -17,8 +17,9 @@
 //!   (boundary-snapshot rings over the cumulative primitives) so "p99
 //!   right now" is answerable, not just "p99 since boot".
 //! * [`MetricRegistry`] — windowed latency + outcome cells keyed by
-//!   (model, verb, stage), the dimensional layer the gateway threads
-//!   through the serving stack.
+//!   (model, verb, stage): the one store every serving layer records
+//!   its stage samples into and every view ([`CellSummary`] rows,
+//!   Prometheus text) is a loop over.
 //! * [`SloConfig`] — declarative latency/error/shed budgets evaluated
 //!   over windows into a burn-rate [`HealthReport`].
 //! * [`TraceContext`] — the portable slice of an in-flight trace that
@@ -28,8 +29,8 @@
 //! * [`FlightRecorder`] — a bounded ring of structured operational
 //!   events with severity and wall-clock anchors, plus a pinned
 //!   [`IncidentSnapshot`] frozen when SLO health flips.
-//! * [`PrometheusText`] / [`jsonl_metrics_line`] — text exposition and
-//!   JSONL exporters over the registry and stage histograms.
+//! * [`PrometheusText`] — the text-exposition builder exporters feed
+//!   from one sweep over the registry's cells.
 //!
 //! Everything here is designed to be cheap enough to leave on in
 //! production: recording is a handful of `Relaxed` atomic operations
@@ -48,9 +49,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use context::TraceContext;
 pub use events::{unix_ms_now, Event, EventSeverity, FlightRecorder, IncidentSnapshot};
-pub use export::{escape_label_value, jsonl_metrics_line, sanitize_metric_name, PrometheusText};
+pub use export::{escape_label_value, sanitize_metric_name, PrometheusText};
 pub use histogram::{Histogram, HistogramSnapshot, LINEAR_MAX, NUM_BUCKETS, SUB_BUCKETS};
-pub use registry::{DimCell, DimWindow, MetricKey, MetricRegistry, STAGE_REQUEST};
+pub use registry::{CellSummary, DimCell, DimWindow, MetricKey, MetricRegistry, STAGE_REQUEST};
 pub use slo::{HealthReport, SloConfig, SloStatus, SloTarget, TargetReport};
 pub use trace::{Span, Trace, TraceBuilder, TraceConfig, TraceId, Tracer, ROOT_SPAN};
 pub use window::{WindowConfig, WindowedCounter, WindowedHistogram};

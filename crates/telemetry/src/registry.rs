@@ -1,24 +1,26 @@
 //! A dimensional metric registry keyed by (model, verb, stage).
 //!
-//! The serving stack's aggregate metrics answer "how is the process
-//! doing"; operators also need "how is *model X's decode path* doing,
-//! right now". [`MetricRegistry`] keys windowed latency histograms and
-//! outcome counters by [`MetricKey`] — `(model, verb, stage)` — so
-//! per-model, per-verb latency and error/shed rates are first-class.
+//! [`MetricRegistry`] is the serving stack's one store for latency and
+//! occupancy samples: every stage of every layer — the transport's
+//! `("-", "conn", …)`, the gateway's `("-", "gateway", …)`, a model's
+//! `(model, "batch" | "decode" | "block", …)` and the wire verbs'
+//! `(model, verb, "request")` — is a [`DimCell`] holding a windowed
+//! histogram plus windowed ok/error/shed outcome counters, so "how is
+//! *model X's decode path* doing, right now" and "since boot" are both
+//! answered from the same cell, and every exporter is one loop over
+//! [`MetricRegistry::cells`].
 //!
 //! The registry is a cheap [`Clone`] handle over shared state: one
 //! instance is created at the gateway and threaded down through the
 //! router, runtime, session manager, and decode batcher, each layer
-//! recording under its own stage name. Cells are created on first use
+//! recording under its own stage names. Cells are created on first use
 //! and live for the registry's lifetime (the dimension space is small:
 //! models × a handful of verbs × a handful of stages).
 //!
-//! Hot paths should resolve a cell once ([`MetricRegistry::cell`], one
-//! mutex + hash lookup) and hold the returned [`Arc`] where the key is
-//! static; per-request resolution is still far cheaper than the GEMM
-//! work behind every request.
+//! Recording layers resolve a cell once ([`MetricRegistry::cell`], one
+//! mutex + an allocation-free binary search on a hit) and hold the
+//! returned [`Arc`] wherever the key outlives one event.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -95,9 +97,20 @@ impl DimCell {
         self.shed.add(1);
     }
 
-    /// The windowed latency histogram.
+    /// The windowed histogram — record raw values (an occupancy
+    /// count) through it directly.
     pub fn latency(&self) -> &WindowedHistogram {
         &self.latency
+    }
+
+    /// The cumulative (since-construction) view.
+    pub fn total(&self) -> DimWindow {
+        DimWindow {
+            latency: self.latency.total(),
+            ok: self.ok.total(),
+            error: self.error.total(),
+            shed: self.shed.total(),
+        }
     }
 
     /// A point-in-time view over roughly the last `window`.
@@ -111,7 +124,8 @@ impl DimCell {
     }
 }
 
-/// A merged windowed view of one or more dimensions.
+/// A view of one dimension (or several merged) over some span: a
+/// sliding window, or everything since construction.
 #[derive(Debug, Clone)]
 pub struct DimWindow {
     /// Windowed latency samples (nanoseconds).
@@ -173,10 +187,80 @@ impl DimWindow {
     }
 }
 
+/// Quantile summary of one cell — the row every textual view (the
+/// `metrics` verb, the JSONL line, a pinned incident) shows. Histogram
+/// values are in the samples' native unit: nanoseconds for durations,
+/// a raw count for `occupancy`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellSummary {
+    /// Model name the cell is keyed by ("-" where no model applies).
+    pub model: String,
+    /// Wire verb or internal path ("infer", "decode", "batch", …).
+    pub verb: String,
+    /// Pipeline stage ("request", "execute", "step", "fused_pass", …).
+    pub stage: String,
+    /// Samples recorded since boot.
+    pub count: u64,
+    /// Sum of all samples since boot.
+    pub sum: u64,
+    /// Estimated since-boot 50th-percentile sample (upper bucket bound).
+    pub p50: u64,
+    /// Estimated since-boot 90th-percentile sample.
+    pub p90: u64,
+    /// Estimated since-boot 99th-percentile sample.
+    pub p99: u64,
+    /// Exact since-boot maximum sample.
+    pub max: u64,
+    /// Samples in the window.
+    pub win_count: u64,
+    /// Estimated windowed 50th-percentile sample.
+    pub win_p50: u64,
+    /// Estimated windowed 90th-percentile sample.
+    pub win_p90: u64,
+    /// Estimated windowed 99th-percentile sample.
+    pub win_p99: u64,
+    /// Windowed maximum sample.
+    pub win_max: u64,
+    /// Successful outcomes in the window.
+    pub ok: u64,
+    /// Failed outcomes in the window (excluding sheds).
+    pub error: u64,
+    /// Shed (overload-rejected) outcomes in the window.
+    pub shed: u64,
+}
+
+impl CellSummary {
+    /// Summarizes one cell: cumulative quantiles from `total`, windowed
+    /// quantiles and outcome counts from `window`.
+    pub fn new(key: &MetricKey, total: &HistogramSnapshot, window: &DimWindow) -> Self {
+        CellSummary {
+            model: key.model.clone(),
+            verb: key.verb.clone(),
+            stage: key.stage.clone(),
+            count: total.count,
+            sum: total.sum,
+            p50: total.p50(),
+            p90: total.p90(),
+            p99: total.p99(),
+            max: total.max,
+            win_count: window.latency.count,
+            win_p50: window.latency.p50(),
+            win_p90: window.latency.p90(),
+            win_p99: window.latency.p99(),
+            win_max: window.latency.max,
+            ok: window.ok,
+            error: window.error,
+            shed: window.shed,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     config: WindowConfig,
-    cells: Mutex<HashMap<MetricKey, Arc<DimCell>>>,
+    /// Sorted by key, so lookups binary-search on borrowed strings and
+    /// every sweep comes out in key order.
+    cells: Mutex<Vec<(MetricKey, Arc<DimCell>)>>,
 }
 
 /// Shared, cloneable registry of per-dimension windowed metrics.
@@ -197,45 +281,41 @@ impl MetricRegistry {
         MetricRegistry {
             inner: Arc::new(Inner {
                 config,
-                cells: Mutex::new(HashMap::new()),
+                cells: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// Resolves (creating on first use) the cell for a dimension.
+    /// Resolves (creating on first use) the cell for a dimension. A hit
+    /// allocates nothing.
     pub fn cell(&self, model: &str, verb: &str, stage: &str) -> Arc<DimCell> {
         let mut cells = self.inner.cells.lock().expect("registry poisoned");
-        if let Some(cell) = cells.get(&MetricKey::new(model, verb, stage)) {
-            return Arc::clone(cell);
+        let found = cells.binary_search_by(|(k, _)| {
+            (k.model.as_str(), k.verb.as_str(), k.stage.as_str()).cmp(&(model, verb, stage))
+        });
+        match found {
+            Ok(i) => Arc::clone(&cells[i].1),
+            Err(i) => {
+                let cell = Arc::new(DimCell::new(self.inner.config));
+                cells.insert(i, (MetricKey::new(model, verb, stage), Arc::clone(&cell)));
+                cell
+            }
         }
-        let cell = Arc::new(DimCell::new(self.inner.config));
-        cells.insert(MetricKey::new(model, verb, stage), Arc::clone(&cell));
-        cell
     }
 
-    /// All registered dimensions, sorted.
-    pub fn keys(&self) -> Vec<MetricKey> {
-        let cells = self.inner.cells.lock().expect("registry poisoned");
-        let mut keys: Vec<MetricKey> = cells.keys().cloned().collect();
-        keys.sort();
-        keys
+    /// Every registered cell, sorted by key — the one sweep every view
+    /// and exporter iterates.
+    pub fn cells(&self) -> Vec<(MetricKey, Arc<DimCell>)> {
+        self.inner.cells.lock().expect("registry poisoned").clone()
     }
 
-    /// Windowed views of every dimension, sorted by key.
-    pub fn windows(&self, window: Duration) -> Vec<(MetricKey, DimWindow)> {
-        let cells: Vec<(MetricKey, Arc<DimCell>)> = {
-            let cells = self.inner.cells.lock().expect("registry poisoned");
-            cells
-                .iter()
-                .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                .collect()
-        };
-        let mut out: Vec<(MetricKey, DimWindow)> = cells
-            .into_iter()
-            .map(|(k, cell)| (k, cell.window(window)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// Quantile summaries of every cell — cumulative plus the last
+    /// `window` — sorted by key.
+    pub fn summaries(&self, window: Duration) -> Vec<CellSummary> {
+        self.cells()
+            .iter()
+            .map(|(k, cell)| CellSummary::new(k, &cell.latency.total(), &cell.window(window)))
+            .collect()
     }
 
     /// Merged window over every dimension matching the filter (`None`
@@ -248,12 +328,12 @@ impl MetricRegistry {
         window: Duration,
     ) -> DimWindow {
         let mut merged = DimWindow::empty();
-        for (key, w) in self.windows(window) {
+        for (key, cell) in self.cells() {
             let matches = model.is_none_or(|m| m == key.model)
                 && verb.is_none_or(|v| v == key.verb)
                 && stage.is_none_or(|s| s == key.stage);
             if matches {
-                merged.merge(&w);
+                merged.merge(&cell.window(window));
             }
         }
         merged
@@ -272,7 +352,30 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = reg.cell("m", "decode", STAGE_REQUEST);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(reg.keys().len(), 2);
+        let keys: Vec<MetricKey> = reg.cells().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                MetricKey::new("m", "decode", STAGE_REQUEST),
+                MetricKey::new("m", "infer", STAGE_REQUEST)
+            ],
+            "cells come out sorted by key"
+        );
+    }
+
+    #[test]
+    fn summaries_carry_cumulative_and_windowed_views_in_native_units() {
+        let reg = MetricRegistry::default();
+        let cell = reg.cell("m", "decode", "occupancy");
+        cell.latency().record(8);
+        cell.record_ok();
+        let s = &reg.summaries(Duration::from_secs(10))[0];
+        assert_eq!((s.model.as_str(), s.stage.as_str()), ("m", "occupancy"));
+        // A raw count of 8 survives: no unit scaling anywhere.
+        assert_eq!((s.count, s.sum, s.p50, s.max), (1, 8, 8, 8));
+        assert_eq!((s.win_count, s.win_p99, s.win_max), (1, 8, 8));
+        assert_eq!((s.ok, s.error, s.shed), (1, 0, 0));
+        assert_eq!(cell.total().ok, 1);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! Boundaries are captured on the *query* path (the first query in a
 //! new bucket interval rotates, back-filling any intervals that passed
 //! unobserved), so a process that is never asked for windows pays
-//! nothing beyond the cumulative histogram it already had. Window
+//! nothing beyond the cumulative histogram it already had: boundaries
+//! are shared by reference count, every fresh ring points all its slots
+//! at one process-wide zero snapshot, and a back-fill stores one
+//! snapshot however many intervals it covers. Window
 //! widths are bucket-granular: a query for the last `d` covers between
 //! `d` and `d + bucket` of wall time, the standard staircase
 //! approximation.
@@ -23,7 +26,7 @@
 //! [`Duration`] instead of reading the clock, so tests drive rotation
 //! deterministically.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -107,6 +110,13 @@ impl<T: Clone> Ring<T> {
     }
 }
 
+/// The all-zero boundary every fresh histogram ring starts from — one
+/// allocation per process, not `buckets` deep copies per histogram.
+fn zero_boundary() -> Arc<HistogramSnapshot> {
+    static ZERO: OnceLock<Arc<HistogramSnapshot>> = OnceLock::new();
+    Arc::clone(ZERO.get_or_init(|| Arc::new(HistogramSnapshot::empty())))
+}
+
 /// A cumulative histogram plus a boundary-snapshot ring serving
 /// sliding-window quantiles. Recording is exactly as cheap as
 /// [`Histogram::record`]; windows cost a snapshot + diff under a
@@ -116,7 +126,7 @@ pub struct WindowedHistogram {
     live: Histogram,
     config: WindowConfig,
     started: Instant,
-    ring: Mutex<Ring<HistogramSnapshot>>,
+    ring: Mutex<Ring<Arc<HistogramSnapshot>>>,
 }
 
 impl Default for WindowedHistogram {
@@ -132,7 +142,7 @@ impl WindowedHistogram {
             live: Histogram::new(),
             config,
             started: Instant::now(),
-            ring: Mutex::new(Ring::new(config.buckets, HistogramSnapshot::empty())),
+            ring: Mutex::new(Ring::new(config.buckets, zero_boundary())),
         }
     }
 
@@ -168,7 +178,7 @@ impl WindowedHistogram {
     pub fn window_at(&self, window: Duration, elapsed: Duration) -> HistogramSnapshot {
         let epoch = self.config.epoch(elapsed);
         let w = self.config.buckets_for(window);
-        let now = self.live.snapshot();
+        let now = Arc::new(self.live.snapshot());
         let boundary = {
             let mut ring = self.ring.lock().expect("window ring poisoned");
             ring.rotate_and_boundary(epoch, &now, w)
@@ -257,6 +267,27 @@ mod tests {
             bucket: Duration::from_millis(bucket_ms),
             buckets,
         }
+    }
+
+    #[test]
+    fn fresh_ring_shares_one_zero_snapshot_and_backfill_stores_one() {
+        let h = WindowedHistogram::new(WindowConfig::default());
+        let other = WindowedHistogram::new(WindowConfig::default());
+        {
+            let ring = h.ring.lock().unwrap();
+            assert_eq!(ring.boundaries.len(), 60);
+            // Every slot of every fresh ring is the same allocation.
+            let zero = &other.ring.lock().unwrap().boundaries[0];
+            assert!(ring.boundaries.iter().all(|b| Arc::ptr_eq(b, zero)));
+        }
+        // A first query after a long unobserved stretch back-fills the
+        // whole ring with one new snapshot, shared by reference count.
+        h.record(7);
+        h.window_at(SEC, Duration::from_secs(500));
+        let ring = h.ring.lock().unwrap();
+        let filled = &ring.boundaries[0];
+        assert_eq!(filled.count, 1);
+        assert!(ring.boundaries.iter().all(|b| Arc::ptr_eq(b, filled)));
     }
 
     #[test]

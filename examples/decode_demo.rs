@@ -17,7 +17,8 @@
 //! It also prints decode throughput (tokens/s) at prefix lengths
 //! {16, 64, 256} for both the KV-cached path (per-token cost ~flat in
 //! the prefix) and the full recompute an O(tokens²) stateless loop
-//! would pay per token (grows linearly).
+//! would pay per token (grows linearly), and finally the metric cells
+//! the run filled plus its most recent trace.
 //!
 //! Run with: `cargo run --release --example decode_demo`
 
@@ -349,106 +350,31 @@ fn main() {
     let steps: u64 = stats.shards.iter().map(|s| s.decode_steps).sum();
     println!("\n{steps} decode steps served; all decode gates passed ✓");
 
-    // 7. Observability: per-stage latency quantiles over the wire, and
-    //    a deliberately-slowed request pinned by the trace verb.
+    // 7. Observability, print-only (`gateway/tests/loopback.rs` owns
+    //    the gates): the metric cells and the most recent span tree.
     let metrics = client.metrics().expect("metrics");
     println!(
-        "\nper-stage latency quantiles (metrics verb, snapshot #{}, uptime {}ms):",
+        "\nmetric cells (metrics verb, snapshot #{}, uptime {}ms; ns, `occupancy` a count):",
         metrics.seq, metrics.uptime_ms
     );
     println!(
-        "{:>18}  {:>10}  {:>12}  {:>12}",
-        "stage", "count", "p50 µs", "p99 µs"
+        "{:>8}  {:>13}  {:>14}  {:>8}  {:>12}  {:>12}",
+        "model", "verb", "stage", "count", "p50", "p99"
     );
-    let print_stages = |label: &str, stages: &[panacea::gateway::StageSummary]| {
-        for s in stages.iter().filter(|s| s.count > 0) {
-            println!(
-                "{:>18}  {:>10}  {:>12.1}  {:>12.1}",
-                format!("{label}{}", s.stage),
-                s.count,
-                s.p50 as f64 / 1_000.0,
-                s.p99 as f64 / 1_000.0,
-            );
-        }
-    };
-    print_stages("", &metrics.gateway);
-    for (i, shard) in metrics.shards.iter().enumerate() {
-        // Occupancy histograms hold raw counts, not nanoseconds; keep
-        // the µs table honest by printing only the duration stages.
-        let durations: Vec<_> = shard
-            .iter()
-            .filter(|s| s.stage != "decode_occupancy")
-            .cloned()
-            .collect();
-        print_stages(&format!("shard{i}/"), &durations);
-    }
-    print_stages("", &metrics.block);
-    // Gate: the decode traffic above filled the decode stages on some
-    // shard, and the block engine's sub-layer rollup saw every pass.
-    assert!(
-        metrics
-            .shards
-            .iter()
-            .flatten()
-            .any(|s| s.stage == "decode_pass" && s.count > 0),
-        "decode_pass histogram recorded nothing"
-    );
-    assert!(
-        metrics.block.iter().all(|s| s.count > 0),
-        "block sub-layer stages recorded nothing"
-    );
-
-    // A gateway with a 1ms slow threshold: a 256-token prefill is
-    // deliberately heavy enough to cross it, so the trace verb must pin
-    // the request and return its complete span tree.
-    let traced_gateway = Arc::new(Gateway::from_shared(
-        vec![Arc::clone(&model)],
-        GatewayConfig {
-            trace: panacea::gateway::TraceConfig {
-                slow_threshold: std::time::Duration::from_millis(1),
-                ..Default::default()
-            },
-            ..GatewayConfig::default()
-        },
-    ));
-    let traced_server =
-        GatewayServer::bind(Arc::clone(&traced_gateway), "127.0.0.1:0").expect("bind");
-    let mut client = GatewayClient::connect(traced_server.local_addr()).expect("connect");
-    let open = client.session_open("decoder").expect("opened");
-    client
-        .decode(open.session, prefix_tokens(256))
-        .expect("slow prefill");
-    client.session_close(open.session).expect("closed");
-    let reply = client.trace(8).expect("trace");
-    let slow = reply
-        .traces
-        .iter()
-        .find(|t| t.verb == "decode")
-        .expect("slow prefill was not pinned by the tracer");
-    assert!(slow.total_us >= 1_000, "pinned trace is not actually slow");
-    let root = &slow.spans[0];
-    assert_eq!((root.id, root.parent.is_none()), (0, true));
-    assert_eq!(root.dur_us, slow.total_us);
-    for want in ["admission_wait", "route", "execute"] {
-        assert!(
-            slow.spans
-                .iter()
-                .any(|s| s.stage == want && s.parent == Some(0)),
-            "span {want:?} missing from the pinned trace"
-        );
-    }
-    println!(
-        "\nslow-request trace #{} ({}µs total):",
-        slow.id, slow.total_us
-    );
-    for span in &slow.spans {
-        let indent = if span.parent.is_none() { "" } else { "  " };
+    for c in metrics.cells.iter().filter(|c| c.count > 0) {
         println!(
-            "  {indent}{} [{}µs..{}µs]",
-            span.stage,
-            span.start_us,
-            span.start_us + span.dur_us
+            "{:>8}  {:>13}  {:>14}  {:>8}  {:>12}  {:>12}",
+            c.model, c.verb, c.stage, c.count, c.p50, c.p99
         );
     }
-    println!("\nall observability gates passed ✓");
+    for trace in &client.trace_recent(1).expect("trace").traces {
+        println!(
+            "\nmost recent trace #{} ({}, {}µs total):",
+            trace.id, trace.verb, trace.total_us
+        );
+        for span in &trace.spans {
+            let end = span.start_us + span.dur_us;
+            println!("  {} [{}µs..{end}µs]", span.stage, span.start_us);
+        }
+    }
 }
