@@ -37,6 +37,6 @@ pub mod slicing;
 pub mod sparsity;
 pub mod vector;
 
-pub use plane::{SliceError, SlicedActivation, SlicedWeight};
+pub use plane::{activation_plane_weight, SliceError, SlicedActivation, SlicedWeight};
 pub use rle::{RleEntry, RleStream};
 pub use vector::{ActVector, WeightVector, VECTOR_LEN};

@@ -8,11 +8,11 @@
 
 use std::fmt;
 
-use panacea_quant::dbs::{dbs_slices, dbs_truncate, DbsType};
+use panacea_quant::dbs::{dbs_truncate, DbsType};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::slicing::{sbr_slices, straightforward_slices, MAX_SBR_LO_SLICES};
+use crate::slicing::{sbr_peel_lo, MAX_SBR_LO_SLICES};
 
 /// Errors from slice-plane constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,21 +83,47 @@ impl SlicedWeight {
     /// `(3n+4)`-bit signed range, or
     /// [`SliceError::UnsupportedSliceCount`] if `n > 4`.
     pub fn from_int(w: &Matrix<i32>, n: usize) -> Result<Self, SliceError> {
+        Self::from_rows(w.rows(), w.cols(), n, |r, row| {
+            row.copy_from_slice(w.row(r))
+        })
+    }
+
+    /// [`from_int`](Self::from_int) for a matrix that is produced a row
+    /// at a time — `fill(r, row)` writes row `r` — so that the integers
+    /// (four bytes each, against one per slice) never exist as a whole.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_int`](Self::from_int).
+    pub fn from_rows(
+        rows: usize,
+        cols: usize,
+        n: usize,
+        mut fill: impl FnMut(usize, &mut [i32]),
+    ) -> Result<Self, SliceError> {
         if n > MAX_SBR_LO_SLICES {
             return Err(SliceError::UnsupportedSliceCount(n));
         }
         let bits = 3 * n as u8 + 4;
         let lo = -(1i32 << (bits - 1));
         let hi = (1i32 << (bits - 1)) - 1;
-        if let Some(&v) = w.iter().find(|&&v| !(lo..=hi).contains(&v)) {
-            return Err(SliceError::ValueOutOfRange { value: v, bits });
-        }
-        let mut planes = vec![Matrix::<i8>::zeros(w.rows(), w.cols()); n + 1];
-        for r in 0..w.rows() {
-            for c in 0..w.cols() {
-                for (i, s) in sbr_slices(w[(r, c)], n).into_iter().enumerate() {
-                    planes[i][(r, c)] = s;
+        // The SBR recurrence of `sbr_slices`, run plane by plane over one
+        // row at a time: `rest` holds what is left above the planes
+        // written so far and ends up as the HO plane.
+        let mut planes = vec![Matrix::<i8>::zeros(rows, cols); n + 1];
+        let mut rest = vec![0i32; cols];
+        for r in 0..rows {
+            fill(r, &mut rest);
+            if let Some(&v) = rest.iter().find(|&&v| !(lo..=hi).contains(&v)) {
+                return Err(SliceError::ValueOutOfRange { value: v, bits });
+            }
+            for plane in &mut planes[..n] {
+                for (slot, v) in plane.row_mut(r).iter_mut().zip(&mut rest) {
+                    *slot = sbr_peel_lo(v);
                 }
+            }
+            for (slot, &v) in planes[n].row_mut(r).iter_mut().zip(&rest) {
+                *slot = v as i8;
             }
         }
         Ok(SlicedWeight { planes, n })
@@ -195,18 +221,21 @@ impl SlicedActivation {
         if let Some(&v) = x.iter().find(|&&v| v < 0 || i64::from(v) > hi) {
             return Err(SliceError::ValueOutOfRange { value: v, bits });
         }
+        // `dbs_slices` for 8-bit values, `straightforward_slices`
+        // otherwise, written a plane at a time.
         let mut planes = vec![Matrix::<u8>::zeros(x.rows(), x.cols()); k + 1];
-        for r in 0..x.rows() {
-            for c in 0..x.cols() {
-                let v = x[(r, c)];
-                if k == 1 {
-                    let (ho, lo) = dbs_slices(v, dbs_type);
-                    planes[0][(r, c)] = lo;
-                    planes[1][(r, c)] = ho;
-                } else {
-                    for (i, s) in straightforward_slices(v as u32, k).into_iter().enumerate() {
-                        planes[i][(r, c)] = s;
-                    }
+        if k == 1 {
+            let l = u32::from(dbs_type.lo_bits());
+            for (slot, &v) in planes[0].iter_mut().zip(x.iter()) {
+                *slot = ((v & ((1 << l) - 1)) >> (l - 4)) as u8;
+            }
+            for (slot, &v) in planes[1].iter_mut().zip(x.iter()) {
+                *slot = (v >> l) as u8;
+            }
+        } else {
+            for (i, plane) in planes.iter_mut().enumerate() {
+                for (slot, &v) in plane.iter_mut().zip(x.iter()) {
+                    *slot = ((v >> (4 * i)) & 0xF) as u8;
                 }
             }
         }
@@ -246,15 +275,7 @@ impl SlicedActivation {
     /// Positional weight of plane `i`: `16^i` in general; for 8-bit values
     /// under DBS the LO plane weighs `2^{l−4}` and the HO plane `2^l`.
     pub fn plane_weight(&self, i: usize) -> i32 {
-        if self.k == 1 {
-            let l = u32::from(self.dbs_type.lo_bits());
-            match i {
-                0 => 1 << (l - 4),
-                _ => 1 << l,
-            }
-        } else {
-            16i32.pow(i as u32)
-        }
+        activation_plane_weight(self.k, self.dbs_type, i)
     }
 
     /// Reconstructs the represented values: bit-exact for type-1, the
@@ -271,6 +292,21 @@ impl SlicedActivation {
     }
 }
 
+/// Positional weight of plane `i` of a `(4k+4)`-bit activation sliced
+/// under `dbs_type` — [`SlicedActivation::plane_weight`] for a format
+/// rather than an instance, for what is precomputed per layer.
+pub fn activation_plane_weight(k: usize, dbs_type: DbsType, i: usize) -> i32 {
+    if k == 1 {
+        let l = u32::from(dbs_type.lo_bits());
+        match i {
+            0 => 1 << (l - 4),
+            _ => 1 << l,
+        }
+    } else {
+        16i32.pow(i as u32)
+    }
+}
+
 /// The value a DBS-sliced activation plane stack actually represents —
 /// the reference for the lossy type-2/3 paths.
 pub fn dbs_effective_value(v: i32, ty: DbsType) -> i32 {
@@ -280,6 +316,8 @@ pub fn dbs_effective_value(v: i32, ty: DbsType) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slicing::{sbr_slices, straightforward_slices};
+    use panacea_quant::dbs::dbs_slices;
     use proptest::prelude::*;
 
     #[test]
@@ -360,6 +398,54 @@ mod tests {
     }
 
     proptest! {
+        /// The planes are, element for element, the scalar definitions.
+        #[test]
+        fn weight_planes_equal_sbr_slices(
+            n in 0usize..=MAX_SBR_LO_SLICES,
+            raw in proptest::collection::vec(-(1i32 << 15)..(1i32 << 15), 12),
+        ) {
+            let bits = 3 * n as u32 + 4;
+            let vals: Vec<i32> = raw.iter().map(|v| v >> (16 - bits)).collect();
+            let w = Matrix::from_vec(3, 4, vals).unwrap();
+            let sw = SlicedWeight::from_int(&w, n).unwrap();
+            for r in 0..3 {
+                for c in 0..4 {
+                    let got: Vec<i8> = (0..=n).map(|i| sw.plane(i)[(r, c)]).collect();
+                    prop_assert_eq!(got, sbr_slices(w[(r, c)], n));
+                }
+            }
+        }
+
+        #[test]
+        fn activation_planes_equal_scalar_slices(
+            k in 0usize..=7,
+            ty in 0usize..3,
+            raw in proptest::collection::vec(0i32..=i32::MAX, 12),
+        ) {
+            let bits = 4 * (k as u32 + 1);
+            let vals: Vec<i32> = raw.iter().map(|v| v >> (31 - bits.min(31))).collect();
+            let ty = if k == 1 {
+                [DbsType::Type1, DbsType::Type2, DbsType::Type3][ty]
+            } else {
+                DbsType::Type1
+            };
+            let x = Matrix::from_vec(3, 4, vals).unwrap();
+            let sx = SlicedActivation::from_uint(&x, k, ty).unwrap();
+            for r in 0..3 {
+                for c in 0..4 {
+                    let v = x[(r, c)];
+                    let got: Vec<u8> = (0..=k).map(|i| sx.plane(i)[(r, c)]).collect();
+                    let want = if k == 1 {
+                        let (ho, lo) = dbs_slices(v, ty);
+                        vec![lo, ho]
+                    } else {
+                        straightforward_slices(v as u32, k)
+                    };
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+
         #[test]
         fn weight_planes_round_trip(vals in proptest::collection::vec(-64i32..=63, 16)) {
             let w = Matrix::from_vec(4, 4, vals).unwrap();

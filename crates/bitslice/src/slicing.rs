@@ -57,20 +57,29 @@ pub fn sbr_slices(value: i32, n: usize) -> Vec<i8> {
     let mut slices = Vec::with_capacity(n + 1);
     let mut rest = value;
     for _ in 0..n {
-        let lo = rest & 7; // low 3 bits, in [0, 7]
-        rest >>= 3; // arithmetic shift = floor division by 8
-        if rest < 0 {
-            // Extend the unsigned LO slice with the sign of the part above
-            // and compensate (+1) so the sum is preserved (Fig. 3(b)).
-            slices.push((lo - 8) as i8);
-            rest += 1;
-        } else {
-            slices.push(lo as i8);
-        }
+        slices.push(sbr_peel_lo(&mut rest));
     }
     debug_assert!((-8..=7).contains(&rest), "HO slice {rest} out of range");
     slices.push(rest as i8);
     slices
+}
+
+/// One step of the SBR recurrence: peels the least-significant slice off
+/// `rest`, leaving the part above it (the HO slice once every LO slice is
+/// peeled). Shared by [`sbr_slices`] and the whole-plane slicer so the two
+/// cannot drift apart.
+#[inline]
+pub(crate) fn sbr_peel_lo(rest: &mut i32) -> i8 {
+    let lo = *rest & 7; // low 3 bits, in [0, 7]
+    *rest >>= 3; // arithmetic shift = floor division by 8
+    if *rest < 0 {
+        // Extend the unsigned LO slice with the sign of the part above
+        // and compensate (+1) so the sum is preserved (Fig. 3(b)).
+        *rest += 1;
+        (lo - 8) as i8
+    } else {
+        lo as i8
+    }
 }
 
 /// Inverse of [`sbr_slices`]: `Σ slices[i]·8^i`.

@@ -4,7 +4,7 @@
 
 use panacea_bitslice::VECTOR_LEN;
 use panacea_core::pipeline::QuantizedLinear;
-use panacea_models::engine::{CapturedLayer, TinyTransformer, TransformerConfig};
+use panacea_models::engine::{BlockWeights, TinyTransformer, TransformerConfig};
 use panacea_models::zoo::{Benchmark, LayerKind};
 use panacea_quant::dbs::DbsConfig;
 use panacea_quant::{ActivationCalibrator, LayerQuantConfig, Quantizer};
@@ -80,52 +80,59 @@ impl BlockBuilder {
             ));
         }
 
-        let captures = oracle.captured_layers(calibration);
-        debug_assert_eq!(captures.len(), 4 * cfg.n_layers);
-        let mut blocks = Vec::with_capacity(cfg.n_layers);
-        for bi in 0..cfg.n_layers {
-            blocks.push(self.prepare_block(cfg, bi, &captures[4 * bi..4 * bi + 4])?);
-        }
-        Ok(blocks)
+        // Of each captured `(weight, input)` pair only the input is kept:
+        // the weight is a copy of the oracle's own, and releasing the
+        // copies before the first plane is allocated lets the prepared
+        // layers take their place instead of being stacked on top.
+        let inputs: Vec<Matrix<f32>> = oracle
+            .captured_layers(calibration)
+            .into_iter()
+            .map(|capture| capture.input)
+            .collect();
+        debug_assert_eq!(inputs.len(), 4 * cfg.n_layers);
+        oracle
+            .blocks()
+            .iter()
+            .zip(inputs.chunks_exact(4))
+            .map(|(weights, inputs)| self.prepare_block(cfg, weights, inputs))
+            .collect()
     }
 
-    /// Prepares one block from its four captured `(weight, input)` pairs
-    /// (ordered qkv, attn_proj, fc1, fc2).
+    /// Prepares one block from its weights and the four captured GEMM
+    /// inputs (ordered qkv, attn_proj, fc1, fc2).
     fn prepare_block(
         &self,
         cfg: TransformerConfig,
-        bi: usize,
-        caps: &[CapturedLayer],
+        weights: &BlockWeights,
+        inputs: &[Matrix<f32>],
     ) -> Result<QuantizedBlock, BlockError> {
-        let [qkv_cap, proj_cap, fc1_cap, fc2_cap] = caps else {
+        let [qkv_in, proj_in, fc1_in, fc2_in] = inputs else {
             unreachable!("four captures per block");
         };
-        debug_assert_eq!(qkv_cap.name, format!("block{bi}.qkv"));
 
-        let cfg_qkv = self.calibrate(&qkv_cap.input);
-        let cfg_ctx = self.calibrate(&proj_cap.input);
-        let cfg_fc1 = self.calibrate(&fc1_cap.input);
+        let cfg_qkv = self.calibrate(qkv_in);
+        let cfg_ctx = self.calibrate(proj_in);
+        let cfg_fc1 = self.calibrate(fc1_in);
         // The pre-GELU fc1 output is the one sub-layer tensor the
         // capturing forward does not expose (it captures GEMM *inputs*);
         // reconstruct it with one float GEMM.
-        let pre_gelu = fc1_cap.weight.gemm_f32(&fc1_cap.input)?;
+        let pre_gelu = weights.w_fc1.gemm_f32(fc1_in)?;
         let cfg_mid = self.calibrate(&pre_gelu);
-        let cfg_fc2 = self.calibrate(&fc2_cap.input);
+        let cfg_fc2 = self.calibrate(fc2_in);
 
         let zeros = |m: usize| vec![0.0f32; m];
         let qkv = QuantizedLinear::prepare(
-            &qkv_cap.weight,
+            &weights.w_qkv,
             &zeros(3 * cfg.d_model),
             self.w_bits,
             cfg_qkv,
         )?;
         let proj =
-            QuantizedLinear::prepare(&proj_cap.weight, &zeros(cfg.d_model), self.w_bits, cfg_ctx)?;
-        let fc1 =
-            QuantizedLinear::prepare(&fc1_cap.weight, &zeros(cfg.d_ff), self.w_bits, cfg_fc1)?
-                .with_output(cfg_mid)?;
+            QuantizedLinear::prepare(&weights.w_proj, &zeros(cfg.d_model), self.w_bits, cfg_ctx)?;
+        let fc1 = QuantizedLinear::prepare(&weights.w_fc1, &zeros(cfg.d_ff), self.w_bits, cfg_fc1)?
+            .with_output(cfg_mid)?;
         let fc2 =
-            QuantizedLinear::prepare(&fc2_cap.weight, &zeros(cfg.d_model), self.w_bits, cfg_fc2)?;
+            QuantizedLinear::prepare(&weights.w_fc2, &zeros(cfg.d_model), self.w_bits, cfg_fc2)?;
 
         // Coded-domain GELU: every representable pre-GELU code maps to an
         // fc2 input code, so fc1 → GELU → fc2 is a pure code pipeline.

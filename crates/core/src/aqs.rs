@@ -1,27 +1,70 @@
 //! The asymmetrically-quantized bit-slice GEMM (AQS-GEMM), paper §III-B.
 //!
 //! Operands arrive pre-sliced: weights as SBR planes (`Σ_i W_i·8^i`),
-//! activations as straightforward/DBS planes (`Σ_j x_j·c_j`). The kernel:
+//! activations as straightforward/DBS planes (`Σ_j x_j·c_j`). HO slices
+//! are grouped into length-4 vectors (4×1 along M for weights, 1×4 along N
+//! for activations); an all-zero weight HO vector and an all-`r`
+//! activation HO vector (`r` = HO slice of the zero-point) are
+//! **compressed**, and every outer product that touches one is skipped.
+//! The kernel does work proportional to the outer products it executes,
+//! in four steps:
 //!
-//! 1. groups HO slices into length-4 vectors (4×1 for weights along M,
-//!    1×4 for activations along N);
-//! 2. **compresses** all-zero weight HO vectors and all-`r` activation HO
-//!    vectors (`r` = HO slice of the zero-point) and **skips** every outer
-//!    product that touches a compressed vector;
-//! 3. restores exactness with the Eq. 6 **compensation term**: per output
-//!    tile, the compensators accumulate the already-loaded weight slices of
-//!    the *uncompressed* activation positions, one outer product with the
-//!    all-`r` vector recreates `r·(ΣW)·Jᵁ`, and the offline-precomputed
-//!    `b' = r·(ΣW)·1` completes `r·(ΣW)·Jᶜ = b' − r·(ΣW)·Jᵁ`.
+//! 1. **Index** (`WeightIndex`, built once per weight — resident in a
+//!    [`QuantizedLinear`](crate::pipeline::QuantizedLinear)): per 4-row
+//!    m-group and 256-`k` block a bitset of the `k` whose HO vector is
+//!    *not* compressed, per `k` the number of compressed m-groups, and
+//!    the row sums `ΣW`. It sits beside the [`SlicedWeight`] planes and
+//!    copies none of them.
+//! 2. **Streams** (per call, per ≤ 16-column n-tile): the activation
+//!    planes widened to `i16` rows, compressed HO vectors zeroed, and the
+//!    matching bitset of `k` where the tile has any uncompressed vector.
+//!    The HO plane is stored re-centred, `x_HO − r`, which is what lets
+//!    an all-`r` vector be skipped like a zero one: Eq. 5's
+//!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
+//!    `b' = r·c_HO·ΣW` to repay — Eq. 6's `b'`, with its `Jᵁ` correction
+//!    already folded into the re-centring — and that constant is added
+//!    in the single write of each output.
+//! 3. **Tile**: per (n-tile, m-group, `k` block) and per plane pair the
+//!    inner kernel accumulates *raw slice products* into a 4 × 16 `i16`
+//!    register tile over exactly the `k` that pair executes — all `k` for
+//!    LO×LO, the weight bitset for HO_w×LO_x, the activation bitset for
+//!    LO_w×HO_x, their intersection for HO×HO — then flushes it, scaled
+//!    by `8^i·c_j`, into an `i32` tile. A slice is multiplied once per
+//!    executed pair and never per skipped pair; no HO+LO value is ever
+//!    reconstructed. Each output element is written once.
+//! 4. **Statistics in closed form**: [`TileStats`] — what the paper's PE
+//!    array would execute, skip and compensate (Eq. 6 as the hardware
+//!    computes it) — follows from the two sides' per-`k` compressed
+//!    counts alone, so the kernel carries no counters and the simulator,
+//!    the harness and the server all run this one kernel.
 //!
 //! The result is bit-exact against the dense reference for type-1 DBS, and
-//! exact against the DBS-truncated activations for types 2/3.
+//! exact against the DBS-truncated activations for types 2/3. The loop
+//! nest that computes Eq. 6 literally and counts every outer product is
+//! kept as the oracle of `tests/prop_aqs.rs`.
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::workload::Workload;
+
+/// `k` positions one pass of the inner kernel covers: the most whose
+/// slice products an `i16` holds (asserted below) in whole mask words.
+const K_BLOCK: usize = 256;
+/// Columns of the widest register tile (four activation n-groups).
+const TILE_COLS: usize = 16;
+/// Magnitude bound of an SBR weight slice (`[-8, 7]`).
+const MAX_W_SLICE: usize = 8;
+/// Magnitude bound of an activation slice, raw (`[0, 15]`) or re-centred
+/// by `r` (`[-15, 15]`).
+const MAX_X_SLICE: usize = 15;
+// One block of slice products cannot leave the `i16` register tile.
+const _: () = assert!(K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize);
+const _: () = assert!(K_BLOCK.is_multiple_of(64));
+
+/// One bit per `k` of a block.
+type KMask = [u64; K_BLOCK / 64];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -47,28 +90,17 @@ pub struct TileStats {
     pub rho_x: f64,
 }
 
-/// Extracts the 4×1 weight slice-vector at (`mg`, `k`) of a plane.
-#[inline]
-fn w_vec(plane: &Matrix<i8>, mg: usize, k: usize) -> [i8; VECTOR_LEN] {
-    let base = mg * VECTOR_LEN;
-    [
-        plane[(base, k)],
-        plane[(base + 1, k)],
-        plane[(base + 2, k)],
-        plane[(base + 3, k)],
-    ]
-}
-
-/// Extracts the 1×4 activation slice-vector at (`k`, `ng`) of a plane.
-#[inline]
-fn x_vec(plane: &Matrix<u8>, k: usize, ng: usize) -> [u8; VECTOR_LEN] {
-    let base = ng * VECTOR_LEN;
-    [
-        plane[(k, base)],
-        plane[(k, base + 1)],
-        plane[(k, base + 2)],
-        plane[(k, base + 3)],
-    ]
+impl TileStats {
+    fn workload(&self) -> Workload {
+        let executed = self.dwo_outer_products + self.swo_outer_products;
+        Workload {
+            mul: executed * 16,
+            add: executed * 16,
+            ema_slices: self.w_slices_loaded + self.x_slices_loaded,
+            comp_mul: self.comp_muls,
+            comp_add: self.comp_adds,
+        }
+    }
 }
 
 /// Computes `W · X` with the AQS-GEMM, returning the exact product of the
@@ -89,176 +121,324 @@ fn x_vec(plane: &Matrix<u8>, k: usize, ng: usize) -> [u8; VECTOR_LEN] {
 /// See the crate-level example; the central invariant is
 /// `aqs_gemm(W, X, r).0 == W·X` for every `r`.
 pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, Workload) {
-    let (out, stats) = aqs_gemm_with_stats(w, x, r);
-    let wl = Workload {
-        mul: (stats.dwo_outer_products + stats.swo_outer_products) * 16,
-        add: (stats.dwo_outer_products + stats.swo_outer_products) * 16,
-        ema_slices: stats.w_slices_loaded + stats.x_slices_loaded,
-        comp_mul: stats.comp_muls,
-        comp_add: stats.comp_adds,
-    };
-    (out, wl)
+    let index = WeightIndex::build(w);
+    let b_prime = index.compensation(r_eff(x, r));
+    index.gemm(w, x, r, &b_prime)
 }
 
-/// Scheduling-level statistics only (no result materialization beyond the
-/// same pass); used by the simulator and the workload-model tests.
+/// Scheduling-level statistics only — the closed forms, no GEMM; used by
+/// the simulator and the workload-model tests.
 pub fn aqs_tile_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
-    aqs_gemm_with_stats(w, x, r).1
+    WeightIndex::build(w).tile_stats(w, x, r)
 }
 
-// The kernel walks (plane, group, k) coordinates across several parallel
-// lookup tables; index loops keep it aligned with the paper's notation.
-#[allow(clippy::needless_range_loop)]
-fn aqs_gemm_with_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, TileStats) {
-    let m = w.plane(0).rows();
-    let k_dim = w.plane(0).cols();
-    let n = x.plane(0).cols();
-    assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
-    assert_eq!(
-        m % VECTOR_LEN,
-        0,
-        "M = {m} must be a multiple of {VECTOR_LEN}"
-    );
-    assert_eq!(
-        n % VECTOR_LEN,
-        0,
-        "N = {n} must be a multiple of {VECTOR_LEN}"
-    );
-    let n_w_planes = w.num_planes();
-    let n_x_planes = x.num_planes();
-    let w_ho = n_w_planes - 1;
-    let x_ho = n_x_planes - 1;
-    let m_groups = m / VECTOR_LEN;
-    let n_groups = n / VECTOR_LEN;
+/// The value a compressed activation HO slice contributes per position.
+fn r_eff(x: &SlicedActivation, r: u8) -> i32 {
+    i32::from(r) * x.plane_weight(x.num_planes() - 1)
+}
 
-    // Pre-compute compressibility of HO vectors.
-    let mut w_comp = vec![vec![false; k_dim]; m_groups];
-    let mut w_comp_count = 0u64;
-    for (mg, row) in w_comp.iter_mut().enumerate() {
-        for (k, flag) in row.iter_mut().enumerate() {
-            let v = w_vec(w.plane(w_ho), mg, k);
-            *flag = v.iter().all(|&s| s == 0);
-            w_comp_count += u64::from(*flag);
-        }
-    }
-    let mut x_comp = vec![vec![false; n_groups]; k_dim];
-    let mut x_comp_count = 0u64;
-    for (k, row) in x_comp.iter_mut().enumerate() {
-        for (ng, flag) in row.iter_mut().enumerate() {
-            let v = x_vec(x.plane(x_ho), k, ng);
-            *flag = v.iter().all(|&s| s == r);
-            x_comp_count += u64::from(*flag);
-        }
-    }
+/// The weight side of the kernel, computed once per [`SlicedWeight`].
+#[derive(Debug, Clone)]
+pub(crate) struct WeightIndex {
+    /// Per (m-group, `k` block), m-group major: bit `o` is set iff the HO
+    /// vector at `k = block·K_BLOCK + o` is uncompressed.
+    ho_live: Vec<KMask>,
+    /// Per `k`: how many m-groups have a compressed HO vector there.
+    compressed_per_k: Vec<u32>,
+    /// Per row: `Σ_k W[m][k]`.
+    row_sums: Vec<i64>,
+}
 
-    let mut out = Matrix::<i32>::zeros(m, n);
-    let mut stats = TileStats {
-        rho_w: w_comp_count as f64 / (m_groups * k_dim).max(1) as f64,
-        rho_x: x_comp_count as f64 / (k_dim * n_groups).max(1) as f64,
-        ..TileStats::default()
-    };
-
-    // EMA accounting: LO planes always move; HO planes move only their
-    // uncompressed vectors (weights once per tile, activations once per
-    // tile — the dataflow reuse factors are modeled in the simulator).
-    stats.w_slices_loaded = (m_groups * k_dim) as u64 * 4 * (n_w_planes as u64 - 1)
-        + ((m_groups * k_dim) as u64 - w_comp_count) * 4;
-    stats.x_slices_loaded = (k_dim * n_groups) as u64 * 4 * (n_x_planes as u64 - 1)
-        + ((k_dim * n_groups) as u64 - x_comp_count) * 4;
-
-    // Bit-slice GEMMs over all plane pairs.
-    for i in 0..n_w_planes {
-        let wp = w.plane(i);
-        let w_scale = w.plane_weight(i);
-        for j in 0..n_x_planes {
-            let xp = x.plane(j);
-            let scale = w_scale * x.plane_weight(j);
-            let is_ho_pair = i == w_ho || j == x_ho;
-            for mg in 0..m_groups {
-                for kk in 0..k_dim {
-                    let skip_w = i == w_ho && w_comp[mg][kk];
-                    let wv = w_vec(wp, mg, kk);
-                    for ng in 0..n_groups {
-                        let skip_x = j == x_ho && x_comp[kk][ng];
-                        if skip_w || skip_x {
-                            stats.skipped_outer_products += 1;
-                            continue;
-                        }
-                        if is_ho_pair {
-                            stats.dwo_outer_products += 1;
-                        } else {
-                            stats.swo_outer_products += 1;
-                        }
-                        let xv = x_vec(xp, kk, ng);
-                        for mm in 0..VECTOR_LEN {
-                            let wval = i32::from(wv[mm]) * scale;
-                            if wval == 0 {
-                                continue;
-                            }
-                            for nn in 0..VECTOR_LEN {
-                                out[(mg * VECTOR_LEN + mm, ng * VECTOR_LEN + nn)] +=
-                                    wval * i32::from(xv[nn]);
-                            }
-                        }
-                    }
-                }
+impl WeightIndex {
+    pub(crate) fn build(w: &SlicedWeight) -> Self {
+        let (m, k_dim) = w.plane(0).shape();
+        assert_eq!(
+            m % VECTOR_LEN,
+            0,
+            "M = {m} must be a multiple of {VECTOR_LEN}"
+        );
+        let k_blocks = k_dim.div_ceil(K_BLOCK);
+        let ho = w.ho();
+        let mut ho_live = vec![KMask::default(); m / VECTOR_LEN * k_blocks];
+        let mut compressed_per_k = vec![0u32; k_dim];
+        for (mg, masks) in ho_live.chunks_exact_mut(k_blocks.max(1)).enumerate() {
+            let [r0, r1, r2, r3]: [&[i8]; VECTOR_LEN] =
+                std::array::from_fn(|mm| ho.row(mg * VECTOR_LEN + mm));
+            let vectors = r0.iter().zip(r1).zip(r2).zip(r3);
+            for (k, ((((a, b), c), d), compressed)) in
+                vectors.zip(&mut compressed_per_k).enumerate()
+            {
+                let live = (a | b | c | d) != 0;
+                masks[k / K_BLOCK][k % K_BLOCK / 64] |= u64::from(live) << (k % 64);
+                *compressed += u32::from(!live);
             }
         }
-    }
-
-    // Compensation (Eq. 6). r_eff is the value a compressed HO slice
-    // contributes per activation position.
-    let r_eff = i32::from(r) * x.plane_weight(x_ho);
-    if r_eff != 0 {
-        // Offline-precomputed b'[m] = r_eff · Σ_k W_int[m][k]; not counted
-        // in the runtime workload (added to the layer bias in advance).
-        let w_int = w.reconstruct();
-        let b_prime: Vec<i64> = (0..m)
-            .map(|mm| {
-                w_int
-                    .row(mm)
-                    .iter()
-                    .map(|&v| i64::from(v) * i64::from(r_eff))
-                    .sum::<i64>()
+        let row_sums = (0..m)
+            .map(|row| {
+                (0..w.num_planes())
+                    .map(|i| {
+                        let plane_sum: i64 =
+                            w.plane(i).row(row).iter().map(|&s| i64::from(s)).sum();
+                        plane_sum * i64::from(w.plane_weight(i))
+                    })
+                    .sum()
             })
             .collect();
-        for ng in 0..n_groups {
-            for mg in 0..m_groups {
-                // CS: accumulate loaded weight slices over *uncompressed*
-                // activation positions (Eq. 6 reuses them; no extra EMA).
-                let mut acc = [0i64; VECTOR_LEN];
-                for kk in 0..k_dim {
-                    if x_comp[kk][ng] {
-                        continue;
-                    }
-                    for i in 0..n_w_planes {
-                        if i == w_ho && w_comp[mg][kk] {
-                            continue; // compressed weight vectors were never loaded
-                        }
-                        let wv = w_vec(w.plane(i), mg, kk);
-                        let pw = i64::from(w.plane_weight(i));
-                        for (slot, &s) in acc.iter_mut().zip(wv.iter()) {
-                            *slot += i64::from(s) * pw;
-                            stats.comp_adds += 1;
+        WeightIndex {
+            ho_live,
+            compressed_per_k,
+            row_sums,
+        }
+    }
+
+    /// `Σ_k W[m][k]` per row.
+    pub(crate) fn row_sums(&self) -> &[i64] {
+        &self.row_sums
+    }
+
+    /// Eq. 6's offline term `b'[m] = r_eff·Σ_k W[m][k]`.
+    fn compensation(&self, r_eff: i32) -> Vec<i32> {
+        self.row_sums
+            .iter()
+            .map(|&s| i32::try_from(s * i64::from(r_eff)).expect("compensation term exceeds i32"))
+            .collect()
+    }
+
+    /// Runs the kernel: `W·X + row_const` (one constant per output row,
+    /// which must already contain `b'`), and the closed-form workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` was not built from `w`, shapes are incompatible,
+    /// or `N` is not a multiple of the vector length 4.
+    pub(crate) fn gemm(
+        &self,
+        w: &SlicedWeight,
+        x: &SlicedActivation,
+        r: u8,
+        row_const: &[i32],
+    ) -> (Matrix<i32>, Workload) {
+        let stats = self.tile_stats(w, x, r);
+        let (m, n) = (w.plane(0).rows(), x.plane(0).cols());
+        assert_eq!(row_const.len(), m, "one constant per output row");
+        let mut out = Matrix::<i32>::zeros(m, n);
+        for c0 in (0..n).step_by(TILE_COLS) {
+            match n - c0 {
+                4 => self.gemm_tile::<4>(w, x, r, row_const, c0, &mut out),
+                8 => self.gemm_tile::<8>(w, x, r, row_const, c0, &mut out),
+                _ => self.gemm_tile::<TILE_COLS>(w, x, r, row_const, c0, &mut out),
+            }
+        }
+        (out, stats.workload())
+    }
+
+    /// Columns `c0 .. c0 + W` (fewer at the right edge) of the output.
+    fn gemm_tile<const W: usize>(
+        &self,
+        w: &SlicedWeight,
+        x: &SlicedActivation,
+        r: u8,
+        row_const: &[i32],
+        c0: usize,
+        out: &mut Matrix<i32>,
+    ) {
+        let k_dim = self.compressed_per_k.len();
+        let k_blocks = k_dim.div_ceil(K_BLOCK);
+        let cols = W.min(out.cols() - c0);
+        let tile = ActTile::<W>::prepare(x, r, c0, cols);
+        let (w_ho, x_ho) = (w.num_planes() - 1, x.num_planes() - 1);
+        for mg in 0..out.rows() / VECTOR_LEN {
+            let mut acc = [[0i32; W]; VECTOR_LEN];
+            for kb in 0..k_blocks {
+                let k0 = kb * K_BLOCK;
+                let len = K_BLOCK.min(k_dim - k0);
+                let w_live = self.ho_live[mg * k_blocks + kb];
+                let x_live = tile.ho_live[kb];
+                let all = first_ks(len);
+                let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
+                for i in 0..=w_ho {
+                    let w_block: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
+                        &w.plane(i).row(mg * VECTOR_LEN + mm)[k0..k0 + len]
+                    });
+                    for j in 0..=x_ho {
+                        // The `k` this plane pair executes.
+                        let ks = match (i == w_ho, j == x_ho) {
+                            (false, false) => &all,
+                            (true, false) => &w_live,
+                            (false, true) => &x_live,
+                            (true, true) => &both_live,
+                        };
+                        let x_block = &tile.planes[j][k0..k0 + len];
+                        let products = slice_products(&w_block, x_block, ks);
+                        // Plain `+` / `*`: overflow panics under
+                        // `debug_assertions`; `QuantizedLinear::prepare`
+                        // rejects layers whose sums could reach it.
+                        let scale = w.plane_weight(i) * x.plane_weight(j);
+                        for (acc_row, row) in acc.iter_mut().zip(&products) {
+                            for (a, &p) in acc_row.iter_mut().zip(row) {
+                                *a += i32::from(p) * scale;
+                            }
                         }
                     }
                 }
-                // One outer product with the all-r vector per 4×4 tile:
-                // comp = b' − r_eff·acc, identical for the 4 columns.
-                stats.comp_muls += 16;
-                for mm in 0..VECTOR_LEN {
-                    let row = mg * VECTOR_LEN + mm;
-                    let comp = b_prime[row] - i64::from(r_eff) * acc[mm];
-                    for nn in 0..VECTOR_LEN {
-                        out[(row, ng * VECTOR_LEN + nn)] =
-                            (i64::from(out[(row, ng * VECTOR_LEN + nn)]) + comp) as i32;
-                    }
+            }
+            for (mm, acc_row) in acc.iter().enumerate() {
+                let row = mg * VECTOR_LEN + mm;
+                for (o, &a) in out.row_mut(row)[c0..c0 + cols].iter_mut().zip(acc_row) {
+                    *o = a + row_const[row];
                 }
             }
         }
     }
 
-    (out, stats)
+    /// [`TileStats`] from the two sides' per-`k` compressed counts.
+    pub(crate) fn tile_stats(&self, w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
+        let k_dim = self.compressed_per_k.len();
+        let n = x.plane(0).cols();
+        assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
+        assert_eq!(
+            n % VECTOR_LEN,
+            0,
+            "N = {n} must be a multiple of {VECTOR_LEN}"
+        );
+        let (p_w, p_x) = (w.num_planes() as u64, x.num_planes() as u64);
+        let m_groups = (self.row_sums.len() / VECTOR_LEN) as u64;
+        let n_groups = (n / VECTOR_LEN) as u64;
+        let w_vectors = m_groups * k_dim as u64;
+        let x_vectors = k_dim as u64 * n_groups;
+
+        // Σ_k over (wc_k, xc_k): compressed m-groups / n-groups at `k`.
+        let (mut w_comp, mut x_comp, mut both_comp, mut comp_vectors) = (0u64, 0u64, 0u64, 0u64);
+        for (&wc, row) in self
+            .compressed_per_k
+            .iter()
+            .zip(x.ho().as_slice().chunks(n.max(1)))
+        {
+            let wc = u64::from(wc);
+            let xc = row
+                .chunks_exact(VECTOR_LEN)
+                .filter(|v| v.iter().all(|&s| s == r))
+                .count() as u64;
+            w_comp += wc;
+            x_comp += xc;
+            both_comp += wc * xc;
+            // Weight slice-vectors the compensators add at this `k`: every
+            // loaded one, once per uncompressed activation vector.
+            comp_vectors += (n_groups - xc) * (m_groups * p_w - wc);
+        }
+
+        // A compressed weight vector drops its HO row of plane pairs, a
+        // compressed activation vector its HO column; a product touching
+        // both is one pair, counted once. LO×LO is never skipped.
+        let total = p_w * p_x * w_vectors * n_groups;
+        let skipped = w_comp * n_groups * p_x + x_comp * m_groups * p_w - both_comp;
+        let swo = (p_w - 1) * (p_x - 1) * w_vectors * n_groups;
+        let compensates = r != 0;
+        TileStats {
+            dwo_outer_products: total - skipped - swo,
+            swo_outer_products: swo,
+            skipped_outer_products: skipped,
+            comp_adds: if compensates { 4 * comp_vectors } else { 0 },
+            // One outer product with the all-`r` vector per 4×4 tile.
+            comp_muls: if compensates {
+                16 * m_groups * n_groups
+            } else {
+                0
+            },
+            // EMA accounting: LO planes always move; HO planes move only
+            // their uncompressed vectors (the dataflow reuse factors are
+            // modeled in the simulator).
+            w_slices_loaded: w_vectors * 4 * (p_w - 1) + (w_vectors - w_comp) * 4,
+            x_slices_loaded: x_vectors * 4 * (p_x - 1) + (x_vectors - x_comp) * 4,
+            rho_w: w_comp as f64 / w_vectors.max(1) as f64,
+            rho_x: x_comp as f64 / x_vectors.max(1) as f64,
+        }
+    }
+}
+
+/// The activation side of one n-tile, prepared once per call.
+struct ActTile<const W: usize> {
+    /// Per plane, `K` rows of the tile's columns widened to `i16`
+    /// (columns past the right edge are zero). The HO plane holds
+    /// `x_HO − r`, and zero across every compressed vector.
+    planes: Vec<Vec<[i16; W]>>,
+    /// Per `k` block: bit `o` is set iff some HO vector of the tile at
+    /// `k = block·K_BLOCK + o` is uncompressed.
+    ho_live: Vec<KMask>,
+}
+
+impl<const W: usize> ActTile<W> {
+    fn prepare(x: &SlicedActivation, r: u8, c0: usize, cols: usize) -> Self {
+        let k_dim = x.plane(0).rows();
+        let x_ho = x.num_planes() - 1;
+        let mut ho_live = vec![KMask::default(); k_dim.div_ceil(K_BLOCK)];
+        let planes = (0..=x_ho)
+            .map(|j| {
+                let plane = x.plane(j);
+                (0..k_dim)
+                    .map(|k| {
+                        let src = &plane.row(k)[c0..c0 + cols];
+                        let mut row = [0i16; W];
+                        if j < x_ho {
+                            for (d, &s) in row.iter_mut().zip(src) {
+                                *d = i16::from(s);
+                            }
+                            return row;
+                        }
+                        let groups = row.chunks_exact_mut(VECTOR_LEN);
+                        for (d, s) in groups.zip(src.chunks_exact(VECTOR_LEN)) {
+                            if s.iter().any(|&v| v != r) {
+                                ho_live[k / K_BLOCK][k % K_BLOCK / 64] |= 1 << (k % 64);
+                                for (d, &v) in d.iter_mut().zip(s) {
+                                    *d = i16::from(v) - i16::from(r);
+                                }
+                            }
+                        }
+                        row
+                    })
+                    .collect()
+            })
+            .collect();
+        ActTile { planes, ho_live }
+    }
+}
+
+/// The mask of the first `len` offsets of a block.
+fn first_ks(len: usize) -> KMask {
+    std::array::from_fn(|word| match len.saturating_sub(word * 64) {
+        rest if rest >= 64 => u64::MAX,
+        rest => (1 << rest) - 1,
+    })
+}
+
+/// The inner kernel: `Σ_{o ∈ ks} w[·][o] ⊗ x[o]`, a 4 × `W` tile of raw
+/// slice products. At most [`K_BLOCK`] of them, so the `i16` sums cannot
+/// wrap (the `const` assertion above). Kept out of line: on its own the
+/// tile stays in registers for the whole block.
+#[inline(never)]
+fn slice_products<const W: usize>(
+    w: &[&[i8]; VECTOR_LEN],
+    x: &[[i16; W]],
+    ks: &KMask,
+) -> [[i16; W]; VECTOR_LEN] {
+    // Five slices of one length: the bounds check on `x` covers them all.
+    let w = w.map(|row| &row[..x.len()]);
+    let mut tile = [[0i16; W]; VECTOR_LEN];
+    for (word, &bits) in ks.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let o = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let x_row = &x[o];
+            for (tile_row, w_row) in tile.iter_mut().zip(&w) {
+                let w_slice = i16::from(w_row[o]);
+                for (t, &x_slice) in tile_row.iter_mut().zip(x_row) {
+                    *t += w_slice * x_slice;
+                }
+            }
+        }
+    }
+    tile
 }
 
 #[cfg(test)]

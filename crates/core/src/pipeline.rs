@@ -6,14 +6,15 @@
 //! applied), the bias with the `zp·W·1` term folded in offline (Eq. 3),
 //! and optionally a requantizer producing the next layer's input codes
 //! (the PPU loop of Fig. 11). `forward` runs the AQS-GEMM — compressed,
-//! skipped, compensated, and bit-exact.
+//! skipped, compensated, and bit-exact — over the weight index `prepare`
+//! built, so a call pays for nothing that depends on the weights alone.
 
-use panacea_bitslice::{SliceError, SlicedActivation, SlicedWeight};
+use panacea_bitslice::{activation_plane_weight, SliceError, SlicedActivation, SlicedWeight};
 use panacea_quant::requant::Requantizer;
 use panacea_quant::{LayerQuantConfig, QuantError, Quantizer, SymmetricQuantizer};
 use panacea_tensor::Matrix;
 
-use crate::aqs::aqs_gemm;
+use crate::aqs::WeightIndex;
 use crate::workload::Workload;
 
 /// Errors from layer preparation.
@@ -30,6 +31,13 @@ pub enum PipelineError {
         /// Provided entries.
         actual: usize,
     },
+    /// Some admissible input could drive an `i32` accumulator of this
+    /// layer out of range.
+    AccumulatorOverflow {
+        /// The worst-case accumulator magnitude, see
+        /// [`accumulator_bound`].
+        bound: i64,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -39,6 +47,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Quant(e) => write!(f, "quantization failed: {e}"),
             PipelineError::BiasMismatch { expected, actual } => {
                 write!(f, "bias has {actual} entries, weight has {expected} rows")
+            }
+            PipelineError::AccumulatorOverflow { bound } => {
+                write!(f, "accumulators can reach ±{bound}, beyond i32")
             }
         }
     }
@@ -58,14 +69,29 @@ impl From<QuantError> for PipelineError {
     }
 }
 
+/// The largest magnitude the GEMM part of an accumulator can reach — at
+/// the end or at any point on the way — for inner dimension `k_dim`,
+/// `w_bits`-bit SBR weights and `act_bits`-bit activation codes:
+/// `K · Σ_i 8^{i+1} · (2^act_bits − 1)`. The weight factor is the sum of
+/// the planes' own worst cases (`|slice| ≤ 8`), slightly above
+/// `max|w| = 2^{w_bits−1}`, because the kernel sums plane by plane.
+pub fn accumulator_bound(k_dim: usize, w_bits: u8, act_bits: u8) -> i64 {
+    let w_planes = u32::from((w_bits - 4) / 3) + 1;
+    let w_abs: i64 = (1..=w_planes).map(|i| 8i64.pow(i)).sum();
+    k_dim as i64 * w_abs * ((1i64 << act_bits) - 1)
+}
+
 /// A prepared quantized linear layer (weights resident, bias folded).
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
     sliced_weight: SlicedWeight,
+    index: WeightIndex,
     w_scale: f32,
     act: LayerQuantConfig,
-    /// `b̂ = b_int − zp·(W·1)`, added after the GEMM.
-    folded_bias: Vec<i64>,
+    /// `b̂ + b'`: the bias with `−zp·(W·1)` folded in (Eq. 3) plus the
+    /// compensation constant `r·c_HO·(W·1)` (Eq. 6), added in the
+    /// kernel's single write of each output.
+    row_const: Vec<i32>,
     requant: Option<Requantizer>,
 }
 
@@ -75,8 +101,10 @@ impl QuantizedLinear {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] if the bias length mismatches or the
-    /// weights cannot be quantized/sliced at `w_bits`.
+    /// Returns [`PipelineError`] if the bias length mismatches, the
+    /// weights cannot be quantized/sliced at `w_bits`, or the layer's
+    /// worst-case accumulator ([`accumulator_bound`] plus the largest
+    /// folded bias) does not fit `i32`.
     ///
     /// # Examples
     ///
@@ -108,23 +136,51 @@ impl QuantizedLinear {
             });
         }
         let wq = SymmetricQuantizer::calibrate(w_f.as_slice(), w_bits);
-        let w_int = wq.quantize_matrix(w_f);
         let n_lo = usize::from((w_bits - 4) / 3);
-        let sliced_weight = SlicedWeight::from_int(&w_int, n_lo)?;
+        let sliced_weight = SlicedWeight::from_rows(w_f.rows(), w_f.cols(), n_lo, |r, row| {
+            for (q, &v) in row.iter_mut().zip(w_f.row(r)) {
+                *q = wq.quantize(v);
+            }
+        })?;
+        let index = WeightIndex::build(&sliced_weight);
         let acc_scale = f64::from(wq.params().scale) * f64::from(act.quantizer.params().scale);
-        let zp = i64::from(act.quantizer.params().zero_point);
-        let folded_bias = (0..w_int.rows())
-            .map(|m| {
-                let b_int = (f64::from(bias[m]) / acc_scale).round() as i64;
-                let row_sum: i64 = w_int.row(m).iter().map(|&v| i64::from(v)).sum();
-                b_int - zp * row_sum
+        let act_params = act.quantizer.params();
+        let act_lo_slices = usize::from(act_params.bits / 4 - 1);
+        let r_eff = i64::from(act.frequent_ho_slice)
+            * i64::from(activation_plane_weight(
+                act_lo_slices,
+                act.dbs_type,
+                act_lo_slices,
+            ));
+        let zp = i64::from(act_params.zero_point);
+        let row_const: Vec<i64> = index
+            .row_sums()
+            .iter()
+            .zip(bias)
+            .map(|(&row_sum, &b)| {
+                let b_int = (f64::from(b) / acc_scale).round() as i64;
+                b_int + (r_eff - zp) * row_sum
             })
             .collect();
+        let bound = accumulator_bound(w_f.cols(), w_bits, act_params.bits).saturating_add(
+            row_const
+                .iter()
+                .map(|c| c.saturating_abs())
+                .max()
+                .unwrap_or(0),
+        );
+        if bound > i64::from(i32::MAX) {
+            return Err(PipelineError::AccumulatorOverflow { bound });
+        }
         Ok(QuantizedLinear {
             sliced_weight,
+            index,
             w_scale: wq.params().scale,
             act,
-            folded_bias,
+            row_const: row_const
+                .into_iter()
+                .map(|c| i32::try_from(c).expect("within the bound just checked"))
+                .collect(),
             requant: None,
         })
     }
@@ -164,14 +220,12 @@ impl QuantizedLinear {
         let k = self.act.quantizer.params().bits / 4 - 1;
         let sx = SlicedActivation::from_uint(x_codes, usize::from(k), self.act.dbs_type)
             .expect("input codes exceed the calibrated activation format");
-        let (mut acc, wl) = aqs_gemm(&self.sliced_weight, &sx, self.act.frequent_ho_slice);
-        for m in 0..acc.rows() {
-            let b = self.folded_bias[m];
-            for v in acc.row_mut(m) {
-                *v = (i64::from(*v) + b) as i32;
-            }
-        }
-        (acc, wl)
+        self.index.gemm(
+            &self.sliced_weight,
+            &sx,
+            self.act.frequent_ho_slice,
+            &self.row_const,
+        )
     }
 
     /// Quantizes a float input, runs the layer, and dequantizes the
@@ -411,6 +465,28 @@ mod tests {
                 actual: 3
             }
         ));
+    }
+
+    #[test]
+    fn layer_whose_accumulators_can_leave_i32_is_rejected() {
+        let mut rng = panacea_tensor::seeded_rng(69);
+        let gauss = |std| DistributionKind::Gaussian { mean: 0.0, std };
+        let w = gauss(0.05).sample_matrix(8, 64, &mut rng);
+        let x = gauss(0.5).sample_matrix(64, 8, &mut rng);
+        let mut wide = ActivationCalibrator::new(12);
+        wide.observe(&x);
+        // 16-bit weights × 12-bit codes: 64 · Σ8^i · 4095 ≈ 9.8e9 ≫ 2^31.
+        let err = QuantizedLinear::prepare(&w, &[0.0; 8], 16, wide.finalize()).unwrap_err();
+        assert!(matches!(
+            err,
+            PipelineError::AccumulatorOverflow { bound } if bound > i64::from(i32::MAX)
+        ));
+        // The same weights against 8-bit codes fit (≈ 6.1e8) and prepare.
+        assert!(accumulator_bound(64, 16, 8) < i64::from(i32::MAX));
+        QuantizedLinear::prepare(&w, &[0.0; 8], 16, calib(&x, true)).expect("16-bit × 8-bit fits");
+        // A bias alone is rejected too, once it is large enough.
+        let err = QuantizedLinear::prepare(&w, &[1e9; 8], 7, calib(&x, true)).unwrap_err();
+        assert!(matches!(err, PipelineError::AccumulatorOverflow { .. }));
     }
 
     #[test]

@@ -1,12 +1,20 @@
 //! Property-based tests of the AQS-GEMM invariants: bit-exactness for
-//! arbitrary operands, sparsity patterns, `r` values and plane counts.
+//! arbitrary operands, sparsity patterns, `r` values and plane counts,
+//! and the kernel ≡ the seed's loop nest ([`oracle`]) on outputs and on
+//! every [`TileStats`](panacea_core::TileStats) field.
+
+mod oracle;
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight};
 use panacea_core::aqs::{aqs_gemm, aqs_tile_stats};
+use panacea_core::pipeline::QuantizedLinear;
 use panacea_core::sibia::{sibia_gemm, SkipSide};
-use panacea_quant::dbs::{dbs_truncate, DbsType};
+use panacea_quant::dbs::{dbs_truncate, DbsConfig, DbsType};
+use panacea_quant::{ActivationCalibrator, Quantizer, SymmetricQuantizer};
+use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn weight_strategy(m: usize, k: usize) -> impl Strategy<Value = Matrix<i32>> {
     proptest::collection::vec(-64i32..=63, m * k)
@@ -115,5 +123,272 @@ proptest! {
         let reference = w.gemm(&x).expect("shapes");
         prop_assert_eq!(aqs_gemm(&sw, &sx, 0).0, reference.clone());
         prop_assert_eq!(sibia_gemm(&sw, &sx_sbr, SkipSide::Weight).0, reference);
+    }
+}
+
+/// How much of each side's HO vectors a generated operand compresses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fill {
+    /// Every HO vector is compressed (ρ = 1).
+    All,
+    /// No HO vector is compressed (ρ = 0).
+    None,
+    /// Each vector is compressed with this probability.
+    Share(f64),
+}
+
+impl Fill {
+    fn compresses(self, rng: &mut impl Rng) -> bool {
+        match self {
+            Fill::All => true,
+            Fill::None => false,
+            Fill::Share(p) => rng.gen::<f64>() < p,
+        }
+    }
+}
+
+/// One differential case: operands of the given format with
+/// vector-level sparsity, sliced.
+struct Case {
+    sw: SlicedWeight,
+    sx: SlicedActivation,
+    r: u8,
+}
+
+#[allow(clippy::too_many_arguments)] // one argument per axis of the sweep
+fn case(
+    (m, k, n): (usize, usize, usize),
+    w_lo_slices: usize,
+    x_lo_slices: usize,
+    ty: DbsType,
+    r: u8,
+    w_fill: Fill,
+    x_fill: Fill,
+    seed: u64,
+) -> Case {
+    let mut rng = panacea_tensor::seeded_rng(seed);
+    let w_bits = 3 * w_lo_slices as u32 + 4;
+    let w_max = (1i32 << (w_bits - 1)) - 1;
+    let mut w = Matrix::<i32>::zeros(m, k);
+    for mg in 0..m / 4 {
+        for kk in 0..k {
+            let compress = w_fill.compresses(&mut rng);
+            for mm in 0..4 {
+                // |v| ≤ 7 has an all-zero HO slice under SBR (and is the
+                // only such range when there is a single plane: v = 0).
+                w[(mg * 4 + mm, kk)] = match (compress, w_lo_slices) {
+                    (true, 0) => 0,
+                    (true, _) => rng.gen_range(-7i32..=7),
+                    (false, _) if mm == 0 && w_fill == Fill::None => w_max,
+                    (false, _) => rng.gen_range(-w_max - 1..=w_max),
+                };
+            }
+        }
+    }
+    // The HO slice is the code shifted right by `ho_shift`.
+    let x_bits = 4 * (x_lo_slices as u32 + 1);
+    let ho_shift = if x_lo_slices == 1 {
+        u32::from(ty.lo_bits())
+    } else {
+        x_bits - 4
+    };
+    let ho_slices = 1i32 << (x_bits - ho_shift);
+    let mut x = Matrix::<i32>::zeros(k, n);
+    for kk in 0..k {
+        for ng in 0..n / 4 {
+            let compress = x_fill.compresses(&mut rng) && i32::from(r) < ho_slices;
+            for nn in 0..4 {
+                let ho = if compress {
+                    i32::from(r)
+                } else if nn == 0 && x_fill == Fill::None {
+                    (i32::from(r) + 1) % ho_slices
+                } else {
+                    rng.gen_range(0..ho_slices)
+                };
+                x[(kk, ng * 4 + nn)] = (ho << ho_shift) + rng.gen_range(0..1i32 << ho_shift);
+            }
+        }
+    }
+    Case {
+        sw: SlicedWeight::from_int(&w, w_lo_slices).expect("weights in range"),
+        sx: SlicedActivation::from_uint(&x, x_lo_slices, ty).expect("codes in range"),
+        r,
+    }
+}
+
+/// Kernel ≡ oracle ≡ `Matrix::gemm` of the represented operands, and the
+/// closed-form statistics ≡ the counted ones, field for field.
+fn assert_matches_oracle(c: &Case, what: &str) {
+    let (want, counted) = oracle::aqs_gemm_with_stats(&c.sw, &c.sx, c.r);
+    let dense =
+        c.sw.reconstruct()
+            .gemm(&c.sx.reconstruct())
+            .expect("shapes");
+    assert_eq!(want, dense, "oracle vs dense: {what}");
+    let (got, wl) = aqs_gemm(&c.sw, &c.sx, c.r);
+    assert_eq!(got, want, "outputs: {what}");
+    // `PartialEq` on the struct compares `rho_w` / `rho_x` as exact f64.
+    assert_eq!(aqs_tile_stats(&c.sw, &c.sx, c.r), counted, "stats: {what}");
+    assert_eq!(wl, oracle::workload(&counted), "workload: {what}");
+}
+
+/// Both sides of the 256-`k` block edge × partial last n-tiles × every
+/// plane count, the three DBS types for 8-bit activations, mixed and
+/// extreme sparsity; `r` cycles through 0..16 along the sweep.
+#[test]
+fn kernel_matches_oracle_across_block_edges_tiles_and_planes() {
+    let fills = [
+        (Fill::Share(0.5), Fill::Share(0.6)),
+        (Fill::All, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::All, Fill::None),
+        (Fill::Share(0.9), Fill::All),
+    ];
+    let mut seed = 0u64;
+    for k in [255, 256, 257, 600] {
+        for n in [4, 8, 20, 36] {
+            for w_lo in 0..3 {
+                for x_lo in 0..3 {
+                    let types: &[DbsType] = if x_lo == 1 {
+                        &[DbsType::Type1, DbsType::Type2, DbsType::Type3]
+                    } else {
+                        &[DbsType::Type1]
+                    };
+                    for &ty in types {
+                        seed += 1;
+                        let r = (seed % 16) as u8;
+                        let (w_fill, x_fill) = fills[seed as usize % fills.len()];
+                        let c = case((8, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                        assert_matches_oracle(
+                            &c,
+                            &format!("K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every `r`, at every sparsity extreme, on a shape with two `k` blocks
+/// and a partial n-tile.
+#[test]
+fn kernel_matches_oracle_for_every_r_at_the_sparsity_extremes() {
+    for r in 0u8..16 {
+        for (i, fill) in [Fill::All, Fill::None, Fill::Share(0.7)]
+            .into_iter()
+            .enumerate()
+        {
+            for ty in [DbsType::Type1, DbsType::Type2, DbsType::Type3] {
+                let c = case((4, 300, 20), 1, 1, ty, r, fill, fill, 1000 + i as u64);
+                assert_matches_oracle(&c, &format!("r={r} {fill:?} {ty}"));
+                let stats = aqs_tile_stats(&c.sw, &c.sx, r);
+                match fill {
+                    Fill::All => assert_eq!(stats.rho_w, 1.0),
+                    Fill::None => assert_eq!((stats.rho_w, stats.rho_x), (0.0, 0.0)),
+                    Fill::Share(_) => {}
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Random shapes, formats, `r` and sparsities.
+    #[test]
+    fn kernel_matches_oracle_on_random_cases(
+        m_groups in 1usize..=3,
+        k in 1usize..=520,
+        n_groups in 1usize..=9,
+        w_lo in 0usize..3,
+        x_lo in 0usize..3,
+        ty in 0usize..3,
+        r in 0u8..16,
+        w_share in 0u32..=10,
+        x_share in 0u32..=10,
+        seed in 0u64..1 << 32,
+    ) {
+        let ty = if x_lo == 1 {
+            [DbsType::Type1, DbsType::Type2, DbsType::Type3][ty]
+        } else {
+            DbsType::Type1
+        };
+        let c = case(
+            (4 * m_groups, k, 4 * n_groups),
+            w_lo,
+            x_lo,
+            ty,
+            r,
+            Fill::Share(f64::from(w_share) / 10.0),
+            Fill::Share(f64::from(x_share) / 10.0),
+            seed,
+        );
+        assert_matches_oracle(&c, "random case");
+    }
+}
+
+/// `QuantizedLinear::forward` — resident index, bias and `b'` folded into
+/// the kernel's single write — returns what the same call returned when
+/// it ran the oracle and added the folded bias afterwards, on the
+/// fixtures of `pipeline.rs`'s unit tests.
+#[test]
+fn forward_is_unchanged_on_the_pipeline_fixtures() {
+    for seed in 60..69u64 {
+        for (zpm, w_bits) in [(true, 7u8), (false, 7), (true, 4)] {
+            let mut rng = panacea_tensor::seeded_rng(seed);
+            let w = DistributionKind::Gaussian {
+                mean: 0.0,
+                std: 0.05,
+            }
+            .sample_matrix(16, 32, &mut rng);
+            let x = DistributionKind::TransformerAct {
+                core_mean: 0.1,
+                core_std: 0.4,
+                pos_scale: 8.0,
+                neg_scale: 5.0,
+                outlier_frac: 0.02,
+            }
+            .sample_matrix(32, 16, &mut rng);
+            let bias: Vec<f32> = (0..16)
+                .map(|_| {
+                    DistributionKind::Gaussian {
+                        mean: 0.0,
+                        std: 0.1,
+                    }
+                    .sample(&mut rng)
+                })
+                .collect();
+            let mut cal = ActivationCalibrator::new(8)
+                .with_zpm(zpm)
+                .with_dbs(DbsConfig::default());
+            cal.observe(&x);
+            let cfg = cal.finalize();
+            let layer = QuantizedLinear::prepare(&w, &bias, w_bits, cfg).expect("prepare");
+            let codes = cfg.quantizer.quantize_matrix(&x);
+            let (acc, wl) = layer.forward(&codes);
+
+            // The seed's `prepare` + `forward`, step by step.
+            let wq = SymmetricQuantizer::calibrate(w.as_slice(), w_bits);
+            let w_int = wq.quantize_matrix(&w);
+            let sw = SlicedWeight::from_int(&w_int, usize::from((w_bits - 4) / 3)).expect("slices");
+            let sx = SlicedActivation::from_uint(&codes, 1, cfg.dbs_type).expect("codes");
+            let (mut want, counted) = oracle::aqs_gemm_with_stats(&sw, &sx, cfg.frequent_ho_slice);
+            let zp = i64::from(cfg.quantizer.params().zero_point);
+            for (m, &b) in bias.iter().enumerate() {
+                let b_int = (f64::from(b) / layer.accumulator_scale()).round() as i64;
+                let row_sum: i64 = w_int.row(m).iter().map(|&v| i64::from(v)).sum();
+                for v in want.row_mut(m) {
+                    *v = (i64::from(*v) + b_int - zp * row_sum) as i32;
+                }
+            }
+            assert_eq!(acc, want, "seed={seed} zpm={zpm} w{w_bits}");
+            assert_eq!(
+                wl,
+                oracle::workload(&counted),
+                "seed={seed} zpm={zpm} w{w_bits}"
+            );
+        }
     }
 }

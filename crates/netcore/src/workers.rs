@@ -73,6 +73,12 @@ impl WorkerPool {
         let threads = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                // Counted up here, not by the thread once it runs: a pool
+                // that `with_counters` returned must never read as
+                // thinner than it is (the `AliveGuard` counts it down).
+                if let Some(c) = &shared.counters {
+                    c.on_worker_up();
+                }
                 thread::Builder::new()
                     .name(format!("{name_prefix}-{i}"))
                     .spawn(move || worker_loop(&shared))
@@ -141,9 +147,6 @@ impl Drop for AliveGuard<'_> {
 
 fn worker_loop(shared: &PoolShared) {
     let counters = shared.counters.as_ref();
-    if let Some(c) = counters {
-        c.on_worker_up();
-    }
     let _alive = AliveGuard(counters);
     loop {
         let job = {

@@ -4,6 +4,7 @@
 
 use panacea::bitslice::{SlicedActivation, SlicedWeight};
 use panacea::core::aqs::aqs_gemm;
+use panacea::core::pipeline::accumulator_bound;
 use panacea::core::sibia::{choose_skip_side, sibia_gemm};
 use panacea::models::zoo::Benchmark;
 use panacea::models::{profile_model, ProfileOptions};
@@ -179,4 +180,22 @@ fn requantized_outputs_feed_next_layer() {
     // And it slices cleanly for the next layer.
     let sliced = SlicedActivation::from_uint(&next_input, 1, panacea::quant::DbsType::Type1);
     assert!(sliced.is_ok());
+}
+
+#[test]
+fn every_zoo_layer_keeps_its_accumulators_inside_i32() {
+    // `QuantizedLinear::prepare` rejects a layer whose worst case leaves
+    // i32; at the default w7/a8 no benchmark layer comes near. The folded
+    // bias of a bias-free layer is at most another K·max|w|·max code.
+    for bench in Benchmark::all() {
+        for layer in bench.spec().layers {
+            let worst = 2 * accumulator_bound(layer.k, 7, 8);
+            assert!(
+                worst < i64::from(i32::MAX),
+                "{bench:?} {}: K = {} can reach {worst}",
+                layer.name,
+                layer.k
+            );
+        }
+    }
 }
