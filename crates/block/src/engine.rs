@@ -169,8 +169,29 @@ impl QuantizedBlock {
         assert!(n > 0, "block forward needs at least one token column");
         let used: usize = segments.iter().sum();
         assert!(used <= n, "segments describe more columns than provided");
+        self.forward_with(x, segments, |_, seg| {
+            if causal {
+                ops::multi_head_attention_causal(seg, self.n_heads)
+            } else {
+                ops::multi_head_attention(seg, self.n_heads)
+            }
+        })
+    }
 
+    /// The one block body behind the stateless, causal and KV-cached
+    /// entry points: zero-pad `x` to the PE vector width (padded columns
+    /// flow through the GEMMs but are never attended), LN → QKV,
+    /// `attend(i, qkv_i)` per non-empty segment `i`, proj + residual, the
+    /// MLP half, trim back to `x`'s width. Callers check their own input
+    /// contracts first.
+    fn forward_with(
+        &self,
+        x: &Matrix<f32>,
+        segments: &[usize],
+        mut attend: impl FnMut(usize, &Matrix<f32>) -> Matrix<f32>,
+    ) -> (Matrix<f32>, BlockWorkload) {
         // Pad once at entry; every sub-layer preserves N.
+        let n = x.cols();
         let aligned = n.div_ceil(VECTOR_LEN) * VECTOR_LEN;
         let padded;
         let xp = if aligned == n {
@@ -198,16 +219,12 @@ impl QuantizedBlock {
         let t = Instant::now();
         let mut ctx = Matrix::<f32>::zeros(self.d_model, aligned);
         let mut col = 0;
-        for &len in segments {
+        for (i, &len) in segments.iter().enumerate() {
             if len == 0 {
                 continue;
             }
             let seg = qkv_f.submatrix(0, col, qkv_f.rows(), len);
-            let seg_ctx = if causal {
-                ops::multi_head_attention_causal(&seg, self.n_heads)
-            } else {
-                ops::multi_head_attention(&seg, self.n_heads)
-            };
+            let seg_ctx = attend(i, &seg);
             for r in 0..self.d_model {
                 for c in 0..len {
                     ctx[(r, col + c)] = seg_ctx[(r, c)];
@@ -318,68 +335,19 @@ impl QuantizedBlock {
             );
         }
 
-        // Pad to the PE vector width exactly like the stateless path;
-        // padded columns never enter attention or the caches.
-        let aligned = n.div_ceil(VECTOR_LEN) * VECTOR_LEN;
-        let padded;
-        let xp = if aligned == n {
-            h_new
-        } else {
-            padded = Matrix::from_fn(self.d_model, aligned, |r, c| {
-                if c < n {
-                    h_new[(r, c)]
-                } else {
-                    0.0
-                }
-            });
-            &padded
-        };
-
-        let t = Instant::now();
-        let ln1 = ops::layer_norm(xp);
-        let (qkv_f, wl_qkv) = self.run_dequant(&self.qkv, &ln1);
-        stage_end(Stage::Qkv, t);
-        let t = Instant::now();
-        let mut ctx = Matrix::<f32>::zeros(self.d_model, aligned);
-        let mut col = 0;
-        for (&len, state) in segments.iter().zip(states.iter_mut()) {
-            let seg_qkv = qkv_f.submatrix(0, col, qkv_f.rows(), len);
+        // Attention is incremental per session: attend the new columns
+        // over the session's cached prefix, then append their K/V.
+        self.forward_with(h_new, segments, |i, seg_qkv| {
+            let state = &mut *states[i];
             let seg_ctx = ops::multi_head_attention_decode(
-                &seg_qkv,
+                seg_qkv,
                 state.keys(),
                 state.values(),
                 self.n_heads,
             );
-            state.append_from_qkv(&seg_qkv, len);
-            for r in 0..self.d_model {
-                for c in 0..len {
-                    ctx[(r, col + c)] = seg_ctx[(r, c)];
-                }
-            }
-            col += len;
-        }
-        stage_end(Stage::Attn, t);
-        let t = Instant::now();
-        let (attn_out, wl_proj) = self.run_dequant(&self.proj, &ctx);
-        let h = ops::add(xp, &attn_out);
-        stage_end(Stage::Proj, t);
-
-        let (out, wl_fc1, wl_fc2) = self.mlp_sublayer(&h);
-
-        let out = if aligned == n {
-            out
-        } else {
-            out.submatrix(0, 0, self.d_model, n)
-        };
-        (
-            out,
-            BlockWorkload {
-                qkv: wl_qkv,
-                attn_proj: wl_proj,
-                fc1: wl_fc1,
-                fc2: wl_fc2,
-            },
-        )
+            state.append_from_qkv(seg_qkv, seg_qkv.cols());
+            seg_ctx
+        })
     }
 
     /// The MLP half of the block, shared by the stateless and decode

@@ -38,6 +38,9 @@
 //! | `serve.session.step`       | session step entry   | panic, delay, error |
 //! | `serve.decode.fused_pass`  | decode batcher       | panic, delay |
 //! | `serve.decode.solo_retry`  | decode batcher retry | panic |
+//! | `serve.queue.push`         | batching queue, between enqueue and worker wakeup | delay |
+//! | `serve.queue.wake`         | batching queue, cancellation wakeup | delay |
+//! | `serve.queue.take`         | batching queue, between claiming a batch and waking a sibling | delay |
 //! | `gateway.execute`          | gateway dispatch     | panic, delay |
 //! | `netcore.accept`           | transport accept     | reset |
 //! | `netcore.read`             | transport read       | reset, delay |

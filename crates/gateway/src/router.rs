@@ -15,8 +15,8 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use panacea_serve::{
-    InferenceOutput, ModelRegistry, Payload, Pending, PreparedModel, QueueDepth, Runtime,
-    RuntimeConfig, ServeError,
+    InferenceOutput, ModelRegistry, Payload, Pending, PreparedModel, QueueDepth, RequestCtx,
+    Runtime, RuntimeConfig, ServeError,
 };
 
 use crate::protocol::ShardStats;
@@ -148,7 +148,7 @@ impl ShardRouter {
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::submit`].
+    /// Same as [`RuntimeHandle::submit`](panacea_serve::RuntimeHandle::submit).
     pub fn submit(
         &self,
         model: &str,
@@ -163,12 +163,14 @@ impl ShardRouter {
     }
 
     /// [`submit`](Self::submit) onto an explicit shard with an
-    /// already-resolved model — the gateway uses this to keep the shard
-    /// decision and the cache probe on the same payload.
+    /// already-resolved model and a [`RequestCtx`] (trace and deadline,
+    /// see [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with))
+    /// — the gateway uses this to keep the shard decision and the cache
+    /// probe on the same payload.
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::submit_to`].
+    /// Same as [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with).
     ///
     /// # Panics
     ///
@@ -178,58 +180,16 @@ impl ShardRouter {
         shard: usize,
         model: Arc<PreparedModel>,
         payload: impl Into<Payload>,
+        ctx: RequestCtx,
     ) -> Result<Pending, ServeError> {
-        self.shards[shard].submit_to(model, payload)
-    }
-
-    /// [`submit_to_shard`](Self::submit_to_shard) carrying a
-    /// [`panacea_telemetry::TraceContext`]: the shard's worker records
-    /// `queue_wait` / `batch_form` / `execute` / `split_back` spans into
-    /// the submitting request's trace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.num_shards()`.
-    pub fn submit_to_shard_traced(
-        &self,
-        shard: usize,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-        ctx: Option<panacea_telemetry::TraceContext>,
-    ) -> Result<Pending, ServeError> {
-        self.shards[shard].submit_to_traced(model, payload, ctx)
-    }
-
-    /// [`submit_to_shard_traced`](Self::submit_to_shard_traced) with a
-    /// caller deadline — see [`Runtime::submit_to_traced_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to_traced_deadline`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.num_shards()`.
-    pub fn submit_to_shard_traced_deadline(
-        &self,
-        shard: usize,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-        ctx: Option<panacea_telemetry::TraceContext>,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<Pending, ServeError> {
-        self.shards[shard].submit_to_traced_deadline(model, payload, ctx, deadline)
+        self.shards[shard].submit_with(model, payload, ctx)
     }
 
     /// Routes, enqueues, and blocks for the answer.
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::infer`].
+    /// Same as [`RuntimeHandle::infer`](panacea_serve::RuntimeHandle::infer).
     pub fn infer(
         &self,
         model: &str,
@@ -241,7 +201,7 @@ impl ShardRouter {
 
     /// Live queue depth of every shard.
     pub fn queue_depths(&self) -> Vec<QueueDepth> {
-        self.shards.iter().map(Runtime::queue_depth).collect()
+        self.shards.iter().map(|rt| rt.queue_depth()).collect()
     }
 
     /// Per-shard serving counters in wire form, indexed by shard id.
@@ -331,7 +291,12 @@ mod tests {
         assert_eq!(favourite, first);
         assert_ne!(first, second, "two shards must give two candidates");
         let _pending = router
-            .submit_to_shard(favourite, Arc::clone(&model), codes(&model, 8, 0))
+            .submit_to_shard(
+                favourite,
+                Arc::clone(&model),
+                codes(&model, 8, 0),
+                RequestCtx::default(),
+            )
             .expect("queued");
         assert_eq!(
             router.route("hot"),

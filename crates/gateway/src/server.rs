@@ -22,7 +22,7 @@ use panacea_netcore::{
     ConnObserver, ConnStage, ConnectionCounters, EvictReason, Reactor, Service as NetService,
 };
 use panacea_serve::{
-    OverloadReason, Payload, PreparedModel, RuntimeConfig, ServeError, SessionConfig,
+    OverloadReason, Payload, PreparedModel, RequestCtx, RuntimeConfig, ServeError, SessionConfig,
     SessionManager,
 };
 use panacea_telemetry::{
@@ -277,7 +277,7 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Everything [`panacea_serve::Runtime::infer`] surfaces, plus
+    /// Everything [`panacea_serve::RuntimeHandle::infer`] surfaces, plus
     /// [`ServeError::Overloaded`] from admission control.
     pub fn infer(&self, model: &str, payload: Payload) -> Result<InferReply, ServeError> {
         self.infer_deadline(model, payload, None)
@@ -499,8 +499,14 @@ impl Gateway {
         // batcher); hand them a context so their queue_wait/decode_pass
         // spans land inside this request's execute span.
         let ctx = self.tracer.context(tb, span);
-        let stepped =
-            self.sessions[shard].step_traced_deadline(session, hidden, Some(ctx), deadline);
+        let stepped = self.sessions[shard].step_with(
+            session,
+            hidden,
+            RequestCtx {
+                trace: Some(ctx),
+                deadline,
+            },
+        );
         self.stages.execute.record_latency(tb.end_span(span));
         let (out, tokens, _wl) = stepped?;
         drop(permit);
@@ -619,26 +625,22 @@ impl Gateway {
         let span = tb.start_span("execute", ROOT_SPAN);
         // The runtime's batch worker records queue_wait / batch_form /
         // execute / split_back under this span via the context.
-        let ctx = self.tracer.context(tb, span);
+        let ctx = RequestCtx {
+            trace: Some(self.tracer.context(tb, span)),
+            deadline,
+        };
         let ran: Result<_, ServeError> = (|| {
             let (pending, kept_payload) = if cached {
-                let pending = self.router.submit_to_shard_traced_deadline(
+                let pending = self.router.submit_to_shard(
                     shard,
                     Arc::clone(&resolved),
                     payload.clone(),
-                    Some(ctx),
-                    deadline,
+                    ctx,
                 )?;
                 (pending, Some(payload))
             } else {
                 (
-                    self.router.submit_to_shard_traced_deadline(
-                        shard,
-                        resolved,
-                        payload,
-                        Some(ctx),
-                        deadline,
-                    )?,
+                    self.router.submit_to_shard(shard, resolved, payload, ctx)?,
                     None,
                 )
             };

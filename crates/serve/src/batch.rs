@@ -1,13 +1,16 @@
 //! Dynamic batching: coalescing queued requests into one wide GEMM.
 //!
-//! AQS-GEMM amortizes its per-tile preparation (slice loading, RLE
-//! decode, compensation setup) over the `N` dimension, so serving
-//! throughput grows when independent requests' activation columns ride in
-//! one call. The batcher groups queued jobs that target the *same*
-//! prepared model (pointer identity, so a re-registered model never mixes
-//! with its predecessor) up to a column budget, and the executor splits
-//! the accumulators back per request — bit-exactly, because the GEMM is
-//! element-exact under any column grouping.
+//! AQS-GEMM amortizes its weight-side work (walking the resident
+//! weight index, loading slice planes, compensation setup) over the `N`
+//! dimension, so serving throughput grows when independent requests'
+//! activation columns ride in one call. This module is the stateless
+//! path's *grouping rule* and *executor*: `take_batch` groups queued
+//! jobs that target the *same* prepared model (pointer identity, so a
+//! re-registered model never mixes with its predecessor) up to a column
+//! budget, and `execute` splits the accumulators back per request —
+//! bit-exactly, because the GEMM is element-exact under any column
+//! grouping. Waiting, purging and lingering belong to the shared
+//! `BatchQueue` (`queue.rs`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,6 +24,7 @@ use panacea_telemetry::{DimCell, TraceContext};
 
 use crate::metrics::Metrics;
 use crate::model::{timed_blocks, PreparedModel};
+use crate::queue::Queued;
 use crate::{InferenceOutput, Payload, ServeError};
 
 /// Batching policy knobs.
@@ -30,7 +34,9 @@ pub struct BatchPolicy {
     /// requests reach this many activation columns.
     pub max_batch: usize,
     /// How long the oldest queued request may wait for companions before
-    /// the batch is dispatched anyway.
+    /// the batch is dispatched anyway. Zero by default — a lone request
+    /// never pays a linger, and batches still form behind the passes in
+    /// flight; a short linger fills batches when arrivals trickle in.
     pub max_wait: Duration,
 }
 
@@ -38,7 +44,7 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::ZERO,
         }
     }
 }
@@ -72,11 +78,11 @@ pub(crate) struct Job {
 #[derive(Debug)]
 pub(crate) struct BatchCells {
     /// [`PreparedModel::instance_id`] of the model these belong to.
-    pub(crate) instance: u64,
+    instance: u64,
     /// Enqueue-to-execution-start wait, per request.
     queue_wait: Arc<DimCell>,
     /// Linger-start-to-batch-taken formation time, per batch.
-    pub(crate) batch_form: Arc<DimCell>,
+    batch_form: Arc<DimCell>,
     /// Coalesced forward-pass duration, per batch.
     execute: Arc<DimCell>,
     /// Split-and-respond fan-out duration, per batch.
@@ -86,7 +92,7 @@ pub(crate) struct BatchCells {
 }
 
 impl BatchCells {
-    pub(crate) fn resolve(metrics: &Metrics, model: &PreparedModel) -> Self {
+    fn resolve(metrics: &Metrics, model: &PreparedModel) -> Self {
         let registry = metrics.registry();
         let cell = |stage| registry.cell(model.name(), "batch", stage);
         BatchCells {
@@ -107,43 +113,46 @@ pub(crate) struct Batch {
     pub(crate) jobs: Vec<Job>,
 }
 
-/// Drops every queued job whose caller has abandoned it (its `Pending`
-/// handle was dropped, e.g. by an admission layer shedding the request),
-/// returning how many were removed. Without this, sustained overload
-/// would leave a trail of admitted-then-shed jobs growing the queue
-/// without bound while nobody waits for their answers.
-pub(crate) fn purge_cancelled(queue: &mut VecDeque<Job>) -> usize {
-    let before = queue.len();
-    queue.retain(|j| !j.cancelled.load(Ordering::Acquire));
-    before - queue.len()
+impl AsRef<[Job]> for Batch {
+    fn as_ref(&self) -> &[Job] {
+        &self.jobs
+    }
 }
 
-/// Drops every queued job whose deadline has already passed, answering
-/// each with [`ServeError::DeadlineExceeded`], and returns how many were
-/// dropped. Run at dequeue time — expired work is shed *before* the
-/// GEMM, so a deadline-heavy backlog degrades to cheap rejections
-/// instead of computing results nobody can use.
-pub(crate) fn purge_expired(queue: &mut VecDeque<Job>, now: Instant) -> usize {
-    let before = queue.len();
-    queue.retain(|j| {
-        let expired = j.deadline.is_some_and(|d| now >= d);
-        if expired {
-            // A dropped receiver just means the caller also gave up.
-            let _ = j.responder.send(Err(ServeError::DeadlineExceeded));
-        }
-        !expired
-    });
-    before - queue.len()
-}
+impl Queued for Job {
+    type Batch = Batch;
 
-/// The soonest instant the queue head's batch must dispatch: the
-/// policy's linger bound, capped by the head's own deadline — lingering
-/// for companions must never push the head past its deadline.
-pub(crate) fn head_dispatch_deadline(head: &Job, max_wait: Duration) -> Instant {
-    let linger = head.enqueued_at + max_wait;
-    match head.deadline {
-        Some(d) => linger.min(d),
-        None => linger,
+    fn model(&self) -> &Arc<PreparedModel> {
+        &self.model
+    }
+
+    fn cols(&self) -> usize {
+        self.payload.cols()
+    }
+
+    fn enqueued_at(&self) -> Instant {
+        self.enqueued_at
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn abandoned(&self) -> bool {
+        self.cancelled.load(Ordering::Acquire)
+    }
+
+    fn answer_expired(self) {
+        // A dropped receiver just means the caller also gave up.
+        let _ = self.responder.send(Err(ServeError::DeadlineExceeded));
+    }
+
+    fn fusable_cols(queue: &VecDeque<Self>) -> usize {
+        head_model_cols(queue)
+    }
+
+    fn take(queue: &mut VecDeque<Self>, max_batch: usize) -> Option<Batch> {
+        take_batch(queue, max_batch)
     }
 }
 
@@ -157,17 +166,6 @@ pub(crate) fn head_model_cols(queue: &VecDeque<Job>) -> usize {
         .filter(|j| Arc::ptr_eq(&j.model, &head.model))
         .map(|j| j.payload.cols())
         .sum()
-}
-
-/// Whether every queued job targets the queue head's model. Workers only
-/// linger for companions while this holds: once a *different* model is
-/// waiting behind the head, lingering would head-of-line-block it, so
-/// the head batch dispatches immediately and frees the queue.
-pub(crate) fn queue_is_single_model(queue: &VecDeque<Job>) -> bool {
-    let Some(head) = queue.front() else {
-        return true;
-    };
-    queue.iter().all(|j| Arc::ptr_eq(&j.model, &head.model))
 }
 
 /// Removes the head job plus every queued job for the same model, in
@@ -221,14 +219,35 @@ pub(crate) fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<
 /// responses sent, metrics recorded. Requests whose receiver has been
 /// dropped are completed and counted but their send is ignored.
 ///
+/// `cells` memoizes the stage cells of the model this worker ran last —
+/// re-resolved only when a batch for a different prepared instance comes
+/// up.
+///
 /// The forward pass runs under `catch_unwind`: a panic (a model bug, or
 /// the `serve.worker.execute` fault site firing) answers every rider
 /// with [`ServeError::Internal`] and records a `worker_panic` — the
 /// worker thread survives and the callers are released, not abandoned.
 /// Stateless requests tolerate the batch-wide answer because infer is
 /// idempotent; clients simply retry.
-pub(crate) fn execute(batch: Batch, metrics: &Metrics, cells: &BatchCells) {
+pub(crate) fn execute(
+    batch: Batch,
+    (form_started, form_done): (Instant, Instant),
+    metrics: &Metrics,
+    cells: &mut Option<BatchCells>,
+) {
     let Batch { model, jobs } = batch;
+    let cells = match cells {
+        Some(cells) if cells.instance == model.instance_id() => cells,
+        stale => stale.insert(BatchCells::resolve(metrics, &model)),
+    };
+    for job in &jobs {
+        if let Some(ctx) = &job.ctx {
+            ctx.record_span("batch_form", form_started, form_done);
+        }
+    }
+    cells
+        .batch_form
+        .record_latency(form_done.duration_since(form_started));
     let refs: Vec<&Payload> = jobs.iter().map(|j| &j.payload).collect();
     let total_cols: usize = refs.iter().map(|p| p.cols()).sum();
 
@@ -302,6 +321,7 @@ pub(crate) fn execute(batch: Batch, metrics: &Metrics, cells: &BatchCells) {
 mod tests {
     use super::*;
     use crate::model::{LayerSpec, PrepareOptions, PreparedModel};
+    use crate::queue::{dispatch_deadline, purge, PurgeCounts};
     use panacea_tensor::dist::DistributionKind;
     use panacea_tensor::Matrix;
 
@@ -331,8 +351,8 @@ mod tests {
     type Reply = Result<InferenceOutput, ServeError>;
 
     fn run(batch: Batch, metrics: &Metrics) {
-        let cells = BatchCells::resolve(metrics, &batch.model);
-        execute(batch, metrics, &cells);
+        let now = Instant::now();
+        execute(batch, (now, now), metrics, &mut None);
     }
 
     fn job(model: &Arc<PreparedModel>, cols: usize) -> (Job, mpsc::Receiver<Reply>) {
@@ -468,10 +488,14 @@ mod tests {
         let (j3, _r3) = job(&a, 3);
         j2.cancelled.store(true, Ordering::Release);
         queue.extend([j1, j2, j3]);
-        assert_eq!(purge_cancelled(&mut queue), 1);
+        let counts = PurgeCounts::default();
+        purge(&mut queue, Instant::now(), &counts);
+        assert_eq!(counts.cancelled.load(Ordering::Relaxed), 1);
         let widths: Vec<usize> = queue.iter().map(|j| j.payload.cols()).collect();
         assert_eq!(widths, vec![1, 3], "live jobs must keep their order");
-        assert_eq!(purge_cancelled(&mut queue), 0);
+        purge(&mut queue, Instant::now(), &counts);
+        assert_eq!(counts.cancelled.load(Ordering::Relaxed), 1);
+        assert_eq!(counts.expired.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -526,7 +550,9 @@ mod tests {
         j1.deadline = Some(now - Duration::from_millis(1)); // already past
         j3.deadline = Some(now + Duration::from_secs(60)); // comfortably live
         queue.extend([j1, j2, j3]);
-        assert_eq!(purge_expired(&mut queue, now), 1);
+        let counts = PurgeCounts::default();
+        purge(&mut queue, now, &counts);
+        assert_eq!(counts.expired.load(Ordering::Relaxed), 1);
         match r1.try_recv().expect("expired job is answered") {
             Err(ServeError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -542,10 +568,13 @@ mod tests {
         let a = prepared(13);
         let (mut j, _r) = job(&a, 1);
         let long = Duration::from_secs(10);
-        assert_eq!(head_dispatch_deadline(&j, long), j.enqueued_at + long);
+        assert_eq!(dispatch_deadline(&j, long), Some(j.enqueued_at + long));
+        // A linger too long for the clock is no bound, not a panic.
+        assert_eq!(dispatch_deadline(&j, Duration::MAX), None);
         let d = j.enqueued_at + Duration::from_millis(1);
         j.deadline = Some(d);
-        assert_eq!(head_dispatch_deadline(&j, long), d);
+        assert_eq!(dispatch_deadline(&j, long), Some(d));
+        assert_eq!(dispatch_deadline(&j, Duration::MAX), Some(d));
     }
 
     #[test]

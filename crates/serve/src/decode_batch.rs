@@ -29,17 +29,20 @@
 //!   so a malformed request fails on its own thread and can never take
 //!   a fused batch down.
 //!
-//! Knobs: `max_batch` bounds the fused pass's total columns, and
-//! `max_wait` is how long the oldest queued step lingers for batchmates.
-//! Even at zero linger, batches form naturally under load: while one
+//! Waiting, purging expired steps and lingering belong to the shared
+//! `BatchQueue` (`queue.rs`), the same queue the stateless runtime
+//! drains; this module is decode's *grouping rule*
+//! (`take_decode_batch`) and *executor* (`execute_batch`). Knobs:
+//! `max_batch` bounds the fused pass's total columns, and `max_wait` is
+//! how long the oldest queued step lingers for batchmates. Even at zero
+//! linger (the default), batches form naturally under load: while one
 //! pass executes, the next wave of steps queues up behind it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panacea_bitslice::VECTOR_LEN;
@@ -48,7 +51,8 @@ use panacea_core::Workload;
 use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
 use panacea_tensor::Matrix;
 
-use crate::model::timed_blocks;
+use crate::model::{timed_blocks, PreparedModel};
+use crate::queue::{BatchQueue, PurgeCounts, Queued, RequestCtx, Workers};
 use crate::session::{Session, Slot};
 
 /// What a fused pass hands back to each waiting step: the session's
@@ -88,24 +92,45 @@ struct DecodeJob {
     ctx: Option<TraceContext>,
 }
 
-#[derive(Debug)]
-struct BatchQueue {
-    queue: VecDeque<DecodeJob>,
-    shutting_down: bool,
+impl Queued for DecodeJob {
+    type Batch = Vec<DecodeJob>;
+
+    fn model(&self) -> &Arc<PreparedModel> {
+        &self.slot.model
+    }
+
+    fn cols(&self) -> usize {
+        self.hidden.cols()
+    }
+
+    fn enqueued_at(&self) -> Instant {
+        self.enqueued_at
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn answer_expired(self) {
+        let _ = self.responder.send(Err(StepFailure::DeadlineExceeded));
+    }
+
+    fn fusable_cols(queue: &VecDeque<Self>) -> usize {
+        eligible_cols(queue)
+    }
+
+    fn take(queue: &mut VecDeque<Self>, max_batch: usize) -> Option<Vec<DecodeJob>> {
+        take_decode_batch(queue, max_batch)
+    }
 }
 
+/// What the fused-pass executor records into.
 #[derive(Debug)]
 struct Shared {
-    state: Mutex<BatchQueue>,
-    work_ready: Condvar,
-    max_batch: usize,
-    max_wait: Duration,
     batches: AtomicU64,
     padded_cols: AtomicU64,
     /// Panics caught (and isolated) inside fused passes or solo retries.
     panics: AtomicU64,
-    /// Steps answered `DeadlineExceeded` at dequeue.
-    expired: AtomicU64,
     /// Caught panics count as errors under `(model, "worker", at)`
     /// here; the per-pass stage samples go through the cells each
     /// session's [`Slot`] carries.
@@ -122,7 +147,10 @@ struct Shared {
 #[derive(Debug)]
 pub struct DecodeBatcher {
     shared: Arc<Shared>,
-    worker: Option<JoinHandle<()>>,
+    queue: Arc<BatchQueue<DecodeJob>>,
+    /// Steps answered `DeadlineExceeded` at dequeue, counted by the queue.
+    purged: Arc<PurgeCounts>,
+    _worker: Workers<DecodeJob>,
 }
 
 impl DecodeBatcher {
@@ -137,30 +165,28 @@ impl DecodeBatcher {
         recorder: FlightRecorder,
     ) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(BatchQueue {
-                queue: VecDeque::new(),
-                shutting_down: false,
-            }),
-            work_ready: Condvar::new(),
-            max_batch: max_batch.max(1),
-            max_wait,
             batches: AtomicU64::new(0),
             padded_cols: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             registry,
             recorder,
         });
+        let purged = Arc::<PurgeCounts>::default();
+        let queue = Arc::new(BatchQueue::new(max_batch, max_wait, Arc::clone(&purged)));
         let worker = {
             let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("panacea-decode-batch".to_string())
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn decode batcher")
+            Workers::spawn(
+                Arc::clone(&queue),
+                1,
+                "panacea-decode-batch",
+                move |queue| queue.run(|jobs, _| execute_batch(jobs, &shared)),
+            )
         };
         DecodeBatcher {
             shared,
-            worker: Some(worker),
+            queue,
+            purged,
+            _worker: worker,
         }
     }
 
@@ -172,23 +198,20 @@ impl DecodeBatcher {
         session: u64,
         slot: Arc<Slot>,
         hidden: Matrix<f32>,
-        ctx: Option<TraceContext>,
-        deadline: Option<Instant>,
+        ctx: RequestCtx,
     ) -> mpsc::Receiver<Result<StepOutcome, StepFailure>> {
         let (tx, rx) = mpsc::channel();
-        {
-            let mut st = self.shared.state.lock().expect("decode queue poisoned");
-            st.queue.push_back(DecodeJob {
-                session,
-                slot,
-                hidden,
-                responder: tx,
-                enqueued_at: Instant::now(),
-                deadline,
-                ctx,
-            });
-        }
-        self.shared.work_ready.notify_one();
+        // A push refused by shutdown drops the job and with it `tx`, so
+        // the receiver reports the closed channel.
+        let _ = self.queue.push(DecodeJob {
+            session,
+            slot,
+            hidden,
+            responder: tx,
+            enqueued_at: Instant::now(),
+            deadline: ctx.deadline,
+            ctx: ctx.trace,
+        });
         rx
     }
 
@@ -210,21 +233,7 @@ impl DecodeBatcher {
 
     /// Steps answered `DeadlineExceeded` at dequeue instead of executed.
     pub fn expired_steps(&self) -> u64 {
-        self.shared.expired.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for DecodeBatcher {
-    fn drop(&mut self) {
-        let Some(worker) = self.worker.take() else {
-            return;
-        };
-        {
-            let mut st = self.shared.state.lock().expect("decode queue poisoned");
-            st.shutting_down = true;
-        }
-        self.shared.work_ready.notify_all();
-        let _ = worker.join();
+        self.purged.expired.load(Ordering::Relaxed)
     }
 }
 
@@ -241,18 +250,6 @@ fn eligible_cols(queue: &VecDeque<DecodeJob>) -> usize {
         }
     }
     cols
-}
-
-/// Whether every queued step targets the head's model. The worker only
-/// lingers while this holds — once another model waits behind the head,
-/// lingering would head-of-line-block it.
-fn queue_is_single_model(queue: &VecDeque<DecodeJob>) -> bool {
-    let Some(head) = queue.front() else {
-        return true;
-    };
-    queue
-        .iter()
-        .all(|j| Arc::ptr_eq(&j.slot.model, &head.slot.model))
 }
 
 /// Removes the head step plus every queued same-model step for a
@@ -300,23 +297,6 @@ fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
         "worker_panic",
         format!("at={at} model={model_name}"),
     );
-}
-
-/// Drops every queued step whose deadline has already passed, answering
-/// each `DeadlineExceeded` — expired decode work never reaches a GEMM.
-fn purge_expired_steps(queue: &mut VecDeque<DecodeJob>, now: Instant, shared: &Shared) {
-    let before = queue.len();
-    queue.retain(|j| {
-        let expired = j.deadline.is_some_and(|d| now >= d);
-        if expired {
-            let _ = j.responder.send(Err(StepFailure::DeadlineExceeded));
-        }
-        !expired
-    });
-    let n = (before - queue.len()) as u64;
-    if n > 0 {
-        shared.expired.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// Executes one fused pass: lock every participating session for the
@@ -486,65 +466,5 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
             // the session still advanced.
             let _ = job.responder.send(Ok((part, tok, wl)));
         }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut st = shared.state.lock().expect("decode queue poisoned");
-    loop {
-        purge_expired_steps(&mut st.queue, Instant::now(), shared);
-        // Idle: wait for work, or for shutdown with a drained queue.
-        while st.queue.is_empty() {
-            if st.shutting_down {
-                return;
-            }
-            st = shared.work_ready.wait(st).expect("decode queue poisoned");
-            purge_expired_steps(&mut st.queue, Instant::now(), shared);
-        }
-
-        // Linger until the head model's fusable columns fill the
-        // budget, the head step's dispatch deadline passes, another
-        // model queues behind the head, or shutdown forces dispatch.
-        while !st.shutting_down {
-            if eligible_cols(&st.queue) >= shared.max_batch || !queue_is_single_model(&st.queue) {
-                break;
-            }
-            let deadline = match st.queue.front() {
-                // Lingering for batchmates must never push the head
-                // past its own deadline.
-                Some(job) => {
-                    let linger = job.enqueued_at + shared.max_wait;
-                    job.deadline.map_or(linger, |d| linger.min(d))
-                }
-                None => break,
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = shared
-                .work_ready
-                .wait_timeout(st, deadline - now)
-                .expect("decode queue poisoned");
-            st = guard;
-            purge_expired_steps(&mut st.queue, Instant::now(), shared);
-            if timeout.timed_out() {
-                break;
-            }
-        }
-
-        // Last-instant expiry: a head whose deadline elapsed during the
-        // linger is answered `DeadlineExceeded`, not stepped late.
-        purge_expired_steps(&mut st.queue, Instant::now(), shared);
-        let Some(jobs) = take_decode_batch(&mut st.queue, shared.max_batch) else {
-            continue;
-        };
-        drop(st);
-        // Defense in depth: `execute_batch` isolates pass panics itself;
-        // if anything outside that isolation still unwinds, the dropped
-        // responders surface `WorkerLost` to the waiting callers and the
-        // batching worker survives for subsequent steps.
-        let _ = catch_unwind(AssertUnwindSafe(|| execute_batch(jobs, shared)));
-        st = shared.state.lock().expect("decode queue poisoned");
     }
 }

@@ -13,25 +13,33 @@
 //! 2. **Width amortizes.** AQS-GEMM's per-tile preparation is amortized
 //!    over the `N` dimension, and the GEMM is element-exact under any
 //!    column grouping — so independent requests can be coalesced into one
-//!    wide call and split back **bit-exactly**. The [`Runtime`]'s workers
-//!    do precisely that, governed by [`BatchPolicy`]'s `max_batch` column
-//!    budget and `max_wait` linger.
+//!    wide call and split back **bit-exactly**. One batching queue forms
+//!    that `N` for both serving paths — the [`Runtime`]'s stateless
+//!    requests ([`BatchPolicy`]'s `max_batch` column budget and
+//!    `max_wait` linger) and the [`SessionManager`]'s decode steps
+//!    ([`SessionConfig`]'s `max_decode_batch` / `decode_max_wait`) — each
+//!    path supplying only its grouping rule and its executor. The linger
+//!    is zero by default: a lone request dispatches at once, and batches
+//!    form from whatever queued behind the passes in flight.
 //!
 //! ```text
-//!  submit()──▶ queue ──▶ worker: linger ≤ max_wait, coalesce ≤ max_batch
-//!                          │ hstack columns      (same PreparedModel)
-//!                          ▼
-//!                    AQS-GEMM chain  ──▶ split_cols ──▶ per-request reply
+//!  submit()─▶ ┌────────── BatchQueue ───────────┐ ─▶ N runtime workers: hstack columns
+//!             │ purge cancelled / expired       │      ─▶ AQS-GEMM chain ─▶ split_cols ─▶ reply
+//!             │ linger ≤ max_wait (default 0)   │
+//!  step()───▶ │ take ≤ max_batch, same model    │ ─▶ 1 decode worker: fused pass, attention
+//!             └─────────────────────────────────┘      per session over its own KV cache ─▶ reply
 //! ```
 //!
-//! Shutdown is clean by construction: dropping the [`Runtime`] stops
-//! intake, drains every accepted request, and joins all workers.
+//! Shutdown is clean by construction: dropping the [`Runtime`] (or the
+//! [`SessionManager`]) stops intake, drains every accepted request, and
+//! joins all workers.
 
 pub mod batch;
 pub mod decode_batch;
 pub mod metrics;
 pub mod model;
 pub mod payload;
+mod queue;
 pub mod runtime;
 pub mod session;
 #[doc(hidden)]
@@ -49,7 +57,8 @@ pub use decode_batch::DecodeBatcher;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use model::{LayerSpec, ModelRegistry, PrepareOptions, PreparedModel};
 pub use payload::{Payload, PayloadKind};
-pub use runtime::{Pending, QueueDepth, Runtime, RuntimeConfig, RuntimeHandle};
+pub use queue::{QueueDepth, RequestCtx};
+pub use runtime::{Pending, Runtime, RuntimeConfig, RuntimeHandle};
 pub use session::{SessionConfig, SessionManager, SessionStats};
 
 /// A completed request: the typed result payload plus serving telemetry.

@@ -11,10 +11,13 @@
 //! pollers rely on to compute rates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use panacea_core::Workload;
 use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, ShardedCounter};
+
+use crate::queue::PurgeCounts;
 
 /// A point-in-time copy of the runtime's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -90,9 +93,9 @@ pub struct Metrics {
     batches: ShardedCounter,
     columns: ShardedCounter,
     padded_cols: ShardedCounter,
-    cancelled: ShardedCounter,
     worker_panics: ShardedCounter,
-    expired: ShardedCounter,
+    /// Cancelled / expired requests, counted by the runtime's queue.
+    purged: Arc<PurgeCounts>,
     compute_nanos: ShardedCounter,
     wl_mul: ShardedCounter,
     wl_add: ShardedCounter,
@@ -152,9 +155,9 @@ impl Metrics {
         );
     }
 
-    /// Records queued requests purged because their caller went away.
-    pub(crate) fn record_cancelled(&self, requests: usize) {
-        self.cancelled.add(requests as u64);
+    /// The counters the runtime's queue records purged requests into.
+    pub(crate) fn purged(&self) -> &Arc<PurgeCounts> {
+        &self.purged
     }
 
     /// Records one caught worker panic: a `worker_panic` event in the
@@ -168,11 +171,6 @@ impl Metrics {
             "worker_panic",
             format!("at={at} model={model}"),
         );
-    }
-
-    /// Records requests dropped at dequeue with an expired deadline.
-    pub(crate) fn record_expired(&self, requests: usize) {
-        self.expired.add(requests as u64);
     }
 
     /// Copies out the current counters.
@@ -192,9 +190,9 @@ impl Metrics {
             max_latency: Duration::from_nanos(self.max_latency_nanos.load(Ordering::Relaxed)),
             widest_batch: self.widest_batch.load(Ordering::Relaxed),
             padded_cols: self.padded_cols.sum(),
-            cancelled: self.cancelled.sum(),
+            cancelled: self.purged.cancelled.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.sum(),
-            expired: self.expired.sum(),
+            expired: self.purged.expired.load(Ordering::Relaxed),
         }
     }
 }
@@ -234,7 +232,7 @@ mod tests {
             Duration::from_millis(2),
             Duration::from_millis(3),
         );
-        m.record_cancelled(2);
+        m.purged().cancelled.fetch_add(2, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.cancelled, 2);
         assert_eq!(s.requests, 4);

@@ -1,31 +1,28 @@
-//! The worker pool: N threads draining a shared request queue.
+//! The worker pool: N threads draining the shared request queue.
 //!
 //! Requests are validated at submission, resolved to a shared
-//! [`PreparedModel`] handle, and queued. Each worker repeatedly claims the
-//! queue head's model, waits (bounded by [`BatchPolicy::max_wait`]) for
-//! enough same-model companions to fill [`BatchPolicy::max_batch`]
-//! columns, then dispatches the coalesced batch outside the lock.
+//! [`PreparedModel`] handle, and pushed onto the runtime's
+//! `BatchQueue` (`queue.rs`). Each worker runs the queue's loop with
+//! `execute`: the queue claims the head's model, lingers (bounded by
+//! [`BatchPolicy::max_wait`], zero by default) for enough same-model
+//! companions to fill [`BatchPolicy::max_batch`] columns, and hands the
+//! coalesced batch over to run outside the lock.
 //!
 //! Shutdown is cooperative and clean: [`Runtime::shutdown`] (also run by
-//! `Drop`) flips a flag under the queue lock and wakes every worker;
-//! workers stop waiting for companions, drain every already-queued
-//! request, and exit, and the caller joins them all — no detached
-//! threads survive, and no accepted request is dropped.
+//! drop) stops intake and wakes every worker; workers stop waiting for
+//! companions, drain every already-queued request, and exit, and the
+//! caller joins them all — no detached threads survive, and no accepted
+//! request is dropped.
 
-use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
-use std::thread::{self, JoinHandle};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
-use panacea_telemetry::TraceContext;
-
-use crate::batch::{
-    execute, head_dispatch_deadline, head_model_cols, purge_cancelled, purge_expired,
-    queue_is_single_model, take_batch, BatchCells, BatchPolicy, Job,
-};
+use crate::batch::{execute, BatchPolicy, Job};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::model::{ModelRegistry, PreparedModel};
+use crate::queue::{BatchQueue, QueueDepth, RequestCtx, Workers};
 use crate::{InferenceOutput, Payload, ServeError};
 
 /// Runtime sizing and batching configuration.
@@ -46,94 +43,11 @@ impl Default for RuntimeConfig {
     }
 }
 
-#[derive(Debug)]
-struct State {
-    queue: VecDeque<Job>,
-    /// Columns claimed by workers but not yet answered — the part of the
-    /// load a queue snapshot would otherwise miss.
-    in_flight_cols: usize,
-    shutting_down: bool,
-}
-
-#[derive(Debug)]
-struct Shared {
-    state: Mutex<State>,
-    work_ready: Condvar,
-    policy: BatchPolicy,
-    metrics: Metrics,
-}
-
-impl Shared {
-    /// Validates and enqueues a request — the single submission path
-    /// behind both [`Runtime`] and [`RuntimeHandle`].
-    fn submit_to(
-        self: &Arc<Self>,
-        model: Arc<PreparedModel>,
-        payload: Payload,
-        ctx: Option<TraceContext>,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        model.validate(&payload)?;
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(ServeError::DeadlineExceeded);
-        }
-        let (tx, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            model,
-            payload,
-            responder: tx,
-            enqueued_at: Instant::now(),
-            deadline,
-            cancelled: Arc::clone(&cancelled),
-            ctx,
-        };
-        {
-            let mut st = self.state.lock().expect("queue lock poisoned");
-            if st.shutting_down {
-                return Err(ServeError::ShuttingDown);
-            }
-            st.queue.push_back(job);
-        }
-        self.work_ready.notify_one();
-        Ok(Pending {
-            rx,
-            cancelled,
-            shared: Arc::downgrade(self),
-        })
-    }
-
-    fn queue_depth(&self) -> QueueDepth {
-        let st = self.state.lock().expect("queue lock poisoned");
-        QueueDepth {
-            queued_jobs: st.queue.len(),
-            queued_cols: st.queue.iter().map(|j| j.payload.cols()).sum(),
-            in_flight_cols: st.in_flight_cols,
-        }
-    }
-}
-
-/// A point-in-time view of how much work a runtime is holding — what a
-/// router compares across shards when spreading load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueDepth {
-    /// Requests waiting in the queue.
-    pub queued_jobs: usize,
-    /// Activation columns waiting in the queue.
-    pub queued_cols: usize,
-    /// Columns claimed by workers but not yet answered.
-    pub in_flight_cols: usize,
-}
-
-impl QueueDepth {
-    /// Total outstanding columns (queued + in flight) — the scalar load
-    /// figure shard routing ranks by.
-    pub fn load(&self) -> usize {
-        self.queued_cols + self.in_flight_cols
-    }
-}
-
 /// A batched, multi-threaded inference runtime over a model registry.
+///
+/// Submission, metrics and queue depth are [`RuntimeHandle`]'s methods,
+/// reached through deref; the `Runtime` adds ownership of the worker
+/// threads.
 ///
 /// # Examples
 ///
@@ -157,9 +71,8 @@ impl QueueDepth {
 /// ```
 #[derive(Debug)]
 pub struct Runtime {
-    registry: Arc<ModelRegistry>,
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    handle: RuntimeHandle,
+    workers: Workers<Job>,
 }
 
 impl Runtime {
@@ -184,44 +97,85 @@ impl Runtime {
     }
 
     fn spawn(registry: Arc<ModelRegistry>, config: RuntimeConfig, metrics: Metrics) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                in_flight_cols: 0,
-                shutting_down: false,
-            }),
-            work_ready: Condvar::new(),
-            policy: config.policy,
-            metrics,
-        });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("panacea-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let queue = Arc::new(BatchQueue::new(
+            config.policy.max_batch,
+            config.policy.max_wait,
+            Arc::clone(metrics.purged()),
+        ));
+        let metrics = Arc::new(metrics);
+        let workers = {
+            let metrics = Arc::clone(&metrics);
+            Workers::spawn(
+                Arc::clone(&queue),
+                config.workers.max(1),
+                "panacea-serve",
+                move |queue| {
+                    let mut cells = None;
+                    queue.run(|batch, formed| execute(batch, formed, &metrics, &mut cells));
+                },
+            )
+        };
         Runtime {
-            registry,
-            shared,
+            handle: RuntimeHandle {
+                registry,
+                queue,
+                metrics,
+            },
             workers,
         }
     }
 
+    /// Number of worker threads.
+    pub fn workers(&self) -> usize {
+        self.workers.count()
+    }
+
+    /// A cloneable, submission-capable handle onto this runtime.
+    ///
+    /// The handle shares the queue and registry but not the worker
+    /// threads, so it can be handed to connection handlers or pollers
+    /// without tying the runtime's lifetime to theirs. Once the owning
+    /// [`Runtime`] shuts down, submissions through any handle fail with
+    /// [`ServeError::ShuttingDown`].
+    pub fn handle(&self) -> RuntimeHandle {
+        self.handle.clone()
+    }
+
+    /// Stops accepting new requests, drains every queued request, and
+    /// joins all workers. Idempotent; also happens on drop.
+    pub fn shutdown(&mut self) {
+        self.workers.shut_down();
+    }
+}
+
+impl Deref for Runtime {
+    type Target = RuntimeHandle;
+
+    fn deref(&self) -> &RuntimeHandle {
+        &self.handle
+    }
+}
+
+/// A cloneable handle onto a [`Runtime`]: submit, poll metrics and queue
+/// depth — everything except lifecycle control (shutdown stays with the
+/// owning `Runtime`). Obtained from [`Runtime::handle`]; a `Runtime`
+/// also derefs to its own.
+#[derive(Debug, Clone)]
+pub struct RuntimeHandle {
+    registry: Arc<ModelRegistry>,
+    queue: Arc<BatchQueue<Job>>,
+    metrics: Arc<Metrics>,
+}
+
+impl RuntimeHandle {
     /// The registry this runtime resolves model names against.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.registry
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Validates and enqueues a request, returning a handle the caller
-    /// blocks on. Requests for the same model submitted close together
+    /// blocks on. Requests for the same model that are queued together —
+    /// behind the batches in flight, or within the policy's linger —
     /// ride the same batch.
     ///
     /// # Errors
@@ -250,45 +204,49 @@ impl Runtime {
         model: Arc<PreparedModel>,
         payload: impl Into<Payload>,
     ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), None, None)
+        self.submit_with(model, payload, RequestCtx::default())
     }
 
-    /// [`submit_to`](Self::submit_to) carrying a [`TraceContext`]: the
-    /// worker records `queue_wait` / `batch_form` / `execute` /
-    /// `split_back` spans into the submitting request's trace.
+    /// [`submit_to`](Self::submit_to) carrying a [`RequestCtx`]: with a
+    /// trace, the worker records `queue_wait` / `batch_form` / `execute`
+    /// / `split_back` spans into the submitting request's trace; with a
+    /// deadline, a request still queued when it passes is dropped before
+    /// the GEMM and answered [`ServeError::DeadlineExceeded`].
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::submit_to`].
-    pub fn submit_to_traced(
-        &self,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-        ctx: Option<TraceContext>,
-    ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), ctx, None)
-    }
-
-    /// [`submit_to_traced`](Self::submit_to_traced) with a deadline: if
-    /// the request is still queued when `deadline` passes, it is dropped
-    /// before the GEMM and answered [`ServeError::DeadlineExceeded`]; a
-    /// deadline already in the past is rejected at submission. Lingering
-    /// for batch companions never pushes the queue head past its own
-    /// deadline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to`], plus
+    /// Same as [`submit_to`](Self::submit_to), plus
     /// [`ServeError::DeadlineExceeded`] when the deadline has already
     /// passed at submission.
-    pub fn submit_to_traced_deadline(
+    pub fn submit_with(
         &self,
         model: Arc<PreparedModel>,
         payload: impl Into<Payload>,
-        ctx: Option<TraceContext>,
-        deadline: Option<Instant>,
+        ctx: RequestCtx,
     ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), ctx, deadline)
+        let payload = payload.into();
+        model.validate(&payload)?;
+        let enqueued_at = Instant::now();
+        if ctx.deadline.is_some_and(|d| enqueued_at >= d) {
+            return Err(ServeError::DeadlineExceeded);
+        }
+        let (tx, rx) = mpsc::channel();
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let job = Job {
+            model,
+            payload,
+            responder: tx,
+            enqueued_at,
+            deadline: ctx.deadline,
+            cancelled: Arc::clone(&cancelled),
+            ctx: ctx.trace,
+        };
+        self.queue.push(job).map_err(|_| ServeError::ShuttingDown)?;
+        Ok(Pending {
+            rx,
+            cancelled,
+            queue: Arc::downgrade(&self.queue),
+        })
     }
 
     /// Submits and blocks until the response arrives.
@@ -307,147 +265,13 @@ impl Runtime {
 
     /// Current aggregate metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// Snapshot of the queued and in-flight work — what a shard router
     /// ranks runtimes by.
     pub fn queue_depth(&self) -> QueueDepth {
-        self.shared.queue_depth()
-    }
-
-    /// A cloneable, submission-capable handle onto this runtime.
-    ///
-    /// The handle shares the queue and registry but not the worker
-    /// threads, so it can be handed to connection handlers or pollers
-    /// without tying the runtime's lifetime to theirs. Once the owning
-    /// [`Runtime`] shuts down, submissions through any handle fail with
-    /// [`ServeError::ShuttingDown`].
-    pub fn handle(&self) -> RuntimeHandle {
-        RuntimeHandle {
-            registry: Arc::clone(&self.registry),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Stops accepting new requests, drains every queued request, and
-    /// joins all workers. Idempotent; also invoked by `Drop`.
-    pub fn shutdown(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("queue lock poisoned");
-            if st.shutting_down {
-                return; // already shut down; workers vec is drained
-            }
-            st.shutting_down = true;
-        }
-        self.shared.work_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A cloneable handle onto a [`Runtime`]: submit, poll metrics and queue
-/// depth — everything except lifecycle control (shutdown stays with the
-/// owning `Runtime`). Obtained from [`Runtime::handle`].
-#[derive(Debug, Clone)]
-pub struct RuntimeHandle {
-    registry: Arc<ModelRegistry>,
-    shared: Arc<Shared>,
-}
-
-impl RuntimeHandle {
-    /// The registry this handle resolves model names against.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
-    /// Validates and enqueues a request — see [`Runtime::submit`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit`].
-    pub fn submit(&self, model: &str, payload: impl Into<Payload>) -> Result<Pending, ServeError> {
-        let resolved = self
-            .registry
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel {
-                model: model.to_string(),
-            })?;
-        self.shared.submit_to(resolved, payload.into(), None, None)
-    }
-
-    /// [`submit`](Self::submit) with an already-resolved model handle.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to`].
-    pub fn submit_to(
-        &self,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-    ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), None, None)
-    }
-
-    /// [`submit_to`](Self::submit_to) carrying a [`TraceContext`] — see
-    /// [`Runtime::submit_to_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to`].
-    pub fn submit_to_traced(
-        &self,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-        ctx: Option<TraceContext>,
-    ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), ctx, None)
-    }
-
-    /// [`submit_to_traced`](Self::submit_to_traced) with a deadline —
-    /// see [`Runtime::submit_to_traced_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_to_traced_deadline`].
-    pub fn submit_to_traced_deadline(
-        &self,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-        ctx: Option<TraceContext>,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        self.shared.submit_to(model, payload.into(), ctx, deadline)
-    }
-
-    /// Submits and blocks until the response arrives.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::infer`].
-    pub fn infer(
-        &self,
-        model: &str,
-        payload: impl Into<Payload>,
-    ) -> Result<InferenceOutput, ServeError> {
-        self.submit(model, payload)?.wait()
-    }
-
-    /// Current aggregate metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
-    /// Snapshot of the queued and in-flight work.
-    pub fn queue_depth(&self) -> QueueDepth {
-        self.shared.queue_depth()
+        self.queue.depth()
     }
 }
 
@@ -463,10 +287,10 @@ pub struct Pending {
     rx: mpsc::Receiver<Result<InferenceOutput, ServeError>>,
     /// Shared with the queued [`Job`]; set on drop.
     cancelled: Arc<AtomicBool>,
-    /// Wakes workers on cancellation so a lingering batch window does
-    /// not keep an abandoned job queued. Weak: a response handle must
-    /// not keep a shut-down runtime's state alive.
-    shared: Weak<Shared>,
+    /// Woken on cancellation so a lingering batch window does not keep
+    /// an abandoned job queued. Weak: a response handle must not keep a
+    /// shut-down runtime's queue alive.
+    queue: Weak<BatchQueue<Job>>,
 }
 
 impl Drop for Pending {
@@ -477,18 +301,8 @@ impl Drop for Pending {
         // should wake to purge it. After execution (the common case) the
         // count is one and the wakeup is skipped.
         if Arc::strong_count(&self.cancelled) > 1 {
-            if let Some(shared) = self.shared.upgrade() {
-                // Passing through the queue lock between the store and
-                // the notify closes the lost-wakeup window: a worker
-                // that purged before the store cannot yet be parked (it
-                // still holds the lock), so by the time this acquires
-                // the lock it is either parked (and will get the
-                // notify) or will re-purge and see the flag. No expect:
-                // a poisoned lock means workers died; nothing to wake.
-                if let Ok(guard) = shared.state.lock() {
-                    drop(guard);
-                    shared.work_ready.notify_all();
-                }
+            if let Some(queue) = self.queue.upgrade() {
+                queue.wake();
             }
         }
     }
@@ -548,107 +362,13 @@ impl Pending {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    // Under the queue lock: drop jobs whose caller stopped waiting (so
-    // overload shedding cannot leave the queue growing without bound)
-    // and jobs whose deadline has already expired (answered
-    // `DeadlineExceeded` before any GEMM work is spent on them).
-    let purge = |st: &mut State| {
-        let n = purge_cancelled(&mut st.queue);
-        if n > 0 {
-            shared.metrics.record_cancelled(n);
-        }
-        let e = purge_expired(&mut st.queue, Instant::now());
-        if e > 0 {
-            shared.metrics.record_expired(e);
-        }
-    };
-    // Stage cells of the model this worker ran last — re-resolved only
-    // when a batch for a different prepared instance comes up.
-    let mut cells: Option<BatchCells> = None;
-    let mut st = shared.state.lock().expect("queue lock poisoned");
-    loop {
-        purge(&mut st);
-        // Idle: wait for work or for shutdown with an empty queue.
-        while st.queue.is_empty() {
-            if st.shutting_down {
-                return;
-            }
-            st = shared.work_ready.wait(st).expect("queue lock poisoned");
-            purge(&mut st);
-        }
-
-        // Linger until the head model's columns fill the budget, the
-        // head request's deadline passes, another model queues up behind
-        // the head (lingering would head-of-line-block it), or shutdown
-        // forces dispatch.
-        let form_started = Instant::now();
-        loop {
-            if st.shutting_down
-                || head_model_cols(&st.queue) >= shared.policy.max_batch
-                || !queue_is_single_model(&st.queue)
-            {
-                break;
-            }
-            let deadline = match st.queue.front() {
-                // Lingering for companions must never push the head past
-                // its own deadline.
-                Some(head) => head_dispatch_deadline(head, shared.policy.max_wait),
-                // Another worker drained the queue while we lingered.
-                None => break,
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = shared
-                .work_ready
-                .wait_timeout(st, deadline - now)
-                .expect("queue lock poisoned");
-            st = guard;
-            purge(&mut st);
-            if timeout.timed_out() {
-                break;
-            }
-        }
-
-        // Last-instant expiry check: a head whose deadline elapsed during
-        // the linger is answered `DeadlineExceeded`, not executed late.
-        purge(&mut st);
-        let Some(batch) = take_batch(&mut st.queue, shared.policy.max_batch) else {
-            continue;
-        };
-        let form_done = Instant::now();
-        for job in &batch.jobs {
-            if let Some(ctx) = &job.ctx {
-                ctx.record_span("batch_form", form_started, form_done);
-            }
-        }
-        let batch_cols: usize = batch.jobs.iter().map(|j| j.payload.cols()).sum();
-        st.in_flight_cols += batch_cols;
-        drop(st);
-        // If the batch left same-model stragglers (over budget) or other
-        // models queued, make sure an idle sibling picks them up.
-        shared.work_ready.notify_one();
-        let cells = match &mut cells {
-            Some(cells) if cells.instance == batch.model.instance_id() => cells,
-            stale => stale.insert(BatchCells::resolve(&shared.metrics, &batch.model)),
-        };
-        cells
-            .batch_form
-            .record_latency(form_done.duration_since(form_started));
-        execute(batch, &shared.metrics, cells);
-        st = shared.state.lock().expect("queue lock poisoned");
-        st.in_flight_cols -= batch_cols;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{LayerSpec, PrepareOptions};
     use panacea_tensor::dist::DistributionKind;
     use panacea_tensor::Matrix;
+    use std::thread;
     use std::time::Duration;
 
     fn registry_with(names: &[&str], seed: u64) -> Arc<ModelRegistry> {
@@ -842,6 +562,42 @@ mod tests {
             m.batches
         );
         assert!(m.widest_batch >= 2);
+    }
+
+    #[test]
+    fn unbounded_linger_dispatches_on_budget_without_poisoning_the_queue() {
+        let registry = registry_with(&["m"], 13);
+        // `Duration::MAX` cannot be added to an `Instant`: it must mean
+        // "wait until full", not a panic under the queue lock.
+        let runtime = Runtime::start(
+            Arc::clone(&registry),
+            RuntimeConfig {
+                workers: 1,
+                policy: BatchPolicy {
+                    max_batch: 2,
+                    max_wait: Duration::MAX,
+                },
+            },
+        );
+        let model = registry.get("m").expect("registered");
+        let pending: Vec<Pending> = (0..2)
+            .map(|i| {
+                runtime
+                    .submit_to(Arc::clone(&model), codes_for(&model, 1, i))
+                    .expect("queued")
+            })
+            .collect();
+        for p in pending {
+            assert_eq!(p.wait().expect("served").batched_cols, 2);
+        }
+        assert_eq!(runtime.metrics().batches, 1);
+        // The queue is still usable: a budget-filling request is served.
+        let out = runtime
+            .submit_to(Arc::clone(&model), codes_for(&model, 2, 2))
+            .expect("queue lock not poisoned")
+            .wait()
+            .expect("served");
+        assert_eq!(out.batched_cols, 2);
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //! pass per layer ([`PreparedModel::forward_decode_batch`]) — aggregate
 //! decode throughput scales with concurrency by filling the GEMM `N`
 //! dimension, while every session's outputs stay bit-identical to solo
-//! stepping. Knobs: [`SessionConfig::max_decode_batch`] (columns per
-//! fused pass; `0`/`1` disables batching and steps execute inline on
-//! the caller thread, the pre-batching behavior) and
-//! [`SessionConfig::decode_max_wait`] (linger for batchmates). A
+//! stepping. The batcher drains the same `BatchQueue` the stateless
+//! runtime does (wait → purge expired → linger → take). Knobs:
+//! [`SessionConfig::max_decode_batch`] (columns per fused pass; `0`/`1`
+//! disables batching and steps execute inline on the caller thread, the
+//! pre-batching behavior) and [`SessionConfig::decode_max_wait`] (linger
+//! for batchmates; zero by default, like
+//! [`BatchPolicy::max_wait`](crate::BatchPolicy::max_wait)). A
 //! session's steps are serialized by its own lock — held by the worker
 //! for the fused pass it rides in — while distinct sessions proceed
 //! concurrently. Stepping a closed or evicted session fails with
@@ -55,11 +58,12 @@ use std::time::{Duration, Instant};
 use panacea_block::KvCache;
 use panacea_core::Workload;
 use panacea_faultline::Fault;
-use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
+use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry};
 use panacea_tensor::Matrix;
 
 use crate::decode_batch::{DecodeBatcher, StepFailure};
 use crate::model::{timed_blocks, PreparedModel};
+use crate::queue::RequestCtx;
 use crate::ServeError;
 
 /// Lifecycle, footprint, and continuous-batching knobs for a
@@ -391,47 +395,33 @@ impl SessionManager {
         session: u64,
         hidden: &Matrix<f32>,
     ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
-        self.step_traced(session, hidden, None)
+        self.step_with(session, hidden, RequestCtx::default())
     }
 
-    /// [`step`](Self::step) carrying a [`TraceContext`]: when the step
-    /// rides a fused pass, the batching worker records `queue_wait` and
-    /// a `decode_pass` span (linked to its batchmates' traces) into the
-    /// submitting request's trace. Inline steps record no extra spans —
-    /// the caller's own span already covers them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](Self::step).
-    pub fn step_traced(
-        &self,
-        session: u64,
-        hidden: &Matrix<f32>,
-        ctx: Option<TraceContext>,
-    ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
-        self.step_traced_deadline(session, hidden, ctx, None)
-    }
-
-    /// [`step_traced`](Self::step_traced) with an optional deadline.
-    /// A step whose deadline has already passed is rejected before it
-    /// reserves budget; one that expires while queued behind a stalled
-    /// fused pass is answered [`ServeError::DeadlineExceeded`] at
-    /// dequeue instead of executed uselessly late. A deadline never
-    /// interrupts a pass in flight — KV state stays consistent.
+    /// [`step`](Self::step) carrying a [`RequestCtx`]. With a trace, a
+    /// step that rides a fused pass has the batching worker record
+    /// `queue_wait` and a `decode_pass` span (linked to its batchmates'
+    /// traces) into the submitting request's trace; inline steps record
+    /// no extra spans — the caller's own span already covers them. With
+    /// a deadline, a step whose deadline has already passed is rejected
+    /// before it reserves budget, and one that expires while queued
+    /// behind a stalled fused pass is answered
+    /// [`ServeError::DeadlineExceeded`] at dequeue instead of executed
+    /// uselessly late. A deadline never interrupts a pass in flight — KV
+    /// state stays consistent.
     ///
     /// # Errors
     ///
     /// Same as [`step`](Self::step), plus
     /// [`ServeError::DeadlineExceeded`].
-    pub fn step_traced_deadline(
+    pub fn step_with(
         &self,
         session: u64,
         hidden: &Matrix<f32>,
-        ctx: Option<TraceContext>,
-        deadline: Option<Instant>,
+        ctx: RequestCtx,
     ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
         let now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
+        if ctx.deadline.is_some_and(|d| now >= d) {
             return Err(ServeError::DeadlineExceeded);
         }
         if let Some(fault) = panacea_faultline::point("serve.session.step") {
@@ -495,7 +485,7 @@ impl SessionManager {
                 // lock for the pass and updates `last_used`.
                 Some(batcher) => {
                     match batcher
-                        .submit(session, Arc::clone(&slot), hidden.clone(), ctx, deadline)
+                        .submit(session, Arc::clone(&slot), hidden.clone(), ctx)
                         .recv()
                     {
                         Ok(Ok(outcome)) => Ok(outcome),
@@ -999,6 +989,39 @@ mod tests {
             s.decode_batch_occupancy(),
             s.decode_batches
         );
+    }
+
+    #[test]
+    fn unbounded_decode_linger_dispatches_on_budget_without_poisoning_the_queue() {
+        // `Duration::MAX` cannot be added to an `Instant`: it must mean
+        // "wait until full", not a panic under the queue lock.
+        let (model, _) = block_model("unbounded", 82);
+        let model = Arc::new(model);
+        let mgr = Arc::new(SessionManager::new(SessionConfig {
+            max_decode_batch: 2,
+            decode_max_wait: Duration::MAX,
+            ..SessionConfig::default()
+        }));
+        let ids: Vec<u64> = (0..2)
+            .map(|_| mgr.open(Arc::clone(&model)).expect("opened"))
+            .collect();
+        // Two rounds: the second proves the queue survived the first.
+        for round in 0..2 {
+            let steppers: Vec<_> = ids
+                .iter()
+                .map(|&id| {
+                    let mgr = Arc::clone(&mgr);
+                    std::thread::spawn(move || mgr.step(id, &hidden(16, 1, round)))
+                })
+                .collect();
+            for th in steppers {
+                let (_, tokens, _) = th.join().expect("stepper").expect("stepped");
+                assert_eq!(tokens, round + 1);
+            }
+        }
+        let s = mgr.stats();
+        assert_eq!(s.steps, 4);
+        assert_eq!(s.decode_batches, 2, "each round fills one fused pass");
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use panacea_faultline::{Fault, FaultPlan, Scenario};
 use panacea_serve::testutil::{block_model, hidden};
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, Runtime, RuntimeConfig,
-    ServeError, SessionConfig, SessionManager,
+    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, RequestCtx, Runtime,
+    RuntimeConfig, ServeError, SessionConfig, SessionManager,
 };
 use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
@@ -112,11 +112,13 @@ fn past_deadline_is_rejected_at_submission() {
     let runtime = Runtime::start(Arc::clone(&registry), RuntimeConfig::default());
     let model = registry.get("m").expect("registered");
     let expired = Instant::now() - Duration::from_millis(1);
-    match runtime.submit_to_traced_deadline(
+    match runtime.submit_with(
         Arc::clone(&model),
         codes_for(&model, 1, 0),
-        None,
-        Some(expired),
+        RequestCtx {
+            deadline: Some(expired),
+            ..RequestCtx::default()
+        },
     ) {
         Err(ServeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -157,11 +159,13 @@ fn queued_work_expires_while_the_worker_is_stalled() {
         .submit_to(Arc::clone(&a), codes_for(&a, 1, 0))
         .expect("queued");
     let pb = runtime
-        .submit_to_traced_deadline(
+        .submit_with(
             Arc::clone(&b),
             codes_for(&b, 1, 1),
-            None,
-            Some(Instant::now() + Duration::from_millis(100)),
+            RequestCtx {
+                deadline: Some(Instant::now() + Duration::from_millis(100)),
+                ..RequestCtx::default()
+            },
         )
         .expect("queued");
     assert!(pa.wait().is_ok(), "stalled batch still completes");
@@ -295,8 +299,11 @@ fn queued_decode_step_expires_behind_a_stalled_pass() {
     // Let A's pass dispatch (zero linger) and hit the delay, then queue
     // B behind it with a deadline the stall will blow through.
     thread::sleep(Duration::from_millis(50));
-    let deadline = Instant::now() + Duration::from_millis(100);
-    match mgr.step_traced_deadline(b, &hidden(16, 1, 1), None, Some(deadline)) {
+    let ctx = RequestCtx {
+        deadline: Some(Instant::now() + Duration::from_millis(100)),
+        ..RequestCtx::default()
+    };
+    match mgr.step_with(b, &hidden(16, 1, 1), ctx) {
         Err(ServeError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
