@@ -47,6 +47,21 @@ fn main() {
         let sx_sym = SlicedWeight::from_int(&x_sym, 1).expect("7-bit acts");
         let (_, wl_sibia) = sibia_gemm(&sw, &sx_sym, SkipSide::Activation);
 
+        // The closed forms are exact wherever ρ·K is whole (every row but
+        // 0.9): EMA always, multiplications whenever one side is dense
+        // (the patterns overlap, the closed form assumes independence).
+        if [rho_w, rho_x]
+            .iter()
+            .all(|rho| (rho * K as f64).fract() == 0.0)
+        {
+            let k = K as u64;
+            assert_eq!(wl.ema_slices as f64, table1::panacea_ema(k, rho_x, rho_w));
+            assert_eq!(wl_sibia.mul as f64, table1::sibia_mul(k, rho_x, 0.0));
+            if rho_w == 0.0 || rho_x == 0.0 {
+                assert_eq!(wl.mul as f64, table1::panacea_mul(k, rho_x, rho_w));
+            }
+        }
+
         rows.push(vec![
             format!("{rho_w:.1}"),
             format!("{rho_x:.1}"),

@@ -1,4 +1,6 @@
-//! The asymmetrically-quantized bit-slice GEMM (AQS-GEMM), paper §III-B.
+//! The asymmetrically-quantized bit-slice GEMM (AQS-GEMM), paper §III-B —
+//! and the one slice-multiplying tile of this crate: its `KernelPlan`
+//! says which side(s) may skip, so [`sibia`](crate::sibia) runs here too.
 //!
 //! Operands arrive pre-sliced: weights as SBR planes (`Σ_i W_i·8^i`),
 //! activations as straightforward/DBS planes (`Σ_j x_j·c_j`). HO slices
@@ -16,10 +18,10 @@
 //!    the row sums `ΣW`. It sits beside the [`SlicedWeight`] planes and
 //!    copies none of them.
 //! 2. **Streams** (per call, per ≤ 16-column n-tile): the activation
-//!    planes widened to `i16` rows, compressed HO vectors zeroed, and the
-//!    matching bitset of `k` where the tile has any uncompressed vector.
-//!    The HO plane is stored re-centred, `x_HO − r`, which is what lets
-//!    an all-`r` vector be skipped like a zero one: Eq. 5's
+//!    planes (`u8`, or `i8` for Sibia's SBR activations) widened to `i16`
+//!    rows, and the bitset of `k` where the tile has any uncompressed HO
+//!    vector. The HO plane is stored re-centred, `x_HO − r`, which is
+//!    what makes an all-`r` vector a zero one, skipped alike: Eq. 5's
 //!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
 //!    `b' = r·c_HO·ΣW` to repay — Eq. 6's `b'`, with its `Jᵁ` correction
 //!    already folded into the re-centring — and that constant is added
@@ -28,8 +30,9 @@
 //!    inner kernel accumulates *raw slice products* into a 4 × 16 `i16`
 //!    register tile over exactly the `k` that pair executes — all `k` for
 //!    LO×LO, the weight bitset for HO_w×LO_x, the activation bitset for
-//!    LO_w×HO_x, their intersection for HO×HO — then flushes it, scaled
-//!    by `8^i·c_j`, into an `i32` tile. A slice is multiplied once per
+//!    LO_w×HO_x, their intersection for HO×HO (a side the plan does not
+//!    skip has an all-ones bitset) — then flushes it, scaled by
+//!    `8^i·c_j`, into an `i32` tile. A slice is multiplied once per
 //!    executed pair and never per skipped pair; no HO+LO value is ever
 //!    reconstructed. Each output element is written once.
 //! 4. **Statistics in closed form**: [`TileStats`] — what the paper's PE
@@ -40,13 +43,14 @@
 //!
 //! The result is bit-exact against the dense reference for type-1 DBS, and
 //! exact against the DBS-truncated activations for types 2/3. The loop
-//! nest that computes Eq. 6 literally and counts every outer product is
-//! kept as the oracle of `tests/prop_aqs.rs`.
+//! nests that compute Eq. 6 literally and count every outer product live
+//! in `tests/oracle`, the references of `tests/prop_aqs.rs`.
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
+use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
 /// `k` positions one pass of the inner kernel covers: the most whose
@@ -121,21 +125,55 @@ impl TileStats {
 /// See the crate-level example; the central invariant is
 /// `aqs_gemm(W, X, r).0 == W·X` for every `r`.
 pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, Workload) {
-    let index = WeightIndex::build(w);
-    let b_prime = index.compensation(r_eff(x, r));
-    index.gemm(w, x, r, &b_prime)
+    run_sliced(&KernelPlan::for_operands(w, x, r.into(), None), w, x)
 }
 
 /// Scheduling-level statistics only — the closed forms, no GEMM; used by
 /// the simulator and the workload-model tests.
 pub fn aqs_tile_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
-    WeightIndex::build(w).tile_stats(w, x, r)
+    WeightIndex::build(w).tile_stats(&KernelPlan::for_operands(w, x, r.into(), None), x)
 }
 
-/// The value a compressed activation HO slice contributes per position.
-fn r_eff(x: &SlicedActivation, r: u8) -> i32 {
-    i32::from(r) * x.plane_weight(x.num_planes() - 1)
+/// `W·X` under `plan` for operands sliced by the caller: the index is
+/// built for this one call and the row constant is Eq. 6's `b'` alone.
+pub(crate) fn run_sliced<X: Planes>(
+    plan: &KernelPlan,
+    w: &SlicedWeight,
+    x: &X,
+) -> (Matrix<i32>, Workload) {
+    let index = WeightIndex::build(w);
+    let b_prime = plan.row_consts(index.row_sums(), |_, _| 0);
+    index.gemm(plan, w, x, &b_prime.expect("compensation term exceeds i32"))
 }
+
+/// A stack of 4-bit slice planes the tile can read as its activation
+/// operand: [`SlicedActivation`] (`u8`), or [`SlicedWeight`] (`i8`) for
+/// Sibia's symmetric SBR activations.
+pub(crate) trait Planes {
+    type Slice: Copy + Into<i16>;
+    fn num_planes(&self) -> usize;
+    fn plane(&self, j: usize) -> &Matrix<Self::Slice>;
+    fn plane_weight(&self, j: usize) -> i32;
+}
+
+macro_rules! impl_planes {
+    ($stack:ty, $slice:ty) => {
+        impl Planes for $stack {
+            type Slice = $slice;
+            fn num_planes(&self) -> usize {
+                <$stack>::num_planes(self)
+            }
+            fn plane(&self, j: usize) -> &Matrix<$slice> {
+                <$stack>::plane(self, j)
+            }
+            fn plane_weight(&self, j: usize) -> i32 {
+                <$stack>::plane_weight(self, j)
+            }
+        }
+    };
+}
+impl_planes!(SlicedActivation, u8);
+impl_planes!(SlicedWeight, i8);
 
 /// The weight side of the kernel, computed once per [`SlicedWeight`].
 #[derive(Debug, Clone)]
@@ -196,48 +234,42 @@ impl WeightIndex {
         &self.row_sums
     }
 
-    /// Eq. 6's offline term `b'[m] = r_eff·Σ_k W[m][k]`.
-    fn compensation(&self, r_eff: i32) -> Vec<i32> {
-        self.row_sums
-            .iter()
-            .map(|&s| i32::try_from(s * i64::from(r_eff)).expect("compensation term exceeds i32"))
-            .collect()
-    }
-
     /// Runs the kernel: `W·X + row_const` (one constant per output row,
     /// which must already contain `b'`), and the closed-form workload.
     ///
     /// # Panics
     ///
-    /// Panics if `self` was not built from `w`, shapes are incompatible,
-    /// or `N` is not a multiple of the vector length 4.
-    pub(crate) fn gemm(
+    /// Panics if `self` was not built from `w`, the operands are not in
+    /// the plan's formats, shapes are incompatible, or `N` is not a
+    /// multiple of the vector length 4.
+    pub(crate) fn gemm<X: Planes>(
         &self,
+        plan: &KernelPlan,
         w: &SlicedWeight,
-        x: &SlicedActivation,
-        r: u8,
+        x: &X,
         row_const: &[i32],
     ) -> (Matrix<i32>, Workload) {
-        let stats = self.tile_stats(w, x, r);
+        let stats = self.tile_stats(plan, x);
         let (m, n) = (w.plane(0).rows(), x.plane(0).cols());
+        assert_eq!(w.num_planes(), plan.w_planes(), "weight format");
         assert_eq!(row_const.len(), m, "one constant per output row");
         let mut out = Matrix::<i32>::zeros(m, n);
         for c0 in (0..n).step_by(TILE_COLS) {
             match n - c0 {
-                4 => self.gemm_tile::<4>(w, x, r, row_const, c0, &mut out),
-                8 => self.gemm_tile::<8>(w, x, r, row_const, c0, &mut out),
-                _ => self.gemm_tile::<TILE_COLS>(w, x, r, row_const, c0, &mut out),
+                4 => self.gemm_tile::<4, X>(plan, w, x, row_const, c0, &mut out),
+                8 => self.gemm_tile::<8, X>(plan, w, x, row_const, c0, &mut out),
+                _ => self.gemm_tile::<TILE_COLS, X>(plan, w, x, row_const, c0, &mut out),
             }
         }
         (out, stats.workload())
     }
 
     /// Columns `c0 .. c0 + W` (fewer at the right edge) of the output.
-    fn gemm_tile<const W: usize>(
+    fn gemm_tile<const W: usize, X: Planes>(
         &self,
+        plan: &KernelPlan,
         w: &SlicedWeight,
-        x: &SlicedActivation,
-        r: u8,
+        x: &X,
         row_const: &[i32],
         c0: usize,
         out: &mut Matrix<i32>,
@@ -245,16 +277,21 @@ impl WeightIndex {
         let k_dim = self.compressed_per_k.len();
         let k_blocks = k_dim.div_ceil(K_BLOCK);
         let cols = W.min(out.cols() - c0);
-        let tile = ActTile::<W>::prepare(x, r, c0, cols);
+        let tile = ActTile::<W>::prepare(x, plan, c0, cols);
         let (w_ho, x_ho) = (w.num_planes() - 1, x.num_planes() - 1);
         for mg in 0..out.rows() / VECTOR_LEN {
             let mut acc = [[0i32; W]; VECTOR_LEN];
             for kb in 0..k_blocks {
                 let k0 = kb * K_BLOCK;
                 let len = K_BLOCK.min(k_dim - k0);
-                let w_live = self.ho_live[mg * k_blocks + kb];
-                let x_live = tile.ho_live[kb];
                 let all = first_ks(len);
+                // A side the plan does not skip executes every `k`.
+                let w_live = if plan.skips_weight() {
+                    self.ho_live[mg * k_blocks + kb]
+                } else {
+                    all
+                };
+                let x_live = tile.ho_live[kb];
                 let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
                 for i in 0..=w_ho {
                     let w_block: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
@@ -273,7 +310,7 @@ impl WeightIndex {
                         // Plain `+` / `*`: overflow panics under
                         // `debug_assertions`; `QuantizedLinear::prepare`
                         // rejects layers whose sums could reach it.
-                        let scale = w.plane_weight(i) * x.plane_weight(j);
+                        let scale = w.plane_weight(i) * plan.x_scales()[j];
                         for (acc_row, row) in acc.iter_mut().zip(&products) {
                             for (a, &p) in acc_row.iter_mut().zip(row) {
                                 *a += i32::from(p) * scale;
@@ -292,7 +329,7 @@ impl WeightIndex {
     }
 
     /// [`TileStats`] from the two sides' per-`k` compressed counts.
-    pub(crate) fn tile_stats(&self, w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
+    pub(crate) fn tile_stats<X: Planes>(&self, plan: &KernelPlan, x: &X) -> TileStats {
         let k_dim = self.compressed_per_k.len();
         let n = x.plane(0).cols();
         assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
@@ -301,50 +338,52 @@ impl WeightIndex {
             0,
             "N = {n} must be a multiple of {VECTOR_LEN}"
         );
-        let (p_w, p_x) = (w.num_planes() as u64, x.num_planes() as u64);
+        assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
+        let (p_w, p_x) = (plan.w_planes() as u64, x.num_planes() as u64);
         let m_groups = (self.row_sums.len() / VECTOR_LEN) as u64;
         let n_groups = (n / VECTOR_LEN) as u64;
         let w_vectors = m_groups * k_dim as u64;
         let x_vectors = k_dim as u64 * n_groups;
 
         // Σ_k over (wc_k, xc_k): compressed m-groups / n-groups at `k`.
-        let (mut w_comp, mut x_comp, mut both_comp, mut comp_vectors) = (0u64, 0u64, 0u64, 0u64);
-        for (&wc, row) in self
-            .compressed_per_k
-            .iter()
-            .zip(x.ho().as_slice().chunks(n.max(1)))
-        {
-            let wc = u64::from(wc);
+        let (mut w_comp, mut x_comp, mut both_comp) = (0u64, 0u64, 0u64);
+        let r = plan.r();
+        let x_ho = x.plane(x.num_planes() - 1).as_slice().chunks(n.max(1));
+        for (&wc, row) in self.compressed_per_k.iter().zip(x_ho) {
             let xc = row
                 .chunks_exact(VECTOR_LEN)
-                .filter(|v| v.iter().all(|&s| s == r))
+                .filter(|v| v.iter().all(|&s| s.into() == r))
                 .count() as u64;
-            w_comp += wc;
+            w_comp += u64::from(wc);
             x_comp += xc;
-            both_comp += wc * xc;
-            // Weight slice-vectors the compensators add at this `k`: every
-            // loaded one, once per uncompressed activation vector.
-            comp_vectors += (n_groups - xc) * (m_groups * p_w - wc);
+            both_comp += u64::from(wc) * xc;
         }
+        // Weight slice-vectors the compensators add: at each `k` every
+        // loaded one, once per uncompressed activation vector —
+        // `Σ_k (NG − xc_k)(MG·P_w − wc_k)`.
+        let comp_vectors =
+            n_groups * (p_w * w_vectors - w_comp) + both_comp - x_comp * m_groups * p_w;
 
         // A compressed weight vector drops its HO row of plane pairs, a
         // compressed activation vector its HO column; a product touching
-        // both is one pair, counted once. LO×LO is never skipped.
+        // both is one pair, counted once. LO×LO is never skipped, and
+        // neither is a side the plan does not skip.
         let total = p_w * p_x * w_vectors * n_groups;
-        let skipped = w_comp * n_groups * p_x + x_comp * m_groups * p_w - both_comp;
+        let skipped = match (plan.skips_weight(), plan.skips_activation()) {
+            (true, false) => w_comp * n_groups * p_x,
+            (false, _) => x_comp * m_groups * p_w,
+            (true, true) => w_comp * n_groups * p_x + x_comp * m_groups * p_w - both_comp,
+        };
         let swo = (p_w - 1) * (p_x - 1) * w_vectors * n_groups;
-        let compensates = r != 0;
+        // Compensation exists only where something was re-centred.
+        let compensates = u64::from(r != 0);
         TileStats {
             dwo_outer_products: total - skipped - swo,
             swo_outer_products: swo,
             skipped_outer_products: skipped,
-            comp_adds: if compensates { 4 * comp_vectors } else { 0 },
+            comp_adds: compensates * 4 * comp_vectors,
             // One outer product with the all-`r` vector per 4×4 tile.
-            comp_muls: if compensates {
-                16 * m_groups * n_groups
-            } else {
-                0
-            },
+            comp_muls: compensates * 16 * m_groups * n_groups,
             // EMA accounting: LO planes always move; HO planes move only
             // their uncompressed vectors (the dataflow reuse factors are
             // modeled in the simulator).
@@ -360,45 +399,36 @@ impl WeightIndex {
 struct ActTile<const W: usize> {
     /// Per plane, `K` rows of the tile's columns widened to `i16`
     /// (columns past the right edge are zero). The HO plane holds
-    /// `x_HO − r`, and zero across every compressed vector.
+    /// `x_HO − r`, which is zero across every compressed vector.
     planes: Vec<Vec<[i16; W]>>,
     /// Per `k` block: bit `o` is set iff some HO vector of the tile at
-    /// `k = block·K_BLOCK + o` is uncompressed.
+    /// `k = block·K_BLOCK + o` is uncompressed — or the plan does not
+    /// skip on activations at all.
     ho_live: Vec<KMask>,
 }
 
 impl<const W: usize> ActTile<W> {
-    fn prepare(x: &SlicedActivation, r: u8, c0: usize, cols: usize) -> Self {
+    fn prepare<X: Planes>(x: &X, plan: &KernelPlan, c0: usize, cols: usize) -> Self {
         let k_dim = x.plane(0).rows();
         let x_ho = x.num_planes() - 1;
-        let mut ho_live = vec![KMask::default(); k_dim.div_ceil(K_BLOCK)];
-        let planes = (0..=x_ho)
+        let planes: Vec<Vec<[i16; W]>> = (0..=x_ho)
             .map(|j| {
-                let plane = x.plane(j);
-                (0..k_dim)
-                    .map(|k| {
-                        let src = &plane.row(k)[c0..c0 + cols];
-                        let mut row = [0i16; W];
-                        if j < x_ho {
-                            for (d, &s) in row.iter_mut().zip(src) {
-                                *d = i16::from(s);
-                            }
-                            return row;
-                        }
-                        let groups = row.chunks_exact_mut(VECTOR_LEN);
-                        for (d, s) in groups.zip(src.chunks_exact(VECTOR_LEN)) {
-                            if s.iter().any(|&v| v != r) {
-                                ho_live[k / K_BLOCK][k % K_BLOCK / 64] |= 1 << (k % 64);
-                                for (d, &v) in d.iter_mut().zip(s) {
-                                    *d = i16::from(v) - i16::from(r);
-                                }
-                            }
-                        }
-                        row
-                    })
-                    .collect()
+                let r = if j == x_ho { plan.r() } else { 0 };
+                let widen = |k| {
+                    let mut row = [0i16; W];
+                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[c0..c0 + cols]) {
+                        *d = s.into() - r;
+                    }
+                    row
+                };
+                (0..k_dim).map(widen).collect()
             })
             .collect();
+        let mut ho_live = vec![KMask::default(); k_dim.div_ceil(K_BLOCK)];
+        for (k, row) in planes[x_ho].iter().enumerate() {
+            let live = !plan.skips_activation() || row.iter().any(|&s| s != 0);
+            ho_live[k / K_BLOCK][k % K_BLOCK / 64] |= u64::from(live) << (k % 64);
+        }
         ActTile { planes, ho_live }
     }
 }

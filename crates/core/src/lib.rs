@@ -2,11 +2,19 @@
 //! together with the baseline GEMMs it is evaluated against and the
 //! Table-I workload model.
 //!
+//! There is **one tile** that multiplies slices (`aqs::slice_products`)
+//! and **three skip policies** for it: both operands' compressed HO
+//! vectors (AQS-GEMM), or the weights' or the activations' alone (the two
+//! Sibia configurations). Statistics come in closed form from the two
+//! sides' compressed counts; the loop nests that count per outer product
+//! live in `tests/oracle` as the references of the differential tests.
+//!
 //! * [`dense`] — plain integer GEMM with workload accounting (what the
 //!   SA-WS / SA-OS / SIMD baselines execute);
 //! * [`sibia`] — the Sibia bit-slice GEMM: SBR slicing for both operands,
 //!   skipping of all-zero HO slice-vectors of *one* operand (the paper's
-//!   `max(ρ_w, ρ_x)` limitation);
+//!   `max(ρ_w, ρ_x)` limitation) — the tile with `r = 0`, no compensation
+//!   and the other side's mask all-ones;
 //! * [`aqs`] — the **asymmetrically-quantized bit-slice GEMM**: SBR
 //!   weights × straightforward-sliced unsigned activations, compression of
 //!   all-zero weight HO vectors *and* all-`r` activation HO vectors, MAC
@@ -16,7 +24,11 @@
 //!   expressions they are validated against;
 //! * [`pipeline`] — a prepared quantized linear layer (weights sliced,
 //!   zero-point folded into the bias, optional requantization) tying the
-//!   whole inference flow together.
+//!   whole inference flow together. Its kernel plan — plane counts,
+//!   activation plane weights, `r`, skip policy and the proof that no
+//!   `i32` accumulator can wrap — is derived from `(w_bits, activation
+//!   calibration, K)` at `prepare`, which is where unsupported formats
+//!   are refused.
 //!
 //! # Examples
 //!
@@ -39,6 +51,7 @@
 pub mod aqs;
 pub mod dense;
 pub mod pipeline;
+mod plan;
 pub mod sibia;
 pub mod workload;
 

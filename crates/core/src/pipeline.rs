@@ -9,12 +9,14 @@
 //! skipped, compensated, and bit-exact — over the weight index `prepare`
 //! built, so a call pays for nothing that depends on the weights alone.
 
-use panacea_bitslice::{activation_plane_weight, SliceError, SlicedActivation, SlicedWeight};
+use panacea_bitslice::{SliceError, SlicedActivation, SlicedWeight};
 use panacea_quant::requant::Requantizer;
 use panacea_quant::{LayerQuantConfig, QuantError, Quantizer, SymmetricQuantizer};
 use panacea_tensor::Matrix;
 
 use crate::aqs::WeightIndex;
+pub use crate::plan::accumulator_bound;
+use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
 /// Errors from layer preparation.
@@ -30,6 +32,14 @@ pub enum PipelineError {
         expected: usize,
         /// Provided entries.
         actual: usize,
+    },
+    /// The kernel has no plan for this format: weights must be `3n + 4`
+    /// bits wide (`n ≤ 4`), activation codes 8, 12 or 16.
+    UnsupportedFormat {
+        /// The requested weight bit-width.
+        w_bits: u8,
+        /// The calibrated activation bit-width.
+        act_bits: u8,
     },
     /// Some admissible input could drive an `i32` accumulator of this
     /// layer out of range.
@@ -47,6 +57,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Quant(e) => write!(f, "quantization failed: {e}"),
             PipelineError::BiasMismatch { expected, actual } => {
                 write!(f, "bias has {actual} entries, weight has {expected} rows")
+            }
+            PipelineError::UnsupportedFormat { w_bits, act_bits } => {
+                write!(f, "no kernel plan for w{w_bits} × a{act_bits}")
             }
             PipelineError::AccumulatorOverflow { bound } => {
                 write!(f, "accumulators can reach ±{bound}, beyond i32")
@@ -69,23 +82,13 @@ impl From<QuantError> for PipelineError {
     }
 }
 
-/// The largest magnitude the GEMM part of an accumulator can reach — at
-/// the end or at any point on the way — for inner dimension `k_dim`,
-/// `w_bits`-bit SBR weights and `act_bits`-bit activation codes:
-/// `K · Σ_i 8^{i+1} · (2^act_bits − 1)`. The weight factor is the sum of
-/// the planes' own worst cases (`|slice| ≤ 8`), slightly above
-/// `max|w| = 2^{w_bits−1}`, because the kernel sums plane by plane.
-pub fn accumulator_bound(k_dim: usize, w_bits: u8, act_bits: u8) -> i64 {
-    let w_planes = u32::from((w_bits - 4) / 3) + 1;
-    let w_abs: i64 = (1..=w_planes).map(|i| 8i64.pow(i)).sum();
-    k_dim as i64 * w_abs * ((1i64 << act_bits) - 1)
-}
-
 /// A prepared quantized linear layer (weights resident, bias folded).
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
     sliced_weight: SlicedWeight,
     index: WeightIndex,
+    /// Formats, `r` and the accumulator proof, derived from `act`.
+    plan: KernelPlan,
     w_scale: f32,
     act: LayerQuantConfig,
     /// `b̂ + b'`: the bias with `−zp·(W·1)` folded in (Eq. 3) plus the
@@ -102,7 +105,7 @@ impl QuantizedLinear {
     /// # Errors
     ///
     /// Returns [`PipelineError`] if the bias length mismatches, the
-    /// weights cannot be quantized/sliced at `w_bits`, or the layer's
+    /// kernel has no plan for `w_bits` × `act`'s format, or the layer's
     /// worst-case accumulator ([`accumulator_bound`] plus the largest
     /// folded bias) does not fit `i32`.
     ///
@@ -135,8 +138,9 @@ impl QuantizedLinear {
                 actual: bias.len(),
             });
         }
+        let plan = KernelPlan::for_layer(w_bits, &act, w_f.cols())?;
         let wq = SymmetricQuantizer::calibrate(w_f.as_slice(), w_bits);
-        let n_lo = usize::from((w_bits - 4) / 3);
+        let n_lo = plan.w_planes() - 1;
         let sliced_weight = SlicedWeight::from_rows(w_f.rows(), w_f.cols(), n_lo, |r, row| {
             for (q, &v) in row.iter_mut().zip(w_f.row(r)) {
                 *q = wq.quantize(v);
@@ -144,43 +148,17 @@ impl QuantizedLinear {
         })?;
         let index = WeightIndex::build(&sliced_weight);
         let acc_scale = f64::from(wq.params().scale) * f64::from(act.quantizer.params().scale);
-        let act_params = act.quantizer.params();
-        let act_lo_slices = usize::from(act_params.bits / 4 - 1);
-        let r_eff = i64::from(act.frequent_ho_slice)
-            * i64::from(activation_plane_weight(
-                act_lo_slices,
-                act.dbs_type,
-                act_lo_slices,
-            ));
-        let zp = i64::from(act_params.zero_point);
-        let row_const: Vec<i64> = index
-            .row_sums()
-            .iter()
-            .zip(bias)
-            .map(|(&row_sum, &b)| {
-                let b_int = (f64::from(b) / acc_scale).round() as i64;
-                b_int + (r_eff - zp) * row_sum
-            })
-            .collect();
-        let bound = accumulator_bound(w_f.cols(), w_bits, act_params.bits).saturating_add(
-            row_const
-                .iter()
-                .map(|c| c.saturating_abs())
-                .max()
-                .unwrap_or(0),
-        );
-        if bound > i64::from(i32::MAX) {
-            return Err(PipelineError::AccumulatorOverflow { bound });
-        }
+        let zp = i64::from(act.quantizer.params().zero_point);
+        let row_const = plan.row_consts(index.row_sums(), |m, row_sum| {
+            (f64::from(bias[m]) / acc_scale).round() as i64 - zp * row_sum
+        })?;
         Ok(QuantizedLinear {
             sliced_weight,
             index,
+            plan,
             w_scale: wq.params().scale,
             act,
-            row_const: row_const
-                .into_iter()
-                .map(|c| i32::try_from(c).expect("within the bound just checked"))
-                .collect(),
+            row_const,
             requant: None,
         })
     }
@@ -217,15 +195,11 @@ impl QuantizedLinear {
     /// Panics if shapes are incompatible or codes exceed the activation
     /// format.
     pub fn forward(&self, x_codes: &Matrix<i32>) -> (Matrix<i32>, Workload) {
-        let k = self.act.quantizer.params().bits / 4 - 1;
-        let sx = SlicedActivation::from_uint(x_codes, usize::from(k), self.act.dbs_type)
+        let x_lo = self.plan.x_scales().len() - 1;
+        let sx = SlicedActivation::from_uint(x_codes, x_lo, self.act.dbs_type)
             .expect("input codes exceed the calibrated activation format");
-        self.index.gemm(
-            &self.sliced_weight,
-            &sx,
-            self.act.frequent_ho_slice,
-            &self.row_const,
-        )
+        self.index
+            .gemm(&self.plan, &self.sliced_weight, &sx, &self.row_const)
     }
 
     /// Quantizes a float input, runs the layer, and dequantizes the
@@ -487,6 +461,45 @@ mod tests {
         // A bias alone is rejected too, once it is large enough.
         let err = QuantizedLinear::prepare(&w, &[1e9; 8], 7, calib(&x, true)).unwrap_err();
         assert!(matches!(err, PipelineError::AccumulatorOverflow { .. }));
+    }
+
+    #[test]
+    fn formats_without_a_kernel_plan_are_rejected_by_prepare() {
+        // Before the plan, w3 panicked in debug ("subtract with overflow")
+        // and read "unsupported slice count 85" in release, w5 silently
+        // became w4's plane count, and a6 prepared and then panicked in
+        // every `forward`.
+        let (w, x, bias) = setup(70);
+        let act = |bits| {
+            let mut cal = ActivationCalibrator::new(bits);
+            cal.observe(&x);
+            cal.finalize()
+        };
+        for (w_bits, act_bits) in [(3u8, 8u8), (5, 8), (7, 6), (19, 8), (7, 10)] {
+            let err = QuantizedLinear::prepare(&w, &bias, w_bits, act(act_bits)).unwrap_err();
+            assert!(
+                matches!(err, PipelineError::UnsupportedFormat { w_bits: wb, act_bits: ab }
+                    if (wb, ab) == (w_bits, act_bits)),
+                "w{w_bits} a{act_bits}: {err}"
+            );
+        }
+        // DBS types 2/3 re-weight the planes of 8-bit codes only.
+        let wide_dbs = LayerQuantConfig {
+            dbs_type: panacea_quant::dbs::DbsType::Type2,
+            ..act(12)
+        };
+        let err = QuantizedLinear::prepare(&w, &bias, 7, wide_dbs).unwrap_err();
+        assert!(matches!(
+            err,
+            PipelineError::Slice(SliceError::DbsUnsupported { k: 2 })
+        ));
+        // Every supported pair whose accumulators fit prepares and runs.
+        for w_bits in [4u8, 7, 10, 13, 16] {
+            let cfg = act(8);
+            let layer = QuantizedLinear::prepare(&w, &bias, w_bits, cfg).expect("supported");
+            let (out, _) = layer.forward(&cfg.quantizer.quantize_matrix(&x));
+            assert_eq!(out.shape(), (16, 16));
+        }
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //! products skipped; the other operand's HO sparsity is left on the table.
 //! That single-sided limitation is exactly what AQS-GEMM lifts, and it is
 //! where Table I's `max(ρ_w, ρ_x)` factor comes from.
+//!
+//! It is the same machine, so it is the same code: one tile
+//! ([`aqs`](crate::aqs)), three skip policies — both sides for AQS-GEMM,
+//! either single side here, with `r = 0`, no compensation and the other
+//! side's mask all-ones — and statistics in closed form. The loop nest
+//! that tests a flag and counts per outer product lives in
+//! `tests/oracle` as the reference of the differential tests.
 
-use panacea_bitslice::{SlicedWeight, VECTOR_LEN};
+use panacea_bitslice::SlicedWeight;
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
+use crate::aqs::{run_sliced, WeightIndex};
+use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
 /// Which operand's zero HO vectors Sibia compresses and skips.
@@ -21,28 +30,6 @@ pub enum SkipSide {
     Weight,
     /// Skip zero activation HO vectors (1×4 along N).
     Activation,
-}
-
-#[inline]
-fn col_vec(plane: &Matrix<i8>, mg: usize, k: usize) -> [i8; VECTOR_LEN] {
-    let b = mg * VECTOR_LEN;
-    [
-        plane[(b, k)],
-        plane[(b + 1, k)],
-        plane[(b + 2, k)],
-        plane[(b + 3, k)],
-    ]
-}
-
-#[inline]
-fn row_vec(plane: &Matrix<i8>, k: usize, ng: usize) -> [i8; VECTOR_LEN] {
-    let b = ng * VECTOR_LEN;
-    [
-        plane[(k, b)],
-        plane[(k, b + 1)],
-        plane[(k, b + 2)],
-        plane[(k, b + 3)],
-    ]
 }
 
 /// Computes `W · X` with Sibia's single-sided zero-vector skipping; both
@@ -72,98 +59,22 @@ fn row_vec(plane: &Matrix<i8>, k: usize, ng: usize) -> [i8; VECTOR_LEN] {
 /// assert_eq!(out, w.gemm(&x).unwrap());
 /// ```
 pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix<i32>, Workload) {
-    let m = w.plane(0).rows();
-    let k_dim = w.plane(0).cols();
-    let n = x.plane(0).cols();
-    assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
-    assert_eq!(
-        m % VECTOR_LEN,
-        0,
-        "M = {m} must be a multiple of {VECTOR_LEN}"
-    );
-    assert_eq!(
-        n % VECTOR_LEN,
-        0,
-        "N = {n} must be a multiple of {VECTOR_LEN}"
-    );
-    let w_ho = w.num_planes() - 1;
-    let x_ho = x.num_planes() - 1;
-    let m_groups = m / VECTOR_LEN;
-    let n_groups = n / VECTOR_LEN;
-
-    let w_comp: Vec<Vec<bool>> = (0..m_groups)
-        .map(|mg| {
-            (0..k_dim)
-                .map(|k| col_vec(w.plane(w_ho), mg, k).iter().all(|&s| s == 0))
-                .collect()
-        })
-        .collect();
-    let x_comp: Vec<Vec<bool>> = (0..k_dim)
-        .map(|k| {
-            (0..n_groups)
-                .map(|ng| row_vec(x.plane(x_ho), k, ng).iter().all(|&s| s == 0))
-                .collect()
-        })
-        .collect();
-
-    let mut out = Matrix::<i32>::zeros(m, n);
-    let mut executed = 0u64;
-    for i in 0..w.num_planes() {
-        for j in 0..x.num_planes() {
-            let scale = w.plane_weight(i) * x.plane_weight(j);
-            for mg in 0..m_groups {
-                for kk in 0..k_dim {
-                    let wv = col_vec(w.plane(i), mg, kk);
-                    for ng in 0..n_groups {
-                        let skip = match side {
-                            SkipSide::Weight => i == w_ho && w_comp[mg][kk],
-                            SkipSide::Activation => j == x_ho && x_comp[kk][ng],
-                        };
-                        if skip {
-                            continue;
-                        }
-                        executed += 1;
-                        let xv = row_vec(x.plane(j), kk, ng);
-                        for mm in 0..VECTOR_LEN {
-                            let wval = i32::from(wv[mm]) * scale;
-                            if wval == 0 {
-                                continue;
-                            }
-                            for nn in 0..VECTOR_LEN {
-                                out[(mg * VECTOR_LEN + mm, ng * VECTOR_LEN + nn)] +=
-                                    wval * i32::from(xv[nn]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let bits_w = u64::from(w.bits());
-    let bits_x = u64::from(x.bits());
-    let ema = ((m * k_dim) as u64 * bits_w + (k_dim * n) as u64 * bits_x).div_ceil(4);
-    (
-        out,
-        Workload {
-            mul: executed * 16,
-            add: executed * 16,
-            ema_slices: ema,
-            comp_mul: 0,
-            comp_add: 0,
-        },
-    )
+    let (out, executed) = run_sliced(&KernelPlan::for_operands(w, x, 0, Some(side)), w, x);
+    let packed_bits = w.plane(0).len() as u64 * u64::from(w.bits())
+        + x.plane(0).len() as u64 * u64::from(x.bits());
+    let workload = Workload {
+        ema_slices: packed_bits.div_ceil(4),
+        ..executed
+    };
+    (out, workload)
 }
 
 /// Measures the HO vector sparsities and picks the better [`SkipSide`],
 /// as Sibia's scheduler would.
 pub fn choose_skip_side(w: &SlicedWeight, x: &SlicedWeight) -> SkipSide {
-    let w_ho = w.plane(w.num_planes() - 1);
-    let x_ho = x.plane(x.num_planes() - 1);
-    let rho_w = panacea_bitslice::sparsity::weight_vector_sparsity(w_ho);
-    // Activation vectors run along N; reuse the weight metric on the
-    // transposed plane.
-    let rho_x = panacea_bitslice::sparsity::weight_vector_sparsity(&x_ho.transposed());
-    if rho_w >= rho_x {
+    let plan = KernelPlan::for_operands(w, x, 0, None);
+    let stats = WeightIndex::build(w).tile_stats(&plan, x);
+    if stats.rho_w >= stats.rho_x {
         SkipSide::Weight
     } else {
         SkipSide::Activation

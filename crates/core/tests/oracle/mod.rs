@@ -4,7 +4,10 @@
 //! Eq. 6 compensation literally — compensators accumulate the loaded
 //! weight slices over the *uncompressed* activation positions, one outer
 //! product with the all-`r` vector recreates `r·(ΣW)·Jᵁ`, and
-//! `b' = r·(ΣW)·1` completes `r·(ΣW)·Jᶜ = b' − r·(ΣW)·Jᵁ`.
+//! `b' = r·(ΣW)·1` completes `r·(ΣW)·Jᶜ = b' − r·(ΣW)·Jᵁ`. The seed's
+//! Sibia nest is [`sibia`].
+
+pub mod sibia;
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_core::aqs::TileStats;

@@ -1,7 +1,8 @@
 //! Property-based tests of the AQS-GEMM invariants: bit-exactness for
 //! arbitrary operands, sparsity patterns, `r` values and plane counts,
-//! and the kernel ≡ the seed's loop nest ([`oracle`]) on outputs and on
-//! every [`TileStats`](panacea_core::TileStats) field.
+//! and the kernel ≡ the seed's loop nests ([`oracle`]) on outputs and on
+//! every [`TileStats`](panacea_core::TileStats) field — under the AQS plan
+//! and under both Sibia plans of the same tile.
 
 mod oracle;
 
@@ -155,6 +156,35 @@ struct Case {
     r: u8,
 }
 
+/// A `(3·lo_slices + 4)`-bit signed matrix whose 4×1 HO vectors (along
+/// the rows) are compressed as `fill` says.
+fn sbr_matrix(
+    rows: usize,
+    cols: usize,
+    lo_slices: usize,
+    fill: Fill,
+    rng: &mut impl Rng,
+) -> Matrix<i32> {
+    let max = (1i32 << (3 * lo_slices as u32 + 3)) - 1;
+    let mut w = Matrix::<i32>::zeros(rows, cols);
+    for mg in 0..rows / 4 {
+        for kk in 0..cols {
+            let compress = fill.compresses(rng);
+            for mm in 0..4 {
+                // |v| ≤ 7 has an all-zero HO slice under SBR (and is the
+                // only such range when there is a single plane: v = 0).
+                w[(mg * 4 + mm, kk)] = match (compress, lo_slices) {
+                    (true, 0) => 0,
+                    (true, _) => rng.gen_range(-7i32..=7),
+                    (false, _) if mm == 0 && fill == Fill::None => max,
+                    (false, _) => rng.gen_range(-max - 1..=max),
+                };
+            }
+        }
+    }
+    w
+}
+
 #[allow(clippy::too_many_arguments)] // one argument per axis of the sweep
 fn case(
     (m, k, n): (usize, usize, usize),
@@ -167,24 +197,7 @@ fn case(
     seed: u64,
 ) -> Case {
     let mut rng = panacea_tensor::seeded_rng(seed);
-    let w_bits = 3 * w_lo_slices as u32 + 4;
-    let w_max = (1i32 << (w_bits - 1)) - 1;
-    let mut w = Matrix::<i32>::zeros(m, k);
-    for mg in 0..m / 4 {
-        for kk in 0..k {
-            let compress = w_fill.compresses(&mut rng);
-            for mm in 0..4 {
-                // |v| ≤ 7 has an all-zero HO slice under SBR (and is the
-                // only such range when there is a single plane: v = 0).
-                w[(mg * 4 + mm, kk)] = match (compress, w_lo_slices) {
-                    (true, 0) => 0,
-                    (true, _) => rng.gen_range(-7i32..=7),
-                    (false, _) if mm == 0 && w_fill == Fill::None => w_max,
-                    (false, _) => rng.gen_range(-w_max - 1..=w_max),
-                };
-            }
-        }
-    }
+    let w = sbr_matrix(m, k, w_lo_slices, w_fill, &mut rng);
     // The HO slice is the code shifted right by `ho_shift`.
     let x_bits = 4 * (x_lo_slices as u32 + 1);
     let ho_shift = if x_lo_slices == 1 {
@@ -390,5 +403,86 @@ fn forward_is_unchanged_on_the_pipeline_fixtures() {
                 "seed={seed} zpm={zpm} w{w_bits}"
             );
         }
+    }
+}
+
+/// Sibia plan of the tile ≡ the seed's nest ≡ `Matrix::gemm` on outputs,
+/// and the closed-form [`Workload`](panacea_core::Workload) ≡ the nest's
+/// counted one. The activation is an SBR stack whose 1×4 vectors run
+/// along `N`: a weight-shaped matrix, transposed.
+fn assert_sibia_matches_oracle(
+    (m, k, n): (usize, usize, usize),
+    w_lo: usize,
+    x_lo: usize,
+    w_fill: Fill,
+    x_fill: Fill,
+    seed: u64,
+) {
+    let mut rng = panacea_tensor::seeded_rng(seed);
+    let w = sbr_matrix(m, k, w_lo, w_fill, &mut rng);
+    let x = sbr_matrix(n, k, x_lo, x_fill, &mut rng).transposed();
+    let sw = SlicedWeight::from_int(&w, w_lo).expect("weights in range");
+    let sx = SlicedWeight::from_int(&x, x_lo).expect("activations in range");
+    let dense = w.gemm(&x).expect("shapes");
+    for side in [SkipSide::Weight, SkipSide::Activation] {
+        let what = format!(
+            "{side:?} M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {w_fill:?}/{x_fill:?} seed={seed}"
+        );
+        let (want, counted) = oracle::sibia::sibia_gemm(&sw, &sx, side);
+        assert_eq!(want, dense, "oracle vs dense: {what}");
+        let (got, wl) = sibia_gemm(&sw, &sx, side);
+        assert_eq!(got, want, "outputs: {what}");
+        assert_eq!(wl, counted, "workload: {what}");
+    }
+}
+
+/// Both skip sides × 1–3 weight planes × both sides of the 256-`k` block
+/// edge × every n-tile width; activation planes and sparsities cycle.
+#[test]
+fn sibia_plan_matches_oracle_across_sides_planes_block_edges_and_tiles() {
+    let fills = [
+        (Fill::Share(0.5), Fill::Share(0.6)),
+        (Fill::All, Fill::None),
+        (Fill::None, Fill::All),
+        (Fill::All, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::Share(0.9), Fill::Share(0.2)),
+    ];
+    let mut seed = 0u64;
+    for w_lo in 0..3 {
+        for k in [1, 255, 256, 257, 513] {
+            for n in [4, 8, 12, 16, 20] {
+                seed += 1;
+                let (w_fill, x_fill) = fills[seed as usize % fills.len()];
+                let x_lo = seed as usize % 3;
+                assert_sibia_matches_oracle((8, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// Random shapes, formats and sparsities under both Sibia plans.
+    #[test]
+    fn sibia_plan_matches_oracle_on_random_cases(
+        m_groups in 1usize..=3,
+        k in 1usize..=520,
+        n_groups in 1usize..=9,
+        w_lo in 0usize..3,
+        x_lo in 0usize..3,
+        w_share in 0u32..=10,
+        x_share in 0u32..=10,
+        seed in 0u64..1 << 32,
+    ) {
+        assert_sibia_matches_oracle(
+            (4 * m_groups, k, 4 * n_groups),
+            w_lo,
+            x_lo,
+            Fill::Share(f64::from(w_share) / 10.0),
+            Fill::Share(f64::from(x_share) / 10.0),
+            seed,
+        );
     }
 }

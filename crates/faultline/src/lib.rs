@@ -412,6 +412,8 @@ mod tests {
 
     #[test]
     fn disarmed_sites_fire_nothing() {
+        // Armed plans are process-wide: keep the sibling tests' out.
+        let _no_plan = arm_serial().lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!armed());
         assert_eq!(fire("serve.worker.execute"), None);
         assert_eq!(point("serve.worker.execute"), None);

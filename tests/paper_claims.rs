@@ -1,6 +1,9 @@
 //! Integration tests pinning the paper's qualitative claims — the
 //! "shape" of every major result, as reproduced by this library.
 
+use panacea::bitslice::{SlicedActivation, SlicedWeight};
+use panacea::core::aqs::aqs_gemm;
+use panacea::core::sibia::{choose_skip_side, sibia_gemm};
 use panacea::core::workload::table1;
 use panacea::models::proxy::aggregate_sqnr_db;
 use panacea::models::zoo::Benchmark;
@@ -11,6 +14,8 @@ use panacea::sim::baselines::{SibiaSim, SimdSim};
 use panacea::sim::panacea::PanaceaSim;
 use panacea::sim::workload::LayerWork;
 use panacea::sim::{simulate_model, Accelerator};
+use panacea::tensor::{seeded_rng, Matrix};
+use rand::Rng;
 
 fn quick_opts() -> ProfileOptions {
     ProfileOptions {
@@ -164,4 +169,49 @@ fn four_bit_weights_cut_cost() {
     let w4 = pan.simulate(&mk(1));
     assert!(w4.cycles < w7.cycles);
     assert!(w4.energy.total_pj() < w7.energy.total_pj());
+}
+
+/// Table I at kernel parity — both engines are plans of one tile, so the
+/// counts differ by the algorithm alone: on the same vector-sparse
+/// operands AQS-GEMM executes `(1−ρ_w)(1−ρ_x)` of the HO×HO products where
+/// Sibia, on its better side, executes `1 − max(ρ_w, ρ_x)`. Equal when one
+/// side is dense, strictly fewer when both are sparse.
+#[test]
+fn aqs_never_multiplies_more_than_sibia_on_the_same_operands() {
+    // 4×1 vectors along the rows, compressed with probability `rho`.
+    // Values with one HO pattern in every format involved: 0..=7 has a
+    // zero HO slice as a 7-bit SBR value and as an 8-bit code (r = 0),
+    // 16..=63 a non-zero one in both.
+    let operand = |rows: usize, cols: usize, rho: f64, seed: u64| {
+        let mut rng = seeded_rng(seed);
+        let mut out = Matrix::<i32>::zeros(rows, cols);
+        for g in 0..rows / 4 {
+            for c in 0..cols {
+                let compressed = rng.gen::<f64>() < rho;
+                for i in 0..4 {
+                    out[(g * 4 + i, c)] = match compressed {
+                        true => rng.gen_range(0..=7),
+                        false => rng.gen_range(16..=63),
+                    };
+                }
+            }
+        }
+        out
+    };
+    let cases = [(0.0, 0.0), (0.6, 0.0), (0.0, 0.6), (0.5, 0.5), (0.9, 0.3)];
+    for (i, (rho_w, rho_x)) in cases.into_iter().enumerate() {
+        let w = operand(16, 96, rho_w, 40 + i as u64);
+        let x = operand(16, 96, rho_x, 50 + i as u64).transposed();
+        let sw = SlicedWeight::from_int(&w, 1).expect("7-bit weights");
+        let x_codes = SlicedActivation::from_uint(&x, 1, panacea::quant::DbsType::Type1);
+        let x_sbr = SlicedWeight::from_int(&x, 1).expect("7-bit activations");
+        let (out_aqs, aqs) = aqs_gemm(&sw, &x_codes.expect("8-bit codes"), 0);
+        let (out_sibia, sibia) = sibia_gemm(&sw, &x_sbr, choose_skip_side(&sw, &x_sbr));
+        assert_eq!(out_aqs, out_sibia);
+        if rho_w > 0.0 && rho_x > 0.0 {
+            assert!(aqs.mul < sibia.mul, "ρ_w={rho_w} ρ_x={rho_x}");
+        } else {
+            assert_eq!(aqs.mul, sibia.mul, "ρ_w={rho_w} ρ_x={rho_x}");
+        }
+    }
 }
