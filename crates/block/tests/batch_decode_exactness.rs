@@ -23,23 +23,112 @@ use proptest::prelude::*;
 const D: usize = 16;
 
 fn stack(seed: u64, n_layers: usize) -> Vec<QuantizedBlock> {
+    stack_of(D, 32, seed, n_layers)
+}
+
+fn stack_of(d_model: usize, d_ff: usize, seed: u64, n_layers: usize) -> Vec<QuantizedBlock> {
     let cfg = TransformerConfig {
-        d_model: D,
+        d_model,
         n_heads: 2,
-        d_ff: 32,
+        d_ff,
         n_layers,
     };
     let oracle = zoo_transformer(Benchmark::Gpt2, cfg, seed);
-    let calib = zoo_hidden_states(Benchmark::Gpt2, D, 24, seed + 1);
+    let calib = zoo_hidden_states(Benchmark::Gpt2, d_model, 24, seed + 1);
     BlockBuilder::default()
         .prepare(&oracle, &calib)
         .expect("prepare blocks")
 }
 
 fn tokens(total: usize, salt: usize) -> Matrix<f32> {
-    Matrix::from_fn(D, total, |r, c| {
+    tokens_of(D, total, salt)
+}
+
+fn tokens_of(d_model: usize, total: usize, salt: usize) -> Matrix<f32> {
+    Matrix::from_fn(d_model, total, |r, c| {
         (((r * 31 + c * 7 + salt * 13) % 97) as f32 - 48.0) / 24.0
     })
+}
+
+/// The kernel picks its lane orientation from the width of each n-tile,
+/// so the number of fused sessions decides which inner loop a session's
+/// column runs through: 1–3 sessions pad to one n-group, 5 to two, 9 to
+/// three (all lanes along M), and 17 put the first sixteen in a
+/// lanes-along-N tile and the last in a lanes-along-M one — while every
+/// solo step is one n-group. `d_model` 24 / `d_ff` 40 make every
+/// layer's `M` end inside a 16-row weight panel. Fused ≡ solo ≡ causal
+/// recompute, outputs and caches, bit for bit.
+#[test]
+fn fused_session_counts_on_both_sides_of_the_tile_width_match_solo_and_recompute() {
+    const DM: usize = 24;
+    let blocks = stack_of(DM, 40, 7, 2);
+    for n_sessions in [1usize, 2, 3, 5, 9, 17] {
+        let depths: Vec<usize> = (0..n_sessions).map(|s| (s * 5 + n_sessions) % 7).collect();
+        let streams: Vec<Matrix<f32>> = depths
+            .iter()
+            .enumerate()
+            .map(|(s, &depth)| tokens_of(DM, depth + 2, 300 + 10 * n_sessions + s))
+            .collect();
+        let recompute: Vec<Matrix<f32>> = streams
+            .iter()
+            .map(|stream| {
+                let mut h = stream.clone();
+                for b in &blocks {
+                    h = b.forward_segments_causal(&h, &[h.cols()]).0;
+                }
+                h
+            })
+            .collect();
+
+        // Prefill each session to its depth, then clone the caches so
+        // the solo and the fused candidates start from the same words.
+        let mut solo_kvs: Vec<KvCache> = streams
+            .iter()
+            .zip(&depths)
+            .map(|(stream, &depth)| {
+                let mut kv = KvCache::for_blocks(&blocks);
+                if depth > 0 {
+                    decode_step(&blocks, &stream.submatrix(0, 0, DM, depth), &mut kv);
+                }
+                kv
+            })
+            .collect();
+        let mut fused_kvs = solo_kvs.clone();
+
+        // Two consecutive single-token rounds.
+        for round in 0..2 {
+            let steps: Vec<Matrix<f32>> = streams
+                .iter()
+                .zip(&depths)
+                .map(|(stream, &depth)| stream.submatrix(0, depth + round, DM, 1))
+                .collect();
+            let solo: Vec<Matrix<f32>> = steps
+                .iter()
+                .zip(&mut solo_kvs)
+                .map(|(tok, kv)| decode_step(&blocks, tok, kv).0)
+                .collect();
+            let stacked = Matrix::hstack(&steps.iter().collect::<Vec<_>>()).expect("same rows");
+            let mut kv_refs: Vec<&mut KvCache> = fused_kvs.iter_mut().collect();
+            let (fused, _) =
+                decode_step_batch(&blocks, &stacked, &vec![1; n_sessions], &mut kv_refs);
+            for s in 0..n_sessions {
+                for r in 0..DM {
+                    let got = fused[(r, s)].to_bits();
+                    let what = format!("{n_sessions} sessions, session {s}, round {round}");
+                    assert_eq!(got, solo[s][(r, 0)].to_bits(), "vs solo: {what}");
+                    let want = recompute[s][(r, depths[s] + round)];
+                    assert_eq!(got, want.to_bits(), "vs recompute: {what}");
+                }
+            }
+        }
+        for (s, (fused, solo)) in fused_kvs.iter().zip(&solo_kvs).enumerate() {
+            assert_eq!(fused.tokens(), depths[s] + 2);
+            for b in 0..blocks.len() {
+                assert_eq!(fused.block(b).keys(), solo.block(b).keys());
+                assert_eq!(fused.block(b).values(), solo.block(b).values());
+            }
+        }
+    }
 }
 
 proptest! {

@@ -11,40 +11,69 @@
 //! The kernel does work proportional to the outer products it executes,
 //! in four steps:
 //!
-//! 1. **Index** (`WeightIndex`, built once per weight — resident in a
-//!    [`QuantizedLinear`](crate::pipeline::QuantizedLinear)): per 4-row
-//!    m-group and 256-`k` block a bitset of the `k` whose HO vector is
-//!    *not* compressed, per `k` the number of compressed m-groups, and
-//!    the row sums `ΣW`. It sits beside the [`SlicedWeight`] planes and
-//!    copies none of them.
-//! 2. **Streams** (per call, per ≤ 16-column n-tile): the activation
-//!    planes (`u8`, or `i8` for Sibia's SBR activations) widened to `i16`
-//!    rows, and the bitset of `k` where the tile has any uncompressed HO
-//!    vector. The HO plane is stored re-centred, `x_HO − r`, which is
-//!    what makes an all-`r` vector a zero one, skipped alike: Eq. 5's
+//! 1. **Pack** (`PackedWeight`, built once per weight — the one resident
+//!    weight format of a
+//!    [`QuantizedLinear`](crate::pipeline::QuantizedLinear), which keeps
+//!    no [`SlicedWeight`]): index and slices in one struct. The slices sit
+//!    in the order the tile walks them (Goto & van de Geijn, *Anatomy of
+//!    High-Performance Matrix Multiplication*, ACM TOMS 2008): per
+//!    (16-row panel, 256-`k` block, plane) a run of `[i8; 16]` columns,
+//!    rows past `M` zero — as many bytes as the row-major planes they
+//!    replace, immutable once packed and shared by clones of the layer.
+//!    The index is, per 4-row m-group and `k` block, a bitset of
+//!    the `k` whose HO vector is *not* compressed, per panel the union of
+//!    its m-groups' bitsets, per `k` the number of compressed m-groups,
+//!    and the row sums `ΣW`. The public [`aqs_gemm`] /
+//!    [`sibia_gemm`](crate::sibia::sibia_gemm) take a [`SlicedWeight`]
+//!    and pack it on every call.
+//! 2. **Streams** (per call, per 16-column n-tile, or per n-group of a
+//!    narrower one): the activation planes (`u8`, or `i8` for Sibia's
+//!    SBR activations) widened to `i16` rows, and the bitset of `k` where
+//!    they have any uncompressed HO vector. The HO plane is stored
+//!    re-centred, `x_HO − r`, which is what makes an all-`r` vector a
+//!    zero one, skipped alike: Eq. 5's
 //!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
 //!    `b' = r·c_HO·ΣW` to repay — Eq. 6's `b'`, with its `Jᵁ` correction
 //!    already folded into the re-centring — and that constant is added
 //!    in the single write of each output.
-//! 3. **Tile**: per (n-tile, m-group, `k` block) and per plane pair the
-//!    inner kernel accumulates *raw slice products* into a 4 × 16 `i16`
-//!    register tile over exactly the `k` that pair executes — all `k` for
-//!    LO×LO, the weight bitset for HO_w×LO_x, the activation bitset for
-//!    LO_w×HO_x, their intersection for HO×HO (a side the plan does not
-//!    skip has an all-ones bitset) — then flushes it, scaled by
-//!    `8^i·c_j`, into an `i32` tile. A slice is multiplied once per
-//!    executed pair and never per skipped pair; no HO+LO value is ever
-//!    reconstructed. Each output element is written once.
+//! 3. **Tile**, in one of **two lane orientations** chosen from the
+//!    n-tile's width alone. Per `k` block and plane pair the inner kernel
+//!    accumulates *raw slice products* into a 4 × 16 `i16` register tile
+//!    over exactly the `k` that pair executes, then flushes it, scaled by
+//!    `8^i·c_j`, into an `i32` tile; each output element is written once.
+//!    * A full 16-column tile runs **lanes along N**
+//!      (`products_lanes_n`): four weight rows of one m-group
+//!      (`w[k][4g..4g + 4]` of its panel) × 16 activation columns. The
+//!      `k` are all for LO×LO, the m-group's bitset for HO_w×LO_x, the
+//!      tile's activation bitset for LO_w×HO_x, their intersection for
+//!      HO×HO.
+//!    * A narrower tile — one to three n-groups: every decode step, and
+//!      the right edge of a wide batch — would multiply padding in a
+//!      quarter to three quarters of those lanes, so it runs **lanes
+//!      along M** (`products_lanes_m`): the 16 weight rows of a panel ×
+//!      the four columns of one n-group, with the n-group's own
+//!      activation bitset and the panel's *union* bitset on the weight
+//!      side. A compressed vector inside a live union is stored as zeros,
+//!      so the result is exact; what the union gives up in skipping is
+//!      repaid by full lanes up to three n-groups and no longer at four
+//!      (measured, see CHANGES.md PR 22), which is where the rule sits.
+//!
+//!    A side the plan does not skip has an all-ones bitset. A slice is
+//!    multiplied once per executed pair; no HO+LO value is ever
+//!    reconstructed.
 //! 4. **Statistics in closed form**: [`TileStats`] — what the paper's PE
 //!    array would execute, skip and compensate (Eq. 6 as the hardware
-//!    computes it) — follows from the two sides' per-`k` compressed
-//!    counts alone, so the kernel carries no counters and the simulator,
-//!    the harness and the server all run this one kernel.
+//!    computes it) at its own 4×1 / 1×4 granularity — follows from the
+//!    two sides' per-`k` compressed counts alone and does not depend on
+//!    the orientation, so the kernel carries no counters and the
+//!    simulator, the harness and the server all run this one kernel.
 //!
 //! The result is bit-exact against the dense reference for type-1 DBS, and
 //! exact against the DBS-truncated activations for types 2/3. The loop
 //! nests that compute Eq. 6 literally and count every outer product live
 //! in `tests/oracle`, the references of `tests/prop_aqs.rs`.
+
+use std::sync::Arc;
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
@@ -56,8 +85,15 @@ use crate::workload::Workload;
 /// `k` positions one pass of the inner kernel covers: the most whose
 /// slice products an `i16` holds (asserted below) in whole mask words.
 const K_BLOCK: usize = 256;
-/// Columns of the widest register tile (four activation n-groups).
-const TILE_COLS: usize = 16;
+/// Columns of the widest n-tile (four activation n-groups) and lanes of
+/// the register tile in either orientation.
+const LANES: usize = 16;
+/// Weight rows of one resident panel: the lanes of the M orientation,
+/// four m-groups of the N orientation.
+const PANEL_ROWS: usize = LANES;
+/// 4-row m-groups of one panel.
+const GROUPS: usize = PANEL_ROWS / VECTOR_LEN;
+const _: () = assert!(PANEL_ROWS.is_multiple_of(VECTOR_LEN));
 /// Magnitude bound of an SBR weight slice (`[-8, 7]`).
 const MAX_W_SLICE: usize = 8;
 /// Magnitude bound of an activation slice, raw (`[0, 15]`) or re-centred
@@ -69,6 +105,11 @@ const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
 /// One bit per `k` of a block.
 type KMask = [u64; K_BLOCK / 64];
+/// One `k` of a panel: a weight slice per row.
+type PanelCol = [i8; PANEL_ROWS];
+/// The register tile of raw slice products: 4 weight rows × 16 columns
+/// (lanes along N) or 4 columns × 16 weight rows (lanes along M).
+type ProductTile = [[i16; LANES]; VECTOR_LEN];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -131,19 +172,19 @@ pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, 
 /// Scheduling-level statistics only — the closed forms, no GEMM; used by
 /// the simulator and the workload-model tests.
 pub fn aqs_tile_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
-    WeightIndex::build(w).tile_stats(&KernelPlan::for_operands(w, x, r.into(), None), x)
+    PackedWeight::pack(w).tile_stats(&KernelPlan::for_operands(w, x, r.into(), None), x)
 }
 
-/// `W·X` under `plan` for operands sliced by the caller: the index is
-/// built for this one call and the row constant is Eq. 6's `b'` alone.
+/// `W·X` under `plan` for operands sliced by the caller: the weight is
+/// packed for this one call and the row constant is Eq. 6's `b'` alone.
 pub(crate) fn run_sliced<X: Planes>(
     plan: &KernelPlan,
     w: &SlicedWeight,
     x: &X,
 ) -> (Matrix<i32>, Workload) {
-    let index = WeightIndex::build(w);
-    let b_prime = plan.row_consts(index.row_sums(), |_, _| 0);
-    index.gemm(plan, w, x, &b_prime.expect("compensation term exceeds i32"))
+    let packed = PackedWeight::pack(w);
+    let b_prime = plan.row_consts(packed.row_sums(), |_, _| 0);
+    packed.gemm(plan, x, &b_prime.expect("compensation term exceeds i32"))
 }
 
 /// A stack of 4-bit slice planes the tile can read as its activation
@@ -175,45 +216,89 @@ macro_rules! impl_planes {
 impl_planes!(SlicedActivation, u8);
 impl_planes!(SlicedWeight, i8);
 
-/// The weight side of the kernel, computed once per [`SlicedWeight`].
+/// The weight side of the kernel — slices and index — computed once per
+/// [`SlicedWeight`], which it replaces.
 #[derive(Debug, Clone)]
-pub(crate) struct WeightIndex {
+pub(crate) struct PackedWeight {
+    /// Per (panel, `k` block, plane), in that order: one [`PanelCol`] per
+    /// `k` of the block. Rows past `M` are zero. Immutable once packed,
+    /// so clones of a layer share the one copy.
+    panels: Arc<[PanelCol]>,
+    /// The planes' weights `8^i`, LO first.
+    plane_weights: Vec<i32>,
     /// Per (m-group, `k` block), m-group major: bit `o` is set iff the HO
     /// vector at `k = block·K_BLOCK + o` is uncompressed.
     ho_live: Vec<KMask>,
+    /// Per (panel, `k` block): the union of its m-groups' `ho_live`.
+    panel_live: Vec<KMask>,
     /// Per `k`: how many m-groups have a compressed HO vector there.
     compressed_per_k: Vec<u32>,
     /// Per row: `Σ_k W[m][k]`.
     row_sums: Vec<i64>,
 }
 
-impl WeightIndex {
-    pub(crate) fn build(w: &SlicedWeight) -> Self {
+impl PackedWeight {
+    pub(crate) fn pack(w: &SlicedWeight) -> Self {
         let (m, k_dim) = w.plane(0).shape();
         assert_eq!(
             m % VECTOR_LEN,
             0,
             "M = {m} must be a multiple of {VECTOR_LEN}"
         );
-        let k_blocks = k_dim.div_ceil(K_BLOCK);
-        let ho = w.ho();
+        let (planes, k_blocks) = (w.num_planes(), k_dim.div_ceil(K_BLOCK));
+        let m_panels = m.div_ceil(PANEL_ROWS);
+        // Allocated once at its final size and filled in place, while
+        // this is still the only handle.
+        let zero_cols = std::iter::repeat_n([0i8; PANEL_ROWS], m_panels * k_dim * planes);
+        let mut panels: Arc<[PanelCol]> = zero_cols.collect();
+        let cols = Arc::get_mut(&mut panels).expect("not shared yet");
         let mut ho_live = vec![KMask::default(); m / VECTOR_LEN * k_blocks];
+        let mut panel_live = vec![KMask::default(); m_panels * k_blocks];
         let mut compressed_per_k = vec![0u32; k_dim];
-        for (mg, masks) in ho_live.chunks_exact_mut(k_blocks.max(1)).enumerate() {
-            let [r0, r1, r2, r3]: [&[i8]; VECTOR_LEN] =
-                std::array::from_fn(|mm| ho.row(mg * VECTOR_LEN + mm));
-            let vectors = r0.iter().zip(r1).zip(r2).zip(r3);
-            for (k, ((((a, b), c), d), compressed)) in
-                vectors.zip(&mut compressed_per_k).enumerate()
-            {
-                let live = (a | b | c | d) != 0;
-                masks[k / K_BLOCK][k % K_BLOCK / 64] |= u64::from(live) << (k % 64);
-                *compressed += u32::from(!live);
+        let mut filled = 0;
+        for p in 0..m_panels {
+            // The panel's m-groups; fewer than four at the bottom edge.
+            let m_groups = p * GROUPS..(m / VECTOR_LEN).min((p + 1) * GROUPS);
+            for kb in 0..k_blocks {
+                let k0 = kb * K_BLOCK;
+                let len = K_BLOCK.min(k_dim - k0);
+                for i in 0..planes {
+                    let run = &mut cols[filled..filled + len];
+                    filled += len;
+                    for mg in m_groups.clone() {
+                        // One 4×1 slice-vector per `k`, into m-group
+                        // `mg`'s place in its panel column.
+                        let [r0, r1, r2, r3]: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
+                            &w.plane(i).row(mg * VECTOR_LEN + mm)[k0..k0 + len]
+                        });
+                        let vectors = r0.iter().zip(r1).zip(r2).zip(r3);
+                        for (col, (((&a, &b), &c), &d)) in run.iter_mut().zip(vectors) {
+                            col.as_chunks_mut::<VECTOR_LEN>().0[mg % GROUPS] = [a, b, c, d];
+                        }
+                        if i + 1 < planes {
+                            continue;
+                        }
+                        // On the HO plane a vector is compressed iff it is
+                        // all-zero (a pass of its own: folded into the
+                        // copy it slows every plane's).
+                        let live = &mut ho_live[mg * k_blocks + kb];
+                        let compressed = &mut compressed_per_k[k0..k0 + len];
+                        for (o, (col, compressed)) in run.iter().zip(compressed).enumerate() {
+                            let [a, b, c, d] = col.as_chunks::<VECTOR_LEN>().0[mg % GROUPS];
+                            let is_live = (a | b | c | d) != 0;
+                            live[o / 64] |= u64::from(is_live) << (o % 64);
+                            *compressed += u32::from(!is_live);
+                        }
+                        for (union, word) in panel_live[p * k_blocks + kb].iter_mut().zip(live) {
+                            *union |= *word;
+                        }
+                    }
+                }
             }
         }
         let row_sums = (0..m)
             .map(|row| {
-                (0..w.num_planes())
+                (0..planes)
                     .map(|i| {
                         let plane_sum: i64 =
                             w.plane(i).row(row).iter().map(|&s| i64::from(s)).sum();
@@ -222,8 +307,11 @@ impl WeightIndex {
                     .sum()
             })
             .collect();
-        WeightIndex {
+        PackedWeight {
+            panels,
+            plane_weights: (0..planes).map(|i| w.plane_weight(i)).collect(),
             ho_live,
+            panel_live,
             compressed_per_k,
             row_sums,
         }
@@ -239,93 +327,138 @@ impl WeightIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `self` was not built from `w`, the operands are not in
-    /// the plan's formats, shapes are incompatible, or `N` is not a
-    /// multiple of the vector length 4.
+    /// Panics if the operands are not in the plan's formats, shapes are
+    /// incompatible, or `N` is not a multiple of the vector length 4.
     pub(crate) fn gemm<X: Planes>(
         &self,
         plan: &KernelPlan,
-        w: &SlicedWeight,
         x: &X,
         row_const: &[i32],
     ) -> (Matrix<i32>, Workload) {
         let stats = self.tile_stats(plan, x);
-        let (m, n) = (w.plane(0).rows(), x.plane(0).cols());
-        assert_eq!(w.num_planes(), plan.w_planes(), "weight format");
+        let (m, n) = (self.row_sums.len(), x.plane(0).cols());
+        assert_eq!(self.plane_weights.len(), plan.w_planes(), "weight format");
         assert_eq!(row_const.len(), m, "one constant per output row");
         let mut out = Matrix::<i32>::zeros(m, n);
-        for c0 in (0..n).step_by(TILE_COLS) {
+        for c0 in (0..n).step_by(LANES) {
+            // The one selection rule: a full tile fills the lanes along
+            // N; a narrower one would multiply padding there.
             match n - c0 {
-                4 => self.gemm_tile::<4, X>(plan, w, x, row_const, c0, &mut out),
-                8 => self.gemm_tile::<8, X>(plan, w, x, row_const, c0, &mut out),
-                _ => self.gemm_tile::<TILE_COLS, X>(plan, w, x, row_const, c0, &mut out),
+                LANES.. => self.tile_lanes_n(plan, x, row_const, c0, &mut out),
+                cols => self.tile_lanes_m(plan, x, row_const, c0, cols, &mut out),
             }
         }
         (out, stats.workload())
     }
 
-    /// Columns `c0 .. c0 + W` (fewer at the right edge) of the output.
-    fn gemm_tile<const W: usize, X: Planes>(
+    /// Columns `c0 .. c0 + 16` of the output, lanes along N: per m-group
+    /// a 4-row × 16-column tile under the m-group's own bitset.
+    fn tile_lanes_n<X: Planes>(
         &self,
         plan: &KernelPlan,
-        w: &SlicedWeight,
         x: &X,
         row_const: &[i32],
         c0: usize,
         out: &mut Matrix<i32>,
     ) {
-        let k_dim = self.compressed_per_k.len();
-        let k_blocks = k_dim.div_ceil(K_BLOCK);
-        let cols = W.min(out.cols() - c0);
-        let tile = ActTile::<W>::prepare(x, plan, c0, cols);
-        let (w_ho, x_ho) = (w.num_planes() - 1, x.num_planes() - 1);
+        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
+        let act = ActTile::<LANES>::prepare(x, plan, c0);
         for mg in 0..out.rows() / VECTOR_LEN {
-            let mut acc = [[0i32; W]; VECTOR_LEN];
-            for kb in 0..k_blocks {
-                let k0 = kb * K_BLOCK;
-                let len = K_BLOCK.min(k_dim - k0);
-                let all = first_ks(len);
-                // A side the plan does not skip executes every `k`.
-                let w_live = if plan.skips_weight() {
-                    self.ho_live[mg * k_blocks + kb]
-                } else {
-                    all
-                };
-                let x_live = tile.ho_live[kb];
-                let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
-                for i in 0..=w_ho {
-                    let w_block: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
-                        &w.plane(i).row(mg * VECTOR_LEN + mm)[k0..k0 + len]
-                    });
-                    for j in 0..=x_ho {
-                        // The `k` this plane pair executes.
-                        let ks = match (i == w_ho, j == x_ho) {
-                            (false, false) => &all,
-                            (true, false) => &w_live,
-                            (false, true) => &x_live,
-                            (true, true) => &both_live,
-                        };
-                        let x_block = &tile.planes[j][k0..k0 + len];
-                        let products = slice_products(&w_block, x_block, ks);
-                        // Plain `+` / `*`: overflow panics under
-                        // `debug_assertions`; `QuantizedLinear::prepare`
-                        // rejects layers whose sums could reach it.
-                        let scale = w.plane_weight(i) * plan.x_scales()[j];
-                        for (acc_row, row) in acc.iter_mut().zip(&products) {
-                            for (a, &p) in acc_row.iter_mut().zip(row) {
-                                *a += i32::from(p) * scale;
-                            }
-                        }
-                    }
-                }
-            }
+            let w_live = &self.ho_live[mg * k_blocks..(mg + 1) * k_blocks];
+            let acc = self.accumulate(plan, mg / GROUPS, w_live, &act, |w, x, ks| {
+                products_lanes_n(w, mg % GROUPS, x, ks)
+            });
             for (mm, acc_row) in acc.iter().enumerate() {
                 let row = mg * VECTOR_LEN + mm;
-                for (o, &a) in out.row_mut(row)[c0..c0 + cols].iter_mut().zip(acc_row) {
+                for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
                     *o = a + row_const[row];
                 }
             }
         }
+    }
+
+    /// Columns `c0 .. c0 + cols` of the output (one to three n-groups),
+    /// lanes along M: per panel and n-group a 16-row × 4-column tile
+    /// under the panel's union bitset and the n-group's own.
+    fn tile_lanes_m<X: Planes>(
+        &self,
+        plan: &KernelPlan,
+        x: &X,
+        row_const: &[i32],
+        c0: usize,
+        cols: usize,
+        out: &mut Matrix<i32>,
+    ) {
+        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
+        let n_groups: Vec<ActTile<VECTOR_LEN>> = (c0..c0 + cols)
+            .step_by(VECTOR_LEN)
+            .map(|c| ActTile::prepare(x, plan, c))
+            .collect();
+        for p in 0..out.rows().div_ceil(PANEL_ROWS) {
+            let w_live = &self.panel_live[p * k_blocks..(p + 1) * k_blocks];
+            let row0 = p * PANEL_ROWS;
+            let rows = PANEL_ROWS.min(out.rows() - row0);
+            for (g, act) in n_groups.iter().enumerate() {
+                let acc = self.accumulate(plan, p, w_live, act, products_lanes_m);
+                for (nn, acc_col) in acc.iter().enumerate() {
+                    for (mm, &a) in acc_col[..rows].iter().enumerate() {
+                        out[(row0 + mm, c0 + g * VECTOR_LEN + nn)] = a + row_const[row0 + mm];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one register tile: `products` over
+    /// every `k` block and plane pair of `panel`, each over exactly the
+    /// `k` that pair executes given the weight side's `w_live` (per `k`
+    /// block) and the activation side's `act.ho_live`.
+    fn accumulate<const W: usize>(
+        &self,
+        plan: &KernelPlan,
+        panel: usize,
+        w_live: &[KMask],
+        act: &ActTile<W>,
+        products: impl Fn(&[PanelCol], &[[i16; W]], &KMask) -> ProductTile,
+    ) -> [[i32; LANES]; VECTOR_LEN] {
+        let k_dim = self.compressed_per_k.len();
+        let planes = self.plane_weights.len();
+        let (w_ho, x_ho) = (planes - 1, act.planes.len() - 1);
+        let mut acc = [[0i32; LANES]; VECTOR_LEN];
+        for (kb, (w_live, x_live)) in w_live.iter().zip(&act.ho_live).enumerate() {
+            let k0 = kb * K_BLOCK;
+            let len = K_BLOCK.min(k_dim - k0);
+            let all = first_ks(len);
+            // A side the plan does not skip executes every `k`.
+            let w_live = if plan.skips_weight() { w_live } else { &all };
+            let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
+            let block = (panel * k_dim + k0) * planes;
+            for (i, w_run) in self.panels[block..block + len * planes]
+                .chunks_exact(len)
+                .enumerate()
+            {
+                for j in 0..=x_ho {
+                    // The `k` this plane pair executes.
+                    let ks = match (i == w_ho, j == x_ho) {
+                        (false, false) => &all,
+                        (true, false) => w_live,
+                        (false, true) => x_live,
+                        (true, true) => &both_live,
+                    };
+                    let tile = products(w_run, &act.planes[j][k0..k0 + len], ks);
+                    // Plain `+` / `*`: overflow panics under
+                    // `debug_assertions`; `QuantizedLinear::prepare`
+                    // rejects layers whose sums could reach it.
+                    let scale = self.plane_weights[i] * plan.x_scales()[j];
+                    for (acc_row, row) in acc.iter_mut().zip(&tile) {
+                        for (a, &p) in acc_row.iter_mut().zip(row) {
+                            *a += i32::from(p) * scale;
+                        }
+                    }
+                }
+            }
+        }
+        acc
     }
 
     /// [`TileStats`] from the two sides' per-`k` compressed counts.
@@ -395,11 +528,13 @@ impl WeightIndex {
     }
 }
 
-/// The activation side of one n-tile, prepared once per call.
+/// The activation side of one full n-tile (`W` = 16, lanes along N) or
+/// of one n-group of a narrower one (`W` = 4, lanes along M), prepared
+/// once per call.
 struct ActTile<const W: usize> {
-    /// Per plane, `K` rows of the tile's columns widened to `i16`
-    /// (columns past the right edge are zero). The HO plane holds
-    /// `x_HO − r`, which is zero across every compressed vector.
+    /// Per plane, `K` rows of the tile's `W` columns widened to `i16`.
+    /// The HO plane holds `x_HO − r`, which is zero across every
+    /// compressed vector.
     planes: Vec<Vec<[i16; W]>>,
     /// Per `k` block: bit `o` is set iff some HO vector of the tile at
     /// `k = block·K_BLOCK + o` is uncompressed — or the plan does not
@@ -408,7 +543,7 @@ struct ActTile<const W: usize> {
 }
 
 impl<const W: usize> ActTile<W> {
-    fn prepare<X: Planes>(x: &X, plan: &KernelPlan, c0: usize, cols: usize) -> Self {
+    fn prepare<X: Planes>(x: &X, plan: &KernelPlan, c0: usize) -> Self {
         let k_dim = x.plane(0).rows();
         let x_ho = x.num_planes() - 1;
         let planes: Vec<Vec<[i16; W]>> = (0..=x_ho)
@@ -416,7 +551,7 @@ impl<const W: usize> ActTile<W> {
                 let r = if j == x_ho { plan.r() } else { 0 };
                 let widen = |k| {
                     let mut row = [0i16; W];
-                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[c0..c0 + cols]) {
+                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[c0..c0 + W]) {
                         *d = s.into() - r;
                     }
                     row
@@ -441,28 +576,50 @@ fn first_ks(len: usize) -> KMask {
     })
 }
 
-/// The inner kernel: `Σ_{o ∈ ks} w[·][o] ⊗ x[o]`, a 4 × `W` tile of raw
-/// slice products. At most [`K_BLOCK`] of them, so the `i16` sums cannot
-/// wrap (the `const` assertion above). Kept out of line: on its own the
-/// tile stays in registers for the whole block.
+/// The inner kernel, lanes along N: `Σ_{o ∈ ks} w[o][4g..4g + 4] ⊗ x[o]`,
+/// the 4 rows of m-group `g` of the panel × 16 columns of raw slice
+/// products. At most [`K_BLOCK`] of them, so the `i16` sums cannot wrap
+/// (the `const` assertion above). Kept out of line: on its own the tile
+/// stays in registers for the whole block.
 #[inline(never)]
-fn slice_products<const W: usize>(
-    w: &[&[i8]; VECTOR_LEN],
-    x: &[[i16; W]],
-    ks: &KMask,
-) -> [[i16; W]; VECTOR_LEN] {
-    // Five slices of one length: the bounds check on `x` covers them all.
-    let w = w.map(|row| &row[..x.len()]);
-    let mut tile = [[0i16; W]; VECTOR_LEN];
+fn products_lanes_n(w: &[PanelCol], g: usize, x: &[[i16; LANES]], ks: &KMask) -> ProductTile {
+    // Two slices of one length: the bounds check on `x` covers both.
+    let w = &w[..x.len()];
+    assert!(g < GROUPS, "m-group {g} of a panel");
+    let mut tile = ProductTile::default();
     for (word, &bits) in ks.iter().enumerate() {
         let mut bits = bits;
         while bits != 0 {
             let o = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let x_row = &x[o];
-            for (tile_row, w_row) in tile.iter_mut().zip(&w) {
-                let w_slice = i16::from(w_row[o]);
+            let (w_vectors, _) = w[o].as_chunks::<VECTOR_LEN>();
+            for (tile_row, &w_slice) in tile.iter_mut().zip(&w_vectors[g]) {
+                let w_slice = i16::from(w_slice);
                 for (t, &x_slice) in tile_row.iter_mut().zip(x_row) {
+                    *t += w_slice * x_slice;
+                }
+            }
+        }
+    }
+    tile
+}
+
+/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the 4
+/// columns of one n-group × the 16 rows of the panel, under the same
+/// `i16` bound. Kept out of line for the same reason.
+#[inline(never)]
+fn products_lanes_m(w: &[PanelCol], x: &[[i16; VECTOR_LEN]], ks: &KMask) -> ProductTile {
+    let w = &w[..x.len()];
+    let mut tile = ProductTile::default();
+    for (word, &bits) in ks.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            let o = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let w_col = w[o].map(i16::from);
+            for (tile_col, &x_slice) in tile.iter_mut().zip(&x[o]) {
+                for (t, &w_slice) in tile_col.iter_mut().zip(&w_col) {
                     *t += w_slice * x_slice;
                 }
             }

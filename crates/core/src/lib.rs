@@ -2,7 +2,10 @@
 //! together with the baseline GEMMs it is evaluated against and the
 //! Table-I workload model.
 //!
-//! There is **one tile** that multiplies slices (`aqs::slice_products`)
+//! There is **one tile** that multiplies slices — over one packed
+//! resident weight layout, in two lane orientations chosen from the
+//! n-tile's width (`aqs::products_lanes_n` for a full 16-column tile,
+//! `aqs::products_lanes_m` for a narrower one, i.e. every decode step) —
 //! and **three skip policies** for it: both operands' compressed HO
 //! vectors (AQS-GEMM), or the weights' or the activations' alone (the two
 //! Sibia configurations). Statistics come in closed form from the two
@@ -22,8 +25,9 @@
 //!   bit-exact results while reusing already-loaded weight slices;
 //! * [`workload`] — operation/EMA counters and the closed-form Table-I
 //!   expressions they are validated against;
-//! * [`pipeline`] — a prepared quantized linear layer (weights sliced,
-//!   zero-point folded into the bias, optional requantization) tying the
+//! * [`pipeline`] — a prepared quantized linear layer (weights sliced
+//!   and packed into the tile's resident layout, zero-point folded into
+//!   the bias, optional requantization) tying the
 //!   whole inference flow together. Its kernel plan — plane counts,
 //!   activation plane weights, `r`, skip policy and the proof that no
 //!   `i32` accumulator can wrap — is derived from `(w_bits, activation

@@ -6,15 +6,17 @@
 //! applied), the bias with the `zp·W·1` term folded in offline (Eq. 3),
 //! and optionally a requantizer producing the next layer's input codes
 //! (the PPU loop of Fig. 11). `forward` runs the AQS-GEMM — compressed,
-//! skipped, compensated, and bit-exact — over the weight index `prepare`
-//! built, so a call pays for nothing that depends on the weights alone.
+//! skipped, compensated, and bit-exact — over the packed weight `prepare`
+//! built (slices in the tile's walking order plus their index, the
+//! layer's only copy of the weights), so a call pays for nothing that
+//! depends on the weights alone.
 
 use panacea_bitslice::{SliceError, SlicedActivation, SlicedWeight};
 use panacea_quant::requant::Requantizer;
 use panacea_quant::{LayerQuantConfig, QuantError, Quantizer, SymmetricQuantizer};
 use panacea_tensor::Matrix;
 
-use crate::aqs::WeightIndex;
+use crate::aqs::PackedWeight;
 pub use crate::plan::accumulator_bound;
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
@@ -85,8 +87,8 @@ impl From<QuantError> for PipelineError {
 /// A prepared quantized linear layer (weights resident, bias folded).
 #[derive(Debug, Clone)]
 pub struct QuantizedLinear {
-    sliced_weight: SlicedWeight,
-    index: WeightIndex,
+    /// Slices and index in the kernel's resident layout.
+    weight: PackedWeight,
     /// Formats, `r` and the accumulator proof, derived from `act`.
     plan: KernelPlan,
     w_scale: f32,
@@ -141,20 +143,20 @@ impl QuantizedLinear {
         let plan = KernelPlan::for_layer(w_bits, &act, w_f.cols())?;
         let wq = SymmetricQuantizer::calibrate(w_f.as_slice(), w_bits);
         let n_lo = plan.w_planes() - 1;
-        let sliced_weight = SlicedWeight::from_rows(w_f.rows(), w_f.cols(), n_lo, |r, row| {
+        // The construction-time form; only its packing stays resident.
+        let sliced = SlicedWeight::from_rows(w_f.rows(), w_f.cols(), n_lo, |r, row| {
             for (q, &v) in row.iter_mut().zip(w_f.row(r)) {
                 *q = wq.quantize(v);
             }
         })?;
-        let index = WeightIndex::build(&sliced_weight);
+        let weight = PackedWeight::pack(&sliced);
         let acc_scale = f64::from(wq.params().scale) * f64::from(act.quantizer.params().scale);
         let zp = i64::from(act.quantizer.params().zero_point);
-        let row_const = plan.row_consts(index.row_sums(), |m, row_sum| {
+        let row_const = plan.row_consts(weight.row_sums(), |m, row_sum| {
             (f64::from(bias[m]) / acc_scale).round() as i64 - zp * row_sum
         })?;
         Ok(QuantizedLinear {
-            sliced_weight,
-            index,
+            weight,
             plan,
             w_scale: wq.params().scale,
             act,
@@ -198,8 +200,7 @@ impl QuantizedLinear {
         let x_lo = self.plan.x_scales().len() - 1;
         let sx = SlicedActivation::from_uint(x_codes, x_lo, self.act.dbs_type)
             .expect("input codes exceed the calibrated activation format");
-        self.index
-            .gemm(&self.plan, &self.sliced_weight, &sx, &self.row_const)
+        self.weight.gemm(&self.plan, &sx, &self.row_const)
     }
 
     /// Quantizes a float input, runs the layer, and dequantizes the
@@ -530,6 +531,67 @@ mod tests {
             let (alone, _) = layer.forward(&padded);
             let alone = alone.submatrix(0, 0, alone.rows(), alone.cols() - pad);
             assert_eq!(got, &alone);
+        }
+    }
+
+    #[test]
+    fn forward_batch_across_the_lane_orientation_boundary_matches_solo() {
+        // 18 columns pad to 20: inside the batch the first 16 run lanes
+        // along N and the last 4 lanes along M, while every request
+        // alone (padded to 4 or 8) runs lanes along M only. M = 20 is a
+        // full panel plus a partial one, K = 300 two `k` blocks.
+        let mut rng = panacea_tensor::seeded_rng(71);
+        let gauss = |std| DistributionKind::Gaussian { mean: 0.1, std };
+        let w = gauss(0.05).sample_matrix(20, 300, &mut rng);
+        let x = gauss(0.8).sample_matrix(300, 18, &mut rng);
+        let bias: Vec<f32> = (0..20).map(|m| m as f32 * 0.01 - 0.1).collect();
+        let cfg = calib(&x, true);
+        let layer = QuantizedLinear::prepare(&w, &bias, 7, cfg).expect("prepare");
+        let codes = cfg.quantizer.quantize_matrix(&x);
+        let requests = codes.split_cols(&[1, 5, 3, 7, 2]).expect("widths");
+        let refs: Vec<&Matrix<i32>> = requests.iter().collect();
+        let (batched, _) = layer.forward_batch(&refs);
+        assert_eq!(batched.len(), requests.len());
+        for (req, got) in requests.iter().zip(&batched) {
+            let (alone, _) = layer.forward_padded(req);
+            assert_eq!(got, &alone, "width {}", req.cols());
+        }
+        // And both agree with the integer reference of the whole batch.
+        let (whole, _) = layer.forward_padded(&codes);
+        assert_eq!(
+            Matrix::hstack(&batched.iter().collect::<Vec<_>>()).expect("rows"),
+            whole
+        );
+    }
+
+    #[test]
+    fn output_format_the_requantizer_cannot_reach_is_a_quant_error() {
+        // Accumulator scale ≈ (4e6/127)·(4e6/255) against an output scale
+        // of ≈ 4e-9: a rescale ratio far beyond the Q31 mantissa. Before
+        // the check, `forward_codes` overflowed `i64` (debug: panic,
+        // release: wrong codes).
+        let mut rng = panacea_tensor::seeded_rng(72);
+        let gauss = |std| DistributionKind::Gaussian { mean: 0.0, std };
+        let w = gauss(1e6).sample_matrix(8, 16, &mut rng);
+        let x = gauss(1e6).sample_matrix(16, 8, &mut rng);
+        let next = calib(&gauss(1e-6).sample_matrix(8, 8, &mut rng), true);
+        let layer = QuantizedLinear::prepare(&w, &[0.0; 8], 7, calib(&x, true)).expect("prepare");
+        let ratio = layer.accumulator_scale() / f64::from(next.quantizer.params().scale);
+        assert!(ratio >= 2f64.powi(31), "fixture ratio {ratio}");
+        let err = layer.clone().with_output(next).unwrap_err();
+        assert!(
+            matches!(err, PipelineError::Quant(QuantError::InvalidScale(_))),
+            "{err}"
+        );
+        // A reachable format attaches, and its codes are the reference's.
+        let inter = calib(&gauss(1e12).sample_matrix(8, 8, &mut rng), true);
+        let chained = layer.with_output(inter).expect("reachable");
+        let codes = chained.input_config().quantizer.quantize_matrix(&x);
+        let (acc, _) = chained.forward(&codes);
+        let (out, _) = chained.forward_codes(&codes);
+        let rq = Requantizer::new(chained.accumulator_scale(), inter.quantizer).expect("same");
+        for (&o, &a) in out.iter().zip(acc.iter()) {
+            assert!((o - rq.requantize_ref(a)).abs() <= 1);
         }
     }
 

@@ -19,7 +19,7 @@ use panacea_bitslice::SlicedWeight;
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::aqs::{run_sliced, WeightIndex};
+use crate::aqs::{run_sliced, PackedWeight};
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
@@ -73,7 +73,7 @@ pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix
 /// as Sibia's scheduler would.
 pub fn choose_skip_side(w: &SlicedWeight, x: &SlicedWeight) -> SkipSide {
     let plan = KernelPlan::for_operands(w, x, 0, None);
-    let stats = WeightIndex::build(w).tile_stats(&plan, x);
+    let stats = PackedWeight::pack(w).tile_stats(&plan, x);
     if stats.rho_w >= stats.rho_x {
         SkipSide::Weight
     } else {

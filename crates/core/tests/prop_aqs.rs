@@ -312,7 +312,7 @@ proptest! {
     /// Random shapes, formats, `r` and sparsities.
     #[test]
     fn kernel_matches_oracle_on_random_cases(
-        m_groups in 1usize..=3,
+        m_groups in 1usize..=9,
         k in 1usize..=520,
         n_groups in 1usize..=9,
         w_lo in 0usize..3,
@@ -461,13 +461,58 @@ fn sibia_plan_matches_oracle_across_sides_planes_block_edges_and_tiles() {
     }
 }
 
+/// The resident layout's edges crossed with the selection rule's: `M`
+/// below, at and past a 16-row panel (36 = two panels and one m-group) ×
+/// `K` on both sides of one and two 256-`k` blocks × `N` that is one to
+/// three n-groups (lanes along M), a full tile (lanes along N), and a
+/// full tile followed by a narrow right edge (both in one call) × 1–3
+/// weight planes — under the AQS plan and both Sibia plans. Activation
+/// planes, DBS type, `r` and sparsities cycle along the sweep.
+#[test]
+fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
+    let fills = [
+        (Fill::Share(0.5), Fill::Share(0.6)),
+        (Fill::Share(0.9), Fill::Share(0.8)),
+        (Fill::All, Fill::None),
+        (Fill::None, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::All, Fill::All),
+        (Fill::Share(0.2), Fill::Share(0.95)),
+    ];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 5000u64;
+    for m in [4, 8, 12, 16, 20, 36] {
+        for k in [1, 255, 256, 257, 513] {
+            for n in [4, 8, 12, 16, 20, 24] {
+                for w_lo in 0..3 {
+                    seed += 1;
+                    let (w_fill, x_fill) = fills[seed as usize % fills.len()];
+                    let x_lo = seed as usize / 7 % 3;
+                    let ty = if x_lo == 1 {
+                        types[seed as usize % 3]
+                    } else {
+                        DbsType::Type1
+                    };
+                    let r = (seed % 16) as u8;
+                    let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                    assert_matches_oracle(
+                        &c,
+                        &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                    );
+                    assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     /// Random shapes, formats and sparsities under both Sibia plans.
     #[test]
     fn sibia_plan_matches_oracle_on_random_cases(
-        m_groups in 1usize..=3,
+        m_groups in 1usize..=9,
         k in 1usize..=520,
         n_groups in 1usize..=9,
         w_lo in 0usize..3,

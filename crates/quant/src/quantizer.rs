@@ -307,8 +307,11 @@ impl Quantizer for AsymmetricQuantizer {
     }
 
     fn quantize(&self, x: f32) -> i32 {
-        (round_ties_away(x / self.params.scale) + self.params.zero_point)
-            .clamp(0, self.params.qmax())
+        // `⌊x/s⌉` is pinned at `i32::MAX` for a huge `x`; summed in `i32`
+        // it would wrap and clamp to 0 instead of `qmax`.
+        let sum =
+            i64::from(round_ties_away(x / self.params.scale)) + i64::from(self.params.zero_point);
+        sum.clamp(0, i64::from(self.params.qmax())) as i32
     }
 
     fn dequantize(&self, q: i32) -> f32 {
@@ -357,6 +360,17 @@ mod tests {
         let q = AsymmetricQuantizer::calibrate(&[-1.0, 3.0], 8);
         assert_eq!(q.quantize(-1.0), 0);
         assert_eq!(q.quantize(3.0), 255);
+    }
+
+    #[test]
+    fn asymmetric_saturates_far_outside_the_calibrated_range() {
+        // `⌊x/s⌉` pins at `i32::MAX`; adding the zero-point used to wrap
+        // (debug: panic, release: code 0 for the largest inputs).
+        let q = AsymmetricQuantizer::from_params(1e-3, 200, 8).unwrap();
+        for x in [1e30f32, f32::MAX, f32::INFINITY, 3e6] {
+            assert_eq!(q.quantize(x), 255, "{x}");
+            assert_eq!(q.quantize(-x), 0, "-{x}");
+        }
     }
 
     #[test]

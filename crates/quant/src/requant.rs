@@ -25,6 +25,10 @@ pub struct Requantizer {
     shift: u32,
 }
 
+/// One past the largest Q31 mantissa: `|acc| ≤ 2³¹` times a mantissa of
+/// at most this, plus the rounding bias, stays inside `i64`.
+const MANTISSA_END: f64 = (1u64 << 31) as f64;
+
 impl Requantizer {
     /// Creates a requantizer given the accumulator scale
     /// (`s_W · s_x`) and the output quantizer.
@@ -32,22 +36,30 @@ impl Requantizer {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidScale`] if `input_scale` is not a
-    /// positive finite number.
+    /// positive finite number, or if the rescale ratio
+    /// `input_scale / output scale` is 2³¹ or more. Such a ratio has no
+    /// Q31 mantissa (`acc · m` would leave `i64`), and no use either: it
+    /// sends every non-zero accumulator past the ends of any code range,
+    /// so it is refused as the mis-calibration it is rather than
+    /// saturated in a wider type on every call.
     pub fn new(input_scale: f64, output: AsymmetricQuantizer) -> Result<Self, QuantError> {
         if !(input_scale.is_finite() && input_scale > 0.0) {
             return Err(QuantError::InvalidScale(format!("{input_scale}")));
         }
         let ratio = input_scale / f64::from(output.params().scale);
-        // Normalize ratio = m · 2^{−shift} with m in [2^30, 2^31).
+        if !(0.0..MANTISSA_END).contains(&ratio) {
+            return Err(QuantError::InvalidScale(format!(
+                "rescale ratio {ratio} = {input_scale} / {} is not below 2^31",
+                output.params().scale
+            )));
+        }
+        // Normalize ratio = m · 2^{−shift} with m in [2^30, 2^31); a
+        // ratio below 2^-32 keeps the largest shift and a short mantissa.
         let mut shift = 0u32;
         let mut r = ratio;
-        while r < (1u64 << 30) as f64 && shift < 62 {
+        while r < MANTISSA_END / 2.0 && shift < 62 {
             r *= 2.0;
             shift += 1;
-        }
-        while r >= (1u64 << 31) as f64 && shift > 0 {
-            r /= 2.0;
-            shift -= 1;
         }
         Ok(Requantizer {
             input_scale,
@@ -141,6 +153,62 @@ mod tests {
         let out = AsymmetricQuantizer::from_params(0.1, 0, 8).unwrap();
         assert!(Requantizer::new(0.0, out).is_err());
         assert!(Requantizer::new(f64::NAN, out).is_err());
+    }
+
+    #[test]
+    fn ratio_without_a_q31_mantissa_is_rejected() {
+        // Was: debug panic "attempt to multiply with overflow"; release
+        // code 0 for acc = 9_300_000 where the reference says 255.
+        let unit = AsymmetricQuantizer::from_params(1.0, 0, 8).unwrap();
+        let err = Requantizer::new(1e12, unit).unwrap_err();
+        assert!(matches!(err, QuantError::InvalidScale(_)), "{err}");
+        assert!(Requantizer::new(2147483648.0, unit).is_err());
+        // An output scale so small that the ratio is not finite.
+        let tiny = AsymmetricQuantizer::from_params(f32::MIN_POSITIVE, 0, 8).unwrap();
+        assert!(Requantizer::new(1e300, tiny).is_err());
+        // The largest admitted ratios saturate exactly like the reference.
+        for scale in [2147483647.0, 2e9, 1073741824.0, 1073741823.5] {
+            let rq = Requantizer::new(scale, unit).expect("below 2^31");
+            for acc in [i32::MIN, -9_300_000, -1, 0, 1, 9_300_000, i32::MAX] {
+                assert_eq!(
+                    rq.requantize(acc),
+                    rq.requantize_ref(acc),
+                    "{scale} × {acc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn any_ratio_either_fails_construction_or_agrees_with_the_reference() {
+        let mut rng = panacea_tensor::seeded_rng(2209);
+        let (mut built, mut refused) = (0, 0);
+        for _ in 0..400 {
+            let input_scale = 10f64.powf(rng.gen_range(-14.0..14.0));
+            let out_scale = 10f32.powf(rng.gen_range(-6.0..3.0));
+            let bits = [8u8, 12, 16][rng.gen_range(0usize..3)];
+            let zp = rng.gen_range(0..1i32 << bits);
+            let out = AsymmetricQuantizer::from_params(out_scale, zp, bits).unwrap();
+            let Ok(rq) = Requantizer::new(input_scale, out) else {
+                assert!(input_scale / f64::from(out_scale) >= 2f64.powi(31));
+                refused += 1;
+                continue;
+            };
+            built += 1;
+            let edges = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+            let random = std::iter::repeat_with(|| rng.gen_range(i32::MIN..i32::MAX)).take(50);
+            for acc in edges.into_iter().chain(random.collect::<Vec<_>>()) {
+                let (a, b) = (rq.requantize(acc), rq.requantize_ref(acc));
+                assert!(
+                    (a - b).abs() <= 1,
+                    "acc={acc} fixed={a} ref={b} ({input_scale}/{out_scale}, a{bits})"
+                );
+            }
+        }
+        assert!(
+            built > 100 && refused > 10,
+            "{built} built, {refused} refused"
+        );
     }
 
     #[test]

@@ -443,16 +443,17 @@ impl Matrix<i32> {
                 right: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::<i32>::zeros(self.rows, rhs.cols);
         for m in 0..self.rows {
-            for k in 0..self.cols {
-                let a = i64::from(self[(m, k)]);
+            let out_row = out.row_mut(m);
+            for (k, &a) in self.row(m).iter().enumerate() {
                 if a == 0 {
                     continue;
                 }
-                for n in 0..rhs.cols {
-                    let acc = i64::from(out[(m, n)]) + a * i64::from(rhs[(k, n)]);
-                    out[(m, n)] = acc as i32;
+                // Wrapping `i32` arithmetic is the `i64` sum truncated:
+                // both are the ring ℤ/2³².
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o = o.wrapping_add(a.wrapping_mul(b));
                 }
             }
         }
@@ -473,15 +474,15 @@ impl Matrix<f32> {
                 right: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = Matrix::<f32>::zeros(self.rows, rhs.cols);
         for m in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(m, k)];
+            let out_row = out.row_mut(m);
+            for (k, &a) in self.row(m).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                for n in 0..rhs.cols {
-                    out[(m, n)] += a * rhs[(k, n)];
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
                 }
             }
         }
@@ -562,6 +563,65 @@ mod tests {
         let id = Matrix::from_fn(4, 4, |r, c| i32::from(r == c));
         assert_eq!(a.gemm(&id).unwrap(), a);
         assert_eq!(id.gemm(&a).unwrap(), a);
+    }
+
+    /// The indexed formulation both GEMMs had before they walked row
+    /// slices: `k` ascending per element, zero left entries skipped, the
+    /// `i32` sum formed in `i64` and truncated.
+    fn gemm_indexed<T: Copy + Default + PartialEq>(
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        fma: impl Fn(T, T, T) -> T,
+    ) -> Matrix<T> {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for m in 0..a.rows() {
+            for k in 0..a.cols() {
+                if a[(m, k)] == T::default() {
+                    continue;
+                }
+                for n in 0..b.cols() {
+                    out[(m, n)] = fma(out[(m, n)], a[(m, k)], b[(k, n)]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gemms_are_bit_identical_to_the_indexed_formulation() {
+        use rand::Rng;
+        let mut rng = crate::seeded_rng(2208);
+        let shapes = [
+            (0, 3, 4),
+            (3, 0, 4),
+            (3, 4, 0),
+            (1, 1, 1),
+            (5, 7, 1),
+            (4, 9, 3),
+            (8, 33, 17),
+            (16, 64, 16),
+        ];
+        for (case, &(m, k, n)) in shapes.iter().cycle().take(4 * shapes.len()).enumerate() {
+            // A third of the left entries are exact zeros (the skip), and
+            // the integers are wide enough for sums to wrap `i32`.
+            let a = Matrix::from_fn(m, k, |_, _| match rng.gen_range(0..3) {
+                0 => 0,
+                _ => rng.gen_range(i32::MIN / 2..i32::MAX / 2),
+            });
+            let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(i32::MIN / 2..i32::MAX / 2));
+            let want = gemm_indexed(&a, &b, |o, a, b| {
+                (i64::from(o) + i64::from(a) * i64::from(b)) as i32
+            });
+            assert_eq!(a.gemm(&b).unwrap(), want, "i32 case {case}: {m}x{k}x{n}");
+
+            let af = a.map(|&v| v as f32 * 1e-7);
+            let bf = Matrix::from_fn(k, n, |_, _| rng.gen_range(-3.0f32..3.0));
+            let want = gemm_indexed(&af, &bf, |o, a, b| o + a * b);
+            let got = af.gemm_f32(&bf).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            let bits = |m: &Matrix<f32>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "f32 case {case}: {m}x{k}x{n}");
+        }
     }
 
     #[test]
