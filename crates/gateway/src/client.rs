@@ -30,7 +30,7 @@ use panacea_serve::Payload;
 use panacea_tensor::Matrix;
 
 use crate::protocol::{
-    decode_response, encode_request, DecodeReply, ErrorKind, EventsReply, GatewayMetrics,
+    decode_response, write_request, DecodeReply, ErrorKind, EventsReply, GatewayMetrics,
     GatewayStats, InferReply, Request, Response, SessionCloseReply, SessionOpenReply, TraceKind,
     TraceReply,
 };
@@ -78,6 +78,10 @@ pub struct GatewayClient {
     addr: SocketAddr,
     config: ClientConfig,
     jitter: u64,
+    /// The request line and the reply line, reused across calls: a
+    /// connection's messages are much the same size.
+    request: String,
+    reply: String,
 }
 
 impl GatewayClient {
@@ -106,6 +110,8 @@ impl GatewayClient {
             addr,
             config,
             jitter: config.seed ^ 0x9e37_79b9_7f4a_7c15,
+            request: String::new(),
+            reply: String::new(),
         })
     }
 
@@ -115,7 +121,7 @@ impl GatewayClient {
     ) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
         stream.set_nodelay(true)?;
         if let Some(deadline) = config.deadline {
-            stream.set_read_timeout(Some(deadline + DEADLINE_SLACK))?;
+            stream.set_read_timeout(Some(deadline.saturating_add(DEADLINE_SLACK)))?;
         }
         let read_half = stream.try_clone()?;
         Ok((BufReader::new(read_half), BufWriter::new(stream)))
@@ -144,18 +150,19 @@ impl GatewayClient {
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, GatewayError> {
-        let line = encode_request(request);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.request.clear();
+        write_request(request, &mut self.request);
+        self.request.push('\n');
+        self.writer.write_all(self.request.as_bytes())?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
+        self.reply.clear();
+        let n = self.reader.read_line(&mut self.reply)?;
         if n == 0 {
             return Err(GatewayError::Protocol(
                 "server closed the connection before answering".to_string(),
             ));
         }
-        decode_response(&reply)
+        decode_response(&self.reply)
     }
 
     /// [`call`](Self::call) for idempotent verbs only: retries up to

@@ -34,8 +34,8 @@
 //!   [`ServeError::Overloaded`] rejections instead of queueing without
 //!   limit.
 //! * [`GatewayServer`] / [`GatewayClient`] speak a line-delimited JSON
-//!   protocol over blocking TCP — std only, with the wire encoding
-//!   provided by the vendored `serde_json`. One typed `infer` verb
+//!   protocol over blocking TCP — std only, written and read by the
+//!   crate's own typed codec (no value tree). One typed `infer` verb
 //!   serves both model kinds (the payload carries its domain), and the
 //!   `session_open` / `decode` / `session_close` verbs drive stateful
 //!   KV-cached decode: a session pins to the shard holding its KV
@@ -50,6 +50,7 @@ pub mod router;
 pub mod server;
 #[doc(hidden)]
 pub mod testutil;
+mod wire;
 
 use std::fmt;
 

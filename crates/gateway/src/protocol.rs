@@ -32,13 +32,34 @@
 //!   never flipped.
 //!
 //! Matrices travel as `{"rows": R, "cols": C, "data": [row-major…]}`.
-//! Integer payloads round-trip bit-exactly (JSON numbers are `f64`,
-//! which represents every `i32`); finite float payloads round-trip
-//! exactly too because the writer emits shortest-round-trip decimal
-//! forms. JSON has no NaN/infinity, so non-finite floats do not survive
-//! the wire — [`GatewayClient`](crate::GatewayClient) rejects them
-//! before sending and the server rejects them on decode.
+//! What the text guarantees:
+//!
+//! * **Codes are integers**, written as digits and read back from them;
+//!   a cell spelled in float form (`5.0`, `1e2`) is accepted when it is
+//!   integral, `1.5` is not.
+//! * **`f32` cells are bit-exact**, written in the shortest decimal
+//!   that parses back to the same `f32` (`-0.0`, subnormals) — half the
+//!   bytes of the `f64` expansion. A decoder must therefore **narrow
+//!   from the text to `f32` directly**: the short form names the `f32`
+//!   only to within half an `f32` ulp, so rounding to `f64` first and
+//!   `f32` second can land on a tie and pick the neighbour. JSON has no
+//!   NaN/infinity: [`GatewayClient`](crate::GatewayClient) refuses them
+//!   before sending, the decoder refuses a literal that overflows `f32`.
+//! * **`u64` fields are exact** up to `u64::MAX`: `session`,
+//!   `deadline_ms`, `seq`, `unix_ms`, the counters never pass through a
+//!   float.
+//! * **Key order is free, unknown keys are skipped, and no object may
+//!   repeat a key** — a duplicate is an error, never a silent winner.
+//! * **Hostile lines fail cleanly**: nesting beyond 128, `rows * cols`
+//!   that overflows or disagrees with the cells present (checked before
+//!   anything is reserved for them), out-of-range cells, trailing
+//!   characters are [`GatewayError::Protocol`] — never a panic, never
+//!   an allocation the line's own length does not bound.
+//!
+//! Each wire struct is described once (`record!`) and written and read
+//! from that description by the typed writer and pull reader in `wire`.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use panacea_netcore::ConnectionStats;
@@ -47,10 +68,10 @@ use panacea_telemetry::{
     CellSummary, Event, EventSeverity, HealthReport, IncidentSnapshot, SloStatus, TargetReport,
 };
 use panacea_tensor::Matrix;
-use serde_json::{json, Value};
 
 use crate::admission::AdmissionStats;
 use crate::cache::CacheStats;
+use crate::wire::{self, bad, field, record, Reader, Record, Res, Wire};
 use crate::GatewayError;
 
 /// A decoded client request.
@@ -148,11 +169,11 @@ impl TraceKind {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, GatewayError> {
+    fn parse(s: &str) -> Option<Self> {
         match s {
-            "slow" => Ok(TraceKind::Slow),
-            "recent" => Ok(TraceKind::Recent),
-            other => Err(bad(format!("unknown trace kind {other:?}"))),
+            "slow" => Some(TraceKind::Slow),
+            "recent" => Some(TraceKind::Recent),
+            _ => None,
         }
     }
 }
@@ -552,213 +573,300 @@ pub enum Response {
     },
 }
 
-fn matrix_f32_to_value(m: &Matrix<f32>) -> Value {
-    json!({
-        "rows": m.rows(),
-        "cols": m.cols(),
-        "data": Value::Array(m.iter().map(|&v| Value::from(v)).collect()),
+/// Enums that travel as their wire spelling.
+macro_rules! spelled {
+    ($($ty:ty: $parse:expr, $what:literal;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                wire::put_str(self.as_str(), out);
+            }
+            fn get(r: &mut Reader<'_>) -> Res<Self> {
+                let s = String::get(r)?;
+                $parse(&s).ok_or_else(|| format!(concat!("unknown ", $what, " {:?}"), s))
+            }
+        }
+    )*};
+}
+
+spelled! {
+    TraceKind: TraceKind::parse, "trace kind";
+    SloStatus: SloStatus::parse, "SLO status";
+    // A category this build does not know is still an error: `internal`.
+    ErrorKind: |s: &str| Some(ErrorKind::from_str(s)), "error kind";
+}
+
+/// Latencies travel as whole microseconds (`latency_us`).
+impl Wire for Duration {
+    fn put(&self, out: &mut String) {
+        (self.as_micros() as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Res<Self> {
+        u64::get(r).map(Duration::from_micros)
+    }
+}
+
+/// Reads the cells of a matrix under its header. The header is
+/// untrusted: `rows * cols` must not overflow, and is held against the
+/// bytes left in the line before anything is reserved — a cell and its
+/// separator take at least two — so neither `rows = cols = 2^32` nor a
+/// 1 × 1 header over a megabyte of cells allocates for cells the
+/// matrix will not hold.
+fn read_cells<T: Wire>(r: &mut Reader<'_>, rows: usize, cols: usize) -> Res<Vec<T>> {
+    const MISMATCH: &str = "matrix data length does not match rows*cols";
+    let len = rows.checked_mul(cols).ok_or("matrix dimensions overflow")?;
+    if len > r.remaining() / 2 {
+        return bad(MISMATCH);
+    }
+    let mut cells = Vec::with_capacity(len);
+    r.array(|r| match cells.len() < len {
+        true => T::get(r).map(|cell| cells.push(cell)),
+        false => bad(MISMATCH),
+    })?;
+    if cells.len() != len {
+        return bad(MISMATCH);
+    }
+    Ok(cells)
+}
+
+impl<T: Wire> Record for Matrix<T> {
+    fn put_fields(&self, out: &mut String) {
+        field(out, "rows", &self.rows());
+        field(out, "cols", &self.cols());
+        wire::put_seq(self.as_slice(), wire::key(out, "data"));
+    }
+
+    /// The header is read ahead, wherever it stands — free when it
+    /// leads, as this crate writes it — so that cells are stored once,
+    /// into a `Vec` a checked header has sized.
+    fn get_fields(r: &mut Reader<'_>) -> Res<Self> {
+        let (rows, cols): (usize, usize) = (r.tag("rows")?, r.tag("cols")?);
+        let mut data = None;
+        r.object(|r, key| match key {
+            "data" => wire::set_to(&mut data, key, read_cells(r, rows, cols)),
+            _ => r.skip(),
+        })?;
+        let cells = wire::need(data, "data")?;
+        Ok(Matrix::from_vec(rows, cols, cells).expect("length checked against rows*cols"))
+    }
+}
+
+impl Wire for Payload {
+    fn put(&self, out: &mut String) {
+        out.push('{');
+        // `PayloadKind` displays as the tag's spelling.
+        write!(wire::key(out, "kind"), "\"{}\"", self.kind()).expect("writing to a String");
+        match self {
+            Payload::Codes(m) => m.put_fields(out),
+            Payload::Hidden(m) => m.put_fields(out),
+        }
+        out.push('}');
+    }
+
+    fn get(r: &mut Reader<'_>) -> Res<Self> {
+        match r.tag::<String>("kind")?.as_str() {
+            "codes" => Matrix::get(r).map(Payload::Codes),
+            "hidden" => Matrix::get(r).map(Payload::Hidden),
+            other => Err(format!("unknown payload kind {other:?}")),
+        }
+    }
+}
+
+record! {
+    InferReply { payload, scale, "latency_us": latency, shard, cache_hit }
+    SessionOpenReply { session, shard }
+    DecodeReply { hidden, tokens, shard, "latency_us": latency }
+    SessionCloseReply { session, tokens }
+    ShardStats {
+        requests, batches, columns, padded_cols, padding_overhead, cancelled,
+        columns_per_second, queued_cols, in_flight_cols, open_sessions, kv_bytes,
+        decode_steps, decode_tokens, decode_batches, decode_batch_occupancy,
+        decode_padded_cols, worker_panics, evicted_poisoned, expired,
+    }
+    CacheStats { hits, misses, evictions, entries }
+    AdmissionStats { admitted, rejected_capacity, rejected_timeout, in_flight }
+    ShedStats { in_flight, queue_wait, kv_budget }
+    ConnectionStats { open, peak, evicted, workers_alive, worker_panics }
+    GatewayStats { uptime_ms, seq, shards, cache, admission, sheds, connections }
+    CellSummary {
+        model, verb, stage, count, sum, p50, p90, p99, max,
+        win_count, win_p50, win_p90, win_p99, win_max, ok, error, shed,
+    }
+    GatewayMetrics { uptime_ms, seq, unix_ms, window_ms, cells }
+    TargetReport { name, status, burn_rate, samples, p99_us, error_rate, shed_rate }
+    HealthReport { status, targets }
+    SpanSummary { id, parent, stage, start_us, dur_us, links }
+    TraceSummary { id, verb, total_us, unix_ms, spans }
+    TraceReply { traces }
+    IncidentSummary { unix_ms, status, events, traces, cells }
+    EventsReply { events, pinned }
+    EventSummary { seq, unix_ms, severity, kind, detail } => known_severity
+}
+
+/// `severity` is a `String` that must spell an [`EventSeverity`].
+fn known_severity(event: &EventSummary) -> Res<()> {
+    match EventSeverity::parse(&event.severity) {
+        Some(_) => Ok(()),
+        None => Err(format!("unknown event severity {:?}", event.severity)),
+    }
+}
+
+impl Request {
+    fn verb(&self) -> &'static str {
+        match self {
+            Request::Infer { .. } | Request::InferF32 { .. } => "infer",
+            Request::SessionOpen { .. } => "session_open",
+            Request::Decode { .. } => "decode",
+            Request::SessionClose { .. } => "session_close",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Trace { .. } => "trace",
+            Request::Health => "health",
+            Request::Events { .. } => "events",
+        }
+    }
+}
+
+/// Appends a request's single-line wire form (no newline) to `line`:
+/// the verb, then each field of the flat shape [`read_request`] reads,
+/// for the verbs that carry it.
+pub(crate) fn write_request(req: &Request, line: &mut String) {
+    use Request::*;
+    line.push('{');
+    wire::put_str(req.verb(), wire::key(line, "verb"));
+    if let Infer { model, .. } | InferF32 { model, .. } | SessionOpen { model } = req {
+        field(line, "model", model);
+    }
+    if let Decode { session, .. } | SessionClose { session } = req {
+        field(line, "session", session);
+    }
+    if let Trace { limit, .. } | Events { limit } = req {
+        field(line, "limit", limit);
+    }
+    match req {
+        Infer { payload, .. } => field(line, "payload", payload),
+        InferF32 { input, .. } => field(line, "input", input),
+        Decode { hidden, .. } => field(line, "hidden", hidden),
+        Trace { kind, .. } => field(line, "kind", kind),
+        _ => {}
+    }
+    // An absent deadline stays off the wire, so pre-deadline peers
+    // parse unchanged.
+    let deadline_ms = match req {
+        Infer { deadline_ms, .. } | InferF32 { deadline_ms, .. } | Decode { deadline_ms, .. } => {
+            *deadline_ms
+        }
+        _ => None,
+    };
+    if let Some(ms) = deadline_ms {
+        field(line, "deadline_ms", &ms);
+    }
+    line.push('}');
+}
+
+fn read_request(r: &mut Reader<'_>) -> Res<Request> {
+    // Every key has one type whatever the verb, so one walk reads them
+    // all and the verb picks afterwards.
+    wire::read_fields!(r; verb, model, payload, input, session, hidden, deadline_ms, limit, kind);
+    let verb: String = wire::need(verb, "verb")?;
+    // `null` means no deadline, same as absence.
+    let deadline_ms: Option<u64> = deadline_ms.flatten();
+    Ok(match verb.as_str() {
+        "infer" => {
+            let model = wire::need(model, "model")?;
+            match (payload, input) {
+                (Some(payload), None) => Request::Infer {
+                    model,
+                    payload,
+                    deadline_ms,
+                },
+                (None, Some(input)) => Request::InferF32 {
+                    model,
+                    input,
+                    deadline_ms,
+                },
+                (Some(_), Some(_)) => return bad("request carries both payload and input"),
+                (None, None) => return bad("request carries neither payload nor input"),
+            }
+        }
+        "session_open" => Request::SessionOpen {
+            model: wire::need(model, "model")?,
+        },
+        "decode" => Request::Decode {
+            session: wire::need(session, "session")?,
+            hidden: wire::need(hidden, "hidden")?,
+            deadline_ms,
+        },
+        "session_close" => Request::SessionClose {
+            session: wire::need(session, "session")?,
+        },
+        "stats" => Request::Stats,
+        "metrics" => Request::Metrics,
+        "trace" => Request::Trace {
+            limit: wire::need(limit, "limit")?,
+            // Absent means slow — the ring the verb originally served.
+            kind: kind.unwrap_or_default(),
+        },
+        "health" => Request::Health,
+        "events" => Request::Events {
+            limit: wire::need(limit, "limit")?,
+        },
+        other => return Err(format!("unknown verb {other:?}")),
     })
 }
 
-fn payload_to_value(p: &Payload) -> Value {
-    match p {
-        Payload::Codes(m) => json!({
-            "kind": "codes",
-            "rows": m.rows(),
-            "cols": m.cols(),
-            "data": Value::Array(m.iter().map(|&v| Value::from(v)).collect()),
-        }),
-        Payload::Hidden(m) => json!({
-            "kind": "hidden",
-            "rows": m.rows(),
-            "cols": m.cols(),
-            "data": Value::Array(m.iter().map(|&v| Value::from(v)).collect()),
-        }),
-    }
-}
-
-fn value_to_payload(v: &Value) -> Result<Payload, GatewayError> {
-    match str_field(v, "kind")? {
-        "codes" => Ok(Payload::Codes(value_to_matrix_i32(v)?)),
-        "hidden" => Ok(Payload::Hidden(value_to_matrix_f32(v)?)),
-        other => Err(bad(format!("unknown payload kind {other:?}"))),
-    }
-}
-
-fn bad(msg: impl Into<String>) -> GatewayError {
-    GatewayError::Protocol(msg.into())
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, GatewayError> {
-    v.get(key)
-        .ok_or_else(|| bad(format!("missing field {key:?}")))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, GatewayError> {
-    field(v, key)?
-        .as_u64()
-        .map(|x| x as usize)
-        .ok_or_else(|| bad(format!("field {key:?} is not a non-negative integer")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, GatewayError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| bad(format!("field {key:?} is not a non-negative integer")))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, GatewayError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| bad(format!("field {key:?} is not a number")))
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, GatewayError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("field {key:?} is not a string")))
-}
-
-/// Guards the untrusted `rows`/`cols` pair: their product must be
-/// computable without overflow *and* match the element count, so a
-/// hostile header like `rows=cols=2^32` fails cleanly here instead of
-/// overflowing inside `Matrix::from_vec`.
-fn check_dims(rows: usize, cols: usize, len: usize) -> Result<(), GatewayError> {
-    match rows.checked_mul(cols) {
-        Some(n) if n == len => Ok(()),
-        Some(_) => Err(bad("matrix data length does not match rows*cols")),
-        None => Err(bad("matrix dimensions overflow")),
-    }
-}
-
-fn value_to_matrix_i32(v: &Value) -> Result<Matrix<i32>, GatewayError> {
-    let rows = usize_field(v, "rows")?;
-    let cols = usize_field(v, "cols")?;
-    let data = field(v, "data")?
-        .as_array()
-        .ok_or_else(|| bad("matrix data is not an array"))?;
-    check_dims(rows, cols, data.len())?;
-    let mut out = Vec::with_capacity(data.len());
-    for item in data {
-        let n = item
-            .as_i64()
-            .ok_or_else(|| bad("matrix element is not an integer"))?;
-        let n = i32::try_from(n).map_err(|_| bad("matrix element exceeds i32 range"))?;
-        out.push(n);
-    }
-    Ok(Matrix::from_vec(rows, cols, out).expect("dims pre-checked against data length"))
-}
-
-fn value_to_matrix_f32(v: &Value) -> Result<Matrix<f32>, GatewayError> {
-    let rows = usize_field(v, "rows")?;
-    let cols = usize_field(v, "cols")?;
-    let data = field(v, "data")?
-        .as_array()
-        .ok_or_else(|| bad("matrix data is not an array"))?;
-    check_dims(rows, cols, data.len())?;
-    let mut out = Vec::with_capacity(data.len());
-    for item in data {
-        let n = item
-            .as_f64()
-            .ok_or_else(|| bad("matrix element is not a number"))?;
-        // JSON has no NaN/infinity, but an overflowing literal like
-        // `1e999` still parses to infinity (and a finite `1e300`
-        // overflows when narrowed to f32); enforce the documented
-        // finite-floats-only invariant here rather than letting the
-        // saturated value surface later as a code-range error.
-        let f = n as f32;
-        if !f.is_finite() {
-            return Err(bad("matrix element is not finite"));
+/// The successful responses, `kind` ↔ variant; each reply's fields are
+/// flattened beside `ok` and `kind`.
+macro_rules! replies {
+    ($($kind:literal => $variant:ident,)*) => {
+        fn write_response(resp: &Response, line: &mut String) {
+            line.push('{');
+            field(line, "ok", &!matches!(resp, Response::Error { .. }));
+            match resp {
+                $(Response::$variant(reply) => {
+                    wire::put_str($kind, wire::key(line, "kind"));
+                    reply.put_fields(line);
+                })*
+                Response::Error { kind, message } => {
+                    field(line, "error", kind);
+                    field(line, "message", message);
+                }
+            }
+            line.push('}');
         }
-        out.push(f);
-    }
-    Ok(Matrix::from_vec(rows, cols, out).expect("dims pre-checked against data length"))
-}
 
-/// Attaches the optional `deadline_ms` wire field; absent deadlines
-/// stay off the wire so pre-deadline peers parse unchanged.
-fn with_deadline(mut value: Value, deadline_ms: Option<u64>) -> Value {
-    if let Some(ms) = deadline_ms {
-        if let Value::Object(map) = &mut value {
-            map.insert("deadline_ms".to_string(), Value::from(ms));
+        fn read_response(r: &mut Reader<'_>) -> Res<Response> {
+            if !r.tag::<bool>("ok")? {
+                wire::read_fields!(r; error, message);
+                return Ok(Response::Error {
+                    kind: wire::need(error, "error")?,
+                    message: wire::need(message, "message")?,
+                });
+            }
+            match r.tag::<String>("kind")?.as_str() {
+                $($kind => Wire::get(r).map(Response::$variant),)*
+                other => Err(format!("unknown response kind {other:?}")),
+            }
         }
-    }
-    value
+    };
 }
 
-/// Reads the optional `deadline_ms` field (absent or `null` means no
-/// deadline).
-fn opt_deadline_ms(v: &Value) -> Result<Option<u64>, GatewayError> {
-    match v.get("deadline_ms") {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| bad("field \"deadline_ms\" is not a non-negative integer")),
-    }
+replies! {
+    "infer" => Infer,
+    "session_open" => SessionOpen,
+    "decode" => Decode,
+    "session_close" => SessionClose,
+    "stats" => Stats,
+    "metrics" => Metrics,
+    "trace" => Trace,
+    "health" => Health,
+    "events" => Events,
 }
 
 /// Serializes a request to its single-line wire form (no newline).
 pub fn encode_request(req: &Request) -> String {
-    let value = match req {
-        Request::Infer {
-            model,
-            payload,
-            deadline_ms,
-        } => with_deadline(
-            json!({
-                "verb": "infer",
-                "model": model.clone(),
-                "payload": payload_to_value(payload),
-            }),
-            *deadline_ms,
-        ),
-        Request::InferF32 {
-            model,
-            input,
-            deadline_ms,
-        } => with_deadline(
-            json!({
-                "verb": "infer",
-                "model": model.clone(),
-                "input": matrix_f32_to_value(input),
-            }),
-            *deadline_ms,
-        ),
-        Request::SessionOpen { model } => json!({
-            "verb": "session_open",
-            "model": model.clone(),
-        }),
-        Request::Decode {
-            session,
-            hidden,
-            deadline_ms,
-        } => with_deadline(
-            json!({
-                "verb": "decode",
-                "session": *session,
-                "hidden": matrix_f32_to_value(hidden),
-            }),
-            *deadline_ms,
-        ),
-        Request::SessionClose { session } => json!({
-            "verb": "session_close",
-            "session": *session,
-        }),
-        Request::Stats => json!({ "verb": "stats" }),
-        Request::Metrics => json!({ "verb": "metrics" }),
-        Request::Trace { limit, kind } => json!({
-            "verb": "trace",
-            "limit": *limit,
-            "kind": kind.as_str(),
-        }),
-        Request::Health => json!({ "verb": "health" }),
-        Request::Events { limit } => json!({
-            "verb": "events",
-            "limit": *limit,
-        }),
-    };
-    serde_json::to_string(&value).expect("shim serializer never fails")
+    let mut line = String::new();
+    write_request(req, &mut line);
+    line
 }
 
 /// Parses one request line.
@@ -768,539 +876,14 @@ pub fn encode_request(req: &Request) -> String {
 /// [`GatewayError::Protocol`] on malformed JSON, an unknown verb, or a
 /// payload that is missing or malformed.
 pub fn decode_request(line: &str) -> Result<Request, GatewayError> {
-    let v = serde_json::from_str(line.trim()).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    match str_field(&v, "verb")? {
-        "infer" => {
-            let model = str_field(&v, "model")?.to_string();
-            let deadline_ms = opt_deadline_ms(&v)?;
-            match (v.get("payload"), v.get("input")) {
-                (Some(payload), None) => Ok(Request::Infer {
-                    model,
-                    payload: value_to_payload(payload)?,
-                    deadline_ms,
-                }),
-                (None, Some(input)) => Ok(Request::InferF32 {
-                    model,
-                    input: value_to_matrix_f32(input)?,
-                    deadline_ms,
-                }),
-                (Some(_), Some(_)) => Err(bad("request carries both payload and input")),
-                (None, None) => Err(bad("request carries neither payload nor input")),
-            }
-        }
-        "session_open" => Ok(Request::SessionOpen {
-            model: str_field(&v, "model")?.to_string(),
-        }),
-        "decode" => Ok(Request::Decode {
-            session: u64_field(&v, "session")?,
-            hidden: value_to_matrix_f32(field(&v, "hidden")?)?,
-            deadline_ms: opt_deadline_ms(&v)?,
-        }),
-        "session_close" => Ok(Request::SessionClose {
-            session: u64_field(&v, "session")?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "trace" => Ok(Request::Trace {
-            limit: usize_field(&v, "limit")?,
-            // Absent means slow — the ring the verb originally served.
-            kind: match v.get("kind") {
-                None => TraceKind::Slow,
-                Some(k) => TraceKind::parse(
-                    k.as_str()
-                        .ok_or_else(|| bad("field \"kind\" is not a string"))?,
-                )?,
-            },
-        }),
-        "health" => Ok(Request::Health),
-        "events" => Ok(Request::Events {
-            limit: usize_field(&v, "limit")?,
-        }),
-        other => Err(bad(format!("unknown verb {other:?}"))),
-    }
-}
-
-fn shard_stats_to_value(s: &ShardStats) -> Value {
-    json!({
-        "requests": s.requests,
-        "batches": s.batches,
-        "columns": s.columns,
-        "padded_cols": s.padded_cols,
-        "padding_overhead": s.padding_overhead,
-        "cancelled": s.cancelled,
-        "columns_per_second": s.columns_per_second,
-        "queued_cols": s.queued_cols,
-        "in_flight_cols": s.in_flight_cols,
-        "open_sessions": s.open_sessions,
-        "kv_bytes": s.kv_bytes,
-        "decode_steps": s.decode_steps,
-        "decode_tokens": s.decode_tokens,
-        "decode_batches": s.decode_batches,
-        "decode_batch_occupancy": s.decode_batch_occupancy,
-        "decode_padded_cols": s.decode_padded_cols,
-        "worker_panics": s.worker_panics,
-        "evicted_poisoned": s.evicted_poisoned,
-        "expired": s.expired,
-    })
-}
-
-fn value_to_shard_stats(v: &Value) -> Result<ShardStats, GatewayError> {
-    Ok(ShardStats {
-        requests: u64_field(v, "requests")?,
-        batches: u64_field(v, "batches")?,
-        columns: u64_field(v, "columns")?,
-        padded_cols: u64_field(v, "padded_cols")?,
-        padding_overhead: f64_field(v, "padding_overhead")?,
-        cancelled: u64_field(v, "cancelled")?,
-        columns_per_second: f64_field(v, "columns_per_second")?,
-        queued_cols: u64_field(v, "queued_cols")?,
-        in_flight_cols: u64_field(v, "in_flight_cols")?,
-        open_sessions: u64_field(v, "open_sessions")?,
-        kv_bytes: u64_field(v, "kv_bytes")?,
-        decode_steps: u64_field(v, "decode_steps")?,
-        decode_tokens: u64_field(v, "decode_tokens")?,
-        decode_batches: u64_field(v, "decode_batches")?,
-        decode_batch_occupancy: f64_field(v, "decode_batch_occupancy")?,
-        decode_padded_cols: u64_field(v, "decode_padded_cols")?,
-        worker_panics: u64_field(v, "worker_panics")?,
-        evicted_poisoned: u64_field(v, "evicted_poisoned")?,
-        expired: u64_field(v, "expired")?,
-    })
-}
-
-fn stats_to_value(stats: &GatewayStats) -> Value {
-    json!({
-        "ok": true,
-        "kind": "stats",
-        "uptime_ms": stats.uptime_ms,
-        "seq": stats.seq,
-        "shards": Value::Array(stats.shards.iter().map(shard_stats_to_value).collect()),
-        "cache": json!({
-            "hits": stats.cache.hits,
-            "misses": stats.cache.misses,
-            "evictions": stats.cache.evictions,
-            "entries": stats.cache.entries,
-        }),
-        "admission": json!({
-            "admitted": stats.admission.admitted,
-            "rejected_capacity": stats.admission.rejected_capacity,
-            "rejected_timeout": stats.admission.rejected_timeout,
-            "in_flight": stats.admission.in_flight,
-        }),
-        "sheds": json!({
-            "in_flight": stats.sheds.in_flight,
-            "queue_wait": stats.sheds.queue_wait,
-            "kv_budget": stats.sheds.kv_budget,
-        }),
-        "connections": json!({
-            "open": stats.connections.open,
-            "peak": stats.connections.peak,
-            "evicted": stats.connections.evicted,
-            "workers_alive": stats.connections.workers_alive,
-            "worker_panics": stats.connections.worker_panics,
-        }),
-    })
-}
-
-fn value_to_stats(v: &Value) -> Result<GatewayStats, GatewayError> {
-    let shards = field(v, "shards")?
-        .as_array()
-        .ok_or_else(|| bad("shards is not an array"))?
-        .iter()
-        .map(value_to_shard_stats)
-        .collect::<Result<Vec<_>, _>>()?;
-    let cache = field(v, "cache")?;
-    let admission = field(v, "admission")?;
-    let sheds = field(v, "sheds")?;
-    let connections = field(v, "connections")?;
-    Ok(GatewayStats {
-        shards,
-        cache: CacheStats {
-            hits: u64_field(cache, "hits")?,
-            misses: u64_field(cache, "misses")?,
-            evictions: u64_field(cache, "evictions")?,
-            entries: u64_field(cache, "entries")? as usize,
-        },
-        admission: AdmissionStats {
-            admitted: u64_field(admission, "admitted")?,
-            rejected_capacity: u64_field(admission, "rejected_capacity")?,
-            rejected_timeout: u64_field(admission, "rejected_timeout")?,
-            in_flight: usize_field(admission, "in_flight")?,
-        },
-        sheds: ShedStats {
-            in_flight: u64_field(sheds, "in_flight")?,
-            queue_wait: u64_field(sheds, "queue_wait")?,
-            kv_budget: u64_field(sheds, "kv_budget")?,
-        },
-        connections: ConnectionStats {
-            open: u64_field(connections, "open")?,
-            peak: u64_field(connections, "peak")?,
-            evicted: u64_field(connections, "evicted")?,
-            workers_alive: u64_field(connections, "workers_alive")?,
-            worker_panics: u64_field(connections, "worker_panics")?,
-        },
-        uptime_ms: u64_field(v, "uptime_ms")?,
-        seq: u64_field(v, "seq")?,
-    })
-}
-
-fn cell_to_value(c: &CellSummary) -> Value {
-    json!({
-        "model": c.model.clone(),
-        "verb": c.verb.clone(),
-        "stage": c.stage.clone(),
-        "count": c.count,
-        "sum": c.sum,
-        "p50": c.p50,
-        "p90": c.p90,
-        "p99": c.p99,
-        "max": c.max,
-        "win_count": c.win_count,
-        "win_p50": c.win_p50,
-        "win_p90": c.win_p90,
-        "win_p99": c.win_p99,
-        "win_max": c.win_max,
-        "ok": c.ok,
-        "error": c.error,
-        "shed": c.shed,
-    })
-}
-
-fn value_to_cell(v: &Value) -> Result<CellSummary, GatewayError> {
-    Ok(CellSummary {
-        model: str_field(v, "model")?.to_string(),
-        verb: str_field(v, "verb")?.to_string(),
-        stage: str_field(v, "stage")?.to_string(),
-        count: u64_field(v, "count")?,
-        sum: u64_field(v, "sum")?,
-        p50: u64_field(v, "p50")?,
-        p90: u64_field(v, "p90")?,
-        p99: u64_field(v, "p99")?,
-        max: u64_field(v, "max")?,
-        win_count: u64_field(v, "win_count")?,
-        win_p50: u64_field(v, "win_p50")?,
-        win_p90: u64_field(v, "win_p90")?,
-        win_p99: u64_field(v, "win_p99")?,
-        win_max: u64_field(v, "win_max")?,
-        ok: u64_field(v, "ok")?,
-        error: u64_field(v, "error")?,
-        shed: u64_field(v, "shed")?,
-    })
-}
-
-/// The `cells` array shared by the `metrics` reply and a pinned
-/// incident.
-fn cells_to_value(cells: &[CellSummary]) -> Value {
-    Value::Array(cells.iter().map(cell_to_value).collect())
-}
-
-fn value_to_cells(v: &Value) -> Result<Vec<CellSummary>, GatewayError> {
-    field(v, "cells")?
-        .as_array()
-        .ok_or_else(|| bad("cells is not an array"))?
-        .iter()
-        .map(value_to_cell)
-        .collect()
-}
-
-fn metrics_to_value(m: &GatewayMetrics) -> Value {
-    json!({
-        "ok": true,
-        "kind": "metrics",
-        "uptime_ms": m.uptime_ms,
-        "seq": m.seq,
-        "unix_ms": m.unix_ms,
-        "window_ms": m.window_ms,
-        "cells": cells_to_value(&m.cells),
-    })
-}
-
-fn value_to_metrics(v: &Value) -> Result<GatewayMetrics, GatewayError> {
-    Ok(GatewayMetrics {
-        uptime_ms: u64_field(v, "uptime_ms")?,
-        seq: u64_field(v, "seq")?,
-        unix_ms: u64_field(v, "unix_ms")?,
-        window_ms: u64_field(v, "window_ms")?,
-        cells: value_to_cells(v)?,
-    })
-}
-
-/// JSON has no infinity: an unbounded burn rate (zero budget, nonzero
-/// measurement) is clamped to `f64::MAX` on the wire.
-fn finite_burn(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        f64::MAX
-    }
-}
-
-fn target_report_to_value(t: &TargetReport) -> Value {
-    json!({
-        "name": t.name.clone(),
-        "status": t.status.as_str(),
-        "burn_rate": finite_burn(t.burn_rate),
-        "samples": t.samples,
-        "p99_us": t.p99_us,
-        "error_rate": t.error_rate,
-        "shed_rate": t.shed_rate,
-    })
-}
-
-fn status_field(v: &Value, key: &str) -> Result<SloStatus, GatewayError> {
-    let s = str_field(v, key)?;
-    SloStatus::parse(s).ok_or_else(|| bad(format!("unknown SLO status {s:?}")))
-}
-
-fn value_to_target_report(v: &Value) -> Result<TargetReport, GatewayError> {
-    Ok(TargetReport {
-        name: str_field(v, "name")?.to_string(),
-        status: status_field(v, "status")?,
-        burn_rate: f64_field(v, "burn_rate")?,
-        samples: u64_field(v, "samples")?,
-        p99_us: f64_field(v, "p99_us")?,
-        error_rate: f64_field(v, "error_rate")?,
-        shed_rate: f64_field(v, "shed_rate")?,
-    })
-}
-
-fn health_to_value(h: &HealthReport) -> Value {
-    json!({
-        "ok": true,
-        "kind": "health",
-        "status": h.status.as_str(),
-        "targets": Value::Array(h.targets.iter().map(target_report_to_value).collect()),
-    })
-}
-
-fn value_to_health(v: &Value) -> Result<HealthReport, GatewayError> {
-    Ok(HealthReport {
-        status: status_field(v, "status")?,
-        targets: field(v, "targets")?
-            .as_array()
-            .ok_or_else(|| bad("targets is not an array"))?
-            .iter()
-            .map(value_to_target_report)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn span_to_value(s: &SpanSummary) -> Value {
-    json!({
-        "id": s.id,
-        // JSON null marks the root span's absent parent.
-        "parent": match s.parent {
-            Some(p) => Value::from(p),
-            None => Value::Null,
-        },
-        "stage": s.stage.clone(),
-        "start_us": s.start_us,
-        "dur_us": s.dur_us,
-        "links": Value::Array(s.links.iter().map(|&id| Value::from(id)).collect()),
-    })
-}
-
-fn value_to_span(v: &Value) -> Result<SpanSummary, GatewayError> {
-    let parent = match field(v, "parent")? {
-        Value::Null => None,
-        other => Some(
-            other
-                .as_u64()
-                .ok_or_else(|| bad("field \"parent\" is not null or a non-negative integer"))?,
-        ),
-    };
-    let links = field(v, "links")?
-        .as_array()
-        .ok_or_else(|| bad("span links is not an array"))?
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| bad("span link is not a non-negative integer"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SpanSummary {
-        id: u64_field(v, "id")?,
-        parent,
-        stage: str_field(v, "stage")?.to_string(),
-        start_us: u64_field(v, "start_us")?,
-        dur_us: u64_field(v, "dur_us")?,
-        links,
-    })
-}
-
-fn trace_to_value(t: &TraceSummary) -> Value {
-    json!({
-        "id": t.id,
-        "verb": t.verb.clone(),
-        "total_us": t.total_us,
-        "unix_ms": t.unix_ms,
-        "spans": Value::Array(t.spans.iter().map(span_to_value).collect()),
-    })
-}
-
-fn value_to_trace(v: &Value) -> Result<TraceSummary, GatewayError> {
-    Ok(TraceSummary {
-        id: u64_field(v, "id")?,
-        verb: str_field(v, "verb")?.to_string(),
-        total_us: u64_field(v, "total_us")?,
-        unix_ms: u64_field(v, "unix_ms")?,
-        spans: field(v, "spans")?
-            .as_array()
-            .ok_or_else(|| bad("spans is not an array"))?
-            .iter()
-            .map(value_to_span)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn trace_reply_to_value(r: &TraceReply) -> Value {
-    json!({
-        "ok": true,
-        "kind": "trace",
-        "traces": Value::Array(r.traces.iter().map(trace_to_value).collect()),
-    })
-}
-
-fn value_to_trace_reply(v: &Value) -> Result<TraceReply, GatewayError> {
-    Ok(TraceReply {
-        traces: field(v, "traces")?
-            .as_array()
-            .ok_or_else(|| bad("traces is not an array"))?
-            .iter()
-            .map(value_to_trace)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn event_to_value(e: &EventSummary) -> Value {
-    json!({
-        "seq": e.seq,
-        "unix_ms": e.unix_ms,
-        "severity": e.severity.clone(),
-        "kind": e.kind.clone(),
-        "detail": e.detail.clone(),
-    })
-}
-
-fn value_to_event(v: &Value) -> Result<EventSummary, GatewayError> {
-    let severity = str_field(v, "severity")?;
-    if EventSeverity::parse(severity).is_none() {
-        return Err(bad(format!("unknown event severity {severity:?}")));
-    }
-    Ok(EventSummary {
-        seq: u64_field(v, "seq")?,
-        unix_ms: u64_field(v, "unix_ms")?,
-        severity: severity.to_string(),
-        kind: str_field(v, "kind")?.to_string(),
-        detail: str_field(v, "detail")?.to_string(),
-    })
-}
-
-fn events_to_value(events: &[EventSummary]) -> Value {
-    Value::Array(events.iter().map(event_to_value).collect())
-}
-
-fn value_to_events(v: &Value) -> Result<Vec<EventSummary>, GatewayError> {
-    v.as_array()
-        .ok_or_else(|| bad("events is not an array"))?
-        .iter()
-        .map(value_to_event)
-        .collect()
-}
-
-fn incident_to_value(s: &IncidentSummary) -> Value {
-    json!({
-        "unix_ms": s.unix_ms,
-        "status": s.status.as_str(),
-        "events": events_to_value(&s.events),
-        "traces": Value::Array(s.traces.iter().map(trace_to_value).collect()),
-        "cells": cells_to_value(&s.cells),
-    })
-}
-
-fn value_to_incident(v: &Value) -> Result<IncidentSummary, GatewayError> {
-    Ok(IncidentSummary {
-        unix_ms: u64_field(v, "unix_ms")?,
-        status: status_field(v, "status")?,
-        events: value_to_events(field(v, "events")?)?,
-        traces: field(v, "traces")?
-            .as_array()
-            .ok_or_else(|| bad("traces is not an array"))?
-            .iter()
-            .map(value_to_trace)
-            .collect::<Result<Vec<_>, _>>()?,
-        cells: value_to_cells(v)?,
-    })
-}
-
-fn events_reply_to_value(r: &EventsReply) -> Value {
-    json!({
-        "ok": true,
-        "kind": "events",
-        "events": events_to_value(&r.events),
-        // JSON null marks "health never flipped".
-        "pinned": match &r.pinned {
-            Some(incident) => incident_to_value(incident),
-            None => Value::Null,
-        },
-    })
-}
-
-fn value_to_events_reply(v: &Value) -> Result<EventsReply, GatewayError> {
-    let pinned = match field(v, "pinned")? {
-        Value::Null => None,
-        other => Some(value_to_incident(other)?),
-    };
-    Ok(EventsReply {
-        events: value_to_events(field(v, "events")?)?,
-        pinned,
-    })
+    wire::read_line(line, read_request).map_err(GatewayError::Protocol)
 }
 
 /// Serializes a response to its single-line wire form (no newline).
 pub fn encode_response(resp: &Response) -> String {
-    let value = match resp {
-        Response::Infer(reply) => json!({
-            "ok": true,
-            "kind": "infer",
-            "payload": payload_to_value(&reply.payload),
-            "scale": reply.scale,
-            "latency_us": reply.latency.as_micros() as u64,
-            "shard": reply.shard,
-            "cache_hit": reply.cache_hit,
-        }),
-        Response::SessionOpen(reply) => json!({
-            "ok": true,
-            "kind": "session_open",
-            "session": reply.session,
-            "shard": reply.shard,
-        }),
-        Response::Decode(reply) => json!({
-            "ok": true,
-            "kind": "decode",
-            "hidden": matrix_f32_to_value(&reply.hidden),
-            "tokens": reply.tokens,
-            "shard": reply.shard,
-            "latency_us": reply.latency.as_micros() as u64,
-        }),
-        Response::SessionClose(reply) => json!({
-            "ok": true,
-            "kind": "session_close",
-            "session": reply.session,
-            "tokens": reply.tokens,
-        }),
-        Response::Stats(stats) => stats_to_value(stats),
-        Response::Metrics(metrics) => metrics_to_value(metrics),
-        Response::Trace(reply) => trace_reply_to_value(reply),
-        Response::Health(report) => health_to_value(report),
-        Response::Events(reply) => events_reply_to_value(reply),
-        Response::Error { kind, message } => json!({
-            "ok": false,
-            "error": kind.as_str(),
-            "message": message.clone(),
-        }),
-    };
-    serde_json::to_string(&value).expect("shim serializer never fails")
+    let mut line = String::new();
+    write_response(resp, &mut line);
+    line
 }
 
 /// Parses one response line.
@@ -1310,47 +893,7 @@ pub fn encode_response(resp: &Response) -> String {
 /// [`GatewayError::Protocol`] on malformed JSON or an unknown response
 /// kind.
 pub fn decode_response(line: &str) -> Result<Response, GatewayError> {
-    let v = serde_json::from_str(line.trim()).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    let ok = field(&v, "ok")?
-        .as_bool()
-        .ok_or_else(|| bad("field \"ok\" is not a boolean"))?;
-    if !ok {
-        return Ok(Response::Error {
-            kind: ErrorKind::from_str(str_field(&v, "error")?),
-            message: str_field(&v, "message")?.to_string(),
-        });
-    }
-    match str_field(&v, "kind")? {
-        "infer" => Ok(Response::Infer(InferReply {
-            payload: value_to_payload(field(&v, "payload")?)?,
-            scale: f64_field(&v, "scale")?,
-            latency: Duration::from_micros(u64_field(&v, "latency_us")?),
-            shard: usize_field(&v, "shard")?,
-            cache_hit: field(&v, "cache_hit")?
-                .as_bool()
-                .ok_or_else(|| bad("field \"cache_hit\" is not a boolean"))?,
-        })),
-        "session_open" => Ok(Response::SessionOpen(SessionOpenReply {
-            session: u64_field(&v, "session")?,
-            shard: usize_field(&v, "shard")?,
-        })),
-        "decode" => Ok(Response::Decode(DecodeReply {
-            hidden: value_to_matrix_f32(field(&v, "hidden")?)?,
-            tokens: usize_field(&v, "tokens")?,
-            shard: usize_field(&v, "shard")?,
-            latency: Duration::from_micros(u64_field(&v, "latency_us")?),
-        })),
-        "session_close" => Ok(Response::SessionClose(SessionCloseReply {
-            session: u64_field(&v, "session")?,
-            tokens: usize_field(&v, "tokens")?,
-        })),
-        "stats" => Ok(Response::Stats(value_to_stats(&v)?)),
-        "metrics" => Ok(Response::Metrics(value_to_metrics(&v)?)),
-        "trace" => Ok(Response::Trace(value_to_trace_reply(&v)?)),
-        "health" => Ok(Response::Health(value_to_health(&v)?)),
-        "events" => Ok(Response::Events(value_to_events_reply(&v)?)),
-        other => Err(bad(format!("unknown response kind {other:?}"))),
-    }
+    wire::read_line(line, read_response).map_err(GatewayError::Protocol)
 }
 
 #[cfg(test)]
@@ -1456,9 +999,6 @@ mod tests {
                 model: "decoder".to_string(),
             },
             Request::Decode {
-                // A large but f64-exact id: JSON numbers are f64, and
-                // session ids are sequential from 1, so every real id
-                // is exactly representable on the wire.
                 session: 1u64 << 52,
                 hidden: Matrix::from_vec(2, 1, vec![0.5f32, -1.25]).unwrap(),
                 deadline_ms: None,
@@ -1974,5 +1514,200 @@ mod tests {
             cache_hit: false,
         };
         assert_eq!(reply.to_f32(), hidden);
+    }
+
+    #[test]
+    fn u64_fields_travel_as_integers_not_floats() {
+        // 2^53 + 1 is the first integer an f64 cannot hold; u64::MAX is
+        // what `ClientConfig.deadline = Duration::MAX` stamps.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            for req in [
+                Request::Decode {
+                    session: n,
+                    hidden: Matrix::from_vec(1, 1, vec![0.5f32]).unwrap(),
+                    deadline_ms: Some(n),
+                },
+                Request::Infer {
+                    model: "m".to_string(),
+                    payload: Payload::Codes(codes()),
+                    deadline_ms: Some(n),
+                },
+                Request::SessionClose { session: n },
+            ] {
+                let line = encode_request(&req);
+                assert!(line.contains(&n.to_string()), "{n} not spelled out: {line}");
+                assert_eq!(decode_request(&line).unwrap(), req);
+            }
+            let resp = Response::SessionOpen(SessionOpenReply {
+                session: n,
+                shard: 0,
+            });
+            assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+        }
+        // One past u64::MAX is refused, not wrapped or rounded.
+        let line = "{\"verb\":\"session_close\",\"session\":18446744073709551616}";
+        assert!(decode_request(line).is_err());
+    }
+
+    fn cells_request(kind: &str, cells: &str) -> Result<Request, GatewayError> {
+        decode_request(&format!(
+            "{{\"verb\":\"infer\",\"model\":\"m\",\"payload\":\
+             {{\"kind\":\"{kind}\",\"rows\":1,\"cols\":1,\"data\":[{cells}]}}}}"
+        ))
+    }
+
+    #[test]
+    fn integral_cells_in_float_form_still_decode_as_codes() {
+        for (spelling, code) in [("5.0", 5), ("1e2", 100), ("-3.0E0", -3), ("-0.0", 0)] {
+            let Request::Infer { payload, .. } = cells_request("codes", spelling).unwrap() else {
+                panic!("wrong verb");
+            };
+            assert_eq!(
+                payload,
+                Payload::Codes(Matrix::from_vec(1, 1, vec![code]).unwrap()),
+                "{spelling}"
+            );
+        }
+        for (spelling, message) in [
+            ("1.5", "matrix element is not an integer"),
+            ("1e999", "matrix element is not an integer"),
+            ("\"7\"", "matrix element is not an integer"),
+            ("1e10", "matrix element exceeds i32 range"),
+            ("2147483648", "matrix element exceeds i32 range"),
+            ("-2147483649", "matrix element exceeds i32 range"),
+        ] {
+            let err = cells_request("codes", spelling)
+                .expect_err(spelling)
+                .to_string();
+            assert!(err.contains(message), "{spelling}: {err}");
+        }
+        let err = cells_request("hidden", "1e999").unwrap_err().to_string();
+        assert!(err.contains("matrix element is not finite"), "{err}");
+        let err = cells_request("hidden", "true").unwrap_err().to_string();
+        assert!(err.contains("matrix element is not a number"), "{err}");
+    }
+
+    #[test]
+    fn keys_come_in_any_order_and_unknown_ones_are_skipped() {
+        let want = Request::Infer {
+            model: "m".to_string(),
+            payload: Payload::Codes(Matrix::from_vec(1, 2, vec![3, -4]).unwrap()),
+            deadline_ms: Some(9),
+        };
+        for line in [
+            // Cells before their header and their tag; the verb last.
+            "{\"payload\":{\"data\":[3,-4],\"cols\":2,\"kind\":\"codes\",\"rows\":1},\
+             \"deadline_ms\":9,\"model\":\"m\",\"verb\":\"infer\"}",
+            // Unknown keys, scalar and nested, at both levels; loose
+            // whitespace.
+            " { \"trace_id\" : [1, {\"a\": [null, true, \"x\\\"y\"]}], \"verb\" : \"infer\" ,\
+             \"model\":\"m\", \"deadline_ms\": 9, \"payload\": {\"kind\":\"codes\", \"unit\": {},\
+             \"rows\":1, \"cols\":2, \"data\": [ 3 , -4 ] } } ",
+        ] {
+            assert_eq!(decode_request(line).unwrap(), want, "{line}");
+        }
+        // An unknown value is still held to the nesting limit.
+        let deep = format!(
+            "{{\"verb\":\"stats\",\"x\":{}{}}}",
+            "[".repeat(200),
+            "]".repeat(200)
+        );
+        let err = decode_request(&deep).unwrap_err().to_string();
+        assert!(err.contains("recursion limit"), "{err}");
+        let fits = format!(
+            "{{\"verb\":\"stats\",\"x\":{}{}}}",
+            "[".repeat(100),
+            "]".repeat(100)
+        );
+        assert_eq!(decode_request(&fits).unwrap(), Request::Stats);
+    }
+
+    /// The rule the module doc states: no object repeats a key — at any
+    /// level, whether a field, a tag, or a key nobody knows.
+    #[test]
+    fn a_duplicated_key_is_a_protocol_error() {
+        for line in [
+            "{\"verb\":\"stats\",\"verb\":\"metrics\"}",
+            "{\"verb\":\"session_close\",\"session\":1,\"session\":2}",
+            "{\"verb\":\"infer\",\"model\":\"m\",\"payload\":{\"kind\":\"codes\",\"rows\":1,\"rows\":1,\"cols\":1,\"data\":[0]}}",
+            "{\"verb\":\"infer\",\"model\":\"m\",\"payload\":{\"kind\":\"codes\",\"kind\":\"hidden\",\"rows\":1,\"cols\":1,\"data\":[0]}}",
+            "{\"verb\":\"infer\",\"model\":\"m\",\"payload\":{\"data\":[0],\"kind\":\"codes\",\"rows\":1,\"cols\":1,\"data\":[0]}}",
+        ] {
+            let err = decode_request(line).expect_err(line).to_string();
+            assert!(err.contains("duplicate field"), "{line}: {err}");
+        }
+        for line in [
+            "{\"ok\":true,\"kind\":\"session_close\",\"session\":1,\"tokens\":2,\"ok\":true}",
+            "{\"ok\":true,\"kind\":\"session_close\",\"kind\":\"stats\",\"session\":1,\"tokens\":2}",
+            "{\"ok\":false,\"error\":\"internal\",\"message\":\"a\",\"message\":\"b\"}",
+        ] {
+            let err = decode_response(line).expect_err(line).to_string();
+            assert!(err.contains("duplicate field"), "{line}: {err}");
+        }
+        let err = decode_request("{\"x\":1,\"verb\":\"health\",\"x\":2}").unwrap_err();
+        assert!(err.to_string().contains("duplicate field"), "{err}");
+        // What bounds the check's cost: an object has at most 64 keys.
+        let wide = |n: usize| {
+            let extra: String = (0..n).map(|i| format!(",\"k{i}\":{i}")).collect();
+            decode_request(&format!("{{\"verb\":\"health\"{extra}}}"))
+        };
+        assert_eq!(wide(63).unwrap(), Request::Health);
+        assert!(wide(64).is_err());
+    }
+
+    #[test]
+    fn error_messages_keep_the_substrings_callers_match() {
+        for (line, needle) in [
+            ("not json", "invalid JSON"),
+            ("{\"verb\":\"stats\"} x", "invalid JSON"),
+            ("{\"verb\":\"stats\",}", "invalid JSON"),
+            ("{\"verb\":\"stats\",\"x\":1e}", "invalid JSON"),
+            ("{\"verb\":\"stats\",\"x\":1-2}", "invalid JSON"),
+            ("{\"verb\":\"stats\\q\"}", "invalid JSON"),
+            ("{}", "missing field \"verb\""),
+            (
+                "{\"verb\":\"decode\",\"session\":1}",
+                "missing field \"hidden\"",
+            ),
+            ("[1,2]", "not a JSON object"),
+            (
+                "{\"verb\":\"trace\",\"limit\":-1}",
+                "field \"limit\": not a non-negative integer",
+            ),
+        ] {
+            let err = decode_request(line).expect_err(line).to_string();
+            assert!(err.contains(needle), "{line:?}: {err}");
+        }
+        // The top level of a nesting bomb is not an object; it is still
+        // reported as what it is.
+        for bomb in ["[".repeat(1_000_000), "{\"a\":".repeat(200_000)] {
+            for err in [
+                decode_request(&bomb).unwrap_err().to_string(),
+                decode_response(&bomb).unwrap_err().to_string(),
+            ] {
+                assert!(err.contains("recursion limit"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_matrix_headers_fail_before_their_cells_are_stored() {
+        // One cell promised, a megabyte sent: refused at the second cell.
+        let flood = format!(
+            "{{\"verb\":\"decode\",\"session\":1,\"hidden\":{{\"rows\":1,\"cols\":1,\"data\":[{}0]}}}}",
+            "0,".repeat(500_000)
+        );
+        // A header no line could fill: refused before reserving.
+        let vast = "{\"verb\":\"decode\",\"session\":1,\"hidden\":{\"rows\":1000000,\"cols\":1000000,\"data\":[0]}}";
+        for line in [flood.as_str(), vast] {
+            let err = decode_request(line).unwrap_err().to_string();
+            assert!(err.contains("does not match rows*cols"), "{err}");
+        }
+        let err = decode_request(
+            "{\"verb\":\"decode\",\"session\":1,\"hidden\":{\"rows\":4294967296,\"cols\":4294967296,\"data\":[]}}",
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("matrix dimensions overflow"), "{err}");
     }
 }

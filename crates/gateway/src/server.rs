@@ -911,9 +911,10 @@ fn shed_reason(e: &ServeError) -> &'static str {
 }
 
 /// Converts a wire `deadline_ms` into the absolute deadline the serving
-/// layers enforce, anchored at the moment the request is dispatched.
+/// layers enforce, anchored at the moment the request is dispatched. A
+/// budget the clock cannot represent (`u64::MAX` ms) is no deadline.
 fn wire_deadline(deadline_ms: Option<u64>) -> Option<Instant> {
-    deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
+    Instant::now().checked_add(Duration::from_millis(deadline_ms?))
 }
 
 fn error_kind(e: &ServeError) -> ErrorKind {
@@ -1594,6 +1595,29 @@ mod tests {
         );
         stop_drip.store(true, Ordering::Release);
         dripper.join().expect("dripper");
+    }
+
+    #[test]
+    fn an_unbounded_client_deadline_is_served_as_no_deadline() {
+        use crate::{ClientConfig, GatewayClient};
+        // `u64::MAX` ms on the wire: read as the integer it is, and
+        // either a deadline ages away or — where `Instant` is too
+        // narrow to hold it — none at all; never a panic.
+        assert!(wire_deadline(Some(u64::MAX)).is_none_or(|at| at > Instant::now()));
+        assert!(wire_deadline(Some(5)).is_some());
+        assert!(wire_deadline(None).is_none());
+        let gateway = Arc::new(Gateway::new(models(&["m"], 7), GatewayConfig::default()));
+        let server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
+        let config = ClientConfig {
+            deadline: Some(Duration::MAX),
+            ..ClientConfig::default()
+        };
+        let mut client = GatewayClient::connect_with(server.local_addr(), config).expect("connect");
+        let model = gateway.router().model("m").expect("registered");
+        let x = codes(&model, 2, 0);
+        let (expect, _) = model.forward_codes(&x);
+        let reply = client.infer_codes("m", x).expect("served");
+        assert_eq!(reply.payload, expect.into());
     }
 
     #[test]

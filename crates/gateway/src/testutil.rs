@@ -10,7 +10,7 @@ use panacea_tensor::Matrix;
 
 // Block fixtures live in `panacea_serve::testutil` (the crate that
 // already depends on the block engine), so the gateway's production
-// dependency graph stays serve + tensor + serde_json.
+// dependency graph stays serve + tensor.
 pub use panacea_serve::testutil::{block_model, direct_forward, hidden};
 
 /// Prepares one 8×16 single-layer model per name, each calibrated on its
