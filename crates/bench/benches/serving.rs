@@ -235,9 +235,9 @@ fn bench_decode_step(c: &mut Criterion) {
 /// Continuous-batching decode: N sessions each advancing by one token,
 /// executed as N serial solo steps versus one fused pass
 /// (`decode_step_batch`). Both do identical per-session math bit for
-/// bit; the fused pass fills the GEMM `N` dimension instead of padding
-/// each width-1 step up to the PE vector width — the per-shard decode
-/// throughput lever the serving batcher pulls.
+/// bit; the fused pass walks each weight once for all sessions instead
+/// of once per width-1 step — the per-shard decode throughput lever the
+/// serving batcher pulls.
 fn bench_decode_batch(c: &mut Criterion) {
     let block = prepared_block(10);
     let blocks = std::slice::from_ref(&block);

@@ -5,13 +5,14 @@
 //!
 //! * **solo** — serial per-session stepping ([`decode_step`]), the
 //!   pre-batching behavior: every single-token step runs the block
-//!   stack at GEMM width 1, padded up to the PE vector width;
+//!   stack at GEMM width 1;
 //! * **batched** — one fused pass per round ([`decode_step_batch`]):
 //!   all N sessions' new-token columns share one QKV/proj/fc1/fc2 GEMM
 //!   pass per block, attention per session.
 //!
 //! Both paths are bit-identical per session (asserted here on the first
-//! round); the difference is purely GEMM width and padding waste. The
+//! round); the difference is purely GEMM width: one walk of each weight
+//! and one pass's fixed costs per round instead of one per session. The
 //! results are written to `BENCH_decode.json` so the repo's decode perf
 //! trajectory is tracked across PRs, and the 8-session speedup is gated
 //! so CI catches a regression that serializes decode again.
@@ -44,9 +45,11 @@ const PREFIX: usize = 32;
 const ROUNDS: usize = 48;
 const SESSION_COUNTS: [usize; 4] = [1, 4, 8, 16];
 /// The regression gate: fused 8-session decode must beat serial
-/// stepping by at least this factor (the MAC ratio alone is ~4×).
+/// stepping by at least this factor. A solo step multiplies only its one
+/// column, so fusion buys the shared weight stream and per-pass
+/// overhead, not MACs: 1.42–1.55× measured on a 2-core x86-64 host.
 const GATED_SESSIONS: usize = 8;
-const GATED_SPEEDUP: f64 = 2.0;
+const GATED_SPEEDUP: f64 = 1.25;
 /// Faultline gate: fused decode through the session manager's batching
 /// worker with an armed (but empty) fault plan must stay within this
 /// fraction of the no-plan baseline. Best-of-N on each arm so scheduler

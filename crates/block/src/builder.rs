@@ -136,13 +136,20 @@ impl BlockBuilder {
 
         // Coded-domain GELU: every representable pre-GELU code maps to an
         // fc2 input code, so fc1 → GELU → fc2 is a pure code pipeline.
-        let gelu_lut = (0..=cfg_mid.max_code())
+        let gelu_lut: Vec<i32> = (0..=cfg_mid.max_code())
             .map(|c| {
                 cfg_fc2
                     .quantizer
                     .quantize(gelu(cfg_mid.quantizer.dequantize(c)))
             })
             .collect();
+        // `mlp_sublayer` indexes the table with fc1's requantized codes,
+        // which the requantizer clamps into `0..=qmax`.
+        assert_eq!(
+            gelu_lut.len(),
+            cfg_mid.quantizer.params().qmax() as usize + 1,
+            "the GELU table must cover every code fc1 can emit"
+        );
 
         Ok(QuantizedBlock {
             d_model: cfg.d_model,
@@ -377,5 +384,44 @@ mod tests {
         // Spot-check: LUT entries are valid fc2 input codes.
         let max = b.fc2.input_config().max_code();
         assert!(b.gelu_lut.iter().all(|&c| (0..=max).contains(&c)));
+    }
+
+    #[test]
+    fn fc1_codes_at_both_clamp_ends_index_the_gelu_lut() {
+        let (_, _, blocks) = setup();
+        for b in &blocks {
+            // All-zero and all-max input codes saturate fc1's requantizer
+            // at both ends on this fixture.
+            let max = b.fc1.input_config().max_code();
+            let mids: Vec<i32> = [0, max]
+                .into_iter()
+                .flat_map(|code| {
+                    let x = Matrix::from_fn(b.d_model, 3, |_, _| code);
+                    b.fc1.forward_codes(&x).0.into_vec()
+                })
+                .collect();
+            let top = b.gelu_lut.len() as i32 - 1;
+            assert_eq!(mids.iter().min(), Some(&0), "low clamp not reached");
+            assert_eq!(mids.iter().max(), Some(&top), "high clamp not reached");
+            for &c in &mids {
+                let lut = usize::try_from(c).ok().and_then(|i| b.gelu_lut.get(i));
+                assert!(lut.is_some(), "fc1 code {c} outside the GELU table");
+            }
+        }
+    }
+
+    #[test]
+    fn one_column_at_f32_max_runs_to_finite_output() {
+        let (_, _, blocks) = setup();
+        for v in [f32::MAX, -f32::MAX] {
+            let h = Matrix::from_fn(16, 1, |_, _| v);
+            for b in &blocks {
+                let (out, _) = b.forward(&h);
+                assert!(out.iter().all(|o| o.is_finite()), "forward at {v}");
+            }
+            let mut kv = crate::KvCache::for_blocks(&blocks);
+            let (out, _) = crate::decode_step(&blocks, &h, &mut kv);
+            assert!(out.iter().all(|o| o.is_finite()), "decode_step at {v}");
+        }
     }
 }

@@ -2,7 +2,6 @@
 
 use std::time::Instant;
 
-use panacea_bitslice::VECTOR_LEN;
 use panacea_core::pipeline::QuantizedLinear;
 use panacea_core::Workload;
 use panacea_quant::Quantizer;
@@ -125,9 +124,7 @@ impl QuantizedBlock {
     /// column-wise, `segments` lists their token counts in order. Columns
     /// beyond the segment sum are treated as padding — they flow through
     /// the GEMMs (columns are independent, so they cannot perturb real
-    /// outputs) but are not attended. The input is zero-padded up to the
-    /// PE array's vector width internally and the output trimmed back to
-    /// `x`'s width.
+    /// outputs) but are not attended.
     ///
     /// # Panics
     ///
@@ -179,45 +176,23 @@ impl QuantizedBlock {
     }
 
     /// The one block body behind the stateless, causal and KV-cached
-    /// entry points: zero-pad `x` to the PE vector width (padded columns
-    /// flow through the GEMMs but are never attended), LN → QKV,
-    /// `attend(i, qkv_i)` per non-empty segment `i`, proj + residual, the
-    /// MLP half, trim back to `x`'s width. Callers check their own input
-    /// contracts first.
+    /// entry points: LN → QKV, `attend(i, qkv_i)` per non-empty segment
+    /// `i`, proj + residual, the MLP half — every step over `x`'s own
+    /// columns, however many. Callers check their own input contracts
+    /// first.
     fn forward_with(
         &self,
         x: &Matrix<f32>,
         segments: &[usize],
         mut attend: impl FnMut(usize, &Matrix<f32>) -> Matrix<f32>,
     ) -> (Matrix<f32>, BlockWorkload) {
-        // Pad once at entry; every sub-layer preserves N.
-        let n = x.cols();
-        let aligned = n.div_ceil(VECTOR_LEN) * VECTOR_LEN;
-        let padded;
-        let xp = if aligned == n {
-            x
-        } else {
-            padded = Matrix::from_fn(
-                self.d_model,
-                aligned,
-                |r, c| {
-                    if c < n {
-                        x[(r, c)]
-                    } else {
-                        0.0
-                    }
-                },
-            );
-            &padded
-        };
-
         // Attention sub-layer.
         let t = Instant::now();
-        let ln1 = ops::layer_norm(xp);
+        let ln1 = ops::layer_norm(x);
         let (qkv_f, wl_qkv) = self.run_dequant(&self.qkv, &ln1);
         stage_end(Stage::Qkv, t);
         let t = Instant::now();
-        let mut ctx = Matrix::<f32>::zeros(self.d_model, aligned);
+        let mut ctx = Matrix::<f32>::zeros(self.d_model, x.cols());
         let mut col = 0;
         for (i, &len) in segments.iter().enumerate() {
             if len == 0 {
@@ -235,16 +210,10 @@ impl QuantizedBlock {
         stage_end(Stage::Attn, t);
         let t = Instant::now();
         let (attn_out, wl_proj) = self.run_dequant(&self.proj, &ctx);
-        let h = ops::add(xp, &attn_out);
+        let h = ops::add(x, &attn_out);
         stage_end(Stage::Proj, t);
 
         let (out, wl_fc1, wl_fc2) = self.mlp_sublayer(&h);
-
-        let out = if aligned == n {
-            out
-        } else {
-            out.submatrix(0, 0, self.d_model, n)
-        };
         (
             out,
             BlockWorkload {
@@ -293,11 +262,10 @@ impl QuantizedBlock {
     /// attention only reads its own segment plus its own cached prefix,
     /// each session's output columns are **bit-identical** to running
     /// that session alone through [`forward_decode`](Self::forward_decode)
-    /// — coalescing changes the GEMM width (and the padding waste), never
-    /// the bits. This is the kernel-level contract the serving layer's
-    /// decode batcher is built on: N concurrent single-token steps cost
-    /// one `N`-wide GEMM pass per layer instead of N padded width-1
-    /// passes.
+    /// — coalescing changes the GEMM width, never the bits. This is the
+    /// kernel-level contract the serving layer's decode batcher is built
+    /// on: N concurrent single-token steps cost one `N`-wide GEMM pass per
+    /// layer, one walk of each weight, instead of N width-1 passes.
     ///
     /// # Panics
     ///

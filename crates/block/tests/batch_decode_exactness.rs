@@ -9,7 +9,7 @@
 //!
 //! This is the contract that lets a serving layer coalesce concurrent
 //! sessions' single-token steps into one GEMM pass per layer: batching
-//! changes throughput and padding waste, never a session's bits.
+//! changes throughput, never a session's bits.
 
 use panacea_block::{
     decode_step, decode_step_batch, zoo_hidden_states, zoo_transformer, BlockBuilder, KvCache,
@@ -52,8 +52,9 @@ fn tokens_of(d_model: usize, total: usize, salt: usize) -> Matrix<f32> {
 
 /// The kernel picks its lane orientation from the width of each n-tile,
 /// so the number of fused sessions decides which inner loop a session's
-/// column runs through: 1–3 sessions pad to one n-group, 5 to two, 9 to
-/// three (all lanes along M), and 17 put the first sixteen in a
+/// column runs through: 1–3 sessions fill part of one n-group, 5 part of
+/// two, 9 part of three (all lanes along M, the last n-group partial),
+/// and 17 put the first sixteen in a
 /// lanes-along-N tile and the last in a lanes-along-M one — while every
 /// solo step is one n-group. `d_model` 24 / `d_ff` 40 make every
 /// layer's `M` end inside a 16-row weight panel. Fused ≡ solo ≡ causal

@@ -35,9 +35,9 @@ fn hidden(d: usize, cols: usize, salt: usize) -> Matrix<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any mix of sequence lengths in a batch — including widths that
-    /// force different zero-padding than the solo runs — splits back to
-    /// the exact solo results.
+    /// Any mix of sequence lengths in a batch — including widths whose
+    /// last n-group is partial in a different place than in the solo
+    /// runs — splits back to the exact solo results.
     #[test]
     fn batched_block_forward_matches_sequential(
         seed in 0u64..3,

@@ -47,16 +47,20 @@
 //!      `k` are all for LO×LO, the m-group's bitset for HO_w×LO_x, the
 //!      tile's activation bitset for LO_w×HO_x, their intersection for
 //!      HO×HO.
-//!    * A narrower tile — one to three n-groups: every decode step, and
-//!      the right edge of a wide batch — would multiply padding in a
-//!      quarter to three quarters of those lanes, so it runs **lanes
-//!      along M** (`products_lanes_m`): the 16 weight rows of a panel ×
-//!      the four columns of one n-group, with the n-group's own
-//!      activation bitset and the panel's *union* bitset on the weight
-//!      side. A compressed vector inside a live union is stored as zeros,
-//!      so the result is exact; what the union gives up in skipping is
-//!      repaid by full lanes up to three n-groups and no longer at four
-//!      (measured, see CHANGES.md PR 22), which is where the rule sits.
+//!    * A narrower tile — one to fifteen columns: every decode step, and
+//!      the right edge of a wide batch — runs **lanes along M**
+//!      (`products_lanes_m`): the 16 weight rows of a panel × the columns
+//!      of one n-group, with the n-group's own activation bitset and the
+//!      panel's *union* bitset on the weight side. A compressed vector
+//!      inside a live union is stored as zeros, so the result is exact;
+//!      what the union gives up in skipping is repaid by full lanes up to
+//!      three n-groups and no longer at four (measured, see CHANGES.md),
+//!      which is where the rule sits. Only the last n-group can
+//!      hold fewer than four columns, and it multiplies only those: `N`
+//!      is any width, and a one-column decode step does one broadcast
+//!      multiply per `k`, not four. An absent lane is 0 in every stream
+//!      plane — on the re-centred HO plane that reads "equals `r`" — so
+//!      it never makes a vector live.
 //!
 //!    A side the plan does not skip has an all-ones bitset. A slice is
 //!    multiplied once per executed pair; no HO+LO value is ever
@@ -67,6 +71,11 @@
 //!    two sides' per-`k` compressed counts alone and does not depend on
 //!    the orientation, so the kernel carries no counters and the
 //!    simulator, the harness and the server all run this one kernel.
+//!    It stays the PE array's account when `N` is not a multiple of 4:
+//!    the array pads the last n-group, so that group's products and
+//!    loads are counted 4 wide, and it is compressed iff its present
+//!    columns' HO slices all equal `r`. The host multiplies only the
+//!    real columns, which `N` alone determines.
 //!
 //! The result is bit-exact against the dense reference for type-1 DBS, and
 //! exact against the DBS-truncated activations for types 2/3. The loop
@@ -158,8 +167,8 @@ impl TileStats {
 ///
 /// # Panics
 ///
-/// Panics if shapes are incompatible, or if `M`/`N` are not multiples of
-/// the vector length 4.
+/// Panics if shapes are incompatible, or if `M` is not a multiple of the
+/// vector length 4. `N` may be any width.
 ///
 /// # Examples
 ///
@@ -327,8 +336,8 @@ impl PackedWeight {
     ///
     /// # Panics
     ///
-    /// Panics if the operands are not in the plan's formats, shapes are
-    /// incompatible, or `N` is not a multiple of the vector length 4.
+    /// Panics if the operands are not in the plan's formats or shapes are
+    /// incompatible.
     pub(crate) fn gemm<X: Planes>(
         &self,
         plan: &KernelPlan,
@@ -377,9 +386,10 @@ impl PackedWeight {
         }
     }
 
-    /// Columns `c0 .. c0 + cols` of the output (one to three n-groups),
-    /// lanes along M: per panel and n-group a 16-row × 4-column tile
-    /// under the panel's union bitset and the n-group's own.
+    /// Columns `c0 .. c0 + cols` of the output (one to fifteen), lanes
+    /// along M: per panel and n-group a 16-row × 4-column tile under the
+    /// panel's union bitset and the n-group's own, of which only the
+    /// real columns are multiplied and written.
     fn tile_lanes_m<X: Planes>(
         &self,
         plan: &KernelPlan,
@@ -399,8 +409,15 @@ impl PackedWeight {
             let row0 = p * PANEL_ROWS;
             let rows = PANEL_ROWS.min(out.rows() - row0);
             for (g, act) in n_groups.iter().enumerate() {
-                let acc = self.accumulate(plan, p, w_live, act, products_lanes_m);
-                for (nn, acc_col) in acc.iter().enumerate() {
+                // Four columns, except in the last n-group of the call.
+                let real = VECTOR_LEN.min(cols - g * VECTOR_LEN);
+                let acc = match real {
+                    1 => self.accumulate(plan, p, w_live, act, products_lanes_m::<1>),
+                    2 => self.accumulate(plan, p, w_live, act, products_lanes_m::<2>),
+                    3 => self.accumulate(plan, p, w_live, act, products_lanes_m::<3>),
+                    _ => self.accumulate(plan, p, w_live, act, products_lanes_m::<4>),
+                };
+                for (nn, acc_col) in acc[..real].iter().enumerate() {
                     for (mm, &a) in acc_col[..rows].iter().enumerate() {
                         out[(row0 + mm, c0 + g * VECTOR_LEN + nn)] = a + row_const[row0 + mm];
                     }
@@ -461,20 +478,18 @@ impl PackedWeight {
         acc
     }
 
-    /// [`TileStats`] from the two sides' per-`k` compressed counts.
+    /// [`TileStats`] from the two sides' per-`k` compressed counts, over
+    /// the PE array's `⌈N/4⌉` n-groups: a partial last group is counted
+    /// 4 wide and is compressed iff its present columns' HO slices all
+    /// equal `r`.
     pub(crate) fn tile_stats<X: Planes>(&self, plan: &KernelPlan, x: &X) -> TileStats {
         let k_dim = self.compressed_per_k.len();
         let n = x.plane(0).cols();
         assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
-        assert_eq!(
-            n % VECTOR_LEN,
-            0,
-            "N = {n} must be a multiple of {VECTOR_LEN}"
-        );
         assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
         let (p_w, p_x) = (plan.w_planes() as u64, x.num_planes() as u64);
         let m_groups = (self.row_sums.len() / VECTOR_LEN) as u64;
-        let n_groups = (n / VECTOR_LEN) as u64;
+        let n_groups = n.div_ceil(VECTOR_LEN) as u64;
         let w_vectors = m_groups * k_dim as u64;
         let x_vectors = k_dim as u64 * n_groups;
 
@@ -484,7 +499,7 @@ impl PackedWeight {
         let x_ho = x.plane(x.num_planes() - 1).as_slice().chunks(n.max(1));
         for (&wc, row) in self.compressed_per_k.iter().zip(x_ho) {
             let xc = row
-                .chunks_exact(VECTOR_LEN)
+                .chunks(VECTOR_LEN)
                 .filter(|v| v.iter().all(|&s| s.into() == r))
                 .count() as u64;
             w_comp += u64::from(wc);
@@ -534,7 +549,7 @@ impl PackedWeight {
 struct ActTile<const W: usize> {
     /// Per plane, `K` rows of the tile's `W` columns widened to `i16`.
     /// The HO plane holds `x_HO − r`, which is zero across every
-    /// compressed vector.
+    /// compressed vector. Lanes past `N` are 0 in every plane.
     planes: Vec<Vec<[i16; W]>>,
     /// Per `k` block: bit `o` is set iff some HO vector of the tile at
     /// `k = block·K_BLOCK + o` is uncompressed — or the plan does not
@@ -544,14 +559,15 @@ struct ActTile<const W: usize> {
 
 impl<const W: usize> ActTile<W> {
     fn prepare<X: Planes>(x: &X, plan: &KernelPlan, c0: usize) -> Self {
-        let k_dim = x.plane(0).rows();
+        let (k_dim, n) = x.plane(0).shape();
+        let cols = c0..n.min(c0 + W);
         let x_ho = x.num_planes() - 1;
         let planes: Vec<Vec<[i16; W]>> = (0..=x_ho)
             .map(|j| {
                 let r = if j == x_ho { plan.r() } else { 0 };
                 let widen = |k| {
                     let mut row = [0i16; W];
-                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[c0..c0 + W]) {
+                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[cols.clone()]) {
                         *d = s.into() - r;
                     }
                     row
@@ -605,11 +621,16 @@ fn products_lanes_n(w: &[PanelCol], g: usize, x: &[[i16; LANES]], ks: &KMask) ->
     tile
 }
 
-/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the 4
-/// columns of one n-group × the 16 rows of the panel, under the same
-/// `i16` bound. Kept out of line for the same reason.
+/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the first
+/// `C` (1 to 4) columns of one n-group × the 16 rows of the panel, under
+/// the same `i16` bound; the other columns of the tile stay 0. Kept out
+/// of line for the same reason.
 #[inline(never)]
-fn products_lanes_m(w: &[PanelCol], x: &[[i16; VECTOR_LEN]], ks: &KMask) -> ProductTile {
+fn products_lanes_m<const C: usize>(
+    w: &[PanelCol],
+    x: &[[i16; VECTOR_LEN]],
+    ks: &KMask,
+) -> ProductTile {
     let w = &w[..x.len()];
     let mut tile = ProductTile::default();
     for (word, &bits) in ks.iter().enumerate() {
@@ -618,7 +639,7 @@ fn products_lanes_m(w: &[PanelCol], x: &[[i16; VECTOR_LEN]], ks: &KMask) -> Prod
             let o = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let w_col = w[o].map(i16::from);
-            for (tile_col, &x_slice) in tile.iter_mut().zip(&x[o]) {
+            for (tile_col, &x_slice) in tile[..C].iter_mut().zip(&x[o][..C]) {
                 for (t, &w_slice) in tile_col.iter_mut().zip(&w_col) {
                     *t += w_slice * x_slice;
                 }

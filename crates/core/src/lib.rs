@@ -60,4 +60,4 @@ pub mod sibia;
 pub mod workload;
 
 pub use aqs::{aqs_gemm, aqs_tile_stats, TileStats};
-pub use workload::Workload;
+pub use workload::{pe_padded_cols, Workload};

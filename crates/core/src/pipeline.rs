@@ -189,8 +189,10 @@ impl QuantizedLinear {
     }
 
     /// Runs the layer on already-quantized input codes (`K × N`,
-    /// unsigned). Returns the biased integer accumulators
-    /// (`≈ (Wx + b)/s_W s_x`) and the measured workload.
+    /// unsigned, any `N`). Returns the biased integer accumulators
+    /// (`≈ (Wx + b)/s_W s_x`) and the measured workload. The kernel
+    /// multiplies only the `N` real columns; the [`Workload`] is the
+    /// paper's PE array's, which pads `N` to its vector width.
     ///
     /// # Panics
     ///
@@ -231,40 +233,20 @@ impl QuantizedLinear {
     /// their columns into one wide GEMM `N` dimension and splitting the
     /// accumulators back per request.
     ///
-    /// The PE array processes activations in vectors of
-    /// [`VECTOR_LEN`](panacea_bitslice::VECTOR_LEN) columns, so the
-    /// coalesced batch is zero-padded up to the vector width and the
-    /// padding trimmed from the output — narrow lone requests pay that
-    /// padding in full, which is precisely the waste batching amortizes.
     /// Every AQS-GEMM step is element-exact regardless of how columns are
     /// grouped, so each returned matrix is bit-identical to running that
-    /// request alone; only the [`Workload`] accounting reflects the
-    /// amortization. This is the single-layer batched entry point;
-    /// `panacea-serve`'s `PreparedModel::forward_batch` runs the same
-    /// [`run_coalesced`] contract across a whole layer chain.
+    /// request alone through [`forward`](Self::forward); what batching
+    /// buys is one walk of the weights for all of them. This is the
+    /// single-layer batched entry point; `panacea-serve`'s
+    /// `PreparedModel::forward_batch` runs the same [`run_coalesced`]
+    /// contract across a whole layer chain.
     ///
     /// # Panics
     ///
     /// Panics if the requests disagree on the feature dimension `K` or if
     /// codes exceed the activation format.
     pub fn forward_batch(&self, requests: &[&Matrix<i32>]) -> (Vec<Matrix<i32>>, Workload) {
-        run_coalesced(requests, |stacked| self.forward_padded(stacked))
-    }
-
-    /// [`forward`](Self::forward) for any column count: pads up to the PE
-    /// vector width when needed (skipping the copy when already aligned)
-    /// and trims the padding from the accumulators.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`forward`](Self::forward).
-    pub fn forward_padded(&self, x_codes: &Matrix<i32>) -> (Matrix<i32>, Workload) {
-        if x_codes.cols().is_multiple_of(panacea_bitslice::VECTOR_LEN) {
-            return self.forward(x_codes);
-        }
-        let (padded, pad) = pad_cols_to_vector_len(x_codes);
-        let (acc, wl) = self.forward(&padded);
-        (acc.submatrix(0, 0, acc.rows(), acc.cols() - pad), wl)
+        run_coalesced(requests, |x| self.forward(x))
     }
 }
 
@@ -294,27 +276,6 @@ where
     (parts, wl)
 }
 
-/// Zero-pads a code matrix with extra columns until its width is a
-/// multiple of the PE array's vector length, returning the padded matrix
-/// and the number of columns added. Zero is always a representable code,
-/// and GEMM columns are independent, so padding never perturbs real
-/// outputs.
-pub fn pad_cols_to_vector_len(codes: &Matrix<i32>) -> (Matrix<i32>, usize) {
-    let vlen = panacea_bitslice::VECTOR_LEN;
-    let pad = (vlen - codes.cols() % vlen) % vlen;
-    if pad == 0 {
-        return (codes.clone(), 0);
-    }
-    let padded = Matrix::from_fn(codes.rows(), codes.cols() + pad, |r, c| {
-        if c < codes.cols() {
-            codes[(r, c)]
-        } else {
-            0
-        }
-    });
-    (padded, pad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +283,7 @@ mod tests {
     use panacea_quant::ActivationCalibrator;
     use panacea_tensor::dist::DistributionKind;
     use panacea_tensor::stats;
+    use rand::Rng;
 
     fn calib(x: &Matrix<f32>, zpm: bool) -> LayerQuantConfig {
         let mut cal = ActivationCalibrator::new(8)
@@ -525,21 +487,18 @@ mod tests {
         let (batched, wl) = layer.forward_batch(&refs);
         assert!(wl.mul > 0);
         for (req, got) in requests.iter().zip(&batched) {
-            // Solo reference: pad the lone request to the vector width
-            // (what a caller without a batcher is forced to do) and trim.
-            let (padded, pad) = pad_cols_to_vector_len(req);
-            let (alone, _) = layer.forward(&padded);
-            let alone = alone.submatrix(0, 0, alone.rows(), alone.cols() - pad);
+            let (alone, _) = layer.forward(req);
             assert_eq!(got, &alone);
         }
     }
 
     #[test]
     fn forward_batch_across_the_lane_orientation_boundary_matches_solo() {
-        // 18 columns pad to 20: inside the batch the first 16 run lanes
-        // along N and the last 4 lanes along M, while every request
-        // alone (padded to 4 or 8) runs lanes along M only. M = 20 is a
-        // full panel plus a partial one, K = 300 two `k` blocks.
+        // 18 columns: inside the batch the first 16 run lanes along N and
+        // the last 2 lanes along M, while every request alone runs lanes
+        // along M only, its last n-group partial unless its width is a
+        // multiple of 4. M = 20 is a full panel plus a partial one,
+        // K = 300 two `k` blocks.
         let mut rng = panacea_tensor::seeded_rng(71);
         let gauss = |std| DistributionKind::Gaussian { mean: 0.1, std };
         let w = gauss(0.05).sample_matrix(20, 300, &mut rng);
@@ -553,15 +512,42 @@ mod tests {
         let (batched, _) = layer.forward_batch(&refs);
         assert_eq!(batched.len(), requests.len());
         for (req, got) in requests.iter().zip(&batched) {
-            let (alone, _) = layer.forward_padded(req);
+            let (alone, _) = layer.forward(req);
             assert_eq!(got, &alone, "width {}", req.cols());
         }
         // And both agree with the integer reference of the whole batch.
-        let (whole, _) = layer.forward_padded(&codes);
+        let (whole, _) = layer.forward(&codes);
         assert_eq!(
             Matrix::hstack(&batched.iter().collect::<Vec<_>>()).expect("rows"),
             whole
         );
+    }
+
+    #[test]
+    fn narrow_forward_equals_its_columns_of_a_wide_one() {
+        // The kernel's absent lanes leak nothing: `forward` at N = 1..=9
+        // equals the same columns of a 16-wide call whose other columns
+        // are random codes. M = 20 and K = 300 cross a panel and a block.
+        let mut rng = panacea_tensor::seeded_rng(73);
+        let gauss = |std| DistributionKind::Gaussian { mean: 0.1, std };
+        let w = gauss(0.05).sample_matrix(20, 300, &mut rng);
+        let x = gauss(0.8).sample_matrix(300, 16, &mut rng);
+        let cfg = calib(&x, true);
+        let layer = QuantizedLinear::prepare(&w, &[0.05; 20], 7, cfg).expect("prepare");
+        let max = cfg.max_code();
+        for n in 1..=9 {
+            let narrow = Matrix::from_fn(300, n, |_, _| rng.gen_range(0..=max));
+            let wide = Matrix::from_fn(300, 16, |r, c| {
+                if c < n {
+                    narrow[(r, c)]
+                } else {
+                    rng.gen_range(0..=max)
+                }
+            });
+            let (got, _) = layer.forward(&narrow);
+            let (all, _) = layer.forward(&wide);
+            assert_eq!(got, all.submatrix(0, 0, 20, n), "N = {n}");
+        }
     }
 
     #[test]
@@ -593,20 +579,6 @@ mod tests {
         for (&o, &a) in out.iter().zip(acc.iter()) {
             assert!((o - rq.requantize_ref(a)).abs() <= 1);
         }
-    }
-
-    #[test]
-    fn pad_cols_preserves_content_and_alignment() {
-        let m = Matrix::from_fn(4, 5, |r, c| (r * 5 + c) as i32);
-        let (p, pad) = pad_cols_to_vector_len(&m);
-        assert_eq!(pad, 3);
-        assert_eq!(p.shape(), (4, 8));
-        assert_eq!(p.submatrix(0, 0, 4, 5), m);
-        assert!((5..8).all(|c| (0..4).all(|r| p[(r, c)] == 0)));
-        let aligned = Matrix::from_fn(4, 8, |r, c| (r + c) as i32);
-        let (q, pad0) = pad_cols_to_vector_len(&aligned);
-        assert_eq!(pad0, 0);
-        assert_eq!(q, aligned);
     }
 
     #[test]

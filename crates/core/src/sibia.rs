@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::aqs::{run_sliced, PackedWeight};
 use crate::plan::KernelPlan;
-use crate::workload::Workload;
+use crate::workload::{pe_padded_cols, Workload};
 
 /// Which operand's zero HO vectors Sibia compresses and skips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +42,8 @@ pub enum SkipSide {
 ///
 /// # Panics
 ///
-/// Panics if shapes are incompatible or `M`/`N` are not multiples of 4.
+/// Panics if shapes are incompatible or `M` is not a multiple of 4. `N`
+/// may be any width.
 ///
 /// # Examples
 ///
@@ -60,8 +61,11 @@ pub enum SkipSide {
 /// ```
 pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix<i32>, Workload) {
     let (out, executed) = run_sliced(&KernelPlan::for_operands(w, x, 0, Some(side)), w, x);
-    let packed_bits = w.plane(0).len() as u64 * u64::from(w.bits())
-        + x.plane(0).len() as u64 * u64::from(x.bits());
+    // The PE array moves the padding of a partial last vector too.
+    let (k_dim, n) = x.plane(0).shape();
+    let x_elems = k_dim * (n + pe_padded_cols(n));
+    let packed_bits =
+        w.plane(0).len() as u64 * u64::from(w.bits()) + x_elems as u64 * u64::from(x.bits());
     let workload = Workload {
         ema_slices: packed_bits.div_ceil(4),
         ..executed

@@ -11,6 +11,7 @@
 //! Table I formalizes these for a `4 × K × 4` micro-tile with two slices
 //! per operand, as a function of the HO *vector* sparsities `ρ_w`, `ρ_x`.
 
+use panacea_bitslice::VECTOR_LEN;
 use serde::{Deserialize, Serialize};
 
 /// Operation and memory-access counts for one GEMM invocation.
@@ -49,6 +50,13 @@ impl Workload {
             comp_add: self.comp_add + other.comp_add,
         }
     }
+}
+
+/// Columns the paper's PE array would pad `cols` activation columns with
+/// to fill its last 1×4 vector. A [`Workload`] counts them; the host
+/// kernel does not multiply them.
+pub fn pe_padded_cols(cols: usize) -> usize {
+    cols.next_multiple_of(VECTOR_LEN) - cols
 }
 
 /// Closed-form Table-I expressions (expectation under independent

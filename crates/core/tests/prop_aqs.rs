@@ -149,11 +149,17 @@ impl Fill {
 }
 
 /// One differential case: operands of the given format with
-/// vector-level sparsity, sliced.
+/// vector-level sparsity, sliced, plus what the PE array pads a partial
+/// last activation vector with: the code whose HO slice is `r` and whose
+/// other slices are 0 (any code when no HO slice can equal `r`).
 struct Case {
     sw: SlicedWeight,
     sx: SlicedActivation,
     r: u8,
+    x: Matrix<i32>,
+    x_lo: usize,
+    ty: DbsType,
+    pad_code: i32,
 }
 
 /// A `(3·lo_slices + 4)`-bit signed matrix whose 4×1 HO vectors (along
@@ -208,9 +214,10 @@ fn case(
     let ho_slices = 1i32 << (x_bits - ho_shift);
     let mut x = Matrix::<i32>::zeros(k, n);
     for kk in 0..k {
-        for ng in 0..n / 4 {
+        for ng in 0..n.div_ceil(4) {
             let compress = x_fill.compresses(&mut rng) && i32::from(r) < ho_slices;
-            for nn in 0..4 {
+            // A partial last n-group has only its first columns.
+            for nn in 0..4.min(n - ng * 4) {
                 let ho = if compress {
                     i32::from(r)
                 } else if nn == 0 && x_fill == Fill::None {
@@ -226,13 +233,39 @@ fn case(
         sw: SlicedWeight::from_int(&w, w_lo_slices).expect("weights in range"),
         sx: SlicedActivation::from_uint(&x, x_lo_slices, ty).expect("codes in range"),
         r,
+        x,
+        x_lo: x_lo_slices,
+        ty,
+        pad_code: if i32::from(r) < ho_slices {
+            i32::from(r) << ho_shift
+        } else {
+            0
+        },
     }
 }
 
+/// `x` with columns of `code` appended up to a multiple of 4.
+fn pad_to_vectors(x: &Matrix<i32>, code: i32) -> Matrix<i32> {
+    let n = x.cols();
+    Matrix::from_fn(x.rows(), n.next_multiple_of(4), |r, c| {
+        if c < n {
+            x[(r, c)]
+        } else {
+            code
+        }
+    })
+}
+
 /// Kernel ≡ oracle ≡ `Matrix::gemm` of the represented operands, and the
-/// closed-form statistics ≡ the counted ones, field for field.
+/// closed-form statistics ≡ the counted ones, field for field. The
+/// oracle runs on the input the PE array sees — padded to whole vectors
+/// with [`Case::pad_code`] — and its output is trimmed back to `N`.
 fn assert_matches_oracle(c: &Case, what: &str) {
-    let (want, counted) = oracle::aqs_gemm_with_stats(&c.sw, &c.sx, c.r);
+    let (m, n) = (c.sw.plane(0).rows(), c.x.cols());
+    let padded = pad_to_vectors(&c.x, c.pad_code);
+    let sx_padded = SlicedActivation::from_uint(&padded, c.x_lo, c.ty).expect("codes in range");
+    let (want, counted) = oracle::aqs_gemm_with_stats(&c.sw, &sx_padded, c.r);
+    let want = want.submatrix(0, 0, m, n);
     let dense =
         c.sw.reconstruct()
             .gemm(&c.sx.reconstruct())
@@ -409,7 +442,8 @@ fn forward_is_unchanged_on_the_pipeline_fixtures() {
 /// Sibia plan of the tile ≡ the seed's nest ≡ `Matrix::gemm` on outputs,
 /// and the closed-form [`Workload`](panacea_core::Workload) ≡ the nest's
 /// counted one. The activation is an SBR stack whose 1×4 vectors run
-/// along `N`: a weight-shaped matrix, transposed.
+/// along `N`: a weight-shaped matrix, transposed, and cut to `N` columns.
+/// The nest runs on it padded with code 0 (`r = 0`) to whole vectors.
 fn assert_sibia_matches_oracle(
     (m, k, n): (usize, usize, usize),
     w_lo: usize,
@@ -420,15 +454,19 @@ fn assert_sibia_matches_oracle(
 ) {
     let mut rng = panacea_tensor::seeded_rng(seed);
     let w = sbr_matrix(m, k, w_lo, w_fill, &mut rng);
-    let x = sbr_matrix(n, k, x_lo, x_fill, &mut rng).transposed();
+    let x = sbr_matrix(n.next_multiple_of(4), k, x_lo, x_fill, &mut rng)
+        .transposed()
+        .submatrix(0, 0, k, n);
     let sw = SlicedWeight::from_int(&w, w_lo).expect("weights in range");
     let sx = SlicedWeight::from_int(&x, x_lo).expect("activations in range");
+    let sx_padded = SlicedWeight::from_int(&pad_to_vectors(&x, 0), x_lo).expect("in range");
     let dense = w.gemm(&x).expect("shapes");
     for side in [SkipSide::Weight, SkipSide::Activation] {
         let what = format!(
             "{side:?} M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {w_fill:?}/{x_fill:?} seed={seed}"
         );
-        let (want, counted) = oracle::sibia::sibia_gemm(&sw, &sx, side);
+        let (want, counted) = oracle::sibia::sibia_gemm(&sw, &sx_padded, side);
+        let want = want.submatrix(0, 0, m, n);
         assert_eq!(want, dense, "oracle vs dense: {what}");
         let (got, wl) = sibia_gemm(&sw, &sx, side);
         assert_eq!(got, want, "outputs: {what}");
@@ -488,6 +526,50 @@ fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
                     seed += 1;
                     let (w_fill, x_fill) = fills[seed as usize % fills.len()];
                     let x_lo = seed as usize / 7 % 3;
+                    let ty = if x_lo == 1 {
+                        types[seed as usize % 3]
+                    } else {
+                        DbsType::Type1
+                    };
+                    let r = (seed % 16) as u8;
+                    let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                    assert_matches_oracle(
+                        &c,
+                        &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                    );
+                    assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+                }
+            }
+        }
+    }
+}
+
+/// Widths that are not a multiple of 4, which the kernel takes since it
+/// owns its padding — a lone partial n-group, one or more whole ones
+/// before it, and a full 16-column tile followed by a partial edge — ×
+/// `M` at the panel edges × `K` at the block edge × 1–3 weight planes,
+/// under the AQS plan and both Sibia plans. Outputs equal the oracle on
+/// the padded input, trimmed, and `Matrix::gemm`; statistics equal the
+/// oracle's counts over the padded input.
+#[test]
+fn odd_n_plans_match_the_oracle_on_padded_input() {
+    let fills = [
+        (Fill::Share(0.5), Fill::Share(0.6)),
+        (Fill::All, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::Share(0.9), Fill::All),
+        (Fill::All, Fill::None),
+        (Fill::Share(0.2), Fill::Share(0.95)),
+    ];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 9000u64;
+    for n in [1, 2, 3, 5, 6, 7, 9, 13, 17, 18, 19] {
+        for m in [4, 12, 16, 20, 36] {
+            for k in [1, 255, 256, 257] {
+                for w_lo in 0..3 {
+                    seed += 1;
+                    let (w_fill, x_fill) = fills[seed as usize % fills.len()];
+                    let x_lo = seed as usize / 5 % 3;
                     let ty = if x_lo == 1 {
                         types[seed as usize % 3]
                     } else {

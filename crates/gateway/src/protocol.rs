@@ -310,9 +310,9 @@ pub struct ShardStats {
     pub batches: u64,
     /// Activation columns served by this shard.
     pub columns: u64,
-    /// Columns zero-padded to the PE vector width.
+    /// Columns the paper's PE array would pad the batches with.
     pub padded_cols: u64,
-    /// Fraction of executed GEMM columns that were zero padding
+    /// Fraction of the PE array's columns that would be padding
     /// (`padded / (served + padded)`).
     pub padding_overhead: f64,
     /// Queued requests dropped before execution because their caller
@@ -338,8 +338,8 @@ pub struct ShardStats {
     /// decode_batches`; `> 1` means concurrent sessions shared GEMM
     /// passes). Zero before any fused pass.
     pub decode_batch_occupancy: f64,
-    /// Columns the fused decode passes zero-padded to the PE vector
-    /// width.
+    /// Columns the paper's PE array would pad the fused decode passes
+    /// with.
     pub decode_padded_cols: u64,
     /// Panics caught and isolated on this shard's execution paths
     /// (batch workers, fused decode passes, inline steps).

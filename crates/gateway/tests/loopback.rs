@@ -235,7 +235,8 @@ fn decode_sessions_work_over_tcp_with_affinity_and_eviction_errors() {
     assert_eq!(stats.shards[open.shard].decode_steps, 2);
     assert_eq!(stats.shards[open.shard].decode_batches, 2);
     assert_eq!(stats.shards[open.shard].decode_batch_occupancy, 1.0);
-    // 3-column prefill pads to 4, the single-token step pads to 4.
+    // The PE array would pad the 3-column prefill and the single-token
+    // step to 4 columns each.
     assert_eq!(stats.shards[open.shard].decode_padded_cols, 1 + 3);
 
     // Close, then decode/close again: unknown_session on the wire.
@@ -256,8 +257,8 @@ fn decode_sessions_work_over_tcp_with_affinity_and_eviction_errors() {
 
 #[test]
 fn stats_expose_padding_and_cancellation_counters_over_the_wire() {
-    // A 3-column request forces one padded column; the counters must be
-    // visible to a remote client, not just in-process.
+    // The PE array would pad a 3-column request with one column; the
+    // counters must be visible to a remote client, not just in-process.
     let gateway = Arc::new(Gateway::new(
         models(&["m"], 9),
         GatewayConfig {

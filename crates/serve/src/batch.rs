@@ -19,7 +19,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use panacea_bitslice::VECTOR_LEN;
+use panacea_core::pe_padded_cols;
 use panacea_telemetry::{DimCell, TraceContext};
 
 use crate::metrics::Metrics;
@@ -171,13 +171,6 @@ pub(crate) fn head_model_cols(queue: &VecDeque<Job>) -> usize {
 /// Removes the head job plus every queued job for the same model, in
 /// arrival order, until the column budget is filled. Jobs for other
 /// models keep their relative order.
-///
-/// After the greedy fill, a vector-group packing pass tops the batch up
-/// to a multiple of the PE array's vector width
-/// ([`VECTOR_LEN`](panacea_bitslice::VECTOR_LEN)): the GEMM zero-pads a
-/// misaligned batch, so pulling one more same-model request that lands
-/// the total exactly on a vector boundary converts wasted padding
-/// columns into served work.
 pub(crate) fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<Batch> {
     let head = queue.pop_front()?;
     let model = Arc::clone(&head.model);
@@ -192,25 +185,6 @@ pub(crate) fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<
         } else {
             i += 1;
         }
-    }
-    while !cols.is_multiple_of(VECTOR_LEN) {
-        let need = VECTOR_LEN - cols % VECTOR_LEN;
-        // Prefer a request that fits inside the padding we would emit
-        // anyway; failing that, accept one that still ends on a vector
-        // boundary with at most one extra group of overshoot.
-        let fits = |j: &Job| {
-            let c = j.payload.cols();
-            c <= need || (c % VECTOR_LEN == need && c <= need + VECTOR_LEN)
-        };
-        let Some(idx) = queue
-            .iter()
-            .position(|j| Arc::ptr_eq(&j.model, &model) && fits(j))
-        else {
-            break;
-        };
-        let job = queue.remove(idx).expect("index in bounds");
-        cols += job.payload.cols();
-        jobs.push(job);
     }
     Some(Batch { model, jobs })
 }
@@ -283,13 +257,10 @@ pub(crate) fn execute(
     // Record before answering: a caller that observes its response must
     // also observe this batch in the metrics.
     let batch_max_latency = latencies.iter().copied().max().unwrap_or(Duration::ZERO);
-    // Columns the GEMM zero-padded to reach the PE vector width — the
-    // waste the vector-group packing pass exists to reclaim.
-    let padded = (VECTOR_LEN - total_cols % VECTOR_LEN) % VECTOR_LEN;
     metrics.record_batch(
         jobs.len(),
         total_cols,
-        padded,
+        pe_padded_cols(total_cols),
         &workload,
         compute,
         batch_max_latency,
@@ -409,77 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_group_packing_tops_up_to_alignment() {
-        let a = prepared(6);
-        let mut queue = VecDeque::new();
-        let mut rxs = Vec::new();
-        // Head fills the budget (3 ≥ 3) but leaves 1 padding column; the
-        // packer should skip the 2-col job and pull the 1-col job.
-        for cols in [3usize, 2, 1, 4] {
-            let (j, rx) = job(&a, cols);
-            queue.push_back(j);
-            rxs.push(rx);
-        }
-        let batch = take_batch(&mut queue, 3).expect("non-empty");
-        let widths: Vec<usize> = batch.jobs.iter().map(|j| j.payload.cols()).collect();
-        assert_eq!(widths, vec![3, 1], "packer should reclaim the padding");
-        // The skipped jobs keep their relative order.
-        let rest: Vec<usize> = queue.iter().map(|j| j.payload.cols()).collect();
-        assert_eq!(rest, vec![2, 4]);
-    }
-
-    #[test]
-    fn vector_group_packing_accepts_bounded_overshoot() {
-        let a = prepared(7);
-        let mut queue = VecDeque::new();
-        let mut rxs = Vec::new();
-        // 2 + 6 = 8 is vector-aligned; 6 > the 2 padding columns but ends
-        // on a boundary within one extra group, so it should ride along.
-        for cols in [2usize, 6] {
-            let (j, rx) = job(&a, cols);
-            queue.push_back(j);
-            rxs.push(rx);
-        }
-        let batch = take_batch(&mut queue, 2).expect("non-empty");
-        let total: usize = batch.jobs.iter().map(|j| j.payload.cols()).sum();
-        assert_eq!(total, 8);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn vector_group_packing_fills_from_several_small_jobs() {
-        let a = prepared(8);
-        let mut queue = VecDeque::new();
-        let mut rxs = Vec::new();
-        for cols in [6usize, 1, 1] {
-            let (j, rx) = job(&a, cols);
-            queue.push_back(j);
-            rxs.push(rx);
-        }
-        let batch = take_batch(&mut queue, 6).expect("non-empty");
-        let total: usize = batch.jobs.iter().map(|j| j.payload.cols()).sum();
-        assert_eq!(total, 8, "two singles should complete the vector group");
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn packing_leaves_misaligned_batch_when_nothing_fits() {
-        let a = prepared(9);
-        let b = prepared(10);
-        let mut queue = VecDeque::new();
-        let (ja, _ra) = job(&a, 3);
-        let (jb, _rb) = job(&b, 1);
-        queue.extend([ja, jb]);
-        // The only queued job belongs to another model: padding stands.
-        let batch = take_batch(&mut queue, 8).expect("non-empty");
-        assert_eq!(batch.jobs.len(), 1);
-        assert_eq!(queue.len(), 1);
-        let metrics = Metrics::default();
-        run(batch, &metrics);
-        assert_eq!(metrics.snapshot().padded_cols, 1);
-    }
-
-    #[test]
     fn purge_cancelled_drops_abandoned_jobs_only() {
         let a = prepared(11);
         let mut queue = VecDeque::new();
@@ -528,6 +428,8 @@ mod tests {
         assert_eq!(snap.requests, 3);
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.columns, 9);
+        // What the PE array would pad 9 columns with.
+        assert_eq!(snap.padded_cols, 3);
         // Each stage sample lands in the registry exactly once: one
         // queue wait per request, one execute / split-back per batch.
         let count = |stage| {

@@ -3,10 +3,10 @@
 //!
 //! KV caching (PR 5) made one decode step O(prefix), but every step
 //! still executed alone on its caller's thread: a single-token step runs
-//! the whole block stack at GEMM width `N = 1`, and the PE array pads
-//! `N` up to the vector width — so a fleet of concurrent decode sessions
-//! wastes up to [`VECTOR_LEN`]× the MACs and serializes work the GEMM
-//! could amortize. The [`DecodeBatcher`] fixes that: callers enqueue
+//! the whole block stack at GEMM width `N = 1`, so a fleet of concurrent
+//! decode sessions walks every weight once per session and serializes
+//! work one wider GEMM could share. The [`DecodeBatcher`] fixes that:
+//! callers enqueue
 //! steps, and a dedicated worker stacks the queued steps of the *same*
 //! prepared model (one column group per session) into a single fused
 //! pass — one QKV/proj/fc1/fc2 GEMM per block over all sessions'
@@ -45,9 +45,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use panacea_bitslice::VECTOR_LEN;
 use panacea_block::KvCache;
-use panacea_core::Workload;
+use panacea_core::{pe_padded_cols, Workload};
 use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
 use panacea_tensor::Matrix;
 
@@ -220,8 +219,9 @@ impl DecodeBatcher {
         self.shared.batches.load(Ordering::Relaxed)
     }
 
-    /// Columns the fused passes zero-padded to reach the PE vector
-    /// width — the waste continuous batching exists to reclaim.
+    /// Columns the paper's PE array would pad the fused passes with
+    /// ([`pe_padded_cols`] per pass). The host kernel multiplies only the
+    /// real columns.
     pub fn padded_cols(&self) -> u64 {
         self.shared.padded_cols.load(Ordering::Relaxed)
     }
@@ -432,10 +432,9 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
         drop(guards);
         let total: usize = segments.iter().sum();
         shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared.padded_cols.fetch_add(
-            ((VECTOR_LEN - total % VECTOR_LEN) % VECTOR_LEN) as u64,
-            Ordering::Relaxed,
-        );
+        shared
+            .padded_cols
+            .fetch_add(pe_padded_cols(total) as u64, Ordering::Relaxed);
         shared.recorder.record(
             EventSeverity::Info,
             "batch_formed",

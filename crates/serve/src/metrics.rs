@@ -36,8 +36,10 @@ pub struct MetricsSnapshot {
     pub max_latency: Duration,
     /// Widest batch (in columns) dispatched so far.
     pub widest_batch: u64,
-    /// Columns the GEMM zero-padded to reach the PE vector width —
-    /// wasted work the batcher's vector-group packing tries to avoid.
+    /// Columns the paper's PE array would pad the dispatched batches
+    /// with to fill its last activation vector
+    /// ([`pe_padded_cols`](panacea_core::pe_padded_cols) per batch). The
+    /// host kernel multiplies only the real columns.
     pub padded_cols: u64,
     /// Queued requests dropped before execution because their caller
     /// stopped waiting (its `Pending` handle was dropped, e.g. by an
@@ -72,7 +74,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of executed GEMM columns that were zero padding
+    /// Fraction of the PE array's columns that would be padding
     /// (`padded / (served + padded)`) — 0 when nothing has run.
     pub fn padding_overhead(&self) -> f64 {
         let executed = self.columns + self.padded_cols;

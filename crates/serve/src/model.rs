@@ -15,7 +15,7 @@ use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry};
 
 use panacea_bitslice::VECTOR_LEN;
 use panacea_block::{with_stage_times, KvCache, QuantizedBlock, STAGE_NAMES};
-use panacea_core::pipeline::{pad_cols_to_vector_len, run_coalesced, QuantizedLinear};
+use panacea_core::pipeline::{run_coalesced, QuantizedLinear};
 use panacea_core::Workload;
 use panacea_models::engine::CapturedLayer;
 use panacea_quant::dbs::DbsConfig;
@@ -381,13 +381,9 @@ impl PreparedModel {
         Ok(())
     }
 
-    /// Runs the full chain on already-quantized codes (`K × N`), returning
-    /// the final integer accumulators and the summed workload — the
-    /// direct code-domain entry point for linear chains.
-    ///
-    /// The input is zero-padded up to the PE array's vector width and the
-    /// padding trimmed from the output, so any column count is accepted;
-    /// the padded columns are wasted work a wider batch would reclaim.
+    /// Runs the full chain on already-quantized codes (`K × N`, any `N`),
+    /// returning the final integer accumulators and the summed workload
+    /// — the direct code-domain entry point for linear chains.
     ///
     /// # Panics
     ///
@@ -399,31 +395,15 @@ impl PreparedModel {
         let Body::Chain { layers, .. } = &self.body else {
             panic!("block models take hidden states, not codes; use forward()")
         };
-        // Pad once at entry (skipping the copy when already aligned —
-        // the common case for a well-coalesced batch); every layer
-        // preserves N.
-        let (padded, pad);
-        let input = if codes.cols().is_multiple_of(VECTOR_LEN) {
-            pad = 0;
-            codes
-        } else {
-            (padded, pad) = pad_cols_to_vector_len(codes);
-            &padded
-        };
         let mut wl = Workload::default();
         let last = layers.len() - 1;
         let mut x: Option<Matrix<i32>> = None;
         for layer in &layers[..last] {
-            let (next, w) = layer.forward_codes(x.as_ref().unwrap_or(input));
+            let (next, w) = layer.forward_codes(x.as_ref().unwrap_or(codes));
             wl = wl.merged(&w);
             x = Some(next);
         }
-        let (acc, w) = layers[last].forward(x.as_ref().unwrap_or(input));
-        let acc = if pad == 0 {
-            acc
-        } else {
-            acc.submatrix(0, 0, acc.rows(), acc.cols() - pad)
-        };
+        let (acc, w) = layers[last].forward(x.as_ref().unwrap_or(codes));
         (acc, wl.merged(&w))
     }
 

@@ -127,8 +127,7 @@ pub struct SessionStats {
     /// Fused decode passes executed by the continuous batcher (zero
     /// when batching is disabled).
     pub decode_batches: u64,
-    /// Columns the fused passes zero-padded to reach the PE vector
-    /// width.
+    /// Columns the paper's PE array would pad the fused passes with.
     pub decode_padded_cols: u64,
     /// Panics caught (and isolated) on decode execution paths — fused
     /// passes, solo retries, and inline steps. Each one answered its

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use panacea_core::pipeline::{pad_cols_to_vector_len, QuantizedLinear};
+use panacea_core::pipeline::QuantizedLinear;
 use panacea_quant::dbs::DbsConfig;
 use panacea_quant::ActivationCalibrator;
 use panacea_serve::{
@@ -103,9 +103,7 @@ proptest! {
         for (codes, p) in requests.iter().zip(pending) {
             let out = p.wait().expect("served");
             // Solo reference through core::pipeline directly.
-            let (padded, pad) = pad_cols_to_vector_len(codes);
-            let (solo, _) = reference.forward(&padded);
-            let solo = solo.submatrix(0, 0, solo.rows(), solo.cols() - pad);
+            let (solo, _) = reference.forward(codes);
             prop_assert_eq!(out.payload.as_codes().expect("chain output"), &solo);
         }
     }

@@ -197,8 +197,9 @@ fn main() {
     // 5. Continuous batching: the same generation work executed two
     //    ways — serial per-session stepping with batching disabled (the
     //    pre-batching behavior), then 8 concurrent clients through the
-    //    batching gateway. Gates: bit-identical outputs, fused-pass
-    //    occupancy > 1, and >= 2x aggregate tokens/s.
+    //    batching gateway. Gates: bit-identical outputs and fused-pass
+    //    occupancy > 1; the aggregate tokens/s of both are printed
+    //    (`decode_bench` gates the speedup).
     const BATCH_SESSIONS: usize = 8;
     const BATCH_PREFIX: usize = 16;
     const BATCH_GEN: usize = 24;
