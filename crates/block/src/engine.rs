@@ -236,8 +236,8 @@ impl QuantizedBlock {
     /// **bit-identical** per column to one causal full pass
     /// ([`forward_segments_causal`](Self::forward_segments_causal)) over
     /// the concatenated sequence: the GEMM chain is column-exact under
-    /// any grouping, and the incremental attention accumulates in the
-    /// same order as the full causal pass.
+    /// any grouping, and the paged attention kernel accumulates in the
+    /// same order as the full causal pass (see [`crate::kv`]).
     ///
     /// # Panics
     ///
@@ -254,9 +254,10 @@ impl QuantizedBlock {
     /// Continuous-batching decode: many sessions' freshly appended token
     /// columns, stacked side by side in `h_new` (`d_model × Σsegments`),
     /// run through **one** QKV / proj / fc1 / fc2 GEMM pass, while
-    /// incremental causal attention (and the K/V append) runs per
-    /// session against that session's own cache state. `segments[i]`
-    /// columns belong to `states[i]`, in order.
+    /// attention runs per session against that session's own cache
+    /// state: the segment's K/V are appended to its pages first, then
+    /// its tokens attend causally from the pages. `segments[i]` columns
+    /// belong to `states[i]`, in order.
     ///
     /// Because every coalesced stage of the pipeline is column-exact and
     /// attention only reads its own segment plus its own cached prefix,
@@ -303,18 +304,12 @@ impl QuantizedBlock {
             );
         }
 
-        // Attention is incremental per session: attend the new columns
-        // over the session's cached prefix, then append their K/V.
+        // Attention is incremental per session: append the new columns'
+        // K/V to the session's pages, then attend them from the pages.
         self.forward_with(h_new, segments, |i, seg_qkv| {
             let state = &mut *states[i];
-            let seg_ctx = ops::multi_head_attention_decode(
-                seg_qkv,
-                state.keys(),
-                state.values(),
-                self.n_heads,
-            );
             state.append_from_qkv(seg_qkv, seg_qkv.cols());
-            seg_ctx
+            state.attend(seg_qkv, self.n_heads)
         })
     }
 

@@ -36,6 +36,9 @@
 //!   *same* [`panacea_tensor::ops`] implementations as the float oracle
 //!   ([`panacea_models::engine::TinyTransformer`]), so quantization is the
 //!   only source of divergence — measured per block by [`sqnr_report`].
+//!   KV-cached decode attends from the paged cache with its own kernel
+//!   ([`kv`]), bit-identical to
+//!   [`panacea_tensor::ops::multi_head_attention_decode`].
 //! * [`QuantizedBlock::forward_batch`] coalesces independent sequences
 //!   into one wide GEMM `N` dimension (attention stays per-sequence) and
 //!   splits the result back **bit-exactly** — the contract the serving

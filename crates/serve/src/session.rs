@@ -87,10 +87,6 @@ pub struct SessionConfig {
     /// zero linger — steps queue up behind the pass in flight — but a
     /// short linger fills passes when arrivals trickle in.
     pub decode_max_wait: Duration,
-    /// KV capacity (in tokens) pre-reserved when a session opens, so a
-    /// typical prefill appends into pre-sized buffers instead of growing
-    /// them mid-chunk.
-    pub open_reserve_tokens: usize,
 }
 
 impl Default for SessionConfig {
@@ -100,7 +96,6 @@ impl Default for SessionConfig {
             max_kv_bytes: 64 << 20,
             max_decode_batch: 32,
             decode_max_wait: Duration::ZERO,
-            open_reserve_tokens: 64,
         }
     }
 }
@@ -319,10 +314,7 @@ impl SessionManager {
     /// [`ServeError::PayloadKindMismatch`] when `model` is a linear
     /// chain (there is no attention state to cache).
     pub fn open(&self, model: Arc<PreparedModel>) -> Result<u64, ServeError> {
-        let mut kv = model.new_kv_cache()?;
-        // Pre-size the K/V buffers for a typical prefill, so the first
-        // chunk appends into reserved capacity instead of growing vecs.
-        kv.reserve_tokens(self.config.open_reserve_tokens);
+        let kv = model.new_kv_cache()?;
         let bytes_per_token = kv.bytes_per_token();
         let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot {
