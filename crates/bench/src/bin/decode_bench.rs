@@ -56,7 +56,9 @@ const GATED_SPEEDUP: f64 = 1.25;
 /// noise doesn't fail the gate spuriously.
 const OVERHEAD_TRIALS: usize = 5;
 const MAX_FAULTLINE_OVERHEAD: f64 = 0.01;
-const FAULTLINE_ROUNDS: usize = 64;
+/// Single-token steps per faultline trial: ≈ 35 ms at ≈ 30 k tokens/s, so
+/// one scheduler preemption costs a trial well under the 1 % bound.
+const FAULTLINE_ROUNDS: usize = 1024;
 
 fn token(salt: usize) -> Matrix<f32> {
     Matrix::from_fn(D_MODEL, 1, |r, _| {

@@ -18,8 +18,8 @@
 //!   weight/activation tiles, calibrate (optionally with ZPM/DBS), slice,
 //!   and measure the HO vector sparsities `ρ_w`, `ρ_x` the simulator needs;
 //! * [`proxy`] — quality proxies mapping output SQNR to the accuracy /
-//!   perplexity deltas the paper reports (documented in `DESIGN.md` as a
-//!   substitution for dataset evaluation).
+//!   perplexity deltas the paper reports (a substitution for dataset
+//!   evaluation; the module doc states it).
 
 pub mod conv;
 pub mod engine;

@@ -1,8 +1,8 @@
 //! Quality proxies.
 //!
 //! The paper reports top-1 accuracy (DeiT/BERT/ResNet) and perplexity
-//! (GPT-2/OPT/Llama) measured on datasets we substitute synthetically
-//! (see `DESIGN.md`). What the comparisons actually need is a *monotone*
+//! (GPT-2/OPT/Llama) measured on datasets we substitute synthetically.
+//! What the comparisons actually need is a *monotone*
 //! mapping from quantization fidelity to quality: higher layer-output
 //! SQNR ⇔ smaller accuracy drop / perplexity increase, with FP-exact
 //! computation mapping to zero degradation. This module provides that
