@@ -187,7 +187,7 @@ fn main() {
     let mgr = SessionManager::new(SessionConfig::default());
     // warmup
     site_trial(&mgr, &fl_model);
-    // The true effect is sub-noise (one uncontended lock per pass), so a
+    // The true effect is sub-noise (an armed query takes no lock), so a
     // pass that lands over the limit on a shared box is remeasured a
     // bounded number of times — only a cost the machine reproduces every
     // time fails the gate (same policy as the gateway exporter A/B).

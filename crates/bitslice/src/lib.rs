@@ -1,7 +1,9 @@
-//! Bit-slice representations and compression for the Panacea reproduction.
+//! Bit-slice representations for the Panacea reproduction.
 //!
 //! Integer GEMM operands are segmented into 4-bit *slices* so that sparse
-//! high-order (HO) slices can be compressed and their MACs skipped:
+//! high-order (HO) slices can be compressed and their MACs skipped (the
+//! kernel's skip index lives in `panacea-core`'s `PackedWeight`; the
+//! simulator prices the compressed format in `panacea-sim`):
 //!
 //! * [`slicing`] — the two slicing schemes of the paper (Fig. 3):
 //!   the **signed bit-slice representation** (SBR, from Sibia) for
@@ -12,12 +14,8 @@
 //! * [`vector`] — grouping slices into length-`v` slice-vectors (4×1 for
 //!   weights along M, 1×4 for activations along N) and testing their
 //!   compressibility (all-zero / all-`r`);
-//! * [`rle`] — the run-length encoding of compressed vector streams with
-//!   4-bit skip indices (Fig. 7(a));
 //! * [`sparsity`] — slice-level and vector-level sparsity metrics used by
-//!   the paper's Figs. 5, 8 and 14;
-//! * [`packing`] — the nibble-packed byte format of slice planes and RLE
-//!   streams whose sizes the EMA analyses count.
+//!   the paper's Figs. 5, 8 and 14.
 //!
 //! # Examples
 //!
@@ -30,13 +28,10 @@
 //! assert_eq!(sbr_reconstruct(&s), -3);
 //! ```
 
-pub mod packing;
 pub mod plane;
-pub mod rle;
 pub mod slicing;
 pub mod sparsity;
 pub mod vector;
 
 pub use plane::{activation_plane_weight, SliceError, SlicedActivation, SlicedWeight};
-pub use rle::{RleEntry, RleStream};
 pub use vector::{ActVector, WeightVector, VECTOR_LEN};

@@ -98,11 +98,6 @@ pub fn sbr_reconstruct(slices: &[i8]) -> i32 {
         .sum()
 }
 
-/// Positional weight of SBR slice `i`: `8^i`.
-pub fn sbr_slice_weight(i: usize) -> i32 {
-    8i32.pow(i as u32)
-}
-
 /// Straightforward slicing of an unsigned `(4k+4)`-bit value into `k + 1`
 /// 4-bit unsigned slices, least-significant first (weight `16^i`).
 ///

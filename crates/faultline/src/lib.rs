@@ -16,7 +16,8 @@
 //! * **Disarmed is free.** [`fire`] is one relaxed atomic load when no
 //!   plan is armed — the same discipline as the block crate's stage
 //!   timing — so the sites stay wired in release builds and their cost
-//!   is A/B-gated by `decode_bench`.
+//!   is A/B-gated by `decode_bench`. An armed query takes no lock either:
+//!   each thread keeps its own copy of the armed plan.
 //! * **Deterministic.** A scenario names *query indices*, not wall
 //!   clock: "the 3rd query of `serve.decode.fused_pass` panics". Each
 //!   armed site carries an atomic query counter, so the same seed +
@@ -47,8 +48,9 @@
 //! | `netcore.dispatch`         | transport dispatch   | panic, delay |
 //! | `netcore.write`            | transport write      | short write, reset |
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -234,7 +236,7 @@ impl FaultPlan {
             counters,
             log: Mutex::new(Vec::new()),
         });
-        *registry().lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&state));
+        publish(Some(Arc::clone(&state)));
         ARMED.store(true, Ordering::Release);
         ArmedGuard {
             state,
@@ -301,7 +303,7 @@ impl ArmedGuard {
 impl Drop for ArmedGuard {
     fn drop(&mut self) {
         ARMED.store(false, Ordering::Release);
-        *registry().lock().unwrap_or_else(PoisonError::into_inner) = None;
+        publish(None);
     }
 }
 
@@ -314,9 +316,27 @@ struct ArmedState {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 
+/// Bumped, under the registry lock, each time the registry changes, so a
+/// thread's cached copy is current exactly when its generation matches.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's copy of the registry and the generation it was read
+    /// at. Generation 0 is the empty registry nothing has armed yet.
+    static SEEN: RefCell<(u64, Option<Arc<ArmedState>>)> = const { RefCell::new((0, None)) };
+}
+
 fn registry() -> &'static Mutex<Option<Arc<ArmedState>>> {
     static REGISTRY: OnceLock<Mutex<Option<Arc<ArmedState>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(None))
+}
+
+/// Replaces the armed state and moves every thread's cached copy out of
+/// date.
+fn publish(state: Option<Arc<ArmedState>>) {
+    let mut registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
+    *registry = state;
+    GENERATION.fetch_add(1, Ordering::Release);
 }
 
 fn arm_serial() -> &'static Mutex<()> {
@@ -340,27 +360,39 @@ pub fn fire(site: &str) -> Option<Fault> {
     fire_armed(site)
 }
 
+/// The armed query. In steady state it reads the generation and this
+/// thread's cached state: no lock, no refcount change. Only a thread that
+/// has not yet seen the latest arm or disarm takes the registry lock.
 #[cold]
 fn fire_armed(site: &str) -> Option<Fault> {
-    let state = registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()?;
-    // Only scripted sites carry a counter: the determinism contract is
-    // per-site, and unscripted sites firing nothing need no clock.
-    let counter = state.counters.get(site)?;
-    let query = counter.fetch_add(1, Ordering::Relaxed);
-    let fault = *state.plan.by_site.get(site)?.get(&query)?;
-    state
-        .log
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(Firing {
-            site: site.to_string(),
-            query,
-            fault,
-        });
-    Some(fault)
+    // `fire` saw `ARMED` set with a relaxed load; this fence pairs it with
+    // the Release store in `arm`, so the generation read here is at least
+    // the one that published the plan.
+    fence(Ordering::Acquire);
+    let generation = GENERATION.load(Ordering::Acquire);
+    SEEN.with(|seen| {
+        let mut seen = seen.borrow_mut();
+        if seen.0 != generation {
+            let registry = registry().lock().unwrap_or_else(PoisonError::into_inner);
+            *seen = (GENERATION.load(Ordering::Relaxed), registry.clone());
+        }
+        let state = seen.1.as_deref()?;
+        // Only scripted sites carry a counter: the determinism contract is
+        // per-site, and unscripted sites firing nothing need no clock.
+        let counter = state.counters.get(site)?;
+        let query = counter.fetch_add(1, Ordering::Relaxed);
+        let fault = *state.plan.by_site.get(site)?.get(&query)?;
+        state
+            .log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Firing {
+                site: site.to_string(),
+                query,
+                fault,
+            });
+        Some(fault)
+    })
 }
 
 /// [`fire`] plus the two universal applications: a scripted

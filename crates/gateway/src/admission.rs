@@ -113,30 +113,18 @@ impl AdmissionController {
     }
 
     /// Waits for an admitted request's response, bounded by
-    /// `max_queue_wait`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] with [`OverloadReason::QueueWait`]
-    /// when the bound elapses first, and whatever
-    /// [`Pending::wait_timeout`] surfaces otherwise.
-    pub fn wait_bounded(&self, pending: &Pending) -> Result<InferenceOutput, ServeError> {
-        self.wait_bounded_deadline(pending, None)
-    }
-
-    /// [`wait_bounded`](Self::wait_bounded) additionally bounded by the
-    /// caller's `deadline`: the wait lasts until whichever of the queue
-    /// bound and the deadline comes first. A timeout caused by the
+    /// `max_queue_wait` and, when given, by the caller's `deadline`: the
+    /// wait lasts until whichever comes first. A timeout caused by the
     /// deadline answers [`ServeError::DeadlineExceeded`] — the caller
     /// asked for that bound, so it is not counted as a shed — while one
-    /// caused by `max_queue_wait` sheds exactly as
-    /// [`wait_bounded`](Self::wait_bounded) does.
+    /// caused by `max_queue_wait` sheds the caller.
     ///
     /// # Errors
     ///
     /// [`ServeError::DeadlineExceeded`] when the deadline bound elapses
-    /// first (or has already passed), and everything
-    /// [`wait_bounded`](Self::wait_bounded) surfaces otherwise.
+    /// first (or has already passed), [`ServeError::Overloaded`] with
+    /// [`OverloadReason::QueueWait`] when `max_queue_wait` does, and
+    /// whatever [`Pending::wait_timeout`] surfaces otherwise.
     pub fn wait_bounded_deadline(
         &self,
         pending: &Pending,
@@ -232,7 +220,7 @@ mod tests {
     #[test]
     fn queue_wait_bound_sheds_slow_requests() {
         // One request lingering for companions far beyond the wait bound:
-        // wait_bounded must release the caller with an Overloaded error.
+        // the bounded wait must release the caller with an Overloaded error.
         let registry = Arc::new(ModelRegistry::new());
         let model = registry.insert(
             crate::testutil::models(&["m"], 1)
@@ -256,7 +244,7 @@ mod tests {
         let codes = crate::testutil::codes(&model, 1, 0);
         let permit = ctrl.try_admit().expect("admitted");
         let pending = runtime.submit_to(model, codes).expect("queued");
-        let shed = ctrl.wait_bounded(&pending);
+        let shed = ctrl.wait_bounded_deadline(&pending, None);
         drop(permit);
         assert!(matches!(
             shed,

@@ -95,11 +95,6 @@ impl ShardRouter {
         self.shards[0].registry().get(name)
     }
 
-    /// Registered model names, sorted.
-    pub fn model_names(&self) -> Vec<String> {
-        self.shards[0].registry().names()
-    }
-
     fn rendezvous_score(model: &str, shard: usize) -> u64 {
         let mut h = DefaultHasher::new();
         model.hash(&mut h);

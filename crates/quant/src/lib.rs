@@ -15,10 +15,6 @@
 //! * [`optq`] — the OPTQ (GPTQ) weight quantization algorithm with a real
 //!   Hessian from calibration activations, used for 4-bit weights and for
 //!   the Llama models (Fig. 17/19);
-//! * [`perchannel`] — per-output-channel symmetric weight quantization
-//!   (the standard practice the paper's PTQ baselines inherit);
-//! * [`entropy`] — KL-divergence (TensorRT-style) range calibration for
-//!   outlier-heavy activations, composing with ZPM/DBS;
 //! * [`integer`] — the integer GEMM identity with asymmetric activations
 //!   (Eq. 3): folding `zp·W·1` into the bias so inference adds no overhead;
 //! * [`requant`] — requantization of `i32` accumulators into the next
@@ -41,10 +37,8 @@
 
 pub mod calibrate;
 pub mod dbs;
-pub mod entropy;
 pub mod integer;
 pub mod optq;
-pub mod perchannel;
 pub mod quantizer;
 pub mod requant;
 pub mod zpm;

@@ -262,36 +262,6 @@ impl AsymmetricQuantizer {
         }
     }
 
-    /// Calibrates with percentile clipping: the range is set to the
-    /// `[100−q, q]` percentiles instead of min/max, sacrificing rare
-    /// outliers for finer resolution on the bulk — the standard PTQ
-    /// calibration refinement for outlier-heavy activations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits ∉ 2..=16`, `q ∉ (50, 100]`, or `data` is empty.
-    pub fn calibrate_percentile(data: &[f32], bits: u8, q: f32) -> Self {
-        assert!((2..=16).contains(&bits), "unsupported bit-width {bits}");
-        assert!(q > 50.0 && q <= 100.0, "percentile {q} out of range");
-        let lo = stats::percentile(data, 100.0 - q).min(0.0);
-        let hi = stats::percentile(data, q).max(0.0);
-        let qmax = (1i32 << bits) - 1;
-        let scale = if hi > lo {
-            (hi - lo) / qmax as f32
-        } else {
-            1.0
-        };
-        let zp = round_ties_away(-lo / scale).clamp(0, qmax);
-        AsymmetricQuantizer {
-            params: QuantParams {
-                scale,
-                zero_point: zp,
-                bits,
-                signed: false,
-            },
-        }
-    }
-
     /// Returns a copy with a replaced zero-point (used by the ZPM), clamped
     /// to the representable range.
     pub fn with_zero_point(&self, zero_point: i32) -> Self {
@@ -449,35 +419,6 @@ mod tests {
         for (x, y) in data.iter().zip(deq.iter()) {
             assert!((x - y).abs() <= half_step, "|{x} - {y}| > {half_step}");
         }
-    }
-
-    #[test]
-    fn percentile_calibration_improves_bulk_resolution() {
-        let mut rng = panacea_tensor::seeded_rng(21);
-        // Near-zero bulk plus a handful of extreme outliers.
-        let mut data = DistributionKind::Gaussian {
-            mean: 0.2,
-            std: 0.1,
-        }
-        .sample_matrix(64, 64, &mut rng)
-        .into_vec();
-        data.extend([25.0, -18.0, 30.0]);
-        let minmax = AsymmetricQuantizer::calibrate(&data, 8);
-        let clipped = AsymmetricQuantizer::calibrate_percentile(&data, 8, 99.9);
-        assert!(clipped.params().scale < minmax.params().scale / 5.0);
-        // Bulk reconstruction error shrinks accordingly.
-        let bulk: Vec<f32> = data.iter().copied().filter(|v| v.abs() < 1.0).collect();
-        let err = |q: &AsymmetricQuantizer| -> f64 {
-            let deq: Vec<f32> = bulk.iter().map(|&v| q.dequantize(q.quantize(v))).collect();
-            panacea_tensor::stats::mse(&bulk, &deq)
-        };
-        assert!(err(&clipped) < err(&minmax) / 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn percentile_out_of_range_panics() {
-        AsymmetricQuantizer::calibrate_percentile(&[1.0], 8, 40.0);
     }
 
     #[test]

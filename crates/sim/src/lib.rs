@@ -16,7 +16,8 @@
 //!   consumes (GEMM dims + measured HO vector sparsities);
 //! * [`panacea`] — the Panacea model: PEAs with DWO/SWO operator pools,
 //!   compensators, RLE-compressed traffic, output-stationary tiling
-//!   (v=4, P=16, TM=64, TK=32, TN=64, R=16), and double-tile processing;
+//!   (v=4, P=16, TM=64, TK=32, TN=64, R=16), double-tile processing, and
+//!   the WMEM/AMEM capacity checks that decide DTP and DRAM re-fetch;
 //! * [`baselines`] — SA-WS, SA-OS systolic arrays, the SIMD design, and
 //!   Sibia under identical budgets;
 //! * [`exec`] — an event-level functional executor that list-schedules
@@ -25,9 +26,7 @@
 //! * [`report`] — aggregation into the paper's reporting units
 //!   (throughput, TOPS/W, energy breakdowns);
 //! * [`sweep`] — design-space sweep utilities (the machinery behind
-//!   Fig. 13);
-//! * [`memory`] — explicit WMEM/AMEM/OMEM capacity planning (tile
-//!   footprints, double-buffering, the DTP enable condition).
+//!   Fig. 13).
 //!
 //! # Examples
 //!
@@ -51,7 +50,6 @@ pub mod arch;
 pub mod baselines;
 pub mod energy;
 pub mod exec;
-pub mod memory;
 pub mod panacea;
 pub mod report;
 pub mod sweep;

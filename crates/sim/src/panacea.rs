@@ -287,6 +287,57 @@ mod tests {
     }
 
     #[test]
+    fn dram_bits_follow_compression_and_on_chip_capacity() {
+        // Default config: WMEM 96 KiB, AMEM 72 KiB, TM = TN = 64. `w` / `x`
+        // are bits per element, `wr` / `xr` the re-fetch multipliers.
+        let bits = |l: &LayerWork, w: f64, wr: f64, x: f64, xr: f64| {
+            let (m, k, n) = (l.m as f64, l.k as f64, l.n as f64);
+            m * k * w * wr + k * n * x * xr + m * n * 8.0
+        };
+
+        // Single-plane weights move as dense 4-bit slices whatever ρ_w
+        // says; two planes pay 4 + (4 + 1)·(1 − ρ_w).
+        let mut single = layer(64, 256, 64, 0.75, 0.5);
+        single.w_planes = 1;
+        let p = sim(false).simulate(&single);
+        assert_eq!(p.dram_bits, bits(&single, 4.0, 1.0, 6.5, 1.0));
+        let two = layer(64, 256, 64, 0.75, 0.5);
+        let p = sim(false).simulate(&two);
+        assert_eq!(p.dram_bits, bits(&two, 5.25, 1.0, 6.5, 1.0));
+
+        // Weights: a dense 64 × 2048 tile (144 KiB) exceeds WMEM, so it is
+        // re-fetched for each of the ⌈256/64⌉ = 4 column passes; 64 × 1024
+        // (72 KiB) stays resident. Neither leaves room for the second tile
+        // DTP needs, so DTP stays off and the rule is the same with it
+        // configured. M = TM keeps activations to one pass.
+        for dtp in [false, true] {
+            let big = layer(64, 2048, 256, 0.0, 0.5);
+            let p = sim(dtp).simulate(&big);
+            assert!(!p.dtp_active);
+            assert_eq!(p.dram_bits, bits(&big, 9.0, 4.0, 6.5, 1.0));
+            let fits = layer(64, 1024, 256, 0.0, 0.5);
+            let p = sim(dtp).simulate(&fits);
+            assert!(!p.dtp_active);
+            assert_eq!(p.dram_bits, bits(&fits, 9.0, 1.0, 6.5, 1.0));
+        }
+
+        // Activations: 1024 × 128 at 6.5 bits (104 KiB) exceeds AMEM, so
+        // they are re-fetched once per m-tile, ⌈320/64⌉ = 5 times, or
+        // ⌈5/2⌉ = 3 times when DTP pairs the m-tiles. 1024 × 64 (52 KiB)
+        // is fetched once.
+        let wide = layer(320, 1024, 128, 0.75, 0.5);
+        let p = sim(false).simulate(&wide);
+        assert_eq!(p.dram_bits, bits(&wide, 5.25, 1.0, 6.5, 5.0));
+        let p = sim(true).simulate(&wide);
+        assert!(p.dtp_active);
+        assert_eq!(p.dram_bits, bits(&wide, 5.25, 1.0, 6.5, 3.0));
+        let narrow = layer(320, 1024, 64, 0.75, 0.5);
+        let p = sim(true).simulate(&narrow);
+        assert!(p.dtp_active);
+        assert_eq!(p.dram_bits, bits(&narrow, 5.25, 1.0, 6.5, 1.0));
+    }
+
+    #[test]
     fn compute_bound_dense_memory_bound_tiny() {
         let s = sim(false);
         // Large dense layer: compute dominates.

@@ -8,7 +8,7 @@
 //!
 //! * [`tensor`] — matrices, synthetic distributions, statistics;
 //! * [`quant`] — symmetric/asymmetric PTQ, calibration, ZPM, DBS, OPTQ;
-//! * [`bitslice`] — SBR & straightforward slicing, slice vectors, RLE;
+//! * [`bitslice`] — SBR & straightforward slicing, slice vectors, sparsity;
 //! * [`core`] — the AQS-GEMM (compression + skipping + compensation) and
 //!   baseline GEMMs, plus the Table-I workload model;
 //! * [`sim`] — the Panacea cycle/energy simulator and the SA-WS / SA-OS /
