@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use panacea_gateway::testutil::{codes, models};
 use panacea_gateway::{
@@ -646,6 +646,95 @@ fn health_verb_reports_ok_and_dims_appear_in_metrics_after_traffic() {
     assert_eq!(dim.error, 0);
     assert_eq!(dim.shed, 0);
     assert!(dim.count >= 3, "latency samples missing: {dim:?}");
+}
+
+#[test]
+fn server_cells_time_the_same_requests_the_clients_time() {
+    use panacea_gateway::testutil::{block_model, hidden};
+    const REQUESTS: usize = 12;
+    let (model, _) = block_model("block", 60);
+    let mut set = models(&["chain"], 61);
+    set.push(model);
+    let gateway = Arc::new(Gateway::new(set, GatewayConfig::default()));
+    let server = GatewayServer::bind(Arc::clone(&gateway), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+
+    // Two infer clients and two decode clients, every round trip timed.
+    let start = Arc::new(Barrier::new(4));
+    let threads: Vec<_> = (0..4)
+        .map(|t| {
+            let (gateway, start) = (Arc::clone(&gateway), Arc::clone(&start));
+            thread::spawn(move || {
+                let mut client = GatewayClient::connect(addr).expect("connect");
+                let chain = gateway.router().model("chain").expect("registered");
+                let session = (t % 2 == 1).then(|| client.session_open("block").expect("open"));
+                start.wait();
+                (0..REQUESTS)
+                    .map(|i| {
+                        let begun = Instant::now();
+                        let served = match &session {
+                            None => client
+                                .infer_codes("chain", codes(&chain, 1, t * 20 + i))
+                                .map(drop),
+                            Some(open) => client.decode(open.session, hidden(16, 1, i)).map(drop),
+                        };
+                        served.expect("served");
+                        begun.elapsed()
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut client_times = [Vec::new(), Vec::new()];
+    for (t, th) in threads.into_iter().enumerate() {
+        client_times[t % 2].extend(th.join().expect("client thread"));
+    }
+
+    // The cells time each request inside the gateway, after its line is
+    // parsed and before its reply is encoded, so their p99 sits inside
+    // the client's: histogram buckets round up by ≤ 1/32, and the two
+    // p99s are different single samples, hence the slack. The exact
+    // count and a p50 floor show the cells time these very requests —
+    // and one stalled round trip cannot move a p50.
+    let metrics = GatewayClient::connect(addr)
+        .expect("connect")
+        .metrics()
+        .expect("metrics");
+    for (times, (model, verb, stage)) in client_times
+        .iter_mut()
+        .zip([("chain", "infer", "request"), ("block", "decode", "step")])
+    {
+        times.sort_unstable();
+        let client_ns = |q: f64| {
+            let rank = (q * times.len() as f64).ceil() as usize;
+            times[rank.clamp(1, times.len()) - 1].as_nanos() as f64
+        };
+        let cell = metrics
+            .cells
+            .iter()
+            .find(|c| (c.model.as_str(), c.verb.as_str(), c.stage.as_str()) == (model, verb, stage))
+            .unwrap_or_else(|| panic!("no ({model}, {verb}, {stage}) cell"));
+        // The request cell counts outcomes; the step cell records only
+        // steps that succeeded.
+        let ok = if stage == "request" {
+            cell.ok
+        } else {
+            cell.win_count
+        };
+        assert_eq!(ok, 2 * REQUESTS as u64, "{verb}: {cell:?}");
+        assert!(
+            cell.win_p99 as f64 <= client_ns(0.99) * 1.10 + 1e6,
+            "{verb}: server p99 {} ns above client p99 {} ns",
+            cell.win_p99,
+            client_ns(0.99)
+        );
+        assert!(
+            cell.win_p50 as f64 >= client_ns(0.50) * 0.02,
+            "{verb}: server p50 {} ns implausibly below client p50 {} ns",
+            cell.win_p50,
+            client_ns(0.50)
+        );
+    }
 }
 
 #[test]

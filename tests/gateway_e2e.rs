@@ -1,6 +1,7 @@
-//! Workspace-level gateway test through the `panacea` facade: a TCP
-//! round trip covering routing, caching, and stats — the same contract
-//! `examples/gateway_demo.rs` gates in CI, in miniature.
+//! Workspace-level gateway tests through the `panacea` facade: a TCP
+//! round trip covering routing, caching and stats, and a hostile
+//! request line answered without killing the server. The gateway's own
+//! suites (`crates/gateway/tests/`) own the full contract.
 
 use std::sync::Arc;
 
