@@ -15,9 +15,9 @@
 //!
 //! * **Disarmed is free.** [`fire`] is one relaxed atomic load when no
 //!   plan is armed — the same discipline as the block crate's stage
-//!   timing — so the sites stay wired in release builds and their cost
-//!   is A/B-gated by `decode_bench`. An armed query takes no lock either:
-//!   each thread keeps its own copy of the armed plan.
+//!   timing — so the sites stay wired in release builds. An armed query
+//!   takes no lock either: each thread keeps its own copy of the armed
+//!   plan, and `tests/query_cost.rs` bounds what one query costs.
 //! * **Deterministic.** A scenario names *query indices*, not wall
 //!   clock: "the 3rd query of `serve.decode.fused_pass` panics". Each
 //!   armed site carries an atomic query counter, so the same seed +
@@ -120,7 +120,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// An empty scenario (arming it still exercises the armed-site
-    /// lookup path, which is what the overhead A/B gate measures).
+    /// lookup path, which is what `tests/query_cost.rs` bounds).
     pub fn new() -> Self {
         Scenario::default()
     }

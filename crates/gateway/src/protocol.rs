@@ -334,9 +334,10 @@ pub struct ShardStats {
     pub decode_tokens: u64,
     /// Fused continuous-batching decode passes this shard has run.
     pub decode_batches: u64,
-    /// Average decode steps per fused pass (`decode_steps /
-    /// decode_batches`; `> 1` means concurrent sessions shared GEMM
-    /// passes). Zero before any fused pass.
+    /// Average decode steps per fused pass: the steps fused passes
+    /// executed ÷ `decode_batches` (inline steps are not among them;
+    /// `> 1` means concurrent sessions shared GEMM passes). Zero before
+    /// any fused pass.
     pub decode_batch_occupancy: f64,
     /// Columns the paper's PE array would pad the fused decode passes
     /// with.

@@ -127,6 +127,8 @@ impl Queued for DecodeJob {
 #[derive(Debug)]
 struct Shared {
     batches: AtomicU64,
+    /// Steps the successful fused passes executed.
+    steps: AtomicU64,
     padded_cols: AtomicU64,
     /// Panics caught (and isolated) inside fused passes or solo retries.
     panics: AtomicU64,
@@ -165,6 +167,7 @@ impl DecodeBatcher {
     ) -> Self {
         let shared = Arc::new(Shared {
             batches: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
             padded_cols: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             registry,
@@ -217,6 +220,12 @@ impl DecodeBatcher {
     /// Fused passes executed so far.
     pub fn batches(&self) -> u64 {
         self.shared.batches.load(Ordering::Relaxed)
+    }
+
+    /// Steps the fused passes executed (solo retries after a caught
+    /// panic are not counted).
+    pub fn steps(&self) -> u64 {
+        self.shared.steps.load(Ordering::Relaxed)
     }
 
     /// Columns the paper's PE array would pad the fused passes with
@@ -432,6 +441,7 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
         drop(guards);
         let total: usize = segments.iter().sum();
         shared.batches.fetch_add(1, Ordering::Relaxed);
+        shared.steps.fetch_add(jobs.len() as u64, Ordering::Relaxed);
         shared
             .padded_cols
             .fetch_add(pe_padded_cols(total) as u64, Ordering::Relaxed);

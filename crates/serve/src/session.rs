@@ -122,6 +122,9 @@ pub struct SessionStats {
     /// Fused decode passes executed by the continuous batcher (zero
     /// when batching is disabled).
     pub decode_batches: u64,
+    /// Decode steps those fused passes executed. Inline steps and solo
+    /// retries are not among them.
+    pub decode_batched_steps: u64,
     /// Columns the paper's PE array would pad the fused passes with.
     pub decode_padded_cols: u64,
     /// Panics caught (and isolated) on decode execution paths — fused
@@ -137,15 +140,16 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Average steps per fused decode pass — `steps / decode_batches`,
-    /// the occupancy figure that shows continuous batching working
-    /// (`> 1` means concurrent sessions actually shared GEMM passes).
-    /// Zero when no fused pass has run.
+    /// Average steps per fused decode pass —
+    /// `decode_batched_steps / decode_batches`, the occupancy figure that
+    /// shows continuous batching working (`> 1` means concurrent
+    /// sessions actually shared GEMM passes). Zero when no fused pass
+    /// has run.
     pub fn decode_batch_occupancy(&self) -> f64 {
         if self.decode_batches == 0 {
             0.0
         } else {
-            self.steps as f64 / self.decode_batches as f64
+            self.decode_batched_steps as f64 / self.decode_batches as f64
         }
     }
 }
@@ -643,6 +647,7 @@ impl SessionManager {
             steps: inner.counters.steps,
             tokens: inner.counters.tokens,
             decode_batches: self.batcher.as_ref().map_or(0, DecodeBatcher::batches),
+            decode_batched_steps: self.batcher.as_ref().map_or(0, DecodeBatcher::steps),
             decode_padded_cols: self.batcher.as_ref().map_or(0, DecodeBatcher::padded_cols),
             worker_panics: self.inline_panics.load(Ordering::Relaxed)
                 + self
@@ -1057,6 +1062,11 @@ mod tests {
         let (narrow, tokens, _) = mgr.step(id, &stream.submatrix(0, 4, 16, 1)).expect("step");
         assert_eq!(tokens, 5);
         assert_eq!(mgr.stats().decode_batches, 1, "narrow step did not batch");
+        assert_eq!(
+            mgr.stats().decode_batch_occupancy(),
+            1.0,
+            "the inline chunk counted as a step of the one fused pass"
+        );
         let mut expect = stream.clone();
         for b in &blocks {
             expect = b.forward_segments_causal(&expect, &[5]).0;

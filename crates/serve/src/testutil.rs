@@ -1,8 +1,8 @@
 //! Shared fixtures for transformer-block tests across the workspace:
 //! small prepared block stacks and deterministic hidden states.
-//! `#[doc(hidden)]` public so the serve integration tests, the gateway
-//! suites, and the benches reuse one fixture instead of re-implementing
-//! it per crate; not part of the supported API. This crate is the
+//! `#[doc(hidden)]` public so the serve integration tests and the
+//! gateway suites reuse one fixture instead of re-implementing it per
+//! crate; not part of the supported API. This crate is the
 //! fixture's home because it already depends on both `panacea-block`
 //! and `panacea-models` — downstream crates (e.g. the gateway) reuse it
 //! without growing their own production dependency graphs.
