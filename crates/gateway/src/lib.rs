@@ -20,10 +20,10 @@
 //! ```
 //!
 //! * [`ShardRouter`] owns N independent [`Runtime`](panacea_serve::Runtime)
-//!   shards, every shard's registry sharing the *same*
-//!   `Arc<PreparedModel>`s (one preparation, one copy of the sliced
-//!   weights). Requests route by rendezvous hashing on the model name,
-//!   tie-broken toward the emptier queue so hot models spread out.
+//!   shards resolving models through one shared registry (one
+//!   preparation, one copy of the sliced weights). Requests route by
+//!   rendezvous hashing on the model name, tie-broken toward the
+//!   emptier queue so hot models spread out.
 //! * [`RequestCache`] is a sharded LRU keyed by the model's unique
 //!   instance id (so re-registering a name never replays the old
 //!   model's outputs) and the *quantized* request codes; hits are
@@ -32,7 +32,8 @@
 //! * [`AdmissionController`] bounds simultaneous in-flight requests and
 //!   per-request queue wait, shedding the excess with explicit
 //!   [`ServeError::Overloaded`] rejections instead of queueing without
-//!   limit.
+//!   limit. Admission counts the sheds it decides; the session
+//!   managers count `kv_budget` sheds; `stats` projects both.
 //! * [`GatewayServer`] / [`GatewayClient`] speak a line-delimited JSON
 //!   protocol over blocking TCP — std only, written and read by the
 //!   crate's own typed codec (no value tree). One typed `infer` verb

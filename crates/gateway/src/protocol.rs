@@ -335,7 +335,7 @@ pub struct ShardStats {
     /// Fused continuous-batching decode passes this shard has run.
     pub decode_batches: u64,
     /// Average decode steps per fused pass: the steps fused passes
-    /// executed ÷ `decode_batches` (inline steps are not among them;
+    /// executed ÷ `decode_batches` (caller-thread steps are not among them;
     /// `> 1` means concurrent sessions shared GEMM passes). Zero before
     /// any fused pass.
     pub decode_batch_occupancy: f64,
@@ -343,7 +343,7 @@ pub struct ShardStats {
     /// with.
     pub decode_padded_cols: u64,
     /// Panics caught and isolated on this shard's execution paths
-    /// (batch workers, fused decode passes, inline steps).
+    /// (batch workers, fused and caller-thread decode passes).
     pub worker_panics: u64,
     /// Decode sessions evicted because a panic died inside their own
     /// step.
@@ -354,15 +354,17 @@ pub struct ShardStats {
 }
 
 /// Overload sheds broken down by which bound rejected the request, as
-/// reported by the `stats` verb. Unlike the admission controller's own
-/// counters, these are counted where errors surface at the gateway's
-/// public verbs, so KV-budget rejections (which never pass through
-/// admission) are visible too.
+/// reported by the `stats` verb. Each reason is counted once, by the
+/// layer that decides it: `in_flight` and `queue_wait` are the admission
+/// controller's rejections, `kv_budget` the session managers' refused
+/// steps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShedStats {
-    /// Sheds because the in-flight limit was reached.
+    /// Sheds because the in-flight limit was reached
+    /// ([`AdmissionStats::rejected_capacity`]).
     pub in_flight: u64,
-    /// Sheds because the queue-wait bound elapsed.
+    /// Sheds because the queue-wait bound elapsed
+    /// ([`AdmissionStats::rejected_timeout`]).
     pub queue_wait: u64,
     /// Sheds because a decode step could not fit the KV byte budget.
     pub kv_budget: u64,
@@ -384,7 +386,7 @@ pub struct GatewayStats {
     pub cache: CacheStats,
     /// Admission-control counters.
     pub admission: AdmissionStats,
-    /// Overload sheds by reason, counted at the gateway's public verbs.
+    /// Overload sheds by reason, each counted by the layer deciding it.
     pub sheds: ShedStats,
     /// Transport-level connection gauges (open, peak, evicted).
     pub connections: ConnectionStats,

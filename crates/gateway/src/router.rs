@@ -1,13 +1,13 @@
 //! Shard routing: N independent serving runtimes behind one front door.
 //!
-//! Every shard is a full [`Runtime`] — its own worker pool, queue, and
-//! [`ModelRegistry`] — but all registries share the *same*
-//! `Arc<PreparedModel>`s, so N shards cost one model preparation and one
-//! copy of the sliced weights. Routing is rendezvous (highest-random-
-//! weight) hashing on the model name: each model has a stable shard
-//! preference order, so its requests keep landing where its batches
-//! coalesce, and removing a shard only reshuffles the models that lived
-//! there. The router compares the **top two** candidates' live queue
+//! Every shard is a full [`Runtime`] — its own worker pool and queue —
+//! and all shards resolve models through one shared [`ModelRegistry`],
+//! so N shards cost one model preparation, one copy of the sliced
+//! weights, and one registration per model. Routing is rendezvous
+//! (highest-random-weight) hashing on the model name: each model has a
+//! stable shard preference order, so its requests keep landing where
+//! its batches coalesce, and removing a shard only reshuffles the models
+//! that lived there. The router compares the **top two** candidates' live queue
 //! depth and takes the emptier one, so a hot model overflows onto its
 //! second-choice shard instead of queueing behind itself.
 
@@ -15,9 +15,9 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use panacea_serve::{
-    InferenceOutput, ModelRegistry, Payload, Pending, PreparedModel, QueueDepth, RequestCtx,
-    Runtime, RuntimeConfig, ServeError,
+    ModelRegistry, Payload, Pending, PreparedModel, RequestCtx, Runtime, RuntimeConfig, ServeError,
 };
+use panacea_telemetry::{FlightRecorder, MetricRegistry};
 
 use crate::protocol::ShardStats;
 
@@ -30,46 +30,28 @@ pub struct ShardRouter {
 
 impl ShardRouter {
     /// Builds `shards` runtimes (at least one), each configured by
-    /// `config`, with every prepared model registered on every shard.
-    pub fn new(models: Vec<PreparedModel>, shards: usize, config: RuntimeConfig) -> Self {
-        Self::from_shared(models.into_iter().map(Arc::new).collect(), shards, config)
-    }
-
-    /// [`new`](Self::new) for models that are already shared handles —
-    /// no weight cloning happens either way. Every shard records into a
-    /// metric registry and flight recorder private to this router.
-    pub fn from_shared(
-        models: Vec<Arc<PreparedModel>>,
+    /// `config`, over one registry holding every prepared model. Every
+    /// shard's batch and block stage latencies land in `dims`; model
+    /// registrations, batch formations and worker panics in `recorder`.
+    pub fn new(
+        models: Vec<PreparedModel>,
         shards: usize,
         config: RuntimeConfig,
+        dims: MetricRegistry,
+        recorder: FlightRecorder,
     ) -> Self {
-        Self::from_shared_with_observability(
-            models,
-            shards,
-            config,
-            panacea_telemetry::MetricRegistry::default(),
-            panacea_telemetry::FlightRecorder::default(),
-        )
-    }
-
-    /// [`from_shared`](Self::from_shared) recording into a shared pair
-    /// instead: every shard's batch and block stage latencies land in
-    /// `dims`; model registrations, batch formations and worker panics
-    /// in `recorder`.
-    pub fn from_shared_with_observability(
-        models: Vec<Arc<PreparedModel>>,
-        shards: usize,
-        config: RuntimeConfig,
-        dims: panacea_telemetry::MetricRegistry,
-        recorder: panacea_telemetry::FlightRecorder,
-    ) -> Self {
+        let registry = Arc::new(ModelRegistry::with_recorder(recorder.clone()));
+        for model in models {
+            registry.insert(model);
+        }
         let shards = (0..shards.max(1))
             .map(|_| {
-                let registry = Arc::new(ModelRegistry::with_recorder(recorder.clone()));
-                for model in &models {
-                    registry.insert_shared(Arc::clone(model));
-                }
-                Runtime::start_with_observability(registry, config, dims.clone(), recorder.clone())
+                Runtime::start_with_observability(
+                    Arc::clone(&registry),
+                    config,
+                    dims.clone(),
+                    recorder.clone(),
+                )
             })
             .collect();
         ShardRouter { shards }
@@ -89,8 +71,7 @@ impl ShardRouter {
         &self.shards[shard]
     }
 
-    /// Resolves a model name against the shared registry (every shard
-    /// holds the same set, so shard 0 answers for all).
+    /// Resolves a model name against the registry every shard shares.
     pub fn model(&self, name: &str) -> Option<Arc<PreparedModel>> {
         self.shards[0].registry().get(name)
     }
@@ -138,30 +119,12 @@ impl ShardRouter {
         }
     }
 
-    /// Routes and enqueues a request, returning the response handle and
-    /// the shard that took it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RuntimeHandle::submit`](panacea_serve::RuntimeHandle::submit).
-    pub fn submit(
-        &self,
-        model: &str,
-        payload: impl Into<Payload>,
-    ) -> Result<(Pending, usize), ServeError> {
-        let resolved = self.model(model).ok_or_else(|| ServeError::UnknownModel {
-            model: model.to_string(),
-        })?;
-        let shard = self.route(model);
-        let pending = self.shards[shard].submit_to(resolved, payload)?;
-        Ok((pending, shard))
-    }
-
-    /// [`submit`](Self::submit) onto an explicit shard with an
-    /// already-resolved model and a [`RequestCtx`] (trace and deadline,
-    /// see [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with))
-    /// — the gateway uses this to keep the shard decision and the cache
-    /// probe on the same payload.
+    /// Enqueues a request onto the shard [`route`](Self::route) picked,
+    /// with an already-resolved model and a [`RequestCtx`] (trace and
+    /// deadline, see
+    /// [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with))
+    /// — the gateway keeps the shard decision and the cache probe on the
+    /// same payload this way.
     ///
     /// # Errors
     ///
@@ -178,25 +141,6 @@ impl ShardRouter {
         ctx: RequestCtx,
     ) -> Result<Pending, ServeError> {
         self.shards[shard].submit_with(model, payload, ctx)
-    }
-
-    /// Routes, enqueues, and blocks for the answer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RuntimeHandle::infer`](panacea_serve::RuntimeHandle::infer).
-    pub fn infer(
-        &self,
-        model: &str,
-        payload: impl Into<Payload>,
-    ) -> Result<(InferenceOutput, usize), ServeError> {
-        let (pending, shard) = self.submit(model, payload)?;
-        Ok((pending.wait()?, shard))
-    }
-
-    /// Live queue depth of every shard.
-    pub fn queue_depths(&self) -> Vec<QueueDepth> {
-        self.shards.iter().map(|rt| rt.queue_depth()).collect()
     }
 
     /// Per-shard serving counters in wire form, indexed by shard id.
@@ -217,8 +161,8 @@ impl ShardRouter {
                     queued_cols: q.queued_cols as u64,
                     in_flight_cols: q.in_flight_cols as u64,
                     // Runtime-level fault counters; the gateway adds the
-                    // session layer's (decode batcher, inline steps) on
-                    // top when it merges SessionManager stats in.
+                    // session layer's (decode passes) on top when it
+                    // merges SessionManager stats in.
                     worker_panics: m.worker_panics,
                     expired: m.expired,
                     // Session counters are owned by the gateway's
@@ -235,12 +179,36 @@ mod tests {
     use super::*;
     use crate::testutil::{codes, models};
     use panacea_serve::BatchPolicy;
-    use panacea_tensor::Matrix;
     use std::time::Duration;
+
+    fn router(names: &[&str], seed: u64, shards: usize, config: RuntimeConfig) -> ShardRouter {
+        ShardRouter::new(
+            models(names, seed),
+            shards,
+            config,
+            MetricRegistry::default(),
+            FlightRecorder::default(),
+        )
+    }
+
+    /// Resolves, routes, submits and waits — the gateway's request path
+    /// minus its cache and admission.
+    fn infer(router: &ShardRouter, name: &str, salt: usize) -> (Payload, Payload, usize) {
+        let model = router.model(name).expect("registered");
+        let x = codes(&model, 2, salt);
+        let (expect, _) = model.forward_codes(&x);
+        let shard = router.route(name);
+        let out = router
+            .submit_to_shard(shard, model, x, RequestCtx::default())
+            .expect("queued")
+            .wait()
+            .expect("served");
+        (out.payload, expect.into(), shard)
+    }
 
     #[test]
     fn routing_is_deterministic_at_equal_load() {
-        let router = ShardRouter::new(models(&["a", "b"], 1), 4, RuntimeConfig::default());
+        let router = router(&["a", "b"], 1, 4, RuntimeConfig::default());
         for name in ["a", "b"] {
             let first = router.route(name);
             for _ in 0..10 {
@@ -253,7 +221,7 @@ mod tests {
     fn many_models_spread_over_shards() {
         let names: Vec<String> = (0..32).map(|i| format!("model-{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let router = ShardRouter::new(models(&name_refs, 2), 4, RuntimeConfig::default());
+        let router = router(&name_refs, 2, 4, RuntimeConfig::default());
         let mut used = std::collections::HashSet::new();
         for name in &names {
             used.insert(router.route(name));
@@ -269,8 +237,9 @@ mod tests {
     fn loaded_favourite_overflows_to_runner_up() {
         // A long linger + huge budget keeps submitted work sitting in the
         // favourite's queue, so the router must divert to the runner-up.
-        let router = ShardRouter::new(
-            models(&["hot"], 3),
+        let router = router(
+            &["hot"],
+            3,
             2,
             RuntimeConfig {
                 workers: 1,
@@ -302,45 +271,52 @@ mod tests {
 
     #[test]
     fn shards_share_prepared_models_by_pointer() {
-        let router = ShardRouter::new(models(&["m"], 4), 3, RuntimeConfig::default());
+        let recorder = FlightRecorder::default();
+        let router = ShardRouter::new(
+            models(&["m"], 4),
+            3,
+            RuntimeConfig::default(),
+            MetricRegistry::default(),
+            recorder.clone(),
+        );
         let handles: Vec<Arc<PreparedModel>> = (0..3)
             .map(|i| router.shard(i).registry().get("m").expect("registered"))
             .collect();
         assert!(Arc::ptr_eq(&handles[0], &handles[1]));
         assert!(Arc::ptr_eq(&handles[1], &handles[2]));
+        // One registry, so one registration however many shards.
+        let registrations = recorder
+            .recent(16)
+            .iter()
+            .filter(|e| e.kind == "model_register")
+            .count();
+        assert_eq!(registrations, 1);
     }
 
     #[test]
     fn infer_routes_and_matches_direct_execution() {
-        let router = ShardRouter::new(models(&["a", "b"], 5), 2, RuntimeConfig::default());
+        let router = router(&["a", "b"], 5, 2, RuntimeConfig::default());
         for (salt, name) in ["a", "b", "a", "b"].iter().enumerate() {
-            let model = router.model(name).expect("registered");
-            let x = codes(&model, 2, salt);
-            let (expect, _) = model.forward_codes(&x);
-            let (out, shard) = router.infer(name, x).expect("served");
-            assert_eq!(out.payload, expect.into());
+            let (out, expect, shard) = infer(&router, name, salt);
+            assert_eq!(out, expect);
             assert!(shard < router.num_shards());
         }
     }
 
     #[test]
     fn unknown_model_is_rejected_before_routing() {
-        let router = ShardRouter::new(models(&["m"], 6), 2, RuntimeConfig::default());
-        assert!(matches!(
-            router.infer("ghost", Matrix::<i32>::zeros(16, 1)),
-            Err(ServeError::UnknownModel { .. })
-        ));
+        let router = router(&["m"], 6, 2, RuntimeConfig::default());
+        assert!(router.model("ghost").is_none());
     }
 
     #[test]
     fn single_shard_router_still_routes() {
-        let router = ShardRouter::new(models(&["m"], 7), 1, RuntimeConfig::default());
+        let router = router(&["m"], 7, 1, RuntimeConfig::default());
         assert_eq!(router.num_shards(), 1);
         assert_eq!(router.route("m"), 0);
-        let model = router.model("m").expect("registered");
-        let x = codes(&model, 1, 0);
-        let (out, shard) = router.infer("m", x).expect("served");
+        let (out, expect, shard) = infer(&router, "m", 0);
         assert_eq!(shard, 0);
-        assert_eq!(out.payload.rows(), 8);
+        assert_eq!(out, expect);
+        assert_eq!(out.rows(), 8);
     }
 }

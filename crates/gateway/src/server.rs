@@ -2,15 +2,21 @@
 //! admission — plus the TCP server that exposes it.
 //!
 //! [`Gateway`] is the transport-free core (handy for in-process use and
-//! tests); [`GatewayServer`] serves it on a `TcpListener` through the
-//! `panacea-netcore` reactor: a `poll(2)` readiness loop multiplexing
-//! every connection on one thread, with a fixed worker pool executing
-//! requests, so threads stay O(workers) at any connection count up to
-//! [`ServerConfig::max_connections`].
+//! tests). It has one method per verb, each a body inside one wrapper
+//! that traces the request and records its outcome once; a deadline or
+//! the float `infer` form travels in a [`Request`] through
+//! [`Gateway::handle`]. Each shed is counted once, by the layer that
+//! decides it: admission for `in_flight` / `queue_wait`, the session
+//! manager for `kv_budget`. [`GatewayServer`] serves the core on a
+//! `TcpListener` through the `panacea-netcore` reactor: a `poll(2)`
+//! readiness loop multiplexing every connection on one thread, with a
+//! fixed worker pool executing requests, so threads stay O(workers) at
+//! any connection count up to [`ServerConfig::max_connections`].
 //!
 //! Dropping the server stops accepting, drains in-flight responses,
 //! evicts surviving connections, and joins every server thread.
 
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -110,41 +116,6 @@ impl GatewayCells {
     }
 }
 
-/// Per-reason overload shed counters, incremented where errors surface
-/// at the gateway's public verbs.
-#[derive(Debug, Default)]
-struct ShedCounters {
-    in_flight: AtomicU64,
-    queue_wait: AtomicU64,
-    kv_budget: AtomicU64,
-}
-
-impl ShedCounters {
-    /// Counts a shed if `e` is one; returns whether it was.
-    fn count(&self, e: &ServeError) -> bool {
-        let counter = match e {
-            ServeError::Overloaded {
-                reason: OverloadReason::InFlight { .. },
-            } => &self.in_flight,
-            ServeError::Overloaded {
-                reason: OverloadReason::QueueWait { .. },
-            } => &self.queue_wait,
-            ServeError::KvBudgetExceeded { .. } => &self.kv_budget,
-            _ => return false,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    fn snapshot(&self) -> ShedStats {
-        ShedStats {
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_wait: self.queue_wait.load(Ordering::Relaxed),
-            kv_budget: self.kv_budget.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The transport-free gateway core: cache → admission → shard router,
 /// plus one [`SessionManager`] per shard holding decode-session KV
 /// state (a session is *pinned* to the shard that opened it — its
@@ -161,7 +132,6 @@ pub struct Gateway {
     tracer: Tracer,
     dims: MetricRegistry,
     slo: SloConfig,
-    sheds: ShedCounters,
     recorder: FlightRecorder,
     conns: ConnectionCounters,
     /// The health verdict as of the last `health()` evaluation —
@@ -174,14 +144,9 @@ pub struct Gateway {
 impl Gateway {
     /// Builds a gateway serving `models` under `config`.
     pub fn new(models: Vec<PreparedModel>, config: GatewayConfig) -> Self {
-        Self::from_shared(models.into_iter().map(Arc::new).collect(), config)
-    }
-
-    /// [`new`](Self::new) for already-shared model handles.
-    pub fn from_shared(models: Vec<Arc<PreparedModel>>, config: GatewayConfig) -> Self {
         let dims = MetricRegistry::default();
         let recorder = FlightRecorder::with_capacity(EVENT_CAPACITY);
-        let router = ShardRouter::from_shared_with_observability(
+        let router = ShardRouter::new(
             models,
             config.shards,
             config.runtime,
@@ -204,7 +169,6 @@ impl Gateway {
             tracer: Tracer::new(config.trace),
             dims,
             slo: config.slo,
-            sheds: ShedCounters::default(),
             recorder,
             conns: ConnectionCounters::default(),
             last_status: Mutex::new(SloStatus::Ok),
@@ -218,22 +182,28 @@ impl Gateway {
         &self.dims
     }
 
-    /// Records one public verb's outcome under its (model, verb,
-    /// `request`) dimension: the request latency plus an ok / error /
-    /// shed outcome, with sheds also counted per reason for the `stats`
-    /// verb's breakdown.
-    fn record_verb<T>(
+    /// Runs one public verb: begins its trace, runs `body`, finishes the
+    /// trace, and records the outcome under `(model, verb, request)` —
+    /// the request latency plus an ok / error / shed outcome, where a
+    /// shed is any error answered `overloaded`. The model starts as
+    /// `model`; a session verb's body relabels it once its lookup finds
+    /// the session's model.
+    fn verb<'m, T>(
         &self,
-        model: &str,
         verb: &'static str,
-        started: Instant,
-        out: &Result<T, ServeError>,
-    ) {
-        let cell = self.dims.cell(model, verb, STAGE_REQUEST);
+        model: &'m str,
+        body: impl FnOnce(&mut TraceBuilder, &mut Cow<'m, str>) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let started = Instant::now();
+        let mut tb = self.tracer.begin(verb);
+        let mut model = Cow::Borrowed(model);
+        let out = body(&mut tb, &mut model);
+        self.tracer.finish(tb);
+        let cell = self.dims.cell(&model, verb, STAGE_REQUEST);
         cell.record_latency(started.elapsed());
-        match out {
+        match &out {
             Ok(_) => cell.record_ok(),
-            Err(e) if self.sheds.count(e) => {
+            Err(e) if error_kind(e) == ErrorKind::Overloaded => {
                 cell.record_shed();
                 self.recorder.record(
                     EventSeverity::Warn,
@@ -243,6 +213,7 @@ impl Gateway {
             }
             Err(_) => cell.record_error(),
         }
+        out
     }
 
     /// The shard router (shard metrics, direct routing).
@@ -250,131 +221,52 @@ impl Gateway {
         &self.router
     }
 
-    /// The response cache.
-    pub fn cache(&self) -> &RequestCache {
-        &self.cache
-    }
-
     /// The admission controller.
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// One shard's session manager (session counts, KV footprint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.router().num_shards()`.
-    pub fn sessions(&self, shard: usize) -> &SessionManager {
-        &self.sessions[shard]
     }
 
     /// Runs one stateless typed inference through cache, admission, and
     /// routing: codes for a linear chain, hidden states for a
     /// transformer-block model. There is no per-kind entry point — a
     /// payload of the wrong kind for the model fails validation with
-    /// [`ServeError::PayloadKindMismatch`].
+    /// [`ServeError::PayloadKindMismatch`]. A deadline and the float
+    /// (`input`) form travel in a [`Request`] through
+    /// [`handle`](Self::handle).
     ///
     /// # Errors
     ///
     /// Everything [`panacea_serve::RuntimeHandle::infer`] surfaces, plus
     /// [`ServeError::Overloaded`] from admission control.
     pub fn infer(&self, model: &str, payload: Payload) -> Result<InferReply, ServeError> {
-        self.infer_deadline(model, payload, None)
+        self.infer_with(model, None, |_, _| payload)
     }
 
-    /// [`infer`](Self::infer) bounded by a caller deadline: once
-    /// `deadline` passes, the request is rejected at admission, dropped
-    /// from the queue before any GEMM runs, or released from its wait —
-    /// whichever comes first — with [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DeadlineExceeded`] past the deadline, plus
-    /// everything [`infer`](Self::infer) surfaces.
-    pub fn infer_deadline(
+    /// The `infer` verb over either wire form: `payload` builds the
+    /// model's native payload — the request's own, or float activations
+    /// converted server-side (quantized for chains, passed through for
+    /// block models). Past `deadline` the request is rejected at
+    /// admission, dropped from the queue before any GEMM runs, or
+    /// released from its wait, whichever comes first, with
+    /// [`ServeError::DeadlineExceeded`].
+    fn infer_with(
         &self,
         model: &str,
-        payload: Payload,
         deadline: Option<Instant>,
+        payload: impl FnOnce(&PreparedModel, &mut TraceBuilder) -> Payload,
     ) -> Result<InferReply, ServeError> {
-        let started = Instant::now();
-        let mut tb = self.tracer.begin("infer");
-        let out = self.infer_traced(model, payload, &mut tb, deadline);
-        self.tracer.finish(tb);
-        self.record_verb(model, "infer", started, &out);
-        out
-    }
-
-    fn infer_traced(
-        &self,
-        model: &str,
-        payload: Payload,
-        tb: &mut TraceBuilder,
-        deadline: Option<Instant>,
-    ) -> Result<InferReply, ServeError> {
-        let started = Instant::now();
-        let resolved = self.resolve(model)?;
-        let (out, scale, shard, cache_hit) = self.execute(resolved, payload, tb, deadline)?;
-        Ok(InferReply {
-            payload: out,
-            scale,
-            latency: started.elapsed(),
-            shard,
-            cache_hit,
-        })
-    }
-
-    /// [`infer`](Self::infer) on float activations: the server converts
-    /// them into the model's native payload (quantizes for chains,
-    /// passes through for block models) before the shared request path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`infer`](Self::infer).
-    pub fn infer_f32(&self, model: &str, input: Matrix<f32>) -> Result<InferReply, ServeError> {
-        self.infer_f32_deadline(model, input, None)
-    }
-
-    /// [`infer_f32`](Self::infer_f32) bounded by a caller deadline —
-    /// see [`infer_deadline`](Self::infer_deadline).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DeadlineExceeded`] past the deadline, plus
-    /// everything [`infer_f32`](Self::infer_f32) surfaces.
-    pub fn infer_f32_deadline(
-        &self,
-        model: &str,
-        input: Matrix<f32>,
-        deadline: Option<Instant>,
-    ) -> Result<InferReply, ServeError> {
-        let started = Instant::now();
-        let mut tb = self.tracer.begin("infer");
-        let out = self.infer_f32_traced(model, input, &mut tb, deadline);
-        self.tracer.finish(tb);
-        // Recorded under "infer": both wire forms share the verb.
-        self.record_verb(model, "infer", started, &out);
-        out
-    }
-
-    fn infer_f32_traced(
-        &self,
-        model: &str,
-        input: Matrix<f32>,
-        tb: &mut TraceBuilder,
-        deadline: Option<Instant>,
-    ) -> Result<InferReply, ServeError> {
-        let started = Instant::now();
-        let resolved = self.resolve(model)?;
-        let payload = tb.span("quantize", ROOT_SPAN, || resolved.quantize(&input));
-        let (out, scale, shard, cache_hit) = self.execute(resolved, payload, tb, deadline)?;
-        Ok(InferReply {
-            payload: out,
-            scale,
-            latency: started.elapsed(),
-            shard,
-            cache_hit,
+        self.verb("infer", model, |tb, _| {
+            let started = Instant::now();
+            let resolved = self.resolve(model)?;
+            let payload = payload(&resolved, tb);
+            let (out, scale, shard, cache_hit) = self.execute(resolved, payload, tb, deadline)?;
+            Ok(InferReply {
+                payload: out,
+                scale,
+                latency: started.elapsed(),
+                shard,
+                cache_hit,
+            })
         })
     }
 
@@ -394,42 +286,31 @@ impl Gateway {
     /// for linear chains, and [`ServeError::Overloaded`] when admission
     /// sheds the open.
     pub fn session_open(&self, model: &str) -> Result<SessionOpenReply, ServeError> {
-        let started = Instant::now();
-        let mut tb = self.tracer.begin("session_open");
-        let out = self.session_open_traced(model, &mut tb);
-        self.tracer.finish(tb);
-        self.record_verb(model, "session_open", started, &out);
-        out
-    }
-
-    fn session_open_traced(
-        &self,
-        model: &str,
-        tb: &mut TraceBuilder,
-    ) -> Result<SessionOpenReply, ServeError> {
-        let resolved = self.resolve(model)?;
-        let span = tb.start_span("admission_wait", ROOT_SPAN);
-        let permit = self.admission.try_admit();
-        self.stages.admission_wait.record_latency(tb.end_span(span));
-        let permit = permit?;
-        let span = tb.start_span("route", ROOT_SPAN);
-        let shard = self
-            .sessions
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, mgr)| {
-                let s = mgr.stats();
-                (s.kv_bytes, s.open_sessions, *i)
-            })
-            .map(|(i, _)| i)
-            .expect("gateway always has at least one shard");
-        self.stages.route.record_latency(tb.end_span(span));
-        let span = tb.start_span("execute", ROOT_SPAN);
-        let session = self.sessions[shard].open(resolved);
-        self.stages.execute.record_latency(tb.end_span(span));
-        let session = session?;
-        drop(permit);
-        Ok(SessionOpenReply { session, shard })
+        self.verb("session_open", model, |tb, _| {
+            let resolved = self.resolve(model)?;
+            let span = tb.start_span("admission_wait", ROOT_SPAN);
+            let permit = self.admission.try_admit();
+            self.stages.admission_wait.record_latency(tb.end_span(span));
+            let permit = permit?;
+            let span = tb.start_span("route", ROOT_SPAN);
+            let shard = self
+                .sessions
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, mgr)| {
+                    let s = mgr.stats();
+                    (s.kv_bytes, s.open_sessions, *i)
+                })
+                .map(|(i, _)| i)
+                .expect("gateway always has at least one shard");
+            self.stages.route.record_latency(tb.end_span(span));
+            let span = tb.start_span("execute", ROOT_SPAN);
+            let session = self.sessions[shard].open(resolved);
+            self.stages.execute.record_latency(tb.end_span(span));
+            let session = session?;
+            drop(permit);
+            Ok(SessionOpenReply { session, shard })
+        })
     }
 
     /// Advances a decode session by one or more new token columns,
@@ -448,73 +329,48 @@ impl Gateway {
     /// shard's KV budget, and the input-contract errors of
     /// [`panacea_serve::SessionManager::step`].
     pub fn decode(&self, session: u64, hidden: &Matrix<f32>) -> Result<DecodeReply, ServeError> {
-        self.decode_deadline(session, hidden, None)
+        self.decode_with(session, hidden, None)
     }
 
     /// [`decode`](Self::decode) bounded by a caller deadline: an expired
     /// step is dropped before it executes (the session's KV state is
     /// untouched, so the caller can simply resubmit the same columns)
     /// and answered [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DeadlineExceeded`] past the deadline, plus
-    /// everything [`decode`](Self::decode) surfaces.
-    pub fn decode_deadline(
+    fn decode_with(
         &self,
         session: u64,
         hidden: &Matrix<f32>,
         deadline: Option<Instant>,
     ) -> Result<DecodeReply, ServeError> {
-        let started = Instant::now();
-        // Attribution happens before the step: a session that errors
-        // mid-step (or gets evicted by it) still records under its
-        // model. Unknown sessions record under "-".
-        let model = self.session_model(session);
-        let mut tb = self.tracer.begin("decode");
-        let out = self.decode_traced(session, hidden, &mut tb, deadline);
-        self.tracer.finish(tb);
-        self.record_verb(model.as_deref().unwrap_or("-"), "decode", started, &out);
-        out
-    }
-
-    fn decode_traced(
-        &self,
-        session: u64,
-        hidden: &Matrix<f32>,
-        tb: &mut TraceBuilder,
-        deadline: Option<Instant>,
-    ) -> Result<DecodeReply, ServeError> {
-        let started = Instant::now();
-        let span = tb.start_span("admission_wait", ROOT_SPAN);
-        let permit = self.admission.try_admit();
-        self.stages.admission_wait.record_latency(tb.end_span(span));
-        let permit = permit?;
-        let span = tb.start_span("route", ROOT_SPAN);
-        let shard = self.find_session(session);
-        self.stages.route.record_latency(tb.end_span(span));
-        let shard = shard.ok_or(ServeError::UnknownSession { session })?;
-        let span = tb.start_span("execute", ROOT_SPAN);
-        // The step executes on other threads (the shard's decode
-        // batcher); hand them a context so their queue_wait/decode_pass
-        // spans land inside this request's execute span.
-        let ctx = self.tracer.context(tb, span);
-        let stepped = self.sessions[shard].step_with(
-            session,
-            hidden,
-            RequestCtx {
-                trace: Some(ctx),
+        self.verb("decode", "-", |tb, model| {
+            let started = Instant::now();
+            // Routing first labels the verb, so a step shed by admission,
+            // failed mid-step or evicted by its own step still records
+            // under its model.
+            let shard = self.route_session(session, tb, model);
+            let span = tb.start_span("admission_wait", ROOT_SPAN);
+            let permit = self.admission.try_admit();
+            self.stages.admission_wait.record_latency(tb.end_span(span));
+            let permit = permit?;
+            let shard = shard.ok_or(ServeError::UnknownSession { session })?;
+            let span = tb.start_span("execute", ROOT_SPAN);
+            // The step executes on other threads (the shard's decode
+            // batcher); hand them a context so their queue_wait/decode_pass
+            // spans land inside this request's execute span.
+            let ctx = RequestCtx {
+                trace: Some(self.tracer.context(tb, span)),
                 deadline,
-            },
-        );
-        self.stages.execute.record_latency(tb.end_span(span));
-        let (out, tokens, _wl) = stepped?;
-        drop(permit);
-        Ok(DecodeReply {
-            hidden: out,
-            tokens,
-            shard,
-            latency: started.elapsed(),
+            };
+            let stepped = self.sessions[shard].step_with(session, hidden, ctx);
+            self.stages.execute.record_latency(tb.end_span(span));
+            let (out, tokens, _wl) = stepped?;
+            drop(permit);
+            Ok(DecodeReply {
+                hidden: out,
+                tokens,
+                shard,
+                latency: started.elapsed(),
+            })
         })
     }
 
@@ -525,41 +381,40 @@ impl Gateway {
     /// [`ServeError::UnknownSession`] if it does not exist (never
     /// opened, already closed, or evicted).
     pub fn session_close(&self, session: u64) -> Result<SessionCloseReply, ServeError> {
-        let started = Instant::now();
-        let model = self.session_model(session);
-        let mut tb = self.tracer.begin("session_close");
-        let span = tb.start_span("route", ROOT_SPAN);
-        let shard = self.find_session(session);
-        self.stages.route.record_latency(tb.end_span(span));
-        let out = shard
-            .ok_or(ServeError::UnknownSession { session })
-            .and_then(|shard| {
-                let span = tb.start_span("execute", ROOT_SPAN);
-                let closed = self.sessions[shard].close(session);
-                self.stages.execute.record_latency(tb.end_span(span));
-                closed
+        self.verb("session_close", "-", |tb, model| {
+            let shard = self
+                .route_session(session, tb, model)
+                .ok_or(ServeError::UnknownSession { session })?;
+            let span = tb.start_span("execute", ROOT_SPAN);
+            let closed = self.sessions[shard].close(session);
+            self.stages.execute.record_latency(tb.end_span(span));
+            Ok(SessionCloseReply {
+                session,
+                tokens: closed?,
             })
-            .map(|tokens| SessionCloseReply { session, tokens });
-        self.tracer.finish(tb);
-        self.record_verb(
-            model.as_deref().unwrap_or("-"),
-            "session_close",
-            started,
-            &out,
-        );
-        out
+        })
     }
 
-    /// The shard holding a session's KV state. Session ids are
-    /// process-unique, so at most one manager answers.
-    fn find_session(&self, session: u64) -> Option<usize> {
-        (0..self.sessions.len()).find(|&s| self.sessions[s].contains(session))
-    }
-
-    /// The model a live session decodes, for metric attribution.
-    fn session_model(&self, session: u64) -> Option<String> {
-        self.find_session(session)
-            .and_then(|s| self.sessions[s].model_name(session))
+    /// A session verb's `route` stage: the shard holding the session's
+    /// KV state, found in one pass over the shards (session ids are
+    /// process-unique, so at most one manager answers). A found session
+    /// relabels the verb with its model; an unknown one leaves `-`.
+    fn route_session(
+        &self,
+        session: u64,
+        tb: &mut TraceBuilder,
+        model: &mut Cow<'_, str>,
+    ) -> Option<usize> {
+        let span = tb.start_span("route", ROOT_SPAN);
+        let found = self
+            .sessions
+            .iter()
+            .enumerate()
+            .find_map(|(shard, mgr)| mgr.model(session).map(|m| (shard, m)));
+        self.stages.route.record_latency(tb.end_span(span));
+        let (shard, resolved) = found?;
+        *model = Cow::Owned(resolved.name().to_string());
+        Some(shard)
     }
 
     /// Resolves a model name against the shared registry.
@@ -629,28 +484,14 @@ impl Gateway {
             trace: Some(self.tracer.context(tb, span)),
             deadline,
         };
-        let ran: Result<_, ServeError> = (|| {
-            let (pending, kept_payload) = if cached {
-                let pending = self.router.submit_to_shard(
-                    shard,
-                    Arc::clone(&resolved),
-                    payload.clone(),
-                    ctx,
-                )?;
-                (pending, Some(payload))
-            } else {
-                (
-                    self.router.submit_to_shard(shard, resolved, payload, ctx)?,
-                    None,
-                )
-            };
-            Ok((
-                self.admission.wait_bounded_deadline(&pending, deadline)?,
-                kept_payload,
-            ))
-        })();
+        // A cacheable request keeps its payload for the insert.
+        let kept_payload = cached.then(|| payload.clone());
+        let ran = self
+            .router
+            .submit_to_shard(shard, resolved, payload, ctx)
+            .and_then(|pending| self.admission.wait_bounded_deadline(&pending, deadline));
         self.stages.execute.record_latency(tb.end_span(span));
-        let (out, kept_payload) = ran?;
+        let out = ran?;
         drop(permit);
         if let Some(payload) = kept_payload {
             self.cache.insert(
@@ -669,6 +510,7 @@ impl Gateway {
     /// counters, cache, admission).
     pub fn stats(&self) -> GatewayStats {
         let mut shards = self.router.shard_stats();
+        let mut kv_budget = 0;
         for (shard, mgr) in shards.iter_mut().zip(&self.sessions) {
             let s = mgr.stats();
             shard.open_sessions = s.open_sessions as u64;
@@ -679,16 +521,23 @@ impl Gateway {
             shard.decode_batch_occupancy = s.decode_batch_occupancy();
             shard.decode_padded_cols = s.decode_padded_cols;
             // The router filled the runtime layer's fault counters; the
-            // session layer (decode batcher, inline steps) adds its own.
+            // session layer (decode passes) adds its own.
             shard.worker_panics += s.worker_panics;
             shard.expired += s.expired_steps;
             shard.evicted_poisoned = s.evicted_poisoned;
+            kv_budget += s.kv_budget_exceeded;
         }
+        // Each shed is counted once, by the layer that decides it.
+        let admission = self.admission.stats();
         GatewayStats {
             shards,
             cache: self.cache.stats(),
-            admission: self.admission.stats(),
-            sheds: self.sheds.snapshot(),
+            sheds: ShedStats {
+                in_flight: admission.rejected_capacity,
+                queue_wait: admission.rejected_timeout,
+                kv_budget,
+            },
+            admission,
             connections: self.conns.snapshot(),
             uptime_ms: self.uptime_ms(),
             seq: self.next_seq(),
@@ -709,11 +558,6 @@ impl Gateway {
     /// every `stats`/`metrics` snapshot this gateway assembles.
     fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The request tracer (slow-trace rings, trace knobs).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Every registry cell's quantile summary — cumulative since boot
@@ -844,7 +688,8 @@ impl Gateway {
     }
 
     /// Dispatches one decoded request to a response — the single entry
-    /// point both the TCP server and in-process callers use.
+    /// point the TCP server uses, and the in-process way to send a
+    /// deadline or the float `infer` form.
     pub fn handle(&self, request: Request) -> Response {
         fn reply<T>(r: Result<T, ServeError>, wrap: impl FnOnce(T) -> Response) -> Response {
             match r {
@@ -866,7 +711,7 @@ impl Gateway {
                 payload,
                 deadline_ms,
             } => reply(
-                self.infer_deadline(&model, payload, wire_deadline(deadline_ms)),
+                self.infer_with(&model, wire_deadline(deadline_ms), |_, _| payload),
                 Response::Infer,
             ),
             Request::InferF32 {
@@ -874,7 +719,9 @@ impl Gateway {
                 input,
                 deadline_ms,
             } => reply(
-                self.infer_f32_deadline(&model, input, wire_deadline(deadline_ms)),
+                self.infer_with(&model, wire_deadline(deadline_ms), |resolved, tb| {
+                    tb.span("quantize", ROOT_SPAN, || resolved.quantize(&input))
+                }),
                 Response::Infer,
             ),
             Request::SessionOpen { model } => {
@@ -885,7 +732,7 @@ impl Gateway {
                 hidden,
                 deadline_ms,
             } => reply(
-                self.decode_deadline(session, &hidden, wire_deadline(deadline_ms)),
+                self.decode_with(session, &hidden, wire_deadline(deadline_ms)),
                 Response::Decode,
             ),
             Request::SessionClose { session } => {
@@ -895,8 +742,8 @@ impl Gateway {
     }
 }
 
-/// The flight-recorder spelling of a shed's cause (mirrors
-/// [`ShedCounters::count`]'s per-reason buckets).
+/// The flight-recorder spelling of a shed's cause (the reasons
+/// [`ShedStats`] counts).
 fn shed_reason(e: &ServeError) -> &'static str {
     match e {
         ServeError::Overloaded {
@@ -1147,16 +994,13 @@ mod tests {
             .infer("m", Payload::Codes(x.clone()))
             .expect("served");
         assert!(!first.cache_hit);
-        // Replace "m" on every shard with a different preparation (the
-        // documented re-registration path via the shard registries).
-        let replacement = Arc::new(models(&["m"], 10).pop().expect("one model"));
-        for shard in 0..gateway.router().num_shards() {
-            gateway
-                .router()
-                .shard(shard)
-                .registry()
-                .insert_shared(Arc::clone(&replacement));
-        }
+        // Replace "m" with a different preparation in the registry every
+        // shard shares.
+        let replacement = gateway
+            .router()
+            .shard(0)
+            .registry()
+            .insert(models(&["m"], 10).pop().expect("one model"));
         let (expect, _) = replacement.forward_codes(&x);
         let after = gateway.infer("m", Payload::Codes(x)).expect("served");
         assert!(
@@ -1269,19 +1113,15 @@ mod tests {
         .sample_matrix(model.in_features(), 2, &mut rng);
         let quantized = model.quantize(&input);
         let (expect, _) = model.forward(&quantized);
-        let reply = gateway.infer_f32("m", input).expect("served");
-        assert_eq!(reply.payload, expect);
-        // The wire form of the convenience verb lands on the same path.
-        let via_wire = gateway.handle(Request::InferF32 {
+        let reply = gateway.handle(Request::InferF32 {
             model: "m".to_string(),
-            input: DistributionKind::Gaussian {
-                mean: 0.2,
-                std: 0.5,
-            }
-            .sample_matrix(model.in_features(), 2, &mut rng),
+            input,
             deadline_ms: None,
         });
-        assert!(matches!(via_wire, Response::Infer(_)));
+        let Response::Infer(reply) = reply else {
+            panic!("float infer was not served: {reply:?}");
+        };
+        assert_eq!(reply.payload, expect);
     }
 
     #[test]
@@ -1409,6 +1249,50 @@ mod tests {
         assert_eq!(other, 0);
         gateway.session_close(open.session).expect("closed");
         assert_eq!(gateway.stats().shards[open.shard].kv_bytes, 0);
+    }
+
+    #[test]
+    fn kv_budget_sheds_are_answered_overloaded_and_counted_once() {
+        use crate::testutil::{block_model, hidden};
+        let (model, _) = block_model("blk", 68);
+        let gateway = Gateway::new(
+            vec![model],
+            GatewayConfig {
+                session: SessionConfig {
+                    max_kv_bytes: 1024,
+                    ..SessionConfig::default()
+                },
+                ..GatewayConfig::default()
+            },
+        );
+        let open = gateway.session_open("blk").expect("opened");
+        // 2 blocks × 2 (K+V) × 16 features × 4 bytes = 256 bytes per
+        // token, so a 5-token step cannot fit the 1 KiB budget.
+        let resp = gateway.handle(Request::Decode {
+            session: open.session,
+            hidden: hidden(16, 5, 0),
+            deadline_ms: None,
+        });
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }
+            ),
+            "an over-budget step was not shed: {resp:?}"
+        );
+        let stats = gateway.stats();
+        assert_eq!(stats.sheds.kv_budget, 1);
+        assert_eq!(stats.sheds.total(), 1);
+        let cell = gateway.dims().cell("blk", "decode", STAGE_REQUEST).total();
+        assert_eq!((cell.shed, cell.error), (1, 0));
+        // The refused step left the session intact.
+        let step = gateway
+            .decode(open.session, &hidden(16, 4, 1))
+            .expect("fits exactly");
+        assert_eq!(step.tokens, 4);
     }
 
     #[test]

@@ -303,7 +303,8 @@ fn stats_verb_round_trips_over_the_wire() {
     // wait for the shards to go quiescent before comparing two
     // point-in-time snapshots for exact equality.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while gateway.router().queue_depths().iter().any(|q| q.load() > 0) {
+    let router = gateway.router();
+    while (0..router.num_shards()).any(|s| router.shard(s).queue_depth().load() > 0) {
         assert!(
             std::time::Instant::now() < deadline,
             "shards never went quiescent"

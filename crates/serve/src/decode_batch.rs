@@ -1,16 +1,15 @@
 //! Continuous batching for decode: coalescing concurrent sessions'
 //! single-token steps into one GEMM pass per layer.
 //!
-//! KV caching (PR 5) made one decode step O(prefix), but every step
-//! still executed alone on its caller's thread: a single-token step runs
-//! the whole block stack at GEMM width `N = 1`, so a fleet of concurrent
-//! decode sessions walks every weight once per session and serializes
-//! work one wider GEMM could share. The [`DecodeBatcher`] fixes that:
-//! callers enqueue
-//! steps, and a dedicated worker stacks the queued steps of the *same*
-//! prepared model (one column group per session) into a single fused
-//! pass — one QKV/proj/fc1/fc2 GEMM per block over all sessions'
-//! columns, attention per session against its own cache
+//! KV caching makes one decode step O(prefix), but a single-token step
+//! alone runs the whole block stack at GEMM width `N = 1`, so a fleet of
+//! concurrent decode sessions stepping alone walks every weight once per
+//! session and serializes work one wider GEMM could share. The
+//! `DecodeBatcher` fixes that: callers enqueue steps, and a dedicated
+//! worker stacks the queued steps of the *same* prepared model (one
+//! column group per session) into a single fused pass — one
+//! QKV/proj/fc1/fc2 GEMM per block over all sessions' columns,
+//! attention per session against its own cache
 //! ([`PreparedModel::forward_decode_batch`](crate::PreparedModel::forward_decode_batch)).
 //!
 //! Guarantees:
@@ -32,7 +31,12 @@
 //! Waiting, purging expired steps and lingering belong to the shared
 //! `BatchQueue` (`queue.rs`), the same queue the stateless runtime
 //! drains; this module is decode's *grouping rule*
-//! (`take_decode_batch`) and *executor* (`execute_batch`). Knobs:
+//! (`take_decode_batch`) and its one *pass body* (`run_pass`). The
+//! worker runs the pass body for fused passes (`execute_batch` adds the
+//! cells, counters, event and spans around it); a chunk that fills the
+//! column budget by itself runs the same body on its caller's thread
+//! (`DecodeBatcher::run_on_caller`), so there is one lock → snapshot →
+//! `catch_unwind` → rollback → retry → poison sequence. Knobs:
 //! `max_batch` bounds the fused pass's total columns, and `max_wait` is
 //! how long the oldest queued step lingers for batchmates. Even at zero
 //! linger (the default), batches form naturally under load: while one
@@ -52,7 +56,7 @@ use panacea_tensor::Matrix;
 
 use crate::model::{timed_blocks, PreparedModel};
 use crate::queue::{BatchQueue, PurgeCounts, Queued, RequestCtx, Workers};
-use crate::session::{Session, Slot};
+use crate::session::{Session, SessionStats, Slot};
 
 /// What a fused pass hands back to each waiting step: the session's
 /// output columns, its total token count afterwards, and the workload of
@@ -75,13 +79,16 @@ pub(crate) enum StepFailure {
     DeadlineExceeded,
 }
 
+/// What one step is answered with.
+pub(crate) type Answer = Result<StepOutcome, StepFailure>;
+
 /// One queued decode step.
 #[derive(Debug)]
 struct DecodeJob {
     session: u64,
     slot: Arc<Slot>,
     hidden: Matrix<f32>,
-    responder: mpsc::Sender<Result<StepOutcome, StepFailure>>,
+    responder: mpsc::Sender<Answer>,
     enqueued_at: Instant,
     /// When present, the step is answered `DeadlineExceeded` instead of
     /// executed once this instant passes.
@@ -126,11 +133,16 @@ impl Queued for DecodeJob {
 /// What the fused-pass executor records into.
 #[derive(Debug)]
 struct Shared {
+    /// Fused passes executed.
     batches: AtomicU64,
-    /// Steps the successful fused passes executed.
+    /// Steps the fused passes executed (solo retries after a caught
+    /// panic are not counted).
     steps: AtomicU64,
+    /// Columns the paper's PE array would pad the fused passes with
+    /// ([`pe_padded_cols`] per pass). The host kernel multiplies only the
+    /// real columns.
     padded_cols: AtomicU64,
-    /// Panics caught (and isolated) inside fused passes or solo retries.
+    /// Panics caught (and isolated) inside any pass or solo retry.
     panics: AtomicU64,
     /// Caught panics count as errors under `(model, "worker", at)`
     /// here; the per-pass stage samples go through the cells each
@@ -146,7 +158,7 @@ struct Shared {
 /// passes. Owned by the session manager; dropping it drains the queue
 /// and joins the worker.
 #[derive(Debug)]
-pub struct DecodeBatcher {
+pub(crate) struct DecodeBatcher {
     shared: Arc<Shared>,
     queue: Arc<BatchQueue<DecodeJob>>,
     /// Steps answered `DeadlineExceeded` at dequeue, counted by the queue.
@@ -201,7 +213,7 @@ impl DecodeBatcher {
         slot: Arc<Slot>,
         hidden: Matrix<f32>,
         ctx: RequestCtx,
-    ) -> mpsc::Receiver<Result<StepOutcome, StepFailure>> {
+    ) -> mpsc::Receiver<Answer> {
         let (tx, rx) = mpsc::channel();
         // A push refused by shutdown drops the job and with it `tx`, so
         // the receiver reports the closed channel.
@@ -217,32 +229,27 @@ impl DecodeBatcher {
         rx
     }
 
-    /// Fused passes executed so far.
-    pub fn batches(&self) -> u64 {
-        self.shared.batches.load(Ordering::Relaxed)
+    /// Runs one pre-validated step on the caller's thread, through the
+    /// same pass body as a fused pass, as a one-step pass. It is not
+    /// counted as a fused pass: a chunk that fills the column budget by
+    /// itself would gain nothing from the worker, and running it here
+    /// keeps concurrent wide prefills parallel.
+    pub(crate) fn run_on_caller(&self, slot: &Slot, hidden: &Matrix<f32>) -> Answer {
+        match run_pass(&self.shared, &[(slot, hidden)]) {
+            Ok(mut outcomes) => Ok(outcomes.pop().expect("one step, one outcome")),
+            Err(mut answers) => answers.pop().expect("one step, one answer"),
+        }
     }
 
-    /// Steps the fused passes executed (solo retries after a caught
-    /// panic are not counted).
-    pub fn steps(&self) -> u64 {
-        self.shared.steps.load(Ordering::Relaxed)
-    }
-
-    /// Columns the paper's PE array would pad the fused passes with
-    /// ([`pe_padded_cols`] per pass). The host kernel multiplies only the
-    /// real columns.
-    pub fn padded_cols(&self) -> u64 {
-        self.shared.padded_cols.load(Ordering::Relaxed)
-    }
-
-    /// Panics caught (and isolated) inside fused passes or solo retries.
-    pub fn worker_panics(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
-    }
-
-    /// Steps answered `DeadlineExceeded` at dequeue instead of executed.
-    pub fn expired_steps(&self) -> u64 {
-        self.purged.expired.load(Ordering::Relaxed)
+    /// Fills `stats`' pass counters: fused passes and the steps and
+    /// padded columns they ran, caught panics, and expired steps.
+    pub(crate) fn fill_stats(&self, stats: &mut SessionStats) {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        stats.decode_batches = load(&self.shared.batches);
+        stats.decode_batched_steps = load(&self.shared.steps);
+        stats.decode_padded_cols = load(&self.shared.padded_cols);
+        stats.worker_panics = load(&self.shared.panics);
+        stats.expired_steps = load(&self.purged.expired);
     }
 }
 
@@ -308,16 +315,20 @@ fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
     );
 }
 
-/// Executes one fused pass: lock every participating session for the
-/// duration of the pass (a session's steps are serialized by definition;
-/// holding the lock across the pass is exactly the serialization a solo
-/// step would impose, and releasing it mid-pass would let an eviction
-/// tear half-advanced KV state), run the batched decode, split the
-/// outputs back per session, answer every caller.
+/// The one decode pass body, run by the batching worker for a fused
+/// pass and by [`DecodeBatcher::run_on_caller`] for a budget-filling
+/// chunk: lock every participating session for the duration of the pass
+/// (a session's steps are serialized by definition; holding the lock
+/// across the pass is exactly the serialization a solo step would
+/// impose, and releasing it mid-pass would let an eviction tear
+/// half-advanced KV state), run the batched decode, and split the
+/// outputs back per session. `Ok` carries one outcome per step, in
+/// order; `Err` means the pass did not run and carries each step's own
+/// answer.
 ///
 /// # Panic isolation
 ///
-/// The fused pass runs under `catch_unwind` with the session guards held
+/// The pass runs under `catch_unwind` with the session guards held
 /// *outside* the closure, so a mid-pass panic (a model bug, or the
 /// `serve.decode.fused_pass` fault site firing) cannot poison the cells.
 /// A panicking pass may have appended K/V to some blocks but not others,
@@ -328,25 +339,18 @@ fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
 /// its cache is rolled back again and its caller is answered
 /// `Internal { poisoned: true }`, which makes the session manager evict
 /// the session. A single-step pass attributes the panic directly.
-fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
-    let model = Arc::clone(&jobs[0].slot.model);
-    // Batchmates share a prepared model, hence (by name) these cells.
-    let cells = &jobs[0].slot.cells;
-    let pass_started = Instant::now();
-    for job in &jobs {
-        cells
-            .linger
-            .record_latency(pass_started.duration_since(job.enqueued_at));
-    }
-    cells.occupancy.latency().record(jobs.len() as u64);
-    // Poison-tolerant lock: a cell poisoned by a caller-thread panic
-    // (inline stepping) has already been rolled back to a consistent
-    // prefix by that path's own isolation before the lock released.
-    let mut guards: Vec<MutexGuard<'_, Session>> = jobs
+fn run_pass(
+    shared: &Shared,
+    steps: &[(&Slot, &Matrix<f32>)],
+) -> Result<Vec<StepOutcome>, Vec<Answer>> {
+    let model = &steps[0].0.model;
+    // Poison-tolerant lock: every path that panics under a session lock
+    // catches it and rolls the cache back before the lock releases.
+    let mut guards: Vec<MutexGuard<'_, Session>> = steps
         .iter()
-        .map(|j| j.slot.cell.lock().unwrap_or_else(PoisonError::into_inner))
+        .map(|(slot, _)| slot.cell.lock().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    let hiddens: Vec<&Matrix<f32>> = jobs.iter().map(|j| &j.hidden).collect();
+    let hiddens: Vec<&Matrix<f32>> = steps.iter().map(|&(_, h)| h).collect();
     let segments: Vec<usize> = hiddens.iter().map(|h| h.cols()).collect();
     let stacked = Matrix::hstack(&hiddens).expect("validated steps share the model width");
     // Pre-pass token counts — the rollback points if the pass dies.
@@ -354,11 +358,17 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
     let ran = catch_unwind(AssertUnwindSafe(|| {
         panacea_faultline::point("serve.decode.fused_pass");
         let mut kvs: Vec<&mut KvCache> = guards.iter_mut().map(|g| &mut g.kv).collect();
-        timed_blocks(&cells.block, || {
-            model.forward_decode_batch_prevalidated(&stacked, &segments, &mut kvs)
+        // Batchmates share a prepared model, hence (by name) these cells.
+        // Every step was validated against that model and each cache was
+        // built by it, so the pass cannot fail; a broken invariant would
+        // panic and be isolated like any other panic.
+        timed_blocks(&steps[0].0.cells.block, || {
+            model
+                .forward_decode_batch_prevalidated(&stacked, &segments, &mut kvs)
+                .expect("a validated step on its own model's cache")
         })
     }));
-    let outcome = match ran {
+    let (out, wl) = match ran {
         Ok(outcome) => outcome,
         Err(_) => {
             record_panic(shared, model.name(), "decode_fused_pass");
@@ -367,102 +377,103 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
             for (guard, &snap) in guards.iter_mut().zip(&snapshots) {
                 guard.kv.truncate_tokens(snap);
             }
-            if jobs.len() == 1 {
+            if steps.len() == 1 {
                 // Alone in the pass: the panic is this step's own.
-                drop(guards);
-                let _ = jobs[0].responder.send(Err(StepFailure::Internal {
+                return Err(vec![Err(StepFailure::Internal {
                     poisoned: true,
                     at: "decode_fused_pass",
-                }));
-                return;
+                })]);
             }
             // Retry each batchmate solo; a retry that panics again is
             // the culprit and poisons only its own session.
             let now = Instant::now();
-            for ((job, guard), &snap) in jobs.iter().zip(guards.iter_mut()).zip(&snapshots) {
-                let solo = catch_unwind(AssertUnwindSafe(|| {
-                    panacea_faultline::point("serve.decode.solo_retry");
-                    let mut kvs: Vec<&mut KvCache> = vec![&mut guard.kv];
-                    model.forward_decode_batch_prevalidated(
-                        &job.hidden,
-                        &[job.hidden.cols()],
-                        &mut kvs,
-                    )
-                }));
-                let answer = match solo {
-                    Ok(Ok((out, wl))) => {
-                        guard.last_used = now;
-                        Ok((out, guard.kv.tokens(), wl))
+            let answers = steps
+                .iter()
+                .zip(guards.iter_mut())
+                .zip(&snapshots)
+                .map(|((&(_, hidden), guard), &snap)| {
+                    let solo = catch_unwind(AssertUnwindSafe(|| {
+                        panacea_faultline::point("serve.decode.solo_retry");
+                        let mut kvs: Vec<&mut KvCache> = vec![&mut guard.kv];
+                        model
+                            .forward_decode_batch_prevalidated(hidden, &[hidden.cols()], &mut kvs)
+                            .expect("a validated step on its own model's cache")
+                    }));
+                    match solo {
+                        Ok((out, wl)) => {
+                            guard.last_used = now;
+                            Ok((out, guard.kv.tokens(), wl))
+                        }
+                        Err(_) => {
+                            record_panic(shared, model.name(), "decode_solo_retry");
+                            guard.kv.truncate_tokens(snap);
+                            Err(StepFailure::Internal {
+                                poisoned: true,
+                                at: "decode_solo_retry",
+                            })
+                        }
                     }
-                    Ok(Err(_)) => Err(StepFailure::Internal {
-                        poisoned: false,
-                        at: "decode_solo_retry",
-                    }),
-                    Err(_) => {
-                        record_panic(shared, model.name(), "decode_solo_retry");
-                        guard.kv.truncate_tokens(snap);
-                        Err(StepFailure::Internal {
-                            poisoned: true,
-                            at: "decode_solo_retry",
-                        })
-                    }
-                };
-                let _ = job.responder.send(answer);
-            }
-            return;
+                })
+                .collect();
+            return Err(answers);
         }
     };
-    // The error arm is unreachable by construction: every step was
-    // validated against its model before enqueue and its cache was
-    // built by that model. Answering (not dropping) keeps callers from
-    // hanging if it ever fires.
-    let Ok((out, wl)) = outcome else {
-        drop(guards);
-        for job in &jobs {
-            let _ = job.responder.send(Err(StepFailure::Internal {
-                poisoned: false,
-                at: "decode_fused_pass",
-            }));
-        }
-        return;
-    };
-    {
-        let now = Instant::now();
+    let now = Instant::now();
+    let parts = out
+        .split_cols(&segments)
+        .expect("decode keeps one output column per input column");
+    Ok(parts
+        .into_iter()
+        .zip(guards.iter_mut())
+        .map(|(part, g)| {
+            g.last_used = now;
+            (part, g.kv.tokens(), wl)
+        })
+        .collect())
+}
+
+/// The batching worker's side of one fused pass: the linger, occupancy
+/// and fused-pass cells, the pass counters, the `batch_formed` event and
+/// the traced steps' spans around [`run_pass`], then one answer per
+/// caller.
+fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
+    let cells = &jobs[0].slot.cells;
+    let pass_started = Instant::now();
+    for job in &jobs {
         cells
-            .fused_pass
-            .record_latency(now.duration_since(pass_started));
-        let tokens: Vec<usize> = guards
-            .iter_mut()
-            .map(|g| {
-                g.last_used = now;
-                g.kv.tokens()
-            })
-            .collect();
-        drop(guards);
-        let total: usize = segments.iter().sum();
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared.steps.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        shared
-            .padded_cols
-            .fetch_add(pe_padded_cols(total) as u64, Ordering::Relaxed);
-        shared.recorder.record(
-            EventSeverity::Info,
-            "batch_formed",
-            format!("fused=decode sessions={} cols={total}", jobs.len()),
-        );
-        let parts = out
-            .split_cols(&segments)
-            .expect("decode keeps one output column per input column");
-        // Trace ids of every traced step in this pass: each traced
-        // step's `decode_pass` span links to its batchmates' traces.
-        let traced_ids: Vec<u64> = jobs
-            .iter()
-            .filter_map(|j| j.ctx.as_ref().map(|c| c.trace_id()))
-            .collect();
-        for ((job, part), tok) in jobs.into_iter().zip(parts).zip(tokens) {
+            .linger
+            .record_latency(pass_started.duration_since(job.enqueued_at));
+    }
+    cells.occupancy.latency().record(jobs.len() as u64);
+    let steps: Vec<(&Slot, &Matrix<f32>)> = jobs.iter().map(|j| (&*j.slot, &j.hidden)).collect();
+    let answers: Vec<Answer> = match run_pass(shared, &steps) {
+        Err(answers) => answers,
+        Ok(outcomes) => {
+            let now = Instant::now();
+            cells
+                .fused_pass
+                .record_latency(now.duration_since(pass_started));
+            let total: usize = jobs.iter().map(|j| j.hidden.cols()).sum();
+            shared.batches.fetch_add(1, Ordering::Relaxed);
+            shared.steps.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            shared
+                .padded_cols
+                .fetch_add(pe_padded_cols(total) as u64, Ordering::Relaxed);
+            shared.recorder.record(
+                EventSeverity::Info,
+                "batch_formed",
+                format!("fused=decode sessions={} cols={total}", jobs.len()),
+            );
+            // Trace ids of every traced step in this pass: each traced
+            // step's `decode_pass` span links to its batchmates' traces.
+            let traced_ids: Vec<u64> = jobs
+                .iter()
+                .filter_map(|j| j.ctx.as_ref().map(|c| c.trace_id()))
+                .collect();
             // Spans land before the send: the stepping thread is blocked
-            // on this channel, so its trace cannot finish earlier.
-            if let Some(ctx) = &job.ctx {
+            // on its channel, so its trace cannot finish earlier.
+            for job in &jobs {
+                let Some(ctx) = &job.ctx else { continue };
                 ctx.record_span("queue_wait", job.enqueued_at, pass_started);
                 let links: Vec<u64> = traced_ids
                     .iter()
@@ -471,9 +482,12 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
                     .collect();
                 ctx.record_span_linked("decode_pass", pass_started, now, links);
             }
-            // A dropped receiver just means the caller stopped waiting;
-            // the session still advanced.
-            let _ = job.responder.send(Ok((part, tok, wl)));
+            outcomes.into_iter().map(Ok).collect()
         }
+    };
+    for (job, answer) in jobs.iter().zip(answers) {
+        // A dropped receiver just means the caller stopped waiting; the
+        // session still advanced.
+        let _ = job.responder.send(answer);
     }
 }

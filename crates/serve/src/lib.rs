@@ -53,7 +53,6 @@ use panacea_core::Workload;
 use panacea_tensor::Matrix;
 
 pub use batch::BatchPolicy;
-pub use decode_batch::DecodeBatcher;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use model::{LayerSpec, ModelRegistry, PrepareOptions, PreparedModel};
 pub use payload::{Payload, PayloadKind};

@@ -546,22 +546,7 @@ impl PreparedModel {
         kv: &mut KvCache,
     ) -> Result<(Matrix<f32>, Workload), ServeError> {
         self.validate_decode(hidden)?;
-        self.forward_decode_prevalidated(hidden, kv)
-    }
-
-    /// [`forward_decode`](Self::forward_decode) minus the payload
-    /// re-scan, for serving hot paths that already ran
-    /// [`validate_decode`](Self::validate_decode) on `hidden` (the KV
-    /// shape is still checked — it is O(1)).
-    pub(crate) fn forward_decode_prevalidated(
-        &self,
-        hidden: &Matrix<f32>,
-        kv: &mut KvCache,
-    ) -> Result<(Matrix<f32>, Workload), ServeError> {
-        let blocks = self.decode_blocks()?;
-        self.check_kv(blocks, kv)?;
-        let (out, wl) = panacea_block::decode_step(blocks, hidden, kv);
-        Ok((out, wl.total()))
+        self.forward_decode_batch_prevalidated(hidden, &[hidden.cols()], &mut [kv])
     }
 
     /// Continuous-batching decode: many sessions' new token columns,
@@ -605,10 +590,11 @@ impl PreparedModel {
     }
 
     /// [`forward_decode_batch`](Self::forward_decode_batch) minus the
-    /// payload re-scan and segment checks, for the decode batcher's
-    /// worker: every step was validated before it could enqueue, and
-    /// the worker builds `segments` from the very matrices it stacks.
-    /// KV shape checks (O(1) each) remain.
+    /// payload re-scan and segment checks, for the one decode pass body
+    /// and [`forward_decode`](Self::forward_decode): every step was
+    /// validated before it could reach a pass, and the pass builds
+    /// `segments` from the very matrices it stacks. KV shape checks
+    /// (O(1) each) remain.
     pub(crate) fn forward_decode_batch_prevalidated(
         &self,
         hidden: &Matrix<f32>,
@@ -726,9 +712,7 @@ impl ModelRegistry {
     }
 
     /// Registers an already-shared prepared model without cloning its
-    /// weights — how a shard router gives every shard's registry the
-    /// *same* prepared instance, so N shards cost one preparation and
-    /// one copy of the sliced weights.
+    /// weights.
     pub fn insert_shared(&self, model: Arc<PreparedModel>) -> Arc<PreparedModel> {
         let replaced = self
             .models
@@ -752,19 +736,6 @@ impl ModelRegistry {
             .expect("registry lock poisoned")
             .get(name)
             .cloned()
-    }
-
-    /// Registered model names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .models
-            .read()
-            .expect("registry lock poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        v.sort();
-        v
     }
 
     /// Number of registered models.
@@ -911,7 +882,6 @@ mod tests {
         assert!(Arc::ptr_eq(&h1, &h2));
         let h3 = reg.insert(m);
         assert!(!Arc::ptr_eq(&h1, &h3));
-        assert_eq!(reg.names(), vec!["a".to_string()]);
         assert!(reg.get("missing").is_none());
     }
 

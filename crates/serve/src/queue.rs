@@ -2,7 +2,7 @@
 //!
 //! AQS-GEMM amortizes its weight-side work over `N`, so both serving
 //! paths coalesce along it — the stateless [`Runtime`](crate::Runtime)
-//! (N workers) and the [`DecodeBatcher`](crate::DecodeBatcher) (one).
+//! (N workers) and the `DecodeBatcher` (one).
 //! They differ in *what may share a pass* ([`Queued::take`]) and in *how
 //! a pass executes*; the protocol around those two lives here once:
 //!

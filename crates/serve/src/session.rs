@@ -19,23 +19,23 @@
 //!   [`ServeError::KvBudgetExceeded`] instead of growing unboundedly.
 //!
 //! Steps are **continuously batched**: [`step`](SessionManager::step)
-//! submits into the manager's [`DecodeBatcher`], whose worker fuses the
+//! submits into the manager's `DecodeBatcher`, whose worker fuses the
 //! queued steps of concurrent sessions on the same model into one GEMM
 //! pass per layer ([`PreparedModel::forward_decode_batch`]) — aggregate
 //! decode throughput scales with concurrency by filling the GEMM `N`
 //! dimension, while every session's outputs stay bit-identical to solo
 //! stepping. The batcher drains the same `BatchQueue` the stateless
 //! runtime does (wait → purge expired → linger → take). Knobs:
-//! [`SessionConfig::max_decode_batch`] (columns per fused pass; `0`/`1`
-//! disables batching and steps execute inline on the caller thread, the
-//! pre-batching behavior) and [`SessionConfig::decode_max_wait`] (linger
-//! for batchmates; zero by default, like
-//! [`BatchPolicy::max_wait`](crate::BatchPolicy::max_wait)). A
-//! session's steps are serialized by its own lock — held by the worker
-//! for the fused pass it rides in — while distinct sessions proceed
-//! concurrently. Stepping a closed or evicted session fails with
-//! [`ServeError::UnknownSession`] — the caller re-opens and replays its
-//! prefix.
+//! [`SessionConfig::max_decode_batch`] (columns per fused pass) and
+//! [`SessionConfig::decode_max_wait`] (linger for batchmates; zero by
+//! default, like [`BatchPolicy::max_wait`](crate::BatchPolicy::max_wait)).
+//! A chunk at least `max_decode_batch` wide would fill a pass by itself:
+//! it runs the batcher's one pass body on its caller's thread instead,
+//! with the same panic isolation, and is not counted as a fused pass. A
+//! session's steps are serialized by its own lock — held for the pass it
+//! rides in — while distinct sessions proceed concurrently. Stepping a
+//! closed or evicted session fails with [`ServeError::UnknownSession`] —
+//! the caller re-opens and replays its prefix.
 //!
 //! Idle eviction is amortized: the O(sessions) idle scan runs at most
 //! once per sweep period (a fraction of the idle timeout), not on every
@@ -50,7 +50,6 @@
 //! request path; this module has no cache access at all.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
@@ -62,7 +61,7 @@ use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry};
 use panacea_tensor::Matrix;
 
 use crate::decode_batch::{DecodeBatcher, StepFailure};
-use crate::model::{timed_blocks, PreparedModel};
+use crate::model::PreparedModel;
 use crate::queue::RequestCtx;
 use crate::ServeError;
 
@@ -75,12 +74,11 @@ pub struct SessionConfig {
     pub idle_timeout: Duration,
     /// Total resident KV bytes allowed across all sessions.
     pub max_kv_bytes: usize,
-    /// Column budget of one fused decode pass (continuous batching).
-    /// `0` or `1` disables the batcher entirely: steps execute inline
-    /// on the caller's thread, one session per GEMM pass. A chunk at
-    /// least this wide also executes inline — it would fill a pass by
-    /// itself, and caller-thread execution keeps concurrent wide
-    /// prefills parallel instead of serialized behind the worker.
+    /// Column budget of one fused decode pass (continuous batching). A
+    /// chunk at least this wide runs its pass on the caller's thread —
+    /// it would fill a pass by itself, and caller-thread execution keeps
+    /// concurrent wide prefills parallel instead of serialized behind the
+    /// worker. At `0` or `1` every step is such a chunk.
     pub max_decode_batch: usize,
     /// How long the oldest queued decode step may linger for batchmates
     /// before its fused pass dispatches anyway. Batches also form with
@@ -119,17 +117,17 @@ pub struct SessionStats {
     pub steps: u64,
     /// Tokens decoded across all steps.
     pub tokens: u64,
-    /// Fused decode passes executed by the continuous batcher (zero
-    /// when batching is disabled).
+    /// Fused decode passes executed by the continuous batcher.
+    /// Caller-thread passes are not among them.
     pub decode_batches: u64,
-    /// Decode steps those fused passes executed. Inline steps and solo
-    /// retries are not among them.
+    /// Decode steps those fused passes executed. Caller-thread steps and
+    /// solo retries are not among them.
     pub decode_batched_steps: u64,
     /// Columns the paper's PE array would pad the fused passes with.
     pub decode_padded_cols: u64,
-    /// Panics caught (and isolated) on decode execution paths — fused
-    /// passes, solo retries, and inline steps. Each one answered its
-    /// caller instead of killing a worker.
+    /// Panics caught (and isolated) in decode passes — fused or on the
+    /// caller's thread — and solo retries. Each one answered its caller
+    /// instead of killing a thread.
     pub worker_panics: u64,
     /// Sessions evicted because a panic died inside their own step —
     /// the KV state was rolled back but the session is not trusted.
@@ -137,6 +135,9 @@ pub struct SessionStats {
     /// Decode steps answered `DeadlineExceeded` at dequeue instead of
     /// executed.
     pub expired_steps: u64,
+    /// Steps refused with [`ServeError::KvBudgetExceeded`] — the shed a
+    /// gateway reports as its `kv_budget` reason.
+    pub kv_budget_exceeded: u64,
 }
 
 impl SessionStats {
@@ -226,6 +227,7 @@ struct Counters {
     evicted_poisoned: u64,
     steps: u64,
     tokens: u64,
+    kv_budget_exceeded: u64,
 }
 
 #[derive(Debug)]
@@ -240,18 +242,27 @@ struct Inner {
     counters: Counters,
 }
 
+impl Inner {
+    /// Removes a session and settles its whole accounting — resident
+    /// bytes plus any in-flight step's reservation — exactly once; that
+    /// step sees the removal and leaves the settlement alone.
+    fn remove(&mut self, session: u64) -> Option<Arc<Slot>> {
+        let slot = self.sessions.remove(&session)?;
+        self.total_bytes = self
+            .total_bytes
+            .saturating_sub(slot.accounted.load(Ordering::Relaxed));
+        Some(slot)
+    }
+}
+
 /// Owner of decode-session state and lifecycle. See the module docs.
 #[derive(Debug)]
 pub struct SessionManager {
     config: SessionConfig,
     inner: Mutex<Inner>,
-    /// Continuous-batching executor for decode steps; `None` when
-    /// [`SessionConfig::max_decode_batch`] disables batching (steps run
-    /// inline on the caller's thread).
-    batcher: Option<DecodeBatcher>,
-    /// Panics caught on the inline (caller-thread) step path; the
-    /// batcher counts its own.
-    inline_panics: AtomicU64,
+    /// Continuous-batching executor for decode steps, and the one pass
+    /// body budget-filling chunks run on their caller's thread.
+    batcher: DecodeBatcher,
     /// Where every session's [`DecodeCells`] live.
     registry: MetricRegistry,
     /// Session opens, closes, and evictions land in this event ring.
@@ -280,14 +291,12 @@ impl SessionManager {
         registry: MetricRegistry,
         recorder: FlightRecorder,
     ) -> Self {
-        let batcher = (config.max_decode_batch > 1).then(|| {
-            DecodeBatcher::new(
-                config.max_decode_batch,
-                config.decode_max_wait,
-                registry.clone(),
-                recorder.clone(),
-            )
-        });
+        let batcher = DecodeBatcher::new(
+            config.max_decode_batch,
+            config.decode_max_wait,
+            registry.clone(),
+            recorder.clone(),
+        );
         SessionManager {
             config,
             inner: Mutex::new(Inner {
@@ -297,7 +306,6 @@ impl SessionManager {
                 counters: Counters::default(),
             }),
             batcher,
-            inline_panics: AtomicU64::new(0),
             registry,
             recorder,
         }
@@ -346,25 +354,17 @@ impl SessionManager {
         Ok(id)
     }
 
-    /// Whether `session` is currently resident — how a sharded front
-    /// end finds the manager holding a session's KV state.
-    pub fn contains(&self, session: u64) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .sessions
-            .contains_key(&session)
-    }
-
-    /// The model name a resident session decodes on — how a front end
-    /// attributes session verbs to per-model metric dimensions.
-    pub fn model_name(&self, session: u64) -> Option<String> {
+    /// The model a resident session decodes on, or `None` if the
+    /// session is not resident here — how a sharded front end finds the
+    /// manager holding a session's KV state and attributes the session's
+    /// verbs to per-model metric dimensions, in one lookup.
+    pub fn model(&self, session: u64) -> Option<Arc<PreparedModel>> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .sessions
             .get(&session)
-            .map(|slot| slot.model.name().to_string())
+            .map(|slot| Arc::clone(&slot.model))
     }
 
     /// Advances a session by `hidden` (`d_model × t_new` new tokens,
@@ -396,11 +396,11 @@ impl SessionManager {
     /// [`step`](Self::step) carrying a [`RequestCtx`]. With a trace, a
     /// step that rides a fused pass has the batching worker record
     /// `queue_wait` and a `decode_pass` span (linked to its batchmates'
-    /// traces) into the submitting request's trace; inline steps record
-    /// no extra spans — the caller's own span already covers them. With
-    /// a deadline, a step whose deadline has already passed is rejected
-    /// before it reserves budget, and one that expires while queued
-    /// behind a stalled fused pass is answered
+    /// traces) into the submitting request's trace; caller-thread steps
+    /// record no extra spans — the caller's own span already covers them.
+    /// With a deadline, a step whose deadline has already passed is
+    /// rejected before it reserves budget, and one that expires while
+    /// queued behind a stalled fused pass is answered
     /// [`ServeError::DeadlineExceeded`] at dequeue instead of executed
     /// uselessly late. A deadline never interrupts a pass in flight — KV
     /// state stays consistent.
@@ -438,15 +438,17 @@ impl SessionManager {
             // A step this session could never fit even alone must not
             // evict anyone else on its doomed way to the error.
             if session_bytes + growth > self.config.max_kv_bytes {
+                inner.counters.kv_budget_exceeded += 1;
                 return Err(ServeError::KvBudgetExceeded {
                     needed: session_bytes + growth,
                     budget: self.config.max_kv_bytes,
                 });
             }
             if inner.total_bytes + growth > self.config.max_kv_bytes {
-                self.evict_for_budget_locked(&mut inner, session, growth, now);
+                self.evict_for_budget_locked(&mut inner, session, growth);
             }
             if inner.total_bytes + growth > self.config.max_kv_bytes {
+                inner.counters.kv_budget_exceeded += 1;
                 return Err(ServeError::KvBudgetExceeded {
                     needed: inner.total_bytes + growth,
                     budget: self.config.max_kv_bytes,
@@ -461,84 +463,13 @@ impl SessionManager {
             (slot, growth)
         };
 
-        // Validate before the step can reach a fused batch (or the
-        // session lock): a malformed step fails on this thread, rolls
-        // its reservation back below, and can never poison batchmates.
-        // A chunk at least as wide as the fused-pass budget executes
-        // inline too — it would fill a pass alone anyway, and running
-        // wide prefills on their caller threads keeps them parallel
-        // across sessions instead of serializing behind one worker.
-        let batcher = self
-            .batcher
-            .as_ref()
-            .filter(|_| hidden.cols() < self.config.max_decode_batch);
-        let result = match slot.model.validate_decode(hidden) {
-            Err(e) => Err(e),
-            Ok(()) => match batcher {
-                // Continuous batching: enqueue and block for the fused
-                // pass this step rides in. The worker holds the session
-                // lock for the pass and updates `last_used`.
-                Some(batcher) => {
-                    match batcher
-                        .submit(session, Arc::clone(&slot), hidden.clone(), ctx)
-                        .recv()
-                    {
-                        Ok(Ok(outcome)) => Ok(outcome),
-                        Ok(Err(StepFailure::DeadlineExceeded)) => Err(ServeError::DeadlineExceeded),
-                        Ok(Err(StepFailure::Internal { poisoned, at })) => {
-                            if poisoned {
-                                self.evict_poisoned(session, at);
-                            }
-                            Err(ServeError::Internal { at })
-                        }
-                        Err(_) => Err(ServeError::WorkerLost),
-                    }
-                }
-                // Batching disabled (or a budget-filling chunk):
-                // execute inline, one session per GEMM pass.
-                None => {
-                    let mut s = slot.cell.lock().unwrap_or_else(PoisonError::into_inner);
-                    let snapshot = s.kv.tokens();
-                    let ran = catch_unwind(AssertUnwindSafe(|| {
-                        panacea_faultline::point("serve.decode.fused_pass");
-                        timed_blocks(&slot.cells.block, || {
-                            slot.model.forward_decode_prevalidated(hidden, &mut s.kv)
-                        })
-                    }));
-                    match ran {
-                        Ok(r) => {
-                            s.last_used = Instant::now();
-                            r.map(|(out, wl)| (out, s.kv.tokens(), wl))
-                        }
-                        Err(_) => {
-                            // The pass died mid-append: roll the KV back
-                            // to the pre-step prefix (the lock was never
-                            // poisoned — the panic was caught inside the
-                            // closure), then evict the session as
-                            // untrusted.
-                            s.kv.truncate_tokens(snapshot);
-                            drop(s);
-                            self.inline_panics.fetch_add(1, Ordering::Relaxed);
-                            self.registry
-                                .cell(slot.model.name(), "decode", "decode_inline")
-                                .record_error();
-                            self.recorder.record(
-                                EventSeverity::Error,
-                                "worker_panic",
-                                format!(
-                                    "at=decode_inline model={} session={session}",
-                                    slot.model.name()
-                                ),
-                            );
-                            self.evict_poisoned(session, "decode_inline");
-                            Err(ServeError::Internal {
-                                at: "decode_inline",
-                            })
-                        }
-                    }
-                }
-            },
-        };
+        // Validate before the step can reach a pass (or the session
+        // lock): a malformed step fails on this thread, rolls its
+        // reservation back below, and can never poison batchmates.
+        let result = slot
+            .model
+            .validate_decode(hidden)
+            .and_then(|()| self.run(session, &slot, hidden, ctx));
 
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match &result {
@@ -575,15 +506,8 @@ impl SessionManager {
         let slot = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = inner
-                .sessions
-                .remove(&session)
+                .remove(session)
                 .ok_or(ServeError::UnknownSession { session })?;
-            // Settle the slot's accounting in full — resident bytes
-            // plus any in-flight step's reservation (that step sees the
-            // removal and leaves the settlement alone).
-            inner.total_bytes = inner
-                .total_bytes
-                .saturating_sub(slot.accounted.load(Ordering::Relaxed));
             inner.counters.closed += 1;
             slot
         };
@@ -603,27 +527,64 @@ impl SessionManager {
         Ok(tokens)
     }
 
+    /// Runs one validated step through the decode batcher and maps its
+    /// answer. A chunk at least as wide as the fused-pass budget runs
+    /// the pass body on this thread — it would fill a pass alone anyway,
+    /// and running wide prefills on their caller threads keeps them
+    /// parallel across sessions instead of serializing behind one
+    /// worker. Narrower steps enqueue and block for the fused pass they
+    /// ride in; the pass holds the session lock and updates `last_used`.
+    fn run(
+        &self,
+        session: u64,
+        slot: &Arc<Slot>,
+        hidden: &Matrix<f32>,
+        ctx: RequestCtx,
+    ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
+        let answer = if hidden.cols() >= self.config.max_decode_batch {
+            self.batcher.run_on_caller(slot, hidden)
+        } else {
+            self.batcher
+                .submit(session, Arc::clone(slot), hidden.clone(), ctx)
+                .recv()
+                .map_err(|_| ServeError::WorkerLost)?
+        };
+        answer.map_err(|failure| match failure {
+            StepFailure::DeadlineExceeded => ServeError::DeadlineExceeded,
+            StepFailure::Internal { poisoned, at } => {
+                if poisoned {
+                    self.evict_poisoned(session, at);
+                }
+                ServeError::Internal { at }
+            }
+        })
+    }
+
     /// Removes a session whose own step panicked mid-pass. The KV was
     /// already rolled back to the pre-step prefix, but a panic inside
     /// this session's append is grounds for distrust: the caller gets
     /// [`ServeError::Internal`] now and [`ServeError::UnknownSession`]
-    /// afterwards, and must re-open and replay. Settles the slot's full
-    /// accounting (reservation included) exactly once, mirroring
-    /// [`close`](Self::close); the in-flight step sees the removal and
-    /// leaves settlement alone.
+    /// afterwards, and must re-open and replay.
     fn evict_poisoned(&self, session: u64, at: &'static str) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = inner.sessions.remove(&session) {
-            inner.total_bytes = inner
-                .total_bytes
-                .saturating_sub(slot.accounted.load(Ordering::Relaxed));
+        if self.evict_locked(&mut inner, session, &format!("poisoned at={at}")) {
             inner.counters.evicted_poisoned += 1;
+        }
+    }
+
+    /// Removes `session` (see [`Inner::remove`]) and records a
+    /// `session_evict` event with `reason`; returns whether it was
+    /// resident.
+    fn evict_locked(&self, inner: &mut Inner, session: u64, reason: &str) -> bool {
+        let evicted = inner.remove(session).is_some();
+        if evicted {
             self.recorder.record(
                 EventSeverity::Warn,
                 "session_evict",
-                format!("session={session} reason=poisoned at={at}"),
+                format!("session={session} reason={reason}"),
             );
         }
+        evicted
     }
 
     /// Evicts every idle-timed-out session now, regardless of the
@@ -637,7 +598,7 @@ impl SessionManager {
     /// Current counters and resident footprint.
     pub fn stats(&self) -> SessionStats {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        SessionStats {
+        let mut stats = SessionStats {
             open_sessions: inner.sessions.len(),
             kv_bytes: inner.total_bytes,
             opened: inner.counters.opened,
@@ -646,20 +607,12 @@ impl SessionManager {
             evicted_budget: inner.counters.evicted_budget,
             steps: inner.counters.steps,
             tokens: inner.counters.tokens,
-            decode_batches: self.batcher.as_ref().map_or(0, DecodeBatcher::batches),
-            decode_batched_steps: self.batcher.as_ref().map_or(0, DecodeBatcher::steps),
-            decode_padded_cols: self.batcher.as_ref().map_or(0, DecodeBatcher::padded_cols),
-            worker_panics: self.inline_panics.load(Ordering::Relaxed)
-                + self
-                    .batcher
-                    .as_ref()
-                    .map_or(0, DecodeBatcher::worker_panics),
             evicted_poisoned: inner.counters.evicted_poisoned,
-            expired_steps: self
-                .batcher
-                .as_ref()
-                .map_or(0, DecodeBatcher::expired_steps),
-        }
+            kv_budget_exceeded: inner.counters.kv_budget_exceeded,
+            ..SessionStats::default()
+        };
+        self.batcher.fill_stats(&mut stats);
+        stats
     }
 
     /// The amortized idle scan: a no-op until the sweep deadline, so
@@ -691,28 +644,21 @@ impl SessionManager {
                 Err(TryLockError::Poisoned(p)) => p.into_inner(),
             };
             if now.duration_since(s.last_used) > self.config.idle_timeout {
-                victims.push((id, slot.accounted.load(Ordering::Relaxed)));
+                victims.push(id);
             }
         }
-        let n = victims.len();
-        for (id, bytes) in victims {
-            inner.sessions.remove(&id);
-            inner.total_bytes = inner.total_bytes.saturating_sub(bytes);
-            inner.counters.evicted_idle += 1;
-            self.recorder.record(
-                EventSeverity::Warn,
-                "session_evict",
-                format!("session={id} reason=idle"),
-            );
+        for &id in &victims {
+            self.evict_locked(inner, id, "idle");
         }
-        n
+        inner.counters.evicted_idle += victims.len() as u64;
+        victims.len()
     }
 
     /// Evicts least-recently-used sessions (skipping `keep` and any
     /// mid-step session) until `growth` more bytes fit the budget or
     /// nothing evictable remains.
-    fn evict_for_budget_locked(&self, inner: &mut Inner, keep: u64, growth: usize, _now: Instant) {
-        let mut candidates: Vec<(u64, Instant, usize)> = Vec::new();
+    fn evict_for_budget_locked(&self, inner: &mut Inner, keep: u64, growth: usize) {
+        let mut candidates: Vec<(u64, Instant)> = Vec::new();
         for (&id, slot) in &inner.sessions {
             if id == keep {
                 continue;
@@ -724,21 +670,15 @@ impl SessionManager {
                 // recovered, not mid-step — evictable like any other
                 Err(TryLockError::Poisoned(p)) => p.into_inner(),
             };
-            candidates.push((id, s.last_used, slot.accounted.load(Ordering::Relaxed)));
+            candidates.push((id, s.last_used));
         }
-        candidates.sort_by_key(|&(_, used, _)| used);
-        for (id, _, bytes) in candidates {
+        candidates.sort_by_key(|&(_, used)| used);
+        for (id, _) in candidates {
             if inner.total_bytes + growth <= self.config.max_kv_bytes {
                 break;
             }
-            inner.sessions.remove(&id);
-            inner.total_bytes = inner.total_bytes.saturating_sub(bytes);
+            self.evict_locked(inner, id, "budget");
             inner.counters.evicted_budget += 1;
-            self.recorder.record(
-                EventSeverity::Warn,
-                "session_evict",
-                format!("session={id} reason=budget"),
-            );
         }
     }
 }
@@ -765,7 +705,7 @@ mod tests {
     fn open_step_close_round_trip() {
         let (mgr, model) = manager(SessionConfig::default());
         let id = mgr.open(Arc::clone(&model)).expect("opened");
-        assert!(mgr.contains(id));
+        assert!(mgr.model(id).is_some());
         let (out, tokens, wl) = mgr.step(id, &hidden(16, 3, 0)).expect("stepped");
         assert_eq!(out.shape(), (16, 3));
         assert_eq!(tokens, 3);
@@ -778,7 +718,7 @@ mod tests {
         assert_eq!(s.tokens, 4);
         assert_eq!(s.kv_bytes, 2 * 2 * 16 * 4 * 4);
         assert_eq!(mgr.close(id).expect("closed"), 4);
-        assert!(!mgr.contains(id));
+        assert!(mgr.model(id).is_none());
         assert_eq!(mgr.stats().kv_bytes, 0);
     }
 
@@ -861,8 +801,8 @@ mod tests {
         // to make room.
         mgr.step(b, &hidden(16, 1, 2))
             .expect("b grows after a dies");
-        assert!(!mgr.contains(a), "LRU session survived the budget");
-        assert!(mgr.contains(b));
+        assert!(mgr.model(a).is_none(), "LRU session survived the budget");
+        assert!(mgr.model(b).is_some());
         assert_eq!(mgr.stats().evicted_budget, 1);
         assert!(matches!(
             mgr.step(a, &hidden(16, 1, 3)),
@@ -1033,14 +973,17 @@ mod tests {
         assert!(wl.mul > 0);
         let s = mgr.stats();
         assert_eq!(s.steps, 1);
-        assert_eq!(s.decode_batches, 0, "inline mode must not run fused passes");
+        assert_eq!(
+            s.decode_batches, 0,
+            "caller-thread steps must not count as fused passes"
+        );
         assert_eq!(s.decode_batch_occupancy(), 0.0);
     }
 
     #[test]
     fn budget_filling_chunks_bypass_the_batcher_but_stay_exact() {
         // A prefill chunk as wide as the fused-pass budget would fill a
-        // pass alone: it must run inline (no fused pass counted) while
+        // pass alone: it must run on the caller's thread (no fused pass counted) while
         // narrower follow-up steps keep batching — and the outputs must
         // still match the causal recompute oracle.
         let (model, blocks) = block_model("wide", 81);
@@ -1065,7 +1008,7 @@ mod tests {
         assert_eq!(
             mgr.stats().decode_batch_occupancy(),
             1.0,
-            "the inline chunk counted as a step of the one fused pass"
+            "the caller-thread chunk counted as a step of the one fused pass"
         );
         let mut expect = stream.clone();
         for b in &blocks {
@@ -1121,7 +1064,7 @@ mod tests {
             "steady-state stepping paid idle scans"
         );
         assert_eq!(mgr.sweep(), 0, "nothing is actually idle");
-        assert!(mgr.contains(a));
+        assert!(mgr.model(a).is_some());
     }
 
     #[test]

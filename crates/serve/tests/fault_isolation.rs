@@ -11,6 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use panacea_block::KvCache;
 use panacea_faultline::{Fault, FaultPlan, Scenario};
 use panacea_serve::testutil::{block_model, hidden};
 use panacea_serve::{
@@ -249,7 +250,7 @@ fn mid_step_panic_evicts_the_session_and_batchmates_stay_exact() {
     ));
     drop(guard);
     // Bit-exactness oracle: replay each survivor's input through solo
-    // inline stepping on a fresh manager (after disarm, under an empty
+    // caller-thread stepping on a fresh manager (after disarm, under an empty
     // plan for the same reason as above).
     let _quiet = FaultPlan::compile(0, &Scenario::new()).arm();
     let solo = SessionManager::new(SessionConfig {
@@ -266,6 +267,59 @@ fn mid_step_panic_evicts_the_session_and_batchmates_stay_exact() {
     for (id, _, _) in &survivors {
         mgr.close(*id).expect("closed");
     }
+    assert_eq!(mgr.stats().kv_bytes, 0);
+}
+
+#[test]
+fn caller_thread_panic_evicts_the_session_and_a_fresh_one_steps_exactly() {
+    // A chunk as wide as the fused-pass budget runs the one pass body on
+    // its caller's thread. A panic there is isolated exactly like one in
+    // the batching worker: the caller is answered `Internal`, the session
+    // is evicted as poisoned with its bytes settled, and the manager
+    // keeps serving.
+    let guard = FaultPlan::compile(
+        0,
+        &Scenario::new().fire_at("serve.decode.fused_pass", 0, Fault::Panic),
+    )
+    .arm();
+    let (model, blocks) = block_model("caller-block", 72);
+    let model = Arc::new(model);
+    let mgr = SessionManager::new(SessionConfig {
+        max_decode_batch: 4,
+        ..SessionConfig::default()
+    });
+    let id = mgr.open(Arc::clone(&model)).expect("opened");
+    match mgr.step(id, &hidden(16, 4, 0)) {
+        Err(ServeError::Internal { at }) => assert_eq!(at, "decode_fused_pass"),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    let stats = mgr.stats();
+    assert_eq!(stats.evicted_poisoned, 1);
+    assert_eq!(stats.worker_panics, 1);
+    assert_eq!(
+        stats.decode_batches, 0,
+        "a caller-thread pass counted as fused"
+    );
+    assert_eq!(stats.kv_bytes, 0, "the poisoned session's bytes leaked");
+    assert!(matches!(
+        mgr.step(id, &hidden(16, 1, 1)),
+        Err(ServeError::UnknownSession { .. })
+    ));
+    drop(guard);
+    let _quiet = FaultPlan::compile(0, &Scenario::new()).arm();
+    let fresh = mgr.open(Arc::clone(&model)).expect("opened");
+    let x = hidden(16, 4, 2);
+    let (out, tokens, _) = mgr.step(fresh, &x).expect("stepped");
+    assert_eq!(tokens, 4);
+    let mut kv = KvCache::for_blocks(&blocks);
+    let (expect, _) = panacea_block::decode_step(&blocks, &x, &mut kv);
+    assert!(
+        out.iter()
+            .zip(expect.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the manager diverged from decode_step after the panic"
+    );
+    mgr.close(fresh).expect("closed");
     assert_eq!(mgr.stats().kv_bytes, 0);
 }
 
