@@ -180,7 +180,7 @@ impl Drop for AdmissionPermit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panacea_serve::{BatchPolicy, ModelRegistry, Runtime, RuntimeConfig};
+    use panacea_serve::{BatchPolicy, ModelRegistry, RequestCtx, Runtime, RuntimeConfig};
     use std::sync::Arc;
 
     #[test]
@@ -243,7 +243,9 @@ mod tests {
         });
         let codes = crate::testutil::codes(&model, 1, 0);
         let permit = ctrl.try_admit().expect("admitted");
-        let pending = runtime.submit_to(model, codes).expect("queued");
+        let pending = runtime
+            .submit(model, codes, RequestCtx::default())
+            .expect("queued");
         let shed = ctrl.wait_bounded_deadline(&pending, None);
         drop(permit);
         assert!(matches!(

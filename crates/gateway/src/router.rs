@@ -122,13 +122,13 @@ impl ShardRouter {
     /// Enqueues a request onto the shard [`route`](Self::route) picked,
     /// with an already-resolved model and a [`RequestCtx`] (trace and
     /// deadline, see
-    /// [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with))
+    /// [`RuntimeHandle::submit`](panacea_serve::RuntimeHandle::submit))
     /// — the gateway keeps the shard decision and the cache probe on the
     /// same payload this way.
     ///
     /// # Errors
     ///
-    /// Same as [`RuntimeHandle::submit_with`](panacea_serve::RuntimeHandle::submit_with).
+    /// Same as [`RuntimeHandle::submit`](panacea_serve::RuntimeHandle::submit).
     ///
     /// # Panics
     ///
@@ -140,7 +140,7 @@ impl ShardRouter {
         payload: impl Into<Payload>,
         ctx: RequestCtx,
     ) -> Result<Pending, ServeError> {
-        self.shards[shard].submit_with(model, payload, ctx)
+        self.shards[shard].submit(model, payload, ctx)
     }
 
     /// Per-shard serving counters in wire form, indexed by shard id.

@@ -9,7 +9,6 @@
 //!
 //! * [`zoo`] — exact layer-shape inventories of the nine benchmark
 //!   models (dimensions from the published architecture configs);
-//! * [`conv`] — im2col convolution lowering (the ResNet-18 substrate);
 //! * [`engine`] — a small pure-Rust transformer forward engine
 //!   (LayerNorm, QKV attention, GELU MLP) with synthetic weights, used to
 //!   produce *actual* activation tensors for calibration and end-to-end
@@ -21,7 +20,6 @@
 //!   perplexity deltas the paper reports (a substitution for dataset
 //!   evaluation; the module doc states it).
 
-pub mod conv;
 pub mod engine;
 pub mod profile;
 pub mod proxy;

@@ -88,12 +88,6 @@ impl ActivationCalibrator {
         self
     }
 
-    /// Overrides the sample-reservoir capacity (mainly for tests).
-    pub fn with_reservoir_cap(mut self, cap: usize) -> Self {
-        self.cap = cap.max(16);
-        self
-    }
-
     /// Feeds one activation batch into the calibrator.
     pub fn observe(&mut self, batch: &Matrix<f32>) {
         self.observe_slice(batch.as_slice());
@@ -117,11 +111,6 @@ impl ActivationCalibrator {
             }
             self.phase = (self.phase + 1) % self.stride;
         }
-    }
-
-    /// Number of samples currently retained.
-    pub fn retained(&self) -> usize {
-        self.samples.len()
     }
 
     /// Builds the candidate configuration for one DBS type (applying
@@ -310,7 +299,10 @@ mod tests {
     #[test]
     fn reservoir_thins_but_keeps_statistics() {
         let mut rng = panacea_tensor::seeded_rng(10);
-        let mut cal = ActivationCalibrator::new(8).with_reservoir_cap(256);
+        let mut cal = ActivationCalibrator {
+            cap: 256,
+            ..ActivationCalibrator::new(8)
+        };
         for _ in 0..8 {
             let b = DistributionKind::Gaussian {
                 mean: 1.0,
@@ -320,9 +312,9 @@ mod tests {
             cal.observe(&b);
         }
         assert!(
-            cal.retained() <= 257,
+            cal.samples.len() <= 257,
             "reservoir exceeded cap: {}",
-            cal.retained()
+            cal.samples.len()
         );
         let cfg = cal.finalize();
         // zp should map ~1.0-mean data near mid-range despite thinning.

@@ -250,24 +250,12 @@ pub(crate) fn execute(
     let compute = started.elapsed();
 
     let done = Instant::now();
-    let latencies: Vec<Duration> = jobs
-        .iter()
-        .map(|j| done.duration_since(j.enqueued_at))
-        .collect();
     // Record before answering: a caller that observes its response must
     // also observe this batch in the metrics.
-    let batch_max_latency = latencies.iter().copied().max().unwrap_or(Duration::ZERO);
-    metrics.record_batch(
-        jobs.len(),
-        total_cols,
-        pe_padded_cols(total_cols),
-        &workload,
-        compute,
-        batch_max_latency,
-    );
+    metrics.record_batch(jobs.len(), total_cols, pe_padded_cols(total_cols), compute);
     cells.execute.record_latency(compute);
     let split_started = Instant::now();
-    for ((job, out), latency) in jobs.iter().zip(outputs).zip(latencies) {
+    for (job, out) in jobs.iter().zip(outputs) {
         // Record remote spans *before* answering: the submitting thread
         // is blocked on this channel, so its trace cannot finish until
         // the spans are in the collector.
@@ -282,7 +270,7 @@ pub(crate) fn execute(
             scale: model.output_scale(),
             workload,
             batched_cols: total_cols,
-            latency,
+            latency: done.duration_since(job.enqueued_at),
         }));
     }
     cells.split_back.record_latency(split_started.elapsed());

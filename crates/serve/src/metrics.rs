@@ -1,5 +1,5 @@
 //! Aggregated serving metrics: request/batch counts, coalesced columns,
-//! summed AQS workload and latency extremes. Stage latencies are not
+//! compute time and dropped-request counts. Stage latencies are not
 //! stored here: workers record them into the [`MetricRegistry`] this
 //! struct carries — the only place a latency sample is stored.
 //!
@@ -10,11 +10,10 @@
 //! monotone field-by-field under concurrent recording — the invariant
 //! pollers rely on to compute rates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use panacea_core::Workload;
 use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, ShardedCounter};
 
 use crate::queue::PurgeCounts;
@@ -28,14 +27,8 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Activation columns processed (the GEMM `N` work actually served).
     pub columns: u64,
-    /// Summed AQS workload over every dispatched batch.
-    pub workload: Workload,
     /// Total on-worker compute time across batches.
     pub compute_time: Duration,
-    /// Worst queue-to-response latency seen so far.
-    pub max_latency: Duration,
-    /// Widest batch (in columns) dispatched so far.
-    pub widest_batch: u64,
     /// Columns the paper's PE array would pad the dispatched batches
     /// with to fill its last activation vector
     /// ([`pe_padded_cols`](panacea_core::pe_padded_cols) per batch). The
@@ -99,13 +92,6 @@ pub struct Metrics {
     /// Cancelled / expired requests, counted by the runtime's queue.
     purged: Arc<PurgeCounts>,
     compute_nanos: ShardedCounter,
-    wl_mul: ShardedCounter,
-    wl_add: ShardedCounter,
-    wl_ema_slices: ShardedCounter,
-    wl_comp_mul: ShardedCounter,
-    wl_comp_add: ShardedCounter,
-    max_latency_nanos: AtomicU64,
-    widest_batch: AtomicU64,
     registry: MetricRegistry,
     recorder: FlightRecorder,
 }
@@ -132,24 +118,13 @@ impl Metrics {
         requests: usize,
         columns: usize,
         padded: usize,
-        workload: &Workload,
         compute: Duration,
-        max_latency: Duration,
     ) {
         self.requests.add(requests as u64);
         self.batches.add(1);
         self.columns.add(columns as u64);
         self.padded_cols.add(padded as u64);
-        self.wl_mul.add(workload.mul);
-        self.wl_add.add(workload.add);
-        self.wl_ema_slices.add(workload.ema_slices);
-        self.wl_comp_mul.add(workload.comp_mul);
-        self.wl_comp_add.add(workload.comp_add);
         self.compute_nanos.add(duration_nanos(compute));
-        self.max_latency_nanos
-            .fetch_max(duration_nanos(max_latency), Ordering::Relaxed);
-        self.widest_batch
-            .fetch_max(columns as u64, Ordering::Relaxed);
         self.recorder.record(
             EventSeverity::Info,
             "batch_formed",
@@ -181,16 +156,7 @@ impl Metrics {
             requests: self.requests.sum(),
             batches: self.batches.sum(),
             columns: self.columns.sum(),
-            workload: Workload {
-                mul: self.wl_mul.sum(),
-                add: self.wl_add.sum(),
-                ema_slices: self.wl_ema_slices.sum(),
-                comp_mul: self.wl_comp_mul.sum(),
-                comp_add: self.wl_comp_add.sum(),
-            },
             compute_time: Duration::from_nanos(self.compute_nanos.sum()),
-            max_latency: Duration::from_nanos(self.max_latency_nanos.load(Ordering::Relaxed)),
-            widest_batch: self.widest_batch.load(Ordering::Relaxed),
             padded_cols: self.padded_cols.sum(),
             cancelled: self.purged.cancelled.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.sum(),
@@ -211,29 +177,8 @@ mod tests {
     #[test]
     fn batches_accumulate() {
         let m = Metrics::default();
-        let wl = Workload {
-            mul: 10,
-            add: 20,
-            ema_slices: 5,
-            comp_mul: 1,
-            comp_add: 2,
-        };
-        m.record_batch(
-            3,
-            12,
-            0,
-            &wl,
-            Duration::from_millis(4),
-            Duration::from_millis(9),
-        );
-        m.record_batch(
-            1,
-            4,
-            2,
-            &wl,
-            Duration::from_millis(2),
-            Duration::from_millis(3),
-        );
+        m.record_batch(3, 12, 0, Duration::from_millis(4));
+        m.record_batch(1, 4, 2, Duration::from_millis(2));
         m.purged().cancelled.fetch_add(2, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.cancelled, 2);
@@ -241,9 +186,6 @@ mod tests {
         assert_eq!(s.batches, 2);
         assert_eq!(s.columns, 16);
         assert_eq!(s.padded_cols, 2);
-        assert_eq!(s.workload.mul, 20);
-        assert_eq!(s.max_latency, Duration::from_millis(9));
-        assert_eq!(s.widest_batch, 12);
         assert!((s.mean_batch_cols() - 8.0).abs() < 1e-12);
         assert!(s.columns_per_second() > 0.0);
         assert!((s.padding_overhead() - 2.0 / 18.0).abs() < 1e-12);

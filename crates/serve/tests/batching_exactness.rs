@@ -10,7 +10,8 @@ use panacea_core::pipeline::QuantizedLinear;
 use panacea_quant::dbs::DbsConfig;
 use panacea_quant::ActivationCalibrator;
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, Runtime, RuntimeConfig,
+    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, RequestCtx, Runtime,
+    RuntimeConfig,
 };
 use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
@@ -95,7 +96,7 @@ proptest! {
             .iter()
             .map(|codes| {
                 runtime
-                    .submit_to(Arc::clone(&shared), codes.clone())
+                    .submit(Arc::clone(&shared), codes.clone(), RequestCtx::default())
                     .expect("queued")
             })
             .collect();
@@ -117,7 +118,7 @@ proptest! {
         let shared = registry.insert((*model).clone());
         let runtime = Runtime::start(Arc::clone(&registry), RuntimeConfig::default());
         let out = runtime
-            .submit_to(Arc::clone(&shared), width.clone())
+            .submit(Arc::clone(&shared), width.clone(), RequestCtx::default())
             .expect("queued")
             .wait()
             .expect("served");

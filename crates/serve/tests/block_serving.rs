@@ -9,7 +9,9 @@ use panacea_block::QuantizedBlock;
 use panacea_serve::testutil::{
     block_model as shared_block_model, direct_forward as direct, hidden,
 };
-use panacea_serve::{BatchPolicy, ModelRegistry, Payload, PreparedModel, Runtime, RuntimeConfig};
+use panacea_serve::{
+    BatchPolicy, ModelRegistry, Payload, PreparedModel, RequestCtx, Runtime, RuntimeConfig,
+};
 use panacea_tensor::Matrix;
 
 fn block_model(seed: u64) -> (PreparedModel, Vec<QuantizedBlock>) {
@@ -42,7 +44,7 @@ fn coalesced_block_requests_are_bit_exact_vs_direct_execution() {
         .iter()
         .map(|x| {
             runtime
-                .submit_to(Arc::clone(&shared), x.clone())
+                .submit(Arc::clone(&shared), x.clone(), RequestCtx::default())
                 .expect("queued")
         })
         .collect();

@@ -79,10 +79,18 @@ fn injected_panic_answers_internal_and_worker_survives() {
     )
     .arm();
     let p1 = runtime
-        .submit_to(Arc::clone(&model), codes_for(&model, 2, 0))
+        .submit(
+            Arc::clone(&model),
+            codes_for(&model, 2, 0),
+            RequestCtx::default(),
+        )
         .expect("queued");
     let p2 = runtime
-        .submit_to(Arc::clone(&model), codes_for(&model, 3, 1))
+        .submit(
+            Arc::clone(&model),
+            codes_for(&model, 3, 1),
+            RequestCtx::default(),
+        )
         .expect("queued");
     for p in [p1, p2] {
         match p.wait() {
@@ -113,7 +121,7 @@ fn past_deadline_is_rejected_at_submission() {
     let runtime = Runtime::start(Arc::clone(&registry), RuntimeConfig::default());
     let model = registry.get("m").expect("registered");
     let expired = Instant::now() - Duration::from_millis(1);
-    match runtime.submit_with(
+    match runtime.submit(
         Arc::clone(&model),
         codes_for(&model, 1, 0),
         RequestCtx {
@@ -157,10 +165,10 @@ fn queued_work_expires_while_the_worker_is_stalled() {
     let a = registry.get("a").expect("registered");
     let b = registry.get("b").expect("registered");
     let pa = runtime
-        .submit_to(Arc::clone(&a), codes_for(&a, 1, 0))
+        .submit(Arc::clone(&a), codes_for(&a, 1, 0), RequestCtx::default())
         .expect("queued");
     let pb = runtime
-        .submit_with(
+        .submit(
             Arc::clone(&b),
             codes_for(&b, 1, 1),
             RequestCtx {

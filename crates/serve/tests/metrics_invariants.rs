@@ -7,8 +7,8 @@ use std::thread;
 use std::time::Duration;
 
 use panacea_serve::{
-    BatchPolicy, LayerSpec, MetricsSnapshot, ModelRegistry, PrepareOptions, PreparedModel, Runtime,
-    RuntimeConfig,
+    BatchPolicy, LayerSpec, MetricsSnapshot, ModelRegistry, PrepareOptions, PreparedModel,
+    RequestCtx, Runtime, RuntimeConfig,
 };
 use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
@@ -88,13 +88,11 @@ fn assert_monotone(prev: &MetricsSnapshot, next: &MetricsSnapshot) {
         next.compute_time >= prev.compute_time,
         "compute_time went backwards"
     );
+    assert!(next.cancelled >= prev.cancelled, "cancelled went backwards");
+    assert!(next.expired >= prev.expired, "expired went backwards");
     assert!(
-        next.max_latency >= prev.max_latency,
-        "max_latency went backwards"
-    );
-    assert!(
-        next.widest_batch >= prev.widest_batch,
-        "widest_batch went backwards"
+        next.worker_panics >= prev.worker_panics,
+        "worker_panics went backwards"
     );
 }
 
@@ -126,7 +124,7 @@ fn snapshots_are_monotone_under_concurrent_submits() {
                     ((r * 31 + c * 7 + t * 13 + i) % 200) as i32
                 });
                 runtime
-                    .submit_to(Arc::clone(&model), codes)
+                    .submit(Arc::clone(&model), codes, RequestCtx::default())
                     .expect("queued")
                     .wait()
                     .expect("served");

@@ -140,7 +140,7 @@ fn runtime_schedule(seed: u64, workers: usize, registry: &Arc<ModelRegistry>) ->
                     let cols = 1 + (rng.next() % 3) as usize;
                     let codes =
                         Matrix::from_fn(16, cols, |r, c| ((r + c + i as usize) % 200) as i32);
-                    match handle.submit_with(Arc::clone(&model), codes, mixed_ctx(&mut rng)) {
+                    match handle.submit(Arc::clone(&model), codes, mixed_ctx(&mut rng)) {
                         Ok(pending) => {
                             pushed += 1;
                             // Dropped at once: cancelled if still queued,

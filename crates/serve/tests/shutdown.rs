@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, Runtime, RuntimeConfig,
-    ServeError,
+    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, RequestCtx, Runtime,
+    RuntimeConfig, ServeError,
 };
 use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
@@ -62,7 +62,11 @@ fn shutdown_while_queued_drains_every_request() {
     let model = registry.get("m").expect("registered");
     let expected: Vec<Matrix<i32>> = (0..12).map(|i| model.forward_codes(&codes(i)).0).collect();
     let pending: Vec<_> = (0..12)
-        .map(|i| runtime.submit("m", codes(i)).expect("accepted"))
+        .map(|i| {
+            runtime
+                .submit(Arc::clone(&model), codes(i), RequestCtx::default())
+                .expect("accepted")
+        })
         .collect();
 
     // Shut down immediately: the linger must be cut short, the queue
@@ -94,7 +98,9 @@ fn drop_joins_workers_and_answers_queued_requests() {
                 },
             },
         );
-        pending = runtime.submit("m", codes(3)).expect("accepted");
+        pending = runtime
+            .submit(model, codes(3), RequestCtx::default())
+            .expect("accepted");
         // `runtime` dropped here: Drop must join all three workers, which
         // requires them to notice shutdown and drain the queue first.
     }
@@ -105,9 +111,10 @@ fn drop_joins_workers_and_answers_queued_requests() {
 #[test]
 fn submits_after_shutdown_are_refused_not_lost() {
     let registry = registry();
+    let model = registry.get("m").expect("registered");
     let mut runtime = Runtime::start(Arc::clone(&registry), RuntimeConfig::default());
     runtime.shutdown();
-    match runtime.submit("m", codes(0)) {
+    match runtime.submit(model, codes(0), RequestCtx::default()) {
         Err(ServeError::ShuttingDown) => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
     }

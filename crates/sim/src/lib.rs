@@ -24,9 +24,7 @@
 //!   real sliced tiles onto the operator pools cycle-by-cycle, used to
 //!   validate the analytical model;
 //! * [`report`] — aggregation into the paper's reporting units
-//!   (throughput, TOPS/W, energy breakdowns);
-//! * [`sweep`] — design-space sweep utilities (the machinery behind
-//!   Fig. 13).
+//!   (throughput, TOPS/W, energy breakdowns).
 //!
 //! # Examples
 //!
@@ -52,7 +50,6 @@ pub mod energy;
 pub mod exec;
 pub mod panacea;
 pub mod report;
-pub mod sweep;
 pub mod workload;
 
 pub use arch::{HardwareBudget, PanaceaConfig};

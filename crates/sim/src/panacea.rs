@@ -251,6 +251,31 @@ mod tests {
         })
     }
 
+    /// Fig. 13's four design points: the (DWO, SWO) split × DTP.
+    fn design_points() -> Vec<PanaceaSim> {
+        let mut points = Vec::new();
+        for (dwo, swo) in [(4, 8), (8, 4)] {
+            for dtp in [false, true] {
+                points.push(PanaceaSim::new(PanaceaConfig {
+                    dwo_per_pea: dwo,
+                    swo_per_pea: swo,
+                    dtp,
+                    ..PanaceaConfig::default()
+                }));
+            }
+        }
+        points
+    }
+
+    /// Fewest cycles for `l` over the design points `keep` admits.
+    fn fastest(l: &LayerWork, keep: impl Fn(&PanaceaConfig) -> bool) -> f64 {
+        design_points()
+            .iter()
+            .filter(|s| keep(s.config()))
+            .map(|s| s.simulate(l).cycles)
+            .fold(f64::INFINITY, f64::min)
+    }
+
     #[test]
     fn sparsity_reduces_cycles_and_energy() {
         let s = sim(false);
@@ -259,6 +284,16 @@ mod tests {
         assert!(sparse.cycles < dense.cycles);
         assert!(sparse.energy.total_pj() < dense.energy.total_pj());
         assert!(sparse.dram_bits < dense.dram_bits);
+        // Every Fig. 13 design point runs a 512³ GEMM faster at ρ = 0.9.
+        for s in design_points() {
+            let dense = s.simulate(&layer(512, 512, 512, 0.0, 0.0)).cycles;
+            let sparse = s.simulate(&layer(512, 512, 512, 0.9, 0.9)).cycles;
+            assert!(
+                sparse < dense,
+                "{:?}: ρ = 0.9 took {sparse} cycles, ρ = 0 {dense}",
+                s.config()
+            );
+        }
     }
 
     #[test]
@@ -274,6 +309,25 @@ mod tests {
             no_dtp.cycles
         );
         assert!(dtp.dtp_active);
+        // Across Fig. 13's four design points at ρ = 0.9, the fastest has
+        // DTP on.
+        let l = layer(512, 512, 512, 0.9, 0.9);
+        let (on, off) = (fastest(&l, |c| c.dtp), fastest(&l, |c| !c.dtp));
+        assert!(on < off, "best with DTP {on} vs without {off}");
+    }
+
+    #[test]
+    fn dense_gemm_prefers_the_dwo_heavy_split() {
+        // At ρ = 0, three of the four plane-pair products touch an HO plane
+        // and run on DWOs, so 8 DWOs + 4 SWOs per PEA beat 4 + 8 on a dense
+        // 512³ GEMM.
+        let l = layer(512, 512, 512, 0.0, 0.0);
+        let dwo_heavy = fastest(&l, |c| c.dwo_per_pea == 8);
+        let swo_heavy = fastest(&l, |c| c.dwo_per_pea == 4);
+        assert!(
+            dwo_heavy < swo_heavy,
+            "8 + 4 took {dwo_heavy} cycles, 4 + 8 {swo_heavy}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`ops`] — shared f32 transformer math (LayerNorm, softmax,
 //!   multi-head attention, residual add) used by both the float forward
 //!   engine and the quantized block engine;
-//! * [`stats`] — summary statistics (mean/std/histogram/percentiles) and
+//! * [`stats`] — summary statistics (mean/std/min-max/histogram) and
 //!   error metrics (MSE, SQNR) used by the PTQ calibration and by the
 //!   quality-proxy evaluation.
 //!

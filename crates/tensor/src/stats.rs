@@ -55,23 +55,6 @@ pub fn min_max(xs: &[f32]) -> (f32, f32) {
     (lo, hi)
 }
 
-/// The `q`-th percentile (`q ∈ [0, 100]`) by linear interpolation.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 100]` or the slice is empty.
-pub fn percentile(xs: &[f32], q: f32) -> f32 {
-    assert!((0.0..=100.0).contains(&q), "percentile {q} out of range");
-    assert!(!xs.is_empty(), "percentile of empty slice");
-    let mut sorted: Vec<f32> = xs.to_vec();
-    sorted.sort_by(f32::total_cmp);
-    let pos = q / 100.0 * (sorted.len() - 1) as f32;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f32;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// Fixed-bin histogram over integer values, as recorded by the DBS
 /// distribution-monitoring step during calibration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -238,20 +221,6 @@ mod tests {
     fn min_max_on_mixed_signs() {
         assert_eq!(min_max(&[-3.0, 2.0, 0.5]), (-3.0, 2.0));
         assert_eq!(min_max(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn percentile_endpoints() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert_eq!(percentile(&xs, 50.0), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile of empty slice")]
-    fn percentile_empty_panics() {
-        percentile(&[], 50.0);
     }
 
     #[test]

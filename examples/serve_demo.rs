@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 
 use panacea::models::engine::{TinyTransformer, TransformerConfig};
 use panacea::serve::{
-    BatchPolicy, ModelRegistry, Payload, PrepareOptions, PreparedModel, Runtime, RuntimeConfig,
+    BatchPolicy, ModelRegistry, Payload, PrepareOptions, PreparedModel, RequestCtx, Runtime,
+    RuntimeConfig,
 };
 use panacea::tensor::{dist::DistributionKind, seeded_rng};
 
@@ -68,7 +69,7 @@ fn main() {
                             .iter()
                             .map(|p| {
                                 runtime
-                                    .submit_to(Arc::clone(model), p.clone())
+                                    .submit(Arc::clone(model), p.clone(), RequestCtx::default())
                                     .expect("queued")
                             })
                             .collect();
