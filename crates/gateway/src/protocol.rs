@@ -39,12 +39,19 @@
 //!   integral, `1.5` is not.
 //! * **`f32` cells are bit-exact**, written in the shortest decimal
 //!   that parses back to the same `f32` (`-0.0`, subnormals) — half the
-//!   bytes of the `f64` expansion. A decoder must therefore **narrow
-//!   from the text to `f32` directly**: the short form names the `f32`
-//!   only to within half an `f32` ulp, so rounding to `f64` first and
-//!   `f32` second can land on a tie and pick the neighbour. JSON has no
-//!   NaN/infinity: [`GatewayClient`](crate::GatewayClient) refuses them
-//!   before sending, the decoder refuses a literal that overflows `f32`.
+//!   bytes of the `f64` expansion. The writer is a Ryū at `f32` width
+//!   whose bytes are exactly `format!("{v:?}")`'s, so the wire is the
+//!   one `{:?}` wrote. A decoder must therefore **narrow from the text
+//!   to `f32` directly**: the short form names the `f32` only to within
+//!   half an `f32` ulp, so rounding to `f64` first and `f32` second can
+//!   land on a tie and pick the neighbour. This one passes through `f64`
+//!   only on Clinger's exact path (at most 19 digits `m ≤ 2^53`, a power
+//!   of ten `|e| ≤ 22`: one correctly rounded operation), and hands an
+//!   `f64` that lands on an `f32` midpoint, like every other token, to
+//!   `str::parse::<f32>` — so it takes, refuses and reads exactly what
+//!   that does. JSON has no NaN/infinity:
+//!   [`GatewayClient`](crate::GatewayClient) refuses them before
+//!   sending, the decoder refuses a literal that overflows `f32`.
 //! * **`u64` fields are exact** up to `u64::MAX`: `session`,
 //!   `deadline_ms`, `seq`, `unix_ms`, the counters never pass through a
 //!   float.
@@ -635,7 +642,7 @@ impl<T: Wire> Record for Matrix<T> {
     fn put_fields(&self, out: &mut String) {
         field(out, "rows", &self.rows());
         field(out, "cols", &self.cols());
-        wire::put_seq(self.as_slice(), wire::key(out, "data"));
+        T::put_seq(self.as_slice(), wire::key(out, "data"));
     }
 
     /// The header is read ahead, wherever it stands — free when it

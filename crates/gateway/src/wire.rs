@@ -3,16 +3,20 @@
 //!
 //! Writing appends to a caller-owned line: integers as digits from a
 //! stack buffer, floats in the shortest form that parses back to the
-//! same bits. Reading is one forward pass of a [`Reader`]: a struct
-//! walks its object once, decodes each key it knows straight into the
-//! typed value (an array cell by cell into the `Vec` that will hold
-//! it) and passes over the rest with a validating skip. So keys come in
-//! any order, unknown keys are skipped, and no object may repeat a key.
-//! One thing is read before it is known how: a tag, which
-//! [`Reader::tag`] looks ahead for — free when it comes first, where
-//! the writer puts it.
+//! same bits — `f32` cells by [`float`]'s Ryū writer, byte for byte
+//! what `{:?}` spells but without the `fmt` machinery. Reading is one
+//! forward pass of a [`Reader`]: a struct walks its object once,
+//! decodes each key it knows straight into the typed value (an array
+//! cell by cell into the `Vec` that will hold it; an `f32` cell through
+//! [`float`]'s exact fast path before `str::parse`) and passes over the
+//! rest with a validating skip. So keys come in any order, unknown keys
+//! are skipped, and no object may repeat a key. One thing is read
+//! before it is known how: a tag, which [`Reader::tag`] looks ahead for
+//! — free when it comes first, where the writer puts it.
 
 use std::fmt::Write as _;
+
+mod float;
 
 /// A decode result; the message is what
 /// [`GatewayError::Protocol`](crate::GatewayError::Protocol) carries.
@@ -37,6 +41,19 @@ pub(crate) trait Wire: Sized {
     fn put(&self, out: &mut String);
     /// Reads the value at the cursor.
     fn get(r: &mut Reader<'_>) -> Res<Self>;
+    /// Appends `[item, item, …]`.
+    fn put_seq(items: &[Self], out: &mut String) {
+        // An element and its separator take at least two bytes.
+        out.reserve(2 * items.len() + 2);
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.put(out);
+        }
+        out.push(']');
+    }
 }
 
 /// A struct whose fields are object fields: an object of its own
@@ -134,19 +151,6 @@ pub(crate) fn field<T: Wire>(out: &mut String, name: &str, value: &T) {
     value.put(key(out, name));
 }
 
-pub(crate) fn put_seq<T: Wire>(items: &[T], out: &mut String) {
-    // An element and its separator take at least two bytes.
-    out.reserve(2 * items.len() + 2);
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item.put(out);
-    }
-    out.push(']');
-}
-
 pub(crate) fn put_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -181,12 +185,14 @@ fn put_int(negative: bool, mut magnitude: u64, out: &mut String) {
     digits[at..].iter().for_each(|&d| out.push(char::from(d)));
 }
 
-/// `{:?}` of a float is the shortest decimal that parses back to the
-/// same bits *at that width* (`-0.0` keeps its sign, extreme
-/// magnitudes use an exponent), and valid JSON when finite. JSON has
-/// no NaN or infinity: those travel as `null`, which no numeric field
-/// accepts.
-fn put_float(v: impl std::fmt::Debug, finite: bool, out: &mut String) {
+/// An `f64` in the shortest decimal that parses back to the same bits
+/// (`-0.0` keeps its sign, extreme magnitudes use an exponent): `{:?}`,
+/// valid JSON when finite. JSON has no NaN or infinity: NaN travels as
+/// `null`, which no numeric field accepts. An `f64` is a scale or a
+/// stats ratio, a few a line; `f32` cells, thousands a line, are spelled
+/// the same way at their width by [`float::put_f32s`] instead, without
+/// the `fmt` machinery.
+fn put_float(v: f64, finite: bool, out: &mut String) {
     if finite {
         write!(out, "{v:?}").expect("writing to a String");
     } else {
@@ -287,8 +293,10 @@ impl<'a> Reader<'a> {
             return bad(wrong_type);
         }
         let rest = &self.text[self.pos..];
-        let part = |b: u8| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
-        let len = rest.bytes().position(|b| !part(b)).unwrap_or(rest.len());
+        let len = rest
+            .bytes()
+            .position(|b| !in_number(b))
+            .unwrap_or(rest.len());
         self.pos += len;
         Ok(&rest[..len])
     }
@@ -455,6 +463,11 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A byte a number token may hold.
+fn in_number(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+}
+
 /// The integer a number token spells: a digit run exactly; a float
 /// form (`5.0`, `1e2`) when it is integral and below the 9e15 up to
 /// which `f64` holds every integer.
@@ -504,14 +517,24 @@ impl Wire for i32 {
 /// Only ever a matrix cell, hence the messages.
 impl Wire for f32 {
     fn put(&self, out: &mut String) {
-        put_float(self, self.is_finite(), out);
+        float::put_f32s(std::slice::from_ref(self), out);
     }
-    /// Rounded once, from the text — never through `f64`. An
-    /// overflowing literal (`1e999`, or `1e300` at this width) parses
-    /// to infinity: refused here rather than left to surface later as a
-    /// code-range error.
+    fn put_seq(cells: &[f32], out: &mut String) {
+        out.push('[');
+        float::put_f32s(cells, out);
+        out.push(']');
+    }
+    /// Rounded once, from the text: exactly through `f64` on
+    /// [`float::fast_f32`]'s path, else by `parse::<f32>` — never
+    /// rounded to `f64` and then again to `f32`. An overflowing literal
+    /// (`1e999`, or `1e300` at this width) parses to infinity: refused
+    /// here rather than left to surface later as a code-range error.
     #[inline(always)]
     fn get(r: &mut Reader<'_>) -> Res<Self> {
+        if let Some((cell, len)) = float::fast_f32(&r.text.as_bytes()[r.pos..]) {
+            r.pos += len;
+            return Ok(cell);
+        }
         match r.number("matrix element is not a number")?.parse::<f32>() {
             Ok(f) if f.is_finite() => Ok(f),
             _ => bad("matrix element is not finite"),
@@ -575,7 +598,7 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut String) {
-        put_seq(self, out);
+        T::put_seq(self, out);
     }
     fn get(r: &mut Reader<'_>) -> Res<Self> {
         let mut items = Vec::new();

@@ -1,7 +1,8 @@
 //! Sample messages the wire suites share: one request per verb shape
 //! and one response per kind, with strings that need escaping and
 //! numbers past `f64`'s integers. Positions are part of the contract —
-//! the suites index into these lists.
+//! the suites index into these lists. Also the `f32` sweep the float
+//! suites walk.
 #![allow(dead_code)]
 
 use std::time::Duration;
@@ -24,6 +25,96 @@ pub fn codes() -> Matrix<i32> {
 pub fn hidden() -> Matrix<f32> {
     let cells = vec![0.1f32, -0.0, f32::MIN_POSITIVE, -1.5e-38, 3.0, 16_777_216.0];
     Matrix::from_vec(2, 3, cells).unwrap()
+}
+
+/// Every `stride`-th `f32` bit pattern that is finite — with a stride
+/// below 2^23 every exponent is visited, subnormals included — plus
+/// the values a codec is most likely to get wrong.
+pub fn finite_f32s(stride: u32) -> impl Iterator<Item = f32> {
+    let edges = [
+        0.0f32,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        f32::MAX,
+        f32::MIN,
+        f32::EPSILON,
+        16_777_216.0,
+        16_777_218.0,
+        0.1,
+        1e-5,
+        1e16,
+        // Where `{:?}` switches between decimal and exponent form, and
+        // a shortest spelling that is an exact tie (`…625`).
+        1e-4,
+        f32::from_bits(1e-4f32.to_bits() - 1),
+        f32::from_bits(1e16f32.to_bits() - 1),
+        1.0 / 4096.0,
+    ];
+    (0..=u32::MAX / stride)
+        .map(move |i| f32::from_bits(i * stride))
+        .chain(edges)
+        .filter(|v| v.is_finite())
+}
+
+/// SplitMix64: a suite driven by it is a function of its seeds.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// A number token made to find a float reader's edges: 1–25 digits,
+/// leading zeros, a point anywhere (or trailing), an exponent to ±50
+/// in any case and sign form — and now and then a shape
+/// `str::parse::<f32>` refuses (`1e`, `1.-5`, `-e3`). It starts with a
+/// digit or `-`, as every token a number field reads does.
+pub fn float_token(rng: &mut Rng) -> String {
+    let mut token = String::new();
+    if rng.below(2) == 0 {
+        token.push('-');
+    }
+    let digits = 1 + rng.below(25);
+    let zeros = rng.below(5) * rng.below(5);
+    let point = rng.below(digits + 2);
+    for i in 0..digits {
+        if i == point && i > 0 {
+            token.push('.');
+        }
+        let digit = if i < zeros { 0 } else { rng.below(10) };
+        token.push(char::from(b'0' + digit as u8));
+    }
+    if point == digits {
+        token.push('.');
+    }
+    if rng.below(3) > 0 {
+        token.push(if rng.below(4) == 0 { 'E' } else { 'e' });
+        match rng.below(3) {
+            0 => token.push('-'),
+            1 => token.push('+'),
+            _ => {}
+        }
+        if rng.below(16) != 0 {
+            token.push_str(&rng.below(51).to_string());
+        }
+    }
+    if rng.below(16) == 0 {
+        let at = 1 + rng.below(token.len());
+        token.insert(at, ['-', '+', '.', 'e'][rng.below(4)]);
+    }
+    token
 }
 
 pub fn cell() -> CellSummary {

@@ -9,7 +9,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{codes as fixture_codes, hidden as fixture_hidden};
+use common::{codes as fixture_codes, finite_f32s, hidden as fixture_hidden};
 use panacea_gateway::protocol::{
     decode_request, decode_response, encode_request, encode_response, DecodeReply, ErrorKind,
     InferReply,
@@ -18,32 +18,6 @@ use panacea_gateway::testutil::models;
 use panacea_gateway::{Gateway, GatewayConfig, Payload, Request, Response};
 use panacea_tensor::Matrix;
 use serde_json::Value;
-
-/// Every `stride`-th `f32` bit pattern that is finite — with a stride
-/// below 2^23 every exponent is visited, subnormals included — plus
-/// the values a codec is most likely to get wrong.
-fn finite_f32s(stride: u32) -> impl Iterator<Item = f32> {
-    let edges = [
-        0.0f32,
-        -0.0,
-        f32::MIN_POSITIVE,
-        -f32::MIN_POSITIVE,
-        f32::from_bits(1),
-        f32::from_bits(0x007f_ffff),
-        f32::MAX,
-        f32::MIN,
-        f32::EPSILON,
-        16_777_216.0,
-        16_777_218.0,
-        0.1,
-        1e-5,
-        1e16,
-    ];
-    (0..=u32::MAX / stride)
-        .map(move |i| f32::from_bits(i * stride))
-        .chain(edges)
-        .filter(|v| v.is_finite())
-}
 
 fn decoded_hidden(line: &str) -> Matrix<f32> {
     match decode_request(line).expect("sweep line decodes") {

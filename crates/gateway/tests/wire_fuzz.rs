@@ -3,13 +3,14 @@
 //! A corpus of well-formed lines (every verb and response, lines in the
 //! previous encoder's key order, one paper-scale `infer` and one
 //! `decode`) is mutated — byte flips, truncation, key renames, digit
-//! runs grown, brackets injected, lines spliced — and each result is
-//! fed to `decode_request` and `decode_response`. The contract: `Ok`
-//! with a value that re-encodes and re-decodes to itself, or
-//! `Err(Protocol)`; never a panic, and never more memory reserved than
-//! a constant factor of the line's own length. A failure prints the
-//! seed of its case. Debug builds (tier-1) run a small budget, release
-//! builds (the CI release step) a larger one.
+//! runs grown, numbers respelled as hostile floats, brackets injected,
+//! lines spliced — and each result is fed to `decode_request` and
+//! `decode_response`. The contract: `Ok` with a value that re-encodes
+//! and re-decodes to itself, or `Err(Protocol)`; never a panic, and
+//! never more memory reserved than a constant factor of the line's own
+//! length. A failure prints the seed of its case. Debug builds (tier-1)
+//! run a small budget, release builds (the CI release step) a larger
+//! one.
 
 mod common;
 
@@ -17,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use common::{float_token, Rng};
 use panacea_gateway::protocol::{decode_request, decode_response, encode_request, encode_response};
 use panacea_gateway::{GatewayError, Payload, Request};
 use panacea_tensor::Matrix;
@@ -64,23 +66,6 @@ fn reserved_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = RESERVED.with(Cell::get);
     let value = f();
     (value, RESERVED.with(Cell::get) - before)
-}
-
-/// SplitMix64: the whole fuzz run is a function of the seeds below.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
 }
 
 fn corpus() -> Vec<String> {
@@ -131,7 +116,7 @@ fn mutate(rng: &mut Rng, corpus: &[String]) -> String {
     // past the first check it fails.
     for _ in 0..1 + rng.below(5) / 3 + rng.below(7) / 6 {
         let at = rng.below(line.len());
-        match rng.below(8) {
+        match rng.below(9) {
             0 => line[at] = rng.next() as u8,
             7 => {
                 // Another digit in a digit's place: a valid line with a
@@ -162,6 +147,20 @@ fn mutate(rng: &mut Rng, corpus: &[String]) -> String {
                 let byte = STRUCTURAL[rng.below(STRUCTURAL.len())];
                 let burst = if rng.below(8) == 0 { 300 } else { 1 };
                 insert(&mut line, at, &vec![byte; burst]);
+            }
+            8 => {
+                // Respell a number: a cell, a header or an id becomes a
+                // long mantissa, a far exponent or a malformed float.
+                if let Some(digit) = line[at..].iter().position(u8::is_ascii_digit) {
+                    let part = |b: &u8| b"0123456789-+.eE".contains(b);
+                    let start = line[..at + digit]
+                        .iter()
+                        .rposition(|b| !part(b))
+                        .map_or(0, |p| p + 1);
+                    let len = line[start..].iter().position(|b| !part(b));
+                    let end = len.map_or(line.len(), |len| start + len);
+                    line.splice(start..end, float_token(rng).into_bytes());
+                }
             }
             _ => {
                 let other = corpus[rng.below(corpus.len())].as_bytes();
