@@ -45,11 +45,12 @@
 //!   to `f32` directly**: the short form names the `f32` only to within
 //!   half an `f32` ulp, so rounding to `f64` first and `f32` second can
 //!   land on a tie and pick the neighbour. This one passes through `f64`
-//!   only on Clinger's exact path (at most 19 digits `m ≤ 2^53`, a power
-//!   of ten `|e| ≤ 22`: one correctly rounded operation), and hands an
-//!   `f64` that lands on an `f32` midpoint, like every other token, to
-//!   `str::parse::<f32>` — so it takes, refuses and reads exactly what
-//!   that does. JSON has no NaN/infinity:
+//!   only on Clinger's exact path (a `-?d+.d+` cell of at most 14
+//!   digits, `m < 2^53` over an exact `10^f`: one correctly rounded
+//!   divide), and hands an `f64` that lands on an `f32` midpoint, like
+//!   every other token, to `str::parse::<f32>` behind the number token's
+//!   first-byte rule (a digit or `-`) — so it takes, refuses and reads
+//!   exactly what that does. JSON has no NaN/infinity:
 //!   [`GatewayClient`](crate::GatewayClient) refuses them before
 //!   sending, the decoder refuses a literal that overflows `f32`.
 //! * **`u64` fields are exact** up to `u64::MAX`: `session`,

@@ -8,13 +8,14 @@
 //! `{:?}` does. So the bytes are exactly `format!("{v:?}")`'s for every
 //! finite `f32`.
 //!
-//! The reader is Clinger's fast path (PLDI '90). A token of at most 19
-//! digits, read as an integer `m` and a decimal exponent `e` with `m ≤
-//! 2^53` and `|e| ≤ 22`, is `m · 10^e` in one `f64` multiply or divide
-//! by an exact power of ten, so correctly rounded. Narrowing that to `f32`
-//! rounds a second time, which is exact unless the `f64` landed on a
-//! point halfway between two `f32`s — those, and every token outside
-//! the path, are left to `str::parse::<f32>`.
+//! The reader is Clinger's fast path (PLDI '90), for the one shape the
+//! writer spells nearly every cell in: `-?d+.d+` of at most 14 digits,
+//! read from a 16-byte window as an integer `m < 2^53` over `10^f`,
+//! `f ≤ 13`. One `f64` divide by that exact power of ten rounds it
+//! correctly. Narrowing to `f32` rounds a second time, which is exact
+//! unless the `f64` landed halfway between two `f32`s — those, and every
+//! other token (exponent forms, longer mantissas, no digit before the
+//! point), are left to `str::parse::<f32>`.
 
 /// Significand bits an `f32` stores (the leading 1 is implicit).
 const MANTISSA_BITS: u32 = 23;
@@ -342,9 +343,10 @@ fn spell_rare(digits: &[u8], point: i32, decimal: bool, text: &mut [u8]) -> usiz
     at
 }
 
-/// `10^i` for `i ≤ 22`: every one exact in an `f64`.
-const POW10: [f64; 23] = {
-    let mut table = [1.0; 23];
+/// `10^i` for `i ≤ 13`, the most places after the point a window
+/// holds: every one exact in an `f64`.
+const POW10: [f64; 14] = {
+    let mut table = [1.0; 14];
     let mut i = 1;
     while i < table.len() {
         table[i] = table[i - 1] * 10.0;
@@ -403,99 +405,38 @@ fn plain_decimal(window: [u8; 16]) -> Option<(u64, usize, bool, usize)> {
     Some((m, fraction, negative, sign + len))
 }
 
-/// Any other token of the fast path's grammar, a byte at a time: `m`
-/// (which wraps past 19 digits, and is then not used), the power of ten
-/// it is scaled by, the length — or `None` for a token outside it.
-fn token(text: &[u8]) -> Option<(u64, i32, usize)> {
-    let digit = |at: usize| {
-        text.get(at)
-            .map(|b| b.wrapping_sub(b'0'))
-            .filter(|&d| d < 10)
-    };
-    let (mut m, mut at) = (0u64, 0);
-    while let Some(d) = digit(at) {
-        m = m.wrapping_mul(10).wrapping_add(u64::from(d));
-        at += 1;
-    }
-    let mut digits = at;
-    let mut exponent = 0i32;
-    if text.get(at) == Some(&b'.') {
-        at += 1;
-        let fraction = at;
-        while let Some(d) = digit(at) {
-            m = m.wrapping_mul(10).wrapping_add(u64::from(d));
-            at += 1;
-        }
-        if at == fraction {
-            return None;
-        }
-        digits += at - fraction;
-        exponent = -((at - fraction) as i32);
-    }
-    if digits == 0 || digits > 19 {
-        return None;
-    }
-    if let Some(b'e' | b'E') = text.get(at) {
-        at += 1;
-        let negative = text.get(at) == Some(&b'-');
-        at += usize::from(negative || text.get(at) == Some(&b'+'));
-        let (start, mut written) = (at, 0i32);
-        while let Some(d) = digit(at) {
-            written = 10 * written + i32::from(d);
-            at += 1;
-            if at - start > 4 {
-                return None;
-            }
-        }
-        if at == start {
-            return None;
-        }
-        exponent += if negative { -written } else { written };
-    }
-    if text.get(at).copied().is_some_and(super::in_number) {
-        return None;
-    }
-    Some((m, exponent, at))
-}
-
 /// The `f32` the number token at the start of `text` spells, and the
-/// token's length, when one `f64` operation computes it exactly. `None`
-/// sends the token to `str::parse::<f32>`, which also owns refusing it.
-/// A token taken here is `-? d+ (. d+)? ([eE] [+-]? d{1,4})?` with at
-/// most 19 digits before the exponent, ends where the reader's token
-/// does, and reads as `parse::<f32>` reads it.
+/// token's length, when it is a `-?d+.d+` of at most 14 digits — every
+/// cell the writer spells with a point and no exponent below 1e13.
+/// Then `m < 10^14 < 2^53` and `10^fraction` are exact `f64`s, so one
+/// divide rounds the value correctly. `None` sends the token, and every
+/// other token, to `str::parse::<f32>`, which also owns refusing it: a
+/// token taken here ends where the reader's token does and reads as
+/// `parse::<f32>` reads it.
 #[inline(always)]
 pub(crate) fn fast_f32(text: &[u8]) -> Option<(f32, usize)> {
-    let window = text.get(..16).map(|w| w.try_into().expect("16 bytes"));
-    let (m, exponent, negative, len) = match window.and_then(plain_decimal) {
-        Some((m, fraction, negative, len)) => (m, -(fraction as i32), negative, len),
+    // The zeros after a line's end end a token there as the end does.
+    let window = match text.get(..16) {
+        Some(window) => window.try_into().expect("16 bytes"),
         None => {
-            let negative = text.first() == Some(&b'-');
-            let sign = usize::from(negative);
-            let (m, exponent, len) = token(&text[sign..])?;
-            (m, exponent, negative, sign + len)
+            let mut window = [0; 16];
+            window[..text.len()].copy_from_slice(text);
+            window
         }
     };
-    let magnitude = if m == 0 {
-        0.0
-    } else {
-        if m > 1 << 53 || exponent.unsigned_abs() > 22 {
-            return None;
-        }
-        let wide = if exponent < 0 {
-            m as f64 / POW10[exponent.unsigned_abs() as usize]
-        } else {
-            m as f64 * POW10[exponent as usize]
-        };
-        // Halfway between two `f32`s: the 29 bits below `f32` precision
-        // read exactly one half. Such an `f64` may be a rounded
-        // neighbour of the midpoint, which `f32` must not round as a
-        // tie. (`1 ≤ m ≤ 2^53`, `|e| ≤ 22` keep `wide` inside the
-        // normal `f32` range, so those 29 bits are the ones to look at.)
-        if wide.to_bits() & 0x1fff_ffff == 0x1000_0000 {
-            return None;
-        }
-        wide as f32
-    };
+    let (m, fraction, negative, len) = plain_decimal(window)?;
+    let wide = m as f64 / POW10[fraction];
+    // Narrowing rounds a second time, which is exact unless `wide` is
+    // halfway between two `f32`s (the 29 bits below `f32` precision read
+    // exactly one half; a nonzero `wide` is at least 1e-13, a normal
+    // `f32`): a near miss the divide rounded onto a midpoint would round
+    // as a tie. Such an `f64` goes to `parse::<f32>`. (At 14 digits a
+    // near miss that close lies on the even side, and the tie picks it,
+    // so only exact midpoints such as `16777217.0` come here; the check
+    // keeps the path exact without leaning on that.)
+    if wide.to_bits() & 0x1fff_ffff == 0x1000_0000 {
+        return None;
+    }
+    let magnitude = wide as f32;
     Some((if negative { -magnitude } else { magnitude }, len))
 }

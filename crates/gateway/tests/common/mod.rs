@@ -79,8 +79,8 @@ impl Rng {
 /// A number token made to find a float reader's edges: 1–25 digits,
 /// leading zeros, a point anywhere (or trailing), an exponent to ±50
 /// in any case and sign form — and now and then a shape
-/// `str::parse::<f32>` refuses (`1e`, `1.-5`, `-e3`). It starts with a
-/// digit or `-`, as every token a number field reads does.
+/// `str::parse::<f32>` refuses (`1e`, `1.-5`, `-e3`) or a number
+/// field's first-byte rule does (`.5`, `+1`, `e3`).
 pub fn float_token(rng: &mut Rng) -> String {
     let mut token = String::new();
     if rng.below(2) == 0 {
@@ -111,7 +111,7 @@ pub fn float_token(rng: &mut Rng) -> String {
         }
     }
     if rng.below(16) == 0 {
-        let at = 1 + rng.below(token.len());
+        let at = rng.below(token.len() + 1);
         token.insert(at, ['-', '+', '.', 'e'][rng.below(4)]);
     }
     token

@@ -3,12 +3,14 @@
 //! does, so the wire did not change: on the shared sweep, and on all
 //! 2^32 bit patterns in an ignored run (`cargo test --release -p
 //! panacea-gateway --test wire_floats -- --ignored`, minutes). The
-//! reader takes or refuses every token, and reads every bit, as
-//! `str::parse::<f32>` does: on tokens made to break a fast path — `f32`
+//! reader takes or refuses every token, and reads every bit, as a
+//! number field's first-byte rule (a digit or `-`) and then
+//! `str::parse::<f32>` do: on tokens made to break a fast path — `f32`
 //! midpoints and their near misses, the overflow edge, long mantissas,
-//! leading zeros, far exponents, malformed shapes. (On the sweep's
-//! short and `f64`-expanded spellings, which both parse back to the
-//! value spelled, `wire_compat.rs` holds the reader to that value.)
+//! leading zeros, far exponents, malformed shapes, no digit before the
+//! point. (On the sweep's short and `f64`-expanded spellings, which both
+//! parse back to the value spelled, `wire_compat.rs` holds the reader to
+//! that value.)
 
 mod common;
 
@@ -95,28 +97,42 @@ fn cells_line(cells: &str, count: usize) -> String {
     format!("{{\"verb\":\"decode\",\"session\":1,\"hidden\":{{\"rows\":1,\"cols\":{count},\"data\":[{cells}]}}}}")
 }
 
-/// What the reader must make of a token: what `parse::<f32>` does — the
-/// bits of a finite value, or a refusal (`None`), an overflow to
-/// infinity included.
+/// What the reader must make of a token: what a number field takes,
+/// `Reader::number`'s first-byte rule (a digit or `-`) and then
+/// `parse::<f32>` — the bits of a finite value, or a refusal (`None`),
+/// an overflow to infinity included.
 fn parsed(token: &str) -> Option<u32> {
+    if !token.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+        return None;
+    }
     let value = token.parse::<f32>().ok()?;
     value.is_finite().then(|| value.to_bits())
 }
 
-/// What the reader makes of a token as the one cell of a line — the
-/// same whether the line ends right after it or runs on (a cell far
-/// from the line's end is read 16 bytes at a time).
+/// What the reader makes of a token as a line's only cell and as the
+/// second, after a comma with and without a space — the same whether
+/// the line ends right after it or runs on (a cell far from the line's
+/// end is read 16 bytes at a time).
 fn read(token: &str) -> Option<u32> {
-    let [at_end, running_on] = [token.to_string(), format!("{token}{:16}", "")].map(|cell| {
-        match decode_request(&cells_line(&cell, 1)) {
-            Ok(Request::Decode { hidden, .. }) => Some(hidden.as_slice()[0].to_bits()),
+    let ways = [
+        (token.to_string(), 1),
+        (format!("{token}{:16}", ""), 1),
+        (format!("1,{token}"), 2),
+        (format!("1, {token}{:16}", ""), 2),
+    ]
+    .map(
+        |(cells, count)| match decode_request(&cells_line(&cells, count)) {
+            Ok(Request::Decode { hidden, .. }) => Some(hidden.as_slice()[count - 1].to_bits()),
             Ok(other) => panic!("wrong verb: {other:?}"),
             Err(GatewayError::Protocol(_)) => None,
             Err(other) => panic!("{token}: not a protocol error: {other}"),
-        }
-    });
-    assert_eq!(at_end, running_on, "token {token} read two ways");
-    at_end
+        },
+    );
+    assert!(
+        ways.iter().all(|way| *way == ways[0]),
+        "token {token} read four ways: {ways:?}"
+    );
+    ways[0]
 }
 
 fn assert_read_as_parsed(token: &str) {
@@ -136,8 +152,9 @@ fn assert_cells_read_as_parsed(tokens: &[String]) {
 }
 
 /// Halfway between two adjacent `f32`s, where `f64` then `f32` rounds
-/// twice: spelled in full, as the shortest `f64` that names it, to 16
-/// and 15 digits, and as its two `f64` neighbours — near misses on
+/// twice: spelled in full, to the 14 digits the reader's window holds,
+/// as the shortest `f64` that names it, to 16 and 15 digits, and as its
+/// two `f64` neighbours — near misses on
 /// either side that one `f64` operation may round onto the midpoint.
 #[test]
 fn the_reader_reads_f32_midpoints_and_their_near_misses_as_parse_does() {
@@ -153,7 +170,12 @@ fn the_reader_reads_f32_midpoints_and_their_near_misses_as_parse_does() {
         let mid = (f64::from(v) + f64::from(next)) / 2.0;
         let below = f64::from_bits(mid.to_bits() - 1);
         let above = f64::from_bits(mid.to_bits() + 1);
+        // At most 14 digits, the reader's 16-byte window: at 13 places
+        // in [0.5, 10) a near miss can round onto the midpoint.
+        let places = 13 - (mid.log10().max(0.0) as usize).min(12);
         tokens.extend([
+            format!("{mid:.places$}"),
+            format!("-{mid:.places$}"),
             format!("{mid:?}"),
             format!("{mid:.15e}"),
             format!("{mid:.14e}"),
@@ -238,7 +260,14 @@ fn the_reader_takes_and_refuses_hostile_tokens_as_parse_does() {
         "1e+5",
         "1e-0",
         "1e05",
-        // Shapes `str::parse` refuses or reads loosely.
+        // Shapes `str::parse` refuses or reads loosely, and no digit
+        // first, which the reader refuses before `parse` sees it.
+        ".5",
+        ".5e1",
+        "-.5e1",
+        ".",
+        "+1",
+        "e5",
         "1.",
         "-.5",
         "-0.",
