@@ -16,14 +16,18 @@
 //!                                     ▼
 //!                     ShardRouter (rendezvous hash + least load)
 //!                       │                │
-//!                   Runtime #0 …     Runtime #N-1   (panacea-serve)
+//!                   Shard #0 …       Shard #N-1   (panacea-serve Runtime
+//!                                                  + SessionManager)
 //! ```
 //!
-//! * [`ShardRouter`] owns N independent [`Runtime`](panacea_serve::Runtime)
-//!   shards resolving models through one shared registry (one
-//!   preparation, one copy of the sliced weights). Requests route by
-//!   rendezvous hashing on the model name, tie-broken toward the
-//!   emptier queue so hot models spread out.
+//! * [`ShardRouter`] owns N independent shards — each a
+//!   [`Runtime`](panacea_serve::Runtime) and a
+//!   [`SessionManager`](panacea_serve::SessionManager) counting into one
+//!   [`ShardCounters`](panacea_serve::ShardCounters) block, whose
+//!   snapshot is the shard's `stats` entry — resolving models through
+//!   one shared registry (one preparation, one copy of the sliced
+//!   weights). Requests route by rendezvous hashing on the model name,
+//!   tie-broken toward the emptier queue so hot models spread out.
 //! * [`RequestCache`] is a sharded LRU keyed by the model's unique
 //!   instance id (so re-registering a name never replays the old
 //!   model's outputs) and the *quantized* request codes; hits are
@@ -32,8 +36,9 @@
 //! * [`AdmissionController`] bounds simultaneous in-flight requests and
 //!   per-request queue wait, shedding the excess with explicit
 //!   [`ServeError::Overloaded`] rejections instead of queueing without
-//!   limit. Admission counts the sheds it decides; the session
-//!   managers count `kv_budget` sheds; `stats` projects both.
+//!   limit. Admission counts the sheds it decides; each shard's counter
+//!   block counts its session manager's `kv_budget` sheds; `stats`
+//!   reports both.
 //! * [`GatewayServer`] / [`GatewayClient`] speak a line-delimited JSON
 //!   protocol over blocking TCP — std only, written and read by the
 //!   crate's own typed codec (no value tree). One typed `infer` verb
@@ -61,7 +66,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, Admis
 pub use cache::{CacheConfig, CacheStats, CachedOutput, RequestCache};
 pub use client::{ClientConfig, GatewayClient};
 pub use panacea_netcore::{ConnectionCounters, ConnectionStats};
-pub use panacea_serve::{OverloadReason, Payload, PayloadKind, SessionConfig, SessionStats};
+pub use panacea_serve::{OverloadReason, Payload, PayloadKind, SessionConfig};
 pub use panacea_telemetry::{
     unix_ms_now, CellSummary, Event, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
     MetricKey, MetricRegistry, PrometheusText, SloConfig, SloStatus, SloTarget, TargetReport,

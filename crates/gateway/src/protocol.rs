@@ -72,6 +72,9 @@ use std::time::Duration;
 
 use panacea_netcore::ConnectionStats;
 use panacea_serve::Payload;
+/// One shard's counter block as the `stats` verb reports it; defined by
+/// the serving crate whose shards count into it.
+pub use panacea_serve::ShardStats;
 use panacea_telemetry::{
     CellSummary, Event, EventSeverity, HealthReport, IncidentSnapshot, SloStatus, TargetReport,
 };
@@ -306,59 +309,6 @@ impl std::fmt::Display for ErrorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Point-in-time serving counters for one shard, as reported by the
-/// `stats` verb.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardStats {
-    /// Requests completed by this shard.
-    pub requests: u64,
-    /// Batches dispatched by this shard.
-    pub batches: u64,
-    /// Activation columns served by this shard.
-    pub columns: u64,
-    /// Columns the paper's PE array would pad the batches with.
-    pub padded_cols: u64,
-    /// Fraction of the PE array's columns that would be padding
-    /// (`padded / (served + padded)`).
-    pub padding_overhead: f64,
-    /// Queued requests dropped before execution because their caller
-    /// stopped waiting (e.g. shed by admission control).
-    pub cancelled: u64,
-    /// Served columns per second of worker compute time.
-    pub columns_per_second: f64,
-    /// Columns waiting in this shard's queue right now.
-    pub queued_cols: u64,
-    /// Columns claimed by workers but not yet answered.
-    pub in_flight_cols: u64,
-    /// Decode sessions currently pinned to this shard.
-    pub open_sessions: u64,
-    /// KV-cache bytes resident for those sessions.
-    pub kv_bytes: u64,
-    /// Decode steps this shard has executed.
-    pub decode_steps: u64,
-    /// Tokens this shard has decoded across all sessions.
-    pub decode_tokens: u64,
-    /// Fused continuous-batching decode passes this shard has run.
-    pub decode_batches: u64,
-    /// Average decode steps per fused pass: the steps fused passes
-    /// executed ÷ `decode_batches` (caller-thread steps are not among them;
-    /// `> 1` means concurrent sessions shared GEMM passes). Zero before
-    /// any fused pass.
-    pub decode_batch_occupancy: f64,
-    /// Columns the paper's PE array would pad the fused decode passes
-    /// with.
-    pub decode_padded_cols: u64,
-    /// Panics caught and isolated on this shard's execution paths
-    /// (batch workers, fused and caller-thread decode passes).
-    pub worker_panics: u64,
-    /// Decode sessions evicted because a panic died inside their own
-    /// step.
-    pub evicted_poisoned: u64,
-    /// Requests and decode steps answered `deadline_exceeded` at
-    /// dequeue instead of executed.
-    pub expired: u64,
 }
 
 /// Overload sheds broken down by which bound rejected the request, as
@@ -1079,33 +1029,31 @@ mod tests {
         assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
     }
 
-    #[test]
-    fn stats_response_round_trips() {
-        let resp = Response::Stats(GatewayStats {
-            shards: vec![
-                ShardStats {
-                    requests: 10,
-                    batches: 3,
-                    columns: 40,
-                    padded_cols: 2,
-                    padding_overhead: 2.0 / 42.0,
-                    cancelled: 1,
-                    columns_per_second: 1234.5,
-                    queued_cols: 4,
-                    in_flight_cols: 8,
-                    open_sessions: 3,
-                    kv_bytes: 12288,
-                    decode_steps: 9,
-                    decode_tokens: 21,
-                    decode_batches: 4,
-                    decode_batch_occupancy: 2.25,
-                    decode_padded_cols: 5,
-                    worker_panics: 2,
-                    evicted_poisoned: 1,
-                    expired: 6,
-                },
-                ShardStats::default(),
-            ],
+    /// A `stats` reply with a distinct value in every field.
+    fn stats_reply() -> Response {
+        let shard = ShardStats {
+            requests: 10,
+            batches: 3,
+            columns: 40,
+            padded_cols: 2,
+            padding_overhead: 0.25,
+            cancelled: 1,
+            columns_per_second: 1234.5,
+            queued_cols: 4,
+            in_flight_cols: 8,
+            open_sessions: 3,
+            kv_bytes: 12288,
+            decode_steps: 9,
+            decode_tokens: 21,
+            decode_batches: 4,
+            decode_batch_occupancy: 2.25,
+            decode_padded_cols: 5,
+            worker_panics: 2,
+            evicted_poisoned: 1,
+            expired: 6,
+        };
+        Response::Stats(GatewayStats {
+            shards: vec![shard, ShardStats::default()],
             cache: CacheStats {
                 hits: 5,
                 misses: 7,
@@ -1132,7 +1080,40 @@ mod tests {
             },
             uptime_ms: 98_765,
             seq: 17,
-        });
+        })
+    }
+
+    /// The fixed reply, encoded, against the line the wire carries: a
+    /// field respelled or reordered on both the writer and the reader
+    /// still round-trips, but moves these bytes.
+    #[test]
+    fn stats_reply_bytes_are_pinned() {
+        let pinned = concat!(
+            r#"{"ok":true,"kind":"stats","uptime_ms":98765,"seq":17,"shards":["#,
+            r#"{"requests":10,"batches":3,"columns":40,"padded_cols":2,"#,
+            r#""padding_overhead":0.25,"cancelled":1,"columns_per_second":1234.5,"#,
+            r#""queued_cols":4,"in_flight_cols":8,"open_sessions":3,"kv_bytes":12288,"#,
+            r#""decode_steps":9,"decode_tokens":21,"decode_batches":4,"#,
+            r#""decode_batch_occupancy":2.25,"decode_padded_cols":5,"worker_panics":2,"#,
+            r#""evicted_poisoned":1,"expired":6},"#,
+            r#"{"requests":0,"batches":0,"columns":0,"padded_cols":0,"#,
+            r#""padding_overhead":0.0,"cancelled":0,"columns_per_second":0.0,"#,
+            r#""queued_cols":0,"in_flight_cols":0,"open_sessions":0,"kv_bytes":0,"#,
+            r#""decode_steps":0,"decode_tokens":0,"decode_batches":0,"#,
+            r#""decode_batch_occupancy":0.0,"decode_padded_cols":0,"worker_panics":0,"#,
+            r#""evicted_poisoned":0,"expired":0}],"#,
+            r#""cache":{"hits":5,"misses":7,"evictions":1,"entries":6},"#,
+            r#""admission":{"admitted":12,"rejected_capacity":2,"rejected_timeout":1,"in_flight":3},"#,
+            r#""sheds":{"in_flight":2,"queue_wait":1,"kv_budget":4},"#,
+            r#""connections":{"open":3,"peak":9,"evicted":2,"workers_alive":4,"worker_panics":1}}"#,
+        );
+        assert_eq!(encode_response(&stats_reply()), pinned);
+        assert_eq!(decode_response(pinned).unwrap(), stats_reply());
+    }
+
+    #[test]
+    fn stats_response_round_trips() {
+        let resp = stats_reply();
         assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
         if let Response::Stats(s) = &resp {
             assert_eq!(s.sheds.total(), 7);

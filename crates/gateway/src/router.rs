@@ -1,7 +1,10 @@
-//! Shard routing: N independent serving runtimes behind one front door.
+//! Shard routing: N independent serving shards behind one front door.
 //!
 //! Every shard is a full [`Runtime`] — its own worker pool and queue —
-//! and all shards resolve models through one shared [`ModelRegistry`],
+//! plus a [`SessionManager`] holding the decode sessions pinned to it,
+//! both counting into the shard's one [`ShardCounters`] block, whose
+//! snapshots are the `stats` verb's [`ShardStats`]. All shards resolve
+//! models through one shared [`ModelRegistry`],
 //! so N shards cost one model preparation, one copy of the sliced
 //! weights, and one registration per model. Routing is rendezvous
 //! (highest-random-weight) hashing on the model name: each model has a
@@ -15,28 +18,38 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use panacea_serve::{
-    ModelRegistry, Payload, Pending, PreparedModel, RequestCtx, Runtime, RuntimeConfig, ServeError,
+    Metrics, ModelRegistry, Payload, Pending, PreparedModel, RequestCtx, Runtime, RuntimeConfig,
+    ServeError, SessionConfig, SessionManager, ShardCounters, ShardStats,
 };
 use panacea_telemetry::{FlightRecorder, MetricRegistry};
 
-use crate::protocol::ShardStats;
-
-/// N serving runtimes plus the routing policy that spreads models over
+/// N serving shards plus the routing policy that spreads models over
 /// them. See the module docs.
 #[derive(Debug)]
 pub struct ShardRouter {
-    shards: Vec<Runtime>,
+    shards: Vec<Shard>,
+}
+
+/// One shard: a runtime and a session manager over one counter block.
+#[derive(Debug)]
+struct Shard {
+    runtime: Runtime,
+    sessions: SessionManager,
+    counters: Arc<ShardCounters>,
 }
 
 impl ShardRouter {
-    /// Builds `shards` runtimes (at least one), each configured by
-    /// `config`, over one registry holding every prepared model. Every
-    /// shard's batch and block stage latencies land in `dims`; model
-    /// registrations, batch formations and worker panics in `recorder`.
+    /// Builds `shards` shards (at least one) over one registry holding
+    /// every prepared model: each a runtime configured by `runtime` and a
+    /// session manager enforcing `session`, counting into one block.
+    /// Every shard's stage latencies land in `dims`; model registrations,
+    /// batch formations, session lifecycle and worker panics in
+    /// `recorder`.
     pub fn new(
         models: Vec<PreparedModel>,
         shards: usize,
-        config: RuntimeConfig,
+        runtime: RuntimeConfig,
+        session: SessionConfig,
         dims: MetricRegistry,
         recorder: FlightRecorder,
     ) -> Self {
@@ -46,12 +59,16 @@ impl ShardRouter {
         }
         let shards = (0..shards.max(1))
             .map(|_| {
-                Runtime::start_with_observability(
-                    Arc::clone(&registry),
-                    config,
-                    dims.clone(),
-                    recorder.clone(),
-                )
+                let metrics = Metrics::new(dims.clone(), recorder.clone());
+                Shard {
+                    counters: Arc::clone(metrics.counters()),
+                    runtime: Runtime::start_with_metrics(
+                        Arc::clone(&registry),
+                        runtime,
+                        metrics.clone(),
+                    ),
+                    sessions: SessionManager::with_metrics(session, metrics),
+                }
             })
             .collect();
         ShardRouter { shards }
@@ -68,12 +85,22 @@ impl ShardRouter {
     ///
     /// Panics if `shard >= self.num_shards()`.
     pub fn shard(&self, shard: usize) -> &Runtime {
-        &self.shards[shard]
+        &self.shards[shard].runtime
+    }
+
+    /// The session manager holding the decode sessions pinned to one
+    /// shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.num_shards()`.
+    pub fn sessions(&self, shard: usize) -> &SessionManager {
+        &self.shards[shard].sessions
     }
 
     /// Resolves a model name against the registry every shard shares.
     pub fn model(&self, name: &str) -> Option<Arc<PreparedModel>> {
-        self.shards[0].registry().get(name)
+        self.shards[0].runtime.registry().get(name)
     }
 
     fn rendezvous_score(model: &str, shard: usize) -> u64 {
@@ -110,8 +137,8 @@ impl ShardRouter {
         if first == second {
             return first;
         }
-        let load_first = self.shards[first].queue_depth().load();
-        let load_second = self.shards[second].queue_depth().load();
+        let load_first = self.shard(first).queue_depth().load();
+        let load_second = self.shard(second).queue_depth().load();
         if load_second < load_first {
             second
         } else {
@@ -140,37 +167,23 @@ impl ShardRouter {
         payload: impl Into<Payload>,
         ctx: RequestCtx,
     ) -> Result<Pending, ServeError> {
-        self.shards[shard].submit(model, payload, ctx)
+        self.shard(shard).submit(model, payload, ctx)
     }
 
-    /// Per-shard serving counters in wire form, indexed by shard id.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    /// Every shard's counter block in wire form, indexed by shard id.
+    pub fn stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .map(|rt| {
-                let m = rt.metrics();
-                let q = rt.queue_depth();
-                ShardStats {
-                    requests: m.requests,
-                    batches: m.batches,
-                    columns: m.columns,
-                    padded_cols: m.padded_cols,
-                    padding_overhead: m.padding_overhead(),
-                    cancelled: m.cancelled,
-                    columns_per_second: m.columns_per_second(),
-                    queued_cols: q.queued_cols as u64,
-                    in_flight_cols: q.in_flight_cols as u64,
-                    // Runtime-level fault counters; the gateway adds the
-                    // session layer's (decode passes) on top when it
-                    // merges SessionManager stats in.
-                    worker_panics: m.worker_panics,
-                    expired: m.expired,
-                    // Session counters are owned by the gateway's
-                    // per-shard SessionManagers and merged there.
-                    ..ShardStats::default()
-                }
-            })
+            .map(|s| s.counters.snapshot(s.runtime.queue_depth()))
             .collect()
+    }
+
+    /// Decode steps refused for the KV byte budget, across shards.
+    pub fn kv_budget_sheds(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.counters.kv_budget_exceeded())
+            .sum()
     }
 }
 
@@ -186,6 +199,7 @@ mod tests {
             models(names, seed),
             shards,
             config,
+            SessionConfig::default(),
             MetricRegistry::default(),
             FlightRecorder::default(),
         )
@@ -276,6 +290,7 @@ mod tests {
             models(&["m"], 4),
             3,
             RuntimeConfig::default(),
+            SessionConfig::default(),
             MetricRegistry::default(),
             recorder.clone(),
         );

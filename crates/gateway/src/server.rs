@@ -29,7 +29,6 @@ use panacea_netcore::{
 };
 use panacea_serve::{
     OverloadReason, Payload, PreparedModel, RequestCtx, RuntimeConfig, ServeError, SessionConfig,
-    SessionManager,
 };
 use panacea_telemetry::{
     unix_ms_now, DimCell, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
@@ -117,15 +116,15 @@ impl GatewayCells {
 }
 
 /// The transport-free gateway core: cache → admission → shard router,
-/// plus one [`SessionManager`] per shard holding decode-session KV
-/// state (a session is *pinned* to the shard that opened it — its
+/// whose shards each hold a
+/// [`SessionManager`](panacea_serve::SessionManager) with decode-session
+/// KV state (a session is *pinned* to the shard that opened it — its
 /// state lives there, so every step routes there).
 #[derive(Debug)]
 pub struct Gateway {
     router: ShardRouter,
     cache: RequestCache,
     admission: AdmissionController,
-    sessions: Vec<SessionManager>,
     started: Instant,
     seq: AtomicU64,
     stages: GatewayCells,
@@ -150,19 +149,14 @@ impl Gateway {
             models,
             config.shards,
             config.runtime,
+            config.session,
             dims.clone(),
             recorder.clone(),
         );
-        let sessions = (0..router.num_shards())
-            .map(|_| {
-                SessionManager::with_observability(config.session, dims.clone(), recorder.clone())
-            })
-            .collect();
         Gateway {
             router,
             cache: RequestCache::new(config.cache),
             admission: AdmissionController::new(config.admission),
-            sessions,
             started: Instant::now(),
             seq: AtomicU64::new(0),
             stages: GatewayCells::resolve(&dims),
@@ -293,19 +287,15 @@ impl Gateway {
             self.stages.admission_wait.record_latency(tb.end_span(span));
             let permit = permit?;
             let span = tb.start_span("route", ROOT_SPAN);
-            let shard = self
-                .sessions
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, mgr)| {
-                    let s = mgr.stats();
-                    (s.kv_bytes, s.open_sessions, *i)
+            let shard = (0..self.router.num_shards())
+                .min_by_key(|&i| {
+                    let s = self.router.sessions(i).stats();
+                    (s.kv_bytes, s.open_sessions, i)
                 })
-                .map(|(i, _)| i)
                 .expect("gateway always has at least one shard");
             self.stages.route.record_latency(tb.end_span(span));
             let span = tb.start_span("execute", ROOT_SPAN);
-            let session = self.sessions[shard].open(resolved);
+            let session = self.router.sessions(shard).open(resolved);
             self.stages.execute.record_latency(tb.end_span(span));
             let session = session?;
             drop(permit);
@@ -361,7 +351,7 @@ impl Gateway {
                 trace: Some(self.tracer.context(tb, span)),
                 deadline,
             };
-            let stepped = self.sessions[shard].step_with(session, hidden, ctx);
+            let stepped = self.router.sessions(shard).step_with(session, hidden, ctx);
             self.stages.execute.record_latency(tb.end_span(span));
             let (out, tokens, _wl) = stepped?;
             drop(permit);
@@ -386,7 +376,7 @@ impl Gateway {
                 .route_session(session, tb, model)
                 .ok_or(ServeError::UnknownSession { session })?;
             let span = tb.start_span("execute", ROOT_SPAN);
-            let closed = self.sessions[shard].close(session);
+            let closed = self.router.sessions(shard).close(session);
             self.stages.execute.record_latency(tb.end_span(span));
             Ok(SessionCloseReply {
                 session,
@@ -406,11 +396,10 @@ impl Gateway {
         model: &mut Cow<'_, str>,
     ) -> Option<usize> {
         let span = tb.start_span("route", ROOT_SPAN);
-        let found = self
-            .sessions
-            .iter()
-            .enumerate()
-            .find_map(|(shard, mgr)| mgr.model(session).map(|m| (shard, m)));
+        let found = (0..self.router.num_shards()).find_map(|shard| {
+            let model = self.router.sessions(shard).model(session)?;
+            Some((shard, model))
+        });
         self.stages.route.record_latency(tb.end_span(span));
         let (shard, resolved) = found?;
         *model = Cow::Owned(resolved.name().to_string());
@@ -506,36 +495,18 @@ impl Gateway {
         Ok((out.payload, out.scale, shard, false))
     }
 
-    /// Current gateway-level metrics (per-shard serving and session
-    /// counters, cache, admission).
+    /// Current gateway-level metrics (each shard's counter block, cache,
+    /// admission).
     pub fn stats(&self) -> GatewayStats {
-        let mut shards = self.router.shard_stats();
-        let mut kv_budget = 0;
-        for (shard, mgr) in shards.iter_mut().zip(&self.sessions) {
-            let s = mgr.stats();
-            shard.open_sessions = s.open_sessions as u64;
-            shard.kv_bytes = s.kv_bytes as u64;
-            shard.decode_steps = s.steps;
-            shard.decode_tokens = s.tokens;
-            shard.decode_batches = s.decode_batches;
-            shard.decode_batch_occupancy = s.decode_batch_occupancy();
-            shard.decode_padded_cols = s.decode_padded_cols;
-            // The router filled the runtime layer's fault counters; the
-            // session layer (decode passes) adds its own.
-            shard.worker_panics += s.worker_panics;
-            shard.expired += s.expired_steps;
-            shard.evicted_poisoned = s.evicted_poisoned;
-            kv_budget += s.kv_budget_exceeded;
-        }
         // Each shed is counted once, by the layer that decides it.
         let admission = self.admission.stats();
         GatewayStats {
-            shards,
+            shards: self.router.stats(),
             cache: self.cache.stats(),
             sheds: ShedStats {
                 in_flight: admission.rejected_capacity,
                 queue_wait: admission.rejected_timeout,
-                kv_budget,
+                kv_budget: self.router.kv_budget_sheds(),
             },
             admission,
             connections: self.conns.snapshot(),

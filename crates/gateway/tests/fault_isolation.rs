@@ -1,6 +1,7 @@
 //! Fault-injection tests across the gateway: injected execute-path
-//! panics answered over the wire, deadline enforcement end-to-end, and
-//! client-side retry with reconnect.
+//! panics answered over the wire, deadline enforcement end-to-end,
+//! client-side retry with reconnect, and the `stats` counters agreeing
+//! with the metric registry after panics on both serving paths.
 //!
 //! Own test binary (process) on purpose: arming a `faultline` plan is
 //! process-global, so these tests must not share a process with suites
@@ -9,12 +10,14 @@
 //! the scripts from overlapping.
 
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use panacea_faultline::{Fault, FaultPlan, Scenario};
-use panacea_gateway::testutil::{codes, models};
+use panacea_gateway::testutil::{block_model, codes, hidden, models};
 use panacea_gateway::{
     ClientConfig, ErrorKind, Gateway, GatewayClient, GatewayConfig, GatewayError, GatewayServer,
+    Payload, ShardStats,
 };
 
 fn serve() -> (GatewayServer, Arc<Gateway>) {
@@ -176,4 +179,84 @@ fn client_reconnects_through_a_server_restart() {
     assert_eq!(reply.payload, expect.into());
     drop(server);
     drop(guard);
+}
+
+#[test]
+fn stats_agree_with_the_registry_after_a_faulted_mixed_run() {
+    // One runtime batch and one fused decode pass panic, at seeded
+    // positions, while three clients mix chain inferences with
+    // single-column decode steps (all narrower than the fused-pass
+    // budget, so every pass runs on a shard's batching worker). Once
+    // the run is quiescent, the shards' counters and the registry's
+    // cells must count the same batches, passes and panics.
+    let guard = FaultPlan::compile(
+        5,
+        &Scenario::new()
+            .fire_within("serve.worker.execute", Fault::Panic, 1, 8)
+            .fire_within("serve.decode.fused_pass", Fault::Panic, 1, 8),
+    )
+    .arm();
+    let mut set = models(&["chain"], 31);
+    set.push(block_model("blk", 32).0);
+    let gateway = Arc::new(Gateway::new(set, GatewayConfig::default()));
+    let clients: Vec<_> = (0..3u64)
+        .map(|client| {
+            let gateway = Arc::clone(&gateway);
+            thread::spawn(move || {
+                let chain = gateway.router().model("chain").expect("registered");
+                let mut rng = 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(client + 1);
+                let mut session = None;
+                for op in 0..24usize {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let salt = client as usize * 100 + op;
+                    if rng >> 63 == 0 {
+                        let x = codes(&chain, 1 + (rng >> 8) as usize % 3, salt);
+                        // A request in the panicking batch is answered
+                        // `internal`; the counts below cover it.
+                        let _ = gateway.infer("chain", Payload::Codes(x));
+                        continue;
+                    }
+                    let id = match session {
+                        Some(id) => id,
+                        None => gateway.session_open("blk").expect("opened").session,
+                    };
+                    // A step alone in the panicking pass evicts its
+                    // session; the next step opens a fresh one.
+                    session = gateway.decode(id, &hidden(16, 1, salt)).ok().map(|_| id);
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client");
+    }
+    assert_eq!(guard.firings().len(), 2, "both scripted panics fired");
+    drop(guard);
+
+    let stats = gateway.stats();
+    let sum = |field: fn(&ShardStats) -> u64| stats.shards.iter().map(field).sum::<u64>();
+    let cells = gateway.dims().cells();
+    let samples = |verb: &str, stage: &str| -> u64 {
+        cells
+            .iter()
+            .filter(|(k, _)| k.verb == verb && k.stage == stage)
+            .map(|(_, cell)| cell.total().latency.count)
+            .sum()
+    };
+    let worker_errors: u64 = cells
+        .iter()
+        .filter(|(k, _)| k.verb == "worker")
+        .map(|(_, cell)| cell.total().error)
+        .sum();
+    assert_eq!(sum(|s| s.batches), samples("batch", "execute"));
+    assert_eq!(sum(|s| s.decode_batches), samples("decode", "fused_pass"));
+    assert_eq!(
+        samples("decode", "fused_pass"),
+        samples("decode", "occupancy"),
+        "a panicked fused pass was counted as an occupancy sample"
+    );
+    assert_eq!(sum(|s| s.worker_panics), worker_errors);
+    assert_eq!(sum(|s| s.worker_panics), 2);
 }

@@ -279,32 +279,12 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LayerSpec, PrepareOptions, PreparedModel};
-    use crate::queue::{dispatch_deadline, purge, PurgeCounts};
-    use panacea_tensor::dist::DistributionKind;
-    use panacea_tensor::Matrix;
+    use crate::metrics::ShardCounters;
+    use crate::queue::{dispatch_deadline, purge, QueueDepth};
+    use crate::testutil::{codes, models};
 
     fn prepared(seed: u64) -> Arc<PreparedModel> {
-        let mut rng = panacea_tensor::seeded_rng(seed);
-        let w = DistributionKind::Gaussian {
-            mean: 0.0,
-            std: 0.05,
-        }
-        .sample_matrix(8, 16, &mut rng);
-        let calib = DistributionKind::Gaussian {
-            mean: 0.2,
-            std: 0.5,
-        }
-        .sample_matrix(16, 16, &mut rng);
-        Arc::new(
-            PreparedModel::prepare(
-                "m",
-                &[LayerSpec::unbiased(w)],
-                &calib,
-                PrepareOptions::default(),
-            )
-            .expect("prepare"),
-        )
+        Arc::new(models(&["m"], seed).pop().expect("one model"))
     }
 
     type Reply = Result<InferenceOutput, ServeError>;
@@ -316,13 +296,10 @@ mod tests {
 
     fn job(model: &Arc<PreparedModel>, cols: usize) -> (Job, mpsc::Receiver<Reply>) {
         let (tx, rx) = mpsc::channel();
-        let codes = Matrix::from_fn(model.in_features(), cols, |r, c| {
-            ((r * 31 + c * 7) % 200) as i32
-        });
         (
             Job {
                 model: Arc::clone(model),
-                payload: codes.into(),
+                payload: codes(model, cols, 0).into(),
                 responder: tx,
                 enqueued_at: Instant::now(),
                 deadline: None,
@@ -376,14 +353,14 @@ mod tests {
         let (j3, _r3) = job(&a, 3);
         j2.cancelled.store(true, Ordering::Release);
         queue.extend([j1, j2, j3]);
-        let counts = PurgeCounts::default();
+        let counts = ShardCounters::default();
         purge(&mut queue, Instant::now(), &counts);
-        assert_eq!(counts.cancelled.load(Ordering::Relaxed), 1);
+        assert_eq!(counts.cancelled.sum(), 1);
         let widths: Vec<usize> = queue.iter().map(|j| j.payload.cols()).collect();
         assert_eq!(widths, vec![1, 3], "live jobs must keep their order");
         purge(&mut queue, Instant::now(), &counts);
-        assert_eq!(counts.cancelled.load(Ordering::Relaxed), 1);
-        assert_eq!(counts.expired.load(Ordering::Relaxed), 0);
+        assert_eq!(counts.cancelled.sum(), 1);
+        assert_eq!(counts.expired.sum(), 0);
     }
 
     #[test]
@@ -412,7 +389,7 @@ mod tests {
             assert_eq!(out.payload, alone);
             assert_eq!(out.batched_cols, 9);
         }
-        let snap = metrics.snapshot();
+        let snap = metrics.counters().snapshot(QueueDepth::default());
         assert_eq!(snap.requests, 3);
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.columns, 9);
@@ -440,9 +417,9 @@ mod tests {
         j1.deadline = Some(now - Duration::from_millis(1)); // already past
         j3.deadline = Some(now + Duration::from_secs(60)); // comfortably live
         queue.extend([j1, j2, j3]);
-        let counts = PurgeCounts::default();
+        let counts = ShardCounters::default();
         purge(&mut queue, now, &counts);
-        assert_eq!(counts.expired.load(Ordering::Relaxed), 1);
+        assert_eq!(counts.expired.sum(), 1);
         match r1.try_recv().expect("expired job is answered") {
             Err(ServeError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -480,6 +457,6 @@ mod tests {
             },
             &metrics,
         );
-        assert_eq!(metrics.snapshot().requests, 1);
+        assert_eq!(metrics.counters().requests.sum(), 1);
     }
 }

@@ -44,19 +44,19 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panacea_block::KvCache;
 use panacea_core::{pe_padded_cols, Workload};
-use panacea_telemetry::{EventSeverity, FlightRecorder, MetricRegistry, TraceContext};
+use panacea_telemetry::{EventSeverity, TraceContext};
 use panacea_tensor::Matrix;
 
+use crate::metrics::Metrics;
 use crate::model::{timed_blocks, PreparedModel};
-use crate::queue::{BatchQueue, PurgeCounts, Queued, RequestCtx, Workers};
-use crate::session::{Session, SessionStats, Slot};
+use crate::queue::{BatchQueue, Queued, RequestCtx, Workers};
+use crate::session::{Session, Slot};
 
 /// What a fused pass hands back to each waiting step: the session's
 /// output columns, its total token count afterwards, and the workload of
@@ -130,28 +130,6 @@ impl Queued for DecodeJob {
     }
 }
 
-/// What the fused-pass executor records into.
-#[derive(Debug)]
-struct Shared {
-    /// Fused passes executed.
-    batches: AtomicU64,
-    /// Steps the fused passes executed (solo retries after a caught
-    /// panic are not counted).
-    steps: AtomicU64,
-    /// Columns the paper's PE array would pad the fused passes with
-    /// ([`pe_padded_cols`] per pass). The host kernel multiplies only the
-    /// real columns.
-    padded_cols: AtomicU64,
-    /// Panics caught (and isolated) inside any pass or solo retry.
-    panics: AtomicU64,
-    /// Caught panics count as errors under `(model, "worker", at)`
-    /// here; the per-pass stage samples go through the cells each
-    /// session's [`Slot`] carries.
-    registry: MetricRegistry,
-    /// Fused-pass formations and caught panics land in this event ring.
-    recorder: FlightRecorder,
-}
-
 /// The continuous-batching executor behind
 /// [`SessionManager::step`](crate::SessionManager::step): a queue of
 /// decode steps plus one worker thread fusing them into batched GEMM
@@ -159,47 +137,35 @@ struct Shared {
 /// and joins the worker.
 #[derive(Debug)]
 pub(crate) struct DecodeBatcher {
-    shared: Arc<Shared>,
+    metrics: Metrics,
     queue: Arc<BatchQueue<DecodeJob>>,
-    /// Steps answered `DeadlineExceeded` at dequeue, counted by the queue.
-    purged: Arc<PurgeCounts>,
     _worker: Workers<DecodeJob>,
 }
 
 impl DecodeBatcher {
     /// Spawns the batching worker. `max_batch` bounds a fused pass's
     /// total columns (at least the head step always dispatches);
-    /// `max_wait` is the linger for batchmates; `registry` and
-    /// `recorder` are the session manager's.
-    pub(crate) fn new(
-        max_batch: usize,
-        max_wait: Duration,
-        registry: MetricRegistry,
-        recorder: FlightRecorder,
-    ) -> Self {
-        let shared = Arc::new(Shared {
-            batches: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-            padded_cols: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            registry,
-            recorder,
-        });
-        let purged = Arc::<PurgeCounts>::default();
-        let queue = Arc::new(BatchQueue::new(max_batch, max_wait, Arc::clone(&purged)));
+    /// `max_wait` is the linger for batchmates; `metrics` is the
+    /// session manager's. Passes, panics and expired steps count into
+    /// its counter block.
+    pub(crate) fn new(max_batch: usize, max_wait: Duration, metrics: Metrics) -> Self {
+        let queue = Arc::new(BatchQueue::new(
+            max_batch,
+            max_wait,
+            Arc::clone(metrics.counters()),
+        ));
         let worker = {
-            let shared = Arc::clone(&shared);
+            let metrics = metrics.clone();
             Workers::spawn(
                 Arc::clone(&queue),
                 1,
                 "panacea-decode-batch",
-                move |queue| queue.run(|jobs, _| execute_batch(jobs, &shared)),
+                move |queue| queue.run(|jobs, _| execute_batch(jobs, &metrics)),
             )
         };
         DecodeBatcher {
-            shared,
+            metrics,
             queue,
-            purged,
             _worker: worker,
         }
     }
@@ -235,21 +201,10 @@ impl DecodeBatcher {
     /// itself would gain nothing from the worker, and running it here
     /// keeps concurrent wide prefills parallel.
     pub(crate) fn run_on_caller(&self, slot: &Slot, hidden: &Matrix<f32>) -> Answer {
-        match run_pass(&self.shared, &[(slot, hidden)]) {
+        match run_pass(&self.metrics, &[(slot, hidden)]) {
             Ok(mut outcomes) => Ok(outcomes.pop().expect("one step, one outcome")),
             Err(mut answers) => answers.pop().expect("one step, one answer"),
         }
-    }
-
-    /// Fills `stats`' pass counters: fused passes and the steps and
-    /// padded columns they ran, caught panics, and expired steps.
-    pub(crate) fn fill_stats(&self, stats: &mut SessionStats) {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        stats.decode_batches = load(&self.shared.batches);
-        stats.decode_batched_steps = load(&self.shared.steps);
-        stats.decode_padded_cols = load(&self.shared.padded_cols);
-        stats.worker_panics = load(&self.shared.panics);
-        stats.expired_steps = load(&self.purged.expired);
     }
 }
 
@@ -300,21 +255,6 @@ fn take_decode_batch(queue: &mut VecDeque<DecodeJob>, max_batch: usize) -> Optio
     Some(jobs)
 }
 
-/// Records one caught panic: counter, per-model dimensional error (so
-/// SLO error-rate targets see it), and a `worker_panic` event.
-fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
-    shared.panics.fetch_add(1, Ordering::Relaxed);
-    shared
-        .registry
-        .cell(model_name, "worker", at)
-        .record_error();
-    shared.recorder.record(
-        EventSeverity::Error,
-        "worker_panic",
-        format!("at={at} model={model_name}"),
-    );
-}
-
 /// The one decode pass body, run by the batching worker for a fused
 /// pass and by [`DecodeBatcher::run_on_caller`] for a budget-filling
 /// chunk: lock every participating session for the duration of the pass
@@ -340,7 +280,7 @@ fn record_panic(shared: &Shared, model_name: &str, at: &'static str) {
 /// `Internal { poisoned: true }`, which makes the session manager evict
 /// the session. A single-step pass attributes the panic directly.
 fn run_pass(
-    shared: &Shared,
+    metrics: &Metrics,
     steps: &[(&Slot, &Matrix<f32>)],
 ) -> Result<Vec<StepOutcome>, Vec<Answer>> {
     let model = &steps[0].0.model;
@@ -371,7 +311,7 @@ fn run_pass(
     let (out, wl) = match ran {
         Ok(outcome) => outcome,
         Err(_) => {
-            record_panic(shared, model.name(), "decode_fused_pass");
+            metrics.record_worker_panic(model.name(), "decode_fused_pass");
             // Roll every participant back to its pre-pass prefix: the
             // dead pass may have appended K/V to some blocks only.
             for (guard, &snap) in guards.iter_mut().zip(&snapshots) {
@@ -405,7 +345,7 @@ fn run_pass(
                             Ok((out, guard.kv.tokens(), wl))
                         }
                         Err(_) => {
-                            record_panic(shared, model.name(), "decode_solo_retry");
+                            metrics.record_worker_panic(model.name(), "decode_solo_retry");
                             guard.kv.truncate_tokens(snap);
                             Err(StepFailure::Internal {
                                 poisoned: true,
@@ -432,11 +372,12 @@ fn run_pass(
         .collect())
 }
 
-/// The batching worker's side of one fused pass: the linger, occupancy
-/// and fused-pass cells, the pass counters, the `batch_formed` event and
-/// the traced steps' spans around [`run_pass`], then one answer per
-/// caller.
-fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
+/// The batching worker's side of one fused pass: the linger cell, then —
+/// for a pass that ran — the occupancy and fused-pass cells, the pass
+/// counters, the `batch_formed` event and the traced steps' spans around
+/// [`run_pass`], then one answer per caller. A pass that panicked counts
+/// only as a panic, so every view of it agrees.
+fn execute_batch(jobs: Vec<DecodeJob>, metrics: &Metrics) {
     let cells = &jobs[0].slot.cells;
     let pass_started = Instant::now();
     for job in &jobs {
@@ -444,22 +385,23 @@ fn execute_batch(jobs: Vec<DecodeJob>, shared: &Shared) {
             .linger
             .record_latency(pass_started.duration_since(job.enqueued_at));
     }
-    cells.occupancy.latency().record(jobs.len() as u64);
     let steps: Vec<(&Slot, &Matrix<f32>)> = jobs.iter().map(|j| (&*j.slot, &j.hidden)).collect();
-    let answers: Vec<Answer> = match run_pass(shared, &steps) {
+    let answers: Vec<Answer> = match run_pass(metrics, &steps) {
         Err(answers) => answers,
         Ok(outcomes) => {
             let now = Instant::now();
+            cells.occupancy.latency().record(jobs.len() as u64);
             cells
                 .fused_pass
                 .record_latency(now.duration_since(pass_started));
             let total: usize = jobs.iter().map(|j| j.hidden.cols()).sum();
-            shared.batches.fetch_add(1, Ordering::Relaxed);
-            shared.steps.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            shared
-                .padded_cols
-                .fetch_add(pe_padded_cols(total) as u64, Ordering::Relaxed);
-            shared.recorder.record(
+            let counters = metrics.counters();
+            counters.decode_batches.add(1);
+            counters.decode_batched_steps.add(jobs.len() as u64);
+            counters
+                .decode_padded_cols
+                .add(pe_padded_cols(total) as u64);
+            metrics.recorder().record(
                 EventSeverity::Info,
                 "batch_formed",
                 format!("fused=decode sessions={} cols={total}", jobs.len()),

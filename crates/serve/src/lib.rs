@@ -33,6 +33,13 @@
 //! Shutdown is clean by construction: dropping the [`Runtime`] (or the
 //! [`SessionManager`]) stops intake, drains every accepted request, and
 //! joins all workers.
+//!
+//! Counting is per shard: a [`Runtime`] and a [`SessionManager`] built
+//! over clones of one [`Metrics`] count into one [`ShardCounters`]
+//! block — workers, both queues, the decode batcher and the session
+//! lifecycle alike — and [`RuntimeHandle::metrics`] and
+//! [`SessionManager::stats`] both return its snapshot, the
+//! [`ShardStats`] a gateway's `stats` verb reports.
 
 pub mod batch;
 pub mod decode_batch;
@@ -53,12 +60,12 @@ use panacea_core::Workload;
 use panacea_tensor::Matrix;
 
 pub use batch::BatchPolicy;
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, ShardCounters, ShardStats};
 pub use model::{LayerSpec, ModelRegistry, PrepareOptions, PreparedModel};
 pub use payload::{Payload, PayloadKind};
 pub use queue::{QueueDepth, RequestCtx};
 pub use runtime::{Pending, Runtime, RuntimeConfig, RuntimeHandle};
-pub use session::{SessionConfig, SessionManager, SessionStats};
+pub use session::{SessionConfig, SessionManager};
 
 /// A completed request: the typed result payload plus serving telemetry.
 #[derive(Debug, Clone)]

@@ -26,13 +26,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use panacea_telemetry::TraceContext;
 
+use crate::metrics::ShardCounters;
 use crate::model::PreparedModel;
 
 /// The optional attributes a request carries into the queue.
@@ -98,22 +98,13 @@ pub(crate) trait Queued: Sized {
     fn take(queue: &mut VecDeque<Self>, max_batch: usize) -> Option<Self::Batch>;
 }
 
-/// Jobs purged at dequeue instead of executed — written by the queue,
-/// read by whichever stats surface owns it.
-#[derive(Debug, Default)]
-pub(crate) struct PurgeCounts {
-    /// Jobs dropped because their caller stopped waiting.
-    pub(crate) cancelled: AtomicU64,
-    /// Jobs answered `DeadlineExceeded`.
-    pub(crate) expired: AtomicU64,
-}
-
 /// Drops every queued job whose caller abandoned it (sustained overload
 /// must not leave admitted-then-shed jobs growing the queue) and answers
 /// every job whose deadline has passed — expired work is shed *before*
-/// the GEMM. Live jobs keep their order. Counts first, answers second: a
-/// caller that observes its answer must also observe the counter.
-pub(crate) fn purge<J: Queued>(queue: &mut VecDeque<J>, now: Instant, counts: &PurgeCounts) {
+/// the GEMM. Live jobs keep their order. Counts first (into the shard's
+/// `cancelled` and `expired`), answers second: a caller that observes
+/// its answer must also observe the counter.
+pub(crate) fn purge<J: Queued>(queue: &mut VecDeque<J>, now: Instant, counts: &ShardCounters) {
     let mut cancelled = 0;
     let mut expired = Vec::new();
     let mut i = 0;
@@ -127,10 +118,8 @@ pub(crate) fn purge<J: Queued>(queue: &mut VecDeque<J>, now: Instant, counts: &P
             i += 1;
         }
     }
-    counts.cancelled.fetch_add(cancelled, Ordering::Relaxed);
-    counts
-        .expired
-        .fetch_add(expired.len() as u64, Ordering::Relaxed);
+    counts.cancelled.add(cancelled);
+    counts.expired.add(expired.len() as u64);
     for job in expired {
         job.answer_expired();
     }
@@ -170,13 +159,13 @@ pub(crate) struct BatchQueue<J> {
     work_ready: Condvar,
     max_batch: usize,
     max_wait: Duration,
-    purged: Arc<PurgeCounts>,
+    counters: Arc<ShardCounters>,
 }
 
 impl<J: Queued> BatchQueue<J> {
     /// An empty queue forming batches of up to `max_batch` columns,
-    /// lingering up to `max_wait`, counting purged jobs into `purged`.
-    pub(crate) fn new(max_batch: usize, max_wait: Duration, purged: Arc<PurgeCounts>) -> Self {
+    /// lingering up to `max_wait`, counting purged jobs into `counters`.
+    pub(crate) fn new(max_batch: usize, max_wait: Duration, counters: Arc<ShardCounters>) -> Self {
         BatchQueue {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -186,7 +175,7 @@ impl<J: Queued> BatchQueue<J> {
             work_ready: Condvar::new(),
             max_batch,
             max_wait,
-            purged,
+            counters,
         }
     }
 
@@ -242,7 +231,7 @@ impl<J: Queued> BatchQueue<J> {
     /// Blocks until a batch is ready and claims it; `None` once shutdown
     /// has begun and the queue is drained.
     fn next_batch(&self) -> Option<(J::Batch, usize, (Instant, Instant))> {
-        let sweep = |st: &mut State<J>| purge(&mut st.queue, Instant::now(), &self.purged);
+        let sweep = |st: &mut State<J>| purge(&mut st.queue, Instant::now(), &self.counters);
         let mut st = self.lock();
         loop {
             sweep(&mut st);

@@ -20,7 +20,7 @@ use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::batch::{execute, BatchPolicy, Job};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, ShardStats};
 use crate::model::{ModelRegistry, PreparedModel};
 use crate::queue::{BatchQueue, QueueDepth, RequestCtx, Workers};
 use crate::{InferenceOutput, Payload, ServeError};
@@ -77,34 +77,30 @@ pub struct Runtime {
 
 impl Runtime {
     /// Spawns the worker pool (at least one worker) over `registry`,
-    /// recording stage latencies and events into a metric registry and
-    /// flight recorder private to this runtime.
+    /// recording into a counter block, metric registry and flight
+    /// recorder private to this runtime.
     pub fn start(registry: Arc<ModelRegistry>, config: RuntimeConfig) -> Self {
-        Runtime::spawn(registry, config, Metrics::default())
+        Runtime::start_with_metrics(registry, config, Metrics::default())
     }
 
-    /// [`start`](Self::start) recording into a shared pair instead: the
-    /// workers' `(model, "batch", queue_wait|batch_form|execute|split_back)`
-    /// and `(model, "block", …)` stage latencies land in `dims`, batch
-    /// formations and worker panics in `recorder`.
-    pub fn start_with_observability(
+    /// [`start`](Self::start) recording into `metrics` instead: requests,
+    /// batches, columns, purged jobs and caught panics count into its
+    /// [`ShardCounters`](crate::ShardCounters); the workers'
+    /// `(model, "batch", queue_wait|batch_form|execute|split_back)` and
+    /// `(model, "block", …)` stage latencies land in its registry, batch
+    /// formations and worker panics in its recorder.
+    pub fn start_with_metrics(
         registry: Arc<ModelRegistry>,
         config: RuntimeConfig,
-        dims: panacea_telemetry::MetricRegistry,
-        recorder: panacea_telemetry::FlightRecorder,
+        metrics: Metrics,
     ) -> Self {
-        Runtime::spawn(registry, config, Metrics::new(dims, recorder))
-    }
-
-    fn spawn(registry: Arc<ModelRegistry>, config: RuntimeConfig, metrics: Metrics) -> Self {
         let queue = Arc::new(BatchQueue::new(
             config.policy.max_batch,
             config.policy.max_wait,
-            Arc::clone(metrics.purged()),
+            Arc::clone(metrics.counters()),
         ));
-        let metrics = Arc::new(metrics);
         let workers = {
-            let metrics = Arc::clone(&metrics);
+            let metrics = metrics.clone();
             Workers::spawn(
                 Arc::clone(&queue),
                 config.workers.max(1),
@@ -164,7 +160,7 @@ impl Deref for Runtime {
 pub struct RuntimeHandle {
     registry: Arc<ModelRegistry>,
     queue: Arc<BatchQueue<Job>>,
-    metrics: Arc<Metrics>,
+    metrics: Metrics,
 }
 
 impl RuntimeHandle {
@@ -242,9 +238,11 @@ impl RuntimeHandle {
             .wait()
     }
 
-    /// Current aggregate metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+    /// The counter block this runtime records into, with its own queue
+    /// depth — the whole shard's when a session manager counts into the
+    /// same block.
+    pub fn metrics(&self) -> ShardStats {
+        self.metrics.counters().snapshot(self.queue_depth())
     }
 
     /// Snapshot of the queued and in-flight work — what a shard router
@@ -344,44 +342,10 @@ impl Pending {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LayerSpec, PrepareOptions};
-    use panacea_tensor::dist::DistributionKind;
+    use crate::testutil::{codes as codes_for, registry as registry_with};
     use panacea_tensor::Matrix;
     use std::thread;
     use std::time::Duration;
-
-    fn registry_with(names: &[&str], seed: u64) -> Arc<ModelRegistry> {
-        let mut rng = panacea_tensor::seeded_rng(seed);
-        let registry = Arc::new(ModelRegistry::new());
-        for name in names {
-            let w = DistributionKind::Gaussian {
-                mean: 0.0,
-                std: 0.05,
-            }
-            .sample_matrix(8, 16, &mut rng);
-            let calib = DistributionKind::Gaussian {
-                mean: 0.2,
-                std: 0.5,
-            }
-            .sample_matrix(16, 16, &mut rng);
-            registry.insert(
-                PreparedModel::prepare(
-                    *name,
-                    &[LayerSpec::unbiased(w)],
-                    &calib,
-                    PrepareOptions::default(),
-                )
-                .expect("prepare"),
-            );
-        }
-        registry
-    }
-
-    fn codes_for(model: &PreparedModel, cols: usize, salt: usize) -> Matrix<i32> {
-        Matrix::from_fn(model.in_features(), cols, |r, c| {
-            ((r * 31 + c * 7 + salt * 13) % 200) as i32
-        })
-    }
 
     #[test]
     fn single_request_round_trips() {

@@ -57,12 +57,13 @@ use std::time::{Duration, Instant};
 use panacea_block::KvCache;
 use panacea_core::Workload;
 use panacea_faultline::Fault;
-use panacea_telemetry::{DimCell, EventSeverity, FlightRecorder, MetricRegistry};
+use panacea_telemetry::{DimCell, EventSeverity, MetricRegistry};
 use panacea_tensor::Matrix;
 
 use crate::decode_batch::{DecodeBatcher, StepFailure};
+use crate::metrics::{Metrics, ShardStats};
 use crate::model::PreparedModel;
-use crate::queue::RequestCtx;
+use crate::queue::{QueueDepth, RequestCtx};
 use crate::ServeError;
 
 /// Lifecycle, footprint, and continuous-batching knobs for a
@@ -94,63 +95,6 @@ impl Default for SessionConfig {
             max_kv_bytes: 64 << 20,
             max_decode_batch: 32,
             decode_max_wait: Duration::ZERO,
-        }
-    }
-}
-
-/// Point-in-time session counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Sessions currently resident.
-    pub open_sessions: usize,
-    /// KV bytes currently resident across all sessions.
-    pub kv_bytes: usize,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions closed by their caller.
-    pub closed: u64,
-    /// Sessions evicted by the idle timeout.
-    pub evicted_idle: u64,
-    /// Sessions evicted to make room under the byte budget.
-    pub evicted_budget: u64,
-    /// Decode steps executed.
-    pub steps: u64,
-    /// Tokens decoded across all steps.
-    pub tokens: u64,
-    /// Fused decode passes executed by the continuous batcher.
-    /// Caller-thread passes are not among them.
-    pub decode_batches: u64,
-    /// Decode steps those fused passes executed. Caller-thread steps and
-    /// solo retries are not among them.
-    pub decode_batched_steps: u64,
-    /// Columns the paper's PE array would pad the fused passes with.
-    pub decode_padded_cols: u64,
-    /// Panics caught (and isolated) in decode passes — fused or on the
-    /// caller's thread — and solo retries. Each one answered its caller
-    /// instead of killing a thread.
-    pub worker_panics: u64,
-    /// Sessions evicted because a panic died inside their own step —
-    /// the KV state was rolled back but the session is not trusted.
-    pub evicted_poisoned: u64,
-    /// Decode steps answered `DeadlineExceeded` at dequeue instead of
-    /// executed.
-    pub expired_steps: u64,
-    /// Steps refused with [`ServeError::KvBudgetExceeded`] — the shed a
-    /// gateway reports as its `kv_budget` reason.
-    pub kv_budget_exceeded: u64,
-}
-
-impl SessionStats {
-    /// Average steps per fused decode pass —
-    /// `decode_batched_steps / decode_batches`, the occupancy figure that
-    /// shows continuous batching working (`> 1` means concurrent
-    /// sessions actually shared GEMM passes). Zero when no fused pass
-    /// has run.
-    pub fn decode_batch_occupancy(&self) -> f64 {
-        if self.decode_batches == 0 {
-            0.0
-        } else {
-            self.decode_batched_steps as f64 / self.decode_batches as f64
         }
     }
 }
@@ -209,105 +153,70 @@ pub(crate) struct Slot {
     pub(crate) model: Arc<PreparedModel>,
     pub(crate) cells: DecodeCells,
     bytes_per_token: usize,
-    /// Bytes this slot currently contributes to the manager's
-    /// `total_bytes` — resident KV plus any reservation for a step in
-    /// flight. Mutated and read only under the manager's inner lock
-    /// (hence `Relaxed`); it exists so removal (close/eviction) can
-    /// settle a slot's accounting exactly once without touching the
-    /// per-session lock, whatever a concurrent step is doing.
+    /// Bytes this slot currently contributes to the shard's `kv_bytes`
+    /// gauge — resident KV plus any reservation for a step in flight.
+    /// Mutated and read only under the manager's inner lock (hence
+    /// `Relaxed`); it exists so removal (close/eviction) can settle a
+    /// slot's accounting exactly once without touching the per-session
+    /// lock, whatever a concurrent step is doing.
     accounted: AtomicUsize,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    opened: u64,
-    closed: u64,
-    evicted_idle: u64,
-    evicted_budget: u64,
-    evicted_poisoned: u64,
-    steps: u64,
-    tokens: u64,
-    kv_budget_exceeded: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
     sessions: HashMap<u64, Arc<Slot>>,
-    /// Sum of resident KV bytes, including reservations for in-flight
-    /// steps.
-    total_bytes: usize,
     /// When the next amortized idle scan is due — steps and opens before
     /// this instant skip the O(sessions) scan entirely.
     next_idle_sweep: Instant,
-    counters: Counters,
-}
-
-impl Inner {
-    /// Removes a session and settles its whole accounting — resident
-    /// bytes plus any in-flight step's reservation — exactly once; that
-    /// step sees the removal and leaves the settlement alone.
-    fn remove(&mut self, session: u64) -> Option<Arc<Slot>> {
-        let slot = self.sessions.remove(&session)?;
-        self.total_bytes = self
-            .total_bytes
-            .saturating_sub(slot.accounted.load(Ordering::Relaxed));
-        Some(slot)
-    }
 }
 
 /// Owner of decode-session state and lifecycle. See the module docs.
 #[derive(Debug)]
 pub struct SessionManager {
     config: SessionConfig,
+    /// The session map. The counter block's `open_sessions` and
+    /// `kv_bytes` gauges are written only under this lock.
     inner: Mutex<Inner>,
     /// Continuous-batching executor for decode steps, and the one pass
     /// body budget-filling chunks run on their caller's thread.
     batcher: DecodeBatcher,
-    /// Where every session's [`DecodeCells`] live.
-    registry: MetricRegistry,
-    /// Session opens, closes, and evictions land in this event ring.
-    recorder: FlightRecorder,
+    /// The counter block, the registry every session's [`DecodeCells`]
+    /// live in, and the ring session opens, closes and evictions land
+    /// in.
+    metrics: Metrics,
 }
 
 impl SessionManager {
-    /// An empty manager enforcing `config`, recording stage latencies
-    /// and events into a metric registry and flight recorder private to
-    /// this manager.
+    /// An empty manager enforcing `config`, recording into a counter
+    /// block, metric registry and flight recorder private to this
+    /// manager.
     pub fn new(config: SessionConfig) -> Self {
-        SessionManager::with_observability(
-            config,
-            MetricRegistry::default(),
-            FlightRecorder::default(),
-        )
+        SessionManager::with_metrics(config, Metrics::default())
     }
 
-    /// [`new`](Self::new) recording into a shared pair instead: per-model
+    /// [`new`](Self::new) recording into `metrics` instead: steps,
+    /// passes, panics, expired steps, poisoned evictions and KV-budget
+    /// refusals count into its [`ShardCounters`](crate::ShardCounters),
+    /// whose `open_sessions` and `kv_bytes` gauges this manager owns (so
+    /// a block serves at most one manager); per-model
     /// `(model, "decode", step|linger|fused_pass|occupancy)` and
-    /// `(model, "block", …)` stage samples land in `registry`; session
-    /// lifecycle (open/close/evict) and fused-pass formations in
-    /// `recorder`.
-    pub fn with_observability(
-        config: SessionConfig,
-        registry: MetricRegistry,
-        recorder: FlightRecorder,
-    ) -> Self {
+    /// `(model, "block", …)` stage samples land in its registry; session
+    /// lifecycle (open/close/evict) and fused-pass formations in its
+    /// recorder.
+    pub fn with_metrics(config: SessionConfig, metrics: Metrics) -> Self {
         let batcher = DecodeBatcher::new(
             config.max_decode_batch,
             config.decode_max_wait,
-            registry.clone(),
-            recorder.clone(),
+            metrics.clone(),
         );
         SessionManager {
             config,
             inner: Mutex::new(Inner {
                 sessions: HashMap::new(),
-                total_bytes: 0,
                 next_idle_sweep: Instant::now() + idle_sweep_period(config.idle_timeout),
-                counters: Counters::default(),
             }),
             batcher,
-            registry,
-            recorder,
+            metrics,
         }
     }
 
@@ -334,7 +243,7 @@ impl SessionManager {
                 kv,
                 last_used: Instant::now(),
             }),
-            cells: DecodeCells::resolve(&self.registry, &model),
+            cells: DecodeCells::resolve(self.metrics.registry(), &model),
             model,
             bytes_per_token,
             accounted: AtomicUsize::new(0),
@@ -344,9 +253,12 @@ impl SessionManager {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             self.maybe_evict_idle_locked(&mut inner, Instant::now());
             inner.sessions.insert(id, slot);
-            inner.counters.opened += 1;
+            self.metrics
+                .counters()
+                .open_sessions
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.recorder.record(
+        self.metrics.recorder().record(
             EventSeverity::Info,
             "session_open",
             format!("session={id} model={model_name}"),
@@ -424,6 +336,7 @@ impl SessionManager {
                 return Err(ServeError::Internal { at: "session_step" });
             }
         }
+        let counters = self.metrics.counters();
         let (slot, growth) = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             self.maybe_evict_idle_locked(&mut inner, now);
@@ -438,19 +351,19 @@ impl SessionManager {
             // A step this session could never fit even alone must not
             // evict anyone else on its doomed way to the error.
             if session_bytes + growth > self.config.max_kv_bytes {
-                inner.counters.kv_budget_exceeded += 1;
+                counters.kv_budget_exceeded.add(1);
                 return Err(ServeError::KvBudgetExceeded {
                     needed: session_bytes + growth,
                     budget: self.config.max_kv_bytes,
                 });
             }
-            if inner.total_bytes + growth > self.config.max_kv_bytes {
+            if self.kv_bytes() + growth > self.config.max_kv_bytes {
                 self.evict_for_budget_locked(&mut inner, session, growth);
             }
-            if inner.total_bytes + growth > self.config.max_kv_bytes {
-                inner.counters.kv_budget_exceeded += 1;
+            if self.kv_bytes() + growth > self.config.max_kv_bytes {
+                counters.kv_budget_exceeded.add(1);
                 return Err(ServeError::KvBudgetExceeded {
-                    needed: inner.total_bytes + growth,
+                    needed: self.kv_bytes() + growth,
                     budget: self.config.max_kv_bytes,
                 });
             }
@@ -459,7 +372,7 @@ impl SessionManager {
             // `accounted` carries the reservation, so a removal racing
             // this step settles it exactly once.
             slot.accounted.fetch_add(growth, Ordering::Relaxed);
-            inner.total_bytes += growth;
+            counters.kv_bytes.fetch_add(growth, Ordering::Relaxed);
             (slot, growth)
         };
 
@@ -471,7 +384,6 @@ impl SessionManager {
             .validate_decode(hidden)
             .and_then(|()| self.run(session, &slot, hidden, ctx));
 
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match &result {
             // On success the reservation simply *becomes* the resident
             // bytes — nothing to adjust. If the session was removed
@@ -479,16 +391,17 @@ impl SessionManager {
             // the slot's whole `accounted` (reservation included), and
             // the orphaned cache frees when the last Arc goes.
             Ok((_, _, _)) => {
-                inner.counters.steps += 1;
-                inner.counters.tokens += hidden.cols() as u64;
+                counters.decode_steps.add(1);
+                counters.decode_tokens.add(hidden.cols() as u64);
                 slot.cells.step.record_latency(now.elapsed());
             }
             // A failed step grew nothing: release the reservation —
             // unless a concurrent removal already settled it.
             Err(_) => {
+                let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
                 if inner.sessions.contains_key(&session) {
                     slot.accounted.fetch_sub(growth, Ordering::Relaxed);
-                    inner.total_bytes = inner.total_bytes.saturating_sub(growth);
+                    counters.kv_bytes.fetch_sub(growth, Ordering::Relaxed);
                 }
             }
         }
@@ -505,11 +418,8 @@ impl SessionManager {
     pub fn close(&self, session: u64) -> Result<usize, ServeError> {
         let slot = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let slot = inner
-                .remove(session)
-                .ok_or(ServeError::UnknownSession { session })?;
-            inner.counters.closed += 1;
-            slot
+            self.remove_locked(&mut inner, session)
+                .ok_or(ServeError::UnknownSession { session })?
         };
         // Wait for an in-flight step *outside* the manager lock, so one
         // slow step being closed never stalls the whole shard.
@@ -519,7 +429,7 @@ impl SessionManager {
             .unwrap_or_else(PoisonError::into_inner)
             .kv
             .tokens();
-        self.recorder.record(
+        self.metrics.recorder().record(
             EventSeverity::Info,
             "session_close",
             format!("session={session} tokens={tokens}"),
@@ -568,17 +478,30 @@ impl SessionManager {
     fn evict_poisoned(&self, session: u64, at: &'static str) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if self.evict_locked(&mut inner, session, &format!("poisoned at={at}")) {
-            inner.counters.evicted_poisoned += 1;
+            self.metrics.counters().evicted_poisoned.add(1);
         }
     }
 
-    /// Removes `session` (see [`Inner::remove`]) and records a
-    /// `session_evict` event with `reason`; returns whether it was
-    /// resident.
+    /// Removes a session and settles its whole accounting — resident
+    /// bytes plus any in-flight step's reservation — exactly once; that
+    /// step sees the removal and leaves the settlement alone.
+    fn remove_locked(&self, inner: &mut Inner, session: u64) -> Option<Arc<Slot>> {
+        let slot = inner.sessions.remove(&session)?;
+        let counters = self.metrics.counters();
+        counters.open_sessions.fetch_sub(1, Ordering::Relaxed);
+        counters
+            .kv_bytes
+            .fetch_sub(slot.accounted.load(Ordering::Relaxed), Ordering::Relaxed);
+        Some(slot)
+    }
+
+    /// Removes `session` (see [`remove_locked`](Self::remove_locked))
+    /// and records a `session_evict` event with `reason`; returns
+    /// whether it was resident.
     fn evict_locked(&self, inner: &mut Inner, session: u64, reason: &str) -> bool {
-        let evicted = inner.remove(session).is_some();
+        let evicted = self.remove_locked(inner, session).is_some();
         if evicted {
-            self.recorder.record(
+            self.metrics.recorder().record(
                 EventSeverity::Warn,
                 "session_evict",
                 format!("session={session} reason={reason}"),
@@ -595,24 +518,17 @@ impl SessionManager {
         self.evict_idle_locked(&mut inner, Instant::now())
     }
 
-    /// Current counters and resident footprint.
-    pub fn stats(&self) -> SessionStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut stats = SessionStats {
-            open_sessions: inner.sessions.len(),
-            kv_bytes: inner.total_bytes,
-            opened: inner.counters.opened,
-            closed: inner.counters.closed,
-            evicted_idle: inner.counters.evicted_idle,
-            evicted_budget: inner.counters.evicted_budget,
-            steps: inner.counters.steps,
-            tokens: inner.counters.tokens,
-            evicted_poisoned: inner.counters.evicted_poisoned,
-            kv_budget_exceeded: inner.counters.kv_budget_exceeded,
-            ..SessionStats::default()
-        };
-        self.batcher.fill_stats(&mut stats);
-        stats
+    /// The counter block this manager records into, resident footprint
+    /// included — the whole shard's when a runtime counts into the same
+    /// block, less that runtime's queue depth.
+    pub fn stats(&self) -> ShardStats {
+        self.metrics.counters().snapshot(QueueDepth::default())
+    }
+
+    /// Resident KV bytes, reservations included. Read under the map
+    /// lock, which every write holds.
+    fn kv_bytes(&self) -> usize {
+        self.metrics.counters().kv_bytes.load(Ordering::Relaxed)
     }
 
     /// The amortized idle scan: a no-op until the sweep deadline, so
@@ -650,7 +566,6 @@ impl SessionManager {
         for &id in &victims {
             self.evict_locked(inner, id, "idle");
         }
-        inner.counters.evicted_idle += victims.len() as u64;
         victims.len()
     }
 
@@ -674,11 +589,10 @@ impl SessionManager {
         }
         candidates.sort_by_key(|&(_, used)| used);
         for (id, _) in candidates {
-            if inner.total_bytes + growth <= self.config.max_kv_bytes {
+            if self.kv_bytes() + growth <= self.config.max_kv_bytes {
                 break;
             }
             self.evict_locked(inner, id, "budget");
-            inner.counters.evicted_budget += 1;
         }
     }
 }
@@ -701,6 +615,17 @@ mod tests {
         (SessionManager::new(config), Arc::new(model))
     }
 
+    /// `session_evict` events recorded with `reason`.
+    fn evictions(mgr: &SessionManager, reason: &str) -> usize {
+        let tag = format!("reason={reason}");
+        mgr.metrics
+            .recorder()
+            .recent(256)
+            .iter()
+            .filter(|e| e.kind == "session_evict" && e.detail.ends_with(&tag))
+            .count()
+    }
+
     #[test]
     fn open_step_close_round_trip() {
         let (mgr, model) = manager(SessionConfig::default());
@@ -714,8 +639,8 @@ mod tests {
         assert_eq!(tokens, 4);
         let s = mgr.stats();
         assert_eq!(s.open_sessions, 1);
-        assert_eq!(s.steps, 2);
-        assert_eq!(s.tokens, 4);
+        assert_eq!(s.decode_steps, 2);
+        assert_eq!(s.decode_tokens, 4);
         assert_eq!(s.kv_bytes, 2 * 2 * 16 * 4 * 4);
         assert_eq!(mgr.close(id).expect("closed"), 4);
         assert!(mgr.model(id).is_none());
@@ -775,7 +700,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(mgr.sweep(), 1);
         let s = mgr.stats();
-        assert_eq!(s.evicted_idle, 1);
+        assert_eq!(evictions(&mgr, "idle"), 1);
         assert_eq!(s.open_sessions, 0);
         assert_eq!(s.kv_bytes, 0, "evicted KV bytes must be released");
         assert!(matches!(
@@ -803,7 +728,7 @@ mod tests {
             .expect("b grows after a dies");
         assert!(mgr.model(a).is_none(), "LRU session survived the budget");
         assert!(mgr.model(b).is_some());
-        assert_eq!(mgr.stats().evicted_budget, 1);
+        assert_eq!(evictions(&mgr, "budget"), 1);
         assert!(matches!(
             mgr.step(a, &hidden(16, 1, 3)),
             Err(ServeError::UnknownSession { .. })
@@ -917,12 +842,12 @@ mod tests {
             }
         }
         let s = mgr.stats();
-        assert_eq!(s.steps, (SESSIONS * STEPS) as u64);
+        assert_eq!(s.decode_steps, (SESSIONS * STEPS) as u64);
         assert!(s.decode_batches > 0, "no fused pass ran");
         assert!(
-            s.decode_batch_occupancy() > 1.0,
+            s.decode_batch_occupancy > 1.0,
             "concurrent sessions never shared a fused pass (occupancy {}, {} batches)",
-            s.decode_batch_occupancy(),
+            s.decode_batch_occupancy,
             s.decode_batches
         );
     }
@@ -956,7 +881,7 @@ mod tests {
             }
         }
         let s = mgr.stats();
-        assert_eq!(s.steps, 4);
+        assert_eq!(s.decode_steps, 4);
         assert_eq!(s.decode_batches, 2, "each round fills one fused pass");
     }
 
@@ -972,12 +897,12 @@ mod tests {
         assert_eq!(tokens, 2);
         assert!(wl.mul > 0);
         let s = mgr.stats();
-        assert_eq!(s.steps, 1);
+        assert_eq!(s.decode_steps, 1);
         assert_eq!(
             s.decode_batches, 0,
             "caller-thread steps must not count as fused passes"
         );
-        assert_eq!(s.decode_batch_occupancy(), 0.0);
+        assert_eq!(s.decode_batch_occupancy, 0.0);
     }
 
     #[test]
@@ -1006,7 +931,7 @@ mod tests {
         assert_eq!(tokens, 5);
         assert_eq!(mgr.stats().decode_batches, 1, "narrow step did not batch");
         assert_eq!(
-            mgr.stats().decode_batch_occupancy(),
+            mgr.stats().decode_batch_occupancy,
             1.0,
             "the caller-thread chunk counted as a step of the one fused pass"
         );
@@ -1059,7 +984,7 @@ mod tests {
             mgr.step(a, &hidden(16, 1, i)).expect("stepped");
         }
         assert_eq!(
-            mgr.stats().evicted_idle,
+            evictions(&mgr, "idle"),
             0,
             "steady-state stepping paid idle scans"
         );

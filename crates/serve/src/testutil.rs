@@ -1,5 +1,6 @@
-//! Shared fixtures for transformer-block tests across the workspace:
-//! small prepared block stacks and deterministic hidden states.
+//! Shared fixtures for serving tests across the workspace: small
+//! prepared chain models and block stacks, deterministic request codes
+//! and hidden states.
 //! `#[doc(hidden)]` public so the serve integration tests and the
 //! gateway suites reuse one fixture instead of re-implementing it per
 //! crate; not part of the supported API. This crate is the
@@ -7,12 +8,48 @@
 //! and `panacea-models` — downstream crates (e.g. the gateway) reuse it
 //! without growing their own production dependency graphs.
 
+use std::sync::Arc;
+
 use panacea_block::{zoo_hidden_states, zoo_transformer, BlockBuilder, QuantizedBlock};
 use panacea_models::engine::TransformerConfig;
 use panacea_models::zoo::Benchmark;
+use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
 
-use crate::PreparedModel;
+use crate::{LayerSpec, ModelRegistry, PrepareOptions, PreparedModel};
+
+/// Prepares one 8×16 single-layer chain model per name, each calibrated
+/// on its own Gaussian sample drawn from one seeded RNG.
+pub fn models(names: &[&str], seed: u64) -> Vec<PreparedModel> {
+    let mut rng = panacea_tensor::seeded_rng(seed);
+    let gaussian = |mean, std| DistributionKind::Gaussian { mean, std };
+    names
+        .iter()
+        .map(|name| {
+            let w = gaussian(0.0, 0.05).sample_matrix(8, 16, &mut rng);
+            let calib = gaussian(0.2, 0.5).sample_matrix(16, 16, &mut rng);
+            let layers = [LayerSpec::unbiased(w)];
+            PreparedModel::prepare(*name, &layers, &calib, PrepareOptions::default())
+                .expect("prepare")
+        })
+        .collect()
+}
+
+/// A registry holding [`models`]`(names, seed)`.
+pub fn registry(names: &[&str], seed: u64) -> Arc<ModelRegistry> {
+    let registry = Arc::new(ModelRegistry::new());
+    for model in models(names, seed) {
+        registry.insert(model);
+    }
+    registry
+}
+
+/// Deterministic in-range request codes for a chain model.
+pub fn codes(model: &PreparedModel, cols: usize, salt: usize) -> Matrix<i32> {
+    Matrix::from_fn(model.in_features(), cols, |r, c| {
+        ((r * 31 + c * 7 + salt * 13) % 200) as i32
+    })
+}
 
 /// Prepares a quantized block stack with zoo-distribution weights at an
 /// explicit geometry — the parameterized core the other fixtures wrap.

@@ -13,46 +13,10 @@ use std::time::{Duration, Instant};
 
 use panacea_block::KvCache;
 use panacea_faultline::{Fault, FaultPlan, Scenario};
-use panacea_serve::testutil::{block_model, hidden};
+use panacea_serve::testutil::{block_model, codes as codes_for, hidden, registry as registry_with};
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, RequestCtx, Runtime,
-    RuntimeConfig, ServeError, SessionConfig, SessionManager,
+    BatchPolicy, RequestCtx, Runtime, RuntimeConfig, ServeError, SessionConfig, SessionManager,
 };
-use panacea_tensor::dist::DistributionKind;
-use panacea_tensor::Matrix;
-
-fn registry_with(names: &[&str], seed: u64) -> Arc<ModelRegistry> {
-    let mut rng = panacea_tensor::seeded_rng(seed);
-    let registry = Arc::new(ModelRegistry::new());
-    for name in names {
-        let w = DistributionKind::Gaussian {
-            mean: 0.0,
-            std: 0.05,
-        }
-        .sample_matrix(8, 16, &mut rng);
-        let calib = DistributionKind::Gaussian {
-            mean: 0.2,
-            std: 0.5,
-        }
-        .sample_matrix(16, 16, &mut rng);
-        registry.insert(
-            PreparedModel::prepare(
-                *name,
-                &[LayerSpec::unbiased(w)],
-                &calib,
-                PrepareOptions::default(),
-            )
-            .expect("prepare"),
-        );
-    }
-    registry
-}
-
-fn codes_for(model: &PreparedModel, cols: usize, salt: usize) -> Matrix<i32> {
-    Matrix::from_fn(model.in_features(), cols, |r, c| {
-        ((r * 31 + c * 7 + salt * 13) % 200) as i32
-    })
-}
 
 #[test]
 fn injected_panic_answers_internal_and_worker_survives() {
@@ -374,8 +338,11 @@ fn queued_decode_step_expires_behind_a_stalled_pass() {
         "stalled step still completes"
     );
     let stats = mgr.stats();
-    assert_eq!(stats.expired_steps, 1);
-    assert_eq!(stats.steps, 1, "the expired step never reached the GEMM");
+    assert_eq!(stats.expired, 1);
+    assert_eq!(
+        stats.decode_steps, 1,
+        "the expired step never reached the GEMM"
+    );
     // B itself is healthy — only that one step expired.
     assert!(mgr.step(b, &hidden(16, 1, 2)).is_ok());
     drop(guard);

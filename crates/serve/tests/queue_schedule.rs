@@ -18,12 +18,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use panacea_faultline::{Fault, FaultPlan, Scenario};
-use panacea_serve::testutil::{block_model, hidden};
+use panacea_serve::testutil::{block_model, hidden, registry};
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, QueueDepth, RequestCtx,
-    Runtime, RuntimeConfig, ServeError, SessionConfig, SessionManager,
+    BatchPolicy, ModelRegistry, PreparedModel, QueueDepth, RequestCtx, Runtime, RuntimeConfig,
+    ServeError, SessionConfig, SessionManager,
 };
-use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
 
 const SEEDS: Range<u64> = 0..200;
@@ -74,31 +73,6 @@ fn mixed_ctx(rng: &mut Rng) -> RequestCtx {
         deadline,
         ..RequestCtx::default()
     }
-}
-
-fn chain_registry() -> Arc<ModelRegistry> {
-    let mut rng = panacea_tensor::seeded_rng(31);
-    let w = DistributionKind::Gaussian {
-        mean: 0.0,
-        std: 0.05,
-    }
-    .sample_matrix(8, 16, &mut rng);
-    let calib = DistributionKind::Gaussian {
-        mean: 0.2,
-        std: 0.5,
-    }
-    .sample_matrix(16, 16, &mut rng);
-    let registry = Arc::new(ModelRegistry::new());
-    registry.insert(
-        PreparedModel::prepare(
-            "m",
-            &[LayerSpec::unbiased(w)],
-            &calib,
-            PrepareOptions::default(),
-        )
-        .expect("prepare"),
-    );
-    registry
 }
 
 /// What one seed's run purged, so the suite can tell it was not vacuous.
@@ -213,7 +187,7 @@ fn runtime_schedule(seed: u64, workers: usize, registry: &Arc<ModelRegistry>) ->
 
 #[test]
 fn runtime_queue_holds_its_invariants_under_perturbed_schedules() {
-    let registry = chain_registry();
+    let registry = registry(&["m"], 31);
     for workers in [1, 3] {
         let mut total = Purged::default();
         for seed in SEEDS {
@@ -276,14 +250,14 @@ fn decode_schedule(seed: u64, model: &Arc<PreparedModel>) -> Purged {
     }
     let stats = mgr.stats();
     assert_eq!(stepped + expired, PRODUCERS * JOBS_PER_PRODUCER, "{tag}");
-    assert_eq!(stats.steps, stepped, "{tag}");
+    assert_eq!(stats.decode_steps, stepped, "{tag}");
     // Steps already late at entry are rejected before the queue.
-    assert!(stats.expired_steps <= expired, "{tag}");
+    assert!(stats.expired <= expired, "{tag}");
     assert_eq!(stats.kv_bytes, 0, "{tag}: KV bytes leaked");
     assert_eq!(stats.open_sessions, 0, "{tag}");
     let purged = Purged {
         cancelled: 0,
-        expired: stats.expired_steps,
+        expired: stats.expired,
         delays_fired: guard.firings().len(),
     };
     // Dropping the last handle drains the queue and joins the worker; a

@@ -9,35 +9,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use panacea_serve::{
-    BatchPolicy, LayerSpec, ModelRegistry, PrepareOptions, PreparedModel, RequestCtx, Runtime,
-    RuntimeConfig, ServeError,
+    testutil, BatchPolicy, ModelRegistry, RequestCtx, Runtime, RuntimeConfig, ServeError,
 };
-use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::Matrix;
 
 fn registry() -> Arc<ModelRegistry> {
-    let mut rng = panacea_tensor::seeded_rng(21);
-    let w = DistributionKind::Gaussian {
-        mean: 0.0,
-        std: 0.05,
-    }
-    .sample_matrix(8, 16, &mut rng);
-    let calib = DistributionKind::Gaussian {
-        mean: 0.2,
-        std: 0.5,
-    }
-    .sample_matrix(16, 16, &mut rng);
-    let registry = Arc::new(ModelRegistry::new());
-    registry.insert(
-        PreparedModel::prepare(
-            "m",
-            &[LayerSpec::unbiased(w)],
-            &calib,
-            PrepareOptions::default(),
-        )
-        .expect("prepare"),
-    );
-    registry
+    testutil::registry(&["m"], 21)
 }
 
 fn codes(salt: usize) -> Matrix<i32> {

@@ -86,11 +86,12 @@ fn main() {
                 .collect()
         });
         let secs = started.elapsed().as_secs_f64();
+        // The shard's counter block, as the gateway's `stats` reports it.
         let m = runtime.metrics();
         println!(
             "{max_batch:>9}  {workers:>7}  {:>6.0}  {:>10.1}  {:>7}  {}",
             (REQUESTS * COLS_PER_REQUEST) as f64 / secs,
-            m.mean_batch_cols(),
+            m.columns as f64 / m.batches.max(1) as f64,
             m.batches,
             if served == alone { "yes" } else { "NO" }
         );
