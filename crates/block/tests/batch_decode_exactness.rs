@@ -50,13 +50,14 @@ fn tokens_of(d_model: usize, total: usize, salt: usize) -> Matrix<f32> {
     })
 }
 
-/// The kernel picks its lane orientation from the width of each n-tile,
-/// so the number of fused sessions decides which inner loop a session's
-/// column runs through: 1–3 sessions fill part of one n-group, 5 part of
-/// two, 9 part of three (all lanes along M, the last n-group partial),
-/// and 17 put the first sixteen in a
-/// lanes-along-N tile and the last in a lanes-along-M one — while every
-/// solo step is one n-group. `d_model` 24 / `d_ff` 40 make every
+/// The kernel splits a full 16-column tile between its lane
+/// orientations — the HO weight plane lanes along N, the LO ones lanes
+/// along M — and runs a narrower tile lanes along M only, so the number
+/// of fused sessions decides which inner loops a session's column runs
+/// through: 1–3 sessions fill part of one n-group, 5 part of two, 9 part
+/// of three (all lanes along M, the last n-group partial), and 17 put
+/// the first sixteen in a full tile and the last in a narrow one —
+/// while every solo step is one n-group. `d_model` 24 / `d_ff` 40 make every
 /// layer's `M` end inside a 16-row weight panel. Fused ≡ solo ≡ causal
 /// recompute, outputs and caches, bit for bit.
 #[test]

@@ -26,58 +26,53 @@
 //!    and the row sums `ΣW`. The public [`aqs_gemm`] /
 //!    [`sibia_gemm`](crate::sibia::sibia_gemm) take a [`SlicedWeight`]
 //!    and pack it on every call.
-//! 2. **Streams** (per call, per 16-column n-tile, or per n-group of a
-//!    narrower one): the activation planes (`u8`, or `i8` for Sibia's
-//!    SBR activations) widened to `i16` rows, and the bitset of `k` where
-//!    they have any uncompressed HO vector. The HO plane is stored
-//!    re-centred, `x_HO − r`, which is what makes an all-`r` vector a
-//!    zero one, skipped alike: Eq. 5's
-//!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
-//!    `b' = r·c_HO·ΣW` to repay — Eq. 6's `b'`, with its `Jᵁ` correction
-//!    already folded into the re-centring — and that constant is added
-//!    in the single write of each output.
-//! 3. **Tile**, in one of **two lane orientations** chosen from the
-//!    n-tile's width alone. Per `k` block and plane pair the inner kernel
-//!    accumulates *raw slice products* into a 4 × 16 `i16` register tile
-//!    over exactly the `k` that pair executes, then flushes it, scaled by
-//!    `8^i·c_j`, into an `i32` tile; each output element is written once.
-//!    * A full 16-column tile runs **lanes along N**
-//!      (`products_lanes_n`): four weight rows of one m-group
-//!      (`w[k][4g..4g + 4]` of its panel) × 16 activation columns. The
-//!      `k` are all for LO×LO, the m-group's bitset for HO_w×LO_x, the
-//!      tile's activation bitset for LO_w×HO_x, their intersection for
-//!      HO×HO.
-//!    * A narrower tile — one to fifteen columns: every decode step, and
-//!      the right edge of a wide batch — runs **lanes along M**
-//!      (`products_lanes_m`): the 16 weight rows of a panel × the columns
-//!      of one n-group, with the n-group's own activation bitset and the
-//!      panel's *union* bitset on the weight side. A compressed vector
-//!      inside a live union is stored as zeros, so the result is exact;
-//!      what the union gives up in skipping is repaid by full lanes up to
-//!      three n-groups and no longer at four, which is where the rule
-//!      sits. The kernel alone at 768 × 768, w7 × a8, in ms at ρ = 0 / 0.5
-//!      / 0.95 / BERT-like (ρ_w 0.88, ρ_x 0.85), min over two runs of 5
-//!      alternated rounds × 15 calls, built for an AVX-512 host
-//!      (`target-cpu=native`); lanes along N below 16 columns multiply
-//!      zero lanes:
+//! 2. **Streams** (per call and 16-column n-tile, in buffers each thread
+//!    reuses): the activation planes (`u8`, or `i8` for Sibia's SBR
+//!    activations) widened to `i16` — per n-group as `[i16; 2]` pairs
+//!    (each slice twice), on a full tile also as 16-column rows, widened
+//!    once and cut into the pairs — with the bitset of `k` where the HO
+//!    vectors are not all compressed. The HO plane is stored re-centred,
+//!    `x_HO − r`, making an all-`r` vector a zero one, skipped alike:
+//!    Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row
+//!    constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction
+//!    folded into the re-centring — and the output starts at it.
+//! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
+//!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
+//!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
+//!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
+//!    by `8^i·c_j`, into the output. A pair's lanes run along the side it
+//!    does not skip, so each side skips at the paper's granularity: on a
+//!    full tile the HO weight plane's pairs run **lanes along N**
+//!    (`products_lanes_n`: the 4 rows of an m-group × 16 columns, under
+//!    the m-group's 4×1 bitset), every other pair **lanes along M**
+//!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
+//!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
+//!    every pair lanes along M, the HO weight plane under the panel's
+//!    union bitset (a compressed vector in a live union is stored as
+//!    zeros). Lanes along M broadcast a column's pair with one load
+//!    (`vpbroadcastd ymm, m32`); lanes along N broadcast a weight slice
+//!    from a register (`movsbl` + `vpbroadcastw ymm, r32`, shuffle-port
+//!    uops, four per `k`). Every pair lanes along M would spare those but
+//!    skip weights only per 16-row union, where ρ = 0.5 costs nearly what
+//!    ρ = 0 does. A set holding every `k` of a block (LO×LO's; any on a
+//!    side the plan does not skip) is walked in a straight loop — lanes
+//!    along M only on a whole n-group: for fewer columns LLVM vectorises
+//!    it along `k`, 2–3× slower. In ms per call at 768 × 768, w7 × a8,
+//!    vector-level ρ, AVX-512 host (`tests/tile_cost.rs`, min of 15
+//!    alternated rounds × 8 calls):
 //!
-//!      | N  | lanes along N             | lanes along M             |
-//!      |----|---------------------------|---------------------------|
-//!      | 4  | 1.16 / 0.69 / 0.35 / 0.42 | 0.30 / 0.22 / 0.11 / 0.19 |
-//!      | 8  | 1.11 / 0.76 / 0.37 / 0.45 | 0.57 / 0.43 / 0.22 / 0.26 |
-//!      | 12 | 1.10 / 0.82 / 0.39 / 0.49 | 0.86 / 0.65 / 0.33 / 0.40 |
-//!      | 16 | 1.07 / 0.84 / 0.40 / 0.51 | 1.11 / 0.87 / 0.43 / 0.53 |
+//!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
+//!    |----|-------|-------|--------|
+//!    | 1  | 0.138 | 0.120 | 0.063  |
+//!    | 2  | 0.167 | 0.139 | 0.071  |
+//!    | 4  | 0.194 | 0.193 | 0.086  |
+//!    | 8  | 0.395 | 0.386 | 0.175  |
+//!    | 12 | 0.582 | 0.575 | 0.266  |
+//!    | 16 | 0.982 | 0.780 | 0.306  |
 //!
-//!      Only the last n-group can
-//!      hold fewer than four columns, and it multiplies only those: `N`
-//!      is any width, and a one-column decode step does one broadcast
-//!      multiply per `k`, not four. An absent lane is 0 in every stream
-//!      plane — on the re-centred HO plane that reads "equals `r`" — so
-//!      it never makes a vector live.
-//!
-//!    A side the plan does not skip has an all-ones bitset. A slice is
-//!    multiplied once per executed pair; no HO+LO value is ever
-//!    reconstructed.
+//!    `N` is any width: only the last n-group can hold fewer than four
+//!    columns, and it multiplies only those; an absent lane is 0 in every
+//!    plane, so it never makes a vector live. No HO+LO value is rebuilt.
 //! 4. **Statistics in closed form**: [`TileStats`] — what the paper's PE
 //!    array would execute, skip and compensate (Eq. 6 as the hardware
 //!    computes it) at its own 4×1 / 1×4 granularity — follows from the
@@ -95,6 +90,8 @@
 //! nests that compute Eq. 6 literally and count every outer product live
 //! in `tests/oracle`, the references of `tests/prop_aqs.rs`.
 
+use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
@@ -132,6 +129,8 @@ type PanelCol = [i8; PANEL_ROWS];
 /// The register tile of raw slice products: 4 weight rows × 16 columns
 /// (lanes along N) or 4 columns × 16 weight rows (lanes along M).
 type ProductTile = [[i16; LANES]; VECTOR_LEN];
+/// One `k` of an n-group's lanes-along-M stream: each slice twice.
+type PairedCols = [[i16; 2]; VECTOR_LEN];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -359,101 +358,103 @@ impl PackedWeight {
     ) -> (Matrix<i32>, Workload) {
         let stats = self.tile_stats(plan, x);
         let (m, n) = (self.row_sums.len(), x.plane(0).cols());
-        assert_eq!(self.plane_weights.len(), plan.w_planes(), "weight format");
+        let w_ho = self.plane_weights.len() - 1;
+        assert_eq!(w_ho + 1, plan.w_planes(), "weight format");
         assert_eq!(row_const.len(), m, "one constant per output row");
-        let mut out = Matrix::<i32>::zeros(m, n);
+        // Both orientations add into the output, from its row constants.
+        let mut out = Matrix::from_fn(m, n, |row, _| row_const[row]);
         for c0 in (0..n).step_by(LANES) {
-            // The one selection rule: a full tile fills the lanes along
-            // N; a narrower one would multiply padding there.
-            match n - c0 {
-                LANES.. => self.tile_lanes_n(plan, x, row_const, c0, &mut out),
-                cols => self.tile_lanes_m(plan, x, row_const, c0, cols, &mut out),
-            }
+            STREAMS.with_borrow_mut(|act| {
+                // A full tile runs its HO weight plane lanes along N.
+                let full = act.prepare(x, plan, c0);
+                if full {
+                    self.tile_lanes_n(plan, &act.wide, c0, &mut out);
+                }
+                let lanes_m = 0..w_ho + usize::from(!full);
+                self.tile_lanes_m(plan, &act.groups, lanes_m, c0, &mut out);
+            });
         }
         (out, stats.workload())
     }
 
-    /// Columns `c0 .. c0 + 16` of the output, lanes along N: per m-group
-    /// a 4-row × 16-column tile under the m-group's own bitset.
-    fn tile_lanes_n<X: Planes>(
+    /// Adds the HO weight plane's pairs to columns `c0 .. c0 + 16` of the
+    /// output, lanes along N: per m-group a 4-row × 16-column tile under
+    /// the m-group's own bitset.
+    fn tile_lanes_n(
         &self,
         plan: &KernelPlan,
-        x: &X,
-        row_const: &[i32],
+        wide: &Stream<[i16; LANES]>,
         c0: usize,
         out: &mut Matrix<i32>,
     ) {
         let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        let act = ActTile::<LANES>::prepare(x, plan, c0);
+        let w_ho = self.plane_weights.len() - 1;
         for mg in 0..out.rows() / VECTOR_LEN {
             let w_live = &self.ho_live[mg * k_blocks..(mg + 1) * k_blocks];
-            let acc = self.accumulate(plan, mg / GROUPS, w_live, &act, |w, x, ks| {
-                products_lanes_n(w, mg % GROUPS, x, ks)
-            });
+            let products = |w: &_, x: &_, ks: &_| products_lanes_n(w, mg % GROUPS, x, ks);
+            let acc = self.accumulate(plan, mg / GROUPS, w_ho..w_ho + 1, w_live, wide, products);
             for (mm, acc_row) in acc.iter().enumerate() {
                 let row = mg * VECTOR_LEN + mm;
                 for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
-                    *o = a + row_const[row];
+                    *o += a;
                 }
             }
         }
     }
 
-    /// Columns `c0 .. c0 + cols` of the output (one to fifteen), lanes
-    /// along M: per panel and n-group a 16-row × 4-column tile under the
-    /// panel's union bitset and the n-group's own, of which only the
-    /// real columns are multiplied and written.
-    fn tile_lanes_m<X: Planes>(
+    /// Adds weight planes `w_planes`' pairs to the columns of `groups`
+    /// from `c0` on, lanes along M: per panel and n-group a 16-row ×
+    /// 4-column tile under the n-group's bitset (and the panel's union
+    /// for the HO weight plane), of real columns only.
+    fn tile_lanes_m(
         &self,
         plan: &KernelPlan,
-        x: &X,
-        row_const: &[i32],
+        groups: &[Stream<PairedCols>],
+        w_planes: Range<usize>,
         c0: usize,
-        cols: usize,
         out: &mut Matrix<i32>,
     ) {
         let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        let n_groups: Vec<ActTile<VECTOR_LEN>> = (c0..c0 + cols)
-            .step_by(VECTOR_LEN)
-            .map(|c| ActTile::prepare(x, plan, c))
-            .collect();
+        let cols = (out.cols() - c0).min(LANES);
         for p in 0..out.rows().div_ceil(PANEL_ROWS) {
             let w_live = &self.panel_live[p * k_blocks..(p + 1) * k_blocks];
             let row0 = p * PANEL_ROWS;
             let rows = PANEL_ROWS.min(out.rows() - row0);
-            for (g, act) in n_groups.iter().enumerate() {
+            for (g, act) in groups.iter().enumerate() {
                 // Four columns, except in the last n-group of the call.
                 let real = VECTOR_LEN.min(cols - g * VECTOR_LEN);
+                let w_planes = w_planes.clone();
                 let acc = match real {
-                    1 => self.accumulate(plan, p, w_live, act, products_lanes_m::<1>),
-                    2 => self.accumulate(plan, p, w_live, act, products_lanes_m::<2>),
-                    3 => self.accumulate(plan, p, w_live, act, products_lanes_m::<3>),
-                    _ => self.accumulate(plan, p, w_live, act, products_lanes_m::<4>),
+                    1 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<1>),
+                    2 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<2>),
+                    3 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<3>),
+                    _ => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<4>),
                 };
                 for (nn, acc_col) in acc[..real].iter().enumerate() {
                     for (mm, &a) in acc_col[..rows].iter().enumerate() {
-                        out[(row0 + mm, c0 + g * VECTOR_LEN + nn)] = a + row_const[row0 + mm];
+                        out[(row0 + mm, c0 + g * VECTOR_LEN + nn)] += a;
                     }
                 }
             }
         }
     }
 
-    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one register tile: `products` over
-    /// every `k` block and plane pair of `panel`, each over exactly the
-    /// `k` that pair executes given the weight side's `w_live` (per `k`
-    /// block) and the activation side's `act.ho_live`.
-    fn accumulate<const W: usize>(
+    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one register tile: `products` over every
+    /// `k` block, weight plane `i ∈ w_planes` of `panel` and activation
+    /// plane `j`, each over the `k` that pair executes given `w_live` and
+    /// `act.ho_live`.
+    fn accumulate<T>(
         &self,
         plan: &KernelPlan,
         panel: usize,
+        w_planes: Range<usize>,
         w_live: &[KMask],
-        act: &ActTile<W>,
-        products: impl Fn(&[PanelCol], &[[i16; W]], &KMask) -> ProductTile,
+        act: &Stream<T>,
+        products: impl Fn(&[PanelCol], &[T], &KMask) -> ProductTile,
     ) -> [[i32; LANES]; VECTOR_LEN] {
         let k_dim = self.compressed_per_k.len();
         let planes = self.plane_weights.len();
-        let (w_ho, x_ho) = (planes - 1, act.planes.len() - 1);
+        let (w_ho, x_ho) = (planes - 1, plan.x_scales().len() - 1);
         let mut acc = [[0i32; LANES]; VECTOR_LEN];
         for (kb, (w_live, x_live)) in w_live.iter().zip(&act.ho_live).enumerate() {
             let k0 = kb * K_BLOCK;
@@ -463,10 +464,8 @@ impl PackedWeight {
             let w_live = if plan.skips_weight() { w_live } else { &all };
             let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
             let block = (panel * k_dim + k0) * planes;
-            for (i, w_run) in self.panels[block..block + len * planes]
-                .chunks_exact(len)
-                .enumerate()
-            {
+            for i in w_planes.clone() {
+                let w_run = &self.panels[block + i * len..][..len];
                 for j in 0..=x_ho {
                     // The `k` this plane pair executes.
                     let ks = match (i == w_ho, j == x_ho) {
@@ -475,7 +474,7 @@ impl PackedWeight {
                         (false, true) => x_live,
                         (true, true) => &both_live,
                     };
-                    let tile = products(w_run, &act.planes[j][k0..k0 + len], ks);
+                    let tile = products(w_run, &act.planes[j * k_dim + k0..][..len], ks);
                     // Plain `+` / `*`: overflow panics under
                     // `debug_assertions`; `QuantizedLinear::prepare`
                     // rejects layers whose sums could reach it.
@@ -556,44 +555,87 @@ impl PackedWeight {
     }
 }
 
-/// The activation side of one full n-tile (`W` = 16, lanes along N) or
-/// of one n-group of a narrower one (`W` = 4, lanes along M), prepared
-/// once per call.
-struct ActTile<const W: usize> {
-    /// Per plane, `K` rows of the tile's `W` columns widened to `i16`.
-    /// The HO plane holds `x_HO − r`, which is zero across every
-    /// compressed vector. Lanes past `N` are 0 in every plane.
-    planes: Vec<Vec<[i16; W]>>,
-    /// Per `k` block: bit `o` is set iff some HO vector of the tile at
-    /// `k = block·K_BLOCK + o` is uncompressed — or the plan does not
-    /// skip on activations at all.
+/// One activation stream: `K` rows of `T` per plane, plane after plane
+/// (the HO plane as `x_HO − r`, zero across every compressed vector;
+/// lanes past `N` 0), and per `k` block the bitset of `k` whose HO row is
+/// not zero, or of every `k` if the plan does not skip activations.
+#[derive(Default)]
+struct Stream<T> {
+    planes: Vec<T>,
     ho_live: Vec<KMask>,
 }
 
-impl<const W: usize> ActTile<W> {
-    fn prepare<X: Planes>(x: &X, plan: &KernelPlan, c0: usize) -> Self {
-        let (k_dim, n) = x.plane(0).shape();
-        let cols = c0..n.min(c0 + W);
-        let x_ho = x.num_planes() - 1;
-        let planes: Vec<Vec<[i16; W]>> = (0..=x_ho)
-            .map(|j| {
-                let r = if j == x_ho { plan.r() } else { 0 };
-                let widen = |k| {
-                    let mut row = [0i16; W];
-                    for (d, &s) in row.iter_mut().zip(&x.plane(j).row(k)[cols.clone()]) {
-                        *d = s.into() - r;
-                    }
-                    row
-                };
-                (0..k_dim).map(widen).collect()
-            })
-            .collect();
-        let mut ho_live = vec![KMask::default(); k_dim.div_ceil(K_BLOCK)];
-        for (k, row) in planes[x_ho].iter().enumerate() {
-            let live = !plan.skips_activation() || row.iter().any(|&s| s != 0);
-            ho_live[k / K_BLOCK][k % K_BLOCK / 64] |= u64::from(live) << (k % 64);
+impl<T: Default + PartialEq> Stream<T> {
+    /// Refills the stream with the rows `extend` appends, `k_dim` a plane.
+    fn fill(&mut self, plan: &KernelPlan, k_dim: usize, extend: impl FnOnce(&mut Vec<T>)) {
+        self.planes.clear();
+        extend(&mut self.planes);
+        let live = |row: &T| !plan.skips_activation() || *row != T::default();
+        let word = |rows: &[T]| rows.iter().rfold(0, |w, r| w << 1 | u64::from(live(r)));
+        let block = |b: &[T]| std::array::from_fn(|w| b.chunks(64).nth(w).map_or(0, word));
+        let ho = &self.planes[self.planes.len() - k_dim..];
+        self.ho_live.clear();
+        self.ho_live.extend(ho.chunks(K_BLOCK).map(block));
+    }
+}
+
+thread_local! {
+    /// The streams of this thread's last call, refilled by its next one: a
+    /// call that allocated and freed its own would page-fault on them.
+    static STREAMS: RefCell<ActTile> = RefCell::default();
+}
+
+/// The activation side of one n-tile: per n-group for lanes along M and,
+/// on a full 16-column tile, its rows for lanes along N.
+#[derive(Default)]
+struct ActTile {
+    groups: Vec<Stream<PairedCols>>,
+    wide: Stream<[i16; LANES]>,
+}
+
+impl ActTile {
+    /// Refills the streams for columns `c0 ..` of `x`; true (and `wide`
+    /// refilled) on a full tile.
+    fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
+        let (k, n) = x.plane(0).shape();
+        let ActTile { groups, wide } = self;
+        groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
+        if n - c0 < LANES {
+            // A narrow tile: each n-group's pairs straight from `x`.
+            let pairs = |s: &[X::Slice], r| {
+                std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
+            };
+            for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
+                let cols = c..n.min(c + VECTOR_LEN);
+                g.fill(plan, k, |p| widen(p, x, plan, cols, pairs));
+            }
+            return false;
         }
-        ActTile { planes, ho_live }
+        // A full tile: each plane widened once, the n-groups' pairs cut
+        // from its rows.
+        let row = |s: &[X::Slice], r| std::array::from_fn(|c| s[c].into() - r);
+        wide.fill(plan, k, |p| widen(p, x, plan, c0..c0 + LANES, row));
+        for (i, g) in groups.iter_mut().enumerate() {
+            let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
+            g.fill(plan, k, |p| p.extend(wide.planes.iter().map(cut)));
+        }
+        true
+    }
+}
+
+/// Appends each plane of `x` to `planes`: its rows cut to `cols`, made
+/// elements by `lanes`, which also gets the plane's re-centring.
+fn widen<X: Planes, T>(
+    planes: &mut Vec<T>,
+    x: &X,
+    plan: &KernelPlan,
+    cols: Range<usize>,
+    lanes: impl Fn(&[X::Slice], i16) -> T,
+) {
+    let x_ho = x.num_planes() - 1;
+    for j in 0..=x_ho {
+        let (plane, r) = (x.plane(j), if j == x_ho { plan.r() } else { 0 });
+        planes.extend((0..plane.rows()).map(|k| lanes(&plane.row(k)[cols.clone()], r)));
     }
 }
 
@@ -605,61 +647,79 @@ fn first_ks(len: usize) -> KMask {
     })
 }
 
+/// Calls `f` on each offset set in `ks`, ascending.
+#[inline(always)]
+fn for_each_k(ks: &KMask, mut f: impl FnMut(usize)) {
+    for (word, &bits) in ks.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            f(word * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// The inner kernel, lanes along N: `Σ_{o ∈ ks} w[o][4g..4g + 4] ⊗ x[o]`,
 /// the 4 rows of m-group `g` of the panel × 16 columns of raw slice
 /// products. At most [`K_BLOCK`] of them, so the `i16` sums cannot wrap
-/// (the `const` assertion above). Kept out of line: on its own the tile
-/// stays in registers for the whole block.
+/// (the `const` assertion above). A full `ks` is walked in a straight
+/// loop. Kept out of line: so the tile stays in registers all block.
 #[inline(never)]
 fn products_lanes_n(w: &[PanelCol], g: usize, x: &[[i16; LANES]], ks: &KMask) -> ProductTile {
     // Two slices of one length: the bounds check on `x` covers both.
     let w = &w[..x.len()];
     assert!(g < GROUPS, "m-group {g} of a panel");
     let mut tile = ProductTile::default();
-    for (word, &bits) in ks.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            let o = word * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let x_row = &x[o];
-            let (w_vectors, _) = w[o].as_chunks::<VECTOR_LEN>();
-            for (tile_row, &w_slice) in tile.iter_mut().zip(&w_vectors[g]) {
-                let w_slice = i16::from(w_slice);
-                for (t, &x_slice) in tile_row.iter_mut().zip(x_row) {
-                    *t += w_slice * x_slice;
-                }
-            }
-        }
+    let mac = |o: usize| mac_lanes_n(&mut tile, &w[o].as_chunks().0[g], &x[o]);
+    if *ks == first_ks(x.len()) {
+        (0..x.len()).for_each(mac);
+    } else {
+        for_each_k(ks, mac);
     }
     tile
 }
 
-/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the first
-/// `C` (1 to 4) columns of one n-group × the 16 rows of the panel, under
-/// the same `i16` bound; the other columns of the tile stay 0. Kept out
-/// of line for the same reason.
-#[inline(never)]
-fn products_lanes_m<const C: usize>(
-    w: &[PanelCol],
-    x: &[[i16; VECTOR_LEN]],
-    ks: &KMask,
-) -> ProductTile {
-    let w = &w[..x.len()];
-    let mut tile = ProductTile::default();
-    for (word, &bits) in ks.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            let o = word * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let w_col = w[o].map(i16::from);
-            for (tile_col, &x_slice) in tile[..C].iter_mut().zip(&x[o][..C]) {
-                for (t, &w_slice) in tile_col.iter_mut().zip(&w_col) {
-                    *t += w_slice * x_slice;
-                }
-            }
+/// One `k` of lanes along N.
+#[inline(always)]
+fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
+    for (tile_row, &w_slice) in tile.iter_mut().zip(w) {
+        let w_slice = i16::from(w_slice);
+        for (t, &x_slice) in tile_row.iter_mut().zip(x) {
+            *t += w_slice * x_slice;
         }
     }
+}
+
+/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the first
+/// `C` (1 to 4) columns of one n-group × the 16 rows of the panel, under
+/// the same `i16` bound; the other columns of the tile stay 0. Only a
+/// whole n-group takes the straight loop. Kept out of line likewise.
+#[inline(never)]
+fn products_lanes_m<const C: usize>(w: &[PanelCol], x: &[PairedCols], ks: &KMask) -> ProductTile {
+    let w = &w[..x.len()];
+    let mut tile = ProductTile::default();
+    if C == VECTOR_LEN && *ks == first_ks(x.len()) {
+        for (w_col, x_cols) in w.iter().zip(x) {
+            mac_lanes_m::<C>(&mut tile, w_col, x_cols);
+        }
+    } else {
+        for_each_k(ks, |o| mac_lanes_m::<C>(&mut tile, &w[o], &x[o]));
+    }
     tile
+}
+
+/// One `k` of lanes along M. Lane `l` reads half `l % 2` of a column's
+/// pair: one 32-bit broadcast load, no shuffle (`[pair; 8]` flattened
+/// compiles to a load and a `vpermw` under AVX-512).
+#[inline(always)]
+fn mac_lanes_m<const C: usize>(tile: &mut ProductTile, w: &PanelCol, x: &PairedCols) {
+    let w_col = w.map(i16::from);
+    for (tile_col, x_pair) in tile[..C].iter_mut().zip(&x[..C]) {
+        let x_lanes: [i16; LANES] = std::array::from_fn(|l| x_pair[l % 2]);
+        for (t, (&w_slice, &x_slice)) in tile_col.iter_mut().zip(w_col.iter().zip(&x_lanes)) {
+            *t += w_slice * x_slice;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -494,10 +494,11 @@ mod tests {
 
     #[test]
     fn forward_batch_across_the_lane_orientation_boundary_matches_solo() {
-        // 18 columns: inside the batch the first 16 run lanes along N and
-        // the last 2 lanes along M, while every request alone runs lanes
-        // along M only, its last n-group partial unless its width is a
-        // multiple of 4. M = 20 is a full panel plus a partial one,
+        // 18 columns: inside the batch the first 16 are a full tile, whose
+        // HO weight plane runs lanes along N and the LO one lanes along
+        // M, and the last 2 run lanes along M only, as does every request
+        // alone, its last n-group partial unless its width is a multiple
+        // of 4. M = 20 is a full panel plus a partial one,
         // K = 300 two `k` blocks.
         let mut rng = panacea_tensor::seeded_rng(71);
         let gauss = |std| DistributionKind::Gaussian { mean: 0.1, std };

@@ -136,14 +136,26 @@ enum Fill {
     None,
     /// Each vector is compressed with this probability.
     Share(f64),
+    /// Each 4-vector group along the other side (m-group of a weight,
+    /// n-group of an activation) its own: all, none, half, 90 % in turn.
+    ByGroup,
 }
 
 impl Fill {
+    /// What this fill means for group `g` of the other side.
+    fn of_group(self, g: usize) -> Fill {
+        match self {
+            Fill::ByGroup => [Fill::All, Fill::None, Fill::Share(0.5), Fill::Share(0.9)][g % 4],
+            fill => fill,
+        }
+    }
+
     fn compresses(self, rng: &mut impl Rng) -> bool {
         match self {
             Fill::All => true,
             Fill::None => false,
             Fill::Share(p) => rng.gen::<f64>() < p,
+            Fill::ByGroup => unreachable!("resolved per group by of_group"),
         }
     }
 }
@@ -174,6 +186,7 @@ fn sbr_matrix(
     let max = (1i32 << (3 * lo_slices as u32 + 3)) - 1;
     let mut w = Matrix::<i32>::zeros(rows, cols);
     for mg in 0..rows / 4 {
+        let fill = fill.of_group(mg);
         for kk in 0..cols {
             let compress = fill.compresses(rng);
             for mm in 0..4 {
@@ -215,6 +228,7 @@ fn case(
     let mut x = Matrix::<i32>::zeros(k, n);
     for kk in 0..k {
         for ng in 0..n.div_ceil(4) {
+            let x_fill = x_fill.of_group(ng);
             let compress = x_fill.compresses(&mut rng) && i32::from(r) < ho_slices;
             // A partial last n-group has only its first columns.
             for nn in 0..4.min(n - ng * 4) {
@@ -332,7 +346,7 @@ fn kernel_matches_oracle_for_every_r_at_the_sparsity_extremes() {
                 match fill {
                     Fill::All => assert_eq!(stats.rho_w, 1.0),
                     Fill::None => assert_eq!((stats.rho_w, stats.rho_x), (0.0, 0.0)),
-                    Fill::Share(_) => {}
+                    Fill::Share(_) | Fill::ByGroup => {}
                 }
             }
         }
@@ -499,13 +513,14 @@ fn sibia_plan_matches_oracle_across_sides_planes_block_edges_and_tiles() {
     }
 }
 
-/// The resident layout's edges crossed with the selection rule's: `M`
+/// The resident layout's edges crossed with the orientation rule's: `M`
 /// below, at and past a 16-row panel (36 = two panels and one m-group) ×
 /// `K` on both sides of one and two 256-`k` blocks × `N` that is one to
-/// three n-groups (lanes along M), a full tile (lanes along N), and a
-/// full tile followed by a narrow right edge (both in one call) × 1–3
-/// weight planes — under the AQS plan and both Sibia plans. Activation
-/// planes, DBS type, `r` and sparsities cycle along the sweep.
+/// three n-groups (every pair lanes along M), a full tile (the HO weight
+/// plane's pairs lanes along N, the rest lanes along M), and a full tile
+/// followed by a narrow right edge (both in one call) × 1–3 weight
+/// planes — under the AQS plan and both Sibia plans. Activation planes,
+/// DBS type, `r` and sparsities cycle along the sweep.
 #[test]
 fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
     let fills = [
@@ -538,6 +553,51 @@ fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
                         &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
                     );
                     assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+                }
+            }
+        }
+    }
+}
+
+/// The seams of a full tile's split: `N` of one full tile, one with a
+/// partial n-group after it, one with a whole one, two, and two with a
+/// partial one × `M` at the panel edges × `K` at the block edges (the
+/// straight loop walks partial blocks too) × 1–3 weight planes (with
+/// one there is no LO weight plane, so every pair of a full tile runs
+/// lanes along N) × 2–3 activation planes, under the AQS plan and both
+/// Sibia plans. Sparsity is set per group, so the n-groups of one tile
+/// (and the m-groups of one panel) differ in HO liveness.
+#[test]
+fn all_plans_match_oracle_across_the_full_tile_split() {
+    let fills = [
+        (Fill::ByGroup, Fill::ByGroup),
+        (Fill::Share(0.5), Fill::ByGroup),
+        (Fill::ByGroup, Fill::None),
+        (Fill::None, Fill::ByGroup),
+        (Fill::All, Fill::ByGroup),
+    ];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 13000u64;
+    for n in [16, 17, 20, 32, 33] {
+        for m in [4, 12, 16, 20, 36] {
+            for k in [1, 255, 256, 257] {
+                for w_lo in 0..3 {
+                    for x_lo in 1..3 {
+                        seed += 1;
+                        let (w_fill, x_fill) = fills[seed as usize % fills.len()];
+                        let ty = if x_lo == 1 {
+                            types[seed as usize % 3]
+                        } else {
+                            DbsType::Type1
+                        };
+                        let r = (seed % 16) as u8;
+                        let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                        assert_matches_oracle(
+                            &c,
+                            &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                        );
+                        assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+                    }
                 }
             }
         }
