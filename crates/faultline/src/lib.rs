@@ -46,6 +46,7 @@
 //! | `netcore.accept`           | transport accept     | reset |
 //! | `netcore.read`             | transport read       | reset, delay |
 //! | `netcore.dispatch`         | transport dispatch   | panic, delay |
+//! | `netcore.complete`         | transport, between queueing a completion and waking the reactor | delay |
 //! | `netcore.write`            | transport write      | short write, reset |
 
 use std::cell::RefCell;

@@ -759,6 +759,12 @@ impl EventLoop {
                             generation,
                             response,
                         });
+                    // The window in which the loop may already have
+                    // drained the pipe: a delay here must not strand
+                    // the completion.
+                    if let Some(Fault::Delay(d)) = panacea_faultline::fire("netcore.complete") {
+                        thread::sleep(d);
+                    }
                     shared.waker.notify();
                 });
             }
