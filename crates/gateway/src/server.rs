@@ -9,9 +9,10 @@
 //! decides it: admission for `in_flight` / `queue_wait`, the session
 //! manager for `kv_budget`. [`GatewayServer`] serves the core on a
 //! `TcpListener` through the `panacea-netcore` reactor: a `poll(2)`
-//! readiness loop multiplexing every connection on one thread, with a
-//! fixed worker pool executing requests, so threads stay O(workers) at
-//! any connection count up to [`ServerConfig::max_connections`].
+//! readiness loop multiplexing every connection on one thread, feeding
+//! request lines to the reactor's `workers` dispatch threads, so threads
+//! stay O(workers) at any connection count up to
+//! [`ServerConfig::max_connections`].
 //!
 //! Dropping the server stops accepting, drains in-flight responses,
 //! evicts surviving connections, and joins every server thread.
@@ -24,9 +25,7 @@ use std::time::{Duration, Instant};
 
 use panacea_faultline::Fault;
 
-use panacea_netcore::{
-    ConnObserver, ConnStage, ConnectionCounters, EvictReason, Reactor, Service as NetService,
-};
+use panacea_netcore::{ConnStage, ConnectionCounters, EvictReason, Reactor, Service as NetService};
 use panacea_serve::{
     OverloadReason, Payload, PreparedModel, RequestCtx, RuntimeConfig, ServeError, SessionConfig,
 };
@@ -353,7 +352,7 @@ impl Gateway {
             };
             let stepped = self.router.sessions(shard).step_with(session, hidden, ctx);
             self.stages.execute.record_latency(tb.end_span(span));
-            let (out, tokens, _wl) = stepped?;
+            let (out, tokens) = stepped?;
             drop(permit);
             Ok(DecodeReply {
                 hidden: out,
@@ -758,9 +757,9 @@ fn error_kind(e: &ServeError) -> ErrorKind {
 }
 
 /// The reactor-facing adapter over a gateway — its
-/// [`panacea_netcore::Service`] (parse → handle → encode) and its
-/// [`ConnObserver`] (lifecycle events, connection stage timings) —
-/// holding the pre-resolved cells both record into.
+/// [`panacea_netcore::Service`]: parse → handle → encode, plus lifecycle
+/// events and connection stage timings — holding the pre-resolved cells
+/// it records into.
 struct GatewayService {
     gateway: Arc<Gateway>,
     /// `("-", "gateway", "parse")`: only wire requests are parsed.
@@ -827,9 +826,7 @@ impl NetService for GatewayService {
             message: detail.to_string(),
         })
     }
-}
 
-impl ConnObserver for GatewayService {
     fn conn_open(&self, open_now: u64) {
         self.gateway.recorder().record(
             EventSeverity::Info,
@@ -896,11 +893,9 @@ impl GatewayServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
-        let service = Arc::new(GatewayService::new(Arc::clone(&gateway)));
         let reactor = Reactor::spawn(
             TcpListener::bind(addr)?,
-            Arc::clone(&service) as _,
-            service,
+            Arc::new(GatewayService::new(Arc::clone(&gateway))),
             gateway.connections().clone(),
             config,
         )?;

@@ -53,7 +53,7 @@ fn injected_execute_panic_is_answered_internal_and_the_server_survives() {
         "expected an internal error, got {err:?}"
     );
     // Same connection, same payload: the retry is served bit-exactly,
-    // so the panic touched neither the worker pool nor the model state.
+    // so the panic touched neither the dispatch threads nor the model state.
     let reply = client.infer_codes("m", x).expect("post-panic infer");
     assert_eq!(reply.payload, expect.into());
     // The panic is pinned in the flight recorder for incident forensics.

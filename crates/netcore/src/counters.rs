@@ -34,11 +34,11 @@ pub struct ConnectionStats {
     /// Connections the server force-closed (slow consumer, connection
     /// limit, shutdown) rather than the peer closing.
     pub evicted: u64,
-    /// Request-pool worker threads currently alive — the liveness gauge
-    /// a chaos harness watches to prove panics did not thin the pool.
+    /// The reactor's dispatch threads currently alive — the liveness
+    /// gauge a chaos harness watches to prove panics did not thin them.
     pub workers_alive: u64,
-    /// Panics caught inside pool jobs; each one was isolated and the
-    /// worker thread kept serving.
+    /// Panics caught inside request handlers; each one was answered and
+    /// its dispatch thread kept serving.
     pub worker_panics: u64,
 }
 
@@ -68,18 +68,18 @@ impl ConnectionCounters {
         }
     }
 
-    /// Records a pool worker thread starting.
+    /// Records a dispatch thread starting.
     pub fn on_worker_up(&self) {
         self.inner.workers_alive.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a pool worker thread exiting (clean shutdown or an
-    /// escaped panic — either way it no longer serves).
+    /// Records a dispatch thread exiting (clean shutdown or an escaped
+    /// panic — either way it no longer serves).
     pub fn on_worker_down(&self) {
         dec_saturating(&self.inner.workers_alive);
     }
 
-    /// Records a panic caught (and survived) inside a pool job.
+    /// Records a panic caught (and survived) inside a request handler.
     pub fn on_worker_panic(&self) {
         self.inner.worker_panics.fetch_add(1, Ordering::Relaxed);
     }

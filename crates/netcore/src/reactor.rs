@@ -1,36 +1,42 @@
 //! The readiness-driven event loop: one thread multiplexing every
-//! connection over `poll(2)`, with request execution handed to a
-//! [`WorkerPool`](crate::WorkerPool) so a slow request never stalls the
+//! connection over `poll(2)`, with request execution handed to the
+//! reactor's own dispatch threads so a slow request never stalls the
 //! loop.
 //!
 //! # Shape
 //!
 //! * One reactor thread owns the listener, a self-pipe wakeup token,
-//!   and a slab of nonblocking connections.
+//!   and a slab of nonblocking connections. `workers` dispatch threads
+//!   (at least one) take request lines from one shared queue and run
+//!   [`Service::serve`] on them.
 //! * Each connection carries a [`LineAssembler`](crate::LineAssembler)
 //!   (bounded read side) and a write buffer (bounded by backpressure:
 //!   while the backlog exceeds `max_write_backlog` the connection is
 //!   neither read from nor dispatched).
 //! * At most one request per connection is in flight at a time — the
 //!   same request/response sequencing the thread-per-connection server
-//!   provides. Workers finish a request by queueing a completion and
-//!   poking the wakeup pipe; the reactor matches it against the slot's
-//!   generation so a completion can never land on a reused slot.
+//!   provides. A dispatch thread finishes a request by queueing a
+//!   completion and poking the wakeup pipe; the reactor matches it
+//!   against the slot's generation so a completion can never land on a
+//!   reused slot. A panicking handler is caught on its dispatch thread
+//!   and answered with [`Service::internal_error`]; the thread keeps
+//!   serving.
 //! * A connection whose write side makes no progress for
 //!   `write_stall_timeout` while a backlog is pending is evicted as a
 //!   slow consumer. Connections over `max_connections` are answered
 //!   with a single overload line at accept and closed.
 //! * Shutdown drains: the listener stops accepting, in-flight requests
-//!   complete and flush, then surviving connections are evicted with
-//!   reason [`EvictReason::Shutdown`]; `drain_timeout` bounds the whole
-//!   phase.
+//!   complete and flush, the dispatch threads run what is queued and are
+//!   joined, then surviving connections are evicted with reason
+//!   [`EvictReason::Shutdown`]; `drain_timeout` bounds the flush phase.
 
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -39,11 +45,13 @@ use sys_poll::{poll_fds, Pipe, PollFd, POLLIN, POLLOUT};
 
 use crate::counters::ConnectionCounters;
 use crate::line::{LineAssembler, LineError};
-use crate::workers::WorkerPool;
 
-/// Produces responses for the reactor. Implementations must be cheap to
-/// share — every worker thread calls [`serve`](Service::serve)
-/// concurrently.
+/// Produces responses for the reactor and hears about connection
+/// lifecycle and stage timings. Implementations must be cheap to share —
+/// every dispatch thread calls [`serve`](Service::serve) concurrently.
+/// The lifecycle hooks have no-op defaults; implement only what you
+/// report. Their `open_now` is the open-connection gauge after the
+/// event.
 pub trait Service: Send + Sync + 'static {
     /// Handles one complete request line (valid UTF-8, newline already
     /// stripped) and returns the response line (newline appended by the
@@ -59,13 +67,33 @@ pub trait Service: Send + Sync + 'static {
     fn overloaded(&self, detail: &str) -> String;
 
     /// The response line when the handler itself panicked mid-request.
-    /// The reactor catches the panic on the worker, answers with this
-    /// line, and keeps the connection open — the in-flight request must
-    /// always complete or the peer hangs forever. The default reuses
-    /// [`bad_request`](Self::bad_request); protocol layers should
-    /// override with their internal-error spelling.
+    /// The reactor catches the panic on its dispatch thread, answers
+    /// with this line, and keeps the connection open — the in-flight
+    /// request must always complete or the peer hangs forever. The
+    /// default reuses [`bad_request`](Self::bad_request); protocol
+    /// layers should override with their internal-error spelling.
     fn internal_error(&self, detail: &str) -> String {
         self.bad_request(detail)
+    }
+
+    /// A connection was accepted and registered.
+    fn conn_open(&self, open_now: u64) {
+        let _ = open_now;
+    }
+
+    /// A connection closed normally (peer EOF or orderly completion).
+    fn conn_close(&self, open_now: u64) {
+        let _ = open_now;
+    }
+
+    /// A connection was force-closed.
+    fn conn_evict(&self, reason: EvictReason, open_now: u64) {
+        let _ = (reason, open_now);
+    }
+
+    /// One stage of connection handling took `elapsed`.
+    fn stage_time(&self, stage: ConnStage, elapsed: Duration) {
+        let _ = (stage, elapsed);
     }
 }
 
@@ -103,7 +131,7 @@ pub enum ConnStage {
     Read,
     /// Flushing buffered response bytes.
     Write,
-    /// Executing one request on a worker.
+    /// Executing one request on a dispatch thread.
     Dispatch,
 }
 
@@ -119,44 +147,13 @@ impl ConnStage {
     }
 }
 
-/// Observes connection lifecycle and stage timings. Every method has a
-/// no-op default; implement only what you report. `open_now` is the
-/// open-connection gauge after the event.
-pub trait ConnObserver: Send + Sync + 'static {
-    /// A connection was accepted and registered.
-    fn conn_open(&self, open_now: u64) {
-        let _ = open_now;
-    }
-
-    /// A connection closed normally (peer EOF or orderly completion).
-    fn conn_close(&self, open_now: u64) {
-        let _ = open_now;
-    }
-
-    /// A connection was force-closed.
-    fn conn_evict(&self, reason: EvictReason, open_now: u64) {
-        let _ = (reason, open_now);
-    }
-
-    /// One stage of connection handling took `elapsed`.
-    fn stage_time(&self, stage: ConnStage, elapsed: Duration) {
-        let _ = (stage, elapsed);
-    }
-}
-
-/// A [`ConnObserver`] that observes nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl ConnObserver for NullObserver {}
-
 /// Reactor tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
     /// Connections beyond this are answered with one overload line and
     /// closed at accept.
     pub max_connections: usize,
-    /// Worker threads executing requests (clamped to at least one).
+    /// Dispatch threads executing requests (clamped to at least one).
     pub workers: usize,
     /// Per-request-line byte bound (newline excluded).
     pub max_line_bytes: usize,
@@ -193,18 +190,28 @@ const MAX_READY_LINES: usize = 32;
 /// one firehose connection cannot monopolize a loop iteration.
 const MAX_READ_PER_EVENT: usize = 256 * 1024;
 
-/// A finished request on its way back to the reactor thread.
-struct Completion {
+/// A request line on its way to a dispatch thread, or its response on
+/// the way back; `generation` keeps a response off a reused slot.
+struct SlotLine {
     slot: usize,
     generation: u64,
-    response: String,
+    line: String,
 }
 
-/// State shared between the reactor thread, workers, and the handle.
+/// State shared between the reactor thread, the dispatch threads, and
+/// the handle.
 struct Shared {
     stop: AtomicBool,
     waker: Pipe,
-    completions: Mutex<Vec<Completion>>,
+    /// Request lines for the dispatch threads, and whether the loop has
+    /// closed the queue; the threads exit once it is closed and empty.
+    jobs: Mutex<(VecDeque<SlotLine>, bool)>,
+    job_ready: Condvar,
+    completions: Mutex<Vec<SlotLine>>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One registered connection.
@@ -212,8 +219,8 @@ struct Conn {
     stream: TcpStream,
     generation: u64,
     assembler: LineAssembler,
-    /// A request is executing on a worker; no further dispatch until
-    /// its completion lands.
+    /// A request is executing on a dispatch thread; no further dispatch
+    /// until its completion lands.
     in_flight: bool,
     /// Response bytes not yet accepted by the kernel.
     wbuf: Vec<u8>,
@@ -231,6 +238,16 @@ struct Conn {
 impl Conn {
     fn backlog(&self) -> usize {
         self.wbuf.len() - self.woff
+    }
+
+    /// Queues one response line; a backlog that was empty starts the
+    /// slow-consumer clock now.
+    fn queue_line(&mut self, line: &str) {
+        if self.backlog() == 0 {
+            self.last_write_progress = Instant::now();
+        }
+        self.wbuf.extend_from_slice(line.as_bytes());
+        self.wbuf.push(b'\n');
     }
 
     fn wants_read(&self) -> bool {
@@ -259,15 +276,16 @@ impl std::fmt::Debug for Reactor {
 }
 
 impl Reactor {
-    /// Takes ownership of `listener` and spawns the event-loop thread.
+    /// Takes ownership of `listener` and spawns the dispatch threads
+    /// and the event-loop thread.
     ///
     /// # Errors
     ///
-    /// Listener/pipe setup failures (fd exhaustion, bad listener).
+    /// Listener/pipe/thread setup failures (fd exhaustion, bad
+    /// listener).
     pub fn spawn(
         listener: TcpListener,
         service: Arc<dyn Service>,
-        observer: Arc<dyn ConnObserver>,
         counters: ConnectionCounters,
         config: ReactorConfig,
     ) -> io::Result<Reactor> {
@@ -276,30 +294,28 @@ impl Reactor {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             waker: Pipe::new()?,
-            completions: Mutex::new(Vec::new()),
+            jobs: Mutex::default(),
+            job_ready: Condvar::new(),
+            completions: Mutex::default(),
         });
-        let loop_shared = Arc::clone(&shared);
+        let mut event_loop = EventLoop {
+            listener,
+            service,
+            counters,
+            config,
+            shared: Arc::clone(&shared),
+            conns: Vec::new(),
+            free: Vec::new(),
+            dispatchers: Vec::new(),
+        };
+        // On a failed spawn `event_loop` drops, which joins the dispatch
+        // threads already running.
+        for index in 0..config.workers.max(1) {
+            event_loop.spawn_dispatcher(index)?;
+        }
         let thread = thread::Builder::new()
             .name("panacea-netcore-reactor".into())
-            .spawn(move || {
-                let pool = WorkerPool::with_counters(
-                    config.workers,
-                    "panacea-netcore-worker",
-                    Some(counters.clone()),
-                );
-                EventLoop {
-                    listener,
-                    service,
-                    observer,
-                    counters,
-                    config,
-                    shared: loop_shared,
-                    conns: Vec::new(),
-                    free: Vec::new(),
-                    pool,
-                }
-                .run();
-            })?;
+            .spawn(move || event_loop.run())?;
         Ok(Reactor {
             shared,
             local_addr,
@@ -333,7 +349,6 @@ impl Drop for Reactor {
 struct EventLoop {
     listener: TcpListener,
     service: Arc<dyn Service>,
-    observer: Arc<dyn ConnObserver>,
     counters: ConnectionCounters,
     config: ReactorConfig,
     shared: Arc<Shared>,
@@ -341,19 +356,50 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     /// Indices of `None` slots.
     free: Vec<usize>,
-    pool: WorkerPool,
+    dispatchers: Vec<JoinHandle<()>>,
 }
 
-/// What the poll pass reported for one registered connection.
-struct Readiness {
-    slot: usize,
-    readable: bool,
-    writable: bool,
-    invalid: bool,
+impl Drop for EventLoop {
+    fn drop(&mut self) {
+        self.close_dispatch();
+    }
+}
+
+/// Counts its dispatch thread down on exit — a panic that escapes the
+/// request's `catch_unwind` included — so `workers_alive` never
+/// overstates the threads that serve.
+struct Alive(ConnectionCounters);
+
+impl Drop for Alive {
+    fn drop(&mut self) {
+        self.0.on_worker_down();
+    }
 }
 
 impl EventLoop {
-    fn run(&mut self) {
+    /// Spawns dispatch thread `index`, counted alive from here on.
+    fn spawn_dispatcher(&mut self, index: usize) -> io::Result<()> {
+        let (shared, service) = (Arc::clone(&self.shared), Arc::clone(&self.service));
+        self.counters.on_worker_up();
+        let alive = Alive(self.counters.clone());
+        let handle = thread::Builder::new()
+            .name(format!("panacea-netcore-worker-{index}"))
+            .spawn(move || dispatch(&shared, &*service, &alive))?;
+        self.dispatchers.push(handle);
+        Ok(())
+    }
+
+    /// Closes the job queue and joins the dispatch threads once they
+    /// have run what is queued. Idempotent.
+    fn close_dispatch(&mut self) {
+        lock(&self.shared.jobs).1 = true;
+        self.shared.job_ready.notify_all();
+        for handle in self.dispatchers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+
+    fn run(mut self) {
         let mut generation: u64 = 0;
         let mut drain_deadline: Option<Instant> = None;
         loop {
@@ -394,9 +440,8 @@ impl EventLoop {
                     .flatten()
                     .any(|c| c.backlog() > 0 || c.assembler.ready_lines() > 0);
             let timeout_ms = if busy { 50 } else { 1000 };
-            if let Err(err) = poll_fds(&mut fds, timeout_ms) {
+            if poll_fds(&mut fds, timeout_ms).is_err() {
                 // ENOMEM-class failure: back off rather than spin.
-                let _ = err;
                 thread::sleep(Duration::from_millis(10));
             }
 
@@ -404,35 +449,21 @@ impl EventLoop {
                 self.shared.waker.drain();
             }
             let accept_ready = listener_idx.map(|i| fds[i].ready()).unwrap_or(false);
-            let ready: Vec<Readiness> = conn_slots
-                .iter()
-                .enumerate()
-                .map(|(i, &slot)| {
-                    let fd = &fds[conn_base + i];
-                    Readiness {
-                        slot,
-                        readable: fd.readable(),
-                        writable: fd.writable(),
-                        invalid: fd.invalid(),
-                    }
-                })
-                .collect();
-            drop(fds);
 
             self.apply_completions();
             if accept_ready && !draining {
                 self.accept_new(&mut generation);
             }
-            for r in ready {
-                if r.invalid {
-                    self.close_slot(r.slot, None);
+            for (fd, &slot) in fds[conn_base..].iter().zip(&conn_slots) {
+                if fd.invalid() {
+                    self.close_slot(slot, None);
                     continue;
                 }
-                if r.readable {
-                    self.handle_readable(r.slot);
+                if fd.readable() {
+                    self.handle_readable(slot);
                 }
-                if r.writable {
-                    self.handle_writable(r.slot);
+                if fd.writable() {
+                    self.handle_writable(slot);
                 }
             }
             self.sweep(draining);
@@ -450,25 +481,20 @@ impl EventLoop {
             }
         }
 
-        // Drained (or out of patience): evict whatever is left.
+        // Drained (or out of patience): let the dispatch threads run
+        // what is queued, then evict whatever is left.
+        self.close_dispatch();
         for slot in 0..self.conns.len() {
             if self.conns[slot].is_some() {
                 self.close_slot(slot, Some(EvictReason::Shutdown));
             }
         }
-        self.pool.shutdown();
     }
 
-    /// Moves worker results into their connections' write buffers.
+    /// Moves dispatch threads' responses into their connections' write
+    /// buffers.
     fn apply_completions(&mut self) {
-        let completions = {
-            let mut guard = self
-                .shared
-                .completions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *guard)
-        };
+        let completions = std::mem::take(&mut *lock(&self.shared.completions));
         for done in completions {
             let Some(conn) = self.conns.get_mut(done.slot).and_then(Option::as_mut) else {
                 continue; // connection already gone
@@ -477,13 +503,8 @@ impl EventLoop {
                 continue; // slot was reused; response belongs to a dead peer
             }
             conn.in_flight = false;
-            if conn.backlog() == 0 {
-                conn.last_write_progress = Instant::now();
-            }
-            conn.wbuf.extend_from_slice(done.response.as_bytes());
-            conn.wbuf.push(b'\n');
-            let slot = done.slot;
-            self.handle_writable(slot); // opportunistic flush
+            conn.queue_line(&done.line);
+            self.handle_writable(done.slot); // opportunistic flush
         }
     }
 
@@ -526,20 +547,13 @@ impl EventLoop {
                 eof: false,
                 last_write_progress: Instant::now(),
             };
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.conns[slot] = Some(conn);
-                    slot
-                }
-                None => {
-                    self.conns.push(Some(conn));
-                    self.conns.len() - 1
-                }
-            };
-            let _ = slot;
+            match self.free.pop() {
+                Some(slot) => self.conns[slot] = Some(conn),
+                None => self.conns.push(Some(conn)),
+            }
             let open_now = self.counters.on_open();
-            self.observer.conn_open(open_now);
-            self.observer
+            self.service.conn_open(open_now);
+            self.service
                 .stage_time(ConnStage::Accept, accept_started.elapsed());
         }
     }
@@ -559,7 +573,7 @@ impl EventLoop {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
         let _ = stream.write_all(line.as_bytes());
         let open_now = self.counters.on_evict(false);
-        self.observer
+        self.service
             .conn_evict(EvictReason::MaxConnections, open_now);
     }
 
@@ -593,12 +607,7 @@ impl EventLoop {
                 Ok(n) => {
                     pulled += n;
                     if let Err(err @ LineError::TooLong { .. }) = conn.assembler.feed(&buf[..n]) {
-                        let mut line = self.service.bad_request(&err.to_string());
-                        line.push('\n');
-                        if conn.backlog() == 0 {
-                            conn.last_write_progress = Instant::now();
-                        }
-                        conn.wbuf.extend_from_slice(line.as_bytes());
+                        conn.queue_line(&self.service.bad_request(&err.to_string()));
                         conn.closing = true;
                         break;
                     }
@@ -614,7 +623,7 @@ impl EventLoop {
                 }
             }
         }
-        self.observer.stage_time(ConnStage::Read, started.elapsed());
+        self.service.stage_time(ConnStage::Read, started.elapsed());
         if close_now {
             self.close_slot(slot, None);
         }
@@ -673,8 +682,7 @@ impl EventLoop {
             conn.wbuf.drain(..conn.woff);
             conn.woff = 0;
         }
-        self.observer
-            .stage_time(ConnStage::Write, started.elapsed());
+        self.service.stage_time(ConnStage::Write, started.elapsed());
         if close_now {
             self.close_slot(slot, None);
         }
@@ -709,17 +717,16 @@ impl EventLoop {
                                     continue; // blank keep-alive lines are ignored
                                 }
                                 conn.in_flight = true;
-                                job = Some((conn.generation, line));
+                                job = Some(SlotLine {
+                                    slot,
+                                    generation: conn.generation,
+                                    line,
+                                });
                                 break;
                             }
                             Err(_) => {
-                                let mut resp =
-                                    self.service.bad_request("request line is not valid UTF-8");
-                                resp.push('\n');
-                                if conn.backlog() == 0 {
-                                    conn.last_write_progress = Instant::now();
-                                }
-                                conn.wbuf.extend_from_slice(resp.as_bytes());
+                                let detail = "request line is not valid UTF-8";
+                                conn.queue_line(&self.service.bad_request(detail));
                                 conn.closing = true;
                                 break;
                             }
@@ -728,45 +735,9 @@ impl EventLoop {
                 }
                 job
             };
-            if let Some((generation, line)) = dispatch {
-                let service = Arc::clone(&self.service);
-                let observer = Arc::clone(&self.observer);
-                let shared = Arc::clone(&self.shared);
-                let counters = self.counters.clone();
-                self.pool.execute(move || {
-                    let started = Instant::now();
-                    // A panicking handler must still complete the
-                    // request: the connection's `in_flight` flag only
-                    // clears when a completion lands, so losing it
-                    // would wedge the peer forever. Catch here (not
-                    // just at the pool) and answer the internal-error
-                    // line instead.
-                    let response = catch_unwind(AssertUnwindSafe(|| {
-                        panacea_faultline::point("netcore.dispatch");
-                        service.serve(&line)
-                    }))
-                    .unwrap_or_else(|_| {
-                        counters.on_worker_panic();
-                        service.internal_error("request handler panicked")
-                    });
-                    observer.stage_time(ConnStage::Dispatch, started.elapsed());
-                    shared
-                        .completions
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(Completion {
-                            slot,
-                            generation,
-                            response,
-                        });
-                    // The window in which the loop may already have
-                    // drained the pipe: a delay here must not strand
-                    // the completion.
-                    if let Some(Fault::Delay(d)) = panacea_faultline::fire("netcore.complete") {
-                        thread::sleep(d);
-                    }
-                    shared.waker.notify();
-                });
+            if let Some(job) = dispatch {
+                lock(&self.shared.jobs).0.push_back(job);
+                self.shared.job_ready.notify_one();
             }
 
             // Retire: flushed and told to close, or peer gone with
@@ -796,12 +767,53 @@ impl EventLoop {
         match evict {
             Some(reason) => {
                 let open_now = self.counters.on_evict(true);
-                self.observer.conn_evict(reason, open_now);
+                self.service.conn_evict(reason, open_now);
             }
             None => {
                 let open_now = self.counters.on_close();
-                self.observer.conn_close(open_now);
+                self.service.conn_close(open_now);
             }
         }
+    }
+}
+
+/// One dispatch thread: runs each queued request line through the
+/// service and hands the response back to the loop, until the queue is
+/// closed and empty.
+fn dispatch(shared: &Shared, service: &dyn Service, alive: &Alive) {
+    loop {
+        // Its own statement, so the lock is released before the request runs.
+        let job = shared
+            .job_ready
+            .wait_while(lock(&shared.jobs), |(queue, closed)| {
+                queue.is_empty() && !*closed
+            })
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+            .pop_front();
+        let Some(mut job) = job else {
+            return; // closed and drained
+        };
+        let started = Instant::now();
+        // A panicking handler must still complete the request: the
+        // connection's `in_flight` flag only clears when a completion
+        // lands, so losing it would wedge the peer forever. Answer the
+        // internal-error line instead, and keep serving.
+        job.line = catch_unwind(AssertUnwindSafe(|| {
+            panacea_faultline::point("netcore.dispatch");
+            service.serve(&job.line)
+        }))
+        .unwrap_or_else(|_| {
+            alive.0.on_worker_panic();
+            service.internal_error("request handler panicked")
+        });
+        service.stage_time(ConnStage::Dispatch, started.elapsed());
+        lock(&shared.completions).push(job);
+        // The window in which the loop may already have drained the
+        // pipe: a delay here must not strand the completion.
+        if let Some(Fault::Delay(d)) = panacea_faultline::fire("netcore.complete") {
+            thread::sleep(d);
+        }
+        shared.waker.notify();
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A dispatch thread finishes a request by queueing its completion and
 //! then poking the wakeup pipe; `netcore.complete` sits between the two,
-//! in the window where the loop may already have drained the pipe. For a
-//! hundred seeds this suite scripts `Delay` faults there and at
+//! in the window where the loop may already have drained the pipe. For
+//! 120 seeds this suite scripts `Delay` faults there and at
 //! `netcore.dispatch` while four connections pipeline requests at an
 //! echo service, and on a third of the seeds shuts the reactor down
 //! mid-run. It then checks what must hold under any interleaving: each
@@ -16,7 +16,7 @@
 //! Own test binary: arming a `faultline` plan is process-global.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,30 +24,22 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use panacea_faultline::{Fault, FaultPlan, Scenario};
-use panacea_netcore::{ConnectionCounters, NullObserver, Reactor, ReactorConfig, Service};
+use panacea_netcore::{ConnectionCounters, Reactor, ReactorConfig, Service};
 
 const SEEDS: Range<u64> = 0..120;
-const WORKERS: usize = 2;
+const WORKERS: u64 = 2;
 const CONNECTIONS: u64 = 4;
-const LINES_PER_CONNECTION: u64 = 6;
+const LINES: u64 = 6;
 /// Long enough that only a lost completion or wakeup can exceed it.
-const ANSWER_TIMEOUT: Duration = Duration::from_secs(20);
+const TIMEOUT: Duration = Duration::from_secs(20);
 
 /// splitmix64 — the seeded decisions.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn micros(&mut self, range: Range<u64>) -> Duration {
-        Duration::from_micros(range.start + self.next() % (range.end - range.start))
-    }
+fn micros(state: &mut u64, range: Range<u64>) -> Duration {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    Duration::from_micros(range.start + (z ^ (z >> 31)) % (range.end - range.start))
 }
 
 /// Answers each line with itself.
@@ -67,177 +59,139 @@ impl Service for Echo {
     }
 }
 
-/// Delays before the handler and between queueing a completion and
-/// waking the loop.
-fn perturbation(seed: u64) -> FaultPlan {
-    let mut rng = Rng(seed);
-    let requests = CONNECTIONS * LINES_PER_CONNECTION;
-    let mut delay = || Fault::Delay(rng.micros(50..400));
-    let scenario = Scenario::new()
-        .fire_within("netcore.dispatch", delay(), 6, requests)
-        .fire_within("netcore.complete", delay(), 8, requests);
-    FaultPlan::compile(seed, &scenario)
-}
-
-/// Polls `condition` until it holds or `ANSWER_TIMEOUT` passes.
+/// Polls `condition` until it holds or `TIMEOUT` passes.
 fn wait_until(mut condition: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + ANSWER_TIMEOUT;
-    while Instant::now() < deadline {
-        if condition() {
-            return true;
+    let deadline = Instant::now() + TIMEOUT;
+    while !condition() {
+        if Instant::now() >= deadline {
+            return false;
         }
         thread::sleep(Duration::from_micros(200));
     }
-    condition()
+    true
+}
+
+/// A reset ends a stream like an EOF: a shutdown may close a socket with
+/// unread bytes, or the listener before the connection was accepted.
+fn is_reset(kind: ErrorKind) -> bool {
+    use ErrorKind::*;
+    matches!(
+        kind,
+        ConnectionRefused | ConnectionReset | ConnectionAborted | BrokenPipe
+    )
 }
 
 /// Pipelines one connection's requests, then reads answers until the
-/// server closes it. A reset is an end of stream too (a shutdown may
-/// close a socket with unread bytes, or the listener before the
-/// connection was accepted); a timeout is an error.
-fn client(
-    addr: std::net::SocketAddr,
-    conn: u64,
-    answered: Arc<AtomicUsize>,
-) -> Result<Vec<String>, String> {
+/// server closes it. A timeout is an error.
+fn client(addr: SocketAddr, conn: u64, answered: &AtomicUsize) -> Result<Vec<String>, String> {
     let stream = match TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        // The shutdown closed the listener before this client got in.
-        Err(e) if e.kind() == ErrorKind::ConnectionRefused => return Ok(Vec::new()),
-        Err(e) => return Err(format!("connect: {e}")),
+        Err(e) if is_reset(e.kind()) => return Ok(Vec::new()),
+        connected => connected.map_err(|e| format!("connect: {e}"))?,
     };
     stream
-        .set_read_timeout(Some(ANSWER_TIMEOUT))
+        .set_read_timeout(Some(TIMEOUT))
         .map_err(|e| e.to_string())?;
-    let lines: String = (0..LINES_PER_CONNECTION)
-        .map(|i| format!("c{conn}-r{i}\n"))
-        .collect();
+    let lines: String = (0..LINES).map(|i| format!("c{conn}-r{i}\n")).collect();
     let mut reader = BufReader::new(stream);
-    if let Err(e) = reader.get_mut().write_all(lines.as_bytes()) {
-        if !is_reset(e.kind()) {
-            return Err(format!("write: {e}"));
-        }
+    match reader.get_mut().write_all(lines.as_bytes()) {
+        Err(e) if !is_reset(e.kind()) => return Err(format!("write: {e}")),
+        _ => {}
     }
     let mut answers = Vec::new();
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(answers),
-            Ok(_) => {
-                answers.push(line.trim_end().to_string());
-                answered.fetch_add(1, Ordering::SeqCst);
-            }
+            Ok(_) => answers.push(line.trim_end().to_string()),
             Err(e) if is_reset(e.kind()) => return Ok(answers),
             Err(e) => return Err(format!("read after {} answers: {e}", answers.len())),
         }
+        answered.fetch_add(1, Ordering::SeqCst);
     }
-}
-
-fn is_reset(kind: ErrorKind) -> bool {
-    matches!(
-        kind,
-        ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
-    )
-}
-
-/// What one seed's run did, so the suite can tell it was not vacuous.
-#[derive(Default)]
-struct Run {
-    delays_fired: usize,
-    cut_short: bool,
 }
 
 /// One seed: four pipelining connections against a perturbed reactor,
 /// shut down mid-run on a third of the seeds and after the last answer
-/// otherwise.
-fn schedule(seed: u64) -> Run {
-    let guard = perturbation(seed).arm();
-    let mut rng = Rng(seed ^ 0xC3C3);
+/// otherwise. Returns how many delays fired and whether a connection was
+/// cut short.
+fn schedule(seed: u64) -> (usize, bool) {
+    let mut rng = seed;
+    let requests = CONNECTIONS * LINES;
+    let mut delay = || Fault::Delay(micros(&mut rng, 50..400));
+    let scenario = Scenario::new()
+        .fire_within("netcore.dispatch", delay(), 6, requests)
+        .fire_within("netcore.complete", delay(), 8, requests);
+    let guard = FaultPlan::compile(seed, &scenario).arm();
     let mid_run_shutdown = seed.is_multiple_of(3);
     let tag = format!("seed {seed} (mid-run shutdown: {mid_run_shutdown})");
     let counters = ConnectionCounters::default();
-    let mut reactor = Reactor::spawn(
-        TcpListener::bind("127.0.0.1:0").expect("bind"),
-        Arc::new(Echo),
-        Arc::new(NullObserver),
-        counters.clone(),
-        ReactorConfig {
-            workers: WORKERS,
-            ..ReactorConfig::default()
-        },
-    )
-    .expect("spawn reactor");
+    let config = ReactorConfig {
+        workers: WORKERS as usize,
+        ..ReactorConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut reactor =
+        Reactor::spawn(listener, Arc::new(Echo), counters.clone(), config).expect("spawn reactor");
     let addr = reactor.local_addr();
     let answered = Arc::new(AtomicUsize::new(0));
     let clients: Vec<_> = (0..CONNECTIONS)
         .map(|conn| {
             let answered = Arc::clone(&answered);
-            thread::spawn(move || client(addr, conn, answered))
+            thread::spawn(move || client(addr, conn, &answered))
         })
         .collect();
 
+    let alive = || counters.snapshot().workers_alive;
     assert!(
-        wait_until(|| counters.snapshot().workers_alive == WORKERS as u64),
-        "{tag}: workers_alive never read {WORKERS} while serving: {:?}",
-        counters.snapshot()
+        wait_until(|| alive() == WORKERS),
+        "{tag}: {} alive",
+        alive()
     );
     if mid_run_shutdown {
-        thread::sleep(rng.micros(0..800));
+        thread::sleep(micros(&mut rng, 0..800));
     } else {
-        let all = (CONNECTIONS * LINES_PER_CONNECTION) as usize;
+        let all = requests as usize;
         assert!(
             wait_until(|| answered.load(Ordering::SeqCst) == all),
-            "{tag}: {} of {all} requests answered within {ANSWER_TIMEOUT:?}",
+            "{tag}: {} of {all} requests answered within {TIMEOUT:?}",
             answered.load(Ordering::SeqCst)
         );
-        assert_eq!(
-            counters.snapshot().workers_alive,
-            WORKERS as u64,
-            "{tag}: a dispatch thread died while serving"
-        );
+        assert_eq!(alive(), WORKERS, "{tag}: a dispatch thread died");
     }
     reactor.shutdown();
-    assert_eq!(
-        counters.snapshot().workers_alive,
-        0,
-        "{tag}: dispatch threads outlived the shutdown"
-    );
+    assert_eq!(alive(), 0, "{tag}: dispatch threads outlived the shutdown");
 
-    let mut run = Run::default();
+    let mut cut_short = false;
     for (conn, client) in (0..CONNECTIONS).zip(clients) {
         let answers = client
             .join()
             .unwrap_or_else(|_| panic!("{tag}: client {conn} panicked"))
             .unwrap_or_else(|e| panic!("{tag}: client {conn}: {e}"));
-        let requests: Vec<String> = (0..LINES_PER_CONNECTION)
-            .map(|i| format!("c{conn}-r{i}"))
-            .collect();
+        let requests: Vec<String> = (0..LINES).map(|i| format!("c{conn}-r{i}")).collect();
         assert!(
             answers.len() <= requests.len() && answers[..] == requests[..answers.len()],
             "{tag}: connection {conn}'s answers {answers:?} are not a prefix of its requests"
         );
-        if !mid_run_shutdown {
-            assert_eq!(
-                answers.len(),
-                requests.len(),
-                "{tag}: connection {conn} was not fully answered"
-            );
-        }
-        run.cut_short |= answers.len() < requests.len();
+        assert!(
+            mid_run_shutdown || answers.len() == requests.len(),
+            "{tag}: connection {conn} got {} of {} answers",
+            answers.len(),
+            requests.len()
+        );
+        cut_short |= answers.len() < requests.len();
     }
-    run.delays_fired = guard.firings().len();
-    run
+    (guard.firings().len(), cut_short)
 }
 
 #[test]
 fn completions_are_answered_once_in_order_under_perturbed_schedules() {
-    let mut total = Run::default();
+    let (mut delays_fired, mut cut_short) = (0, false);
     for seed in SEEDS {
-        let run = schedule(seed);
-        total.delays_fired += run.delays_fired;
-        total.cut_short |= run.cut_short;
+        let (fired, cut) = schedule(seed);
+        delays_fired += fired;
+        cut_short |= cut;
     }
     // The suite must have exercised what it claims to.
-    assert!(total.delays_fired > 0, "no delay ever fired");
-    assert!(total.cut_short, "no shutdown ever cut a connection short");
+    assert!(delays_fired > 0, "no delay ever fired");
+    assert!(cut_short, "no shutdown ever cut a connection short");
 }

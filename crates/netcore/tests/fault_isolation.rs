@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use panacea_faultline::{Fault, FaultPlan, Scenario};
-use panacea_netcore::{ConnectionCounters, NullObserver, Reactor, ReactorConfig, Service};
+use panacea_netcore::{ConnectionCounters, Reactor, ReactorConfig, Service};
 
 /// `ok:`-echo, except `boom` panics inside the handler.
 struct ChaosService;
@@ -49,7 +49,6 @@ fn start(workers: usize) -> (Reactor, std::net::SocketAddr, ConnectionCounters) 
     let reactor = Reactor::spawn(
         listener,
         Arc::new(ChaosService),
-        Arc::new(NullObserver),
         counters.clone(),
         ReactorConfig {
             workers,
@@ -76,9 +75,9 @@ fn panicking_handler_answers_internal_error_and_pool_survives() {
     let guard = FaultPlan::compile(0, &Scenario::new()).arm();
     let (mut reactor, addr, counters) = start(1);
     let mut client = BufReader::new(TcpStream::connect(addr).expect("connect"));
-    // The handler panic is caught on the worker: the request still
-    // completes (no hang), the connection stays open, and with only one
-    // worker the follow-up proves the thread survived.
+    // The handler panic is caught on its dispatch thread: the request
+    // still completes (no hang), the connection stays open, and with only
+    // one thread the follow-up proves it survived.
     assert_eq!(
         round_trip(&mut client, "boom"),
         "internal:request handler panicked"

@@ -1,7 +1,8 @@
-//! Loopback tests for the reactor: request/response round-trips,
-//! deterministic write-backpressure eviction with an interleaved healthy
-//! connection, connection-limit rejection, drain-on-shutdown, and
-//! oversized-frame handling.
+//! Loopback tests for the reactor: request/response round-trips (with
+//! the dispatch thread count clamped to one), deterministic
+//! write-backpressure eviction with an interleaved healthy connection,
+//! connection-limit rejection, drain-on-shutdown (with more requests in
+//! flight than dispatch threads), and oversized-frame handling.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -9,13 +10,15 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use panacea_netcore::{
-    ConnObserver, ConnectionCounters, EvictReason, Reactor, ReactorConfig, Service,
-};
+use panacea_netcore::{ConnectionCounters, EvictReason, Reactor, ReactorConfig, Service};
 
 /// Line protocol for the tests: `ok:`-echo by default, `pad:<n>` for an
-/// `n`-byte response, `sleep:<ms>` to hold a worker.
-struct TestService;
+/// `n`-byte response, `sleep:<ms>` to hold a dispatch thread. Records
+/// every eviction for later assertion.
+#[derive(Default)]
+struct TestService {
+    evictions: Mutex<Vec<String>>,
+}
 
 impl Service for TestService {
     fn serve(&self, line: &str) -> String {
@@ -38,46 +41,16 @@ impl Service for TestService {
     fn overloaded(&self, detail: &str) -> String {
         format!("overloaded:{detail}")
     }
-}
-
-/// Records every lifecycle event for later assertion.
-#[derive(Default)]
-struct RecordingObserver {
-    events: Mutex<Vec<String>>,
-}
-
-impl RecordingObserver {
-    fn evictions(&self) -> Vec<String> {
-        self.events
-            .lock()
-            .expect("events")
-            .iter()
-            .filter(|e| e.starts_with("evict:"))
-            .cloned()
-            .collect()
-    }
-}
-
-impl ConnObserver for RecordingObserver {
-    fn conn_open(&self, open_now: u64) {
-        self.events
-            .lock()
-            .expect("events")
-            .push(format!("open:{open_now}"));
-    }
-
-    fn conn_close(&self, open_now: u64) {
-        self.events
-            .lock()
-            .expect("events")
-            .push(format!("close:{open_now}"));
-    }
 
     fn conn_evict(&self, reason: EvictReason, _open_now: u64) {
-        self.events
-            .lock()
-            .expect("events")
-            .push(format!("evict:{}", reason.as_str()));
+        let mut evictions = self.evictions.lock().expect("evictions");
+        evictions.push(format!("evict:{}", reason.as_str()));
+    }
+}
+
+impl TestService {
+    fn evictions(&self) -> Vec<String> {
+        self.evictions.lock().expect("evictions").clone()
     }
 }
 
@@ -87,21 +60,15 @@ fn start(
     Reactor,
     std::net::SocketAddr,
     ConnectionCounters,
-    Arc<RecordingObserver>,
+    Arc<TestService>,
 ) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let counters = ConnectionCounters::default();
-    let observer = Arc::new(RecordingObserver::default());
-    let reactor = Reactor::spawn(
-        listener,
-        Arc::new(TestService),
-        observer.clone(),
-        counters.clone(),
-        config,
-    )
-    .expect("spawn reactor");
+    let service = Arc::new(TestService::default());
+    let reactor =
+        Reactor::spawn(listener, service.clone(), counters.clone(), config).expect("spawn reactor");
     let addr = reactor.local_addr();
-    (reactor, addr, counters, observer)
+    (reactor, addr, counters, service)
 }
 
 fn round_trip(reader: &mut BufReader<TcpStream>, request: &str) -> String {
@@ -127,10 +94,18 @@ fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn many_connections_round_trip_and_counters_settle() {
+    // `workers: 0` still serves, on one dispatch thread.
+    for workers in [2, 0] {
+        round_trip_and_settle(workers);
+    }
+}
+
+fn round_trip_and_settle(workers: usize) {
     let (mut reactor, addr, counters, _observer) = start(ReactorConfig {
-        workers: 2,
+        workers,
         ..ReactorConfig::default()
     });
+    assert_eq!(counters.snapshot().workers_alive, workers.max(1) as u64);
 
     let mut clients: Vec<BufReader<TcpStream>> = (0..3)
         .map(|_| BufReader::new(TcpStream::connect(addr).expect("connect")))
@@ -228,23 +203,37 @@ fn over_limit_connection_gets_one_overload_line_then_eof() {
 
 #[test]
 fn shutdown_drains_the_in_flight_response() {
+    // Three connections in flight on one dispatch thread: the drain
+    // still answers every one.
+    for connections in [1, 3] {
+        drain_in_flight(connections);
+    }
+}
+
+fn drain_in_flight(connections: usize) {
     let (mut reactor, addr, _counters, observer) = start(ReactorConfig {
         workers: 1,
         ..ReactorConfig::default()
     });
 
-    let mut client = BufReader::new(TcpStream::connect(addr).expect("connect"));
-    client
-        .get_mut()
-        .write_all(b"sleep:200\n")
-        .expect("write request");
-    // Let the request reach a worker before shutdown starts.
+    let mut clients: Vec<BufReader<TcpStream>> = (0..connections)
+        .map(|_| BufReader::new(TcpStream::connect(addr).expect("connect")))
+        .collect();
+    for client in &mut clients {
+        client
+            .get_mut()
+            .write_all(b"sleep:200\n")
+            .expect("write request");
+    }
+    // Let the requests reach the dispatch queue before shutdown starts.
     thread::sleep(Duration::from_millis(50));
     reactor.shutdown();
 
-    let mut line = String::new();
-    client.read_line(&mut line).expect("read drained response");
-    assert_eq!(line.trim_end(), "slept:200");
+    for client in &mut clients {
+        let mut line = String::new();
+        client.read_line(&mut line).expect("read drained response");
+        assert_eq!(line.trim_end(), "slept:200");
+    }
     assert!(
         observer.evictions().contains(&"evict:shutdown".to_string()),
         "survivor should be evicted with reason shutdown, got {:?}",

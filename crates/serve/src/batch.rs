@@ -235,7 +235,7 @@ pub(crate) fn execute(
         panacea_faultline::point("serve.worker.execute");
         timed_blocks(&cells.block, || model.forward_batch(&refs))
     }));
-    let (outputs, workload) = match ran {
+    let (outputs, _) = match ran {
         Ok(out) => out,
         Err(_) => {
             metrics.record_worker_panic(model.name(), "worker_execute");
@@ -268,7 +268,6 @@ pub(crate) fn execute(
         let _ = job.responder.send(Ok(InferenceOutput {
             payload: out,
             scale: model.output_scale(),
-            workload,
             batched_cols: total_cols,
             latency: done.duration_since(job.enqueued_at),
         }));

@@ -49,7 +49,7 @@ use std::sync::{Arc, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panacea_block::KvCache;
-use panacea_core::{pe_padded_cols, Workload};
+use panacea_core::pe_padded_cols;
 use panacea_telemetry::{EventSeverity, TraceContext};
 use panacea_tensor::Matrix;
 
@@ -59,10 +59,8 @@ use crate::queue::{BatchQueue, Queued, RequestCtx, Workers};
 use crate::session::{Session, Slot};
 
 /// What a fused pass hands back to each waiting step: the session's
-/// output columns, its total token count afterwards, and the workload of
-/// the whole batch the step rode in (mirroring the stateless runtime's
-/// per-request workload reporting).
-pub(crate) type StepOutcome = (Matrix<f32>, usize, Workload);
+/// output columns and its total token count afterwards.
+pub(crate) type StepOutcome = (Matrix<f32>, usize);
 
 /// How a step failed inside the batching worker. The session manager
 /// maps these onto [`ServeError`](crate::ServeError) — and, for
@@ -308,7 +306,7 @@ fn run_pass(
                 .expect("a validated step on its own model's cache")
         })
     }));
-    let (out, wl) = match ran {
+    let (out, _) = match ran {
         Ok(outcome) => outcome,
         Err(_) => {
             metrics.record_worker_panic(model.name(), "decode_fused_pass");
@@ -340,9 +338,9 @@ fn run_pass(
                             .expect("a validated step on its own model's cache")
                     }));
                     match solo {
-                        Ok((out, wl)) => {
+                        Ok((out, _)) => {
                             guard.last_used = now;
-                            Ok((out, guard.kv.tokens(), wl))
+                            Ok((out, guard.kv.tokens()))
                         }
                         Err(_) => {
                             metrics.record_worker_panic(model.name(), "decode_solo_retry");
@@ -367,7 +365,7 @@ fn run_pass(
         .zip(guards.iter_mut())
         .map(|(part, g)| {
             g.last_used = now;
-            (part, g.kv.tokens(), wl)
+            (part, g.kv.tokens())
         })
         .collect())
 }

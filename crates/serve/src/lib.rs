@@ -56,7 +56,6 @@ use std::fmt;
 use std::time::Duration;
 
 use panacea_core::pipeline::PipelineError;
-use panacea_core::Workload;
 use panacea_tensor::Matrix;
 
 pub use batch::BatchPolicy;
@@ -79,8 +78,6 @@ pub struct InferenceOutput {
     /// (`acc · scale ≈ W·x + b`); `1.0` and unused for
     /// [`Payload::Hidden`] results.
     pub scale: f64,
-    /// AQS workload of the *whole* batch this request rode in.
-    pub workload: Workload,
     /// Total columns in that batch (≥ this request's columns).
     pub batched_cols: usize,
     /// Queue-to-response latency for this request.

@@ -55,7 +55,6 @@ use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use panacea_block::KvCache;
-use panacea_core::Workload;
 use panacea_faultline::Fault;
 use panacea_telemetry::{DimCell, EventSeverity, MetricRegistry};
 use panacea_tensor::Matrix;
@@ -280,9 +279,8 @@ impl SessionManager {
     }
 
     /// Advances a session by `hidden` (`d_model × t_new` new tokens,
-    /// any chunking), returning the new tokens' output hidden states,
-    /// the session's total token count afterwards, and the workload of
-    /// the fused pass the step rode in. Bit-identical to a full causal
+    /// any chunking), returning the new tokens' output hidden states and
+    /// the session's total token count afterwards. Bit-identical to a full causal
     /// recompute of the whole prefix — see
     /// [`PreparedModel::forward_decode`] — *and* to solo stepping: the
     /// continuous batcher coalesces concurrent sessions' steps into one
@@ -301,7 +299,7 @@ impl SessionManager {
         &self,
         session: u64,
         hidden: &Matrix<f32>,
-    ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
+    ) -> Result<(Matrix<f32>, usize), ServeError> {
         self.step_with(session, hidden, RequestCtx::default())
     }
 
@@ -326,7 +324,7 @@ impl SessionManager {
         session: u64,
         hidden: &Matrix<f32>,
         ctx: RequestCtx,
-    ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
+    ) -> Result<(Matrix<f32>, usize), ServeError> {
         let now = Instant::now();
         if ctx.deadline.is_some_and(|d| now >= d) {
             return Err(ServeError::DeadlineExceeded);
@@ -390,7 +388,7 @@ impl SessionManager {
             // mid-step (close or eviction), the removal already settled
             // the slot's whole `accounted` (reservation included), and
             // the orphaned cache frees when the last Arc goes.
-            Ok((_, _, _)) => {
+            Ok(_) => {
                 counters.decode_steps.add(1);
                 counters.decode_tokens.add(hidden.cols() as u64);
                 slot.cells.step.record_latency(now.elapsed());
@@ -450,7 +448,7 @@ impl SessionManager {
         slot: &Arc<Slot>,
         hidden: &Matrix<f32>,
         ctx: RequestCtx,
-    ) -> Result<(Matrix<f32>, usize, Workload), ServeError> {
+    ) -> Result<(Matrix<f32>, usize), ServeError> {
         let answer = if hidden.cols() >= self.config.max_decode_batch {
             self.batcher.run_on_caller(slot, hidden)
         } else {
@@ -631,11 +629,10 @@ mod tests {
         let (mgr, model) = manager(SessionConfig::default());
         let id = mgr.open(Arc::clone(&model)).expect("opened");
         assert!(mgr.model(id).is_some());
-        let (out, tokens, wl) = mgr.step(id, &hidden(16, 3, 0)).expect("stepped");
+        let (out, tokens) = mgr.step(id, &hidden(16, 3, 0)).expect("stepped");
         assert_eq!(out.shape(), (16, 3));
         assert_eq!(tokens, 3);
-        assert!(wl.mul > 0);
-        let (_, tokens, _) = mgr.step(id, &hidden(16, 1, 1)).expect("stepped");
+        let (_, tokens) = mgr.step(id, &hidden(16, 1, 1)).expect("stepped");
         assert_eq!(tokens, 4);
         let s = mgr.stats();
         assert_eq!(s.open_sessions, 1);
@@ -813,11 +810,10 @@ mod tests {
                 let mut outs = Vec::new();
                 barrier.wait();
                 for c in 0..STEPS {
-                    let (out, tokens, wl) = mgr
+                    let (out, tokens) = mgr
                         .step(id, &stream.submatrix(0, c, 16, 1))
                         .expect("stepped");
                     assert_eq!(tokens, c + 1);
-                    assert!(wl.mul > 0);
                     outs.push(out);
                 }
                 mgr.close(id).expect("closed");
@@ -876,7 +872,7 @@ mod tests {
                 })
                 .collect();
             for th in steppers {
-                let (_, tokens, _) = th.join().expect("stepper").expect("stepped");
+                let (_, tokens) = th.join().expect("stepper").expect("stepped");
                 assert_eq!(tokens, round + 1);
             }
         }
@@ -892,10 +888,9 @@ mod tests {
             ..SessionConfig::default()
         });
         let id = mgr.open(model).expect("opened");
-        let (out, tokens, wl) = mgr.step(id, &hidden(16, 2, 5)).expect("stepped");
+        let (out, tokens) = mgr.step(id, &hidden(16, 2, 5)).expect("stepped");
         assert_eq!(out.shape(), (16, 2));
         assert_eq!(tokens, 2);
-        assert!(wl.mul > 0);
         let s = mgr.stats();
         assert_eq!(s.decode_steps, 1);
         assert_eq!(
@@ -918,7 +913,7 @@ mod tests {
         });
         let id = mgr.open(Arc::new(model)).expect("opened");
         let stream = hidden(16, 5, 9);
-        let (wide, tokens, _) = mgr
+        let (wide, tokens) = mgr
             .step(id, &stream.submatrix(0, 0, 16, 4))
             .expect("prefill");
         assert_eq!(tokens, 4);
@@ -927,7 +922,7 @@ mod tests {
             0,
             "budget-filling chunk went through the batcher"
         );
-        let (narrow, tokens, _) = mgr.step(id, &stream.submatrix(0, 4, 16, 1)).expect("step");
+        let (narrow, tokens) = mgr.step(id, &stream.submatrix(0, 4, 16, 1)).expect("step");
         assert_eq!(tokens, 5);
         assert_eq!(mgr.stats().decode_batches, 1, "narrow step did not batch");
         assert_eq!(
@@ -1005,7 +1000,7 @@ mod tests {
         }
         let mut got = Vec::new();
         for c in 0..5 {
-            let (out, _, _) = mgr
+            let (out, _) = mgr
                 .step(id, &prefix.submatrix(0, c, 16, 1))
                 .expect("stepped");
             got.push(out);

@@ -195,7 +195,7 @@ fn mid_step_panic_evicts_the_session_and_batchmates_stay_exact() {
     for h in handles {
         let (id, i, r) = h.join().expect("stepper joined");
         match r {
-            Ok((out, tokens, _)) => {
+            Ok((out, tokens)) => {
                 assert_eq!(tokens, 2);
                 survivors.push((id, i, out));
             }
@@ -231,7 +231,7 @@ fn mid_step_panic_evicts_the_session_and_batchmates_stay_exact() {
     });
     for (_, i, out) in &survivors {
         let sid = solo.open(Arc::clone(&model)).expect("opened");
-        let (expect, _, _) = solo.step(sid, &hidden(16, 2, *i)).expect("solo step");
+        let (expect, _) = solo.step(sid, &hidden(16, 2, *i)).expect("solo step");
         assert_eq!(out, &expect, "survivor diverged from solo stepping");
     }
     // KV budget settles: eviction already settled the poisoned slot;
@@ -281,7 +281,7 @@ fn caller_thread_panic_evicts_the_session_and_a_fresh_one_steps_exactly() {
     let _quiet = FaultPlan::compile(0, &Scenario::new()).arm();
     let fresh = mgr.open(Arc::clone(&model)).expect("opened");
     let x = hidden(16, 4, 2);
-    let (out, tokens, _) = mgr.step(fresh, &x).expect("stepped");
+    let (out, tokens) = mgr.step(fresh, &x).expect("stepped");
     assert_eq!(tokens, 4);
     let mut kv = KvCache::for_blocks(&blocks);
     let (expect, _) = panacea_block::decode_step(&blocks, &x, &mut kv);

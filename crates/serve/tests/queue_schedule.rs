@@ -225,7 +225,7 @@ fn decode_schedule(seed: u64, model: &Arc<PreparedModel>) -> Purged {
                 let (mut stepped, mut expired) = (0u64, 0u64);
                 for i in 0..JOBS_PER_PRODUCER {
                     match mgr.step_with(id, &hidden(16, 1, i as usize), mixed_ctx(&mut rng)) {
-                        Ok((out, tokens, _)) => {
+                        Ok((out, tokens)) => {
                             stepped += 1;
                             assert_eq!(out.shape(), (16, 1), "{tag}");
                             assert_eq!(tokens as u64, stepped, "{tag}: KV and answers disagree");
