@@ -3,7 +3,7 @@
 //! One [`GatewayClient`] owns one connection and pipelines nothing:
 //! every call writes one request line and blocks for one response line.
 //! Concurrency comes from opening more clients — they are cheap, and the
-//! server dedicates a thread per connection anyway.
+//! server multiplexes every connection on one reactor thread.
 //!
 //! # Deadlines and retries
 //!
@@ -31,8 +31,8 @@ use panacea_tensor::Matrix;
 
 use crate::protocol::{
     decode_response, write_request, DecodeReply, ErrorKind, EventsReply, GatewayMetrics,
-    GatewayStats, InferReply, Request, Response, SessionCloseReply, SessionOpenReply, TraceKind,
-    TraceReply,
+    GatewayStats, InferReply, Reply, Request, Response, SessionCloseReply, SessionOpenReply,
+    TraceKind, TraceReply,
 };
 use crate::GatewayError;
 use panacea_telemetry::HealthReport;
@@ -149,7 +149,8 @@ impl GatewayClient {
             .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
     }
 
-    fn call(&mut self, request: &Request) -> Result<Response, GatewayError> {
+    /// One request line out, one response line back, of any kind.
+    fn exchange(&mut self, request: &Request) -> Result<Response, GatewayError> {
         self.request.clear();
         write_request(request, &mut self.request);
         self.request.push('\n');
@@ -165,30 +166,35 @@ impl GatewayClient {
         decode_response(&self.reply)
     }
 
+    /// One exchange whose reply must be `T`'s kind.
+    fn call<T: Reply>(&mut self, request: &Request) -> Result<T, GatewayError> {
+        expect(request, self.exchange(request)?)
+    }
+
     /// [`call`](Self::call) for idempotent verbs only: retries up to
     /// `config.retries` extra attempts on transport failures (after
     /// reconnecting) and on retryable remote errors, sleeping a
     /// jittered exponential backoff between attempts.
-    fn call_retrying(&mut self, request: &Request) -> Result<Response, GatewayError> {
+    fn call_retrying<T: Reply>(&mut self, request: &Request) -> Result<T, GatewayError> {
         let mut attempt = 0u32;
         loop {
-            let outcome = self.call(request);
-            // Remote rejections arrive as `Ok(Response::Error { .. })`
-            // — the wire exchange itself succeeded — so both shapes are
-            // inspected for retryability.
+            let outcome = self.exchange(request);
+            // Worth another attempt: transport breakage (the server may
+            // have restarted, or the connection was reset mid-exchange)
+            // and transient remote conditions, which arrive as
+            // `Ok(Response::Error { .. })`. Deterministic rejections
+            // (`bad_request`, `unknown_model`, `deadline_exceeded`,
+            // `shutting_down`) would just fail identically again.
             let (retry, broke_transport) = match &outcome {
-                Err(e) if retryable(e) => (
-                    true,
-                    matches!(e, GatewayError::Io(_) | GatewayError::Protocol(_)),
-                ),
-                Ok(Response::Error { kind, .. }) => (
-                    matches!(kind, ErrorKind::Internal | ErrorKind::Overloaded),
-                    false,
-                ),
+                Err(GatewayError::Io(_) | GatewayError::Protocol(_)) => (true, true),
+                Ok(Response::Error {
+                    kind: ErrorKind::Internal | ErrorKind::Overloaded,
+                    ..
+                }) => (true, false),
                 _ => (false, false),
             };
             if !retry || attempt >= self.config.retries {
-                return outcome;
+                return expect(request, outcome?);
             }
             attempt += 1;
             self.sleep_backoff(attempt);
@@ -219,19 +225,6 @@ impl GatewayClient {
         std::thread::sleep(base.mul_f64(0.5 + frac));
     }
 
-    fn expect_infer(&mut self, request: &Request) -> Result<InferReply, GatewayError> {
-        // Stateless inference is idempotent (the server's cache keys on
-        // content, and re-running a pure forward pass is harmless), so
-        // it goes through the retrying path.
-        match self.call_retrying(request)? {
-            Response::Infer(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered an infer request with the wrong kind".to_string(),
-            )),
-        }
-    }
-
     /// Runs one typed stateless inference: codes for a linear chain,
     /// hidden states for a transformer-block model. The server rejects
     /// a payload whose kind does not match the model.
@@ -246,7 +239,10 @@ impl GatewayClient {
         if let Payload::Hidden(h) = &payload {
             check_finite(h)?;
         }
-        self.expect_infer(&Request::Infer {
+        // Stateless inference is idempotent (the server's cache keys on
+        // content, and re-running a pure forward pass is harmless), so
+        // it goes through the retrying path.
+        self.call_retrying(&Request::Infer {
             model: model.to_string(),
             payload,
             deadline_ms: self.deadline_ms(),
@@ -297,7 +293,7 @@ impl GatewayClient {
         input: Matrix<f32>,
     ) -> Result<InferReply, GatewayError> {
         check_finite(&input)?;
-        self.expect_infer(&Request::InferF32 {
+        self.call_retrying(&Request::InferF32 {
             model: model.to_string(),
             input,
             deadline_ms: self.deadline_ms(),
@@ -313,15 +309,9 @@ impl GatewayClient {
     /// `unknown_model`, `bad_request` for chain models, and
     /// `overloaded` when admission sheds the open.
     pub fn session_open(&mut self, model: &str) -> Result<SessionOpenReply, GatewayError> {
-        match self.call(&Request::SessionOpen {
+        self.call(&Request::SessionOpen {
             model: model.to_string(),
-        })? {
-            Response::SessionOpen(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a session_open request with the wrong kind".to_string(),
-            )),
-        }
+        })
     }
 
     /// Advances a decode session by one or more new token columns,
@@ -341,18 +331,11 @@ impl GatewayClient {
         check_finite(&hidden)?;
         // Never retried: a lost reply leaves the step's server-side
         // outcome unknown, and replaying it would corrupt the KV prefix.
-        let deadline_ms = self.deadline_ms();
-        match self.call(&Request::Decode {
+        self.call(&Request::Decode {
             session,
             hidden,
-            deadline_ms,
-        })? {
-            Response::Decode(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a decode request with the wrong kind".to_string(),
-            )),
-        }
+            deadline_ms: self.deadline_ms(),
+        })
     }
 
     /// Closes a decode session, freeing its KV state.
@@ -362,13 +345,7 @@ impl GatewayClient {
     /// `unknown_session` if it does not exist, plus the usual transport
     /// failures.
     pub fn session_close(&mut self, session: u64) -> Result<SessionCloseReply, GatewayError> {
-        match self.call(&Request::SessionClose { session })? {
-            Response::SessionClose(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a session_close request with the wrong kind".to_string(),
-            )),
-        }
+        self.call(&Request::SessionClose { session })
     }
 
     /// Fetches gateway-level metrics (per-shard serving and session
@@ -378,13 +355,7 @@ impl GatewayClient {
     ///
     /// Same transport failures as [`infer`](Self::infer).
     pub fn stats(&mut self) -> Result<GatewayStats, GatewayError> {
-        match self.call_retrying(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a stats request with an inference".to_string(),
-            )),
-        }
+        self.call_retrying(&Request::Stats)
     }
 
     /// Fetches every metric-registry cell's quantile summary (every
@@ -394,13 +365,7 @@ impl GatewayClient {
     ///
     /// Same transport failures as [`infer`](Self::infer).
     pub fn metrics(&mut self) -> Result<GatewayMetrics, GatewayError> {
-        match self.call_retrying(&Request::Metrics)? {
-            Response::Metrics(metrics) => Ok(metrics),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a metrics request with the wrong kind".to_string(),
-            )),
-        }
+        self.call_retrying(&Request::Metrics)
     }
 
     /// Fetches up to `limit` of the pinned slow-request traces, newest
@@ -432,13 +397,7 @@ impl GatewayClient {
     ///
     /// Same transport failures as [`infer`](Self::infer).
     pub fn trace_of(&mut self, limit: usize, kind: TraceKind) -> Result<TraceReply, GatewayError> {
-        match self.call_retrying(&Request::Trace { limit, kind })? {
-            Response::Trace(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a trace request with the wrong kind".to_string(),
-            )),
-        }
+        self.call_retrying(&Request::Trace { limit, kind })
     }
 
     /// Fetches the gateway's SLO health verdict: per-target burn rates
@@ -448,13 +407,7 @@ impl GatewayClient {
     ///
     /// Same transport failures as [`infer`](Self::infer).
     pub fn health(&mut self) -> Result<HealthReport, GatewayError> {
-        match self.call_retrying(&Request::Health)? {
-            Response::Health(report) => Ok(report),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered a health request with the wrong kind".to_string(),
-            )),
-        }
+        self.call_retrying(&Request::Health)
     }
 
     /// Fetches up to `limit` of the gateway's flight-recorder events,
@@ -465,29 +418,24 @@ impl GatewayClient {
     ///
     /// Same transport failures as [`infer`](Self::infer).
     pub fn events(&mut self, limit: usize) -> Result<EventsReply, GatewayError> {
-        match self.call_retrying(&Request::Events { limit })? {
-            Response::Events(reply) => Ok(reply),
-            Response::Error { kind, message } => Err(GatewayError::Remote { kind, message }),
-            _ => Err(GatewayError::Protocol(
-                "server answered an events request with the wrong kind".to_string(),
-            )),
-        }
+        self.call_retrying(&Request::Events { limit })
     }
 }
 
-/// Whether a failed idempotent call is worth another attempt: transport
-/// breakage (the server may have restarted, or the connection was
-/// reset mid-exchange) and transient remote conditions. Deterministic
-/// rejections (`bad_request`, `unknown_model`, `deadline_exceeded`,
-/// `shutting_down`) would just fail identically again.
-fn retryable(e: &GatewayError) -> bool {
-    match e {
-        GatewayError::Io(_) | GatewayError::Protocol(_) => true,
-        GatewayError::Remote { kind, .. } => {
-            matches!(kind, ErrorKind::Internal | ErrorKind::Overloaded)
-        }
-        _ => false,
+/// `response` as the reply `request` expects: an `error` reply becomes
+/// [`GatewayError::Remote`], any other kind a [`GatewayError::Protocol`]
+/// naming the verb and the kind received.
+fn expect<T: Reply>(request: &Request, response: Response) -> Result<T, GatewayError> {
+    if let Response::Error { kind, message } = response {
+        return Err(GatewayError::Remote { kind, message });
     }
+    let kind = response.kind();
+    T::pick(response).ok_or_else(|| {
+        GatewayError::Protocol(format!(
+            "server answered the {} request with a reply of kind {kind:?}",
+            request.verb()
+        ))
+    })
 }
 
 /// JSON cannot carry NaN/infinity; reject them before the wire rather

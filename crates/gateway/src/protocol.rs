@@ -672,7 +672,8 @@ fn known_severity(event: &EventSummary) -> Res<()> {
 }
 
 impl Request {
-    fn verb(&self) -> &'static str {
+    /// The wire `verb` spelling.
+    pub(crate) fn verb(&self) -> &'static str {
         match self {
             Request::Infer { .. } | Request::InferF32 { .. } => "infer",
             Request::SessionOpen { .. } => "session_open",
@@ -775,10 +776,35 @@ fn read_request(r: &mut Reader<'_>) -> Res<Request> {
     })
 }
 
-/// The successful responses, `kind` ↔ variant; each reply's fields are
-/// flattened beside `ok` and `kind`.
+/// A successful reply's payload type, as the client expects it back.
+pub(crate) trait Reply: Sized {
+    /// This type's variant of `resp`; `None` if it is another.
+    fn pick(resp: Response) -> Option<Self>;
+}
+
+/// The successful responses, `kind` ↔ variant ↔ payload type; each
+/// reply's fields are flattened beside `ok` and `kind`.
 macro_rules! replies {
-    ($($kind:literal => $variant:ident,)*) => {
+    ($($kind:literal => $variant:ident($reply:ty),)*) => {
+        impl Response {
+            /// The wire `kind` spelling, `"error"` for an error reply.
+            pub(crate) fn kind(&self) -> &'static str {
+                match self {
+                    $(Response::$variant(_) => $kind,)*
+                    Response::Error { .. } => "error",
+                }
+            }
+        }
+
+        $(impl Reply for $reply {
+            fn pick(resp: Response) -> Option<Self> {
+                match resp {
+                    Response::$variant(reply) => Some(reply),
+                    _ => None,
+                }
+            }
+        })*
+
         fn write_response(resp: &Response, line: &mut String) {
             line.push('{');
             field(line, "ok", &!matches!(resp, Response::Error { .. }));
@@ -812,15 +838,15 @@ macro_rules! replies {
 }
 
 replies! {
-    "infer" => Infer,
-    "session_open" => SessionOpen,
-    "decode" => Decode,
-    "session_close" => SessionClose,
-    "stats" => Stats,
-    "metrics" => Metrics,
-    "trace" => Trace,
-    "health" => Health,
-    "events" => Events,
+    "infer" => Infer(InferReply),
+    "session_open" => SessionOpen(SessionOpenReply),
+    "decode" => Decode(DecodeReply),
+    "session_close" => SessionClose(SessionCloseReply),
+    "stats" => Stats(GatewayStats),
+    "metrics" => Metrics(GatewayMetrics),
+    "trace" => Trace(TraceReply),
+    "health" => Health(HealthReport),
+    "events" => Events(EventsReply),
 }
 
 /// Serializes a request to its single-line wire form (no newline).

@@ -1,19 +1,23 @@
 //! End-to-end gateway tests over real localhost TCP: bit-exactness
 //! against direct runtime execution, cache replay, explicit overload
 //! rejections, stats round-trip, cross-thread trace propagation,
-//! flight-recorder events with incident snapshots, and clean server
-//! shutdown.
+//! flight-recorder events with incident snapshots, clean server
+//! shutdown, and the client's wrong-kind reply check.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use panacea_gateway::testutil::{codes, models};
 use panacea_gateway::{
-    AdmissionConfig, CacheConfig, Gateway, GatewayClient, GatewayConfig, GatewayServer,
+    AdmissionConfig, CacheConfig, Gateway, GatewayClient, GatewayConfig, GatewayError,
+    GatewayServer, Payload,
 };
 use panacea_serve::{BatchPolicy, RuntimeConfig};
 use panacea_tensor::dist::DistributionKind;
+use panacea_tensor::Matrix;
 
 #[test]
 fn concurrent_clients_get_bit_exact_answers_over_tcp() {
@@ -1296,4 +1300,62 @@ fn reactor_evicts_slow_consumers_and_drain_evicts_survivors() {
             .any(|e| e.kind == "conn_evict" && e.detail.contains("reason=shutdown")),
         "shutdown eviction missing from the ring"
     );
+}
+
+/// Each client method with a reply check of its own, by its verb, with
+/// the reply dropped (the shorthands share these checks).
+type Call = fn(&mut GatewayClient) -> Result<(), GatewayError>;
+
+const CALLS: [(&str, Call); 10] = [
+    ("infer", |c| {
+        c.infer("m", Payload::Codes(Matrix::zeros(4, 1))).map(drop)
+    }),
+    ("infer", |c| c.infer_f32("m", Matrix::zeros(4, 1)).map(drop)),
+    ("session_open", |c| c.session_open("m").map(drop)),
+    ("decode", |c| c.decode(1, Matrix::zeros(4, 1)).map(drop)),
+    ("session_close", |c| c.session_close(1).map(drop)),
+    ("stats", |c| c.stats().map(drop)),
+    ("metrics", |c| c.metrics().map(drop)),
+    ("trace", |c| c.trace(1).map(drop)),
+    ("health", |c| c.health().map(drop)),
+    ("events", |c| c.events(1).map(drop)),
+];
+
+#[test]
+fn a_reply_of_the_wrong_kind_is_a_protocol_error_naming_the_verb_and_the_kind() {
+    // Two fixed replies, so every method meets one it did not ask for.
+    for (kind, line) in [
+        (
+            "session_close",
+            "{\"ok\":true,\"kind\":\"session_close\",\"session\":1,\"tokens\":0}\n",
+        ),
+        (
+            "session_open",
+            "{\"ok\":true,\"kind\":\"session_open\",\"session\":1,\"shard\":0}\n",
+        ),
+    ] {
+        // Answers every line of one connection with the same reply.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            for _ in BufReader::new(stream).lines().map_while(Result::ok) {
+                writer.write_all(line.as_bytes()).expect("answer");
+            }
+        });
+        let mut client = GatewayClient::connect(addr).expect("connect");
+        for (verb, call) in CALLS.iter().filter(|(verb, _)| *verb != kind) {
+            match call(&mut client) {
+                Err(GatewayError::Protocol(message)) => assert!(
+                    message.contains(&format!("the {verb} request"))
+                        && message.contains(&format!("{kind:?}")),
+                    "{verb} under a {kind} reply: {message}"
+                ),
+                other => panic!("{verb} under a {kind} reply: {other:?}"),
+            }
+        }
+        drop(client);
+        server.join().expect("fixed-reply server");
+    }
 }
