@@ -338,26 +338,30 @@ mod tests {
     #[test]
     fn zero_point_folding_matches_direct_computation() {
         let (w, x, bias) = setup(61);
-        let cfg = calib(&x, true);
-        let layer = QuantizedLinear::prepare(&w, &bias, 7, cfg).expect("prepare");
-        let codes = cfg.quantizer.quantize_matrix(&x);
-        let (acc, _) = layer.forward(&codes);
-        // Recompute: W_int (codes − zp) + b_int, using truncated codes.
-        let wq = SymmetricQuantizer::calibrate(w.as_slice(), 7);
-        let w_int = wq.quantize_matrix(&w);
-        let zp = cfg.quantizer.params().zero_point;
-        let trunc = codes.map(|&v| panacea_quant::dbs::dbs_truncate(v, cfg.dbs_type) - zp);
-        let mut direct = w_int.gemm(&trunc).expect("shapes");
-        let s = layer.accumulator_scale();
-        for (m, &bv) in bias.iter().enumerate() {
-            let b = (f64::from(bv) / s).round() as i32;
-            for v in direct.row_mut(m) {
-                *v += b;
+        // 12-bit codes: three activation planes, `r` their top slice.
+        let mut cal12 = ActivationCalibrator::new(12).with_zpm(true);
+        cal12.observe(&x);
+        for cfg in [calib(&x, true), cal12.finalize()] {
+            let layer = QuantizedLinear::prepare(&w, &bias, 7, cfg).expect("prepare");
+            let codes = cfg.quantizer.quantize_matrix(&x);
+            let (acc, _) = layer.forward(&codes);
+            // Recompute: W_int (codes − zp) + b_int, using truncated codes.
+            let wq = SymmetricQuantizer::calibrate(w.as_slice(), 7);
+            let w_int = wq.quantize_matrix(&w);
+            let zp = cfg.quantizer.params().zero_point;
+            let trunc = codes.map(|&v| panacea_quant::dbs::dbs_truncate(v, cfg.dbs_type) - zp);
+            let mut direct = w_int.gemm(&trunc).expect("shapes");
+            let s = layer.accumulator_scale();
+            for (m, &bv) in bias.iter().enumerate() {
+                let b = (f64::from(bv) / s).round() as i32;
+                for v in direct.row_mut(m) {
+                    *v += b;
+                }
             }
+            // The only difference allowed is the DBS truncation constant,
+            // which cancels because both paths use truncated codes.
+            assert_eq!(acc, direct, "{}-bit codes", cfg.quantizer.params().bits);
         }
-        // The only difference allowed is the DBS truncation constant, which
-        // cancels because both paths use truncated codes.
-        assert_eq!(acc, direct);
     }
 
     #[test]

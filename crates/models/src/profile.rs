@@ -325,5 +325,9 @@ mod tests {
             .unwrap();
         let p = profile_layer(down, &quick_opts());
         assert_eq!(p.dbs_type, DbsType::Type1, "12-bit inputs must stay type-1");
+        // `r` is the 12-bit code's top 4-bit slice, and it is frequent.
+        let r = p.quant.frequent_ho_slice;
+        assert!(r < 16, "r = {r} is not a 4-bit HO slice");
+        assert!(p.rho_x > 0.0, "rho_x = {}", p.rho_x);
     }
 }

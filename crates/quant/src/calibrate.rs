@@ -116,7 +116,13 @@ impl ActivationCalibrator {
     /// Builds the candidate configuration for one DBS type (applying
     /// type-based ZPM when enabled) and measures its coverage.
     fn candidate(&self, base: &AsymmetricQuantizer, dbs_type: DbsType) -> LayerQuantConfig {
-        let lo_bits = dbs_type.lo_bits();
+        // `r` is the top 4-bit slice of the code: type-1's LO part grows
+        // by the bits above 8 (8 LO bits at 12, 12 at 16). DBS types 2/3
+        // exist only at 8 bits.
+        let lo_bits = match dbs_type {
+            DbsType::Type1 => self.bits.max(8) - 4,
+            ty => ty.lo_bits(),
+        };
         let measure = |quantizer: AsymmetricQuantizer, frequent: u8, skip_lo: i32, skip_hi: i32| {
             let total = self.samples.len().max(1);
             let inside = self
@@ -289,11 +295,18 @@ mod tests {
 
     #[test]
     fn frequent_slice_matches_zero_point_ho() {
-        let mut cal = ActivationCalibrator::new(8);
-        narrow_batches(&mut cal, 9);
-        let cfg = cal.finalize();
-        let zp = cfg.quantizer.params().zero_point;
-        assert_eq!(cfg.frequent_ho_slice, (zp >> 4) as u8);
+        for bits in [8, 12, 16] {
+            let mut cal = ActivationCalibrator::new(bits);
+            narrow_batches(&mut cal, 9);
+            let cfg = cal.finalize();
+            let zp = cfg.quantizer.params().zero_point;
+            assert_eq!(
+                cfg.frequent_ho_slice,
+                (zp >> (bits - 4)) as u8,
+                "{bits}-bit"
+            );
+            assert_eq!(cfg.skip_hi - cfg.skip_lo + 1, 1 << (bits - 4), "{bits}-bit");
+        }
     }
 
     #[test]
