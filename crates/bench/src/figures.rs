@@ -11,7 +11,7 @@ use panacea_core::sibia::{sibia_gemm, SkipSide};
 use panacea_core::workload::table1;
 use panacea_models::proxy::accuracy_loss_pp;
 use panacea_models::Benchmark::*;
-use panacea_models::{LayerKind, LayerProfile};
+use panacea_models::LayerKind;
 use panacea_quant::dbs::{dbs_slices, DbsConfig, DbsType};
 use panacea_quant::optq::{layer_output_error, optq_quantize, rtn_quantize, OptqConfig};
 use panacea_quant::zpm::{frequent_slice_without_zpm, manipulate_zero_point};
@@ -25,6 +25,7 @@ use panacea_tensor::dist::DistributionKind;
 use panacea_tensor::stats::{self, Histogram};
 use panacea_tensor::Matrix;
 
+use crate::profile::LayerProfile;
 use crate::{f3, pct, ratio, table, Check, ComparisonSet, EngineKind, Figure, Profiles};
 
 /// Every figure, in print order.

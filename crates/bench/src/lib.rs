@@ -2,15 +2,14 @@
 //!
 //! [`figures::FIGURES`] holds one function per table or figure of the
 //! paper. Each reads the shared [`Profiles`] (every distinct profiling
-//! pass, computed once) and returns a [`Figure`]: the tables it prints and
-//! the [`Check`]s its claims must pass. The `repro` binary runs them all
-//! and [`report`]s to stdout and `REPRO.json`.
+//! pass of [`profile`], computed once) and returns a [`Figure`]: the
+//! tables it prints and the [`Check`]s its claims must pass. The `repro`
+//! binary runs them all and [`report`]s to stdout and `REPRO.json`.
 
 use std::path::Path;
 
-use panacea_models::profile::LayerProfile;
 use panacea_models::proxy::{accuracy_loss_pp, aggregate_sqnr_db, perplexity_proxy};
-use panacea_models::{profile_model, Benchmark, ModelSpec, ProfileOptions};
+use panacea_models::{Benchmark, ModelSpec};
 use panacea_sim::arch::{HardwareBudget, PanaceaConfig};
 use panacea_sim::baselines::{SibiaSim, SimdSim, SystolicFlow, SystolicSim};
 use panacea_sim::panacea::PanaceaSim;
@@ -19,7 +18,10 @@ use panacea_sim::workload::LayerWork;
 use panacea_sim::{simulate_model, Accelerator};
 use serde_json::{json, Value};
 
+use crate::profile::{profile_model, LayerProfile, ProfileOptions};
+
 pub mod figures;
+pub mod profile;
 
 /// Which accelerator semantics to use when converting a measured profile
 /// into a [`LayerWork`].
@@ -375,8 +377,7 @@ pub fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panacea_models::profile::{profile_layer, ProfileOptions};
-    use panacea_models::zoo::Benchmark;
+    use crate::profile::profile_layer;
     use serde_json::Value;
 
     #[test]

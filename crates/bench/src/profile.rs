@@ -3,25 +3,27 @@
 //!
 //! For each [`LayerSpec`] we sample a representative weight tile and
 //! activation tile from the layer's distributions, run the PTQ calibration
-//! (optionally with ZPM and DBS), bit-slice both operands, and measure the
-//! HO *vector* sparsities `ρ_w` and `ρ_x` plus quality SQNRs. The
+//! (optionally with ZPM and DBS), bit-slice both operands, and read the HO
+//! *vector* sparsities `ρ_w` and `ρ_x` from the kernel's closed-form
+//! [`TileStats`](panacea_core::TileStats) — [`aqs_tile_stats`] for
+//! Panacea, [`sibia_tile_stats`] for Sibia — plus quality SQNRs. The
 //! simulator then scales the measured tile statistics to the full layer —
 //! the same methodology the paper uses ("we count the number of cycles and
 //! the number of activated modules during inference … considering
 //! bit-slice sparsity in real benchmarks").
 
-use panacea_bitslice::{sparsity, SlicedActivation, SlicedWeight};
+use panacea_bitslice::{SlicedActivation, SlicedWeight};
+use panacea_core::aqs_tile_stats;
+use panacea_core::sibia::sibia_tile_stats;
+use panacea_models::proxy::{self, ActScheme};
+use panacea_models::zoo::{LayerSpec, ModelSpec};
 use panacea_quant::dbs::DbsConfig;
 use panacea_quant::{
     ActivationCalibrator, DbsType, LayerQuantConfig, Quantizer, SymmetricQuantizer,
 };
-use serde::{Deserialize, Serialize};
-
-use crate::proxy::{self, ActScheme};
-use crate::zoo::{LayerSpec, ModelSpec};
 
 /// Profiling options (which of the paper's optimizations are active).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileOptions {
     /// Enable zero-point manipulation.
     pub zpm: bool,
@@ -62,7 +64,7 @@ impl ProfileOptions {
 }
 
 /// Measured per-layer statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerProfile {
     /// The layer this profile describes.
     pub spec: LayerSpec,
@@ -106,13 +108,12 @@ pub fn profile_layer(spec: &LayerSpec, opts: &ProfileOptions) -> LayerProfile {
     let n = spec.n.min(opts.sample_n);
     let mut rng = panacea_tensor::seeded_rng(opts.seed ^ hash_name(&spec.name));
 
-    // --- Weights: sample, symmetric-quantize, SBR-slice, measure ρw.
+    // --- Weights: sample, symmetric-quantize, SBR-slice.
     let w_f = spec.weight_dist.sample_matrix(m, k, &mut rng);
     let wq = SymmetricQuantizer::calibrate(w_f.as_slice(), spec.weight_bits);
     let w_int = wq.quantize_matrix(&w_f);
     let n_lo = usize::from((spec.weight_bits - 4) / 3);
     let sw = SlicedWeight::from_int(&w_int, n_lo).expect("weight fits declared width");
-    let rho_w = sparsity::weight_vector_sparsity(sw.ho());
 
     // --- Activations: calibration batch + evaluation tile.
     let act_bits = 4 * (spec.act_lo_slices as u8 + 1);
@@ -130,9 +131,8 @@ pub fn profile_layer(spec: &LayerSpec, opts: &ProfileOptions) -> LayerProfile {
     let x_q = quant.quantizer.quantize_matrix(&x_f);
     let sx = SlicedActivation::from_uint(&x_q, spec.act_lo_slices, quant.dbs_type)
         .expect("quantized activations fit declared width");
-    let r = quant.frequent_ho_slice;
-    let rho_x = sparsity::act_vector_sparsity(sx.ho(), r);
-    let rho_x_zero_only = sparsity::act_vector_sparsity(sx.ho(), 0);
+    let aqs = aqs_tile_stats(&sw, &sx, quant.frequent_ho_slice);
+    let rho_x_zero_only = aqs_tile_stats(&sw, &sx, 0).rho_x;
 
     // --- Sibia reference: symmetric 7-bit activations, SBR slicing.
     // Sibia's symmetric activations use the (3k+4)-bit format with the
@@ -142,7 +142,7 @@ pub fn profile_layer(spec: &LayerSpec, opts: &ProfileOptions) -> LayerProfile {
     let x_sym = xq_sym.quantize_matrix(&x_f);
     let sx_sym = SlicedWeight::from_int(&x_sym, usize::from((sym_bits - 4) / 3))
         .expect("symmetric activations fit");
-    let rho_x_sibia = sparsity::weight_vector_sparsity(&sx_sym.ho().transposed());
+    let rho_x_sibia = sibia_tile_stats(&sw, &sx_sym).rho_x;
 
     // --- Quality proxies.
     let sqnr_asym_db = proxy::layer_output_sqnr(
@@ -170,8 +170,8 @@ pub fn profile_layer(spec: &LayerSpec, opts: &ProfileOptions) -> LayerProfile {
 
     LayerProfile {
         spec: spec.clone(),
-        rho_w,
-        rho_x,
+        rho_w: aqs.rho_w,
+        rho_x: aqs.rho_x,
         rho_x_zero_only,
         rho_x_sibia,
         dbs_type: quant.dbs_type,
@@ -205,7 +205,7 @@ fn hash_name(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::{Benchmark, LayerKind};
+    use panacea_models::zoo::{Benchmark, LayerKind};
 
     fn quick_opts() -> ProfileOptions {
         ProfileOptions {

@@ -11,11 +11,13 @@
 //!   asymmetrically-quantized unsigned activations (DBS-aware);
 //! * [`plane`] — whole-tensor slice planes ([`SlicedWeight`],
 //!   [`SlicedActivation`]) with exact reconstruction;
-//! * [`vector`] — grouping slices into length-`v` slice-vectors (4×1 for
-//!   weights along M, 1×4 for activations along N) and testing their
-//!   compressibility (all-zero / all-`r`);
-//! * [`sparsity`] — slice-level and vector-level sparsity metrics used by
-//!   the paper's Figs. 5, 8 and 14.
+//! * [`sparsity`] — the slice-level share of `r`-valued activation
+//!   slices that the paper's Figs. 5 and 10 plot.
+//!
+//! The kernel groups HO slices into [`VECTOR_LEN`]-long vectors (4×1 for
+//! weights along M, 1×4 for activations along N); the vector-level
+//! sparsities `ρ_w` / `ρ_x` it skips are its own closed-form statistics
+//! (`panacea-core`'s `TileStats`).
 //!
 //! # Examples
 //!
@@ -31,7 +33,8 @@
 pub mod plane;
 pub mod slicing;
 pub mod sparsity;
-pub mod vector;
 
 pub use plane::{activation_plane_weight, SliceError, SlicedActivation, SlicedWeight};
-pub use vector::{ActVector, WeightVector, VECTOR_LEN};
+
+/// Slice-vector length `v` (the paper uses `v = 4` throughout).
+pub const VECTOR_LEN: usize = 4;

@@ -1,33 +1,10 @@
-//! Slice-level and vector-level sparsity metrics.
-//!
-//! *Slice-level* sparsity is the fraction of individual 4-bit slices that
-//! are compressible (zero for weights, equal to `r` for activations).
-//! *Vector-level* sparsity — the quantity AQS-GEMM actually exploits — is
-//! the fraction of length-4 slice vectors that are compressible, which is
-//! always at most the slice-level figure. The paper's Figs. 5, 8 and 14
-//! report these metrics; `ρ_w`/`ρ_x` in Table I are vector-level.
+//! Slice-level sparsity: the share of individual 4-bit activation slices
+//! that equal the frequent value `r` (Figs. 5 and 10). The vector-level
+//! `ρ_x` of Table I — the fraction of whole 1×4 vectors that do, which
+//! AQS-GEMM skips — is the kernel's closed-form `TileStats::rho_x` in
+//! `panacea-core`.
 
 use panacea_tensor::Matrix;
-use serde::{Deserialize, Serialize};
-
-use crate::vector::{act_vectors, weight_vectors};
-
-/// Combined sparsity report for one slice plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SparsityReport {
-    /// Fraction of compressible individual slices.
-    pub slice_level: f64,
-    /// Fraction of compressible length-4 vectors.
-    pub vector_level: f64,
-}
-
-/// Fraction of zero slices in a weight plane.
-pub fn weight_slice_sparsity(plane: &Matrix<i8>) -> f64 {
-    if plane.is_empty() {
-        return 0.0;
-    }
-    plane.iter().filter(|&&s| s == 0).count() as f64 / plane.len() as f64
-}
 
 /// Fraction of `r`-valued slices in an activation plane.
 pub fn act_slice_sparsity(plane: &Matrix<u8>, r: u8) -> f64 {
@@ -37,114 +14,19 @@ pub fn act_slice_sparsity(plane: &Matrix<u8>, r: u8) -> f64 {
     plane.iter().filter(|&&s| s == r).count() as f64 / plane.len() as f64
 }
 
-/// Fraction of all-zero 4×1 weight vectors (column grouping along M).
-///
-/// # Panics
-///
-/// Panics if `plane.rows()` is not a multiple of 4.
-pub fn weight_vector_sparsity(plane: &Matrix<i8>) -> f64 {
-    let groups = weight_vectors(plane);
-    let total: usize = groups.iter().map(Vec::len).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let zero: usize = groups.iter().flatten().filter(|v| v.is_zero()).count();
-    zero as f64 / total as f64
-}
-
-/// Fraction of all-`r` 1×4 activation vectors (row grouping along N).
-///
-/// # Panics
-///
-/// Panics if `plane.cols()` is not a multiple of 4.
-pub fn act_vector_sparsity(plane: &Matrix<u8>, r: u8) -> f64 {
-    let groups = act_vectors(plane);
-    let total: usize = groups.iter().map(Vec::len).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let uniform: usize = groups.iter().flatten().filter(|v| v.is_uniform(r)).count();
-    uniform as f64 / total as f64
-}
-
-/// Full report for a weight HO plane.
-pub fn weight_report(plane: &Matrix<i8>) -> SparsityReport {
-    SparsityReport {
-        slice_level: weight_slice_sparsity(plane),
-        vector_level: weight_vector_sparsity(plane),
-    }
-}
-
-/// Full report for an activation HO plane with frequent slice `r`.
-pub fn act_report(plane: &Matrix<u8>, r: u8) -> SparsityReport {
-    SparsityReport {
-        slice_level: act_slice_sparsity(plane, r),
-        vector_level: act_vector_sparsity(plane, r),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn fully_sparse_weight_plane() {
-        let p = Matrix::<i8>::zeros(8, 8);
-        let r = weight_report(&p);
-        assert_eq!(r.slice_level, 1.0);
-        assert_eq!(r.vector_level, 1.0);
-    }
-
-    #[test]
-    fn fully_dense_weight_plane() {
-        let p = Matrix::from_fn(8, 8, |_, _| 1i8);
-        let r = weight_report(&p);
-        assert_eq!(r.slice_level, 0.0);
-        assert_eq!(r.vector_level, 0.0);
-    }
-
-    #[test]
-    fn one_nonzero_slice_kills_its_vector_only() {
-        let mut p = Matrix::<i8>::zeros(8, 2);
-        p[(0, 0)] = 3;
-        let r = weight_report(&p);
-        assert!((r.slice_level - 15.0 / 16.0).abs() < 1e-12);
-        assert!((r.vector_level - 3.0 / 4.0).abs() < 1e-12);
-    }
 
     #[test]
     fn act_sparsity_counts_r_not_zero() {
         let p = Matrix::from_fn(2, 8, |_, _| 10u8);
         assert_eq!(act_slice_sparsity(&p, 10), 1.0);
         assert_eq!(act_slice_sparsity(&p, 0), 0.0);
-        assert_eq!(act_vector_sparsity(&p, 10), 1.0);
     }
 
     #[test]
     fn empty_planes_report_zero() {
-        assert_eq!(weight_slice_sparsity(&Matrix::<i8>::zeros(0, 0)), 0.0);
         assert_eq!(act_slice_sparsity(&Matrix::<u8>::zeros(0, 0), 5), 0.0);
-    }
-
-    proptest! {
-        #[test]
-        fn vector_sparsity_never_exceeds_slice_sparsity(
-            vals in proptest::collection::vec(0i8..=1, 64)
-        ) {
-            let p = Matrix::from_vec(8, 8, vals).unwrap();
-            let r = weight_report(&p);
-            prop_assert!(r.vector_level <= r.slice_level + 1e-12);
-        }
-
-        #[test]
-        fn act_vector_sparsity_bounded(
-            vals in proptest::collection::vec(9u8..=11, 64), r in 9u8..=11
-        ) {
-            let p = Matrix::from_vec(8, 8, vals).unwrap();
-            let rep = act_report(&p, r);
-            prop_assert!(rep.vector_level <= rep.slice_level + 1e-12);
-            prop_assert!((0.0..=1.0).contains(&rep.vector_level));
-        }
     }
 }

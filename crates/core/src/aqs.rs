@@ -190,8 +190,9 @@ pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, 
     run_sliced(&KernelPlan::for_operands(w, x, r.into(), None), w, x)
 }
 
-/// Scheduling-level statistics only — the closed forms, no GEMM; used by
-/// the simulator and the workload-model tests.
+/// Scheduling-level statistics only — the closed forms, no GEMM: the
+/// vector-level `ρ_w` / `ρ_x` the figures' profile feeds the simulator,
+/// and what `perf` and the workload-model tests count.
 pub fn aqs_tile_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
     PackedWeight::pack(w).tile_stats(&KernelPlan::for_operands(w, x, r.into(), None), x)
 }

@@ -19,7 +19,7 @@ use panacea_bitslice::SlicedWeight;
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::aqs::{run_sliced, PackedWeight};
+use crate::aqs::{run_sliced, PackedWeight, TileStats};
 use crate::plan::KernelPlan;
 use crate::workload::{pe_padded_cols, Workload};
 
@@ -73,11 +73,23 @@ pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix
     (out, workload)
 }
 
+/// The closed-form [`TileStats`] of the tile at `r = 0` on Sibia's
+/// operands, with neither side restricted: `ρ_w` / `ρ_x` are the zero HO
+/// vector sparsities of the two sides, which Sibia's scheduler compares.
+/// The counts are those of skipping both sides; [`sibia_gemm`] returns
+/// the one-sided [`Workload`].
+///
+/// # Panics
+///
+/// As [`sibia_gemm`].
+pub fn sibia_tile_stats(w: &SlicedWeight, x: &SlicedWeight) -> TileStats {
+    PackedWeight::pack(w).tile_stats(&KernelPlan::for_operands(w, x, 0, None), x)
+}
+
 /// Measures the HO vector sparsities and picks the better [`SkipSide`],
 /// as Sibia's scheduler would.
 pub fn choose_skip_side(w: &SlicedWeight, x: &SlicedWeight) -> SkipSide {
-    let plan = KernelPlan::for_operands(w, x, 0, None);
-    let stats = PackedWeight::pack(w).tile_stats(&plan, x);
+    let stats = sibia_tile_stats(w, x);
     if stats.rho_w >= stats.rho_x {
         SkipSide::Weight
     } else {
@@ -127,6 +139,9 @@ mod tests {
             let sx = SlicedWeight::from_int(&x, 1).unwrap();
             let (out, wl) = sibia_gemm(&sw, &sx, SkipSide::Activation);
             assert_eq!(out, w.gemm(&x).unwrap());
+            let stats = sibia_tile_stats(&sw, &sx);
+            assert_eq!(stats.rho_x, kx as f64 / k_dim as f64, "rho={rho}");
+            assert_eq!(stats.rho_w, 0.0);
             assert_eq!(
                 wl.mul as f64,
                 table1::sibia_mul(k_dim as u64, rho, 0.0),

@@ -13,17 +13,16 @@
 //!   (LayerNorm, QKV attention, GELU MLP) with synthetic weights, used to
 //!   produce *actual* activation tensors for calibration and end-to-end
 //!   examples;
-//! * [`profile`] — per-layer sparsity profiling: sample representative
-//!   weight/activation tiles, calibrate (optionally with ZPM/DBS), slice,
-//!   and measure the HO vector sparsities `ρ_w`, `ρ_x` the simulator needs;
 //! * [`proxy`] — quality proxies mapping output SQNR to the accuracy /
 //!   perplexity deltas the paper reports (a substitution for dataset
 //!   evaluation; the module doc states it).
+//!
+//! The per-layer sparsity profile that feeds the simulator lives in
+//! `panacea-bench`, which reads `ρ_w` / `ρ_x` from the kernel's own
+//! closed-form statistics.
 
 pub mod engine;
-pub mod profile;
 pub mod proxy;
 pub mod zoo;
 
-pub use profile::{profile_layer, profile_model, LayerProfile, ProfileOptions};
 pub use zoo::{Benchmark, LayerKind, LayerSpec, ModelSpec};

@@ -6,30 +6,20 @@
 //! Run with: `cargo run --example design_space`
 
 use panacea::models::zoo::Benchmark;
-use panacea::models::{profile_model, ProfileOptions};
 use panacea::sim::arch::PanaceaConfig;
 use panacea::sim::baselines::{SibiaSim, SimdSim, SystolicFlow, SystolicSim};
 use panacea::sim::panacea::PanaceaSim;
 use panacea::sim::workload::LayerWork;
 use panacea::sim::{simulate_model, Accelerator};
+use panacea_bench::profile::{profile_model, ProfileOptions};
+use panacea_bench::{to_layer_work, EngineKind};
 
 fn main() {
     let model = Benchmark::DeitBase.spec();
     let profiles = profile_model(&model, &ProfileOptions::default());
-    let layers: Vec<LayerWork> = profiles
-        .iter()
-        .map(|p| LayerWork {
-            name: p.spec.name.clone(),
-            m: p.spec.m,
-            k: p.spec.k,
-            n: p.spec.n,
-            count: p.spec.count,
-            w_planes: 2,
-            x_planes: 2,
-            rho_w: p.rho_w,
-            rho_x: p.rho_x,
-        })
-        .collect();
+    let work =
+        |engine| -> Vec<LayerWork> { profiles.iter().map(|p| to_layer_work(p, engine)).collect() };
+    let layers = work(EngineKind::Panacea);
     let budget = PanaceaConfig::default().budget;
     let clock = budget.clock_mhz;
 
@@ -61,14 +51,7 @@ fn main() {
     }
 
     println!("\nIso-resource baselines:");
-    let dense: Vec<LayerWork> = layers
-        .iter()
-        .map(|l| LayerWork {
-            rho_w: 0.0,
-            rho_x: 0.0,
-            ..l.clone()
-        })
-        .collect();
+    let dense = work(EngineKind::Dense);
     let baselines: Vec<Box<dyn Accelerator>> = vec![
         Box::new(SystolicSim::new(SystolicFlow::WeightStationary, budget)),
         Box::new(SystolicSim::new(SystolicFlow::OutputStationary, budget)),

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --example llm_inference`
 
-use panacea::bitslice::{sparsity, SlicedActivation, SlicedWeight};
-use panacea::core::aqs::aqs_gemm;
+use panacea::bitslice::{SlicedActivation, SlicedWeight};
+use panacea::core::aqs::{aqs_gemm, aqs_tile_stats};
 use panacea::models::engine::{TinyTransformer, TransformerConfig};
 use panacea::quant::dbs::DbsConfig;
 use panacea::quant::{ActivationCalibrator, Quantizer, SymmetricQuantizer};
@@ -53,6 +53,7 @@ fn main() {
         let sw = SlicedWeight::from_int(&w_int, 1).expect("weights fit");
         let sx = SlicedActivation::from_uint(&x_int, 1, qcfg.dbs_type).expect("activations fit");
         let (acc, wl) = aqs_gemm(&sw, &sx, qcfg.frequent_ho_slice);
+        let stats = aqs_tile_stats(&sw, &sx, qcfg.frequent_ho_slice);
 
         // Integer accumulators represent s_w·s_x·(W·(x − zp)); the zp·W·1
         // term folds into the bias (Eq. 3) — reconstruct the float output.
@@ -72,8 +73,8 @@ fn main() {
             "{:<16} {:>6} {:>7.1}% {:>7.1}% {:>9.1} {:>9.1}%",
             cap.name,
             format!("{}", qcfg.dbs_type),
-            sparsity::weight_vector_sparsity(sw.ho()) * 100.0,
-            sparsity::act_vector_sparsity(sx.ho(), qcfg.frequent_ho_slice) * 100.0,
+            stats.rho_w * 100.0,
+            stats.rho_x * 100.0,
             sqnr,
             (1.0 - wl.total_mul() as f64 / dense_mul as f64) * 100.0,
         );

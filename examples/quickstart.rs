@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use panacea::bitslice::{sparsity, SlicedActivation, SlicedWeight};
-use panacea::core::aqs::aqs_gemm;
+use panacea::bitslice::{SlicedActivation, SlicedWeight};
+use panacea::core::aqs::{aqs_gemm, aqs_tile_stats};
 use panacea::quant::dbs::DbsConfig;
 use panacea::quant::{ActivationCalibrator, Quantizer, SymmetricQuantizer};
 use panacea::tensor::{dist::DistributionKind, seeded_rng};
@@ -52,10 +52,11 @@ fn main() {
     // 3. Bit-slice both operands.
     let sw = SlicedWeight::from_int(&w_int, 1).expect("7-bit weights");
     let sx = SlicedActivation::from_uint(&x_int, 1, cfg.dbs_type).expect("8-bit activations");
+    let stats = aqs_tile_stats(&sw, &sx, cfg.frequent_ho_slice);
     println!(
         "HO vector sparsity: weights {:.1}%, activations {:.1}%",
-        sparsity::weight_vector_sparsity(sw.ho()) * 100.0,
-        sparsity::act_vector_sparsity(sx.ho(), cfg.frequent_ho_slice) * 100.0
+        stats.rho_w * 100.0,
+        stats.rho_x * 100.0
     );
 
     // 4. AQS-GEMM: compress, skip, compensate — and stay exact.

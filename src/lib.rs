@@ -8,7 +8,8 @@
 //!
 //! * [`tensor`] — matrices, synthetic distributions, statistics;
 //! * [`quant`] — symmetric/asymmetric PTQ, calibration, ZPM, DBS, OPTQ;
-//! * [`bitslice`] — SBR & straightforward slicing, slice vectors, sparsity;
+//! * [`bitslice`] — SBR & straightforward slicing, slice planes, and the
+//!   slice-level `r` share;
 //! * [`core`] — the AQS-GEMM (compression + skipping + compensation) and
 //!   baseline GEMMs, plus the Table-I workload model;
 //! * [`sim`] — the Panacea cycle/energy simulator and the SA-WS / SA-OS /

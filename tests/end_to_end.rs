@@ -7,7 +7,6 @@ use panacea::core::aqs::aqs_gemm;
 use panacea::core::pipeline::accumulator_bound;
 use panacea::core::sibia::{choose_skip_side, sibia_gemm};
 use panacea::models::zoo::Benchmark;
-use panacea::models::{profile_model, ProfileOptions};
 use panacea::quant::dbs::{dbs_truncate, DbsConfig};
 use panacea::quant::integer::{asym_integer_gemm, fold_zero_point_bias};
 use panacea::quant::{ActivationCalibrator, Quantizer, SymmetricQuantizer};
@@ -16,6 +15,8 @@ use panacea::sim::panacea::PanaceaSim;
 use panacea::sim::simulate_model;
 use panacea::sim::workload::LayerWork;
 use panacea::tensor::{dist::DistributionKind, seeded_rng, Matrix};
+use panacea_bench::profile::{profile_model, ProfileOptions};
+use panacea_bench::{to_layer_work, EngineKind};
 
 /// Full pipeline on realistic data: calibrate, quantize, slice, AQS-GEMM,
 /// fold the zero-point into the bias — every step must compose exactly.
@@ -96,17 +97,7 @@ fn all_benchmarks_profile_and_simulate() {
         let profiles = profile_model(&model, &opts);
         let layers: Vec<LayerWork> = profiles
             .iter()
-            .map(|p| LayerWork {
-                name: p.spec.name.clone(),
-                m: p.spec.m,
-                k: p.spec.k,
-                n: p.spec.n,
-                count: p.spec.count,
-                w_planes: usize::from((p.spec.weight_bits - 4) / 3) + 1,
-                x_planes: p.spec.act_lo_slices + 1,
-                rho_w: p.rho_w,
-                rho_x: p.rho_x,
-            })
+            .map(|p| to_layer_work(p, EngineKind::Panacea))
             .collect();
         for l in &layers {
             l.validate()
@@ -131,28 +122,10 @@ fn aqs_outperforms_zero_skip_only_end_to_end() {
     let model = Benchmark::Opt2_7b.spec();
     let profiles = profile_model(&model, &opts);
     let pan = PanaceaSim::new(PanaceaConfig::default());
-    let mk = |zero_only: bool| -> Vec<LayerWork> {
-        profiles
-            .iter()
-            .map(|p| LayerWork {
-                name: p.spec.name.clone(),
-                m: p.spec.m,
-                k: p.spec.k,
-                n: p.spec.n,
-                count: p.spec.count,
-                w_planes: 2,
-                x_planes: p.spec.act_lo_slices + 1,
-                rho_w: p.rho_w,
-                rho_x: if zero_only {
-                    p.rho_x_zero_only
-                } else {
-                    p.rho_x
-                },
-            })
-            .collect()
-    };
-    let full = simulate_model(&pan, &mk(false), 400.0);
-    let zero = simulate_model(&pan, &mk(true), 400.0);
+    let mk =
+        |engine| -> Vec<LayerWork> { profiles.iter().map(|p| to_layer_work(p, engine)).collect() };
+    let full = simulate_model(&pan, &mk(EngineKind::Panacea), 400.0);
+    let zero = simulate_model(&pan, &mk(EngineKind::PanaceaZeroSkipOnly), 400.0);
     assert!(
         full.tops > zero.tops,
         "AQS {} must beat zero-skip-only {}",

@@ -3,6 +3,7 @@
 //! workloads must track the exact list-scheduled drain times.
 
 use panacea::bitslice::{SlicedActivation, SlicedWeight};
+use panacea::core::aqs_tile_stats;
 use panacea::quant::DbsType;
 use panacea::sim::arch::{PanaceaConfig, TileConfig};
 use panacea::sim::exec::PeaExecutor;
@@ -48,7 +49,8 @@ fn validate_tile(ws: f64, xs: f64, r: u8, seed: u64, dtp: bool) {
     }
 
     // Analytical: one-tile layer, DTP disabled to match the single-tile
-    // exec semantics unless requested.
+    // exec semantics unless requested, at the tile's measured ρ.
+    let stats = aqs_tile_stats(&sw, &sx, r);
     let sim = PanaceaSim::new(PanaceaConfig {
         dtp,
         ..PanaceaConfig::default()
@@ -61,8 +63,8 @@ fn validate_tile(ws: f64, xs: f64, r: u8, seed: u64, dtp: bool) {
         count: 1,
         w_planes: 2,
         x_planes: 2,
-        rho_w: measured_rho_w(&sw),
-        rho_x: measured_rho_x(&sx, r),
+        rho_w: stats.rho_w,
+        rho_x: stats.rho_x,
     };
     let perf = sim.simulate(&layer);
     // The executor models compute only, so compare against the model's
@@ -76,14 +78,6 @@ fn validate_tile(ws: f64, xs: f64, r: u8, seed: u64, dtp: bool) {
         rel < 0.35 || (model - exact).abs() < 24.0,
         "ws={ws} xs={xs} dtp={dtp}: model {model} vs exact {exact} (rel {rel:.2})"
     );
-}
-
-fn measured_rho_w(sw: &SlicedWeight) -> f64 {
-    panacea::bitslice::sparsity::weight_vector_sparsity(sw.ho())
-}
-
-fn measured_rho_x(sx: &SlicedActivation, r: u8) -> f64 {
-    panacea::bitslice::sparsity::act_vector_sparsity(sx.ho(), r)
 }
 
 #[test]

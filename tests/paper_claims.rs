@@ -7,7 +7,6 @@ use panacea::core::sibia::{choose_skip_side, sibia_gemm};
 use panacea::core::workload::table1;
 use panacea::models::proxy::aggregate_sqnr_db;
 use panacea::models::zoo::Benchmark;
-use panacea::models::{profile_model, ProfileOptions};
 use panacea::quant::zpm::manipulate_zero_point;
 use panacea::sim::arch::PanaceaConfig;
 use panacea::sim::baselines::{SibiaSim, SimdSim};
@@ -15,6 +14,8 @@ use panacea::sim::panacea::PanaceaSim;
 use panacea::sim::workload::LayerWork;
 use panacea::sim::{simulate_model, Accelerator};
 use panacea::tensor::{seeded_rng, Matrix};
+use panacea_bench::profile::{profile_model, ProfileOptions};
+use panacea_bench::{to_layer_work, EngineKind};
 use rand::Rng;
 
 fn quick_opts() -> ProfileOptions {
@@ -23,20 +24,6 @@ fn quick_opts() -> ProfileOptions {
         sample_k: 96,
         sample_n: 64,
         ..ProfileOptions::default()
-    }
-}
-
-fn to_work(p: &panacea::models::LayerProfile, sibia: bool) -> LayerWork {
-    LayerWork {
-        name: p.spec.name.clone(),
-        m: p.spec.m,
-        k: p.spec.k,
-        n: p.spec.n,
-        count: p.spec.count,
-        w_planes: usize::from((p.spec.weight_bits - 4) / 3) + 1,
-        x_planes: p.spec.act_lo_slices + 1,
-        rho_w: p.rho_w,
-        rho_x: if sibia { p.rho_x_sibia } else { p.rho_x },
     }
 }
 
@@ -50,16 +37,11 @@ fn panacea_wins_efficiency_on_every_benchmark() {
     let simd = SimdSim::new(budget);
     for b in Benchmark::all() {
         let profiles = profile_model(&b.spec(), &quick_opts());
-        let pan_layers: Vec<_> = profiles.iter().map(|p| to_work(p, false)).collect();
-        let sib_layers: Vec<_> = profiles.iter().map(|p| to_work(p, true)).collect();
-        let dense: Vec<_> = pan_layers
-            .iter()
-            .map(|l| LayerWork {
-                rho_w: 0.0,
-                rho_x: 0.0,
-                ..l.clone()
-            })
-            .collect();
+        let work =
+            |engine| -> Vec<_> { profiles.iter().map(|p| to_layer_work(p, engine)).collect() };
+        let pan_layers = work(EngineKind::Panacea);
+        let sib_layers = work(EngineKind::Sibia);
+        let dense = work(EngineKind::Dense);
         let p = simulate_model(&pan, &pan_layers, 400.0);
         let s = simulate_model(&sibia, &sib_layers, 400.0);
         let v = simulate_model(&simd, &dense, 400.0);
