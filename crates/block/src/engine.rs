@@ -93,38 +93,14 @@ impl QuantizedBlock {
         self.forward_segments(h, &[h.cols()])
     }
 
-    /// Runs the block on several independent sequences at once: their
-    /// token columns are coalesced into one wide GEMM `N` dimension
-    /// (LayerNorm, quantization, and all four GEMMs run in a single
-    /// pass), while attention is applied per sequence so tokens never
-    /// attend across requests. The outputs are split back per request —
-    /// bit-identical to running each sequence alone through
-    /// [`forward`](Self::forward), because every coalesced step is
-    /// column-exact and attention only reads its own segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequences disagree on `d_model`, any is empty, or
-    /// the slice itself is handed zero requests with zero columns total.
-    pub fn forward_batch(&self, requests: &[&Matrix<f32>]) -> (Vec<Matrix<f32>>, BlockWorkload) {
-        if requests.is_empty() {
-            return (Vec::new(), BlockWorkload::default());
-        }
-        let widths: Vec<usize> = requests.iter().map(|x| x.cols()).collect();
-        let stacked =
-            Matrix::hstack(requests).expect("batched sequences must share the model width");
-        let (out, wl) = self.forward_segments(&stacked, &widths);
-        let parts = out
-            .split_cols(&widths)
-            .expect("block forward keeps one output column per input column");
-        (parts, wl)
-    }
-
     /// The general entry point: `x` packs independent sequences
     /// column-wise, `segments` lists their token counts in order. Columns
     /// beyond the segment sum are treated as padding — they flow through
     /// the GEMMs (columns are independent, so they cannot perturb real
-    /// outputs) but are not attended.
+    /// outputs) but are not attended. Batching independent sequences is
+    /// [`run_coalesced`](panacea_core::pipeline::run_coalesced) over this
+    /// method: each part is bit-identical to that sequence alone through
+    /// [`forward`](Self::forward).
     ///
     /// # Panics
     ///
@@ -142,7 +118,8 @@ impl QuantizedBlock {
     /// attention: within each segment, token `i` attends only to tokens
     /// `j ≤ i`. This is the decoder-semantics full-prefix pass — the
     /// recompute oracle KV-cached decode
-    /// ([`forward_decode`](Self::forward_decode)) is bit-identical to.
+    /// ([`forward_decode_batch`](Self::forward_decode_batch)) is
+    /// bit-identical to.
     ///
     /// # Panics
     ///
@@ -225,45 +202,25 @@ impl QuantizedBlock {
         )
     }
 
-    /// One KV-cached decode step: runs the block on the freshly
-    /// appended tokens of one sequence (`d_model × t_new`, usually one
-    /// column), attending them causally over `state`'s cached prefix,
-    /// and appends their keys/values to the cache. Only the new columns
-    /// pass through the GEMMs, so a step costs O(prefix) instead of the
-    /// O(prefix²) a full recompute pays across a generation.
-    ///
-    /// Stepping tokens through this method — in any chunking — is
-    /// **bit-identical** per column to one causal full pass
-    /// ([`forward_segments_causal`](Self::forward_segments_causal)) over
-    /// the concatenated sequence: the GEMM chain is column-exact under
-    /// any grouping, and the paged attention kernel accumulates in the
-    /// same order as the full causal pass (see [`crate::kv`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h_new.rows() != d_model`, `h_new` has zero columns,
-    /// or the cache was built for a different width.
-    pub fn forward_decode(
-        &self,
-        h_new: &Matrix<f32>,
-        state: &mut crate::kv::BlockKvState,
-    ) -> (Matrix<f32>, BlockWorkload) {
-        self.forward_decode_batch(h_new, &[h_new.cols()], &mut [state])
-    }
-
     /// Continuous-batching decode: many sessions' freshly appended token
     /// columns, stacked side by side in `h_new` (`d_model × Σsegments`),
     /// run through **one** QKV / proj / fc1 / fc2 GEMM pass, while
     /// attention runs per session against that session's own cache
     /// state: the segment's K/V are appended to its pages first, then
     /// its tokens attend causally from the pages. `segments[i]` columns
-    /// belong to `states[i]`, in order.
+    /// belong to `states[i]`, in order. Only the new columns pass through
+    /// the GEMMs, so a step costs O(prefix) instead of the O(prefix²) a
+    /// full recompute pays across a generation.
     ///
-    /// Because every coalesced stage of the pipeline is column-exact and
-    /// attention only reads its own segment plus its own cached prefix,
-    /// each session's output columns are **bit-identical** to running
-    /// that session alone through [`forward_decode`](Self::forward_decode)
-    /// — coalescing changes the GEMM width, never the bits. This is the
+    /// Stepping a session's tokens through this method — in any chunking,
+    /// alone or beside other sessions — is **bit-identical** per column to
+    /// one causal full pass
+    /// ([`forward_segments_causal`](Self::forward_segments_causal)) over
+    /// the concatenated sequence: every coalesced stage of the pipeline is
+    /// column-exact, attention only reads its own segment plus its own
+    /// cached prefix, and the paged attention kernel accumulates in the
+    /// same order as the full causal pass (see [`crate::kv`]). Coalescing
+    /// changes the GEMM width, never the bits. This is the
     /// kernel-level contract the serving layer's decode batcher is built
     /// on: N concurrent single-token steps cost one `N`-wide GEMM pass per
     /// layer, one walk of each weight, instead of N width-1 passes.

@@ -3,10 +3,10 @@
 //! A stateless block stack recomputes attention over the whole prefix
 //! for every new token — O(tokens²) across a generation. A [`KvCache`]
 //! instead keeps each block's keys and values for every token already
-//! decoded, so [`QuantizedBlock::forward_decode`] only runs the GEMMs on
-//! the *new* columns and attends them over the cached prefix: one step
-//! costs O(tokens), and stepping is **bit-identical** to a full causal
-//! recompute ([`QuantizedBlock::forward_segments_causal`]).
+//! decoded, so [`QuantizedBlock::forward_decode_batch`] only runs the
+//! GEMMs on the *new* columns and attends them over the cached prefix:
+//! one step costs O(tokens), and stepping is **bit-identical** to a full
+//! causal recompute ([`QuantizedBlock::forward_segments_causal`]).
 //!
 //! The cache is decoder-semantics by construction: token `i` attends
 //! only to `j ≤ i`, so an already-decoded token's hidden states (and
@@ -251,7 +251,8 @@ impl BlockKvState {
 /// Per-sequence decode state: one [`BlockKvState`] per block of the
 /// stack, plus the token count they all share. Created by
 /// [`KvCache::for_blocks`], grown exclusively by
-/// [`QuantizedBlock::forward_decode`] (via [`decode_step`]).
+/// [`QuantizedBlock::forward_decode_batch`] (via [`decode_step`] and
+/// [`decode_step_batch`]).
 #[derive(Debug, Clone)]
 pub struct KvCache {
     d_model: usize,

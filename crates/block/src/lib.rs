@@ -39,10 +39,11 @@
 //!   KV-cached decode attends from the paged cache with its own kernel
 //!   ([`kv`]), bit-identical to
 //!   [`panacea_tensor::ops::multi_head_attention_decode`].
-//! * [`QuantizedBlock::forward_batch`] coalesces independent sequences
-//!   into one wide GEMM `N` dimension (attention stays per-sequence) and
-//!   splits the result back **bit-exactly** — the contract the serving
-//!   batcher relies on.
+//! * [`QuantizedBlock::forward_segments`] runs independent sequences
+//!   packed into one wide GEMM `N` dimension (attention stays
+//!   per-sequence); [`run_coalesced`](panacea_core::pipeline::run_coalesced)
+//!   over it stacks the requests and splits the result back
+//!   **bit-exactly** — the contract the serving batcher relies on.
 
 pub mod builder;
 pub mod engine;

@@ -1,8 +1,13 @@
-//! Property test: `QuantizedBlock::forward_batch` is bit-exact with
-//! sequential `forward` per request — coalescing independent sequences
-//! into one wide GEMM pass is an optimization, never an approximation.
+//! Property test: `run_coalesced` over `QuantizedBlock::forward_segments`
+//! — the stack → run → split path the serving batcher runs — is
+//! bit-exact with sequential `forward` per request. Coalescing
+//! independent sequences into one wide GEMM pass is an optimization,
+//! never an approximation.
 
-use panacea_block::{zoo_hidden_states, zoo_transformer, BlockBuilder, QuantizedBlock};
+use panacea_block::{
+    zoo_hidden_states, zoo_transformer, BlockBuilder, BlockWorkload, QuantizedBlock,
+};
+use panacea_core::pipeline::run_coalesced;
 use panacea_models::engine::TransformerConfig;
 use panacea_models::zoo::Benchmark;
 use panacea_tensor::Matrix;
@@ -22,6 +27,14 @@ fn prepared_block(seed: u64) -> QuantizedBlock {
         .expect("prepare")
         .pop()
         .expect("one block")
+}
+
+/// Runs the requests as one batch, each its own attention segment.
+fn forward_batch(
+    block: &QuantizedBlock,
+    requests: &[&Matrix<f32>],
+) -> (Vec<Matrix<f32>>, BlockWorkload) {
+    run_coalesced(requests, |x, widths| block.forward_segments(x, widths))
 }
 
 /// Deterministic hidden states spanning the calibrated range.
@@ -50,7 +63,7 @@ proptest! {
             .map(|(i, &w)| hidden(16, w, i))
             .collect();
         let refs: Vec<&Matrix<f32>> = requests.iter().collect();
-        let (batched, wl) = block.forward_batch(&refs);
+        let (batched, wl) = forward_batch(&block, &refs);
         prop_assert!(wl.total().mul > 0);
         prop_assert_eq!(batched.len(), requests.len());
         for (req, got) in requests.iter().zip(&batched) {
@@ -68,8 +81,8 @@ proptest! {
         let probe = hidden(16, cols, 9);
         let other = hidden(16, 3, 4);
         let (solo, _) = block.forward(&probe);
-        let (first, _) = block.forward_batch(&[&probe, &other]);
-        let (last, _) = block.forward_batch(&[&other, &probe]);
+        let (first, _) = forward_batch(&block, &[&probe, &other]);
+        let (last, _) = forward_batch(&block, &[&other, &probe]);
         prop_assert_eq!(&first[0], &solo);
         prop_assert_eq!(&last[1], &solo);
     }
@@ -78,7 +91,7 @@ proptest! {
 #[test]
 fn empty_batch_is_empty() {
     let block = prepared_block(0);
-    let (outs, wl) = block.forward_batch(&[]);
+    let (outs, wl) = forward_batch(&block, &[]);
     assert!(outs.is_empty());
     assert_eq!(wl.total().mul, 0);
 }

@@ -228,52 +228,35 @@ impl QuantizedLinear {
         let (acc, wl) = self.forward(x_codes);
         (rq.requantize_matrix(&acc), wl)
     }
-
-    /// Runs the layer on several requests' codes at once by coalescing
-    /// their columns into one wide GEMM `N` dimension and splitting the
-    /// accumulators back per request.
-    ///
-    /// Every AQS-GEMM step is element-exact regardless of how columns are
-    /// grouped, so each returned matrix is bit-identical to running that
-    /// request alone through [`forward`](Self::forward); what batching
-    /// buys is one walk of the weights for all of them. This is the
-    /// single-layer batched entry point; `panacea-serve`'s
-    /// `PreparedModel::forward_batch` runs the same [`run_coalesced`]
-    /// contract across a whole layer chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requests disagree on the feature dimension `K` or if
-    /// codes exceed the activation format.
-    pub fn forward_batch(&self, requests: &[&Matrix<i32>]) -> (Vec<Matrix<i32>>, Workload) {
-        run_coalesced(requests, |x| self.forward(x))
-    }
 }
 
-/// The shared contract of every batched entry point: coalesce the
-/// requests' columns into one wide matrix, run `f` exactly once over it,
-/// and split the result back per request. `f` must return a matrix with
-/// one output column per input column (AQS-GEMM's column independence
-/// makes the split bit-exact).
+/// The one batching contract of the serving stack: coalesce the
+/// requests' columns into one wide matrix, run `f` exactly once over it
+/// with each request's width in order, and split the result back per
+/// request. `f` must return a matrix with one output column per input
+/// column; AQS-GEMM is exact under any grouping of activation columns,
+/// so for a column-exact `f` every part is bit-identical to running its
+/// request alone. An empty batch returns `W::default()` without calling
+/// `f`.
 ///
 /// # Panics
 ///
-/// Panics if the requests disagree on the feature dimension.
-pub fn run_coalesced<F>(requests: &[&Matrix<i32>], f: F) -> (Vec<Matrix<i32>>, Workload)
-where
-    F: FnOnce(&Matrix<i32>) -> (Matrix<i32>, Workload),
-{
+/// Panics if the requests disagree on the row count, or if `f` changes
+/// the column count.
+pub fn run_coalesced<T: Clone, U: Clone, W: Default>(
+    requests: &[&Matrix<T>],
+    f: impl FnOnce(&Matrix<T>, &[usize]) -> (Matrix<U>, W),
+) -> (Vec<Matrix<U>>, W) {
     if requests.is_empty() {
-        return (Vec::new(), Workload::default());
+        return (Vec::new(), W::default());
     }
     let widths: Vec<usize> = requests.iter().map(|x| x.cols()).collect();
-    let stacked =
-        Matrix::hstack(requests).expect("batched requests must share the feature dimension");
-    let (out, wl) = f(&stacked);
+    let stacked = Matrix::hstack(requests).expect("batched requests must share the row count");
+    let (out, stat) = f(&stacked, &widths);
     let parts = out
         .split_cols(&widths)
         .expect("batched op must keep one output column per input column");
-    (parts, wl)
+    (parts, stat)
 }
 
 #[cfg(test)]
@@ -488,7 +471,7 @@ mod tests {
         // Slice the 16 columns into uneven requests (incl. width 1 and 5).
         let requests = codes.split_cols(&[1, 5, 3, 7]).expect("widths");
         let refs: Vec<&Matrix<i32>> = requests.iter().collect();
-        let (batched, wl) = layer.forward_batch(&refs);
+        let (batched, wl) = run_coalesced(&refs, |x, _| layer.forward(x));
         assert!(wl.mul > 0);
         for (req, got) in requests.iter().zip(&batched) {
             let (alone, _) = layer.forward(req);
@@ -514,7 +497,7 @@ mod tests {
         let codes = cfg.quantizer.quantize_matrix(&x);
         let requests = codes.split_cols(&[1, 5, 3, 7, 2]).expect("widths");
         let refs: Vec<&Matrix<i32>> = requests.iter().collect();
-        let (batched, _) = layer.forward_batch(&refs);
+        let (batched, _) = run_coalesced(&refs, |x, _| layer.forward(x));
         assert_eq!(batched.len(), requests.len());
         for (req, got) in requests.iter().zip(&batched) {
             let (alone, _) = layer.forward(req);
@@ -590,9 +573,57 @@ mod tests {
     fn forward_batch_of_nothing_is_empty() {
         let (w, x, bias) = setup(68);
         let layer = QuantizedLinear::prepare(&w, &bias, 7, calib(&x, true)).expect("prepare");
-        let (outs, wl) = layer.forward_batch(&[]);
+        let (outs, wl) = run_coalesced(&[], |x, _| layer.forward(x));
         assert!(outs.is_empty());
         assert_eq!(wl, Workload::default());
+    }
+
+    #[test]
+    fn run_coalesced_calls_f_once_with_the_widths_in_order() {
+        let a = Matrix::from_fn(3, 2, |r, c| (r * 10 + c) as i32);
+        let b = Matrix::from_fn(3, 1, |r, _| 100 + r as i32);
+        let c = Matrix::from_fn(3, 4, |r, c| -((r * 10 + c) as i32));
+        let mut calls = 0;
+        let (parts, wl) = run_coalesced(&[&a, &b, &c], |x, widths| {
+            calls += 1;
+            assert_eq!(widths, &[2, 1, 4]);
+            assert_eq!(x.shape(), (3, 7));
+            let wl = Workload {
+                mul: x.cols() as u64,
+                ..Workload::default()
+            };
+            (x.map(|&v| v + 1), wl)
+        });
+        assert_eq!(calls, 1);
+        assert_eq!(wl.mul, 7);
+        for (part, req) in parts.iter().zip([&a, &b, &c]) {
+            assert_eq!(part, &req.map(|&v| v + 1));
+        }
+
+        let h = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.5);
+        let g = Matrix::from_fn(2, 2, |r, c| (r * c) as f32 - 1.0);
+        let mut seen = Vec::new();
+        let (halves, count) = run_coalesced(&[&g, &h], |x, widths| {
+            seen.push(widths.to_vec());
+            (x.map(|&v| v * 2.0), widths.len())
+        });
+        assert_eq!(seen, [vec![2, 3]]);
+        assert_eq!(count, 2);
+        assert_eq!(halves, [g.map(|&v| v * 2.0), h.map(|&v| v * 2.0)]);
+    }
+
+    #[test]
+    fn run_coalesced_of_nothing_returns_the_default_without_calling_f() {
+        let (parts, wl): (Vec<Matrix<i32>>, Workload) = run_coalesced(&[], |_: &Matrix<i32>, _| {
+            unreachable!("f ran on an empty batch")
+        });
+        assert!(parts.is_empty());
+        assert_eq!(wl, Workload::default());
+        let (parts, stat): (Vec<Matrix<f32>>, usize) = run_coalesced(&[], |_: &Matrix<f32>, _| {
+            unreachable!("f ran on an empty batch")
+        });
+        assert!(parts.is_empty());
+        assert_eq!(stat, 0);
     }
 
     #[test]

@@ -68,12 +68,6 @@ pub mod table1 {
         16.0 * k as f64 * (2.0 - rho_x) * (2.0 - rho_w)
     }
 
-    /// Panacea bit-slice GEMM additions (same count as multiplications —
-    /// every product is accumulated once).
-    pub fn panacea_add(k: u64, rho_x: f64, rho_w: f64) -> f64 {
-        panacea_mul(k, rho_x, rho_w)
-    }
-
     /// Panacea compensation multiplications: a single 4×4 outer product
     /// per output tile.
     pub fn panacea_comp_mul() -> f64 {
@@ -103,11 +97,6 @@ pub mod table1 {
     /// HO sparsity can be exploited.
     pub fn sibia_mul(k: u64, rho_x: f64, rho_w: f64) -> f64 {
         32.0 * k as f64 * (2.0 - rho_x.max(rho_w))
-    }
-
-    /// Sibia additions (same count as multiplications).
-    pub fn sibia_add(k: u64, rho_x: f64, rho_w: f64) -> f64 {
-        sibia_mul(k, rho_x, rho_w)
     }
 
     /// Sibia 4-bit EMA: `14·K` — it moves the dense (uncompressed) slice

@@ -9,7 +9,7 @@
 //!   and a slab of nonblocking connections. `workers` dispatch threads
 //!   (at least one) take request lines from one shared queue and run
 //!   [`Service::serve`] on them.
-//! * Each connection carries a [`LineAssembler`](crate::LineAssembler)
+//! * Each connection carries a [`LineAssembler`]
 //!   (bounded read side) and a write buffer (bounded by backpressure:
 //!   while the backlog exceeds `max_write_backlog` the connection is
 //!   neither read from nor dispatched).

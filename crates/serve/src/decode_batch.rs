@@ -10,7 +10,8 @@
 //! column group per session) into a single fused pass — one
 //! QKV/proj/fc1/fc2 GEMM per block over all sessions' columns,
 //! attention per session against its own cache
-//! ([`PreparedModel::forward_decode_batch`](crate::PreparedModel::forward_decode_batch)).
+//! ([`panacea_block::decode_step_batch`] over the steps stacked by
+//! [`run_coalesced`]).
 //!
 //! Guarantees:
 //!
@@ -50,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use panacea_block::KvCache;
 use panacea_core::pe_padded_cols;
+use panacea_core::pipeline::run_coalesced;
 use panacea_telemetry::{EventSeverity, TraceContext};
 use panacea_tensor::Matrix;
 
@@ -289,8 +291,6 @@ fn run_pass(
         .map(|(slot, _)| slot.cell.lock().unwrap_or_else(PoisonError::into_inner))
         .collect();
     let hiddens: Vec<&Matrix<f32>> = steps.iter().map(|&(_, h)| h).collect();
-    let segments: Vec<usize> = hiddens.iter().map(|h| h.cols()).collect();
-    let stacked = Matrix::hstack(&hiddens).expect("validated steps share the model width");
     // Pre-pass token counts — the rollback points if the pass dies.
     let snapshots: Vec<usize> = guards.iter().map(|g| g.kv.tokens()).collect();
     let ran = catch_unwind(AssertUnwindSafe(|| {
@@ -301,12 +301,14 @@ fn run_pass(
         // built by it, so the pass cannot fail; a broken invariant would
         // panic and be isolated like any other panic.
         timed_blocks(&steps[0].0.cells.block, || {
-            model
-                .forward_decode_batch_prevalidated(&stacked, &segments, &mut kvs)
-                .expect("a validated step on its own model's cache")
+            run_coalesced(&hiddens, |x, segments| {
+                model
+                    .forward_decode_batch(x, segments, &mut kvs)
+                    .expect("a validated step on its own model's cache")
+            })
         })
     }));
-    let (out, _) = match ran {
+    let (parts, _) = match ran {
         Ok(outcome) => outcome,
         Err(_) => {
             metrics.record_worker_panic(model.name(), "decode_fused_pass");
@@ -334,7 +336,7 @@ fn run_pass(
                         panacea_faultline::point("serve.decode.solo_retry");
                         let mut kvs: Vec<&mut KvCache> = vec![&mut guard.kv];
                         model
-                            .forward_decode_batch_prevalidated(hidden, &[hidden.cols()], &mut kvs)
+                            .forward_decode_batch(hidden, &[hidden.cols()], &mut kvs)
                             .expect("a validated step on its own model's cache")
                     }));
                     match solo {
@@ -357,9 +359,6 @@ fn run_pass(
         }
     };
     let now = Instant::now();
-    let parts = out
-        .split_cols(&segments)
-        .expect("decode keeps one output column per input column");
     Ok(parts
         .into_iter()
         .zip(guards.iter_mut())

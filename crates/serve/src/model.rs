@@ -471,7 +471,7 @@ impl PreparedModel {
                     .iter()
                     .map(|p| p.as_codes().expect("chain batch carries codes"))
                     .collect();
-                let (outs, wl) = run_coalesced(&codes, |stacked| self.forward_codes(stacked));
+                let (outs, wl) = run_coalesced(&codes, |x, _| self.forward_codes(x));
                 (outs.into_iter().map(Payload::Codes).collect(), wl)
             }
             Body::Blocks { .. } => {
@@ -479,17 +479,8 @@ impl PreparedModel {
                     .iter()
                     .map(|p| p.as_hidden().expect("block batch carries hidden states"))
                     .collect();
-                let widths: Vec<usize> = hiddens.iter().map(|m| m.cols()).collect();
-                if hiddens.is_empty() {
-                    return (Vec::new(), Workload::default());
-                }
-                let stacked =
-                    Matrix::hstack(&hiddens).expect("batched sequences must share the model width");
-                let (out, wl) = self.forward_block_segments(&stacked, &widths);
-                let parts = out
-                    .split_cols(&widths)
-                    .expect("block forward keeps one output column per input column");
-                (parts.into_iter().map(Payload::Hidden).collect(), wl)
+                let (outs, wl) = run_coalesced(&hiddens, |x, w| self.forward_block_segments(x, w));
+                (outs.into_iter().map(Payload::Hidden).collect(), wl)
             }
         }
     }
@@ -546,7 +537,7 @@ impl PreparedModel {
         kv: &mut KvCache,
     ) -> Result<(Matrix<f32>, Workload), ServeError> {
         self.validate_decode(hidden)?;
-        self.forward_decode_batch_prevalidated(hidden, &[hidden.cols()], &mut [kv])
+        self.forward_decode_batch(hidden, &[hidden.cols()], &mut [kv])
     }
 
     /// Continuous-batching decode: many sessions' new token columns,
@@ -555,47 +546,20 @@ impl PreparedModel {
     /// ([`panacea_block::decode_step_batch`]) with attention and the K/V
     /// append per session. Each session's output columns are
     /// bit-identical to stepping it alone through
-    /// [`forward_decode`](Self::forward_decode) — this is the fused pass
-    /// the decode batcher executes.
+    /// [`forward_decode`](Self::forward_decode). This is the body of
+    /// [`forward_decode`](Self::forward_decode) and of the decode
+    /// batcher's one pass, which runs it through [`run_coalesced`]. It
+    /// skips the payload re-scan and segment checks: every step was
+    /// validated before it could reach a pass, and `segments` are the
+    /// widths of the very matrices stacked. KV shape checks (O(1) each)
+    /// remain.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`forward_decode`](Self::forward_decode),
-    /// plus [`ServeError::Shape`] when `segments` and `kvs` disagree in
-    /// length, any segment is empty, or the segments do not cover
-    /// `hidden`'s columns exactly.
-    pub fn forward_decode_batch(
-        &self,
-        hidden: &Matrix<f32>,
-        segments: &[usize],
-        kvs: &mut [&mut KvCache],
-    ) -> Result<(Matrix<f32>, Workload), ServeError> {
-        self.validate_decode(hidden)?;
-        if segments.len() != kvs.len() {
-            return Err(ServeError::Shape {
-                expected: segments.len(),
-                actual: kvs.len(),
-            });
-        }
-        if segments.contains(&0) {
-            return Err(ServeError::EmptyRequest);
-        }
-        if segments.iter().sum::<usize>() != hidden.cols() {
-            return Err(ServeError::Shape {
-                expected: hidden.cols(),
-                actual: segments.iter().sum(),
-            });
-        }
-        self.forward_decode_batch_prevalidated(hidden, segments, kvs)
-    }
-
-    /// [`forward_decode_batch`](Self::forward_decode_batch) minus the
-    /// payload re-scan and segment checks, for the one decode pass body
-    /// and [`forward_decode`](Self::forward_decode): every step was
-    /// validated before it could reach a pass, and the pass builds
-    /// `segments` from the very matrices it stacks. KV shape checks
-    /// (O(1) each) remain.
-    pub(crate) fn forward_decode_batch_prevalidated(
+    /// [`ServeError::PayloadKindMismatch`] for linear chains and
+    /// [`ServeError::Shape`] when a cache was built for a different
+    /// stack.
+    pub(crate) fn forward_decode_batch(
         &self,
         hidden: &Matrix<f32>,
         segments: &[usize],

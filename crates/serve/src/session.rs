@@ -21,11 +21,12 @@
 //! Steps are **continuously batched**: [`step`](SessionManager::step)
 //! submits into the manager's `DecodeBatcher`, whose worker fuses the
 //! queued steps of concurrent sessions on the same model into one GEMM
-//! pass per layer ([`PreparedModel::forward_decode_batch`]) — aggregate
-//! decode throughput scales with concurrency by filling the GEMM `N`
-//! dimension, while every session's outputs stay bit-identical to solo
-//! stepping. The batcher drains the same `BatchQueue` the stateless
-//! runtime does (wait → purge expired → linger → take). Knobs:
+//! pass per layer ([`panacea_block::decode_step_batch`] over the steps
+//! stacked by [`run_coalesced`](panacea_core::pipeline::run_coalesced))
+//! — aggregate decode throughput scales with concurrency by filling the
+//! GEMM `N` dimension, while every session's outputs stay bit-identical
+//! to solo stepping. The batcher drains the same `BatchQueue` the
+//! stateless runtime does (wait → purge expired → linger → take). Knobs:
 //! [`SessionConfig::max_decode_batch`] (columns per fused pass) and
 //! [`SessionConfig::decode_max_wait`] (linger for batchmates; zero by
 //! default, like [`BatchPolicy::max_wait`](crate::BatchPolicy::max_wait)).

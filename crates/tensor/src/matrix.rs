@@ -185,11 +185,6 @@ impl<T> Matrix<T> {
         &self.data
     }
 
-    /// Mutable flat row-major view of the elements.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the matrix and returns the flat row-major buffer.
     pub fn into_vec(self) -> Vec<T> {
         self.data
