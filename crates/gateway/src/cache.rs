@@ -1,4 +1,4 @@
-//! A bounded, sharded, content-addressed response cache.
+//! A bounded, content-addressed response cache.
 //!
 //! Under real traffic identical activation payloads recur — retried
 //! requests, common prompts, synthetic monitors — and an identical
@@ -15,8 +15,8 @@
 //! alias), never a digest match alone. A hit is therefore always a
 //! correct replay — even across model replacement, because a replaced
 //! model's entries key under the old id and simply age out of the LRU.
-//! The digest ([`Payload::content_hash`]) only picks the shard and
-//! accelerates bucket lookup.
+//! The digest ([`Payload::content_hash`]) only picks the bucket a
+//! lookup compares against.
 //!
 //! **Stateless requests only.** A decode step's output depends on its
 //! session's KV prefix, not just the payload, so cached replay would be
@@ -25,37 +25,35 @@
 //! all; the only call sites are the stateless `infer` path. See the
 //! `decode_steps_never_touch_the_request_cache` regression test.
 //!
-//! Shards are independent LRUs behind their own locks, so concurrent
-//! connection handlers rarely contend; eviction is strict
-//! least-recently-used per shard.
+//! **Bounded by bytes.** Resident entries hold at most
+//! [`CacheConfig::max_bytes`] in total, counted as each entry's request
+//! and result cells plus a fixed per-entry overhead, so the bound holds
+//! whatever the mix of entry sizes. Eviction is strict
+//! least-recently-used over the whole cache, behind one lock: the
+//! digest is computed outside it, and the lock covers one bucket lookup
+//! and one bit-compare.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::mem::size_of;
+use std::sync::{Mutex, MutexGuard};
 
 use panacea_serve::Payload;
 
-/// Sizing knobs for [`RequestCache`].
+/// Sizing knob for [`RequestCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
-    /// Total cached responses across all shards; 0 disables caching.
-    pub capacity: usize,
-    /// Number of independently locked LRU shards.
-    pub shards: usize,
-    /// Largest single entry (request payload + result payload, in
-    /// bytes) worth keeping. `capacity` bounds the entry *count*, so without this a
-    /// handful of near-request-size-limit payloads could pin gigabytes;
-    /// oversized responses are simply not cached.
-    pub max_entry_bytes: usize,
+    /// Bytes the resident entries may hold in total: each entry's
+    /// request and result cells (4 bytes apiece) plus a fixed per-entry
+    /// overhead. 0 disables caching; an entry larger than the whole
+    /// budget is never cached.
+    pub max_bytes: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            capacity: 1024,
-            shards: 8,
-            max_entry_bytes: 4 << 20,
+            max_bytes: 32 << 20,
         }
     }
 }
@@ -98,199 +96,135 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct CacheKey {
+struct Entry {
     /// [`PreparedModel::instance_id`](panacea_serve::PreparedModel::instance_id)
     /// of the model that produced the cached output.
     model: u64,
     payload: Payload,
+    value: CachedOutput,
+    /// What this entry counts against [`CacheConfig::max_bytes`].
+    bytes: usize,
+    /// Its key in the recency index; larger is more recent.
+    stamp: u64,
 }
 
-impl CacheKey {
+impl Entry {
     /// Bit-level key equality — the replay contract's identity.
     fn matches(&self, model: u64, payload: &Payload) -> bool {
         self.model == model && self.payload.bit_eq(payload)
     }
 }
 
-#[derive(Debug)]
-struct Node {
-    key: CacheKey,
-    digest: u64,
-    value: CachedOutput,
-    prev: usize,
-    next: usize,
+/// The fixed cost of one entry beyond its cells: the record itself and
+/// its recency-index slot.
+const ENTRY_OVERHEAD: usize = size_of::<Entry>() + 2 * size_of::<u64>();
+
+/// Bytes an entry of `cells` request-plus-result elements counts
+/// against [`CacheConfig::max_bytes`] (`i32` codes and `f32` hidden
+/// states are both 4 bytes wide).
+fn entry_bytes(cells: usize) -> usize {
+    cells.saturating_mul(4).saturating_add(ENTRY_OVERHEAD)
 }
 
-const NIL: usize = usize::MAX;
-
-/// One LRU shard: a digest-bucketed index over an intrusive
-/// doubly-linked recency list stored in a slab.
+/// A strict LRU under a byte budget: entries bucketed by digest, plus a
+/// recency index from each entry's last-use stamp to its digest.
 #[derive(Debug, Default)]
-struct LruShard {
-    buckets: HashMap<u64, Vec<usize>>,
-    slab: Vec<Option<Node>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    len: usize,
+struct Lru {
+    buckets: HashMap<u64, Vec<Entry>>,
+    recency: BTreeMap<u64, u64>,
+    next_stamp: u64,
+    /// Sum of the resident entries' `bytes`.
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl LruShard {
-    fn new() -> Self {
-        LruShard {
-            head: NIL,
-            tail: NIL,
-            ..LruShard::default()
+impl Lru {
+    /// Finds the entry for `(model, payload)` and makes it the most
+    /// recently used.
+    fn touch(&mut self, digest: u64, model: u64, payload: &Payload) -> Option<&Entry> {
+        let entry = self
+            .buckets
+            .get_mut(&digest)?
+            .iter_mut()
+            .find(|e| e.matches(model, payload))?;
+        self.recency.remove(&entry.stamp);
+        entry.stamp = self.next_stamp;
+        self.recency.insert(entry.stamp, digest);
+        self.next_stamp += 1;
+        Some(entry)
+    }
+
+    /// Inserts (or refreshes) an entry of at most `max_bytes`, evicting
+    /// the least recently used until it fits.
+    fn insert(&mut self, digest: u64, mut entry: Entry, max_bytes: usize) {
+        debug_assert!(entry.bytes <= max_bytes, "caller admits entries");
+        // A bit-exact key already resident keeps its (necessarily
+        // identical) value and only moves to the front.
+        if self.touch(digest, entry.model, &entry.payload).is_some() {
+            return;
         }
-    }
-
-    fn node(&self, i: usize) -> &Node {
-        self.slab[i].as_ref().expect("live node")
-    }
-
-    fn node_mut(&mut self, i: usize) -> &mut Node {
-        self.slab[i].as_mut().expect("live node")
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = {
-            let n = self.node(i);
-            (n.prev, n.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.node_mut(p).next = next,
+        while self.bytes + entry.bytes > max_bytes {
+            self.evict_oldest();
         }
-        match next {
-            NIL => self.tail = prev,
-            n => self.node_mut(n).prev = prev,
-        }
+        entry.stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.bytes += entry.bytes;
+        self.recency.insert(entry.stamp, digest);
+        self.buckets.entry(digest).or_default().push(entry);
     }
 
-    fn push_front(&mut self, i: usize) {
-        self.node_mut(i).prev = NIL;
-        self.node_mut(i).next = self.head;
-        match self.head {
-            NIL => self.tail = i,
-            h => self.node_mut(h).prev = i,
-        }
-        self.head = i;
-    }
-
-    fn find(&self, digest: u64, model: u64, payload: &Payload) -> Option<usize> {
-        self.buckets
-            .get(&digest)?
-            .iter()
-            .copied()
-            .find(|&i| self.node(i).key.matches(model, payload))
-    }
-
-    fn get(&mut self, digest: u64, model: u64, payload: &Payload) -> Option<CachedOutput> {
-        let i = self.find(digest, model, payload)?;
-        self.unlink(i);
-        self.push_front(i);
-        Some(self.node(i).value.clone())
-    }
-
-    /// Inserts (or refreshes) an entry; returns how many entries the
-    /// capacity bound evicted.
-    fn insert(&mut self, digest: u64, key: CacheKey, value: CachedOutput, capacity: usize) -> u64 {
-        if capacity == 0 {
-            return 0;
-        }
-        if let Some(i) = self.find(digest, key.model, &key.payload) {
-            // Bit-exact key already resident: refresh recency, keep the
-            // (necessarily identical) value.
-            self.unlink(i);
-            self.push_front(i);
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.len >= capacity {
-            self.evict_tail();
-            evicted += 1;
-        }
-        let node = Node {
-            key,
-            digest,
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(node);
-                slot
-            }
-            None => {
-                self.slab.push(Some(node));
-                self.slab.len() - 1
-            }
-        };
-        self.buckets.entry(digest).or_default().push(i);
-        self.push_front(i);
-        self.len += 1;
-        evicted
-    }
-
-    fn evict_tail(&mut self) {
-        let i = self.tail;
-        debug_assert_ne!(i, NIL, "evict called on an empty shard");
-        self.unlink(i);
-        let node = self.slab[i].take().expect("live node");
+    fn evict_oldest(&mut self) {
+        let (stamp, digest) = self
+            .recency
+            .pop_first()
+            .expect("resident bytes imply an entry");
         let bucket = self
             .buckets
-            .get_mut(&node.digest)
-            .expect("bucket for live node");
-        bucket.retain(|&j| j != i);
+            .get_mut(&digest)
+            .expect("bucket of a stamped entry");
+        let at = bucket
+            .iter()
+            .position(|e| e.stamp == stamp)
+            .expect("entry of a stamp");
+        self.bytes -= bucket.swap_remove(at).bytes;
         if bucket.is_empty() {
-            self.buckets.remove(&node.digest);
+            self.buckets.remove(&digest);
         }
-        self.free.push(i);
-        self.len -= 1;
+        self.evictions += 1;
     }
 }
 
-/// The gateway's sharded LRU response cache. See the module docs.
+/// The gateway's byte-bounded LRU response cache. See the module docs.
 #[derive(Debug)]
 pub struct RequestCache {
-    shards: Vec<Mutex<LruShard>>,
-    capacity_per_shard: usize,
-    max_entry_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    max_bytes: usize,
+    lru: Mutex<Lru>,
 }
 
 impl RequestCache {
-    /// Builds a cache with `config.capacity` total entries spread over
-    /// `config.shards` independently locked LRU shards.
+    /// Builds a cache whose resident entries hold at most
+    /// `config.max_bytes`.
     pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
         RequestCache {
-            shards: (0..shards).map(|_| Mutex::new(LruShard::new())).collect(),
-            capacity_per_shard: config.capacity.div_ceil(shards),
-            max_entry_bytes: config.max_entry_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            max_bytes: config.max_bytes,
+            lru: Mutex::default(),
         }
     }
 
-    /// Whether this cache stores anything at all (capacity above zero) —
+    /// Whether this cache stores anything at all (a budget above zero) —
     /// callers can skip key hashing and payload clones when it does not.
     pub fn enabled(&self) -> bool {
-        self.capacity_per_shard > 0
+        self.max_bytes > 0
     }
 
-    /// Whether an entry of `cells` 4-byte elements (request payload
-    /// plus result payload — `i32` codes and `f32` hidden states are
-    /// the same width) fits [`CacheConfig::max_entry_bytes`]. Both
-    /// counts are known before a request runs, so callers can skip the
-    /// payload clone for entries [`insert`](Self::insert) would reject
-    /// anyway.
+    /// Whether an entry of `cells` elements (request payload plus
+    /// result payload) fits [`CacheConfig::max_bytes`]. Both counts are
+    /// known before a request runs, so callers can skip the payload
+    /// clone for entries [`insert`](Self::insert) would reject anyway.
     pub fn admits(&self, cells: usize) -> bool {
-        cells.saturating_mul(4) <= self.max_entry_bytes
+        entry_bytes(cells) <= self.max_bytes
     }
 
     fn digest(model: u64, payload: &Payload) -> u64 {
@@ -300,8 +234,8 @@ impl RequestCache {
         h.finish()
     }
 
-    fn shard_for(&self, digest: u64) -> &Mutex<LruShard> {
-        &self.shards[(digest as usize) % self.shards.len()]
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("cache lock poisoned")
     }
 
     /// Looks up a bit-exact prior response for `(model, payload)`,
@@ -310,51 +244,39 @@ impl RequestCache {
     /// entries written for a since-replaced model can never answer.
     pub fn get(&self, model: u64, payload: &Payload) -> Option<CachedOutput> {
         let digest = Self::digest(model, payload);
-        let found = self
-            .shard_for(digest)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(digest, model, payload);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let mut lru = self.lock();
+        let found = lru.touch(digest, model, payload).map(|e| e.value.clone());
+        match found {
+            Some(_) => lru.hits += 1,
+            None => lru.misses += 1,
+        }
         found
     }
 
     /// Stores a response for `(model, payload)`, evicting
-    /// least-recently used entries if its shard is full. `model` is the
-    /// producing model's
+    /// least-recently used entries until the resident bytes fit
+    /// [`CacheConfig::max_bytes`]. `model` is the producing model's
     /// [`instance_id`](panacea_serve::PreparedModel::instance_id).
-    /// Entries larger than [`CacheConfig::max_entry_bytes`] are silently
-    /// skipped — the count-based capacity cannot bound their footprint.
+    /// An entry larger than the whole budget is silently skipped.
     pub fn insert(&self, model: u64, payload: Payload, value: CachedOutput) {
         let cells = payload.cells() + value.payload.cells();
         if !self.admits(cells) {
             return;
         }
         let digest = Self::digest(model, &payload);
-        let evicted = self
-            .shard_for(digest)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(
-                digest,
-                CacheKey { model, payload },
-                value,
-                self.capacity_per_shard,
-            );
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let entry = Entry {
+            model,
+            payload,
+            value,
+            bytes: entry_bytes(cells),
+            stamp: 0,
+        };
+        self.lock().insert(digest, entry, self.max_bytes);
     }
 
-    /// Entries currently resident across all shards.
+    /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len)
-            .sum()
+        self.lock().recency.len()
     }
 
     /// Whether no entries are resident.
@@ -362,13 +284,20 @@ impl RequestCache {
         self.len() == 0
     }
 
+    /// Bytes the resident entries count against the budget.
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.lock().bytes
+    }
+
     /// Current hit/miss/eviction counters plus resident entry count.
     pub fn stats(&self) -> CacheStats {
+        let lru = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+            entries: lru.recency.len(),
         }
     }
 }
@@ -377,6 +306,7 @@ impl RequestCache {
 mod tests {
     use super::*;
     use panacea_tensor::Matrix;
+    use rand::Rng;
     use std::sync::Arc;
 
     fn codes(salt: i32) -> Payload {
@@ -389,6 +319,14 @@ mod tests {
         CachedOutput {
             payload: Payload::Codes(Matrix::from_fn(2, 2, |r, c| salt * 10 + (r + c) as i32)),
             scale: 0.5,
+        }
+    }
+
+    /// A budget of exactly `n` entries of [`codes`] (8 cells) plus
+    /// [`output`] (4 cells).
+    fn room_for(n: usize) -> CacheConfig {
+        CacheConfig {
+            max_bytes: n * entry_bytes(12),
         }
     }
 
@@ -411,12 +349,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        // One shard, capacity 2: deterministic recency order.
-        let cache = RequestCache::new(CacheConfig {
-            capacity: 2,
-            shards: 1,
-            ..CacheConfig::default()
-        });
+        let cache = RequestCache::new(room_for(2));
         cache.insert(1, codes(1), output(1));
         cache.insert(1, codes(2), output(2));
         // Touch 1 so 2 becomes the LRU victim.
@@ -431,11 +364,7 @@ mod tests {
 
     #[test]
     fn reinserting_the_same_key_refreshes_instead_of_duplicating() {
-        let cache = RequestCache::new(CacheConfig {
-            capacity: 2,
-            shards: 1,
-            ..CacheConfig::default()
-        });
+        let cache = RequestCache::new(room_for(2));
         cache.insert(1, codes(1), output(1));
         cache.insert(1, codes(2), output(2));
         // Refresh 1 (no eviction, no growth), then insert a third: the
@@ -450,11 +379,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = RequestCache::new(CacheConfig {
-            capacity: 0,
-            shards: 4,
-            ..CacheConfig::default()
-        });
+        let cache = RequestCache::new(CacheConfig { max_bytes: 0 });
         cache.insert(1, codes(1), output(1));
         assert!(cache.is_empty());
         assert_eq!(cache.get(1, &codes(1)), None);
@@ -462,17 +387,15 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_not_cached() {
-        // Budget of 64 bytes = 16 i32 cells across codes + accumulators.
+        // A budget of one 16-cell entry across codes + accumulators.
         let cache = RequestCache::new(CacheConfig {
-            capacity: 8,
-            shards: 1,
-            max_entry_bytes: 64,
+            max_bytes: entry_bytes(16),
         });
-        // 4×2 codes + 2×2 acc = 12 cells (48 bytes): fits.
+        // 4×2 codes + 2×2 acc = 12 cells: fits.
         cache.insert(1, codes(1), output(1));
         assert_eq!(cache.len(), 1);
-        // 4×4 codes + 2×2 acc = 20 cells (80 bytes): must be skipped, or
-        // the count-based capacity stops bounding memory.
+        // 4×4 codes + 2×2 acc = 20 cells: larger than the whole budget,
+        // so it is skipped rather than evicting everything else.
         let big = Payload::Codes(Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as i32));
         cache.insert(1, big.clone(), output(2));
         assert_eq!(cache.len(), 1, "oversized entry was cached");
@@ -480,22 +403,62 @@ mod tests {
     }
 
     #[test]
-    fn entries_spread_across_shards() {
-        let cache = RequestCache::new(CacheConfig {
-            capacity: 256,
-            shards: 4,
-            ..CacheConfig::default()
-        });
-        for salt in 0..64 {
-            cache.insert(1, codes(salt), output(salt));
+    fn byte_budget_matches_a_recency_ordered_model() {
+        // Seeded mixed-size inserts and lookups against a model holding
+        // the resident keys oldest first. Key `k` is a 1×w request whose
+        // cells read `k`, answered by one cell; w runs from 1 cell to
+        // past the whole budget (key 0).
+        const MAX_BYTES: usize = 4096;
+        let mut rng = panacea_tensor::seeded_rng(44);
+        let mut widths = vec![MAX_BYTES / 4];
+        for _ in 1..24 {
+            let scale = rng.gen_range(0..=10u32);
+            widths.push(rng.gen_range(1..=1usize << scale));
         }
-        assert_eq!(cache.len(), 64);
-        let occupied = cache
-            .shards
-            .iter()
-            .filter(|s| s.lock().unwrap().len > 0)
-            .count();
-        assert!(occupied >= 2, "all 64 keys landed in one shard");
+        let request = |k: usize| Payload::Codes(Matrix::from_fn(1, widths[k], |_, _| k as i32));
+        let answer = |k: usize| CachedOutput {
+            payload: Payload::Codes(Matrix::from_vec(1, 1, vec![k as i32]).unwrap()),
+            scale: 1.0,
+        };
+        let bytes = |keys: &[usize]| keys.iter().map(|&k| entry_bytes(widths[k] + 1)).sum();
+        let cache = RequestCache::new(CacheConfig {
+            max_bytes: MAX_BYTES,
+        });
+        let (mut model, mut evictions) = (Vec::new(), 0);
+        for step in 0..4000 {
+            let k = rng.gen_range(0..widths.len());
+            let resident_at = model.iter().position(|&m| m == k);
+            let insert = rng.gen_bool(0.5);
+            if insert {
+                cache.insert(1, request(k), answer(k));
+            } else {
+                let hit = cache.get(1, &request(k));
+                assert_eq!(hit, resident_at.map(|_| answer(k)), "step {step}");
+            }
+            if let Some(at) = resident_at {
+                model.remove(at);
+                model.push(k);
+            } else if insert && bytes(&[k]) <= MAX_BYTES {
+                while bytes(&model) + bytes(&[k]) > MAX_BYTES {
+                    model.remove(0);
+                    evictions += 1;
+                }
+                model.push(k);
+            }
+            let lru = cache.lock();
+            let resident: Vec<usize> = lru
+                .recency
+                .iter()
+                .map(|(stamp, digest)| {
+                    let entry = lru.buckets[digest].iter().find(|e| e.stamp == *stamp);
+                    entry.unwrap().payload.as_codes().unwrap()[(0, 0)] as usize
+                })
+                .collect();
+            assert_eq!(resident, model, "step {step}: resident keys, oldest first");
+            assert!(lru.bytes <= MAX_BYTES, "step {step}: over budget");
+            assert_eq!((lru.bytes, lru.evictions), (bytes(&model), evictions));
+        }
+        assert!(evictions > 0 && bytes(&[0]) > MAX_BYTES);
     }
 
     #[test]
@@ -519,11 +482,8 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(RequestCache::new(CacheConfig {
-            capacity: 64,
-            shards: 4,
-            ..CacheConfig::default()
-        }));
+        let config = room_for(64);
+        let cache = Arc::new(RequestCache::new(config));
         let mut threads = Vec::new();
         for t in 0..4 {
             let cache = Arc::clone(&cache);
@@ -541,5 +501,6 @@ mod tests {
             th.join().expect("worker");
         }
         assert!(cache.len() <= 64);
+        assert!(cache.resident_bytes() <= config.max_bytes);
     }
 }

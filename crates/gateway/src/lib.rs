@@ -28,9 +28,10 @@
 //!   one shared registry (one preparation, one copy of the sliced
 //!   weights). Requests route by rendezvous hashing on the model name,
 //!   tie-broken toward the emptier queue so hot models spread out.
-//! * [`RequestCache`] is a sharded LRU keyed by the model's unique
+//! * [`RequestCache`] is one LRU, bounded by the bytes it holds
+//!   ([`CacheConfig::max_bytes`]), keyed by the model's unique
 //!   instance id (so re-registering a name never replays the old
-//!   model's outputs) and the *quantized* request codes; hits are
+//!   model's outputs) and the typed request payload; hits are
 //!   bit-exact replays (full key equality, never digest-only) that skip
 //!   the AQS-GEMM pipeline entirely.
 //! * [`AdmissionController`] bounds simultaneous in-flight requests and

@@ -63,7 +63,8 @@ pub struct GatewayConfig {
     pub shards: usize,
     /// Per-shard runtime sizing (workers, batching policy).
     pub runtime: RuntimeConfig,
-    /// Response cache sizing.
+    /// Response cache bound: the bytes its resident entries may hold
+    /// ([`CacheConfig::max_bytes`], 32 MiB by default; 0 disables it).
     pub cache: CacheConfig,
     /// Admission bounds.
     pub admission: AdmissionConfig,
@@ -1009,6 +1010,33 @@ mod tests {
         let stats = gateway.stats();
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.shards.iter().map(|s| s.requests).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn cache_holds_at_most_max_bytes_and_replays_the_latest_payload() {
+        use crate::testutil::{block_model, direct_forward, hidden};
+        let (model, blocks) = block_model("blk", 63);
+        // A 16×3 request and its 16×3 result are 384 bytes of cells, so
+        // eight distinct payloads overrun the budget.
+        let config = GatewayConfig {
+            cache: CacheConfig { max_bytes: 2048 },
+            ..GatewayConfig::default()
+        };
+        let gateway = Gateway::new(vec![model], config);
+        for salt in 0..8 {
+            let x = Payload::Hidden(hidden(16, 3, salt));
+            assert!(!gateway.infer("blk", x).expect("served").cache_hit);
+            assert!(gateway.cache.resident_bytes() <= 2048);
+        }
+        assert!(gateway.stats().cache.evictions > 0);
+        let latest = hidden(16, 3, 7);
+        let expect = direct_forward(&blocks, &latest);
+        let warm = gateway
+            .infer("blk", Payload::Hidden(latest))
+            .expect("served");
+        assert!(warm.cache_hit, "the latest payload was evicted");
+        let bits = |m: &Matrix<f32>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(warm.payload.as_hidden().unwrap()), bits(&expect));
     }
 
     #[test]

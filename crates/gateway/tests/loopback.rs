@@ -109,11 +109,7 @@ fn overload_burst_yields_explicit_rejections_not_unbounded_queueing() {
                     max_wait: Duration::from_millis(100),
                 },
             },
-            cache: CacheConfig {
-                capacity: 0, // force every request through admission
-                shards: 1,
-                ..CacheConfig::default()
-            },
+            cache: CacheConfig { max_bytes: 0 }, // force every request through admission
             admission: AdmissionConfig {
                 max_in_flight: 2,
                 max_queue_wait: Duration::from_secs(10),
@@ -267,11 +263,7 @@ fn stats_expose_padding_and_cancellation_counters_over_the_wire() {
         models(&["m"], 9),
         GatewayConfig {
             shards: 1,
-            cache: CacheConfig {
-                capacity: 0,
-                shards: 1,
-                ..CacheConfig::default()
-            },
+            cache: CacheConfig { max_bytes: 0 },
             ..GatewayConfig::default()
         },
     ));
@@ -759,11 +751,7 @@ fn sheds_flip_health_and_are_broken_down_by_reason_in_stats() {
                     max_wait: Duration::from_millis(100),
                 },
             },
-            cache: CacheConfig {
-                capacity: 0,
-                shards: 1,
-                ..CacheConfig::default()
-            },
+            cache: CacheConfig { max_bytes: 0 },
             admission: AdmissionConfig {
                 max_in_flight: 1,
                 max_queue_wait: Duration::from_secs(10),
@@ -1055,11 +1043,7 @@ fn health_flip_pins_an_incident_retrievable_after_recovery() {
         models(&["m"], 14),
         GatewayConfig {
             shards: 1,
-            cache: CacheConfig {
-                capacity: 0,
-                shards: 1,
-                ..CacheConfig::default()
-            },
+            cache: CacheConfig { max_bytes: 0 },
             admission: AdmissionConfig {
                 max_in_flight: 1,
                 max_queue_wait: Duration::from_secs(10),

@@ -11,8 +11,10 @@
 //!   [`Service::serve`] on them.
 //! * Each connection carries a [`LineAssembler`]
 //!   (bounded read side) and a write buffer (bounded by backpressure:
-//!   while the backlog exceeds `max_write_backlog` the connection is
-//!   neither read from nor dispatched).
+//!   while the backlog exceeds `max_write_backlog` nothing more is
+//!   dispatched). A connection is read only while nothing is in flight,
+//!   nothing waits to be written and no complete line waits, so a
+//!   pipelining peer's further lines stay in the kernel.
 //! * At most one request per connection is in flight at a time — the
 //!   same request/response sequencing the thread-per-connection server
 //!   provides. A dispatch thread finishes a request by queueing a
@@ -180,12 +182,6 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Cap on complete-but-undispatched lines buffered per connection
-/// before the reactor stops reading from it — bounds memory against a
-/// pipelining client the same way `max_write_backlog` bounds it against
-/// a non-reading one.
-const MAX_READY_LINES: usize = 32;
-
 /// Upper bound on bytes pulled per readiness event per connection, so
 /// one firehose connection cannot monopolize a loop iteration.
 const MAX_READ_PER_EVENT: usize = 256 * 1024;
@@ -250,12 +246,17 @@ impl Conn {
         self.wbuf.push(b'\n');
     }
 
+    /// Reads only while nothing is in flight, nothing waits to be
+    /// written and no complete line waits, so a pipelining peer buffers
+    /// at most one request line plus one read's worth beyond it; the
+    /// rest stays in the kernel and its writes block.
     fn wants_read(&self) -> bool {
         !self.eof
             && !self.closing
             && !self.assembler.is_poisoned()
+            && !self.in_flight
             && self.backlog() == 0
-            && self.assembler.ready_lines() < MAX_READY_LINES
+            && self.assembler.ready_lines() == 0
     }
 }
 

@@ -2,22 +2,26 @@
 //! the dispatch thread count clamped to one), deterministic
 //! write-backpressure eviction with an interleaved healthy connection,
 //! connection-limit rejection, drain-on-shutdown (with more requests in
-//! flight than dispatch threads), and oversized-frame handling.
+//! flight than dispatch threads), oversized-frame handling, and no
+//! read-ahead past a held request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use panacea_netcore::{ConnectionCounters, EvictReason, Reactor, ReactorConfig, Service};
 
 /// Line protocol for the tests: `ok:`-echo by default, `pad:<n>` for an
-/// `n`-byte response, `sleep:<ms>` to hold a dispatch thread. Records
-/// every eviction for later assertion.
+/// `n`-byte response, `sleep:<ms>` to hold a dispatch thread,
+/// `hold:<i>:<padding>` to wait for [`TestService::release`] and answer
+/// `held:<i>:<line length>`. Records every eviction for later assertion.
 #[derive(Default)]
 struct TestService {
     evictions: Mutex<Vec<String>>,
+    released: Mutex<bool>,
+    release: Condvar,
 }
 
 impl Service for TestService {
@@ -30,6 +34,14 @@ impl Service for TestService {
             let ms: u64 = ms.parse().expect("sleep ms");
             thread::sleep(Duration::from_millis(ms));
             return format!("slept:{ms}");
+        }
+        if let Some(rest) = line.strip_prefix("hold:") {
+            let mut released = self.released.lock().expect("released");
+            while !*released {
+                released = self.release.wait(released).expect("released");
+            }
+            let index = rest.split(':').next().expect("hold index");
+            return format!("held:{index}:{}", line.len());
         }
         format!("ok:{line}")
     }
@@ -51,6 +63,12 @@ impl Service for TestService {
 impl TestService {
     fn evictions(&self) -> Vec<String> {
         self.evictions.lock().expect("evictions").clone()
+    }
+
+    /// Lets every `hold:` request, held or still to come, answer.
+    fn release(&self) {
+        *self.released.lock().expect("released") = true;
+        self.release.notify_all();
     }
 }
 
@@ -260,5 +278,65 @@ fn oversized_line_is_answered_then_connection_closes() {
     let mut rest = String::new();
     client.read_to_string(&mut rest).expect("read to eof");
     assert!(rest.is_empty(), "connection closes after the error line");
+    reactor.shutdown();
+}
+
+#[test]
+fn a_pipelining_peer_is_not_read_ahead_while_its_request_is_held() {
+    const LINE: usize = 4 << 20;
+    const LINES: usize = 16;
+    let (mut reactor, addr, _counters, service) = start(ReactorConfig {
+        workers: 1,
+        ..ReactorConfig::default()
+    });
+    let line = |i: usize| {
+        let mut line = format!("hold:{i:02}:").into_bytes();
+        line.resize(LINE - 1, b'x');
+        line.push(b'\n');
+        line
+    };
+    // Pipeline without blocking until the writes stop making progress.
+    // The service holds the first request, so the client gets rid of
+    // that line plus only what the kernel's socket buffers absorb.
+    let client = TcpStream::connect(addr).expect("connect");
+    client.set_nonblocking(true).expect("nonblocking");
+    let mut writer = client.try_clone().expect("clone");
+    let (mut accepted, mut current, mut progress) = (0, (0, line(0)), Instant::now());
+    while accepted < LINES * LINE && progress.elapsed() < Duration::from_millis(500) {
+        if current.0 != accepted / LINE {
+            current = (accepted / LINE, line(accepted / LINE));
+        }
+        match writer.write(&current.1[accepted % LINE..]) {
+            Ok(n) => (accepted, progress) = (accepted + n, Instant::now()),
+            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(5))
+            }
+            Err(err) => panic!("pipelined write failed: {err}"),
+        }
+    }
+    service.release();
+    assert!(
+        accepted < 8 * LINE,
+        "the reactor read ahead of a held request: {} lines accepted",
+        accepted / LINE
+    );
+
+    // Released, every line is answered, in order.
+    client.set_nonblocking(false).expect("blocking");
+    let rest = thread::spawn(move || {
+        writer
+            .write_all(&current.1[accepted % LINE..])
+            .expect("finish the line");
+        for i in accepted / LINE + 1..LINES {
+            writer.write_all(&line(i)).expect("pipeline the rest");
+        }
+    });
+    let mut reader = BufReader::new(client);
+    for i in 0..LINES {
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("answer");
+        assert_eq!(answer.trim_end(), format!("held:{i:02}:{}", LINE - 1));
+    }
+    rest.join().expect("writer");
     reactor.shutdown();
 }

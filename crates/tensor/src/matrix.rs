@@ -251,7 +251,7 @@ impl<T: std::hash::Hash> Matrix<T> {
     ///
     /// Equal matrices always hash equal, so the digest can key
     /// content-addressed structures — the serving layer's request cache
-    /// uses it to pick a cache shard and to pre-hash lookup keys without
+    /// uses it to pick a digest bucket and to pre-hash lookup keys without
     /// rehashing the element buffer at every probe. The digest is
     /// deterministic within a build but not a cross-version wire format.
     ///
