@@ -47,28 +47,33 @@
 //!    the m-group's 4×1 bitset), every other pair **lanes along M**
 //!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
 //!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
-//!    every pair lanes along M, the HO weight plane under the panel's
-//!    union bitset (a compressed vector in a live union is stored as
-//!    zeros). Lanes along M broadcast a column's pair with one load
+//!    every pair lanes along M, and an n-group of `C` columns fills the
+//!    tile's four rows with `P = 4 / C` panels (Goto & van de Geijn's
+//!    register blocking): one walk of `k` reads those panels' runs side
+//!    by side, four at N = 1, two at N = 2, one from three columns on.
+//!    The HO weight plane runs under the union of the walked panels'
+//!    bitsets (a compressed vector in a live union is stored as zeros).
+//!    Lanes along M broadcast a column's pair with one load
 //!    (`vpbroadcastd ymm, m32`); lanes along N broadcast a weight slice
 //!    from a register (`movsbl` + `vpbroadcastw ymm, r32`, shuffle-port
 //!    uops, four per `k`). Every pair lanes along M would spare those but
 //!    skip weights only per 16-row union, where ρ = 0.5 costs nearly what
 //!    ρ = 0 does. A set holding every `k` of a block (LO×LO's; any on a
 //!    side the plan does not skip) is walked in a straight loop — lanes
-//!    along M only on a whole n-group: for fewer columns LLVM vectorises
-//!    it along `k`, 2–3× slower. In ms per call at 768 × 768, w7 × a8,
-//!    vector-level ρ, AVX-512 host (`tests/tile_cost.rs`, min of 15
-//!    alternated rounds × 8 calls):
+//!    along M only on a whole n-group or a one-column walk of four
+//!    panels: for two or three columns LLVM vectorises it along `k`,
+//!    2–3× slower. In ms per call at 768 × 768, w7 × a8, vector-level
+//!    ρ, 2-core AVX-512 host (`tests/tile_cost.rs`, min of 40 alternated
+//!    rounds × 8 calls):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.138 | 0.120 | 0.063  |
-//!    | 2  | 0.167 | 0.139 | 0.071  |
-//!    | 4  | 0.194 | 0.193 | 0.086  |
-//!    | 8  | 0.395 | 0.386 | 0.175  |
-//!    | 12 | 0.582 | 0.575 | 0.266  |
-//!    | 16 | 0.982 | 0.780 | 0.306  |
+//!    | 1  | 0.087 | 0.072 | 0.046  |
+//!    | 2  | 0.161 | 0.132 | 0.070  |
+//!    | 4  | 0.220 | 0.211 | 0.098  |
+//!    | 8  | 0.432 | 0.431 | 0.192  |
+//!    | 12 | 0.647 | 0.644 | 0.304  |
+//!    | 16 | 1.060 | 0.852 | 0.351  |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -131,6 +136,9 @@ type PanelCol = [i8; PANEL_ROWS];
 type ProductTile = [[i16; LANES]; VECTOR_LEN];
 /// One `k` of an n-group's lanes-along-M stream: each slice twice.
 type PairedCols = [[i16; 2]; VECTOR_LEN];
+/// The runs of one `k` block and plane a walk reads, one per panel it
+/// carries; lanes along N read the first.
+type Runs<'a> = [&'a [PanelCol]; VECTOR_LEN];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -392,8 +400,9 @@ impl PackedWeight {
         let w_ho = self.plane_weights.len() - 1;
         for mg in 0..out.rows() / VECTOR_LEN {
             let w_live = &self.ho_live[mg * k_blocks..(mg + 1) * k_blocks];
-            let products = |w: &_, x: &_, ks: &_| products_lanes_n(w, mg % GROUPS, x, ks);
-            let acc = self.accumulate(plan, mg / GROUPS, w_ho..w_ho + 1, w_live, wide, products);
+            let products = |w: &Runs, x: &_, ks: &_| products_lanes_n(w[0], mg % GROUPS, x, ks);
+            let panel = mg / GROUPS..mg / GROUPS + 1;
+            let acc = self.accumulate(plan, panel, w_ho..w_ho + 1, w_live, wide, products);
             for (mm, acc_row) in acc.iter().enumerate() {
                 let row = mg * VECTOR_LEN + mm;
                 for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
@@ -404,9 +413,10 @@ impl PackedWeight {
     }
 
     /// Adds weight planes `w_planes`' pairs to the columns of `groups`
-    /// from `c0` on, lanes along M: per panel and n-group a 16-row ×
-    /// 4-column tile under the n-group's bitset (and the panel's union
-    /// for the HO weight plane), of real columns only.
+    /// from `c0` on, lanes along M, of real columns only: per n-group of
+    /// `C` columns, one walk of `k` fills the tile's four rows with
+    /// `P = 4 / C` panels × the `C` columns, under the n-group's bitset
+    /// (and the union of those panels' bitsets for the HO weight plane).
     fn tile_lanes_m(
         &self,
         plan: &KernelPlan,
@@ -415,58 +425,92 @@ impl PackedWeight {
         c0: usize,
         out: &mut Matrix<i32>,
     ) {
+        let (m_panels, n) = (out.rows().div_ceil(PANEL_ROWS), out.cols());
+        // Four columns, except in the last n-group of the call.
+        let cols = |g: usize| VECTOR_LEN.min(n - c0 - g * VECTOR_LEN);
+        // Panels of the widest walk, the last n-group's: a whole n-group
+        // walks one panel, so every walk lies inside one such stretch.
+        let widest = VECTOR_LEN / cols(groups.len() - 1);
+        for p0 in (0..m_panels).step_by(widest) {
+            let stretch = p0..m_panels.min(p0 + widest);
+            for (g, act) in groups.iter().enumerate() {
+                let (c0, walk) = (c0 + g * VECTOR_LEN, VECTOR_LEN / cols(g));
+                for p in stretch.clone().step_by(walk) {
+                    let panels = p..stretch.end.min(p + walk);
+                    self.walk_lanes_m(plan, act, w_planes.clone(), panels, c0, out);
+                }
+            }
+        }
+    }
+
+    /// One lanes-along-M walk: adds weight planes `w_planes`' pairs of
+    /// `panels` (at most `4 / C`) to the `C` columns of `act` at `c0`.
+    fn walk_lanes_m(
+        &self,
+        plan: &KernelPlan,
+        act: &Stream<PairedCols>,
+        w_planes: Range<usize>,
+        panels: Range<usize>,
+        c0: usize,
+        out: &mut Matrix<i32>,
+    ) {
         let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        let cols = (out.cols() - c0).min(LANES);
-        for p in 0..out.rows().div_ceil(PANEL_ROWS) {
-            let w_live = &self.panel_live[p * k_blocks..(p + 1) * k_blocks];
+        let w_live = &self.panel_live[panels.start * k_blocks..panels.end * k_blocks];
+        let cols = VECTOR_LEN.min(out.cols() - c0);
+        let ps = panels.clone();
+        let acc = match cols {
+            1 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<1>),
+            2 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<2>),
+            3 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<3>),
+            _ => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<4>),
+        };
+        // Tile row `q·C + c` holds column `c` of the walk's panel `q`.
+        for (p, acc) in panels.zip(acc.chunks(cols)) {
             let row0 = p * PANEL_ROWS;
             let rows = PANEL_ROWS.min(out.rows() - row0);
-            for (g, act) in groups.iter().enumerate() {
-                // Four columns, except in the last n-group of the call.
-                let real = VECTOR_LEN.min(cols - g * VECTOR_LEN);
-                let w_planes = w_planes.clone();
-                let acc = match real {
-                    1 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<1>),
-                    2 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<2>),
-                    3 => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<3>),
-                    _ => self.accumulate(plan, p, w_planes, w_live, act, products_lanes_m::<4>),
-                };
-                for (nn, acc_col) in acc[..real].iter().enumerate() {
-                    for (mm, &a) in acc_col[..rows].iter().enumerate() {
-                        out[(row0 + mm, c0 + g * VECTOR_LEN + nn)] += a;
-                    }
+            for (nn, acc_col) in acc.iter().enumerate() {
+                for (mm, &a) in acc_col[..rows].iter().enumerate() {
+                    out[(row0 + mm, c0 + nn)] += a;
                 }
             }
         }
     }
 
     /// `Σ_{i,j} 8^i·c_j · Σ_k` of one register tile: `products` over every
-    /// `k` block, weight plane `i ∈ w_planes` of `panel` and activation
-    /// plane `j`, each over the `k` that pair executes given `w_live` and
-    /// `act.ho_live`.
+    /// `k` block, weight plane `i ∈ w_planes` of `panels` and activation
+    /// plane `j`, each over the `k` that pair executes given `act.ho_live`
+    /// and the union of `w_live`'s units (m-groups or panels, a bitset per
+    /// `k` block each).
     fn accumulate<T>(
         &self,
         plan: &KernelPlan,
-        panel: usize,
+        panels: Range<usize>,
         w_planes: Range<usize>,
         w_live: &[KMask],
         act: &Stream<T>,
-        products: impl Fn(&[PanelCol], &[T], &KMask) -> ProductTile,
+        products: impl Fn(&Runs, &[T], &KMask) -> ProductTile,
     ) -> [[i32; LANES]; VECTOR_LEN] {
         let k_dim = self.compressed_per_k.len();
         let planes = self.plane_weights.len();
         let (w_ho, x_ho) = (planes - 1, plan.x_scales().len() - 1);
         let mut acc = [[0i32; LANES]; VECTOR_LEN];
-        for (kb, (w_live, x_live)) in w_live.iter().zip(&act.ho_live).enumerate() {
+        for (kb, x_live) in act.ho_live.iter().enumerate() {
             let k0 = kb * K_BLOCK;
             let len = K_BLOCK.min(k_dim - k0);
             let all = first_ks(len);
+            let units = w_live.iter().skip(kb).step_by(act.ho_live.len());
+            let union = units.fold(KMask::default(), |u, m| {
+                std::array::from_fn(|i| u[i] | m[i])
+            });
             // A side the plan does not skip executes every `k`.
-            let w_live = if plan.skips_weight() { w_live } else { &all };
+            let w_live = if plan.skips_weight() { &union } else { &all };
             let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
-            let block = (panel * k_dim + k0) * planes;
             for i in w_planes.clone() {
-                let w_run = &self.panels[block + i * len..][..len];
+                // Past the last of `panels`, the walk repeats it.
+                let w_runs: Runs = std::array::from_fn(|q| {
+                    let p = (panels.start + q).min(panels.end - 1);
+                    &self.panels[(p * k_dim + k0) * planes + i * len..][..len]
+                });
                 for j in 0..=x_ho {
                     // The `k` this plane pair executes.
                     let ks = match (i == w_ho, j == x_ho) {
@@ -475,7 +519,7 @@ impl PackedWeight {
                         (false, true) => x_live,
                         (true, true) => &both_live,
                     };
-                    let tile = products(w_run, &act.planes[j * k_dim + k0..][..len], ks);
+                    let tile = products(&w_runs, &act.planes[j * k_dim + k0..][..len], ks);
                     // Plain `+` / `*`: overflow panics under
                     // `debug_assertions`; `QuantizedLinear::prepare`
                     // rejects layers whose sums could reach it.
@@ -691,34 +735,43 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
     }
 }
 
-/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[o]`, the first
-/// `C` (1 to 4) columns of one n-group × the 16 rows of the panel, under
-/// the same `i16` bound; the other columns of the tile stay 0. Only a
-/// whole n-group takes the straight loop. Kept out of line likewise.
+/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[q][o]`, the
+/// first `C` (1 to 4) columns of one n-group × the 16 rows of each of the
+/// first `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`,
+/// under the same `i16` bound; any other row of the tile stays 0. Only a
+/// walk of one column (four runs) or of a whole n-group takes the
+/// straight loop: LLVM vectorises the others along `k`. Kept out of line
+/// likewise.
 #[inline(never)]
-fn products_lanes_m<const C: usize>(w: &[PanelCol], x: &[PairedCols], ks: &KMask) -> ProductTile {
-    let w = &w[..x.len()];
+fn products_lanes_m<const C: usize>(w: &Runs, x: &[PairedCols], ks: &KMask) -> ProductTile {
+    let [w0, w1, w2, w3] = w.map(|run| &run[..x.len()]);
     let mut tile = ProductTile::default();
-    if C == VECTOR_LEN && *ks == first_ks(x.len()) {
-        for (w_col, x_cols) in w.iter().zip(x) {
-            mac_lanes_m::<C>(&mut tile, w_col, x_cols);
+    if matches!(C, 1 | VECTOR_LEN) && *ks == first_ks(x.len()) {
+        let runs = w0.iter().zip(w1).zip(w2).zip(w3);
+        for (x_cols, (((a, b), c), d)) in x.iter().zip(runs) {
+            mac_lanes_m::<C>(&mut tile, [a, b, c, d], x_cols);
         }
     } else {
-        for_each_k(ks, |o| mac_lanes_m::<C>(&mut tile, &w[o], &x[o]));
+        for_each_k(ks, |o| {
+            mac_lanes_m::<C>(&mut tile, [&w0[o], &w1[o], &w2[o], &w3[o]], &x[o]);
+        });
     }
     tile
 }
 
-/// One `k` of lanes along M. Lane `l` reads half `l % 2` of a column's
-/// pair: one 32-bit broadcast load, no shuffle (`[pair; 8]` flattened
-/// compiles to a load and a `vpermw` under AVX-512).
+/// One `k` of lanes along M: a weight column per run. Lane `l` reads
+/// half `l % 2` of a column's pair: one 32-bit broadcast load, no
+/// shuffle (`[pair; 8]` flattened compiles to a load and a `vpermw`
+/// under AVX-512).
 #[inline(always)]
-fn mac_lanes_m<const C: usize>(tile: &mut ProductTile, w: &PanelCol, x: &PairedCols) {
-    let w_col = w.map(i16::from);
-    for (tile_col, x_pair) in tile[..C].iter_mut().zip(&x[..C]) {
-        let x_lanes: [i16; LANES] = std::array::from_fn(|l| x_pair[l % 2]);
-        for (t, (&w_slice, &x_slice)) in tile_col.iter_mut().zip(w_col.iter().zip(&x_lanes)) {
-            *t += w_slice * x_slice;
+fn mac_lanes_m<const C: usize>(tile: &mut ProductTile, w: [&PanelCol; VECTOR_LEN], x: &PairedCols) {
+    for (tile_cols, w_col) in tile.chunks_exact_mut(C).zip(w) {
+        let w_col = w_col.map(i16::from);
+        for (tile_col, x_pair) in tile_cols.iter_mut().zip(&x[..C]) {
+            let x_lanes: [i16; LANES] = std::array::from_fn(|l| x_pair[l % 2]);
+            for (t, (&w_slice, &x_slice)) in tile_col.iter_mut().zip(w_col.iter().zip(&x_lanes)) {
+                *t += w_slice * x_slice;
+            }
         }
     }
 }

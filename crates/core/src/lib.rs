@@ -7,7 +7,8 @@
 //! chosen by the side it skips (`aqs::products_lanes_n` for the HO
 //! weight plane's pairs on a full 16-column tile, `aqs::products_lanes_m`
 //! for every other pair and every pair of a narrower tile, i.e. every
-//! decode step) — and **three skip policies** for it: both operands' compressed HO
+//! decode step, whose walk of `k` carries `4 / C` panels for `C`
+//! columns) — and **three skip policies** for it: both operands' compressed HO
 //! vectors (AQS-GEMM), or the weights' or the activations' alone (the two
 //! Sibia configurations). Statistics come in closed form from the two
 //! sides' compressed counts; the loop nests that count per outer product

@@ -515,26 +515,30 @@ mod tests {
     fn narrow_forward_equals_its_columns_of_a_wide_one() {
         // The kernel's absent lanes leak nothing: `forward` at N = 1..=9
         // equals the same columns of a 16-wide call whose other columns
-        // are random codes. M = 20 and K = 300 cross a panel and a block.
+        // are random codes. K = 300 crosses a block; M = 20 crosses a
+        // panel, and M = 100 (seven panels, the last partial) leaves one
+        // to three panels after the last whole walk of a narrow tile.
         let mut rng = panacea_tensor::seeded_rng(73);
         let gauss = |std| DistributionKind::Gaussian { mean: 0.1, std };
-        let w = gauss(0.05).sample_matrix(20, 300, &mut rng);
-        let x = gauss(0.8).sample_matrix(300, 16, &mut rng);
-        let cfg = calib(&x, true);
-        let layer = QuantizedLinear::prepare(&w, &[0.05; 20], 7, cfg).expect("prepare");
-        let max = cfg.max_code();
-        for n in 1..=9 {
-            let narrow = Matrix::from_fn(300, n, |_, _| rng.gen_range(0..=max));
-            let wide = Matrix::from_fn(300, 16, |r, c| {
-                if c < n {
-                    narrow[(r, c)]
-                } else {
-                    rng.gen_range(0..=max)
-                }
-            });
-            let (got, _) = layer.forward(&narrow);
-            let (all, _) = layer.forward(&wide);
-            assert_eq!(got, all.submatrix(0, 0, 20, n), "N = {n}");
+        for m in [20, 100] {
+            let w = gauss(0.05).sample_matrix(m, 300, &mut rng);
+            let x = gauss(0.8).sample_matrix(300, 16, &mut rng);
+            let cfg = calib(&x, true);
+            let layer = QuantizedLinear::prepare(&w, &vec![0.05; m], 7, cfg).expect("prepare");
+            let max = cfg.max_code();
+            for n in 1..=9 {
+                let narrow = Matrix::from_fn(300, n, |_, _| rng.gen_range(0..=max));
+                let wide = Matrix::from_fn(300, 16, |r, c| {
+                    if c < n {
+                        narrow[(r, c)]
+                    } else {
+                        rng.gen_range(0..=max)
+                    }
+                });
+                let (got, _) = layer.forward(&narrow);
+                let (all, _) = layer.forward(&wide);
+                assert_eq!(got, all.submatrix(0, 0, m, n), "M = {m}, N = {n}");
+            }
         }
     }
 

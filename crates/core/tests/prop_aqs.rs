@@ -532,11 +532,49 @@ fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
         (Fill::All, Fill::All),
         (Fill::Share(0.2), Fill::Share(0.95)),
     ];
+    let ms = [4, 8, 12, 16, 20, 36];
+    all_plans_match_oracle_across(&ms, &[4, 8, 12, 16, 20, 24], &fills, 5000);
+}
+
+/// The panel walks of a narrow tile: `M` of four panels (one walk of
+/// four at N = 1, two of two at N = 2), of five with a whole or a
+/// partial last panel (one panel after the last walk of four), of six
+/// (two after it), of seven with a partial last (three after it) and of
+/// eight with a partial last × `N` of one to three columns (walks of
+/// four, two and one panel) × `K` on both sides of one and two 256-`k`
+/// blocks × 1–3 weight planes, under the AQS plan and both Sibia plans.
+/// Activation planes, DBS type, `r` and sparsities cycle along the
+/// sweep; per-group fills give the panels of one walk different HO
+/// liveness.
+#[test]
+fn all_plans_match_oracle_across_narrow_panel_walks() {
+    let fills = [
+        (Fill::ByGroup, Fill::Share(0.5)),
+        (Fill::Share(0.5), Fill::Share(0.6)),
+        (Fill::Share(0.9), Fill::None),
+        (Fill::All, Fill::None),
+        (Fill::None, Fill::All),
+        (Fill::ByGroup, Fill::ByGroup),
+        (Fill::Share(0.2), Fill::Share(0.95)),
+    ];
+    let ms = [64, 68, 80, 96, 100, 116];
+    all_plans_match_oracle_across(&ms, &[1, 2, 3], &fills, 17000);
+}
+
+/// Every `M` in `ms` × `K` on both sides of one and two 256-`k` blocks ×
+/// every `N` in `ns` × 1–3 weight planes, under the AQS plan and both
+/// Sibia plans; fills, activation planes, DBS type and `r` cycle along
+/// the sweep from `seed`.
+fn all_plans_match_oracle_across(
+    ms: &[usize],
+    ns: &[usize],
+    fills: &[(Fill, Fill)],
+    mut seed: u64,
+) {
     let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
-    let mut seed = 5000u64;
-    for m in [4, 8, 12, 16, 20, 36] {
+    for &m in ms {
         for k in [1, 255, 256, 257, 513] {
-            for n in [4, 8, 12, 16, 20, 24] {
+            for &n in ns {
                 for w_lo in 0..3 {
                     seed += 1;
                     let (w_fill, x_fill) = fills[seed as usize % fills.len()];

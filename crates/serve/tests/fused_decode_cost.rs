@@ -2,11 +2,13 @@
 //! each in a single `decode_step_batch` pass beat eight serial
 //! `decode_step`s by at least 1.25×.
 //!
-//! A solo step multiplies only its one column, so fusion buys the shared
-//! weight stream and the per-pass overhead, not MACs: 1.65–1.79× on a
-//! 2-core x86-64 host. A fused pass that steps its sessions one by one
-//! reads ≈ 1.0×. That the fused pass is bit-identical to solo stepping is
-//! owned by `panacea-block`'s `tests/batch_decode_exactness.rs`.
+//! A solo step multiplies only its one column (its walk of `k` carrying
+//! up to four weight panels), so fusion buys the shared weight stream and
+//! the per-pass overhead, not MACs: a median of 1.43–1.79× on a 2-core
+//! x86-64 host (printed under `--nocapture`). A fused pass that steps its
+//! sessions one by one reads ≈ 1.0×. That the fused pass is
+//! bit-identical to solo stepping is owned by `panacea-block`'s
+//! `tests/batch_decode_exactness.rs`.
 //!
 //! Own test binary (process) on purpose: a timing bound must not share
 //! the CPU with other tests.
@@ -86,6 +88,7 @@ fn eight_sessions_in_one_fused_pass_beat_eight_serial_steps_by_1_25x() {
         .collect();
     speedups.sort_by(f64::total_cmp);
     let median = speedups[TRIALS / 2];
+    println!("fused ÷ serial: median {median:.2}x of {speedups:.2?}");
     assert!(
         median >= MIN_SPEEDUP,
         "{SESSIONS} fused sessions ran only {median:.2}x faster than serial steps \
