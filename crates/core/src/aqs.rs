@@ -35,18 +35,29 @@
 //!    `x_HO − r`, making an all-`r` vector a zero one, skipped alike:
 //!    Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row
 //!    constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction
-//!    folded into the re-centring — and the output starts at it.
+//!    folded into the re-centring — and the output starts at it. On a
+//!    build with the dot product (`core::dot`) each n-group also
+//!    gets its raw `u8` LO planes as k-quads, read straight from the
+//!    [`SlicedActivation`], and a full tile's n-groups keep only their HO
+//!    plane as pairs, the one plane lanes along M then read there.
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
-//!    by `8^i·c_j`, into the output. A pair's lanes run along the side it
-//!    does not skip, so each side skips at the paper's granularity: on a
-//!    full tile the HO weight plane's pairs run **lanes along N**
-//!    (`products_lanes_n`: the 4 rows of an m-group × 16 columns, under
-//!    the m-group's 4×1 bitset), every other pair **lanes along M**
-//!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
-//!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
+//!    by `8^i·c_j`, into the output. On a build that targets AVX-512
+//!    VNNI and VBMI the static pair, LO_w×LO_x of a `u8` activation, sums
+//!    in `i32` lanes on `vpdpbusd` instead — four `k` an instruction, in
+//!    every walk below, over the resident panels as they are (one
+//!    `vpermb` per four columns makes them row-major quads) — to the
+//!    same block sum, scaled and added alike. Sibia's signed activations
+//!    and the re-centred HO plane stay on the `i16` tile, as does every
+//!    pair of a build without the two extensions. A pair's lanes run
+//!    along the side it does not skip, so each side skips at the paper's
+//!    granularity: on a full tile the HO weight plane's pairs run **lanes
+//!    along N** (`products_lanes_n`: the 4 rows of an m-group × 16
+//!    columns, under the m-group's 4×1 bitset), every other pair **lanes
+//!    along M** (`products_lanes_m`: the 16 rows of a panel × one
+//!    n-group, under the n-group's 1×4 bitset). A narrower tile — every decode step — runs
 //!    every pair lanes along M, and an n-group of `C` columns fills the
 //!    tile's four rows with `P = 4 / C` panels (Goto & van de Geijn's
 //!    register blocking): one walk of `k` reads those panels' runs side
@@ -58,22 +69,26 @@
 //!    from a register (`movsbl` + `vpbroadcastw ymm, r32`, shuffle-port
 //!    uops, four per `k`). Every pair lanes along M would spare those but
 //!    skip weights only per 16-row union, where ρ = 0.5 costs nearly what
-//!    ρ = 0 does. A set holding every `k` of a block (LO×LO's; any on a
-//!    side the plan does not skip) is walked in a straight loop — lanes
-//!    along M only on a whole n-group or a one-column walk of four
+//!    ρ = 0 does. A set holding every `k` of a block (LO×LO's where it
+//!    stays on the `i16` tile; any on a side the plan does not skip; a
+//!    bitset that happens to be full) is walked in a straight loop —
+//!    lanes along M only on a whole n-group or a one-column walk of four
 //!    panels: for two or three columns LLVM vectorises it along `k`,
 //!    2–3× slower. In ms per call at 768 × 768, w7 × a8, vector-level
-//!    ρ, 2-core AVX-512 host (`tests/tile_cost.rs`, min of 40 alternated
-//!    rounds × 8 calls):
+//!    ρ, 2-core AVX-512 host with VNNI and VBMI, LO×LO on `vpdpbusd`
+//!    (`tests/tile_cost.rs`, min of 40 alternated rounds × 8 calls; with
+//!    LO×LO on the `i16` tile the same host read 0.96–1.08 / 0.76–0.89 /
+//!    0.31–0.36 at N = 16 and 0.19–0.21 / 0.19–0.22 / 0.087–0.097 at
+//!    N = 4):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.087 | 0.072 | 0.046  |
-//!    | 2  | 0.161 | 0.132 | 0.070  |
-//!    | 4  | 0.220 | 0.211 | 0.098  |
-//!    | 8  | 0.432 | 0.431 | 0.192  |
-//!    | 12 | 0.647 | 0.644 | 0.304  |
-//!    | 16 | 1.060 | 0.852 | 0.351  |
+//!    | 1  | 0.076 | 0.065 | 0.038  |
+//!    | 2  | 0.133 | 0.104 | 0.046  |
+//!    | 4  | 0.182 | 0.180 | 0.071  |
+//!    | 8  | 0.362 | 0.355 | 0.131  |
+//!    | 12 | 0.550 | 0.543 | 0.187  |
+//!    | 16 | 0.901 | 0.633 | 0.220  |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -103,6 +118,7 @@ use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
+use crate::dot::{self, LoLo};
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
@@ -123,22 +139,32 @@ const MAX_W_SLICE: usize = 8;
 /// Magnitude bound of an activation slice, raw (`[0, 15]`) or re-centred
 /// by `r` (`[-15, 15]`).
 const MAX_X_SLICE: usize = 15;
-// One block of slice products cannot leave the `i16` register tile.
-const _: () = assert!(K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize);
+// One block of slice products cannot leave the `i16` register tile. The
+// dot product sums a LO×LO block in `i32` lanes, a k-quad at a time
+// (quads tile a block): that sum is in `i16` range too, so it is the
+// `i16` tile's exactly, and `plan::accumulator_bound` covers both paths.
+const _: () = assert!(
+    K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize && K_BLOCK.is_multiple_of(VECTOR_LEN)
+);
 const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
 /// One bit per `k` of a block.
 type KMask = [u64; K_BLOCK / 64];
 /// One `k` of a panel: a weight slice per row.
-type PanelCol = [i8; PANEL_ROWS];
+pub(crate) type PanelCol = [i8; PANEL_ROWS];
 /// The register tile of raw slice products: 4 weight rows × 16 columns
 /// (lanes along N) or 4 columns × 16 weight rows (lanes along M).
 type ProductTile = [[i16; LANES]; VECTOR_LEN];
 /// One `k` of an n-group's lanes-along-M stream: each slice twice.
 type PairedCols = [[i16; 2]; VECTOR_LEN];
+/// Four `k` of an n-group's raw `u8` LO plane, for the dot product: word
+/// `c` holds column `c`'s four slices, `k` ascending from its low byte.
+pub(crate) type Quad = [u32; VECTOR_LEN];
 /// The runs of one `k` block and plane a walk reads, one per panel it
 /// carries; lanes along N read the first.
-type Runs<'a> = [&'a [PanelCol]; VECTOR_LEN];
+pub(crate) type Runs<'a> = [&'a [PanelCol]; VECTOR_LEN];
+/// A register tile's sum in `i32`, laid out as [`ProductTile`].
+pub(crate) type AccTile = [[i32; LANES]; VECTOR_LEN];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -222,15 +248,18 @@ pub(crate) fn run_sliced<X: Planes>(
 /// Sibia's symmetric SBR activations.
 pub(crate) trait Planes {
     type Slice: Copy + Into<i16>;
+    /// Whether the slices are unsigned, as the dot product's `u8` side.
+    const UNSIGNED: bool;
     fn num_planes(&self) -> usize;
     fn plane(&self, j: usize) -> &Matrix<Self::Slice>;
     fn plane_weight(&self, j: usize) -> i32;
 }
 
 macro_rules! impl_planes {
-    ($stack:ty, $slice:ty) => {
+    ($stack:ty, $slice:ty, $unsigned:literal) => {
         impl Planes for $stack {
             type Slice = $slice;
+            const UNSIGNED: bool = $unsigned;
             fn num_planes(&self) -> usize {
                 <$stack>::num_planes(self)
             }
@@ -243,8 +272,8 @@ macro_rules! impl_planes {
         }
     };
 }
-impl_planes!(SlicedActivation, u8);
-impl_planes!(SlicedWeight, i8);
+impl_planes!(SlicedActivation, u8, true);
+impl_planes!(SlicedWeight, i8, false);
 
 /// The weight side of the kernel — slices and index — computed once per
 /// [`SlicedWeight`], which it replaces.
@@ -480,7 +509,8 @@ impl PackedWeight {
     /// `k` block, weight plane `i ∈ w_planes` of `panels` and activation
     /// plane `j`, each over the `k` that pair executes given `act.ho_live`
     /// and the union of `w_live`'s units (m-groups or panels, a bitset per
-    /// `k` block each).
+    /// `k` block each) — or, for an LO×LO pair of a stream with quads,
+    /// `act.lo_lo` over them: the same sum at dot-product width.
     fn accumulate<T>(
         &self,
         plan: &KernelPlan,
@@ -489,11 +519,12 @@ impl PackedWeight {
         w_live: &[KMask],
         act: &Stream<T>,
         products: impl Fn(&Runs, &[T], &KMask) -> ProductTile,
-    ) -> [[i32; LANES]; VECTOR_LEN] {
+    ) -> AccTile {
         let k_dim = self.compressed_per_k.len();
         let planes = self.plane_weights.len();
         let (w_ho, x_ho) = (planes - 1, plan.x_scales().len() - 1);
-        let mut acc = [[0i32; LANES]; VECTOR_LEN];
+        let k_quads = k_dim.div_ceil(VECTOR_LEN);
+        let mut acc = AccTile::default();
         for (kb, x_live) in act.ho_live.iter().enumerate() {
             let k0 = kb * K_BLOCK;
             let len = K_BLOCK.min(k_dim - k0);
@@ -512,23 +543,23 @@ impl PackedWeight {
                     &self.panels[(p * k_dim + k0) * planes + i * len..][..len]
                 });
                 for j in 0..=x_ho {
-                    // The `k` this plane pair executes.
-                    let ks = match (i == w_ho, j == x_ho) {
-                        (false, false) => &all,
-                        (true, false) => w_live,
-                        (false, true) => x_live,
-                        (true, true) => &both_live,
-                    };
-                    let tile = products(&w_runs, &act.planes[j * k_dim + k0..][..len], ks);
-                    // Plain `+` / `*`: overflow panics under
-                    // `debug_assertions`; `QuantizedLinear::prepare`
-                    // rejects layers whose sums could reach it.
                     let scale = self.plane_weights[i] * plan.x_scales()[j];
-                    for (acc_row, row) in acc.iter_mut().zip(&tile) {
-                        for (a, &p) in acc_row.iter_mut().zip(row) {
-                            *a += i32::from(p) * scale;
+                    // The `k` this plane pair executes.
+                    let ks = match (i == w_ho, j == x_ho, act.lo_lo) {
+                        (false, false, Some(lo_lo)) => {
+                            let x = &act.lo_quads[j * k_quads + k0 / VECTOR_LEN..];
+                            let tile = lo_lo(&w_runs, &x[..len.div_ceil(VECTOR_LEN)]);
+                            add_scaled(&mut acc, &tile, scale);
+                            continue;
                         }
-                    }
+                        (false, false, None) => &all,
+                        (true, false, _) => w_live,
+                        (false, true, _) => x_live,
+                        (true, true, _) => &both_live,
+                    };
+                    let x = &act.planes[act.planes.len() - (x_ho + 1 - j) * k_dim + k0..];
+                    let tile = products(&w_runs, &x[..len], ks);
+                    add_scaled(&mut acc, &tile, scale);
                 }
             }
         }
@@ -600,14 +631,21 @@ impl PackedWeight {
     }
 }
 
-/// One activation stream: `K` rows of `T` per plane, plane after plane
-/// (the HO plane as `x_HO − r`, zero across every compressed vector;
-/// lanes past `N` 0), and per `k` block the bitset of `k` whose HO row is
-/// not zero, or of every `k` if the plan does not skip activations.
+/// One activation stream: `K` rows of `T` per plane, plane after plane,
+/// ending with the HO plane (as `x_HO − r`, zero across every compressed
+/// vector; lanes past `N` 0) — a stream may leave out LO planes it is
+/// never read at, so planes count from the last — and per `k` block the
+/// bitset of `k` whose HO row is not zero, or of every `k` if the plan
+/// does not skip activations. An n-group's stream of a `u8` stack also
+/// holds, on builds with the dot product, its LO planes as `⌈K / 4⌉`
+/// [`Quad`]s each (zero past `K` and `N`) and the kernel of its width,
+/// `lo_lo`; `lo_quads` is empty and `lo_lo` `None` otherwise.
 #[derive(Default)]
 struct Stream<T> {
     planes: Vec<T>,
     ho_live: Vec<KMask>,
+    lo_quads: Vec<Quad>,
+    lo_lo: Option<LoLo>,
 }
 
 impl<T: Default + PartialEq> Stream<T> {
@@ -652,19 +690,58 @@ impl ActTile {
             };
             for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
                 let cols = c..n.min(c + VECTOR_LEN);
+                g.fill_quads(x, cols.clone());
                 g.fill(plan, k, |p| widen(p, x, plan, cols, pairs));
             }
             return false;
         }
         // A full tile: each plane widened once, the n-groups' pairs cut
-        // from its rows.
-        let row = |s: &[X::Slice], r| std::array::from_fn(|c| s[c].into() - r);
+        // from its rows — the HO plane's alone where LO×LO reads quads,
+        // since lanes along M run only the LO weight planes here.
+        let row = |s: &[X::Slice], r| {
+            let s: &[_; LANES] = s.try_into().expect("a full tile");
+            s.map(|s| s.into() - r)
+        };
         wide.fill(plan, k, |p| widen(p, x, plan, c0..c0 + LANES, row));
         for (i, g) in groups.iter_mut().enumerate() {
+            let c = c0 + i * VECTOR_LEN;
+            g.fill_quads(x, c..c + VECTOR_LEN);
+            let from = g.lo_lo.map_or(0, |_| wide.planes.len() - k);
             let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
-            g.fill(plan, k, |p| p.extend(wide.planes.iter().map(cut)));
+            g.fill(plan, k, |p| p.extend(wide.planes[from..].iter().map(cut)));
         }
         true
+    }
+}
+
+impl Stream<PairedCols> {
+    /// Refills `lo_quads` with the LO planes of `x` cut to `cols` (at most
+    /// four columns), one [`Quad`] per four `k`, and `lo_lo` with the
+    /// kernel of that width — or empties both where the dot product does
+    /// not run: on builds without it, or for signed slices.
+    fn fill_quads<X: Planes>(&mut self, x: &X, cols: Range<usize>) {
+        self.lo_quads.clear();
+        self.lo_lo = dot::lo_lo(cols.len()).filter(|_| X::UNSIGNED);
+        if self.lo_lo.is_none() {
+            return;
+        }
+        let n = x.plane(0).cols();
+        for j in 0..x.num_planes() - 1 {
+            // Four rows of the plane at a time, fewer at the end.
+            let quads = x.plane(j).as_slice().chunks(VECTOR_LEN * n).map(|rows| {
+                let word = |col: usize| {
+                    // An unsigned 4-bit slice: its `i16` is its byte.
+                    let byte = |o: usize| {
+                        rows.get(o * n + col)
+                            .map_or(0, |&s| Into::<i16>::into(s) as u8)
+                    };
+                    u32::from_le_bytes(std::array::from_fn(byte))
+                };
+                let col = |c| cols.start + c;
+                std::array::from_fn(|c| if col(c) < cols.end { word(col(c)) } else { 0 })
+            });
+            self.lo_quads.extend(quads);
+        }
     }
 }
 
@@ -680,7 +757,19 @@ fn widen<X: Planes, T>(
     let x_ho = x.num_planes() - 1;
     for j in 0..=x_ho {
         let (plane, r) = (x.plane(j), if j == x_ho { plan.r() } else { 0 });
-        planes.extend((0..plane.rows()).map(|k| lanes(&plane.row(k)[cols.clone()], r)));
+        let rows = plane.as_slice().chunks_exact(plane.cols());
+        planes.extend(rows.map(|row| lanes(&row[cols.clone()], r)));
+    }
+}
+
+/// `acc += scale · tile`, lane by lane. Plain `+` / `*`: overflow panics
+/// under `debug_assertions`; `QuantizedLinear::prepare` rejects layers
+/// whose sums could reach it.
+fn add_scaled<P: Copy + Into<i32>>(acc: &mut AccTile, tile: &[[P; LANES]; VECTOR_LEN], scale: i32) {
+    for (acc_row, row) in acc.iter_mut().zip(tile) {
+        for (a, &p) in acc_row.iter_mut().zip(row) {
+            *a += p.into() * scale;
+        }
     }
 }
 
@@ -740,8 +829,11 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
 /// first `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`,
 /// under the same `i16` bound; any other row of the tile stays 0. Only a
 /// walk of one column (four runs) or of a whole n-group takes the
-/// straight loop: LLVM vectorises the others along `k`. Kept out of line
-/// likewise.
+/// straight loop: LLVM vectorises the others along `k`. On a dot-product
+/// build LO×LO does not come here, so a full `ks` means a side the plan
+/// does not skip or a bitset that happens to be full, and two- and
+/// three-column walks step bit by bit only on the sparse pairs. Kept out
+/// of line likewise.
 #[inline(never)]
 fn products_lanes_m<const C: usize>(w: &Runs, x: &[PairedCols], ks: &KMask) -> ProductTile {
     let [w0, w1, w2, w3] = w.map(|run| &run[..x.len()]);

@@ -13,6 +13,9 @@
 //! Sibia configurations). Statistics come in closed form from the two
 //! sides' compressed counts; the loop nests that count per outer product
 //! live in `tests/oracle` as the references of the differential tests.
+//! On a build that targets AVX-512 VNNI and VBMI the tile's static pair,
+//! LO_w×LO_x of unsigned activations, runs on `vpdpbusd` (`dot`, private,
+//! the crate's only module allowed `unsafe`), to the same bits.
 //!
 //! * [`dense`] — plain integer GEMM with workload accounting (what the
 //!   SA-WS / SA-OS / SIMD baselines execute);
@@ -54,8 +57,12 @@
 //! assert_eq!(out, w.gemm(&x).unwrap());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod aqs;
 pub mod dense;
+#[allow(unsafe_code)] // the dot-product kernel's intrinsics, and nowhere else
+mod dot;
 pub mod pipeline;
 mod plan;
 pub mod sibia;

@@ -642,6 +642,53 @@ fn all_plans_match_oracle_across_the_full_tile_split() {
     }
 }
 
+/// The k-quads of the dot-product LO×LO pair: `K mod 4 ∈ {1, 2, 3}` in a
+/// lone partial quad, after one whole quad and on both sides of the
+/// 256-`k` block edge (a last block of 1–3 `k`, a first of 254–255) ×
+/// every walk width — one column (four panels a walk), two, three, a
+/// whole n-group — and a full 16-column tile × `M` past a panel edge (a
+/// four-panel walk and a partial one after it where a walk carries more
+/// than one panel) × 1–2 LO planes on each side,
+/// at the sparsity extremes, under the AQS plan and both Sibia plans.
+/// On builds without the dot product it holds the `i16` tile to the same
+/// cases.
+#[test]
+fn all_plans_match_oracle_across_quad_tails() {
+    let fills = [
+        (Fill::All, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::All, Fill::None),
+        (Fill::None, Fill::All),
+    ];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 21000u64;
+    for k in [1, 2, 3, 5, 254, 255, 257, 258, 259] {
+        for n in [1, 2, 3, 4, 16] {
+            // A narrow walk carries up to four panels: a walk of four
+            // and a partial one after it; a wider one walks one panel.
+            let m = if n < 3 { 68 } else { 20 };
+            for (w_lo, x_lo) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+                seed += 1;
+                // Shifted every four cases, so each plane count meets
+                // every fill.
+                let (w_fill, x_fill) = fills[(seed + seed / 4) as usize % fills.len()];
+                let ty = if x_lo == 1 {
+                    types[seed as usize / 4 % 3]
+                } else {
+                    DbsType::Type1
+                };
+                let r = (seed % 16) as u8;
+                let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                assert_matches_oracle(
+                    &c,
+                    &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                );
+                assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+            }
+        }
+    }
+}
+
 /// Widths that are not a multiple of 4, which the kernel takes since it
 /// owns its padding — a lone partial n-group, one or more whole ones
 /// before it, and a full 16-column tile followed by a partial edge — ×
