@@ -71,7 +71,7 @@ pub use panacea_serve::{OverloadReason, Payload, PayloadKind, SessionConfig};
 pub use panacea_telemetry::{
     unix_ms_now, CellSummary, Event, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
     MetricKey, MetricRegistry, PrometheusText, SloConfig, SloStatus, SloTarget, TargetReport,
-    TraceConfig, TraceContext, Tracer, WindowConfig,
+    TraceConfig, TraceContext, Tracer, WINDOW_SPAN,
 };
 pub use protocol::{
     DecodeReply, ErrorKind, EventSummary, EventsReply, GatewayMetrics, GatewayStats,

@@ -30,9 +30,9 @@ use panacea_serve::{
     OverloadReason, Payload, PreparedModel, RequestCtx, RuntimeConfig, ServeError, SessionConfig,
 };
 use panacea_telemetry::{
-    unix_ms_now, DimCell, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot,
+    unix_ms_now, DimCell, EventSeverity, FlightRecorder, HealthReport, IncidentSnapshot, MetricKey,
     MetricRegistry, PrometheusText, SloConfig, SloStatus, TraceBuilder, TraceConfig, Tracer,
-    ROOT_SPAN, STAGE_REQUEST,
+    ROOT_SPAN, STAGE_REQUEST, WINDOW_SPAN,
 };
 use panacea_tensor::Matrix;
 
@@ -47,6 +47,9 @@ use crate::router::ShardRouter;
 
 /// The sliding window the windowed half of every cell summary covers.
 const DIMS_WINDOW: Duration = Duration::from_secs(10);
+// A cell reads a wider window as its ring's span, so the summaries'
+// `window_ms` would overstate what they cover.
+const _: () = assert!(DIMS_WINDOW.as_nanos() <= WINDOW_SPAN.as_nanos());
 
 /// Flight-recorder ring capacity: enough to hold the lifecycle of a
 /// burst (opens, sheds, evictions, health flips) without the ring
@@ -348,7 +351,7 @@ impl Gateway {
             // batcher); hand them a context so their queue_wait/decode_pass
             // spans land inside this request's execute span.
             let ctx = RequestCtx {
-                trace: Some(self.tracer.context(tb, span)),
+                trace: Some(tb.context(span)),
                 deadline,
             };
             let stepped = self.router.sessions(shard).step_with(session, hidden, ctx);
@@ -470,7 +473,7 @@ impl Gateway {
         // The runtime's batch worker records queue_wait / batch_form /
         // execute / split_back under this span via the context.
         let ctx = RequestCtx {
-            trace: Some(self.tracer.context(tb, span)),
+            trace: Some(tb.context(span)),
             deadline,
         };
         // A cacheable request keeps its payload for the insert.
@@ -612,24 +615,35 @@ impl Gateway {
 
     /// Renders the registry as a Prometheus text exposition: every
     /// cell's cumulative histogram as `panacea_dim_latency_ns{model,
-    /// verb,stage}` (nanoseconds; a raw count for `occupancy`) plus its
-    /// cumulative `panacea_dim_outcomes_total` counters.
+    /// verb,stage}` (nanoseconds; a raw count for `occupancy`), then
+    /// every cell's cumulative `panacea_dim_outcomes_total` counters,
+    /// then `panacea_events_total` — each family one group, as the
+    /// exposition format requires, from one capture per cell.
     pub fn prometheus(&self) -> String {
+        let captures: Vec<_> = self
+            .dims
+            .cells()
+            .into_iter()
+            .map(|(key, cell)| (key, cell.total()))
+            .collect();
+        fn labels(key: &MetricKey) -> [(&str, &str); 3] {
+            [
+                ("model", &key.model),
+                ("verb", &key.verb),
+                ("stage", &key.stage),
+            ]
+        }
         let mut text = PrometheusText::new();
-        for (key, cell) in self.dims.cells() {
-            let total = cell.total();
-            let labels = [
-                ("model", key.model.as_str()),
-                ("verb", key.verb.as_str()),
-                ("stage", key.stage.as_str()),
-            ];
-            text.histogram("panacea_dim_latency_ns", &labels, &total.latency);
+        for (key, total) in &captures {
+            text.histogram("panacea_dim_latency_ns", &labels(key), &total.latency);
+        }
+        for (key, total) in &captures {
             for (outcome, value) in [
                 ("ok", total.ok),
                 ("error", total.error),
                 ("shed", total.shed),
             ] {
-                let mut with_outcome = labels.to_vec();
+                let mut with_outcome = labels(key).to_vec();
                 with_outcome.push(("outcome", outcome));
                 text.counter("panacea_dim_outcomes_total", &with_outcome, value);
             }
@@ -1590,5 +1604,40 @@ mod tests {
         assert_eq!(s.admission.admitted, 3);
         assert_eq!(s.cache.misses, 3);
         assert_eq!(s.cache.entries, 3);
+    }
+
+    #[test]
+    fn prometheus_emits_each_family_as_one_group_after_its_type_line() {
+        let gateway = Gateway::new(models(&["a"], 5), GatewayConfig::default());
+        let a = gateway.router().model("a").expect("registered");
+        gateway
+            .infer("a", Payload::Codes(codes(&a, 1, 0)))
+            .expect("served");
+        let text = gateway.prometheus();
+        let mut families: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let name = decl.split(' ').next().expect("family name");
+                assert!(!families.contains(&name), "{name} declared twice");
+                families.push(name);
+                continue;
+            }
+            let family = *families.last().expect("a sample before any # TYPE line");
+            let name = line.split(['{', ' ']).next().expect("sample name");
+            let base = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .filter(|&base| base == family)
+                .unwrap_or(name);
+            assert_eq!(base, family, "{line:?} is outside its family's group");
+        }
+        assert_eq!(
+            families,
+            [
+                "panacea_dim_latency_ns",
+                "panacea_dim_outcomes_total",
+                "panacea_events_total"
+            ]
+        );
     }
 }

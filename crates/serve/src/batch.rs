@@ -258,7 +258,7 @@ pub(crate) fn execute(
     for (job, out) in jobs.iter().zip(outputs) {
         // Record remote spans *before* answering: the submitting thread
         // is blocked on this channel, so its trace cannot finish until
-        // the spans are in the collector.
+        // the spans are in its buffer.
         if let Some(ctx) = &job.ctx {
             ctx.record_span("queue_wait", job.enqueued_at, started);
             ctx.record_span("execute", started, done);
@@ -398,7 +398,7 @@ mod tests {
         // queue wait per request, one execute / split-back per batch.
         let count = |stage| {
             let cell = metrics.registry().cell("m", "batch", stage);
-            cell.latency().total().count
+            cell.total().latency.count
         };
         assert_eq!(count("queue_wait"), 3);
         assert_eq!(count("execute"), 1);

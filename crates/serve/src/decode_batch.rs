@@ -387,7 +387,7 @@ fn execute_batch(jobs: Vec<DecodeJob>, metrics: &Metrics) {
         Err(answers) => answers,
         Ok(outcomes) => {
             let now = Instant::now();
-            cells.occupancy.latency().record(jobs.len() as u64);
+            cells.occupancy.record_count(jobs.len() as u64);
             cells
                 .fused_pass
                 .record_latency(now.duration_since(pass_started));

@@ -8,21 +8,19 @@
 //! channel. A [`TraceContext`] is the piece of a trace that crosses
 //! that boundary: the trace id, the builder span to parent under, the
 //! trace's start instant (so remote offsets land on the same timeline),
-//! and a handle to the owning [`Tracer`](crate::Tracer)'s span
-//! collector.
+//! and a handle to the trace's own span buffer, which the builder
+//! created.
 //!
 //! Workers call [`TraceContext::record_span`] (or
 //! [`record_span_linked`](TraceContext::record_span_linked) for spans
 //! shared across requests, like a fused decode pass) *before* sending
 //! their response — the requesting thread is blocked on that channel,
-//! so by the time `Tracer::finish` runs, every remote span is already
-//! in the collector and gets merged into the finished trace. Spans
-//! recorded for a trace that already finished (for example a request
-//! shed while its job was still queued) are dropped: the collector
-//! entry only exists between [`Tracer::context`](crate::Tracer::context)
-//! and `finish`.
+//! so by the time [`Tracer::finish`](crate::Tracer::finish) runs, every
+//! remote span is already in the buffer and gets merged into the
+//! finished trace. `finish` closes the buffer, so spans recorded for a
+//! trace that already finished (for example a request shed while its
+//! job was still queued) are dropped.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -37,9 +35,9 @@ pub(crate) struct RemoteSpan {
     pub(crate) links: Vec<u64>,
 }
 
-/// Pending remote spans keyed by trace id. An entry exists only while
-/// its trace is in flight *and* has handed out a context.
-pub(crate) type SpanCollector = Arc<Mutex<HashMap<u64, Vec<RemoteSpan>>>>;
+/// One trace's remote spans: `Some` while the trace is in flight,
+/// `None` once [`Tracer::finish`](crate::Tracer::finish) drained it.
+pub(crate) type SpanBuffer = Arc<Mutex<Option<Vec<RemoteSpan>>>>;
 
 /// The portable slice of an in-flight trace: everything a worker thread
 /// needs to record spans that end up parented inside the request's span
@@ -49,21 +47,16 @@ pub struct TraceContext {
     trace_id: u64,
     parent_span: u64,
     origin: Instant,
-    collector: SpanCollector,
+    spans: SpanBuffer,
 }
 
 impl TraceContext {
-    pub(crate) fn new(
-        trace_id: u64,
-        parent_span: u64,
-        origin: Instant,
-        collector: SpanCollector,
-    ) -> Self {
+    pub(crate) fn new(trace_id: u64, parent_span: u64, origin: Instant, spans: SpanBuffer) -> Self {
         TraceContext {
             trace_id,
             parent_span,
             origin,
-            collector,
+            spans,
         }
     }
 
@@ -107,8 +100,7 @@ impl TraceContext {
             dur_us: end_us.saturating_sub(start_us),
             links,
         };
-        let mut pending = self.collector.lock().expect("span collector poisoned");
-        if let Some(spans) = pending.get_mut(&self.trace_id) {
+        if let Some(spans) = self.spans.lock().expect("span buffer poisoned").as_mut() {
             spans.push(span);
         }
     }
@@ -128,7 +120,7 @@ mod tests {
         });
         let mut tb = tracer.begin("decode");
         let execute = tb.start_span("execute", ROOT_SPAN);
-        let ctx = tracer.context(&tb, execute);
+        let ctx = tb.context(execute);
         let start = Instant::now();
         let worker = std::thread::spawn(move || {
             let end = Instant::now();
@@ -163,14 +155,14 @@ mod tests {
         });
         let mut tb = tracer.begin("infer");
         let execute = tb.start_span("execute", ROOT_SPAN);
-        let ctx = tracer.context(&tb, execute);
+        let ctx = tb.context(execute);
         tb.end_span(execute);
         tracer.finish(tb);
 
-        // A straggler span after finish: no entry to append to.
+        // A straggler span after finish: the buffer is closed.
         let now = Instant::now();
         ctx.record_span("queue_wait", now, now);
-        assert_eq!(tracer.pending_contexts(), 0, "collector entry leaked");
+        assert!(ctx.spans.lock().unwrap().is_none(), "buffer reopened");
         let trace = &tracer.slow(1)[0];
         assert_eq!(trace.spans.len(), 2, "straggler span resurrected");
     }
@@ -185,7 +177,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         let mut tb = tracer.begin("infer");
         let execute = tb.start_span("execute", ROOT_SPAN);
-        let ctx = tracer.context(&tb, execute);
+        let ctx = tb.context(execute);
         // A start before the trace began saturates to offset zero
         // instead of underflowing.
         ctx.record_span("queue_wait", before, Instant::now());

@@ -13,19 +13,19 @@
 //! * [`ShardedCounter`] — a cache-line-padded, per-thread-sharded
 //!   monotone counter for hot-path statistics that would otherwise
 //!   contend on one lock or one cache line.
-//! * [`WindowedHistogram`] / [`WindowedCounter`] — sliding-window views
-//!   (boundary-snapshot rings over the cumulative primitives) so "p99
-//!   right now" is answerable, not just "p99 since boot".
-//! * [`MetricRegistry`] — windowed latency + outcome cells keyed by
-//!   (model, verb, stage): the one store every serving layer records
-//!   its stage samples into and every view ([`CellSummary`] rows,
-//!   Prometheus text) is a loop over.
+//! * [`MetricRegistry`] — [`DimCell`]s keyed by (model, verb, stage):
+//!   the one store every serving layer records its stage samples into
+//!   and every view ([`CellSummary`] rows, Prometheus text) is a loop
+//!   over. A cell is a live histogram, three outcome counters and one
+//!   ring of boundary captures, so "p99 right now" (up to
+//!   [`WINDOW_SPAN`]) is answerable as well as "p99 since boot", both
+//!   from one capture per read.
 //! * [`SloConfig`] — declarative latency/error/shed budgets evaluated
 //!   over windows into a burn-rate [`HealthReport`].
 //! * [`TraceContext`] — the portable slice of an in-flight trace that
-//!   crosses thread boundaries, so queue waits and fused decode passes
-//!   recorded on worker threads merge back into the request's span
-//!   tree.
+//!   crosses thread boundaries, carrying the trace's own span buffer, so
+//!   queue waits and fused decode passes recorded on worker threads
+//!   merge back into the request's span tree.
 //! * [`FlightRecorder`] — a bounded ring of structured operational
 //!   events with severity and wall-clock anchors, plus a pinned
 //!   [`IncidentSnapshot`] frozen when SLO health flips.
@@ -43,7 +43,7 @@ pub mod histogram;
 pub mod registry;
 pub mod slo;
 pub mod trace;
-pub mod window;
+mod window;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,7 +54,7 @@ pub use histogram::{Histogram, HistogramSnapshot, LINEAR_MAX, NUM_BUCKETS, SUB_B
 pub use registry::{CellSummary, DimCell, DimWindow, MetricKey, MetricRegistry, STAGE_REQUEST};
 pub use slo::{HealthReport, SloConfig, SloStatus, SloTarget, TargetReport};
 pub use trace::{Span, Trace, TraceBuilder, TraceConfig, TraceId, Tracer, ROOT_SPAN};
-pub use window::{WindowConfig, WindowedCounter, WindowedHistogram};
+pub use window::WINDOW_SPAN;
 
 /// Shard count for [`ShardedCounter`].
 const COUNTER_SHARDS: usize = 8;

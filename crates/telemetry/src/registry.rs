@@ -4,11 +4,11 @@
 //! occupancy samples: every stage of every layer — the transport's
 //! `("-", "conn", …)`, the gateway's `("-", "gateway", …)`, a model's
 //! `(model, "batch" | "decode" | "block", …)` and the wire verbs'
-//! `(model, verb, "request")` — is a [`DimCell`] holding a windowed
-//! histogram plus windowed ok/error/shed outcome counters, so "how is
-//! *model X's decode path* doing, right now" and "since boot" are both
-//! answered from the same cell, and every exporter is one loop over
-//! [`MetricRegistry::cells`].
+//! `(model, verb, "request")` — is a [`DimCell`] holding a latency
+//! histogram, ok/error/shed outcome counters and one ring of boundary
+//! captures, so "how is *model X's decode path* doing, right now" and
+//! "since boot" are both answered from one capture of the same cell,
+//! and every exporter is one loop over [`MetricRegistry::cells`].
 //!
 //! The registry is a cheap [`Clone`] handle over shared state: one
 //! instance is created at the gateway and threaded down through the
@@ -24,8 +24,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::histogram::HistogramSnapshot;
-use crate::window::{WindowConfig, WindowedCounter, WindowedHistogram};
+use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::window::WindowRing;
+use crate::ShardedCounter;
 
 /// The gateway-facing request stage — the one SLO targets evaluate.
 pub const STAGE_REQUEST: &str = "request";
@@ -57,29 +58,41 @@ impl MetricKey {
     }
 }
 
-/// One dimension's metrics: a windowed latency histogram plus windowed
-/// ok/error/shed outcome counters.
+/// One dimension's metrics: a live latency histogram, ok/error/shed
+/// outcome counters, and a ring of boundary captures that turns them
+/// into sliding windows.
+///
+/// Recording is lock-free. Every read takes one capture — histogram
+/// snapshot plus the three counts — so a read's total and its window
+/// come from the same instant and a window never exceeds its total.
 #[derive(Debug)]
 pub struct DimCell {
-    latency: WindowedHistogram,
-    ok: WindowedCounter,
-    error: WindowedCounter,
-    shed: WindowedCounter,
+    latency: Histogram,
+    ok: ShardedCounter,
+    error: ShardedCounter,
+    shed: ShardedCounter,
+    windows: WindowRing,
 }
 
 impl DimCell {
-    fn new(config: WindowConfig) -> Self {
+    fn new() -> Self {
         DimCell {
-            latency: WindowedHistogram::new(config),
-            ok: WindowedCounter::new(config),
-            error: WindowedCounter::new(config),
-            shed: WindowedCounter::new(config),
+            latency: Histogram::new(),
+            ok: ShardedCounter::new(),
+            error: ShardedCounter::new(),
+            shed: ShardedCounter::new(),
+            windows: WindowRing::new(),
         }
     }
 
     /// Records one latency sample (lock-free).
     pub fn record_latency(&self, d: Duration) {
         self.latency.record_duration(d);
+    }
+
+    /// Records one raw count sample (the `occupancy` cell), lock-free.
+    pub fn record_count(&self, n: u64) {
+        self.latency.record(n);
     }
 
     /// Counts one successful outcome.
@@ -97,30 +110,27 @@ impl DimCell {
         self.shed.add(1);
     }
 
-    /// The windowed histogram — record raw values (an occupancy
-    /// count) through it directly.
-    pub fn latency(&self) -> &WindowedHistogram {
-        &self.latency
-    }
-
-    /// The cumulative (since-construction) view.
+    /// The cumulative (since-construction) view: one capture.
     pub fn total(&self) -> DimWindow {
         DimWindow {
-            latency: self.latency.total(),
-            ok: self.ok.total(),
-            error: self.error.total(),
-            shed: self.shed.total(),
+            latency: self.latency.snapshot(),
+            ok: self.ok.sum(),
+            error: self.error.sum(),
+            shed: self.shed.sum(),
         }
     }
 
-    /// A point-in-time view over roughly the last `window`.
+    /// A view over the last `window`, in whole seconds: the current,
+    /// partial second plus the ⌈`window`⌉ − 1 before it. A window wider
+    /// than [`WINDOW_SPAN`](crate::WINDOW_SPAN) reads that span.
     pub fn window(&self, window: Duration) -> DimWindow {
-        DimWindow {
-            latency: self.latency.window(window),
-            ok: self.ok.window(window),
-            error: self.error.window(window),
-            shed: self.shed.window(window),
-        }
+        self.windows.read(window, || self.total()).1
+    }
+
+    /// [`window`](Self::window) with an explicit time since the cell's
+    /// construction — the deterministic test hook.
+    pub fn window_at(&self, window: Duration, elapsed: Duration) -> DimWindow {
+        self.windows.read_at(window, elapsed, || self.total()).1
     }
 }
 
@@ -255,48 +265,28 @@ impl CellSummary {
     }
 }
 
-#[derive(Debug)]
-struct Inner {
-    config: WindowConfig,
-    /// Sorted by key, so lookups binary-search on borrowed strings and
-    /// every sweep comes out in key order.
-    cells: Mutex<Vec<(MetricKey, Arc<DimCell>)>>,
-}
+/// Every cell with its key, sorted by key, so lookups binary-search on
+/// borrowed strings and every sweep comes out in key order.
+type Cells = Vec<(MetricKey, Arc<DimCell>)>;
 
 /// Shared, cloneable registry of per-dimension windowed metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
-    inner: Arc<Inner>,
-}
-
-impl Default for MetricRegistry {
-    fn default() -> Self {
-        MetricRegistry::new(WindowConfig::default())
-    }
+    cells: Arc<Mutex<Cells>>,
 }
 
 impl MetricRegistry {
-    /// A registry whose cells use the given ring geometry.
-    pub fn new(config: WindowConfig) -> Self {
-        MetricRegistry {
-            inner: Arc::new(Inner {
-                config,
-                cells: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
     /// Resolves (creating on first use) the cell for a dimension. A hit
     /// allocates nothing.
     pub fn cell(&self, model: &str, verb: &str, stage: &str) -> Arc<DimCell> {
-        let mut cells = self.inner.cells.lock().expect("registry poisoned");
+        let mut cells = self.cells.lock().expect("registry poisoned");
         let found = cells.binary_search_by(|(k, _)| {
             (k.model.as_str(), k.verb.as_str(), k.stage.as_str()).cmp(&(model, verb, stage))
         });
         match found {
             Ok(i) => Arc::clone(&cells[i].1),
             Err(i) => {
-                let cell = Arc::new(DimCell::new(self.inner.config));
+                let cell = Arc::new(DimCell::new());
                 cells.insert(i, (MetricKey::new(model, verb, stage), Arc::clone(&cell)));
                 cell
             }
@@ -306,15 +296,18 @@ impl MetricRegistry {
     /// Every registered cell, sorted by key — the one sweep every view
     /// and exporter iterates.
     pub fn cells(&self) -> Vec<(MetricKey, Arc<DimCell>)> {
-        self.inner.cells.lock().expect("registry poisoned").clone()
+        self.cells.lock().expect("registry poisoned").clone()
     }
 
     /// Quantile summaries of every cell — cumulative plus the last
-    /// `window` — sorted by key.
+    /// `window`, each row from one capture — sorted by key.
     pub fn summaries(&self, window: Duration) -> Vec<CellSummary> {
         self.cells()
             .iter()
-            .map(|(k, cell)| CellSummary::new(k, &cell.latency.total(), &cell.window(window)))
+            .map(|(k, cell)| {
+                let (total, win) = cell.windows.read(window, || cell.total());
+                CellSummary::new(k, &total.latency, &win)
+            })
             .collect()
     }
 
@@ -367,7 +360,7 @@ mod tests {
     fn summaries_carry_cumulative_and_windowed_views_in_native_units() {
         let reg = MetricRegistry::default();
         let cell = reg.cell("m", "decode", "occupancy");
-        cell.latency().record(8);
+        cell.record_count(8);
         cell.record_ok();
         let s = &reg.summaries(Duration::from_secs(10))[0];
         assert_eq!((s.model.as_str(), s.stage.as_str()), ("m", "occupancy"));

@@ -70,7 +70,10 @@ pub struct SloTarget {
     pub model: Option<String>,
     /// Restrict to one wire verb; `None` spans all verbs.
     pub verb: Option<String>,
-    /// Sliding window the target is evaluated over.
+    /// Sliding window the target is evaluated over, in whole seconds
+    /// (see [`DimCell::window`](crate::DimCell::window)). A window wider
+    /// than [`WINDOW_SPAN`](crate::WINDOW_SPAN) is evaluated over
+    /// [`WINDOW_SPAN`](crate::WINDOW_SPAN).
     pub window: Duration,
     /// Budget: windowed p99 latency must stay at or below this.
     pub p99_latency: Option<Duration>,

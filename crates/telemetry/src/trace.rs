@@ -11,7 +11,8 @@
 //!
 //! Work that happens on *other* threads (batch workers, the decode
 //! batcher) records spans through a [`TraceContext`] obtained from
-//! [`Tracer::context`]; `finish` merges those remote spans into the
+//! [`TraceBuilder::context`] into the trace's own span buffer; `finish`
+//! drains and closes the buffer, merging those remote spans into the
 //! trace, re-parented under the builder span the context named. See
 //! the [`context`](crate::context) module.
 
@@ -20,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::context::{SpanCollector, TraceContext};
+use crate::context::{SpanBuffer, TraceContext};
 use crate::events::unix_ms_now;
 
 /// Tracer knobs.
@@ -94,7 +95,9 @@ pub struct Trace {
 }
 
 /// Accumulates spans for one in-flight request. Purely request-local:
-/// recording a span touches no shared state.
+/// recording a span touches no shared state. Spans recorded on other
+/// threads land in the trace's own buffer, shared only with the
+/// [`TraceContext`]s it hands out.
 #[derive(Debug)]
 pub struct TraceBuilder {
     id: TraceId,
@@ -102,6 +105,7 @@ pub struct TraceBuilder {
     started: Instant,
     unix_ms: u64,
     spans: Vec<Span>,
+    remote: SpanBuffer,
 }
 
 /// Root span id — parent for top-level stages.
@@ -123,6 +127,7 @@ impl TraceBuilder {
                 dur_us: 0,
                 links: Vec::new(),
             }],
+            remote: Arc::new(Mutex::new(Some(Vec::new()))),
         }
     }
 
@@ -160,6 +165,19 @@ impl TraceBuilder {
         Duration::from_micros(span.dur_us)
     }
 
+    /// Opens a [`TraceContext`] so other threads can record spans
+    /// parented under `parent_span` (a span id from this builder). The
+    /// remote spans are merged into the trace when
+    /// [`Tracer::finish`] runs; spans recorded after that are dropped.
+    pub fn context(&self, parent_span: u64) -> TraceContext {
+        TraceContext::new(
+            self.id.get(),
+            parent_span,
+            self.started,
+            Arc::clone(&self.remote),
+        )
+    }
+
     /// Times `f` as a span under `parent`.
     pub fn span<T>(&mut self, stage: &'static str, parent: u64, f: impl FnOnce() -> T) -> T {
         let id = self.start_span(stage, parent);
@@ -175,7 +193,6 @@ pub struct Tracer {
     config: TraceConfig,
     recent: Mutex<VecDeque<Trace>>,
     slow: Mutex<VecDeque<Trace>>,
-    pending: SpanCollector,
 }
 
 impl Default for Tracer {
@@ -191,7 +208,6 @@ impl Tracer {
             config,
             recent: Mutex::new(VecDeque::with_capacity(config.ring_capacity.min(1024))),
             slow: Mutex::new(VecDeque::with_capacity(config.slow_capacity.min(1024))),
-            pending: SpanCollector::default(),
         }
     }
 
@@ -205,60 +221,29 @@ impl Tracer {
         TraceBuilder::new(verb)
     }
 
-    /// Opens a [`TraceContext`] for `builder` so other threads can
-    /// record spans parented under `parent_span` (a span id from this
-    /// builder). The remote spans are merged into the trace when
-    /// [`finish`](Self::finish) runs; spans recorded after that are
-    /// dropped.
-    pub fn context(&self, builder: &TraceBuilder, parent_span: u64) -> TraceContext {
-        let trace_id = builder.id.get();
-        self.pending
-            .lock()
-            .expect("span collector poisoned")
-            .entry(trace_id)
-            .or_default();
-        TraceContext::new(
-            trace_id,
-            parent_span,
-            builder.started,
-            Arc::clone(&self.pending),
-        )
-    }
-
-    /// How many traces currently have an open remote-span collector
-    /// entry — useful for asserting contexts don't leak.
-    pub fn pending_contexts(&self) -> usize {
-        self.pending.lock().expect("span collector poisoned").len()
-    }
-
-    /// Finishes a trace: stamps the root span, appends to the recent
+    /// Finishes a trace: stamps the root span, drains and closes its
+    /// remote-span buffer into the span tree, appends to the recent
     /// ring, and pins it to the slow ring if it met the threshold.
     /// Returns the total duration.
     pub fn finish(&self, mut builder: TraceBuilder) -> Duration {
         let total = builder.started.elapsed();
         let total_us = u64::try_from(total.as_micros()).unwrap_or(u64::MAX);
         builder.spans[ROOT_SPAN as usize].dur_us = total_us;
-        let remote = self
-            .pending
-            .lock()
-            .expect("span collector poisoned")
-            .remove(&builder.id.get());
-        if let Some(remote) = remote {
-            // Remote spans append after every builder span, so their
-            // parent (a builder span index) always precedes them;
-            // offsets clamp into the trace window in case a worker's
-            // clock reading raced the finish.
-            for r in remote {
-                let id = builder.spans.len() as u64;
-                builder.spans.push(Span {
-                    id,
-                    parent: Some(r.parent.min(id.saturating_sub(1))),
-                    stage: r.stage,
-                    start_us: r.start_us.min(total_us),
-                    dur_us: r.dur_us.min(total_us),
-                    links: r.links,
-                });
-            }
+        let remote = builder.remote.lock().expect("span buffer poisoned").take();
+        // Remote spans append after every builder span, so their parent
+        // (a builder span index) always precedes them; offsets clamp
+        // into the trace window in case a worker's clock reading raced
+        // the finish.
+        for r in remote.unwrap_or_default() {
+            let id = builder.spans.len() as u64;
+            builder.spans.push(Span {
+                id,
+                parent: Some(r.parent.min(id.saturating_sub(1))),
+                stage: r.stage,
+                start_us: r.start_us.min(total_us),
+                dur_us: r.dur_us.min(total_us),
+                links: r.links,
+            });
         }
         let trace = Trace {
             id: builder.id,
