@@ -16,15 +16,19 @@
 //!    [`QuantizedLinear`](crate::pipeline::QuantizedLinear), which keeps
 //!    no [`SlicedWeight`]): index and slices in one struct. The slices sit
 //!    in the order the tile walks them (Goto & van de Geijn, *Anatomy of
-//!    High-Performance Matrix Multiplication*, ACM TOMS 2008): per
-//!    (16-row panel, 256-`k` block, plane) a run of `[i8; 16]` columns,
-//!    rows past `M` zero — as many bytes as the row-major planes they
-//!    replace, immutable once packed and shared by clones of the layer.
-//!    The index is, per 4-row m-group and `k` block, a bitset of
-//!    the `k` whose HO vector is *not* compressed, per panel the union of
-//!    its m-groups' bitsets, per `k` the number of compressed m-groups,
-//!    and the row sums `ΣW`. The public [`aqs_gemm`] /
-//!    [`sibia_gemm`](crate::sibia::sibia_gemm) take a [`SlicedWeight`]
+//!    High-Performance Matrix Multiplication*, ACM TOMS 2008) at four bits
+//!    a slice, as the paper stores and moves them: per (16-row panel,
+//!    256-`k` block, plane) a run of `⌈len / 8⌉` 64-byte chunks, each
+//!    16 rows × 8 `k` in the order `vpdpbusd` reads them (byte `4r + j`
+//!    holds row `r`'s slice at `k = 8t + j` in its low nibble and at
+//!    `k = 8t + 4 + j` in its high one, as `slice + 8`), slices past `K`
+//!    and rows past `M` zero — half the bytes of the row-major planes they
+//!    replace (plus the last chunk's padding), immutable once packed and
+//!    shared by clones of the layer. The index is, per 4-row m-group and
+//!    `k` block, a bitset of the `k` whose HO vector is *not* compressed,
+//!    per panel the union of its m-groups' bitsets, per `k` the number of
+//!    compressed m-groups, and the row sums `ΣW`. The public [`aqs_gemm`]
+//!    / [`sibia_gemm`](crate::sibia::sibia_gemm) take a [`SlicedWeight`]
 //!    and pack it on every call.
 //! 2. **Streams** (per call and 16-column n-tile, in buffers each thread
 //!    reuses): the activation planes (`u8`, or `i8` for Sibia's SBR
@@ -36,34 +40,43 @@
 //!    Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row
 //!    constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction
 //!    folded into the re-centring — and the output starts at it. On a
-//!    build with the dot product (`core::dot`) each n-group also
-//!    gets its raw `u8` LO planes as k-quads, read straight from the
-//!    [`SlicedActivation`], and a full tile's n-groups keep only their HO
-//!    plane as pairs, the one plane lanes along M then read there.
+//!    build with the dot product (`core::dot`) each n-group also gets its
+//!    raw `u8` LO planes as k-quads (and per block each column's sum),
+//!    read straight from the [`SlicedActivation`], and keeps only its HO
+//!    plane as pairs, the one activation plane the `i16` tile then reads
+//!    in lanes along M.
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
 //!    by `8^i·c_j`, into the output. On a build that targets AVX-512
-//!    VNNI and VBMI the static pair, LO_w×LO_x of a `u8` activation, sums
-//!    in `i32` lanes on `vpdpbusd` instead — four `k` an instruction, in
-//!    every walk below, over the resident panels as they are (one
-//!    `vpermb` per four columns makes them row-major quads) — to the
-//!    same block sum, scaled and added alike. Sibia's signed activations
-//!    and the re-centred HO plane stay on the `i16` tile, as does every
-//!    pair of a build without the two extensions. A pair's lanes run
-//!    along the side it does not skip, so each side skips at the paper's
-//!    granularity: on a full tile the HO weight plane's pairs run **lanes
-//!    along N** (`products_lanes_n`: the 4 rows of an m-group × 16
-//!    columns, under the m-group's 4×1 bitset), every other pair **lanes
-//!    along M** (`products_lanes_m`: the 16 rows of a panel × one
-//!    n-group, under the n-group's 1×4 bitset). A narrower tile — every decode step — runs
+//!    VNNI and VBMI, pairs of a `u8` LO activation plane sum in `i32`
+//!    lanes on `vpdpbusd` instead — eight `k` a chunk, unpacked with an
+//!    AND and a shift-AND — to the same block sum, scaled and added
+//!    alike: LO_w×LO_x in every walk below, and in a narrow walk
+//!    HO_w×LO_x too, over every `k` (a compressed HO weight vector is
+//!    stored as zeros, so the dense sum is exact). The `i16` tile reads
+//!    k-major `[i8; 16]` columns: a full tile unpacks each panel once for
+//!    its four m-groups and its n-groups' walks (only the chunks a pair
+//!    reads: the panel's bitset on the HO plane, the n-groups' on an LO
+//!    plane), and a narrow walk, which has no one to share a panel with,
+//!    unpacks a block's runs only where its `i16` pairs read at least half
+//!    their `k`, and otherwise reads the packed slices at those `k`. The
+//!    re-centred HO activation plane, Sibia's signed activations, a full
+//!    tile's HO weight plane and every pair of a build without the two
+//!    extensions stay on the `i16` tile. A pair's lanes run along the side
+//!    it does not skip, so each side skips at the paper's granularity: on
+//!    a full tile the HO weight plane's pairs run **lanes along N**
+//!    (`products_lanes_n`: the 4 rows of an m-group × 16 columns, under
+//!    the m-group's 4×1 bitset), every other pair **lanes along M**
+//!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
+//!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
 //!    every pair lanes along M, and an n-group of `C` columns fills the
 //!    tile's four rows with `P = 4 / C` panels (Goto & van de Geijn's
 //!    register blocking): one walk of `k` reads those panels' runs side
 //!    by side, four at N = 1, two at N = 2, one from three columns on.
-//!    The HO weight plane runs under the union of the walked panels'
-//!    bitsets (a compressed vector in a live union is stored as zeros).
+//!    Its HO×HO pair runs under the union of the walked panels' bitsets
+//!    (a compressed vector in a live union is stored as zeros).
 //!    Lanes along M broadcast a column's pair with one load
 //!    (`vpbroadcastd ymm, m32`); lanes along N broadcast a weight slice
 //!    from a register (`movsbl` + `vpbroadcastw ymm, r32`, shuffle-port
@@ -75,20 +88,24 @@
 //!    lanes along M only on a whole n-group or a one-column walk of four
 //!    panels: for two or three columns LLVM vectorises it along `k`,
 //!    2–3× slower. In ms per call at 768 × 768, w7 × a8, vector-level
-//!    ρ, 2-core AVX-512 host with VNNI and VBMI, LO×LO on `vpdpbusd`
-//!    (`tests/tile_cost.rs`, min of 40 alternated rounds × 8 calls; with
-//!    LO×LO on the `i16` tile the same host read 0.96–1.08 / 0.76–0.89 /
-//!    0.31–0.36 at N = 16 and 0.19–0.21 / 0.19–0.22 / 0.087–0.097 at
-//!    N = 4):
+//!    ρ, 2-core AVX-512 host with VNNI and VBMI (`tests/tile_cost.rs`,
+//!    min of 3 runs of 40 alternated rounds × 8 calls; the byte-per-slice
+//!    panels of the previous layout read 0.080 / 0.065 / 0.035 at N = 1
+//!    and 0.991 / 0.733 / 0.241 at N = 16 on the same host in the same
+//!    minutes — the full tile pays for its unpacking at ρ 0.95 — and, past
+//!    L2, a 3072 × 768 layer per 768² read 0.107 / 0.086 / 0.063 and
+//!    1.302 / 0.882 / 0.359 where this layout reads the last two rows):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.076 | 0.065 | 0.038  |
-//!    | 2  | 0.133 | 0.104 | 0.046  |
-//!    | 4  | 0.182 | 0.180 | 0.071  |
-//!    | 8  | 0.362 | 0.355 | 0.131  |
-//!    | 12 | 0.550 | 0.543 | 0.187  |
-//!    | 16 | 0.901 | 0.633 | 0.220  |
+//!    | 1  | 0.091 | 0.090 | 0.031  |
+//!    | 2  | 0.148 | 0.111 | 0.045  |
+//!    | 4  | 0.199 | 0.188 | 0.080  |
+//!    | 8  | 0.396 | 0.374 | 0.153  |
+//!    | 12 | 0.599 | 0.570 | 0.236  |
+//!    | 16 | 1.024 | 0.781 | 0.278  |
+//!    | 1, 3072 × 768 per 768² | 0.092 | 0.084 | 0.032 |
+//!    | 16, 3072 × 768 per 768² | 1.049 | 0.755 | 0.282 |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -140,17 +157,35 @@ const MAX_W_SLICE: usize = 8;
 /// by `r` (`[-15, 15]`).
 const MAX_X_SLICE: usize = 15;
 // One block of slice products cannot leave the `i16` register tile. The
-// dot product sums a LO×LO block in `i32` lanes, a k-quad at a time
-// (quads tile a block): that sum is in `i16` range too, so it is the
-// `i16` tile's exactly, and `plan::accumulator_bound` covers both paths.
+// dot product sums a block of an LO activation plane in `i32` lanes, a
+// chunk at a time (chunks tile a block): that sum is in `i16` range too,
+// so it is the `i16` tile's exactly, and `plan::accumulator_bound`
+// covers both paths.
 const _: () = assert!(
     K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize && K_BLOCK.is_multiple_of(VECTOR_LEN)
 );
 const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
+/// A narrow walk unpacks a block's runs when its `i16` pairs read at
+/// least `1 / UNPACK_SHARE` of their `k`, and reads them packed when
+/// they read fewer.
+const UNPACK_SHARE: usize = 2;
 /// One bit per `k` of a block.
 type KMask = [u64; K_BLOCK / 64];
-/// One `k` of a panel: a weight slice per row.
+/// Every `k` of a block, and none.
+const ALL: KMask = [u64::MAX; K_BLOCK / 64];
+const NONE: KMask = [0; K_BLOCK / 64];
+/// `k` positions of one [`Chunk`]: two k-quads, one per nibble.
+pub(crate) const CHUNK_K: usize = 2 * VECTOR_LEN;
+const _: () = assert!(K_BLOCK.is_multiple_of(CHUNK_K));
+/// Eight `k` of a panel at four bits a slice, in the order the dot
+/// product reads them: word `r` (bytes `4r .. 4r + 4`, little-endian)
+/// is row `r`, its byte `j` holding the slice at `k = 8t + j` in its low
+/// nibble and at `k = 8t + 4 + j` in its high one, each as `slice + 8`.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(64))]
+pub(crate) struct Chunk(pub(crate) [u32; PANEL_ROWS]);
+/// One `k` of a panel unpacked: a weight slice per row.
 pub(crate) type PanelCol = [i8; PANEL_ROWS];
 /// The register tile of raw slice products: 4 weight rows × 16 columns
 /// (lanes along N) or 4 columns × 16 weight rows (lanes along M).
@@ -162,7 +197,7 @@ type PairedCols = [[i16; 2]; VECTOR_LEN];
 pub(crate) type Quad = [u32; VECTOR_LEN];
 /// The runs of one `k` block and plane a walk reads, one per panel it
 /// carries; lanes along N read the first.
-pub(crate) type Runs<'a> = [&'a [PanelCol]; VECTOR_LEN];
+pub(crate) type Runs<'a> = [&'a [Chunk]; VECTOR_LEN];
 /// A register tile's sum in `i32`, laid out as [`ProductTile`].
 pub(crate) type AccTile = [[i32; LANES]; VECTOR_LEN];
 
@@ -279,10 +314,11 @@ impl_planes!(SlicedWeight, i8, false);
 /// [`SlicedWeight`], which it replaces.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedWeight {
-    /// Per (panel, `k` block, plane), in that order: one [`PanelCol`] per
-    /// `k` of the block. Rows past `M` are zero. Immutable once packed,
-    /// so clones of a layer share the one copy.
-    panels: Arc<[PanelCol]>,
+    /// Per (panel, `k` block, plane), in that order: the `⌈len / 8⌉`
+    /// [`Chunk`]s of the block's `len` `k`. Slices past `K` and rows past
+    /// `M` are zero. Immutable once packed, so clones of a layer share
+    /// the one copy.
+    panels: Arc<[Chunk]>,
     /// The planes' weights `8^i`, LO first.
     plane_weights: Vec<i32>,
     /// Per (m-group, `k` block), m-group major: bit `o` is set iff the HO
@@ -306,51 +342,56 @@ impl PackedWeight {
         );
         let (planes, k_blocks) = (w.num_planes(), k_dim.div_ceil(K_BLOCK));
         let m_panels = m.div_ceil(PANEL_ROWS);
-        // Allocated once at its final size and filled in place, while
-        // this is still the only handle.
-        let zero_cols = std::iter::repeat_n([0i8; PANEL_ROWS], m_panels * k_dim * planes);
-        let mut panels: Arc<[PanelCol]> = zero_cols.collect();
-        let cols = Arc::get_mut(&mut panels).expect("not shared yet");
+        // Every slice zero (stored as 8) to start with; allocated once at
+        // its final size and filled in place, while this is still the
+        // only handle.
+        let zero = Chunk([0x8888_8888; PANEL_ROWS]);
+        let zero_chunks = std::iter::repeat_n(zero, m_panels * k_dim.div_ceil(CHUNK_K) * planes);
+        let mut panels: Arc<[Chunk]> = zero_chunks.collect();
+        let chunks = Arc::get_mut(&mut panels).expect("not shared yet");
         let mut ho_live = vec![KMask::default(); m / VECTOR_LEN * k_blocks];
         let mut panel_live = vec![KMask::default(); m_panels * k_blocks];
         let mut compressed_per_k = vec![0u32; k_dim];
         let mut filled = 0;
         for p in 0..m_panels {
-            // The panel's m-groups; fewer than four at the bottom edge.
-            let m_groups = p * GROUPS..(m / VECTOR_LEN).min((p + 1) * GROUPS);
+            // The panel's rows; fewer than sixteen at the bottom edge.
+            let rows = p * PANEL_ROWS..m.min((p + 1) * PANEL_ROWS);
             for kb in 0..k_blocks {
                 let k0 = kb * K_BLOCK;
                 let len = K_BLOCK.min(k_dim - k0);
                 for i in 0..planes {
-                    let run = &mut cols[filled..filled + len];
-                    filled += len;
-                    for mg in m_groups.clone() {
-                        // One 4×1 slice-vector per `k`, into m-group
-                        // `mg`'s place in its panel column.
-                        let [r0, r1, r2, r3]: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
-                            &w.plane(i).row(mg * VECTOR_LEN + mm)[k0..k0 + len]
-                        });
-                        let vectors = r0.iter().zip(r1).zip(r2).zip(r3);
-                        for (col, (((&a, &b), &c), &d)) in run.iter_mut().zip(vectors) {
-                            col.as_chunks_mut::<VECTOR_LEN>().0[mg % GROUPS] = [a, b, c, d];
+                    let run = &mut chunks[filled..filled + len.div_ceil(CHUNK_K)];
+                    filled += run.len();
+                    for (r, row) in rows.clone().enumerate() {
+                        let slices = &w.plane(i).row(row)[k0..k0 + len];
+                        for (chunk, slices) in run.iter_mut().zip(slices.chunks(CHUNK_K)) {
+                            // Slices past `K` keep their zero.
+                            chunk.0[r] =
+                                slices.iter().enumerate().fold(chunk.0[r], |word, (o, &s)| {
+                                    let shift = nibble_shift(o);
+                                    word & !(0xF << shift) | u32::from((s + 8) as u8) << shift
+                                });
                         }
-                        if i + 1 < planes {
-                            continue;
-                        }
-                        // On the HO plane a vector is compressed iff it is
-                        // all-zero (a pass of its own: folded into the
-                        // copy it slows every plane's).
-                        let live = &mut ho_live[mg * k_blocks + kb];
-                        let compressed = &mut compressed_per_k[k0..k0 + len];
-                        for (o, (col, compressed)) in run.iter().zip(compressed).enumerate() {
-                            let [a, b, c, d] = col.as_chunks::<VECTOR_LEN>().0[mg % GROUPS];
-                            let is_live = (a | b | c | d) != 0;
-                            live[o / 64] |= u64::from(is_live) << (o % 64);
-                            *compressed += u32::from(!is_live);
-                        }
-                        for (union, word) in panel_live[p * k_blocks + kb].iter_mut().zip(live) {
-                            *union |= *word;
-                        }
+                    }
+                }
+                // On the HO plane a vector is compressed iff it is
+                // all-zero.
+                for mg in rows.start / VECTOR_LEN..rows.end / VECTOR_LEN {
+                    let [r0, r1, r2, r3]: [&[i8]; VECTOR_LEN] = std::array::from_fn(|mm| {
+                        &w.plane(planes - 1).row(mg * VECTOR_LEN + mm)[k0..k0 + len]
+                    });
+                    let vectors = r0.iter().zip(r1).zip(r2).zip(r3);
+                    let live = &mut ho_live[mg * k_blocks + kb];
+                    let compressed = &mut compressed_per_k[k0..k0 + len];
+                    for (o, (compressed, (((a, b), c), d))) in
+                        compressed.iter_mut().zip(vectors).enumerate()
+                    {
+                        let is_live = (a | b | c | d) != 0;
+                        live[o / 64] |= u64::from(is_live) << (o % 64);
+                        *compressed += u32::from(!is_live);
+                    }
+                    for (union, word) in panel_live[p * k_blocks + kb].iter_mut().zip(live) {
+                        *union |= *word;
                     }
                 }
             }
@@ -374,6 +415,16 @@ impl PackedWeight {
             compressed_per_k,
             row_sums,
         }
+    }
+
+    /// The run of panel `p`, `k` block `kb` and plane `i`: `⌈len / 8⌉`
+    /// chunks for the block's `len` `k`.
+    fn run(&self, p: usize, kb: usize, i: usize) -> &[Chunk] {
+        let (k_dim, planes) = (self.compressed_per_k.len(), self.plane_weights.len());
+        let k0 = kb * K_BLOCK;
+        let len = K_BLOCK.min(k_dim - k0).div_ceil(CHUNK_K);
+        let before = p * k_dim.div_ceil(CHUNK_K) + k0 / CHUNK_K;
+        &self.panels[before * planes + i * len..][..len]
     }
 
     /// `Σ_k W[m][k]` per row.
@@ -401,37 +452,85 @@ impl PackedWeight {
         assert_eq!(row_const.len(), m, "one constant per output row");
         // Both orientations add into the output, from its row constants.
         let mut out = Matrix::from_fn(m, n, |row, _| row_const[row]);
+        let m_panels = m.div_ceil(PANEL_ROWS);
+        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
         for c0 in (0..n).step_by(LANES) {
-            STREAMS.with_borrow_mut(|act| {
-                // A full tile runs its HO weight plane lanes along N.
-                let full = act.prepare(x, plan, c0);
-                if full {
-                    self.tile_lanes_n(plan, &act.wide, c0, &mut out);
+            STREAMS.with_borrow_mut(|Scratch { act, cols }| {
+                if act.prepare(x, plan, c0) {
+                    // A full tile runs its HO weight plane lanes along N,
+                    // from each panel unpacked once for its m-groups (where
+                    // the panel's bitset is live), then its LO planes for
+                    // its n-groups' walks.
+                    for p in 0..m_panels {
+                        let live = |kb| self.panel_live[p * k_blocks + kb];
+                        let need = |kb| if plan.skips_weight() { live(kb) } else { ALL };
+                        self.unpack_panel(p, w_ho..w_ho + 1, need, cols);
+                        let panel = &mut Cols::Panel(cols.as_flattened());
+                        self.tile_lanes_n(plan, &act.wide, p, c0, panel, &mut out);
+                    }
+                    // An LO plane whose LO activation pairs run on the dot
+                    // product is read where any n-group's bitset is.
+                    let dot = act.groups.iter().all(|g| g.lo_lo.is_some());
+                    let x_live = |kb| act.groups.iter().fold(NONE, |u, g| or(&u, &g.ho_live[kb]));
+                    let need = |kb| if dot { x_live(kb) } else { ALL };
+                    for p in (0..m_panels).filter(|_| w_ho > 0) {
+                        self.unpack_panel(p, 0..w_ho, need, cols);
+                        let panel = &mut Cols::Panel(cols.as_flattened());
+                        let (groups, panels) = (&act.groups, p..p + 1);
+                        self.tile_lanes_m(plan, groups, 0..w_ho, panels, c0, panel, &mut out);
+                    }
+                } else {
+                    let (groups, walk) = (&act.groups, &mut Cols::Walk(cols));
+                    self.tile_lanes_m(plan, groups, 0..w_ho + 1, 0..m_panels, c0, walk, &mut out);
                 }
-                let lanes_m = 0..w_ho + usize::from(!full);
-                self.tile_lanes_m(plan, &act.groups, lanes_m, c0, &mut out);
             });
         }
         (out, stats.workload())
     }
 
-    /// Adds the HO weight plane's pairs to columns `c0 .. c0 + 16` of the
-    /// output, lanes along N: per m-group a 4-row × 16-column tile under
-    /// the m-group's own bitset.
+    /// Unpacks weight planes `w_planes` of panel `p` into `cols`, of each
+    /// block `kb` the chunks holding a `k` of `need(kb)`: per `k` block,
+    /// plane after plane, [`K_BLOCK`] / 8 chunks a block and plane.
+    fn unpack_panel(
+        &self,
+        p: usize,
+        w_planes: Range<usize>,
+        need: impl Fn(usize) -> KMask,
+        cols: &mut Vec<Unpacked>,
+    ) {
+        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
+        grow(cols, k_blocks * w_planes.len() * K_BLOCK / CHUNK_K);
+        let mut blocks = cols.chunks_exact_mut(K_BLOCK / CHUNK_K);
+        for kb in 0..k_blocks {
+            for (i, dst) in w_planes.clone().zip(&mut blocks) {
+                unpack_run(dst, self.run(p, kb, i), &need(kb));
+            }
+        }
+    }
+
+    /// Adds the HO weight plane's pairs of panel `p` to columns
+    /// `c0 .. c0 + 16` of the output, lanes along N, from the unpacked
+    /// panel: per m-group a 4-row × 16-column tile under the m-group's
+    /// own bitset.
     fn tile_lanes_n(
         &self,
         plan: &KernelPlan,
         wide: &Stream<[i16; LANES]>,
+        p: usize,
         c0: usize,
+        panel: &mut Cols,
         out: &mut Matrix<i32>,
     ) {
         let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
         let w_ho = self.plane_weights.len() - 1;
-        for mg in 0..out.rows() / VECTOR_LEN {
+        for mg in p * GROUPS..(out.rows() / VECTOR_LEN).min((p + 1) * GROUPS) {
             let w_live = &self.ho_live[mg * k_blocks..(mg + 1) * k_blocks];
-            let products = |w: &Runs, x: &_, ks: &_| products_lanes_n(w[0], mg % GROUPS, x, ks);
-            let panel = mg / GROUPS..mg / GROUPS + 1;
-            let acc = self.accumulate(plan, panel, w_ho..w_ho + 1, w_live, wide, products);
+            let products = |w: ColRuns, x: &_, ks: &_| match w {
+                ColRuns::Unpacked(w) => products_lanes_n(w[0], mg % GROUPS, x, ks),
+                ColRuns::Packed(_) => unreachable!("a full tile reads its unpacked panel"),
+            };
+            let (panels, ho) = (p..p + 1, w_ho..w_ho + 1);
+            let acc = self.accumulate(plan, panels, ho, w_live, wide, panel, products);
             for (mm, acc_row) in acc.iter().enumerate() {
                 let row = mg * VECTOR_LEN + mm;
                 for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
@@ -441,32 +540,36 @@ impl PackedWeight {
         }
     }
 
-    /// Adds weight planes `w_planes`' pairs to the columns of `groups`
-    /// from `c0` on, lanes along M, of real columns only: per n-group of
-    /// `C` columns, one walk of `k` fills the tile's four rows with
-    /// `P = 4 / C` panels × the `C` columns, under the n-group's bitset
-    /// (and the union of those panels' bitsets for the HO weight plane).
+    /// Adds weight planes `w_planes`' pairs of `panels` to the columns of
+    /// `groups` from `c0` on, lanes along M, of real columns only: per
+    /// n-group of `C` columns, one walk of `k` fills the tile's four rows
+    /// with `P = 4 / C` panels × the `C` columns, under the n-group's
+    /// bitset (and the union of those panels' bitsets for the HO weight
+    /// plane).
+    #[allow(clippy::too_many_arguments)] // the tile's operands, its place and its columns
     fn tile_lanes_m(
         &self,
         plan: &KernelPlan,
         groups: &[Stream<PairedCols>],
         w_planes: Range<usize>,
+        panels: Range<usize>,
         c0: usize,
+        w_cols: &mut Cols,
         out: &mut Matrix<i32>,
     ) {
-        let (m_panels, n) = (out.rows().div_ceil(PANEL_ROWS), out.cols());
+        let n = out.cols();
         // Four columns, except in the last n-group of the call.
         let cols = |g: usize| VECTOR_LEN.min(n - c0 - g * VECTOR_LEN);
         // Panels of the widest walk, the last n-group's: a whole n-group
         // walks one panel, so every walk lies inside one such stretch.
         let widest = VECTOR_LEN / cols(groups.len() - 1);
-        for p0 in (0..m_panels).step_by(widest) {
-            let stretch = p0..m_panels.min(p0 + widest);
+        for p0 in panels.clone().step_by(widest) {
+            let stretch = p0..panels.end.min(p0 + widest);
             for (g, act) in groups.iter().enumerate() {
                 let (c0, walk) = (c0 + g * VECTOR_LEN, VECTOR_LEN / cols(g));
                 for p in stretch.clone().step_by(walk) {
                     let panels = p..stretch.end.min(p + walk);
-                    self.walk_lanes_m(plan, act, w_planes.clone(), panels, c0, out);
+                    self.walk_lanes_m(plan, act, w_planes.clone(), panels, c0, w_cols, out);
                 }
             }
         }
@@ -474,6 +577,7 @@ impl PackedWeight {
 
     /// One lanes-along-M walk: adds weight planes `w_planes`' pairs of
     /// `panels` (at most `4 / C`) to the `C` columns of `act` at `c0`.
+    #[allow(clippy::too_many_arguments)] // as `tile_lanes_m`
     fn walk_lanes_m(
         &self,
         plan: &KernelPlan,
@@ -481,17 +585,18 @@ impl PackedWeight {
         w_planes: Range<usize>,
         panels: Range<usize>,
         c0: usize,
+        w_cols: &mut Cols,
         out: &mut Matrix<i32>,
     ) {
         let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
         let w_live = &self.panel_live[panels.start * k_blocks..panels.end * k_blocks];
         let cols = VECTOR_LEN.min(out.cols() - c0);
-        let ps = panels.clone();
+        let (ps, wc) = (panels.clone(), w_cols);
         let acc = match cols {
-            1 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<1>),
-            2 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<2>),
-            3 => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<3>),
-            _ => self.accumulate(plan, ps, w_planes, w_live, act, products_lanes_m::<4>),
+            1 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<1>),
+            2 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<2>),
+            3 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<3>),
+            _ => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<4>),
         };
         // Tile row `q·C + c` holds column `c` of the walk's panel `q`.
         for (p, acc) in panels.zip(acc.chunks(cols)) {
@@ -509,8 +614,11 @@ impl PackedWeight {
     /// `k` block, weight plane `i ∈ w_planes` of `panels` and activation
     /// plane `j`, each over the `k` that pair executes given `act.ho_live`
     /// and the union of `w_live`'s units (m-groups or panels, a bitset per
-    /// `k` block each) — or, for an LO×LO pair of a stream with quads,
-    /// `act.lo_lo` over them: the same sum at dot-product width.
+    /// `k` block each), on the runs `cols` gives — or, for a pair of an LO
+    /// activation plane and a stream with quads, `act.lo_lo` over every
+    /// `k` of the packed runs: the same sum at dot-product width, since a
+    /// compressed HO weight vector is stored as zeros.
+    #[allow(clippy::too_many_arguments)] // one per axis of the tile
     fn accumulate<T>(
         &self,
         plan: &KernelPlan,
@@ -518,47 +626,76 @@ impl PackedWeight {
         w_planes: Range<usize>,
         w_live: &[KMask],
         act: &Stream<T>,
-        products: impl Fn(&Runs, &[T], &KMask) -> ProductTile,
+        cols: &mut Cols,
+        products: impl Fn(ColRuns, &[T], &KMask) -> ProductTile,
     ) -> AccTile {
         let k_dim = self.compressed_per_k.len();
         let planes = self.plane_weights.len();
         let (w_ho, x_ho) = (planes - 1, plan.x_scales().len() - 1);
-        let k_quads = k_dim.div_ceil(VECTOR_LEN);
+        let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), act.ho_live.len());
         let mut acc = AccTile::default();
         for (kb, x_live) in act.ho_live.iter().enumerate() {
             let k0 = kb * K_BLOCK;
             let len = K_BLOCK.min(k_dim - k0);
             let all = first_ks(len);
             let units = w_live.iter().skip(kb).step_by(act.ho_live.len());
-            let union = units.fold(KMask::default(), |u, m| {
-                std::array::from_fn(|i| u[i] | m[i])
-            });
+            let union = units.fold(NONE, |u, m| or(&u, m));
             // A side the plan does not skip executes every `k`.
             let w_live = if plan.skips_weight() { &union } else { &all };
             let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
             for i in w_planes.clone() {
                 // Past the last of `panels`, the walk repeats it.
-                let w_runs: Runs = std::array::from_fn(|q| {
-                    let p = (panels.start + q).min(panels.end - 1);
-                    &self.panels[(p * k_dim + k0) * planes + i * len..][..len]
-                });
+                let last = panels.len() - 1;
+                let packed: Runs =
+                    std::array::from_fn(|q| self.run(panels.start + q.min(last), kb, i));
+                // The `k` each plane pair executes on the `i16` tile;
+                // `None` where it runs on the dot product.
+                let ks = |j: usize| match (i == w_ho, j == x_ho, act.lo_lo) {
+                    (_, false, Some(_)) => None,
+                    (false, false, None) => Some(&all),
+                    (true, false, None) => Some(w_live),
+                    (false, true, _) => Some(x_live),
+                    (true, true, _) => Some(&both_live),
+                };
+                let w_cols = match cols {
+                    // A panel holds the blocks of `w_planes`, block after
+                    // block.
+                    Cols::Panel(panel) => {
+                        let at = (kb * w_planes.len() + i - w_planes.start) * K_BLOCK;
+                        ColRuns::Unpacked([&panel[at..][..len]; VECTOR_LEN])
+                    }
+                    // A walk whose `i16` pairs read many `k` unpacks
+                    // their chunks first; one that reads fewer reads them
+                    // packed.
+                    Cols::Walk(scratch) => {
+                        let need = (0..=x_ho).filter_map(ks).fold(NONE, |u, m| or(&u, m));
+                        let live: u32 = need.iter().map(|word| word.count_ones()).sum();
+                        if live as usize * UNPACK_SHARE < len {
+                            ColRuns::Packed(packed)
+                        } else {
+                            grow(scratch, VECTOR_LEN * K_BLOCK / CHUNK_K);
+                            let runs = scratch.chunks_exact_mut(K_BLOCK / CHUNK_K);
+                            for (dst, run) in runs.zip(&packed[..=last]) {
+                                unpack_run(dst, run, &need);
+                            }
+                            ColRuns::Unpacked(std::array::from_fn(|q| {
+                                &scratch[q.min(last) * K_BLOCK / CHUNK_K..].as_flattened()[..len]
+                            }))
+                        }
+                    }
+                };
                 for j in 0..=x_ho {
                     let scale = self.plane_weights[i] * plan.x_scales()[j];
-                    // The `k` this plane pair executes.
-                    let ks = match (i == w_ho, j == x_ho, act.lo_lo) {
-                        (false, false, Some(lo_lo)) => {
-                            let x = &act.lo_quads[j * k_quads + k0 / VECTOR_LEN..];
-                            let tile = lo_lo(&w_runs, &x[..len.div_ceil(VECTOR_LEN)]);
-                            add_scaled(&mut acc, &tile, scale);
-                            continue;
-                        }
-                        (false, false, None) => &all,
-                        (true, false, _) => w_live,
-                        (false, true, _) => x_live,
-                        (true, true, _) => &both_live,
+                    let Some(ks) = ks(j) else {
+                        let lo_lo = act.lo_lo.expect("a pair off the i16 tile");
+                        let x = &act.lo_quads[j * k_quads + k0 / VECTOR_LEN..];
+                        let sums = &act.lo_sums[j * k_blocks + kb];
+                        let tile = lo_lo(&packed, &x[..2 * packed[0].len()], sums);
+                        add_scaled(&mut acc, &tile, scale);
+                        continue;
                     };
                     let x = &act.planes[act.planes.len() - (x_ho + 1 - j) * k_dim + k0..];
-                    let tile = products(&w_runs, &x[..len], ks);
+                    let tile = products(w_cols, &x[..len], ks);
                     add_scaled(&mut acc, &tile, scale);
                 }
             }
@@ -637,14 +774,17 @@ impl PackedWeight {
 /// never read at, so planes count from the last — and per `k` block the
 /// bitset of `k` whose HO row is not zero, or of every `k` if the plan
 /// does not skip activations. An n-group's stream of a `u8` stack also
-/// holds, on builds with the dot product, its LO planes as `⌈K / 4⌉`
-/// [`Quad`]s each (zero past `K` and `N`) and the kernel of its width,
-/// `lo_lo`; `lo_quads` is empty and `lo_lo` `None` otherwise.
+/// holds, on builds with the dot product, its LO planes as `2⌈K / 8⌉`
+/// [`Quad`]s each (zero past `K` and `N`), per LO plane and `k` block
+/// each column's sum of its slices, and the kernel of its width,
+/// `lo_lo`; `lo_quads` and `lo_sums` are empty and `lo_lo` `None`
+/// otherwise.
 #[derive(Default)]
 struct Stream<T> {
     planes: Vec<T>,
     ho_live: Vec<KMask>,
     lo_quads: Vec<Quad>,
+    lo_sums: Vec<[i32; VECTOR_LEN]>,
     lo_lo: Option<LoLo>,
 }
 
@@ -663,9 +803,62 @@ impl<T: Default + PartialEq> Stream<T> {
 }
 
 thread_local! {
-    /// The streams of this thread's last call, refilled by its next one: a
-    /// call that allocated and freed its own would page-fault on them.
-    static STREAMS: RefCell<ActTile> = RefCell::default();
+    /// The streams and unpacked columns of this thread's last call,
+    /// refilled by its next one: a call that allocated and freed its own
+    /// would page-fault on them.
+    static STREAMS: RefCell<Scratch> = RefCell::default();
+}
+
+/// A thread's buffers: the activation side of an n-tile and the weight
+/// columns the `i16` tile reads.
+#[derive(Default)]
+struct Scratch {
+    act: ActTile,
+    cols: Vec<Unpacked>,
+}
+
+/// A [`Chunk`] unpacked: its eight `k` as [`PanelCol`]s.
+type Unpacked = [PanelCol; CHUNK_K];
+
+/// `cols` at least `len` long.
+fn grow(cols: &mut Vec<Unpacked>, len: usize) {
+    if cols.len() < len {
+        cols.resize(len, Unpacked::default());
+    }
+}
+
+/// Unpacks the chunks of `run` that hold a `k` of `need` into `cols`; the
+/// others keep whatever they held.
+fn unpack_run(cols: &mut [Unpacked], run: &[Chunk], need: &KMask) {
+    for (t, (dst, chunk)) in cols.iter_mut().zip(run).enumerate() {
+        if need[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
+            *dst = dot::unpack(chunk);
+        }
+    }
+}
+
+/// Where the `i16` tile reads a block's runs: a panel unpacked once for
+/// every unit that reads it (a full tile's m-groups and walks, one panel
+/// each, laid out as [`PackedWeight::unpack_panel`] says), or a narrow
+/// walk's own buffer, which it refills with its runs of one block and
+/// plane (run `q` from chunk `q · K_BLOCK / 8` on) only where a pair
+/// reads every `k`: where fewer are live, unpacking whole runs costs more
+/// than reading the packed slices at those `k`.
+enum Cols<'a> {
+    Panel(&'a [PanelCol]),
+    Walk(&'a mut Vec<Unpacked>),
+}
+
+/// The runs of one block and plane as the `i16` tile reads them.
+#[derive(Clone, Copy)]
+enum ColRuns<'a> {
+    Unpacked([&'a [PanelCol]; VECTOR_LEN]),
+    Packed(Runs<'a>),
+}
+
+/// `a | b`, word by word.
+fn or(a: &KMask, b: &KMask) -> KMask {
+    std::array::from_fn(|i| a[i] | b[i])
 }
 
 /// The activation side of one n-tile: per n-group for lanes along M and,
@@ -688,21 +881,23 @@ impl ActTile {
             let pairs = |s: &[X::Slice], r| {
                 std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
             };
+            // The HO plane's alone where the quads carry the LO planes.
             for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
                 let cols = c..n.min(c + VECTOR_LEN);
                 g.fill_quads(x, cols.clone());
-                g.fill(plan, k, |p| widen(p, x, plan, cols, pairs));
+                let from = g.lo_lo.map_or(0, |_| x.num_planes() - 1);
+                g.fill(plan, k, |p| widen(p, x, plan, from, cols, pairs));
             }
             return false;
         }
         // A full tile: each plane widened once, the n-groups' pairs cut
-        // from its rows — the HO plane's alone where LO×LO reads quads,
+        // from its rows — the HO plane's alone where the dot product reads quads,
         // since lanes along M run only the LO weight planes here.
         let row = |s: &[X::Slice], r| {
             let s: &[_; LANES] = s.try_into().expect("a full tile");
             s.map(|s| s.into() - r)
         };
-        wide.fill(plan, k, |p| widen(p, x, plan, c0..c0 + LANES, row));
+        wide.fill(plan, k, |p| widen(p, x, plan, 0, c0..c0 + LANES, row));
         for (i, g) in groups.iter_mut().enumerate() {
             let c = c0 + i * VECTOR_LEN;
             g.fill_quads(x, c..c + VECTOR_LEN);
@@ -716,46 +911,53 @@ impl ActTile {
 
 impl Stream<PairedCols> {
     /// Refills `lo_quads` with the LO planes of `x` cut to `cols` (at most
-    /// four columns), one [`Quad`] per four `k`, and `lo_lo` with the
-    /// kernel of that width — or empties both where the dot product does
-    /// not run: on builds without it, or for signed slices.
+    /// four columns), one [`Quad`] per four `k` and two per [`Chunk`] of
+    /// weights (a zero quad past an odd count), `lo_sums` with their
+    /// blocks' column sums, and `lo_lo` with the kernel of that width — or
+    /// empties all three where the dot product does not run: on builds
+    /// without it, or for signed slices.
     fn fill_quads<X: Planes>(&mut self, x: &X, cols: Range<usize>) {
         self.lo_quads.clear();
+        self.lo_sums.clear();
         self.lo_lo = dot::lo_lo(cols.len()).filter(|_| X::UNSIGNED);
         if self.lo_lo.is_none() {
             return;
         }
-        let n = x.plane(0).cols();
-        for j in 0..x.num_planes() - 1 {
-            // Four rows of the plane at a time, fewer at the end.
-            let quads = x.plane(j).as_slice().chunks(VECTOR_LEN * n).map(|rows| {
-                let word = |col: usize| {
+        let (k, n) = x.plane(0).shape();
+        let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
+        let lo_planes = x.num_planes() - 1;
+        self.lo_quads.resize(lo_planes * k_quads, Quad::default());
+        self.lo_sums.resize(lo_planes * k_blocks, [0; VECTOR_LEN]);
+        let quads = self.lo_quads.chunks_exact_mut(k_quads);
+        let sums = self.lo_sums.chunks_exact_mut(k_blocks);
+        for ((j, quads), sums) in quads.enumerate().zip(sums) {
+            let rows = x.plane(j).as_slice().chunks_exact(n);
+            for (kk, row) in rows.enumerate() {
+                let (quad, sums) = (&mut quads[kk / VECTOR_LEN], &mut sums[kk / K_BLOCK]);
+                for ((word, sum), &s) in quad.iter_mut().zip(sums).zip(&row[cols.clone()]) {
                     // An unsigned 4-bit slice: its `i16` is its byte.
-                    let byte = |o: usize| {
-                        rows.get(o * n + col)
-                            .map_or(0, |&s| Into::<i16>::into(s) as u8)
-                    };
-                    u32::from_le_bytes(std::array::from_fn(byte))
-                };
-                let col = |c| cols.start + c;
-                std::array::from_fn(|c| if col(c) < cols.end { word(col(c)) } else { 0 })
-            });
-            self.lo_quads.extend(quads);
+                    let s: i16 = s.into();
+                    *word |= u32::from(s as u8) << (8 * (kk % VECTOR_LEN));
+                    *sum += i32::from(s);
+                }
+            }
         }
     }
 }
 
-/// Appends each plane of `x` to `planes`: its rows cut to `cols`, made
-/// elements by `lanes`, which also gets the plane's re-centring.
+/// Appends each plane of `x` from plane `from` on to `planes`: its rows
+/// cut to `cols`, made elements by `lanes`, which also gets the plane's
+/// re-centring.
 fn widen<X: Planes, T>(
     planes: &mut Vec<T>,
     x: &X,
     plan: &KernelPlan,
+    from: usize,
     cols: Range<usize>,
     lanes: impl Fn(&[X::Slice], i16) -> T,
 ) {
     let x_ho = x.num_planes() - 1;
-    for j in 0..=x_ho {
+    for j in from..=x_ho {
         let (plane, r) = (x.plane(j), if j == x_ho { plan.r() } else { 0 });
         let rows = plane.as_slice().chunks_exact(plane.cols());
         planes.extend(rows.map(|row| lanes(&row[cols.clone()], r)));
@@ -779,6 +981,12 @@ fn first_ks(len: usize) -> KMask {
         rest if rest >= 64 => u64::MAX,
         rest => (1 << rest) - 1,
     })
+}
+
+/// The bit offset of the slice at `k = 8t + o` in a row's word of chunk
+/// `t`.
+pub(crate) const fn nibble_shift(o: usize) -> u32 {
+    (8 * (o % VECTOR_LEN) + 4 * (o / VECTOR_LEN % 2)) as u32
 }
 
 /// Calls `f` on each offset set in `ks`, ascending.
@@ -824,41 +1032,91 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
     }
 }
 
+/// A run of one panel's weight columns as the `i16` tile reads it, one
+/// `k` at a time: unpacked, or packed (a narrow walk's, which reads only
+/// the `k` of its sparse pairs).
+trait Run: Copy {
+    /// The run's length in columns, at least the `k` it holds.
+    fn len(self) -> usize;
+    /// The slices of column `o`, widened, row `r` in lane `r`.
+    fn col(self, o: usize) -> [i16; PANEL_ROWS];
+}
+
+impl Run for &[PanelCol] {
+    fn len(self) -> usize {
+        <[PanelCol]>::len(self)
+    }
+    #[inline(always)]
+    fn col(self, o: usize) -> [i16; PANEL_ROWS] {
+        self[o].map(i16::from)
+    }
+}
+
+impl Run for &[Chunk] {
+    fn len(self) -> usize {
+        <[Chunk]>::len(self) * CHUNK_K
+    }
+    #[inline(always)]
+    fn col(self, o: usize) -> [i16; PANEL_ROWS] {
+        let shift = nibble_shift(o % CHUNK_K);
+        self[o / CHUNK_K]
+            .0
+            .map(|word| (word >> shift & 0xF) as i16 - 8)
+    }
+}
+
 /// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[q][o]`, the
 /// first `C` (1 to 4) columns of one n-group × the 16 rows of each of the
 /// first `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`,
 /// under the same `i16` bound; any other row of the tile stays 0. Only a
 /// walk of one column (four runs) or of a whole n-group takes the
 /// straight loop: LLVM vectorises the others along `k`. On a dot-product
-/// build LO×LO does not come here, so a full `ks` means a side the plan
-/// does not skip or a bitset that happens to be full, and two- and
-/// three-column walks step bit by bit only on the sparse pairs. Kept out
-/// of line likewise.
+/// build no pair of an LO activation plane comes here, so a full `ks`
+/// means a side the plan does not skip or a bitset that happens to be
+/// full, and two- and three-column walks step bit by bit only on the
+/// sparse pairs. The runs are unpacked or packed (see [`Run`]).
+fn products_lanes_m<const C: usize>(w: ColRuns, x: &[PairedCols], ks: &KMask) -> ProductTile {
+    match w {
+        ColRuns::Unpacked(w) => products_lanes_m_of::<C, _>(&w, x, ks),
+        ColRuns::Packed(w) => products_lanes_m_of::<C, _>(&w, x, ks),
+    }
+}
+
+/// [`products_lanes_m`] of one kind of run, kept out of line likewise.
 #[inline(never)]
-fn products_lanes_m<const C: usize>(w: &Runs, x: &[PairedCols], ks: &KMask) -> ProductTile {
-    let [w0, w1, w2, w3] = w.map(|run| &run[..x.len()]);
+fn products_lanes_m_of<const C: usize, R: Run>(
+    w: &[R; VECTOR_LEN],
+    x: &[PairedCols],
+    ks: &KMask,
+) -> ProductTile {
+    assert!(
+        w.iter().all(|run| run.len() >= x.len()),
+        "a run per walked panel"
+    );
     let mut tile = ProductTile::default();
     if matches!(C, 1 | VECTOR_LEN) && *ks == first_ks(x.len()) {
-        let runs = w0.iter().zip(w1).zip(w2).zip(w3);
-        for (x_cols, (((a, b), c), d)) in x.iter().zip(runs) {
-            mac_lanes_m::<C>(&mut tile, [a, b, c, d], x_cols);
+        for (o, x_cols) in x.iter().enumerate() {
+            mac_lanes_m::<C, R>(&mut tile, w, o, x_cols);
         }
     } else {
-        for_each_k(ks, |o| {
-            mac_lanes_m::<C>(&mut tile, [&w0[o], &w1[o], &w2[o], &w3[o]], &x[o]);
-        });
+        for_each_k(ks, |o| mac_lanes_m::<C, R>(&mut tile, w, o, &x[o]));
     }
     tile
 }
 
-/// One `k` of lanes along M: a weight column per run. Lane `l` reads
-/// half `l % 2` of a column's pair: one 32-bit broadcast load, no
-/// shuffle (`[pair; 8]` flattened compiles to a load and a `vpermw`
-/// under AVX-512).
+/// One `k` of lanes along M, `k = o`: a weight column per walked run.
+/// Lane `l` reads half `l % 2` of a column's pair: one 32-bit broadcast
+/// load, no shuffle (`[pair; 8]` flattened compiles to a load and a
+/// `vpermw` under AVX-512).
 #[inline(always)]
-fn mac_lanes_m<const C: usize>(tile: &mut ProductTile, w: [&PanelCol; VECTOR_LEN], x: &PairedCols) {
-    for (tile_cols, w_col) in tile.chunks_exact_mut(C).zip(w) {
-        let w_col = w_col.map(i16::from);
+fn mac_lanes_m<const C: usize, R: Run>(
+    tile: &mut ProductTile,
+    w: &[R; VECTOR_LEN],
+    o: usize,
+    x: &PairedCols,
+) {
+    for (tile_cols, run) in tile.chunks_exact_mut(C).zip(w) {
+        let w_col = run.col(o);
         for (tile_col, x_pair) in tile_cols.iter_mut().zip(&x[..C]) {
             let x_lanes: [i16; LANES] = std::array::from_fn(|l| x_pair[l % 2]);
             for (t, (&w_slice, &x_slice)) in tile_col.iter_mut().zip(w_col.iter().zip(&x_lanes)) {
@@ -1069,6 +1327,28 @@ mod tests {
         );
         // LO×LO products are never skipped.
         assert_eq!(s.swo_outer_products, (16 * 2 * 2) as u64);
+    }
+
+    #[test]
+    fn packed_slices_take_half_a_byte_each() {
+        // A 768 × 768 w7 weight: two planes, three 256-`k` blocks.
+        let (m, k) = (768, 768);
+        let w = random_weight(m, k, 1, 0.5, 101);
+        let sw = SlicedWeight::from_int(&w, 1).unwrap();
+        let packed = PackedWeight::pack(&sw);
+        let (m_panels, planes) = (m.div_ceil(PANEL_ROWS), sw.num_planes());
+        let chunks: usize = (0..k.div_ceil(K_BLOCK))
+            .map(|kb| K_BLOCK.min(k - kb * K_BLOCK).div_ceil(CHUNK_K))
+            .sum();
+        // A chunk is 16 rows × 8 `k` at half a byte a slice.
+        let bytes = std::mem::size_of_val(&*packed.panels);
+        assert_eq!(bytes, m_panels * chunks * 64 * planes);
+        // Half of a byte per slice, with no padding at this shape.
+        assert_eq!(2 * bytes, m * k * planes);
+        // A `K` past a chunk edge pads its last chunk, and only it.
+        let sw = SlicedWeight::from_int(&random_weight(16, 257, 1, 0.5, 102), 1).unwrap();
+        let bytes = std::mem::size_of_val(&*PackedWeight::pack(&sw).panels);
+        assert_eq!(bytes, (32 + 1) * 64 * 2);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! Sibia configurations). Statistics come in closed form from the two
 //! sides' compressed counts; the loop nests that count per outer product
 //! live in `tests/oracle` as the references of the differential tests.
-//! On a build that targets AVX-512 VNNI and VBMI the tile's static pair,
-//! LO_w×LO_x of unsigned activations, runs on `vpdpbusd` (`dot`, private,
+//! The resident weight stores every plane nibble-packed, in the order
+//! `vpdpbusd` reads it. On a build that targets AVX-512 VNNI and VBMI the
+//! tile's static pair, LO_w×LO_x of unsigned activations, and in a decode
+//! step's narrow walk HO_w×LO_x too, run on `vpdpbusd` (`dot`, private,
 //! the crate's only module allowed `unsafe`), to the same bits.
 //!
 //! * [`dense`] — plain integer GEMM with workload accounting (what the

@@ -29,10 +29,10 @@ fn sbr_planes(w_bits: u8) -> Option<usize> {
 /// the planes' own worst cases (`|slice| ≤ 8`), slightly above
 /// `max|w| = 2^{w_bits−1}`, because the kernel sums plane by plane.
 /// Within a 256-`k` block each plane pair's raw slice products sum in an
-/// `i16` register tile or, for LO×LO on a build with the dot product, in
-/// `i32` lanes; the block sum is in `i16` range either way (the `const`
-/// assertions in `aqs`), so both hold the same exact value and this one
-/// bound covers both paths.
+/// `i16` register tile or, for a pair of an LO activation plane on a
+/// build with the dot product, in `i32` lanes; the block sum is in `i16`
+/// range either way (the `const` assertions in `aqs`), so both hold the
+/// same exact value and this one bound covers both paths.
 ///
 /// # Panics
 ///

@@ -689,6 +689,53 @@ fn all_plans_match_oracle_across_quad_tails() {
     }
 }
 
+/// The nibble chunks of the packed weight (eight `k` of a panel, the low
+/// nibbles holding the first four, the high ones the next four): `K`
+/// inside one chunk, at and past one, past two and on both sides of the
+/// 256-`k` block edge, where a block's last chunk is partial × every walk
+/// width (one column to a whole n-group), a full tile and a full tile
+/// with a narrow edge × 1–3 weight planes (w4, w7, w10; a w4 weight's one
+/// plane is its HO plane) × `M` of one m-group, of a panel and an
+/// m-group, and of four panels and an m-group, at the sparsity extremes,
+/// under the AQS plan and both Sibia plans. Activation planes, DBS type,
+/// `r` and the fills cycle along the sweep.
+#[test]
+fn all_plans_match_oracle_across_nibble_chunks() {
+    let fills = [
+        (Fill::All, Fill::All),
+        (Fill::None, Fill::None),
+        (Fill::All, Fill::None),
+        (Fill::None, Fill::All),
+    ];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 25000u64;
+    for k in [1, 3, 4, 5, 7, 8, 9, 15, 17, 255, 257, 263, 513] {
+        for n in [1, 2, 3, 4, 16, 17] {
+            for w_lo in 0..3 {
+                for m in [4, 20, 68] {
+                    seed += 1;
+                    // Shifted every four cases, so each shape meets every
+                    // fill.
+                    let (w_fill, x_fill) = fills[(seed + seed / 4) as usize % fills.len()];
+                    let x_lo = seed as usize / 3 % 3;
+                    let ty = if x_lo == 1 {
+                        types[seed as usize / 9 % 3]
+                    } else {
+                        DbsType::Type1
+                    };
+                    let r = (seed % 16) as u8;
+                    let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+                    assert_matches_oracle(
+                        &c,
+                        &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {w_fill:?}/{x_fill:?}"),
+                    );
+                    assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
+                }
+            }
+        }
+    }
+}
+
 /// Widths that are not a multiple of 4, which the kernel takes since it
 /// owns its padding — a lone partial n-group, one or more whole ones
 /// before it, and a full 16-column tile followed by a partial edge — ×
