@@ -218,7 +218,14 @@ impl SlicedActivation {
         }
         let bits = 4 * (k as u8 + 1);
         let hi = (1i64 << bits) - 1;
-        if let Some(&v) = x.iter().find(|&&v| v < 0 || i64::from(v) > hi) {
+        let out_of_range = |&v: &i32| v < 0 || i64::from(v) > hi;
+        // A fold with no early exit, so the scan vectorises; the value is
+        // looked up only on the error path.
+        if x.iter().fold(false, |bad, v| bad | out_of_range(v)) {
+            let &v = x
+                .iter()
+                .find(|v| out_of_range(v))
+                .expect("a value out of range");
             return Err(SliceError::ValueOutOfRange { value: v, bits });
         }
         // `dbs_slices` for 8-bit values, `straightforward_slices`

@@ -31,44 +31,56 @@
 //!    / [`sibia_gemm`](crate::sibia::sibia_gemm) take a [`SlicedWeight`]
 //!    and pack it on every call.
 //! 2. **Streams** (per call and 16-column n-tile, in buffers each thread
-//!    reuses): the activation planes (`u8`, or `i8` for Sibia's SBR
-//!    activations) widened to `i16` — per n-group as `[i16; 2]` pairs
-//!    (each slice twice), on a full tile also as 16-column rows, widened
-//!    once and cut into the pairs — with the bitset of `k` where the HO
-//!    vectors are not all compressed. The HO plane is stored re-centred,
-//!    `x_HO − r`, making an all-`r` vector a zero one, skipped alike:
-//!    Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row
-//!    constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction
-//!    folded into the re-centring — and the output starts at it. On a
-//!    build with the dot product (`core::dot`) each n-group also gets its
-//!    raw `u8` LO planes as k-quads (and per block each column's sum),
-//!    read straight from the [`SlicedActivation`], and keeps only its HO
-//!    plane as pairs, the one activation plane the `i16` tile then reads
-//!    in lanes along M.
+//!    reuses, filled in one sweep over the activation): the activation
+//!    planes (`u8`, or `i8` for Sibia's SBR activations) widened to `i16`
+//!    — per n-group as `[i16; 2]` pairs (each slice twice), on a full
+//!    tile also as 16-column rows, widened once and cut into the pairs —
+//!    with the bitset of `k` where the HO vectors are not all compressed,
+//!    from which the sweep also counts each `k`'s compressed n-groups for
+//!    step 4. The HO plane is stored re-centred, `x_HO − r`, making an
+//!    all-`r` vector a zero one, skipped alike: Eq. 5's
+//!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
+//!    `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction folded
+//!    into the re-centring — and the output starts at it. On a build with
+//!    the dot product (`core::dot`) the raw `u8` LO planes are read
+//!    straight from the [`SlicedActivation`] as k-quads instead, with each
+//!    block's column sums: a narrow n-group's as its own quads, a full
+//!    tile's as one 64-byte quad of its 16 columns per four `k` (one
+//!    `vpermb` of four 16-byte rows), whose every fourth word its
+//!    n-groups' walks read. The HO plane, then the only one widened, is
+//!    the one activation plane the `i16` tile reads.
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
 //!    by `8^i·c_j`, into the output. On a build that targets AVX-512
 //!    VNNI and VBMI, pairs of a `u8` LO activation plane sum in `i32`
-//!    lanes on `vpdpbusd` instead — eight `k` a chunk, unpacked with an
-//!    AND and a shift-AND — to the same block sum, scaled and added
-//!    alike: LO_w×LO_x in every walk below, and in a narrow walk
-//!    HO_w×LO_x too, over every `k` (a compressed HO weight vector is
-//!    stored as zeros, so the dense sum is exact). The `i16` tile reads
-//!    k-major `[i8; 16]` columns: a full tile unpacks each panel once for
-//!    its four m-groups and its n-groups' walks (only the chunks a pair
-//!    reads: the panel's bitset on the HO plane, the n-groups' on an LO
-//!    plane), and a narrow walk, which has no one to share a panel with,
-//!    unpacks a block's runs only where its `i16` pairs read at least half
-//!    their `k`, and otherwise reads the packed slices at those `k`. The
-//!    re-centred HO activation plane, Sibia's signed activations, a full
-//!    tile's HO weight plane and every pair of a build without the two
-//!    extensions stay on the `i16` tile. A pair's lanes run along the side
-//!    it does not skip, so each side skips at the paper's granularity: on
-//!    a full tile the HO weight plane's pairs run **lanes along N**
-//!    (`products_lanes_n`: the 4 rows of an m-group × 16 columns, under
-//!    the m-group's 4×1 bitset), every other pair **lanes along M**
+//!    lanes on `vpdpbusd` instead, to the same block sum, scaled and
+//!    added alike: LO_w×LO_x in every walk below (eight `k` a chunk,
+//!    unpacked with an AND and a shift-AND); in a narrow walk HO_w×LO_x
+//!    too, over every `k` (a compressed HO weight vector is stored as
+//!    zeros, so the dense sum is exact); and on a full tile HO_w×LO_x
+//!    per m-group over its **live k-quads** only, those where any of its
+//!    four HO vectors is uncompressed (read off its bitset, so no second
+//!    index): the paper's weight skipping four `k` a step, at the cost of
+//!    the few zeros a live quad holds. There each row's four slices — its
+//!    chunk word's nibble half with the `+ 8` taken back, signed once per
+//!    block into a `RowQuad` for the chunks some m-group reads — are one
+//!    broadcast operand against the 16 columns' quad. The `i16` tile reads
+//!    lanes along N those signed rows (a full tile's HO×HO, where both
+//!    sides are live; any pair of a build or a stack without the dot
+//!    product), and lanes along M k-major `[i8; 16]` columns: a full tile
+//!    unpacks each panel's LO planes once for its n-groups' walks, and a
+//!    narrow walk, which has no one to share a panel with, its own runs —
+//!    each only in the blocks where its `i16` pairs read at least half
+//!    the `k`, reading the packed slices at those `k` elsewhere. The
+//!    re-centred HO activation plane, Sibia's signed activations and every
+//!    pair of a build without the two extensions stay on the `i16` tile. A
+//!    pair's lanes run along the side it does not skip, so each side skips
+//!    at the paper's granularity: on a full tile the HO weight plane's
+//!    pairs run **lanes along N** (`products_lanes_n` and
+//!    `dot::lanes_n`: the 4 rows of an m-group × 16 columns, under the
+//!    m-group's 4×1 bitset), every other pair **lanes along M**
 //!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
 //!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
 //!    every pair lanes along M, and an n-group of `C` columns fills the
@@ -78,34 +90,37 @@
 //!    Its HO×HO pair runs under the union of the walked panels' bitsets
 //!    (a compressed vector in a live union is stored as zeros).
 //!    Lanes along M broadcast a column's pair with one load
-//!    (`vpbroadcastd ymm, m32`); lanes along N broadcast a weight slice
-//!    from a register (`movsbl` + `vpbroadcastw ymm, r32`, shuffle-port
-//!    uops, four per `k`). Every pair lanes along M would spare those but
-//!    skip weights only per 16-row union, where ρ = 0.5 costs nearly what
-//!    ρ = 0 does. A set holding every `k` of a block (LO×LO's where it
-//!    stays on the `i16` tile; any on a side the plan does not skip; a
-//!    bitset that happens to be full) is walked in a straight loop —
-//!    lanes along M only on a whole n-group or a one-column walk of four
-//!    panels: for two or three columns LLVM vectorises it along `k`,
-//!    2–3× slower. In ms per call at 768 × 768, w7 × a8, vector-level
-//!    ρ, 2-core AVX-512 host with VNNI and VBMI (`tests/tile_cost.rs`,
-//!    min of 3 runs of 40 alternated rounds × 8 calls; the byte-per-slice
-//!    panels of the previous layout read 0.080 / 0.065 / 0.035 at N = 1
-//!    and 0.991 / 0.733 / 0.241 at N = 16 on the same host in the same
-//!    minutes — the full tile pays for its unpacking at ρ 0.95 — and, past
-//!    L2, a 3072 × 768 layer per 768² read 0.107 / 0.086 / 0.063 and
-//!    1.302 / 0.882 / 0.359 where this layout reads the last two rows):
+//!    (`vpbroadcastd ymm, m32`); the `i16` tile's lanes along N broadcast
+//!    a weight slice from a register (`movsbl` + `vpbroadcastw ymm, r32`,
+//!    shuffle-port uops, four per `k`). Every pair lanes along M would
+//!    spare those but skip weights only per 16-row union, where ρ = 0.5
+//!    costs nearly what ρ = 0 does. A set holding every `k` of a block
+//!    (LO×LO's where it stays on the `i16` tile; any on a side the plan
+//!    does not skip; a bitset that happens to be full) is walked in a
+//!    straight loop — lanes along M only on a whole n-group or a
+//!    one-column walk of four panels: for two or three columns LLVM
+//!    vectorises it along `k`, 2–3× slower. In ms per call at 768 × 768,
+//!    w7 × a8, vector-level ρ, 2-core AVX-512 host with VNNI and VBMI
+//!    (`tests/tile_cost.rs`, min of 3 runs of 40 alternated rounds × 8
+//!    calls; the tree before the full tile's HO_w×LO_x moved to the dot
+//!    product, its HO plane unpacked per panel up front, read 0.076 /
+//!    0.073 / 0.026 at N = 1 and 0.872 / 0.638 / 0.230 at N = 16 on the
+//!    same host in the same minutes, and 0.890 / 0.649 / 0.245 at N = 16
+//!    past L2; the served row is a ρ_w 0.93 layer on the ρ 0.95 inputs,
+//!    its one cell under ρ 0.95):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.091 | 0.090 | 0.031  |
-//!    | 2  | 0.148 | 0.111 | 0.045  |
-//!    | 4  | 0.199 | 0.188 | 0.080  |
-//!    | 8  | 0.396 | 0.374 | 0.153  |
-//!    | 12 | 0.599 | 0.570 | 0.236  |
-//!    | 16 | 1.024 | 0.781 | 0.278  |
-//!    | 1, 3072 × 768 per 768² | 0.092 | 0.084 | 0.032 |
-//!    | 16, 3072 × 768 per 768² | 1.049 | 0.755 | 0.282 |
+//!    | 1  | 0.067 | 0.062 | 0.023  |
+//!    | 2  | 0.114 | 0.085 | 0.036  |
+//!    | 4  | 0.153 | 0.143 | 0.060  |
+//!    | 8  | 0.308 | 0.291 | 0.121  |
+//!    | 12 | 0.467 | 0.449 | 0.183  |
+//!    | 16 | 0.684 | 0.510 | 0.180  |
+//!    | 1, 3072 × 768 per 768² | 0.075 | 0.066 | 0.026 |
+//!    | 16, 3072 × 768 per 768² | 0.722 | 0.541 | 0.241 |
+//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.028 |
+//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.218 |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -115,7 +130,9 @@
 //!    computes it) at its own 4×1 / 1×4 granularity — follows from the
 //!    two sides' per-`k` compressed counts alone and does not depend on
 //!    the orientation, so the kernel carries no counters and the
-//!    simulator, the harness and the server all run this one kernel.
+//!    simulator, the harness and the server all run this one kernel. A
+//!    GEMM takes the activation's counts from its intake (step 2); the
+//!    statistics-only entry points count them from `x`.
 //!    It stays the PE array's account when `N` is not a multiple of 4:
 //!    the array pads the last n-group, so that group's products and
 //!    loads are counted 4 wide, and it is compressed iff its present
@@ -135,13 +152,13 @@ use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::dot::{self, LoLo};
+use crate::dot::{self, LanesN, LoLo};
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
 /// `k` positions one pass of the inner kernel covers: the most whose
 /// slice products an `i16` holds (asserted below) in whole mask words.
-const K_BLOCK: usize = 256;
+pub(crate) const K_BLOCK: usize = 256;
 /// Columns of the widest n-tile (four activation n-groups) and lanes of
 /// the register tile in either orientation.
 const LANES: usize = 16;
@@ -171,7 +188,7 @@ const _: () = assert!(K_BLOCK.is_multiple_of(64));
 /// they read fewer.
 const UNPACK_SHARE: usize = 2;
 /// One bit per `k` of a block.
-type KMask = [u64; K_BLOCK / 64];
+pub(crate) type KMask = [u64; K_BLOCK / 64];
 /// Every `k` of a block, and none.
 const ALL: KMask = [u64::MAX; K_BLOCK / 64];
 const NONE: KMask = [0; K_BLOCK / 64];
@@ -187,6 +204,12 @@ const _: () = assert!(K_BLOCK.is_multiple_of(CHUNK_K));
 pub(crate) struct Chunk(pub(crate) [u32; PANEL_ROWS]);
 /// One `k` of a panel unpacked: a weight slice per row.
 pub(crate) type PanelCol = [i8; PANEL_ROWS];
+/// Four `k` of a panel's weight slices, signed, row-major: `.0[r]` is
+/// row `r`'s slices at `k = 4q .. 4q + 4`, ascending — one nibble half of
+/// a [`Chunk`] with its `+ 8` taken back, in the order `vpdpbusd` reads.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(C, align(64))]
+pub(crate) struct RowQuad(pub(crate) [[i8; VECTOR_LEN]; PANEL_ROWS]);
 /// The register tile of raw slice products: 4 weight rows × 16 columns
 /// (lanes along N) or 4 columns × 16 weight rows (lanes along M).
 type ProductTile = [[i16; LANES]; VECTOR_LEN];
@@ -195,8 +218,11 @@ type PairedCols = [[i16; 2]; VECTOR_LEN];
 /// Four `k` of an n-group's raw `u8` LO plane, for the dot product: word
 /// `c` holds column `c`'s four slices, `k` ascending from its low byte.
 pub(crate) type Quad = [u32; VECTOR_LEN];
-/// The runs of one `k` block and plane a walk reads, one per panel it
-/// carries; lanes along N read the first.
+/// Four `k` of a full tile's 16 columns of a `u8` LO plane, as [`Quad`]:
+/// n-group `g`'s quad in words `4g .. 4g + 4`.
+pub(crate) type WideQuad = [u32; LANES];
+/// The runs of one `k` block and plane a lanes-along-M walk reads, one
+/// per panel it carries.
 pub(crate) type Runs<'a> = [&'a [Chunk]; VECTOR_LEN];
 /// A register tile's sum in `i32`, laid out as [`ProductTile`].
 pub(crate) type AccTile = [[i32; LANES]; VECTOR_LEN];
@@ -283,32 +309,45 @@ pub(crate) fn run_sliced<X: Planes>(
 /// Sibia's symmetric SBR activations.
 pub(crate) trait Planes {
     type Slice: Copy + Into<i16>;
-    /// Whether the slices are unsigned, as the dot product's `u8` side.
-    const UNSIGNED: bool;
     fn num_planes(&self) -> usize;
     fn plane(&self, j: usize) -> &Matrix<Self::Slice>;
     fn plane_weight(&self, j: usize) -> i32;
+    /// Plane `j` as the dot product's `u8` side, if the slices are
+    /// unsigned.
+    fn unsigned_plane(&self, j: usize) -> Option<&Matrix<u8>>;
 }
 
-macro_rules! impl_planes {
-    ($stack:ty, $slice:ty, $unsigned:literal) => {
-        impl Planes for $stack {
-            type Slice = $slice;
-            const UNSIGNED: bool = $unsigned;
-            fn num_planes(&self) -> usize {
-                <$stack>::num_planes(self)
-            }
-            fn plane(&self, j: usize) -> &Matrix<$slice> {
-                <$stack>::plane(self, j)
-            }
-            fn plane_weight(&self, j: usize) -> i32 {
-                <$stack>::plane_weight(self, j)
-            }
-        }
-    };
+impl Planes for SlicedActivation {
+    type Slice = u8;
+    fn num_planes(&self) -> usize {
+        SlicedActivation::num_planes(self)
+    }
+    fn plane(&self, j: usize) -> &Matrix<u8> {
+        SlicedActivation::plane(self, j)
+    }
+    fn plane_weight(&self, j: usize) -> i32 {
+        SlicedActivation::plane_weight(self, j)
+    }
+    fn unsigned_plane(&self, j: usize) -> Option<&Matrix<u8>> {
+        Some(self.plane(j))
+    }
 }
-impl_planes!(SlicedActivation, u8, true);
-impl_planes!(SlicedWeight, i8, false);
+
+impl Planes for SlicedWeight {
+    type Slice = i8;
+    fn num_planes(&self) -> usize {
+        SlicedWeight::num_planes(self)
+    }
+    fn plane(&self, j: usize) -> &Matrix<i8> {
+        SlicedWeight::plane(self, j)
+    }
+    fn plane_weight(&self, j: usize) -> i32 {
+        SlicedWeight::plane_weight(self, j)
+    }
+    fn unsigned_plane(&self, _j: usize) -> Option<&Matrix<u8>> {
+        None
+    }
+}
 
 /// The weight side of the kernel — slices and index — computed once per
 /// [`SlicedWeight`], which it replaces.
@@ -433,7 +472,8 @@ impl PackedWeight {
     }
 
     /// Runs the kernel: `W·X + row_const` (one constant per output row,
-    /// which must already contain `b'`), and the closed-form workload.
+    /// which must already contain `b'`), and the closed-form workload,
+    /// from the compressed counts the intake takes.
     ///
     /// # Panics
     ///
@@ -445,47 +485,62 @@ impl PackedWeight {
         x: &X,
         row_const: &[i32],
     ) -> (Matrix<i32>, Workload) {
-        let stats = self.tile_stats(plan, x);
         let (m, n) = (self.row_sums.len(), x.plane(0).cols());
         let w_ho = self.plane_weights.len() - 1;
         assert_eq!(w_ho + 1, plan.w_planes(), "weight format");
+        assert_eq!(
+            self.compressed_per_k.len(),
+            x.plane(0).rows(),
+            "inner dimensions differ"
+        );
+        assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
         assert_eq!(row_const.len(), m, "one constant per output row");
         // Both orientations add into the output, from its row constants.
-        let mut out = Matrix::from_fn(m, n, |row, _| row_const[row]);
+        let mut out = vec![0; m * n];
+        for (row, &c) in out.chunks_exact_mut(n.max(1)).zip(row_const) {
+            row.fill(c);
+        }
+        let mut out = Matrix::from_vec(m, n, out).expect("m × n");
         let m_panels = m.div_ceil(PANEL_ROWS);
-        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
+        let mut counts = Compressed::default();
         for c0 in (0..n).step_by(LANES) {
-            STREAMS.with_borrow_mut(|Scratch { act, cols }| {
-                if act.prepare(x, plan, c0) {
+            STREAMS.with_borrow_mut(|Scratch { act, cols, rows }| {
+                let full = act.prepare(x, plan, c0);
+                counts.add(&act.compressed(&self.compressed_per_k));
+                if full {
                     // A full tile runs its HO weight plane lanes along N,
-                    // from each panel unpacked once for its m-groups (where
-                    // the panel's bitset is live), then its LO planes for
-                    // its n-groups' walks.
+                    // then its LO planes lanes along M for its n-groups'
+                    // walks, from each panel unpacked once.
                     for p in 0..m_panels {
-                        let live = |kb| self.panel_live[p * k_blocks + kb];
-                        let need = |kb| if plan.skips_weight() { live(kb) } else { ALL };
-                        self.unpack_panel(p, w_ho..w_ho + 1, need, cols);
-                        let panel = &mut Cols::Panel(cols.as_flattened());
-                        self.tile_lanes_n(plan, &act.wide, p, c0, panel, &mut out);
+                        self.tile_lanes_n(plan, act, p, c0, rows, &mut out);
                     }
                     // An LO plane whose LO activation pairs run on the dot
-                    // product is read where any n-group's bitset is.
-                    let dot = act.groups.iter().all(|g| g.lo_lo.is_some());
-                    let x_live = |kb| act.groups.iter().fold(NONE, |u, g| or(&u, &g.ho_live[kb]));
-                    let need = |kb| if dot { x_live(kb) } else { ALL };
+                    // product is read where any n-group's bitset is: a
+                    // block where that is under half its `k` packed, as a
+                    // narrow walk reads it.
+                    let dot = act.lo(0).is_some() && plan.skips_activation();
+                    let sparse = dot.then_some(&act.wide.ho_live[..]);
+                    let k_dim = self.compressed_per_k.len();
+                    let need = |kb: usize| match sparse {
+                        Some(live) if !dense(&live[kb], K_BLOCK.min(k_dim - kb * K_BLOCK)) => NONE,
+                        Some(live) => live[kb],
+                        None => ALL,
+                    };
                     for p in (0..m_panels).filter(|_| w_ho > 0) {
                         self.unpack_panel(p, 0..w_ho, need, cols);
-                        let panel = &mut Cols::Panel(cols.as_flattened());
-                        let (groups, panels) = (&act.groups, p..p + 1);
-                        self.tile_lanes_m(plan, groups, 0..w_ho, panels, c0, panel, &mut out);
+                        let panel = &mut Cols::Panel(cols.as_flattened(), sparse);
+                        self.tile_lanes_m(plan, act, 0..w_ho, p..p + 1, c0, panel, &mut out);
                     }
                 } else {
-                    let (groups, walk) = (&act.groups, &mut Cols::Walk(cols));
-                    self.tile_lanes_m(plan, groups, 0..w_ho + 1, 0..m_panels, c0, walk, &mut out);
+                    let walk = &mut Cols::Walk(cols);
+                    self.tile_lanes_m(plan, act, 0..w_ho + 1, 0..m_panels, c0, walk, &mut out);
                 }
             });
         }
-        (out, stats.workload())
+        (
+            out,
+            self.closed_form(plan, n, x.num_planes(), counts).workload(),
+        )
     }
 
     /// Unpacks weight planes `w_planes` of panel `p` into `cols`, of each
@@ -509,28 +564,77 @@ impl PackedWeight {
     }
 
     /// Adds the HO weight plane's pairs of panel `p` to columns
-    /// `c0 .. c0 + 16` of the output, lanes along N, from the unpacked
-    /// panel: per m-group a 4-row × 16-column tile under the m-group's
-    /// own bitset.
+    /// `c0 .. c0 + 16` of the output, lanes along N: per `k` block, the
+    /// chunks of the block some m-group reads, signed into `rows`, then
+    /// per m-group a 4-row × 16-column tile under its own bitset — on
+    /// the dot product over its live k-quads where the tile has an LO
+    /// plane's quads, and on the `i16` tile otherwise (the HO activation
+    /// plane under both sides' bitsets, any plane of a build or a stack
+    /// without the dot product under the m-group's).
     fn tile_lanes_n(
         &self,
         plan: &KernelPlan,
-        wide: &Stream<[i16; LANES]>,
+        act: &ActTile,
         p: usize,
         c0: usize,
-        panel: &mut Cols,
+        rows: &mut Vec<RowQuad>,
         out: &mut Matrix<i32>,
     ) {
-        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        let w_ho = self.plane_weights.len() - 1;
-        for mg in p * GROUPS..(out.rows() / VECTOR_LEN).min((p + 1) * GROUPS) {
-            let w_live = &self.ho_live[mg * k_blocks..(mg + 1) * k_blocks];
-            let products = |w: ColRuns, x: &_, ks: &_| match w {
-                ColRuns::Unpacked(w) => products_lanes_n(w[0], mg % GROUPS, x, ks),
-                ColRuns::Packed(_) => unreachable!("a full tile reads its unpacked panel"),
+        let k_dim = self.compressed_per_k.len();
+        let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), k_dim.div_ceil(K_BLOCK));
+        let (w_ho, x_ho) = (self.plane_weights.len() - 1, plan.x_scales().len() - 1);
+        let groups = p * GROUPS..(out.rows() / VECTOR_LEN).min((p + 1) * GROUPS);
+        let mut acc = [AccTile::default(); GROUPS];
+        for kb in 0..k_blocks {
+            let k0 = kb * K_BLOCK;
+            let len = K_BLOCK.min(k_dim - k0);
+            let all = first_ks(len);
+            // A side the plan does not skip executes every `k`.
+            let w_live = |mg: usize| match plan.skips_weight() {
+                true => &self.ho_live[mg * k_blocks + kb],
+                false => &all,
             };
-            let (panels, ho) = (p..p + 1, w_ho..w_ho + 1);
-            let acc = self.accumulate(plan, panels, ho, w_live, wide, panel, products);
+            let x_live = if plan.skips_activation() {
+                &act.wide.ho_live[kb]
+            } else {
+                &all
+            };
+            let run = self.run(p, kb, w_ho);
+            let union = groups.clone().fold(NONE, |u, mg| or(&u, w_live(mg)));
+            if union == NONE {
+                continue;
+            }
+            if rows.len() < 2 * run.len() {
+                rows.resize(2 * run.len(), RowQuad::default());
+            }
+            for (t, (chunk, dst)) in run.iter().zip(rows.as_chunks_mut::<2>().0).enumerate() {
+                if union[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
+                    *dst = signed_quads(chunk);
+                }
+            }
+            let rows = &rows[..2 * run.len()];
+            let acc = &mut acc[..groups.len()];
+            for j in 0..=x_ho {
+                let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
+                if let (false, Some(lanes_n)) = (j == x_ho, act.lanes_n) {
+                    let quads: [KMask; GROUPS] = std::array::from_fn(|g| {
+                        groups.clone().nth(g).map_or(NONE, |mg| quads(w_live(mg)))
+                    });
+                    let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
+                    lanes_n(rows, x, &quads[..acc.len()], scale, acc);
+                    continue;
+                }
+                let planes = &act.wide.planes;
+                let x = &planes[planes.len() - (x_ho + 1 - j) * k_dim + k0..][..len];
+                let ks: [KMask; GROUPS] = std::array::from_fn(|g| match groups.clone().nth(g) {
+                    Some(mg) if j == x_ho => std::array::from_fn(|i| w_live(mg)[i] & x_live[i]),
+                    Some(mg) => *w_live(mg),
+                    None => NONE,
+                });
+                products_lanes_n(rows, x, &ks, scale, acc);
+            }
+        }
+        for (mg, acc) in groups.zip(&acc) {
             for (mm, acc_row) in acc.iter().enumerate() {
                 let row = mg * VECTOR_LEN + mm;
                 for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
@@ -541,16 +645,16 @@ impl PackedWeight {
     }
 
     /// Adds weight planes `w_planes`' pairs of `panels` to the columns of
-    /// `groups` from `c0` on, lanes along M, of real columns only: per
-    /// n-group of `C` columns, one walk of `k` fills the tile's four rows
-    /// with `P = 4 / C` panels × the `C` columns, under the n-group's
+    /// `act`'s n-groups from `c0` on, lanes along M, of real columns only:
+    /// per n-group of `C` columns, one walk of `k` fills the tile's four
+    /// rows with `P = 4 / C` panels × the `C` columns, under the n-group's
     /// bitset (and the union of those panels' bitsets for the HO weight
     /// plane).
     #[allow(clippy::too_many_arguments)] // the tile's operands, its place and its columns
     fn tile_lanes_m(
         &self,
         plan: &KernelPlan,
-        groups: &[Stream<PairedCols>],
+        act: &ActTile,
         w_planes: Range<usize>,
         panels: Range<usize>,
         c0: usize,
@@ -562,14 +666,15 @@ impl PackedWeight {
         let cols = |g: usize| VECTOR_LEN.min(n - c0 - g * VECTOR_LEN);
         // Panels of the widest walk, the last n-group's: a whole n-group
         // walks one panel, so every walk lies inside one such stretch.
-        let widest = VECTOR_LEN / cols(groups.len() - 1);
+        let widest = VECTOR_LEN / cols(act.groups.len() - 1);
         for p0 in panels.clone().step_by(widest) {
             let stretch = p0..panels.end.min(p0 + widest);
-            for (g, act) in groups.iter().enumerate() {
+            for (g, stream) in act.groups.iter().enumerate() {
                 let (c0, walk) = (c0 + g * VECTOR_LEN, VECTOR_LEN / cols(g));
                 for p in stretch.clone().step_by(walk) {
                     let panels = p..stretch.end.min(p + walk);
-                    self.walk_lanes_m(plan, act, w_planes.clone(), panels, c0, w_cols, out);
+                    let (stream, w_planes) = ((stream, act.lo(g)), w_planes.clone());
+                    self.walk_lanes_m(plan, stream, w_planes, panels, c0, w_cols, out);
                 }
             }
         }
@@ -581,7 +686,7 @@ impl PackedWeight {
     fn walk_lanes_m(
         &self,
         plan: &KernelPlan,
-        act: &Stream<PairedCols>,
+        act: (&Stream<PairedCols>, Option<LoQuads>),
         w_planes: Range<usize>,
         panels: Range<usize>,
         c0: usize,
@@ -610,24 +715,25 @@ impl PackedWeight {
         }
     }
 
-    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one register tile: `products` over every
-    /// `k` block, weight plane `i ∈ w_planes` of `panels` and activation
-    /// plane `j`, each over the `k` that pair executes given `act.ho_live`
-    /// and the union of `w_live`'s units (m-groups or panels, a bitset per
-    /// `k` block each), on the runs `cols` gives — or, for a pair of an LO
-    /// activation plane and a stream with quads, `act.lo_lo` over every
-    /// `k` of the packed runs: the same sum at dot-product width, since a
-    /// compressed HO weight vector is stored as zeros.
+    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one lanes-along-M register tile:
+    /// `products` over every `k` block, weight plane `i ∈ w_planes` of
+    /// `panels` and activation plane `j`, each over the `k` that pair
+    /// executes given the stream's `ho_live` and the union of `w_live`'s
+    /// panels (a bitset per `k` block each), on the runs `cols` gives —
+    /// or, for a pair of an LO activation plane where the stream has
+    /// quads (`lo`), the dot-product kernel over every `k` of the packed
+    /// runs: the same sum at dot-product width, since a compressed HO
+    /// weight vector is stored as zeros.
     #[allow(clippy::too_many_arguments)] // one per axis of the tile
-    fn accumulate<T>(
+    fn accumulate(
         &self,
         plan: &KernelPlan,
         panels: Range<usize>,
         w_planes: Range<usize>,
         w_live: &[KMask],
-        act: &Stream<T>,
+        (act, lo): (&Stream<PairedCols>, Option<LoQuads>),
         cols: &mut Cols,
-        products: impl Fn(ColRuns, &[T], &KMask) -> ProductTile,
+        products: impl Fn(ColRuns, &[PairedCols], &KMask) -> ProductTile,
     ) -> AccTile {
         let k_dim = self.compressed_per_k.len();
         let planes = self.plane_weights.len();
@@ -638,10 +744,15 @@ impl PackedWeight {
             let k0 = kb * K_BLOCK;
             let len = K_BLOCK.min(k_dim - k0);
             let all = first_ks(len);
-            let units = w_live.iter().skip(kb).step_by(act.ho_live.len());
+            let units = w_live.iter().skip(kb).step_by(k_blocks);
             let union = units.fold(NONE, |u, m| or(&u, m));
             // A side the plan does not skip executes every `k`.
             let w_live = if plan.skips_weight() { &union } else { &all };
+            let x_live = if plan.skips_activation() {
+                x_live
+            } else {
+                &all
+            };
             let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
             for i in w_planes.clone() {
                 // Past the last of `panels`, the walk repeats it.
@@ -650,17 +761,18 @@ impl PackedWeight {
                     std::array::from_fn(|q| self.run(panels.start + q.min(last), kb, i));
                 // The `k` each plane pair executes on the `i16` tile;
                 // `None` where it runs on the dot product.
-                let ks = |j: usize| match (i == w_ho, j == x_ho, act.lo_lo) {
-                    (_, false, Some(_)) => None,
-                    (false, false, None) => Some(&all),
-                    (true, false, None) => Some(w_live),
+                let ks = |j: usize| match (i == w_ho, j == x_ho, lo.is_some()) {
+                    (_, false, true) => None,
+                    (false, false, false) => Some(&all),
+                    (true, false, false) => Some(w_live),
                     (false, true, _) => Some(x_live),
                     (true, true, _) => Some(&both_live),
                 };
                 let w_cols = match cols {
                     // A panel holds the blocks of `w_planes`, block after
-                    // block.
-                    Cols::Panel(panel) => {
+                    // block, those it unpacked.
+                    Cols::Panel(_, Some(need)) if !dense(&need[kb], len) => ColRuns::Packed(packed),
+                    Cols::Panel(panel, _) => {
                         let at = (kb * w_planes.len() + i - w_planes.start) * K_BLOCK;
                         ColRuns::Unpacked([&panel[at..][..len]; VECTOR_LEN])
                     }
@@ -669,8 +781,7 @@ impl PackedWeight {
                     // packed.
                     Cols::Walk(scratch) => {
                         let need = (0..=x_ho).filter_map(ks).fold(NONE, |u, m| or(&u, m));
-                        let live: u32 = need.iter().map(|word| word.count_ones()).sum();
-                        if live as usize * UNPACK_SHARE < len {
+                        if !dense(&need, len) {
                             ColRuns::Packed(packed)
                         } else {
                             grow(scratch, VECTOR_LEN * K_BLOCK / CHUNK_K);
@@ -687,10 +798,11 @@ impl PackedWeight {
                 for j in 0..=x_ho {
                     let scale = self.plane_weights[i] * plan.x_scales()[j];
                     let Some(ks) = ks(j) else {
-                        let lo_lo = act.lo_lo.expect("a pair off the i16 tile");
-                        let x = &act.lo_quads[j * k_quads + k0 / VECTOR_LEN..];
-                        let sums = &act.lo_sums[j * k_blocks + kb];
-                        let tile = lo_lo(&packed, &x[..2 * packed[0].len()], sums);
+                        let lo = lo.expect("a pair off the i16 tile");
+                        let at = (j * k_quads + k0 / VECTOR_LEN) * lo.stride;
+                        let x = &lo.quads[at..][..2 * packed[0].len() * lo.stride];
+                        let sums = &lo.sums[(j * k_blocks + kb) * lo.stride];
+                        let tile = (lo.kernel)(&packed, x, sums);
                         add_scaled(&mut acc, &tile, scale);
                         continue;
                     };
@@ -703,34 +815,58 @@ impl PackedWeight {
         acc
     }
 
-    /// [`TileStats`] from the two sides' per-`k` compressed counts, over
-    /// the PE array's `⌈N/4⌉` n-groups: a partial last group is counted
-    /// 4 wide and is compressed iff its present columns' HO slices all
-    /// equal `r`.
+    /// [`TileStats`] of `x` under `plan`, its compressed activation
+    /// vectors counted from `x` itself: per `k`, the PE array's `⌈N/4⌉`
+    /// n-groups, a partial last group compressed iff its present
+    /// columns' HO slices all equal `r`.
     pub(crate) fn tile_stats<X: Planes>(&self, plan: &KernelPlan, x: &X) -> TileStats {
-        let k_dim = self.compressed_per_k.len();
         let n = x.plane(0).cols();
-        assert_eq!(k_dim, x.plane(0).rows(), "inner dimensions differ");
+        assert_eq!(
+            self.compressed_per_k.len(),
+            x.plane(0).rows(),
+            "inner dimensions differ"
+        );
         assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
-        let (p_w, p_x) = (plan.w_planes() as u64, x.num_planes() as u64);
+        let r = plan.r();
+        let x_ho = x.plane(x.num_planes() - 1).as_slice().chunks(n.max(1));
+        let mut counts = Compressed::default();
+        for (&wc, row) in self.compressed_per_k.iter().zip(x_ho) {
+            let xc = row
+                .chunks(VECTOR_LEN)
+                .filter(|v| v.iter().all(|&s| s.into() == r))
+                .count() as u64;
+            counts.add(&Compressed {
+                x: xc,
+                both: u64::from(wc) * xc,
+            });
+        }
+        self.closed_form(plan, n, x.num_planes(), counts)
+    }
+
+    /// [`TileStats`] from the two sides' per-`k` compressed counts, over
+    /// the PE array's `⌈N/4⌉` n-groups of `p_x` planes: the weight's
+    /// resident ones and `counts` of the activation's.
+    fn closed_form(
+        &self,
+        plan: &KernelPlan,
+        n: usize,
+        p_x: usize,
+        counts: Compressed,
+    ) -> TileStats {
+        let k_dim = self.compressed_per_k.len();
+        let (p_w, p_x) = (plan.w_planes() as u64, p_x as u64);
         let m_groups = (self.row_sums.len() / VECTOR_LEN) as u64;
         let n_groups = n.div_ceil(VECTOR_LEN) as u64;
         let w_vectors = m_groups * k_dim as u64;
         let x_vectors = k_dim as u64 * n_groups;
 
         // Σ_k over (wc_k, xc_k): compressed m-groups / n-groups at `k`.
-        let (mut w_comp, mut x_comp, mut both_comp) = (0u64, 0u64, 0u64);
+        let w_comp: u64 = self.compressed_per_k.iter().map(|&wc| u64::from(wc)).sum();
+        let Compressed {
+            x: x_comp,
+            both: both_comp,
+        } = counts;
         let r = plan.r();
-        let x_ho = x.plane(x.num_planes() - 1).as_slice().chunks(n.max(1));
-        for (&wc, row) in self.compressed_per_k.iter().zip(x_ho) {
-            let xc = row
-                .chunks(VECTOR_LEN)
-                .filter(|v| v.iter().all(|&s| s.into() == r))
-                .count() as u64;
-            w_comp += u64::from(wc);
-            x_comp += xc;
-            both_comp += u64::from(wc) * xc;
-        }
         // Weight slice-vectors the compensators add: at each `k` every
         // loaded one, once per uncompressed activation vector —
         // `Σ_k (NG − xc_k)(MG·P_w − wc_k)`.
@@ -772,13 +908,14 @@ impl PackedWeight {
 /// ending with the HO plane (as `x_HO − r`, zero across every compressed
 /// vector; lanes past `N` 0) — a stream may leave out LO planes it is
 /// never read at, so planes count from the last — and per `k` block the
-/// bitset of `k` whose HO row is not zero, or of every `k` if the plan
-/// does not skip activations. An n-group's stream of a `u8` stack also
-/// holds, on builds with the dot product, its LO planes as `2⌈K / 8⌉`
-/// [`Quad`]s each (zero past `K` and `N`), per LO plane and `k` block
-/// each column's sum of its slices, and the kernel of its width,
-/// `lo_lo`; `lo_quads` and `lo_sums` are empty and `lo_lo` `None`
-/// otherwise.
+/// bitset of `k` whose HO row is not zero (a side the plan does not skip
+/// is read as live at every `k` where the bitset is used). A narrow
+/// n-group's stream of a `u8` stack also holds, on builds with the dot
+/// product, its LO planes as `2⌈K / 8⌉` [`Quad`]s each (zero past `K`
+/// and `N`), per LO plane and `k` block each column's sum of its slices,
+/// and the kernel of its width, `lo_lo`; `lo_quads` and `lo_sums` are
+/// empty and `lo_lo` `None` otherwise (a full tile's n-groups read the
+/// tile's [`WideQuad`]s).
 #[derive(Default)]
 struct Stream<T> {
     planes: Vec<T>,
@@ -790,11 +927,13 @@ struct Stream<T> {
 
 impl<T: Default + PartialEq> Stream<T> {
     /// Refills the stream with the rows `extend` appends, `k_dim` a plane.
-    fn fill(&mut self, plan: &KernelPlan, k_dim: usize, extend: impl FnOnce(&mut Vec<T>)) {
+    fn fill(&mut self, k_dim: usize, extend: impl FnOnce(&mut Vec<T>)) {
         self.planes.clear();
         extend(&mut self.planes);
-        let live = |row: &T| !plan.skips_activation() || *row != T::default();
-        let word = |rows: &[T]| rows.iter().rfold(0, |w, r| w << 1 | u64::from(live(r)));
+        let word = |rows: &[T]| {
+            rows.iter()
+                .rfold(0, |w, r| w << 1 | u64::from(*r != T::default()))
+        };
         let block = |b: &[T]| std::array::from_fn(|w| b.chunks(64).nth(w).map_or(0, word));
         let ho = &self.planes[self.planes.len() - k_dim..];
         self.ho_live.clear();
@@ -803,18 +942,20 @@ impl<T: Default + PartialEq> Stream<T> {
 }
 
 thread_local! {
-    /// The streams and unpacked columns of this thread's last call,
+    /// The streams and unpacked weights of this thread's last call,
     /// refilled by its next one: a call that allocated and freed its own
     /// would page-fault on them.
     static STREAMS: RefCell<Scratch> = RefCell::default();
 }
 
-/// A thread's buffers: the activation side of an n-tile and the weight
-/// columns the `i16` tile reads.
+/// A thread's buffers: the activation side of an n-tile, the weight
+/// columns the `i16` tile reads lanes along M and the signed quads of
+/// one block lanes along N read.
 #[derive(Default)]
 struct Scratch {
     act: ActTile,
     cols: Vec<Unpacked>,
+    rows: Vec<RowQuad>,
 }
 
 /// A [`Chunk`] unpacked: its eight `k` as [`PanelCol`]s.
@@ -837,15 +978,16 @@ fn unpack_run(cols: &mut [Unpacked], run: &[Chunk], need: &KMask) {
     }
 }
 
-/// Where the `i16` tile reads a block's runs: a panel unpacked once for
-/// every unit that reads it (a full tile's m-groups and walks, one panel
-/// each, laid out as [`PackedWeight::unpack_panel`] says), or a narrow
-/// walk's own buffer, which it refills with its runs of one block and
-/// plane (run `q` from chunk `q · K_BLOCK / 8` on) only where a pair
-/// reads every `k`: where fewer are live, unpacking whole runs costs more
-/// than reading the packed slices at those `k`.
+/// Where the `i16` tile reads a block's runs lanes along M: a full
+/// tile's panel, unpacked once for its n-groups' walks (laid out as
+/// [`PackedWeight::unpack_panel`] says) except in the blocks where the
+/// `k` they read, given per block, are too few to be worth it, or a
+/// narrow walk's own buffer, which it refills with its runs of one block
+/// and plane (run `q` from chunk `q · K_BLOCK / 8` on) where its pairs
+/// read enough `k`. Where fewer are live, unpacking whole runs costs more
+/// than reading the packed slices at those `k` ([`dense`]).
 enum Cols<'a> {
-    Panel(&'a [PanelCol]),
+    Panel(&'a [PanelCol], Option<&'a [KMask]>),
     Walk(&'a mut Vec<Unpacked>),
 }
 
@@ -856,17 +998,64 @@ enum ColRuns<'a> {
     Packed(Runs<'a>),
 }
 
+/// Whether reading the `k` of `need` is worth unpacking the runs of
+/// their block of `len` `k` for: at least `1 / UNPACK_SHARE` of them.
+fn dense(need: &KMask, len: usize) -> bool {
+    let live: u32 = need.iter().map(|word| word.count_ones()).sum();
+    live as usize * UNPACK_SHARE >= len
+}
+
 /// `a | b`, word by word.
 fn or(a: &KMask, b: &KMask) -> KMask {
     std::array::from_fn(|i| a[i] | b[i])
 }
 
 /// The activation side of one n-tile: per n-group for lanes along M and,
-/// on a full 16-column tile, its rows for lanes along N.
+/// on a full 16-column tile, its rows for lanes along N and, on a dot
+/// build with a `u8` stack, its LO planes as [`WideQuad`]s, which both
+/// orientations' dot-product kernels read.
 #[derive(Default)]
 struct ActTile {
     groups: Vec<Stream<PairedCols>>,
     wide: Stream<[i16; LANES]>,
+    /// A full tile's quads, from word `at` on (so each starts on a
+    /// 64-byte line): per LO plane `2⌈K / 8⌉` of them, zero past `K`,
+    /// then three [`Quad`]s of zeros, so an n-group's view of every
+    /// fourth `Quad` from its own ends in bounds.
+    words: Vec<u32>,
+    at: usize,
+    /// Per LO plane and `k` block: the 16 columns' sums of their slices.
+    sums: Vec<[i32; LANES]>,
+    /// The lanes-along-N kernel where the quads are filled.
+    lanes_n: Option<LanesN>,
+}
+
+/// A lanes-along-M walk's LO planes at dot-product width: its kernel,
+/// its quads from its first on, `stride` [`Quad`]s apart (per LO plane
+/// `2⌈K / 8⌉` of them), and per LO plane and `k` block its columns'
+/// sums, `stride` apart too.
+#[derive(Clone, Copy)]
+struct LoQuads<'a> {
+    kernel: LoLo,
+    quads: &'a [Quad],
+    sums: &'a [[i32; VECTOR_LEN]],
+    stride: usize,
+}
+
+/// An activation's compressed 1×4 HO vectors over some `k` and columns,
+/// `x`, and `Σ_k wc_k · xc_k` over them, `both` (`wc_k` / `xc_k`: the
+/// compressed m-groups / n-groups at `k`).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Compressed {
+    x: u64,
+    both: u64,
+}
+
+impl Compressed {
+    fn add(&mut self, other: &Compressed) {
+        self.x += other.x;
+        self.both += other.both;
+    }
 }
 
 impl ActTile {
@@ -874,7 +1063,9 @@ impl ActTile {
     /// refilled) on a full tile.
     fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
         let (k, n) = x.plane(0).shape();
-        let ActTile { groups, wide } = self;
+        let x_ho = x.num_planes() - 1;
+        self.lanes_n = None;
+        let ActTile { groups, wide, .. } = self;
         groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
         if n - c0 < LANES {
             // A narrow tile: each n-group's pairs straight from `x`.
@@ -885,27 +1076,109 @@ impl ActTile {
             for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
                 let cols = c..n.min(c + VECTOR_LEN);
                 g.fill_quads(x, cols.clone());
-                let from = g.lo_lo.map_or(0, |_| x.num_planes() - 1);
-                g.fill(plan, k, |p| widen(p, x, plan, from, cols, pairs));
+                let from = g.lo_lo.map_or(0, |_| x_ho);
+                g.fill(k, |p| widen(p, x, plan, from, cols, pairs));
             }
             return false;
         }
-        // A full tile: each plane widened once, the n-groups' pairs cut
-        // from its rows — the HO plane's alone where the dot product reads quads,
-        // since lanes along M run only the LO weight planes here.
+        // A full tile: the HO plane widened once, the n-groups' pairs cut
+        // from its rows, and the LO planes as quads where the dot product
+        // reads them — widened too where it does not.
+        let dot = dot::lanes_n().filter(|_| x.unsigned_plane(0).is_some());
+        let from = if dot.is_some() { x_ho } else { 0 };
         let row = |s: &[X::Slice], r| {
             let s: &[_; LANES] = s.try_into().expect("a full tile");
             s.map(|s| s.into() - r)
         };
-        wide.fill(plan, k, |p| widen(p, x, plan, 0, c0..c0 + LANES, row));
+        wide.fill(k, |p| widen(p, x, plan, from, c0..c0 + LANES, row));
         for (i, g) in groups.iter_mut().enumerate() {
-            let c = c0 + i * VECTOR_LEN;
-            g.fill_quads(x, c..c + VECTOR_LEN);
-            let from = g.lo_lo.map_or(0, |_| wide.planes.len() - k);
+            g.lo_quads.clear();
+            g.lo_sums.clear();
+            g.lo_lo = None;
             let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
-            g.fill(plan, k, |p| p.extend(wide.planes[from..].iter().map(cut)));
+            g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
+        }
+        if let Some((kernel, intake)) = dot {
+            let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
+            let words = x_ho * k_quads * LANES + 3 * VECTOR_LEN;
+            self.words.clear();
+            self.words.resize(words + LANES - 1, 0);
+            self.at = (64 - self.words.as_ptr() as usize % 64) % 64 / 4;
+            self.sums.clear();
+            self.sums.resize(x_ho * k_blocks, [0; LANES]);
+            let quads = self.words[self.at..].as_chunks_mut().0;
+            let planes = quads
+                .chunks_mut(k_quads)
+                .zip(self.sums.chunks_mut(k_blocks));
+            for (j, (quads, sums)) in planes.take(x_ho).enumerate() {
+                let plane = x.unsigned_plane(j).expect("a u8 stack").as_slice();
+                intake(plane, n, c0, quads, sums);
+            }
+            self.lanes_n = Some(kernel);
         }
         true
+    }
+
+    /// A full tile's [`WideQuad`]s, per LO plane.
+    fn wide_quads(&self) -> &[WideQuad] {
+        self.words[self.at..].as_chunks().0
+    }
+
+    /// The LO planes of n-group `g` at dot-product width, if it has them:
+    /// its own quads in a narrow tile, every fourth of a full tile's.
+    fn lo(&self, g: usize) -> Option<LoQuads<'_>> {
+        if self.lanes_n.is_some() {
+            Some(LoQuads {
+                kernel: dot::lo_lo(VECTOR_LEN, VECTOR_LEN)?,
+                quads: &self.words[self.at..].as_chunks().0[g..],
+                // Empty where the stack has no LO plane.
+                sums: self
+                    .sums
+                    .as_flattened()
+                    .as_chunks()
+                    .0
+                    .get(g..)
+                    .unwrap_or(&[]),
+                stride: VECTOR_LEN,
+            })
+        } else {
+            let stream = &self.groups[g];
+            Some(LoQuads {
+                kernel: stream.lo_lo?,
+                quads: &stream.lo_quads,
+                sums: &stream.lo_sums,
+                stride: 1,
+            })
+        }
+    }
+
+    /// The compressed HO vectors of the tile's n-groups, from their
+    /// bitsets, given the weight's per-`k` counts `w_comp`.
+    fn compressed(&self, w_comp: &[u32]) -> Compressed {
+        let mut counts = Compressed::default();
+        for (kb, w_comp) in w_comp.chunks(K_BLOCK).enumerate() {
+            let all = first_ks(w_comp.len());
+            let block: u64 = w_comp.iter().map(|&wc| u64::from(wc)).sum();
+            for g in &self.groups {
+                let live = &g.ho_live[kb];
+                let dead: KMask = std::array::from_fn(|i| all[i] & !live[i]);
+                let dead_ks: u32 = dead.iter().map(|w| w.count_ones()).sum();
+                counts.x += u64::from(dead_ks);
+                // Σ over the dead `k` of `wc_k`: summed over whichever
+                // of the dead and the live `k` are fewer.
+                let sum = |ks: &KMask| {
+                    let mut s = 0;
+                    for_each_k(ks, |o| s += u64::from(w_comp[o]));
+                    s
+                };
+                counts.both += if 2 * dead_ks as usize <= w_comp.len() {
+                    sum(&dead)
+                } else {
+                    block - sum(live)
+                };
+            }
+        }
+        counts
     }
 }
 
@@ -919,7 +1192,7 @@ impl Stream<PairedCols> {
     fn fill_quads<X: Planes>(&mut self, x: &X, cols: Range<usize>) {
         self.lo_quads.clear();
         self.lo_sums.clear();
-        self.lo_lo = dot::lo_lo(cols.len()).filter(|_| X::UNSIGNED);
+        self.lo_lo = dot::lo_lo(cols.len(), 1).filter(|_| x.unsigned_plane(0).is_some());
         if self.lo_lo.is_none() {
             return;
         }
@@ -1001,24 +1274,64 @@ fn for_each_k(ks: &KMask, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The inner kernel, lanes along N: `Σ_{o ∈ ks} w[o][4g..4g + 4] ⊗ x[o]`,
-/// the 4 rows of m-group `g` of the panel × 16 columns of raw slice
-/// products. At most [`K_BLOCK`] of them, so the `i16` sums cannot wrap
-/// (the `const` assertion above). A full `ks` is walked in a straight
-/// loop. Kept out of line: so the tile stays in registers all block.
+/// The inner kernel, lanes along N: per m-group `g` of the panel,
+/// `acc[g] += scale · Σ_{o ∈ ks[g]} w[o][4g..4g + 4] ⊗ x[o]`, its 4 rows
+/// × 16 columns of raw slice products summed in an `i16` register tile,
+/// the weights read from a block's [`RowQuad`]s. At most [`K_BLOCK`] of
+/// them, so the `i16` sums cannot wrap (the `const` assertion above). A
+/// full set is walked in a straight loop, an empty one not at all. Kept
+/// out of line: so each tile stays in registers all block.
 #[inline(never)]
-fn products_lanes_n(w: &[PanelCol], g: usize, x: &[[i16; LANES]], ks: &KMask) -> ProductTile {
-    // Two slices of one length: the bounds check on `x` covers both.
-    let w = &w[..x.len()];
-    assert!(g < GROUPS, "m-group {g} of a panel");
-    let mut tile = ProductTile::default();
-    let mac = |o: usize| mac_lanes_n(&mut tile, &w[o].as_chunks().0[g], &x[o]);
-    if *ks == first_ks(x.len()) {
-        (0..x.len()).for_each(mac);
-    } else {
-        for_each_k(ks, mac);
+fn products_lanes_n(
+    w: &[RowQuad],
+    x: &[[i16; LANES]],
+    ks: &[KMask],
+    scale: i32,
+    acc: &mut [AccTile],
+) {
+    let w = &w[..x.len().div_ceil(VECTOR_LEN)];
+    let all = first_ks(x.len());
+    for (g, (ks, acc)) in ks.iter().zip(acc).enumerate().take(GROUPS) {
+        if *ks == NONE {
+            continue;
+        }
+        let mut tile = ProductTile::default();
+        if *ks == all {
+            for (o, x) in x.iter().enumerate() {
+                mac_lanes_n(&mut tile, &col_lanes_n(w, g, o), x);
+            }
+        } else {
+            for_each_k(ks, |o| mac_lanes_n(&mut tile, &col_lanes_n(w, g, o), &x[o]));
+        }
+        add_scaled(acc, &tile, scale);
     }
-    tile
+}
+
+/// A chunk's two nibble halves as signed [`RowQuad`]s: each byte
+/// `b ∈ [0, 15]` to `b − 8`, four at a time with no borrow between
+/// them (`b | 0x80` stays at least 8).
+fn signed_quads(chunk: &Chunk) -> [RowQuad; 2] {
+    const NIBBLES: u32 = 0x0F0F_0F0F;
+    let signed = |b: u32| ((b | 0x8080_8080) - 0x0808_0808) ^ 0x8080_8080;
+    let mut quads = [RowQuad::default(); 2];
+    for (r, &word) in chunk.0.iter().enumerate() {
+        quads[0].0[r] = signed(word & NIBBLES).to_le_bytes().map(|s| s as i8);
+        quads[1].0[r] = signed(word >> 4 & NIBBLES).to_le_bytes().map(|s| s as i8);
+    }
+    quads
+}
+
+/// The k-quads of a block holding a `k` of `ks`, each as the bit of its
+/// first `k`.
+fn quads(ks: &KMask) -> KMask {
+    ks.map(|w| (w | w >> 1 | w >> 2 | w >> 3) & 0x1111_1111_1111_1111)
+}
+
+/// Column `o` of m-group `g`'s rows of a block's [`RowQuad`]s.
+#[inline(always)]
+fn col_lanes_n(w: &[RowQuad], g: usize, o: usize) -> [i8; VECTOR_LEN] {
+    let rows = &w[o / VECTOR_LEN].0.as_chunks::<VECTOR_LEN>().0[g];
+    std::array::from_fn(|r| rows[r][o % VECTOR_LEN])
 }
 
 /// One `k` of lanes along N.
@@ -1129,6 +1442,7 @@ fn mac_lanes_m<const C: usize, R: Run>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sibia::SkipSide;
     use crate::workload::table1;
     use panacea_quant::dbs::{dbs_truncate, DbsType};
     use rand::Rng;
@@ -1327,6 +1641,61 @@ mod tests {
         );
         // LO×LO products are never skipped.
         assert_eq!(s.swo_outer_products, (16 * 2 * 2) as u64);
+    }
+
+    #[test]
+    fn gemm_workload_is_the_closed_form_of_the_counted_stats() {
+        // The GEMM assembles its statistics from the compressed counts
+        // its intake takes, `aqs_tile_stats` / the Sibia plans' from
+        // scanning `x`: narrow widths, a full tile and the widths past
+        // it, each DBS type at `r` 0 and not, 12-bit codes, both skip
+        // sides of Sibia.
+        let (m, k) = (20, 300);
+        let mut seed = 400;
+        for n in (1..=9).chain([15, 16, 17, 33]) {
+            seed += 1;
+            let w = random_weight(m, k, 1, 0.6, seed);
+            let sw = SlicedWeight::from_int(&w, 1).unwrap();
+            let formats = [
+                (1, DbsType::Type1, 0),
+                (1, DbsType::Type1, 9),
+                (1, DbsType::Type2, 5),
+                (1, DbsType::Type3, 2),
+                (2, DbsType::Type1, 0),
+                (2, DbsType::Type1, 11),
+            ];
+            for (i, (x_lo, ty, r)) in formats.into_iter().enumerate() {
+                // `bits`-bit codes whose HO slice (above `lo` bits) is `r`
+                // in 70 % or 97 % of the entries: most n-groups live, or
+                // most compressed.
+                let share = [0.7, 0.97][i % 2];
+                let (bits, lo) = match x_lo {
+                    1 => (8, u32::from(ty.lo_bits())),
+                    _ => (12, 8),
+                };
+                let mut rng = panacea_tensor::seeded_rng(seed + u64::from(r));
+                let x = Matrix::from_fn(k, n, |_, _| {
+                    let rest = rng.gen_range(0..1i32 << lo);
+                    if rng.gen::<f64>() < share {
+                        i32::from(r) << lo | rest
+                    } else {
+                        rng.gen_range(0..1i32 << bits)
+                    }
+                });
+                let sx = SlicedActivation::from_uint(&x, x_lo, ty).unwrap();
+                let (_, workload) = aqs_gemm(&sw, &sx, r);
+                let what = format!("N={n} x_lo={x_lo} {ty} r={r}");
+                assert_eq!(workload, aqs_tile_stats(&sw, &sx, r).workload(), "{what}");
+            }
+            let x = random_weight(n.next_multiple_of(4), k, 1, 0.6, seed + 50).transposed();
+            let sx = SlicedWeight::from_int(&x.submatrix(0, 0, k, n), 1).unwrap();
+            for side in [SkipSide::Weight, SkipSide::Activation] {
+                let plan = KernelPlan::for_operands(&sw, &sx, 0, Some(side));
+                let (_, workload) = run_sliced(&plan, &sw, &sx);
+                let stats = PackedWeight::pack(&sw).tile_stats(&plan, &sx);
+                assert_eq!(workload, stats.workload(), "N={n} {side:?}");
+            }
+        }
     }
 
     #[test]

@@ -139,6 +139,9 @@ enum Fill {
     /// Each 4-vector group along the other side (m-group of a weight,
     /// n-group of an activation) its own: all, none, half, 90 % in turn.
     ByGroup,
+    /// Exactly one live vector per group and k-quad (`k = 4q .. 4q + 4`),
+    /// at `k = 4q + (g + q) mod 4`: each group meets all four positions.
+    OnePerQuad,
 }
 
 impl Fill {
@@ -150,13 +153,21 @@ impl Fill {
         }
     }
 
-    fn compresses(self, rng: &mut impl Rng) -> bool {
+    /// Whether the vector of group `g` at `k` is compressed.
+    fn compresses(self, g: usize, k: usize, rng: &mut impl Rng) -> bool {
         match self {
             Fill::All => true,
             Fill::None => false,
             Fill::Share(p) => rng.gen::<f64>() < p,
+            Fill::OnePerQuad => k % 4 != (g + k / 4) % 4,
             Fill::ByGroup => unreachable!("resolved per group by of_group"),
         }
+    }
+
+    /// Whether a live vector of this fill must be live for certain, not
+    /// only with the odds of a random slice.
+    fn pins_live(self) -> bool {
+        matches!(self, Fill::None | Fill::OnePerQuad)
     }
 }
 
@@ -188,14 +199,14 @@ fn sbr_matrix(
     for mg in 0..rows / 4 {
         let fill = fill.of_group(mg);
         for kk in 0..cols {
-            let compress = fill.compresses(rng);
+            let compress = fill.compresses(mg, kk, rng);
             for mm in 0..4 {
                 // |v| ≤ 7 has an all-zero HO slice under SBR (and is the
                 // only such range when there is a single plane: v = 0).
                 w[(mg * 4 + mm, kk)] = match (compress, lo_slices) {
                     (true, 0) => 0,
                     (true, _) => rng.gen_range(-7i32..=7),
-                    (false, _) if mm == 0 && fill == Fill::None => max,
+                    (false, _) if mm == 0 && fill.pins_live() => max,
                     (false, _) => rng.gen_range(-max - 1..=max),
                 };
             }
@@ -229,12 +240,12 @@ fn case(
     for kk in 0..k {
         for ng in 0..n.div_ceil(4) {
             let x_fill = x_fill.of_group(ng);
-            let compress = x_fill.compresses(&mut rng) && i32::from(r) < ho_slices;
+            let compress = x_fill.compresses(ng, kk, &mut rng) && i32::from(r) < ho_slices;
             // A partial last n-group has only its first columns.
             for nn in 0..4.min(n - ng * 4) {
                 let ho = if compress {
                     i32::from(r)
-                } else if nn == 0 && x_fill == Fill::None {
+                } else if nn == 0 && x_fill.pins_live() {
                     (i32::from(r) + 1) % ho_slices
                 } else {
                     rng.gen_range(0..ho_slices)
@@ -346,7 +357,7 @@ fn kernel_matches_oracle_for_every_r_at_the_sparsity_extremes() {
                 match fill {
                     Fill::All => assert_eq!(stats.rho_w, 1.0),
                     Fill::None => assert_eq!((stats.rho_w, stats.rho_x), (0.0, 0.0)),
-                    Fill::Share(_) | Fill::ByGroup => {}
+                    Fill::Share(_) | Fill::ByGroup | Fill::OnePerQuad => {}
                 }
             }
         }
@@ -732,6 +743,52 @@ fn all_plans_match_oracle_across_nibble_chunks() {
                     assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
                 }
             }
+        }
+    }
+}
+
+/// A full tile's HO weight plane runs its LO-activation pairs over each
+/// m-group's live k-quads only (on the dot product where the build has
+/// it): weights with exactly one live HO vector per (m-group, k-quad), at
+/// each of the quad's four positions in turn, so a walk that dropped or
+/// misplaced a quad by its live `k` loses that vector's products × `K`
+/// inside a quad, past one, past a chunk and on both sides of the
+/// 256-`k` block edge (255, 257, 259, 263, 513, 769) × `N` of a full
+/// tile, one with a partial n-group (one and three columns) after it,
+/// two, and two with one column after them × w4 / w7 / w10 (a w4
+/// weight's one plane is its HO plane), under the AQS plan and both
+/// Sibia plans, each (`K`, `N`) at every `M` — a panel, a panel and an
+/// m-group, four panels and an m-group — with the plane counts in turn.
+/// Activation planes, DBS type, `r` and the activation fill cycle along
+/// the sweep.
+#[test]
+fn full_tile_quad_skip_matches_oracle() {
+    let x_fills = [Fill::None, Fill::Share(0.5), Fill::ByGroup, Fill::All];
+    let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
+    let mut seed = 29000u64;
+    let shapes = [255, 257, 259, 263, 513, 769]
+        .into_iter()
+        .flat_map(|k| [16, 17, 19, 32, 33].map(|n| (k, n)));
+    for (cell, (k, n)) in shapes.enumerate() {
+        for w_lo in 0..3 {
+            seed += 1;
+            // Every `M` once per (`K`, `N`), each plane count in turn.
+            let m = [16, 20, 68][(w_lo + cell) % 3];
+            let x_fill = x_fills[(seed + seed / 4) as usize % x_fills.len()];
+            let x_lo = 1 + seed as usize / 3 % 2;
+            let ty = if x_lo == 1 {
+                types[seed as usize / 6 % 3]
+            } else {
+                DbsType::Type1
+            };
+            let r = (seed % 16) as u8;
+            let w_fill = Fill::OnePerQuad;
+            let c = case((m, k, n), w_lo, x_lo, ty, r, w_fill, x_fill, seed);
+            assert_matches_oracle(
+                &c,
+                &format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {ty} r={r} {x_fill:?}"),
+            );
+            assert_sibia_matches_oracle((m, k, n), w_lo, x_lo, w_fill, x_fill, seed);
         }
     }
 }

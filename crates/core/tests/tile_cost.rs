@@ -20,9 +20,11 @@
 //! ρ 0): the pair that sparsity cannot remove is what is left at ρ 0.95,
 //! so a LO×LO that fell back to the `i16` tile fails here. Under
 //! `--nocapture` it prints the N × ρ table the `aqs` module doc quotes
-//! (min of the rounds), the median ratios, and a past-L2 row — a
-//! 3072 × 768 layer, fc1's shape, whose packed weight no longer fits a
-//! 2 MiB L2, at N = 1 and 16, per 768² — which it does not gate:
+//! (min of the rounds), the median ratios, a past-L2 row — a 3072 × 768
+//! layer, fc1's shape, whose packed weight no longer fits a 2 MiB L2, at
+//! N = 1 and 16, per 768² — and a row at the sparsity the server runs
+//! (ρ_w 0.93 × ρ_x 0.95, the qkv / fc1 point of a traced `infer_bert`
+//! run) at N = 1 and 16, neither of which it gates:
 //!
 //! ```text
 //! cargo test --release -p panacea-core --test tile_cost -- --nocapture
@@ -43,6 +45,8 @@ const RHOS: [f64; 3] = [0.0, 0.5, 0.95];
 const ROUNDS: usize = 40;
 /// Rows of the past-L2 layer: fc1's `4 · d_model`.
 const PAST_L2: usize = 4 * D;
+/// Weight ρ of the served row; its inputs are the ρ 0.95 cells'.
+const SERVED_RHO_W: f64 = 0.93;
 const CALLS: usize = 8;
 /// Bound on t(N=1) / t(N=4) at each ρ.
 const NARROW_SHARE: f64 = 0.6;
@@ -125,10 +129,14 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
             (layer, wide, inputs)
         })
         .collect();
+    // Prepared after the gated cases, so their operands do not move.
+    let served = prepare(D, SERVED_RHO_W, &mut rng);
 
-    // Per round, per cell: ms per call, and per 768² for the fc1 shape.
+    // Per round, per cell: ms per call, per 768² for the fc1 shape, and
+    // ms per call at the served sparsity.
     let mut rounds = Vec::with_capacity(ROUNDS);
     let mut past_l2 = Vec::with_capacity(ROUNDS / 4);
+    let mut at_served = Vec::with_capacity(ROUNDS / 4);
     // One untimed call first: a cell's weights are not the last cell's,
     // and a cold first call would weigh on a short cell most.
     let time = |layer: &QuantizedLinear, x: &Matrix<i32>, calls: usize| {
@@ -160,6 +168,7 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
                 time(&cases[ri].1, &cases[ri].2[ni], CALLS / 2) / per_768
             })
         }));
+        at_served.push([0, NS.len() - 1].map(|ni| time(&served, &cases[2].2[ni], CALLS)));
     }
 
     let min = |cell: &dyn Fn(&[[f64; 3]; 6]) -> f64| {
@@ -184,6 +193,13 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
                 .fold(f64::INFINITY, f64::min)
         });
         println!("| {n:<2} | {a:.3} | {b:.3} | {c:.3}  | {PAST_L2} × {D}, per {D}²");
+    }
+    for (i, n) in [1, 16].iter().enumerate() {
+        let t = at_served
+            .iter()
+            .map(|cells| cells[i])
+            .fold(f64::INFINITY, f64::min);
+        println!("| {n:<2} | {t:.3} at ρ_w {SERVED_RHO_W} × ρ_x {}", RHOS[2]);
     }
     let at = |n: usize| NS.iter().position(|&m| m == n).expect("a timed width");
     let ratio = |(n, ri): (usize, usize), (m, rj): (usize, usize)| {
