@@ -44,11 +44,11 @@
 //!    into the re-centring — and the output starts at it. On a build with
 //!    the dot product (`core::dot`) the raw `u8` LO planes are read
 //!    straight from the [`SlicedActivation`] as k-quads instead, with each
-//!    block's column sums: a narrow n-group's as its own quads, a full
-//!    tile's as one 64-byte quad of its 16 columns per four `k` (one
-//!    `vpermb` of four 16-byte rows), whose every fourth word its
-//!    n-groups' walks read. The HO plane, then the only one widened, is
-//!    the one activation plane the `i16` tile reads.
+//!    block's column sums: at every tile width one 64-byte quad of its 16
+//!    columns per four `k` (one `vpermb` of four 16-byte rows, the columns
+//!    past a narrow tile's width masked to zero), whose every fourth word
+//!    its n-groups' walks read. The HO plane, then the only one widened,
+//!    is the one activation plane the `i16` tile reads.
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
@@ -101,26 +101,25 @@
 //!    one-column walk of four panels: for two or three columns LLVM
 //!    vectorises it along `k`, 2–3× slower. In ms per call at 768 × 768,
 //!    w7 × a8, vector-level ρ, 2-core AVX-512 host with VNNI and VBMI
-//!    (`tests/tile_cost.rs`, min of 3 runs of 40 alternated rounds × 8
-//!    calls; the tree before the full tile's HO_w×LO_x moved to the dot
-//!    product, its HO plane unpacked per panel up front, read 0.076 /
-//!    0.073 / 0.026 at N = 1 and 0.872 / 0.638 / 0.230 at N = 16 on the
-//!    same host in the same minutes, and 0.890 / 0.649 / 0.245 at N = 16
-//!    past L2; the served row is a ρ_w 0.93 layer on the ρ 0.95 inputs,
-//!    its one cell under ρ 0.95):
+//!    (`tests/tile_cost.rs`, min of 20 runs of 40 alternated rounds × 8
+//!    calls; the tree whose narrow tiles gathered each n-group's LO quads
+//!    byte by byte read 0.067 / 0.062 / 0.024 at N = 1, 0.153 / 0.143 /
+//!    0.060 at N = 4 and 0.665 / 0.508 / 0.185 at N = 16 on the same host
+//!    in the same minutes; the served row is a ρ_w 0.93 layer on the
+//!    ρ 0.95 inputs, its one cell under ρ 0.95):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.067 | 0.062 | 0.023  |
-//!    | 2  | 0.114 | 0.085 | 0.036  |
-//!    | 4  | 0.153 | 0.143 | 0.060  |
-//!    | 8  | 0.308 | 0.291 | 0.121  |
-//!    | 12 | 0.467 | 0.449 | 0.183  |
-//!    | 16 | 0.684 | 0.510 | 0.180  |
-//!    | 1, 3072 × 768 per 768² | 0.075 | 0.066 | 0.026 |
-//!    | 16, 3072 × 768 per 768² | 0.722 | 0.541 | 0.241 |
-//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.028 |
-//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.218 |
+//!    | 1  | 0.065 | 0.061 | 0.023  |
+//!    | 2  | 0.113 | 0.085 | 0.034  |
+//!    | 4  | 0.152 | 0.141 | 0.058  |
+//!    | 8  | 0.302 | 0.285 | 0.114  |
+//!    | 12 | 0.464 | 0.428 | 0.174  |
+//!    | 16 | 0.665 | 0.495 | 0.180  |
+//!    | 1, 3072 × 768 per 768² | 0.074 | 0.067 | 0.028 |
+//!    | 16, 3072 × 768 per 768² | 0.701 | 0.520 | 0.221 |
+//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.024 |
+//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.195 |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -518,7 +517,7 @@ impl PackedWeight {
                     // product is read where any n-group's bitset is: a
                     // block where that is under half its `k` packed, as a
                     // narrow walk reads it.
-                    let dot = act.lo(0).is_some() && plan.skips_activation();
+                    let dot = act.lanes_n.is_some() && plan.skips_activation();
                     let sparse = dot.then_some(&act.wide.ho_live[..]);
                     let k_dim = self.compressed_per_k.len();
                     let need = |kb: usize| match sparse {
@@ -673,7 +672,7 @@ impl PackedWeight {
                 let (c0, walk) = (c0 + g * VECTOR_LEN, VECTOR_LEN / cols(g));
                 for p in stretch.clone().step_by(walk) {
                     let panels = p..stretch.end.min(p + walk);
-                    let (stream, w_planes) = ((stream, act.lo(g)), w_planes.clone());
+                    let (stream, w_planes) = ((stream, act.lo(g, cols(g))), w_planes.clone());
                     self.walk_lanes_m(plan, stream, w_planes, panels, c0, w_cols, out);
                 }
             }
@@ -799,9 +798,9 @@ impl PackedWeight {
                     let scale = self.plane_weights[i] * plan.x_scales()[j];
                     let Some(ks) = ks(j) else {
                         let lo = lo.expect("a pair off the i16 tile");
-                        let at = (j * k_quads + k0 / VECTOR_LEN) * lo.stride;
-                        let x = &lo.quads[at..][..2 * packed[0].len() * lo.stride];
-                        let sums = &lo.sums[(j * k_blocks + kb) * lo.stride];
+                        let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
+                        let x = &lo.quads[at..][..2 * packed[0].len() * VECTOR_LEN];
+                        let sums = &lo.sums[(j * k_blocks + kb) * VECTOR_LEN];
                         let tile = (lo.kernel)(&packed, x, sums);
                         add_scaled(&mut acc, &tile, scale);
                         continue;
@@ -906,23 +905,14 @@ impl PackedWeight {
 
 /// One activation stream: `K` rows of `T` per plane, plane after plane,
 /// ending with the HO plane (as `x_HO − r`, zero across every compressed
-/// vector; lanes past `N` 0) — a stream may leave out LO planes it is
-/// never read at, so planes count from the last — and per `k` block the
-/// bitset of `k` whose HO row is not zero (a side the plan does not skip
-/// is read as live at every `k` where the bitset is used). A narrow
-/// n-group's stream of a `u8` stack also holds, on builds with the dot
-/// product, its LO planes as `2⌈K / 8⌉` [`Quad`]s each (zero past `K`
-/// and `N`), per LO plane and `k` block each column's sum of its slices,
-/// and the kernel of its width, `lo_lo`; `lo_quads` and `lo_sums` are
-/// empty and `lo_lo` `None` otherwise (a full tile's n-groups read the
-/// tile's [`WideQuad`]s).
+/// vector; lanes past `N` 0) — a stream leaves out the LO planes its
+/// tile's [`WideQuad`]s carry, so planes count from the last — and per
+/// `k` block the bitset of `k` whose HO row is not zero (a side the plan
+/// does not skip is read as live at every `k` where the bitset is used).
 #[derive(Default)]
 struct Stream<T> {
     planes: Vec<T>,
     ho_live: Vec<KMask>,
-    lo_quads: Vec<Quad>,
-    lo_sums: Vec<[i32; VECTOR_LEN]>,
-    lo_lo: Option<LoLo>,
 }
 
 impl<T: Default + PartialEq> Stream<T> {
@@ -1010,36 +1000,36 @@ fn or(a: &KMask, b: &KMask) -> KMask {
     std::array::from_fn(|i| a[i] | b[i])
 }
 
-/// The activation side of one n-tile: per n-group for lanes along M and,
-/// on a full 16-column tile, its rows for lanes along N and, on a dot
-/// build with a `u8` stack, its LO planes as [`WideQuad`]s, which both
-/// orientations' dot-product kernels read.
+/// The activation side of one n-tile: per n-group for lanes along M, on a
+/// full 16-column tile its rows for lanes along N and, on a dot build
+/// with a `u8` stack, its LO planes as [`WideQuad`]s at any width, which
+/// both orientations' dot-product kernels read.
 #[derive(Default)]
 struct ActTile {
     groups: Vec<Stream<PairedCols>>,
     wide: Stream<[i16; LANES]>,
-    /// A full tile's quads, from word `at` on (so each starts on a
-    /// 64-byte line): per LO plane `2⌈K / 8⌉` of them, zero past `K`,
-    /// then three [`Quad`]s of zeros, so an n-group's view of every
-    /// fourth `Quad` from its own ends in bounds.
+    /// The tile's quads, from word `at` on (so each starts on a 64-byte
+    /// line): per LO plane `2⌈K / 8⌉` of them, zero past `K` and `N`, then
+    /// three [`Quad`]s of zeros, so an n-group's view of every fourth
+    /// `Quad` from its own ends in bounds.
     words: Vec<u32>,
     at: usize,
     /// Per LO plane and `k` block: the 16 columns' sums of their slices.
     sums: Vec<[i32; LANES]>,
-    /// The lanes-along-N kernel where the quads are filled.
+    /// The lanes-along-N kernel where the quads are filled (a narrow tile
+    /// runs none).
     lanes_n: Option<LanesN>,
 }
 
 /// A lanes-along-M walk's LO planes at dot-product width: its kernel,
-/// its quads from its first on, `stride` [`Quad`]s apart (per LO plane
-/// `2⌈K / 8⌉` of them), and per LO plane and `k` block its columns'
-/// sums, `stride` apart too.
+/// its quads from its first on, every fourth [`Quad`] its own (per LO
+/// plane `2⌈K / 8⌉` of them), and per LO plane and `k` block its columns'
+/// sums, every fourth too.
 #[derive(Clone, Copy)]
 struct LoQuads<'a> {
     kernel: LoLo,
     quads: &'a [Quad],
     sums: &'a [[i32; VECTOR_LEN]],
-    stride: usize,
 }
 
 /// An activation's compressed 1×4 HO vectors over some `k` and columns,
@@ -1060,44 +1050,39 @@ impl Compressed {
 
 impl ActTile {
     /// Refills the streams for columns `c0 ..` of `x`; true (and `wide`
-    /// refilled) on a full tile.
+    /// refilled) on a full tile. The LO planes are quads where the dot
+    /// product reads them, at every width, and widened where it does not.
     fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
         let (k, n) = x.plane(0).shape();
         let x_ho = x.num_planes() - 1;
-        self.lanes_n = None;
+        let dot = dot::lanes_n().filter(|_| x.unsigned_plane(0).is_some());
+        let from = if dot.is_some() { x_ho } else { 0 };
+        let full = n - c0 >= LANES;
         let ActTile { groups, wide, .. } = self;
         groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
-        if n - c0 < LANES {
+        if full {
+            // A full tile: its planes widened once, the n-groups' pairs
+            // cut from its rows.
+            let row = |s: &[X::Slice], r| {
+                let s: &[_; LANES] = s.try_into().expect("a full tile");
+                s.map(|s| s.into() - r)
+            };
+            wide.fill(k, |p| widen(p, x, plan, from, c0..c0 + LANES, row));
+            for (i, g) in groups.iter_mut().enumerate() {
+                let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
+                g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
+            }
+        } else {
             // A narrow tile: each n-group's pairs straight from `x`.
             let pairs = |s: &[X::Slice], r| {
                 std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
             };
-            // The HO plane's alone where the quads carry the LO planes.
             for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
                 let cols = c..n.min(c + VECTOR_LEN);
-                g.fill_quads(x, cols.clone());
-                let from = g.lo_lo.map_or(0, |_| x_ho);
                 g.fill(k, |p| widen(p, x, plan, from, cols, pairs));
             }
-            return false;
         }
-        // A full tile: the HO plane widened once, the n-groups' pairs cut
-        // from its rows, and the LO planes as quads where the dot product
-        // reads them — widened too where it does not.
-        let dot = dot::lanes_n().filter(|_| x.unsigned_plane(0).is_some());
-        let from = if dot.is_some() { x_ho } else { 0 };
-        let row = |s: &[X::Slice], r| {
-            let s: &[_; LANES] = s.try_into().expect("a full tile");
-            s.map(|s| s.into() - r)
-        };
-        wide.fill(k, |p| widen(p, x, plan, from, c0..c0 + LANES, row));
-        for (i, g) in groups.iter_mut().enumerate() {
-            g.lo_quads.clear();
-            g.lo_sums.clear();
-            g.lo_lo = None;
-            let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
-            g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
-        }
+        self.lanes_n = None;
         if let Some((kernel, intake)) = dot {
             let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
             let words = x_ho * k_quads * LANES + 3 * VECTOR_LEN;
@@ -1116,40 +1101,29 @@ impl ActTile {
             }
             self.lanes_n = Some(kernel);
         }
-        true
+        full
     }
 
-    /// A full tile's [`WideQuad`]s, per LO plane.
+    /// The tile's [`WideQuad`]s, per LO plane.
     fn wide_quads(&self) -> &[WideQuad] {
         self.words[self.at..].as_chunks().0
     }
 
-    /// The LO planes of n-group `g` at dot-product width, if it has them:
-    /// its own quads in a narrow tile, every fourth of a full tile's.
-    fn lo(&self, g: usize) -> Option<LoQuads<'_>> {
-        if self.lanes_n.is_some() {
-            Some(LoQuads {
-                kernel: dot::lo_lo(VECTOR_LEN, VECTOR_LEN)?,
-                quads: &self.words[self.at..].as_chunks().0[g..],
-                // Empty where the stack has no LO plane.
-                sums: self
-                    .sums
-                    .as_flattened()
-                    .as_chunks()
-                    .0
-                    .get(g..)
-                    .unwrap_or(&[]),
-                stride: VECTOR_LEN,
-            })
-        } else {
-            let stream = &self.groups[g];
-            Some(LoQuads {
-                kernel: stream.lo_lo?,
-                quads: &stream.lo_quads,
-                sums: &stream.lo_sums,
-                stride: 1,
-            })
-        }
+    /// The LO planes of n-group `g`, of `cols` columns, at dot-product
+    /// width, if the tile has them: every fourth of its quads.
+    fn lo(&self, g: usize, cols: usize) -> Option<LoQuads<'_>> {
+        Some(LoQuads {
+            kernel: self.lanes_n.and(dot::lo_lo(cols))?,
+            quads: &self.words[self.at..].as_chunks().0[g..],
+            // Empty where the stack has no LO plane.
+            sums: self
+                .sums
+                .as_flattened()
+                .as_chunks()
+                .0
+                .get(g..)
+                .unwrap_or(&[]),
+        })
     }
 
     /// The compressed HO vectors of the tile's n-groups, from their
@@ -1179,42 +1153,6 @@ impl ActTile {
             }
         }
         counts
-    }
-}
-
-impl Stream<PairedCols> {
-    /// Refills `lo_quads` with the LO planes of `x` cut to `cols` (at most
-    /// four columns), one [`Quad`] per four `k` and two per [`Chunk`] of
-    /// weights (a zero quad past an odd count), `lo_sums` with their
-    /// blocks' column sums, and `lo_lo` with the kernel of that width — or
-    /// empties all three where the dot product does not run: on builds
-    /// without it, or for signed slices.
-    fn fill_quads<X: Planes>(&mut self, x: &X, cols: Range<usize>) {
-        self.lo_quads.clear();
-        self.lo_sums.clear();
-        self.lo_lo = dot::lo_lo(cols.len(), 1).filter(|_| x.unsigned_plane(0).is_some());
-        if self.lo_lo.is_none() {
-            return;
-        }
-        let (k, n) = x.plane(0).shape();
-        let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
-        let lo_planes = x.num_planes() - 1;
-        self.lo_quads.resize(lo_planes * k_quads, Quad::default());
-        self.lo_sums.resize(lo_planes * k_blocks, [0; VECTOR_LEN]);
-        let quads = self.lo_quads.chunks_exact_mut(k_quads);
-        let sums = self.lo_sums.chunks_exact_mut(k_blocks);
-        for ((j, quads), sums) in quads.enumerate().zip(sums) {
-            let rows = x.plane(j).as_slice().chunks_exact(n);
-            for (kk, row) in rows.enumerate() {
-                let (quad, sums) = (&mut quads[kk / VECTOR_LEN], &mut sums[kk / K_BLOCK]);
-                for ((word, sum), &s) in quad.iter_mut().zip(sums).zip(&row[cols.clone()]) {
-                    // An unsigned 4-bit slice: its `i16` is its byte.
-                    let s: i16 = s.into();
-                    *word |= u32::from(s as u8) << (8 * (kk % VECTOR_LEN));
-                    *sum += i32::from(s);
-                }
-            }
-        }
     }
 }
 
@@ -1718,6 +1656,51 @@ mod tests {
         let sw = SlicedWeight::from_int(&random_weight(16, 257, 1, 0.5, 102), 1).unwrap();
         let bytes = std::mem::size_of_val(&*PackedWeight::pack(&sw).panels);
         assert_eq!(bytes, (32 + 1) * 64 * 2);
+    }
+
+    /// The dot build's one intake at narrow widths — 1, 5 and 15 columns
+    /// and N = 21's 5-column tail tile, at a `K` inside one block and one
+    /// past it — lays out a full tile's quads: byte `4c + j` of quad `q`
+    /// holds column `c` at `k = 4q + j`, every byte past the tile's width
+    /// or past `K` is 0, and each block's column sums are the plane's.
+    #[test]
+    #[cfg(all(target_feature = "avx512vnni", target_feature = "avx512vbmi"))]
+    fn the_intake_lays_out_narrow_tiles_as_a_full_one() {
+        let mut rng = panacea_tensor::seeded_rng(111);
+        for (n, c0) in [(1, 0), (5, 0), (15, 0), (21, 16)] {
+            for k in [5, 257] {
+                // 12-bit codes: two LO planes.
+                let x = Matrix::from_fn(k, n, |_, _| rng.gen_range(0i32..4096));
+                let sx = SlicedActivation::from_uint(&x, 2, DbsType::Type1).unwrap();
+                let sw = SlicedWeight::from_int(&random_weight(4, k, 1, 0.5, 112), 1).unwrap();
+                let mut act = ActTile::default();
+                assert!(!act.prepare(&sx, &KernelPlan::for_operands(&sw, &sx, 0, None), c0));
+                let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
+                // Column `c` of the tile at `k`, 0 where the plane has none.
+                let slice = |j: usize, kk: usize, c: usize| match (kk < k, c0 + c < n) {
+                    (true, true) => sx.plane(j)[(kk, c0 + c)],
+                    _ => 0,
+                };
+                for j in 0..2 {
+                    let what = format!("N={n} c0={c0} K={k} plane {j}");
+                    let quads = &act.wide_quads()[j * k_quads..][..k_quads];
+                    for (q, quad) in quads.iter().enumerate() {
+                        let bytes = quad.map(u32::to_le_bytes);
+                        let want = std::array::from_fn(|c| {
+                            std::array::from_fn(|i| slice(j, 4 * q + i, c))
+                        });
+                        assert_eq!(bytes, want, "{what} quad {q}");
+                    }
+                    for (kb, sums) in act.sums[j * k_blocks..][..k_blocks].iter().enumerate() {
+                        let ks = kb * K_BLOCK..k.min((kb + 1) * K_BLOCK);
+                        let want: [i32; LANES] = std::array::from_fn(|c| {
+                            ks.clone().map(|kk| i32::from(slice(j, kk, c))).sum()
+                        });
+                        assert_eq!(*sums, want, "{what} block {kb}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

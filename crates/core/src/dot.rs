@@ -16,10 +16,10 @@
 //! taken back at once, by starting each row's sum at `−8 · Σx` of its
 //! column. The activation side is one [`Quad`] per four `k` (column
 //! `c`'s four slices in the bytes of word `c`), broadcast with
-//! `vpbroadcastd`; a narrow n-group's quads lie one after another, a
-//! full tile's four n-groups read theirs from its [`WideQuad`]s, every
-//! fourth `Quad`. Tile row `q·C + c` holds run `q` × column `c`, as in
-//! the `i16` tile's lanes along M.
+//! `vpbroadcastd`; every n-group, of a full tile or a narrow one, reads
+//! its quads from the tile's [`WideQuad`]s, every fourth `Quad`. Tile row
+//! `q·C + c` holds run `q` × column `c`, as in the `i16` tile's lanes
+//! along M.
 //!
 //! [`lanes_n`], lanes along N: a full tile's HO weight plane × an LO
 //! activation plane, the paper's DWO work on uncompressed 4×1 weight
@@ -30,11 +30,12 @@
 //! the m-group's four HO vectors is uncompressed, so it skips weights at
 //! four `k` a step and executes the few zeros a live quad holds.
 //!
-//! The intake [`lanes_n`] returns with it: a full tile's LO activation
-//! planes as [`WideQuad`]s, one `vpermb` per four `k` (four 16-byte rows
-//! of the `u8` plane, column by column), with each block's column sums
-//! from one `vpdpbusd` a quad. A full tile's LO×LO walks read the same
-//! quads.
+//! The intake [`lanes_n`] returns with it: a tile's LO activation planes
+//! as [`WideQuad`]s at any width from 1 to 16 columns, one `vpermb` per
+//! four `k` (four 16-byte rows of the `u8` plane, column by column, the
+//! columns past a narrow tile's width masked to zero), with each block's
+//! column sums from one `vpdpbusd` a quad. Every lanes-along-M walk of a
+//! `u8` stack reads the same quads.
 //!
 //! [`unpack`]: the `i16` tile's lanes along M, which run the pairs of
 //! the re-centred HO activation plane, Sibia's signed activations and
@@ -69,9 +70,9 @@ pub(crate) type LoLo = fn(&Runs, &[Quad], &[i32; VECTOR_LEN]) -> AccTile;
 /// `k` is set in its mask, scaled and added to its tile.
 pub(crate) type LanesN = fn(&[RowQuad], &[WideQuad], &[KMask], i32, &mut [AccTile]);
 
-/// A full tile's intake of one `u8` LO activation plane (`K` rows of `N`
-/// slices): the [`WideQuad`]s of its columns `c0 .. c0 + 16`, and per
-/// 256-`k` block the 16 columns' sums.
+/// A tile's intake of one `u8` LO activation plane (`K` rows of `N`
+/// slices): the [`WideQuad`]s of its columns `c0 .. c0 + 16`, zero past
+/// `K` and `N`, and per 256-`k` block the 16 columns' sums.
 pub(crate) type Intake = fn(&[u8], usize, usize, &mut [WideQuad], &mut [[i32; 16]]);
 
 #[cfg(all(
@@ -87,7 +88,7 @@ pub(crate) use vnni::{lanes_n, lo_lo, unpack};
     target_feature = "avx512vnni",
     target_feature = "avx512vbmi"
 )))]
-pub(crate) fn lo_lo(_cols: usize, _stride: usize) -> Option<LoLo> {
+pub(crate) fn lo_lo(_cols: usize) -> Option<LoLo> {
     None
 }
 
@@ -214,43 +215,33 @@ mod vnni {
         (low, high)
     }
 
-    /// The kernel of a walk of `cols` (1 to 4) columns whose quads lie
-    /// `stride` apart: 1 for a narrow n-group's own, 4 for a full tile's
-    /// [`WideQuad`]s.
-    pub(crate) fn lo_lo(cols: usize, stride: usize) -> Option<LoLo> {
-        Some(match (cols, stride) {
-            (1, 1) => products::<1, 1>,
-            (2, 1) => products::<2, 1>,
-            (3, 1) => products::<3, 1>,
-            (_, 1) => products::<4, 1>,
-            _ => products::<4, { VECTOR_LEN }>,
+    /// The kernel of a walk of `cols` (1 to 4) columns.
+    pub(crate) fn lo_lo(cols: usize) -> Option<LoLo> {
+        Some(match cols {
+            1 => products::<1>,
+            2 => products::<2>,
+            3 => products::<3>,
+            _ => products::<4>,
         })
     }
 
     /// `Σ_{o < 8·chunks} x[o] ⊗ w[q][o]` of the first `C` columns × the
     /// 16 rows of each of the first `4 / C` runs, over every `k` of their
-    /// `chunks` chunks (`x` holds two quads per chunk, `S` apart, zero
-    /// past `K`; `sums` its columns' sums). Tile rows no run fills stay 0.
-    fn products<const C: usize, const S: usize>(
-        w: &Runs,
-        x: &[Quad],
-        sums: &[i32; VECTOR_LEN],
-    ) -> AccTile {
+    /// `chunks` chunks (`x` holds two quads per chunk, every fourth
+    /// [`Quad`] of a tile's [`WideQuad`]s, zero past `K`; `sums` its
+    /// columns' sums). Tile rows no run fills stay 0.
+    fn products<const C: usize>(w: &Runs, x: &[Quad], sums: &[i32; VECTOR_LEN]) -> AccTile {
         // SAFETY: the module exists only on builds whose target features
         // include avx512vnni and avx512vbmi (and, through them, avx512f
         // and avx512bw), so the CPU the build targets runs the kernel.
-        unsafe { products_vnni::<C, S>(w, x, sums) }
+        unsafe { products_vnni::<C>(w, x, sums) }
     }
 
     #[target_feature(enable = "avx512vnni,avx512vbmi")]
     #[allow(clippy::needless_range_loop)] // `c` indexes both quads and a row
-    fn products_vnni<const C: usize, const S: usize>(
-        w: &Runs,
-        x: &[Quad],
-        sums: &[i32; VECTOR_LEN],
-    ) -> AccTile {
+    fn products_vnni<const C: usize>(w: &Runs, x: &[Quad], sums: &[i32; VECTOR_LEN]) -> AccTile {
         let chunks = w[0].len();
-        assert_eq!(x.len(), 2 * S * chunks, "two quads per chunk");
+        assert_eq!(x.len(), 2 * VECTOR_LEN * chunks, "two quads per chunk");
         let runs: [&[Chunk]; VECTOR_LEN] = w.map(|run| &run[..chunks]);
         let walked = VECTOR_LEN / C;
         // The weights are multiplied as `slice + 8`: each row of a walked
@@ -268,7 +259,8 @@ mod vnni {
         // nibbles hold the chunk's first quad, the high ones its second;
         // a set each, so neither waits on the latency of `vpdpbusd` on
         // its own result as often.
-        for (t, x) in x.as_chunks::<S>().0.as_chunks::<2>().0.iter().enumerate() {
+        let (x, _) = x.as_chunks::<VECTOR_LEN>();
+        for (t, x) in x.as_chunks::<2>().0.iter().enumerate() {
             for (q, run) in runs.iter().take(walked).enumerate() {
                 let (w_low, w_high) = nibbles(&run[t]);
                 for c in 0..C {
@@ -293,7 +285,7 @@ mod vnni {
         unsafe { std::mem::transmute::<[__m512i; VECTOR_LEN], AccTile>(rows) }
     }
 
-    /// The lanes-along-N kernel and the intake that feeds it and a full
+    /// The lanes-along-N kernel and the intake that feeds it and every
     /// tile's lanes along M.
     pub(crate) fn lanes_n() -> Option<(LanesN, Intake)> {
         Some((lanes_n_of, intake_of))
@@ -374,8 +366,8 @@ mod vnni {
         unsafe { intake_vbmi(plane, n, c0, quads, sums) }
     }
 
-    /// Fills `quads` (zero past `K`) with columns `c0 .. c0 + 16` of
-    /// `plane`, and `sums` with their blocks' column sums.
+    /// Fills `quads` with columns `c0 .. c0 + 16` of `plane`, zero past
+    /// `K` and `n`, and `sums` with their blocks' column sums.
     #[target_feature(enable = "avx512vnni,avx512vbmi")]
     fn intake_vbmi(
         plane: &[u8],
@@ -384,21 +376,32 @@ mod vnni {
         quads: &mut [WideQuad],
         sums: &mut [[i32; 16]],
     ) {
-        let k = plane.len() / n;
+        // The bytes `4c + j` of the columns the plane has.
+        let present = u64::MAX >> (4 * (c0 + 16).saturating_sub(n));
         let ones = _mm512_set1_epi8(1);
         let blocks = quads.chunks_mut(K_BLOCK / VECTOR_LEN).zip(sums);
         for (kb, (quads, sum)) in blocks.enumerate() {
             let mut acc = _mm512_setzero_si512();
             for (i, quad) in quads.iter_mut().enumerate() {
                 let k0 = kb * K_BLOCK + i * VECTOR_LEN;
-                let rows: [[u8; 16]; VECTOR_LEN] = std::array::from_fn(|j| match k0 + j {
-                    row if row < k => plane[row * n + c0..][..16].try_into().expect("16 bytes"),
-                    _ => [0; 16],
+                // 16 bytes from each row's first column, whatever columns
+                // past the tile's they hold: the mask drops them.
+                let rows: [[u8; 16]; VECTOR_LEN] = std::array::from_fn(|j| {
+                    let at = (k0 + j) * n + c0;
+                    match plane.get(at..at + 16) {
+                        Some(row) => row.try_into().expect("16 bytes"),
+                        // The plane ends within them: the bytes it has.
+                        None => {
+                            let (mut row, rest) = ([0; 16], plane.get(at..).unwrap_or_default());
+                            row[..rest.len()].copy_from_slice(rest);
+                            row
+                        }
+                    }
                 });
                 // SAFETY: four rows of 16 bytes into a 64-byte vector, by
                 // value: same size, and every bit pattern is valid.
                 let rows = unsafe { std::mem::transmute::<[[u8; 16]; VECTOR_LEN], __m512i>(rows) };
-                let x = _mm512_permutexvar_epi8(words(COLUMN_MAJOR), rows);
+                let x = _mm512_maskz_permutexvar_epi8(present, words(COLUMN_MAJOR), rows);
                 acc = _mm512_dpbusd_epi32(acc, x, ones);
                 *quad = to_words(x);
             }

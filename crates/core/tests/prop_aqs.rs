@@ -657,9 +657,11 @@ fn all_plans_match_oracle_across_the_full_tile_split() {
 /// lone partial quad, after one whole quad and on both sides of the
 /// 256-`k` block edge (a last block of 1–3 `k`, a first of 254–255) ×
 /// every walk width — one column (four panels a walk), two, three, a
-/// whole n-group — and a full 16-column tile × `M` past a panel edge (a
-/// four-panel walk and a partial one after it where a walk carries more
-/// than one panel) × 1–2 LO planes on each side,
+/// whole n-group — narrow tiles of two and four n-groups, which read the
+/// tile's shared quads at offsets 1–3, a full 16-column tile and one with
+/// a 5-column tail tile, whose 16-byte row loads cross row ends × `M`
+/// past a panel edge (a four-panel walk and a partial one after it where
+/// a walk carries more than one panel) × 1–2 LO planes on each side,
 /// at the sparsity extremes, under the AQS plan and both Sibia plans.
 /// On builds without the dot product it holds the `i16` tile to the same
 /// cases.
@@ -674,7 +676,7 @@ fn all_plans_match_oracle_across_quad_tails() {
     let types = [DbsType::Type1, DbsType::Type2, DbsType::Type3];
     let mut seed = 21000u64;
     for k in [1, 2, 3, 5, 254, 255, 257, 258, 259] {
-        for n in [1, 2, 3, 4, 16] {
+        for n in [1, 2, 3, 4, 7, 13, 16, 21] {
             // A narrow walk carries up to four panels: a walk of four
             // and a partial one after it; a wider one walks one panel.
             let m = if n < 3 { 68 } else { 20 };
