@@ -69,11 +69,7 @@
 //!    broadcast operand against the 16 columns' quad. The `i16` tile reads
 //!    lanes along N those signed rows (a full tile's HO×HO, where both
 //!    sides are live; any pair of a build or a stack without the dot
-//!    product), and lanes along M k-major `[i8; 16]` columns: a full tile
-//!    unpacks each panel's LO planes once for its n-groups' walks, and a
-//!    narrow walk, which has no one to share a panel with, its own runs —
-//!    each only in the blocks where its `i16` pairs read at least half
-//!    the `k`, reading the packed slices at those `k` elsewhere. The
+//!    product), and lanes along M k-major `[i8; 16]` columns. The
 //!    re-centred HO activation plane, Sibia's signed activations and every
 //!    pair of a build without the two extensions stay on the `i16` tile. A
 //!    pair's lanes run along the side it does not skip, so each side skips
@@ -83,12 +79,22 @@
 //!    m-group's 4×1 bitset), every other pair **lanes along M**
 //!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
 //!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
-//!    every pair lanes along M, and an n-group of `C` columns fills the
+//!    every pair lanes along M. There an n-group of `C` columns fills the
 //!    tile's four rows with `P = 4 / C` panels (Goto & van de Geijn's
-//!    register blocking): one walk of `k` reads those panels' runs side
-//!    by side, four at N = 1, two at N = 2, one from three columns on.
-//!    Its HO×HO pair runs under the union of the walked panels' bitsets
-//!    (a compressed vector in a live union is stored as zeros).
+//!    register blocking): one **walk** of `k` reads those panels' runs
+//!    side by side, four at N = 1, two at N = 2, one from three columns on
+//!    and on every whole n-group. Its HO×HO pair runs under the union of
+//!    the walked panels' bitsets (a compressed vector in a live union is
+//!    stored as zeros). **One loop nest runs every tile**, full or
+//!    narrow: per stretch of panels (the widest walk's, so one on a full
+//!    tile), per `k` block, per weight plane; a full tile's HO weight plane
+//!    lanes along N, every other plane in the stretch's walks, whose
+//!    register tiles reach the output once, at the end of the stretch.
+//!    There a block's runs are unpacked once for all the stretch's walks
+//!    (Goto & van de Geijn's rule: pack a panel once, reuse it for every
+//!    micro-tile) where the `k` their `i16` pairs read are at least half
+//!    the block's, and read packed at those `k` elsewhere — so an
+//!    N = 8 / 12 tile unpacks each panel once, not once per n-group.
 //!    Lanes along M broadcast a column's pair with one load
 //!    (`vpbroadcastd ymm, m32`); the `i16` tile's lanes along N broadcast
 //!    a weight slice from a register (`movsbl` + `vpbroadcastw ymm, r32`,
@@ -101,25 +107,27 @@
 //!    one-column walk of four panels: for two or three columns LLVM
 //!    vectorises it along `k`, 2–3× slower. In ms per call at 768 × 768,
 //!    w7 × a8, vector-level ρ, 2-core AVX-512 host with VNNI and VBMI
-//!    (`tests/tile_cost.rs`, min of 20 runs of 40 alternated rounds × 8
-//!    calls; the tree whose narrow tiles gathered each n-group's LO quads
-//!    byte by byte read 0.067 / 0.062 / 0.024 at N = 1, 0.153 / 0.143 /
-//!    0.060 at N = 4 and 0.665 / 0.508 / 0.185 at N = 16 on the same host
-//!    in the same minutes; the served row is a ρ_w 0.93 layer on the
-//!    ρ 0.95 inputs, its one cell under ρ 0.95):
+//!    (`tests/tile_cost.rs`, min of 22 runs of 40 alternated rounds × 8
+//!    calls; the tree before the one loop nest, whose narrow walks each
+//!    unpacked their own runs and whose `i32` tile sums compiled to
+//!    gathers and scatters, read 0.073 / 0.069 / 0.026 at N = 1, 0.347 /
+//!    0.330 / 0.129 at N = 8, 0.506 / 0.494 / 0.194 at N = 12 and 0.768 /
+//!    0.578 / 0.205 at N = 16 on the same host in the same minutes; the
+//!    served row is a ρ_w 0.93 layer on the ρ 0.95 inputs, its one cell
+//!    under ρ 0.95):
 //!
 //!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
 //!    |----|-------|-------|--------|
-//!    | 1  | 0.065 | 0.061 | 0.023  |
-//!    | 2  | 0.113 | 0.085 | 0.034  |
-//!    | 4  | 0.152 | 0.141 | 0.058  |
-//!    | 8  | 0.302 | 0.285 | 0.114  |
-//!    | 12 | 0.464 | 0.428 | 0.174  |
-//!    | 16 | 0.665 | 0.495 | 0.180  |
-//!    | 1, 3072 × 768 per 768² | 0.074 | 0.067 | 0.028 |
-//!    | 16, 3072 × 768 per 768² | 0.701 | 0.520 | 0.221 |
-//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.024 |
-//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.195 |
+//!    | 1  | 0.069 | 0.066 | 0.022  |
+//!    | 2  | 0.121 | 0.089 | 0.032  |
+//!    | 4  | 0.168 | 0.153 | 0.054  |
+//!    | 8  | 0.319 | 0.241 | 0.101  |
+//!    | 12 | 0.463 | 0.358 | 0.147  |
+//!    | 16 | 0.739 | 0.534 | 0.168  |
+//!    | 1, 3072 × 768 per 768² | 0.076 | 0.072 | 0.027 |
+//!    | 16, 3072 × 768 per 768² | 0.748 | 0.544 | 0.207 |
+//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.023 |
+//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.193 |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -182,14 +190,18 @@ const _: () = assert!(
 );
 const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
-/// A narrow walk unpacks a block's runs when its `i16` pairs read at
-/// least `1 / UNPACK_SHARE` of their `k`, and reads them packed when
-/// they read fewer.
+/// The walks of a stretch unpack a block's runs of a weight plane once
+/// for them all when their `i16` pairs read at least `1 / UNPACK_SHARE`
+/// of its `k`, and read them packed when they read fewer. Both halves pay:
+/// in an in-process ablation at 768 × 768 (2-core AVX-512 VNNI + VBMI
+/// host, `tests/tile_cost.rs`'s layers, 60 alternated rounds), reading
+/// every block packed made the ρ 0 cells 1.2–1.6× slower (N = 16:
+/// 1.26×), and unpacking every block made N = 1 / 2 / 4 at ρ 0.95 1.38× /
+/// 1.26× / 1.12× slower.
 const UNPACK_SHARE: usize = 2;
 /// One bit per `k` of a block.
 pub(crate) type KMask = [u64; K_BLOCK / 64];
-/// Every `k` of a block, and none.
-const ALL: KMask = [u64::MAX; K_BLOCK / 64];
+/// No `k` of a block.
 const NONE: KMask = [0; K_BLOCK / 64];
 /// `k` positions of one [`Chunk`]: two k-quads, one per nibble.
 pub(crate) const CHUNK_K: usize = 2 * VECTOR_LEN;
@@ -485,8 +497,7 @@ impl PackedWeight {
         row_const: &[i32],
     ) -> (Matrix<i32>, Workload) {
         let (m, n) = (self.row_sums.len(), x.plane(0).cols());
-        let w_ho = self.plane_weights.len() - 1;
-        assert_eq!(w_ho + 1, plan.w_planes(), "weight format");
+        assert_eq!(self.plane_weights.len(), plan.w_planes(), "weight format");
         assert_eq!(
             self.compressed_per_k.len(),
             x.plane(0).rows(),
@@ -500,39 +511,17 @@ impl PackedWeight {
             row.fill(c);
         }
         let mut out = Matrix::from_vec(m, n, out).expect("m × n");
-        let m_panels = m.div_ceil(PANEL_ROWS);
         let mut counts = Compressed::default();
         for c0 in (0..n).step_by(LANES) {
-            STREAMS.with_borrow_mut(|Scratch { act, cols, rows }| {
-                let full = act.prepare(x, plan, c0);
-                counts.add(&act.compressed(&self.compressed_per_k));
-                if full {
-                    // A full tile runs its HO weight plane lanes along N,
-                    // then its LO planes lanes along M for its n-groups'
-                    // walks, from each panel unpacked once.
-                    for p in 0..m_panels {
-                        self.tile_lanes_n(plan, act, p, c0, rows, &mut out);
-                    }
-                    // An LO plane whose LO activation pairs run on the dot
-                    // product is read where any n-group's bitset is: a
-                    // block where that is under half its `k` packed, as a
-                    // narrow walk reads it.
-                    let dot = act.lanes_n.is_some() && plan.skips_activation();
-                    let sparse = dot.then_some(&act.wide.ho_live[..]);
-                    let k_dim = self.compressed_per_k.len();
-                    let need = |kb: usize| match sparse {
-                        Some(live) if !dense(&live[kb], K_BLOCK.min(k_dim - kb * K_BLOCK)) => NONE,
-                        Some(live) => live[kb],
-                        None => ALL,
-                    };
-                    for p in (0..m_panels).filter(|_| w_ho > 0) {
-                        self.unpack_panel(p, 0..w_ho, need, cols);
-                        let panel = &mut Cols::Panel(cols.as_flattened(), sparse);
-                        self.tile_lanes_m(plan, act, 0..w_ho, p..p + 1, c0, panel, &mut out);
-                    }
-                } else {
-                    let walk = &mut Cols::Walk(cols);
-                    self.tile_lanes_m(plan, act, 0..w_ho + 1, 0..m_panels, c0, walk, &mut out);
+            STREAMS.with_borrow_mut(|scratch| {
+                let full = scratch.act.prepare(x, plan, c0);
+                counts.add(&scratch.act.compressed(&self.compressed_per_k));
+                // The last n-group's columns; every other has four.
+                match (n - c0).min(LANES) % VECTOR_LEN {
+                    1 => self.tile::<1>(plan, scratch, full, c0, &mut out),
+                    2 => self.tile::<2>(plan, scratch, full, c0, &mut out),
+                    3 => self.tile::<3>(plan, scratch, full, c0, &mut out),
+                    _ => self.tile::<4>(plan, scratch, full, c0, &mut out),
                 }
             });
         }
@@ -542,276 +531,215 @@ impl PackedWeight {
         )
     }
 
-    /// Unpacks weight planes `w_planes` of panel `p` into `cols`, of each
-    /// block `kb` the chunks holding a `k` of `need(kb)`: per `k` block,
-    /// plane after plane, [`K_BLOCK`] / 8 chunks a block and plane.
-    fn unpack_panel(
+    /// Adds the pairs of the n-tile at `c0` (its streams in `scratch`'s
+    /// `act`; `full` on 16 columns) to the output, in the one loop nest
+    /// of every width: per stretch of panels, the widest walk's (`4 / C`
+    /// for a last n-group of `C` columns, so one on a full tile), per `k`
+    /// block, per weight plane. A full tile's HO weight plane runs lanes
+    /// along N ([`Self::block_lanes_n`]). Every other plane runs lanes
+    /// along M, in walks of an n-group's columns × `4 / C` of the
+    /// stretch's panels side by side, filling the tile's four rows (one
+    /// panel a walk on a whole n-group); the block's runs are unpacked
+    /// once for all the stretch's walks where the `k` their `i16` pairs
+    /// read are [`dense`], and read packed elsewhere. Each register tile
+    /// is added to the output once, at the end of its stretch.
+    fn tile<const C: usize>(
         &self,
-        p: usize,
-        w_planes: Range<usize>,
-        need: impl Fn(usize) -> KMask,
-        cols: &mut Vec<Unpacked>,
+        plan: &KernelPlan,
+        scratch: &mut Scratch,
+        full: bool,
+        c0: usize,
+        out: &mut Matrix<i32>,
     ) {
-        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        grow(cols, k_blocks * w_planes.len() * K_BLOCK / CHUNK_K);
-        let mut blocks = cols.chunks_exact_mut(K_BLOCK / CHUNK_K);
-        for kb in 0..k_blocks {
-            for (i, dst) in w_planes.clone().zip(&mut blocks) {
-                unpack_run(dst, self.run(p, kb, i), &need(kb));
+        let Scratch {
+            act,
+            cols,
+            rows,
+            walks,
+        } = scratch;
+        let k_dim = self.compressed_per_k.len();
+        let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), k_dim.div_ceil(K_BLOCK));
+        let (w_ho, x_ho) = (self.plane_weights.len() - 1, plan.x_scales().len() - 1);
+        let (m, last, dot) = (out.rows(), act.groups.len() - 1, act.lanes_n.is_some());
+        let width = |g: usize| if g == last { C } else { VECTOR_LEN };
+        let lo: [Option<LoQuads>; GROUPS] = std::array::from_fn(|g| act.lo(g, width(g)));
+        let m_panels = m.div_ceil(PANEL_ROWS);
+        for p0 in (0..m_panels).step_by(VECTOR_LEN / C) {
+            let stretch = p0..m_panels.min(p0 + VECTOR_LEN / C);
+            walks.clear();
+            for g in 0..=last {
+                let step = VECTOR_LEN / width(g);
+                for p in (p0..stretch.end).step_by(step) {
+                    let panels = p..stretch.end.min(p + step);
+                    walks.push(Walk {
+                        g,
+                        panels,
+                        ..Walk::default()
+                    });
+                }
+            }
+            // A full tile's lanes along N: its panel's m-groups' tiles.
+            let mut acc_n = full.then(|| [AccTile::default(); GROUPS]);
+            for kb in 0..k_blocks {
+                let k0 = kb * K_BLOCK;
+                let len = K_BLOCK.min(k_dim - k0);
+                let all = first_ks(len);
+                if let Some(acc) = &mut acc_n {
+                    self.block_lanes_n(plan, act, p0, kb, rows, acc);
+                }
+                // A side the plan does not skip executes every `k`.
+                let panel_live = |p: usize| &self.panel_live[p * k_blocks + kb];
+                let mut union = [NONE; 4];
+                for w in walks.iter_mut() {
+                    let w_live = match plan.skips_weight() {
+                        true => w.panels.clone().fold(NONE, |u, p| or(&u, panel_live(p))),
+                        false => all,
+                    };
+                    let x_live = match plan.skips_activation() {
+                        true => act.groups[w.g].ho_live[kb],
+                        false => all,
+                    };
+                    let both = std::array::from_fn(|o| w_live[o] & x_live[o]);
+                    w.live = [all, w_live, x_live, both];
+                    union = std::array::from_fn(|p| or(&union[p], &w.live[p]));
+                }
+                for i in 0..w_ho + usize::from(!full) {
+                    // The `k` the walks' `i16` pairs read: the runs'
+                    // unpack rule.
+                    let pairs = (0..=x_ho).filter_map(|j| pair((i == w_ho, j == x_ho), dot));
+                    let need = &pairs.fold(NONE, |need, p| or(&need, &union[p]));
+                    let unpacked = dense(need, len);
+                    if unpacked {
+                        grow(cols, stretch.len() * K_BLOCK / CHUNK_K);
+                        let runs = cols.chunks_exact_mut(K_BLOCK / CHUNK_K);
+                        for (dst, p) in runs.zip(stretch.clone()) {
+                            unpack_run(dst, self.run(p, kb, i), need);
+                        }
+                    }
+                    for w in walks.iter_mut() {
+                        // Past the last of its panels, a walk repeats it.
+                        let (start, last_q) = (w.panels.start, w.panels.len() - 1);
+                        let panel = |q: usize| start + q.min(last_q);
+                        let packed: Runs = std::array::from_fn(|q| self.run(panel(q), kb, i));
+                        let runs = match unpacked {
+                            true => ColRuns::Unpacked(std::array::from_fn(|q| {
+                                let at = (panel(q) - p0) * K_BLOCK / CHUNK_K;
+                                &cols[at..].as_flattened()[..len]
+                            })),
+                            false => ColRuns::Packed(packed),
+                        };
+                        let stream = &act.groups[w.g];
+                        for j in 0..=x_ho {
+                            let scale = self.plane_weights[i] * plan.x_scales()[j];
+                            let Some(p) = pair((i == w_ho, j == x_ho), dot) else {
+                                let lo = lo[w.g].expect("a pair off the i16 tile");
+                                let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
+                                let x = &lo.quads[at..][..2 * packed[0].len() * VECTOR_LEN];
+                                let sums = &lo.sums[(j * k_blocks + kb) * VECTOR_LEN];
+                                add_scaled(&mut w.acc, &(lo.kernel)(&packed, x, sums), scale);
+                                continue;
+                            };
+                            let at = stream.planes.len() - (x_ho + 1 - j) * k_dim + k0;
+                            let (x, ks) = (&stream.planes[at..][..len], &w.live[p]);
+                            let tile = match w.g == last {
+                                true => products_lanes_m::<C>(runs, x, ks),
+                                false => products_lanes_m::<VECTOR_LEN>(runs, x, ks),
+                            };
+                            add_scaled(&mut w.acc, &tile, scale);
+                        }
+                    }
+                }
+            }
+            let panel = p0 * PANEL_ROWS..m.min((p0 + 1) * PANEL_ROWS);
+            for (row, acc) in panel.zip(acc_n.iter().flatten().flatten()) {
+                for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc) {
+                    *o += a;
+                }
+            }
+            for w in walks.iter() {
+                // Tile row `q·C + c` holds column `c` of the walk's panel
+                // `q`.
+                let c0 = c0 + w.g * VECTOR_LEN;
+                for (p, acc) in w.panels.clone().zip(w.acc.chunks(width(w.g))) {
+                    let row0 = p * PANEL_ROWS;
+                    for (nn, acc_col) in acc.iter().enumerate() {
+                        for (mm, &a) in acc_col[..PANEL_ROWS.min(m - row0)].iter().enumerate() {
+                            out[(row0 + mm, c0 + nn)] += a;
+                        }
+                    }
+                }
             }
         }
     }
 
-    /// Adds the HO weight plane's pairs of panel `p` to columns
-    /// `c0 .. c0 + 16` of the output, lanes along N: per `k` block, the
+    /// Adds `k` block `kb` of the HO weight plane's pairs of panel `p` to
+    /// `acc`, its m-groups' tiles of a full n-tile, lanes along N: the
     /// chunks of the block some m-group reads, signed into `rows`, then
-    /// per m-group a 4-row × 16-column tile under its own bitset — on
-    /// the dot product over its live k-quads where the tile has an LO
-    /// plane's quads, and on the `i16` tile otherwise (the HO activation
-    /// plane under both sides' bitsets, any plane of a build or a stack
-    /// without the dot product under the m-group's).
-    fn tile_lanes_n(
+    /// per m-group a 4-row × 16-column tile under its own bitset — on the
+    /// dot product over its live k-quads where the tile has an LO plane's
+    /// quads, and on the `i16` tile otherwise (the HO activation plane
+    /// under both sides' bitsets, any plane of a build or a stack without
+    /// the dot product under the m-group's).
+    fn block_lanes_n(
         &self,
         plan: &KernelPlan,
         act: &ActTile,
         p: usize,
-        c0: usize,
+        kb: usize,
         rows: &mut Vec<RowQuad>,
-        out: &mut Matrix<i32>,
+        acc: &mut [AccTile; GROUPS],
     ) {
         let k_dim = self.compressed_per_k.len();
         let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), k_dim.div_ceil(K_BLOCK));
         let (w_ho, x_ho) = (self.plane_weights.len() - 1, plan.x_scales().len() - 1);
-        let groups = p * GROUPS..(out.rows() / VECTOR_LEN).min((p + 1) * GROUPS);
-        let mut acc = [AccTile::default(); GROUPS];
-        for kb in 0..k_blocks {
-            let k0 = kb * K_BLOCK;
-            let len = K_BLOCK.min(k_dim - k0);
-            let all = first_ks(len);
-            // A side the plan does not skip executes every `k`.
-            let w_live = |mg: usize| match plan.skips_weight() {
-                true => &self.ho_live[mg * k_blocks + kb],
-                false => &all,
-            };
-            let x_live = if plan.skips_activation() {
-                &act.wide.ho_live[kb]
-            } else {
-                &all
-            };
-            let run = self.run(p, kb, w_ho);
-            let union = groups.clone().fold(NONE, |u, mg| or(&u, w_live(mg)));
-            if union == NONE {
+        let groups = p * GROUPS..(self.row_sums.len() / VECTOR_LEN).min((p + 1) * GROUPS);
+        let k0 = kb * K_BLOCK;
+        let len = K_BLOCK.min(k_dim - k0);
+        let all = first_ks(len);
+        // A side the plan does not skip executes every `k`.
+        let w_live = |mg: usize| match plan.skips_weight() {
+            true => &self.ho_live[mg * k_blocks + kb],
+            false => &all,
+        };
+        let x_live = if plan.skips_activation() {
+            &act.wide.ho_live[kb]
+        } else {
+            &all
+        };
+        let run = self.run(p, kb, w_ho);
+        let union = groups.clone().fold(NONE, |u, mg| or(&u, w_live(mg)));
+        if union == NONE {
+            return;
+        }
+        if rows.len() < 2 * run.len() {
+            rows.resize(2 * run.len(), RowQuad::default());
+        }
+        for (t, (chunk, dst)) in run.iter().zip(rows.as_chunks_mut::<2>().0).enumerate() {
+            if union[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
+                *dst = signed_quads(chunk);
+            }
+        }
+        let rows = &rows[..2 * run.len()];
+        let acc = &mut acc[..groups.len()];
+        for j in 0..=x_ho {
+            let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
+            if let (false, Some(lanes_n)) = (j == x_ho, act.lanes_n) {
+                let quads: [KMask; GROUPS] = std::array::from_fn(|g| {
+                    groups.clone().nth(g).map_or(NONE, |mg| quads(w_live(mg)))
+                });
+                let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
+                lanes_n(rows, x, &quads[..acc.len()], scale, acc);
                 continue;
             }
-            if rows.len() < 2 * run.len() {
-                rows.resize(2 * run.len(), RowQuad::default());
-            }
-            for (t, (chunk, dst)) in run.iter().zip(rows.as_chunks_mut::<2>().0).enumerate() {
-                if union[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
-                    *dst = signed_quads(chunk);
-                }
-            }
-            let rows = &rows[..2 * run.len()];
-            let acc = &mut acc[..groups.len()];
-            for j in 0..=x_ho {
-                let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
-                if let (false, Some(lanes_n)) = (j == x_ho, act.lanes_n) {
-                    let quads: [KMask; GROUPS] = std::array::from_fn(|g| {
-                        groups.clone().nth(g).map_or(NONE, |mg| quads(w_live(mg)))
-                    });
-                    let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
-                    lanes_n(rows, x, &quads[..acc.len()], scale, acc);
-                    continue;
-                }
-                let planes = &act.wide.planes;
-                let x = &planes[planes.len() - (x_ho + 1 - j) * k_dim + k0..][..len];
-                let ks: [KMask; GROUPS] = std::array::from_fn(|g| match groups.clone().nth(g) {
-                    Some(mg) if j == x_ho => std::array::from_fn(|i| w_live(mg)[i] & x_live[i]),
-                    Some(mg) => *w_live(mg),
-                    None => NONE,
-                });
-                products_lanes_n(rows, x, &ks, scale, acc);
-            }
+            let planes = &act.wide.planes;
+            let x = &planes[planes.len() - (x_ho + 1 - j) * k_dim + k0..][..len];
+            let ks: [KMask; GROUPS] = std::array::from_fn(|g| match groups.clone().nth(g) {
+                Some(mg) if j == x_ho => std::array::from_fn(|i| w_live(mg)[i] & x_live[i]),
+                Some(mg) => *w_live(mg),
+                None => NONE,
+            });
+            products_lanes_n(rows, x, &ks, scale, acc);
         }
-        for (mg, acc) in groups.zip(&acc) {
-            for (mm, acc_row) in acc.iter().enumerate() {
-                let row = mg * VECTOR_LEN + mm;
-                for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc_row) {
-                    *o += a;
-                }
-            }
-        }
-    }
-
-    /// Adds weight planes `w_planes`' pairs of `panels` to the columns of
-    /// `act`'s n-groups from `c0` on, lanes along M, of real columns only:
-    /// per n-group of `C` columns, one walk of `k` fills the tile's four
-    /// rows with `P = 4 / C` panels × the `C` columns, under the n-group's
-    /// bitset (and the union of those panels' bitsets for the HO weight
-    /// plane).
-    #[allow(clippy::too_many_arguments)] // the tile's operands, its place and its columns
-    fn tile_lanes_m(
-        &self,
-        plan: &KernelPlan,
-        act: &ActTile,
-        w_planes: Range<usize>,
-        panels: Range<usize>,
-        c0: usize,
-        w_cols: &mut Cols,
-        out: &mut Matrix<i32>,
-    ) {
-        let n = out.cols();
-        // Four columns, except in the last n-group of the call.
-        let cols = |g: usize| VECTOR_LEN.min(n - c0 - g * VECTOR_LEN);
-        // Panels of the widest walk, the last n-group's: a whole n-group
-        // walks one panel, so every walk lies inside one such stretch.
-        let widest = VECTOR_LEN / cols(act.groups.len() - 1);
-        for p0 in panels.clone().step_by(widest) {
-            let stretch = p0..panels.end.min(p0 + widest);
-            for (g, stream) in act.groups.iter().enumerate() {
-                let (c0, walk) = (c0 + g * VECTOR_LEN, VECTOR_LEN / cols(g));
-                for p in stretch.clone().step_by(walk) {
-                    let panels = p..stretch.end.min(p + walk);
-                    let (stream, w_planes) = ((stream, act.lo(g, cols(g))), w_planes.clone());
-                    self.walk_lanes_m(plan, stream, w_planes, panels, c0, w_cols, out);
-                }
-            }
-        }
-    }
-
-    /// One lanes-along-M walk: adds weight planes `w_planes`' pairs of
-    /// `panels` (at most `4 / C`) to the `C` columns of `act` at `c0`.
-    #[allow(clippy::too_many_arguments)] // as `tile_lanes_m`
-    fn walk_lanes_m(
-        &self,
-        plan: &KernelPlan,
-        act: (&Stream<PairedCols>, Option<LoQuads>),
-        w_planes: Range<usize>,
-        panels: Range<usize>,
-        c0: usize,
-        w_cols: &mut Cols,
-        out: &mut Matrix<i32>,
-    ) {
-        let k_blocks = self.compressed_per_k.len().div_ceil(K_BLOCK);
-        let w_live = &self.panel_live[panels.start * k_blocks..panels.end * k_blocks];
-        let cols = VECTOR_LEN.min(out.cols() - c0);
-        let (ps, wc) = (panels.clone(), w_cols);
-        let acc = match cols {
-            1 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<1>),
-            2 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<2>),
-            3 => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<3>),
-            _ => self.accumulate(plan, ps, w_planes, w_live, act, wc, products_lanes_m::<4>),
-        };
-        // Tile row `q·C + c` holds column `c` of the walk's panel `q`.
-        for (p, acc) in panels.zip(acc.chunks(cols)) {
-            let row0 = p * PANEL_ROWS;
-            let rows = PANEL_ROWS.min(out.rows() - row0);
-            for (nn, acc_col) in acc.iter().enumerate() {
-                for (mm, &a) in acc_col[..rows].iter().enumerate() {
-                    out[(row0 + mm, c0 + nn)] += a;
-                }
-            }
-        }
-    }
-
-    /// `Σ_{i,j} 8^i·c_j · Σ_k` of one lanes-along-M register tile:
-    /// `products` over every `k` block, weight plane `i ∈ w_planes` of
-    /// `panels` and activation plane `j`, each over the `k` that pair
-    /// executes given the stream's `ho_live` and the union of `w_live`'s
-    /// panels (a bitset per `k` block each), on the runs `cols` gives —
-    /// or, for a pair of an LO activation plane where the stream has
-    /// quads (`lo`), the dot-product kernel over every `k` of the packed
-    /// runs: the same sum at dot-product width, since a compressed HO
-    /// weight vector is stored as zeros.
-    #[allow(clippy::too_many_arguments)] // one per axis of the tile
-    fn accumulate(
-        &self,
-        plan: &KernelPlan,
-        panels: Range<usize>,
-        w_planes: Range<usize>,
-        w_live: &[KMask],
-        (act, lo): (&Stream<PairedCols>, Option<LoQuads>),
-        cols: &mut Cols,
-        products: impl Fn(ColRuns, &[PairedCols], &KMask) -> ProductTile,
-    ) -> AccTile {
-        let k_dim = self.compressed_per_k.len();
-        let planes = self.plane_weights.len();
-        let (w_ho, x_ho) = (planes - 1, plan.x_scales().len() - 1);
-        let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), act.ho_live.len());
-        let mut acc = AccTile::default();
-        for (kb, x_live) in act.ho_live.iter().enumerate() {
-            let k0 = kb * K_BLOCK;
-            let len = K_BLOCK.min(k_dim - k0);
-            let all = first_ks(len);
-            let units = w_live.iter().skip(kb).step_by(k_blocks);
-            let union = units.fold(NONE, |u, m| or(&u, m));
-            // A side the plan does not skip executes every `k`.
-            let w_live = if plan.skips_weight() { &union } else { &all };
-            let x_live = if plan.skips_activation() {
-                x_live
-            } else {
-                &all
-            };
-            let both_live: KMask = std::array::from_fn(|i| w_live[i] & x_live[i]);
-            for i in w_planes.clone() {
-                // Past the last of `panels`, the walk repeats it.
-                let last = panels.len() - 1;
-                let packed: Runs =
-                    std::array::from_fn(|q| self.run(panels.start + q.min(last), kb, i));
-                // The `k` each plane pair executes on the `i16` tile;
-                // `None` where it runs on the dot product.
-                let ks = |j: usize| match (i == w_ho, j == x_ho, lo.is_some()) {
-                    (_, false, true) => None,
-                    (false, false, false) => Some(&all),
-                    (true, false, false) => Some(w_live),
-                    (false, true, _) => Some(x_live),
-                    (true, true, _) => Some(&both_live),
-                };
-                let w_cols = match cols {
-                    // A panel holds the blocks of `w_planes`, block after
-                    // block, those it unpacked.
-                    Cols::Panel(_, Some(need)) if !dense(&need[kb], len) => ColRuns::Packed(packed),
-                    Cols::Panel(panel, _) => {
-                        let at = (kb * w_planes.len() + i - w_planes.start) * K_BLOCK;
-                        ColRuns::Unpacked([&panel[at..][..len]; VECTOR_LEN])
-                    }
-                    // A walk whose `i16` pairs read many `k` unpacks
-                    // their chunks first; one that reads fewer reads them
-                    // packed.
-                    Cols::Walk(scratch) => {
-                        let need = (0..=x_ho).filter_map(ks).fold(NONE, |u, m| or(&u, m));
-                        if !dense(&need, len) {
-                            ColRuns::Packed(packed)
-                        } else {
-                            grow(scratch, VECTOR_LEN * K_BLOCK / CHUNK_K);
-                            let runs = scratch.chunks_exact_mut(K_BLOCK / CHUNK_K);
-                            for (dst, run) in runs.zip(&packed[..=last]) {
-                                unpack_run(dst, run, &need);
-                            }
-                            ColRuns::Unpacked(std::array::from_fn(|q| {
-                                &scratch[q.min(last) * K_BLOCK / CHUNK_K..].as_flattened()[..len]
-                            }))
-                        }
-                    }
-                };
-                for j in 0..=x_ho {
-                    let scale = self.plane_weights[i] * plan.x_scales()[j];
-                    let Some(ks) = ks(j) else {
-                        let lo = lo.expect("a pair off the i16 tile");
-                        let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
-                        let x = &lo.quads[at..][..2 * packed[0].len() * VECTOR_LEN];
-                        let sums = &lo.sums[(j * k_blocks + kb) * VECTOR_LEN];
-                        let tile = (lo.kernel)(&packed, x, sums);
-                        add_scaled(&mut acc, &tile, scale);
-                        continue;
-                    };
-                    let x = &act.planes[act.planes.len() - (x_ho + 1 - j) * k_dim + k0..];
-                    let tile = products(w_cols, &x[..len], ks);
-                    add_scaled(&mut acc, &tile, scale);
-                }
-            }
-        }
-        acc
     }
 
     /// [`TileStats`] of `x` under `plan`, its compressed activation
@@ -938,14 +866,17 @@ thread_local! {
     static STREAMS: RefCell<Scratch> = RefCell::default();
 }
 
-/// A thread's buffers: the activation side of an n-tile, the weight
-/// columns the `i16` tile reads lanes along M and the signed quads of
-/// one block lanes along N read.
+/// A thread's buffers: the activation side of an n-tile; the runs of
+/// one `k` block and weight plane of a stretch of panels as the `i16`
+/// tile reads them lanes along M, unpacked once for all the stretch's
+/// walks (panel `p0 + q`'s from chunk `q · K_BLOCK / 8` on); the signed
+/// quads of one block lanes along N read; and the stretch's walks.
 #[derive(Default)]
 struct Scratch {
     act: ActTile,
     cols: Vec<Unpacked>,
     rows: Vec<RowQuad>,
+    walks: Vec<Walk>,
 }
 
 /// A [`Chunk`] unpacked: its eight `k` as [`PanelCol`]s.
@@ -968,20 +899,33 @@ fn unpack_run(cols: &mut [Unpacked], run: &[Chunk], need: &KMask) {
     }
 }
 
-/// Where the `i16` tile reads a block's runs lanes along M: a full
-/// tile's panel, unpacked once for its n-groups' walks (laid out as
-/// [`PackedWeight::unpack_panel`] says) except in the blocks where the
-/// `k` they read, given per block, are too few to be worth it, or a
-/// narrow walk's own buffer, which it refills with its runs of one block
-/// and plane (run `q` from chunk `q · K_BLOCK / 8` on) where its pairs
-/// read enough `k`. Where fewer are live, unpacking whole runs costs more
-/// than reading the packed slices at those `k` ([`dense`]).
-enum Cols<'a> {
-    Panel(&'a [PanelCol], Option<&'a [KMask]>),
-    Walk(&'a mut Vec<Unpacked>),
+/// One lanes-along-M walk of a stretch: n-group `g`'s `C` columns ×
+/// `panels` (at most `4 / C`), its register tile's sum over the blocks so
+/// far, and per plane pair of the current block, indexed by which of its
+/// planes are HO (bit 0 the weight's, bit 1 the activation's), the `k`
+/// it executes: every `k`, the union of `panels`' HO weight bitsets, the
+/// n-group's HO activation bitset (each every `k` on a side the plan
+/// does not skip), and both.
+#[derive(Default)]
+struct Walk {
+    g: usize,
+    panels: Range<usize>,
+    acc: AccTile,
+    live: [KMask; 4],
 }
 
-/// The runs of one block and plane as the `i16` tile reads them.
+/// The index in [`Walk`]'s `live` of the `k` a pair of a weight and an
+/// activation plane executes on the `i16` tile, given whether each is
+/// its stack's HO plane; `None` where the pair runs on the dot product
+/// (`dot`: an LO activation plane of a tile with quads).
+fn pair((w_ho, x_ho): (bool, bool), dot: bool) -> Option<usize> {
+    (x_ho || !dot).then_some(usize::from(w_ho) | usize::from(x_ho) << 1)
+}
+
+/// The runs of one block and plane as a walk's `i16` pairs read them:
+/// unpacked, where the `k` the stretch's walks read are [`dense`], or
+/// packed, reading only those `k`. Where fewer are live, unpacking whole
+/// runs costs more than reading the packed slices at those `k`.
 #[derive(Clone, Copy)]
 enum ColRuns<'a> {
     Unpacked([&'a [PanelCol]; VECTOR_LEN]),
@@ -1175,14 +1119,14 @@ fn widen<X: Planes, T>(
     }
 }
 
-/// `acc += scale · tile`, lane by lane. Plain `+` / `*`: overflow panics
-/// under `debug_assertions`; `QuantizedLinear::prepare` rejects layers
-/// whose sums could reach it.
+/// `acc += scale · tile`, lane by lane, in one flat loop over the 64
+/// lanes: a nest of rows and lanes compiled to a gather and a scatter
+/// per lane across the four rows. Plain `+` / `*`: overflow panics under
+/// `debug_assertions`; `QuantizedLinear::prepare` rejects layers whose
+/// sums could reach it.
 fn add_scaled<P: Copy + Into<i32>>(acc: &mut AccTile, tile: &[[P; LANES]; VECTOR_LEN], scale: i32) {
-    for (acc_row, row) in acc.iter_mut().zip(tile) {
-        for (a, &p) in acc_row.iter_mut().zip(row) {
-            *a += p.into() * scale;
-        }
+    for (a, &p) in acc.as_flattened_mut().iter_mut().zip(tile.as_flattened()) {
+        *a += p.into() * scale;
     }
 }
 
@@ -1284,8 +1228,9 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
 }
 
 /// A run of one panel's weight columns as the `i16` tile reads it, one
-/// `k` at a time: unpacked, or packed (a narrow walk's, which reads only
-/// the `k` of its sparse pairs).
+/// `k` at a time: unpacked, or packed, reading only the `k` of a block
+/// whose `i16` pairs are sparse — unpacking whole runs for those few `k`
+/// is what makes the narrow ρ 0.95 cells slower (see [`UNPACK_SHARE`]).
 trait Run: Copy {
     /// The run's length in columns, at least the `k` it holds.
     fn len(self) -> usize;

@@ -552,11 +552,15 @@ fn all_plans_match_oracle_across_panel_edges_and_lane_orientations() {
 /// partial last panel (one panel after the last walk of four), of six
 /// (two after it), of seven with a partial last (three after it) and of
 /// eight with a partial last × `N` of one to three columns (walks of
-/// four, two and one panel) × `K` on both sides of one and two 256-`k`
+/// four, two and one panel) and of 5, 9 and 14 (whole n-groups walking
+/// one panel beside a last one walking four or two, so one stretch's
+/// walks differ in width and in panels walked, and a short last stretch
+/// holds fewer of them) × `K` on both sides of one and two 256-`k`
 /// blocks × 1–3 weight planes, under the AQS plan and both Sibia plans.
 /// Activation planes, DBS type, `r` and sparsities cycle along the
 /// sweep; per-group fills give the panels of one walk different HO
-/// liveness.
+/// liveness, and sparse and dense fills send a stretch's runs both to
+/// the shared unpack and to the packed reader.
 #[test]
 fn all_plans_match_oracle_across_narrow_panel_walks() {
     let fills = [
@@ -570,6 +574,7 @@ fn all_plans_match_oracle_across_narrow_panel_walks() {
     ];
     let ms = [64, 68, 80, 96, 100, 116];
     all_plans_match_oracle_across(&ms, &[1, 2, 3], &fills, 17000);
+    all_plans_match_oracle_across(&ms, &[5, 9, 14], &fills, 18000);
 }
 
 /// Every `M` in `ms` × `K` on both sides of one and two 256-`k` blocks ×

@@ -179,6 +179,8 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
         ratios.sort_by(f64::total_cmp);
         ratios[ratios.len() / 2]
     };
+    #[cfg(all(target_feature = "avx512vnni", target_feature = "avx512vbmi"))]
+    let cell_median = |ni: usize, ri: usize| median(&|cells| cells[ni][ri]);
     println!("ms per call, {D} × {D} w7 × a8, min of {ROUNDS} rounds × {CALLS} calls");
     println!("| N  | ρ 0   | ρ 0.5 | ρ 0.95 |");
     for (ni, n) in NS.iter().enumerate() {
@@ -232,7 +234,11 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
     #[cfg(all(target_feature = "avx512vnni", target_feature = "avx512vbmi"))]
     assert!(
         sparse_share < SPARSE_SHARE,
-        "N = 16: t(ρ 0.95) is {sparse_share:.2} of t(ρ 0), not under {SPARSE_SHARE}: \
-         is LO×LO off the dot product?"
+        "N = 16: t(ρ 0.95) / t(ρ 0) has a median of {sparse_share:.2} over the rounds, not \
+         under {SPARSE_SHARE} (cell medians: ρ 0.95 {:.3} ms, ρ 0 {:.3} ms). ρ 0.95's floor \
+         is the dense LO×LO pair plus the intake, so a ρ 0 cell that got faster without \
+         them raises the ratio",
+        cell_median(at(16), 2),
+        cell_median(at(16), 0),
     );
 }
