@@ -35,99 +35,105 @@
 //!    planes (`u8`, or `i8` for Sibia's SBR activations) widened to `i16`
 //!    — per n-group as `[i16; 2]` pairs (each slice twice), on a full
 //!    tile also as 16-column rows, widened once and cut into the pairs —
-//!    with the bitset of `k` where the HO vectors are not all compressed,
-//!    from which the sweep also counts each `k`'s compressed n-groups for
-//!    step 4. The HO plane is stored re-centred, `x_HO − r`, making an
-//!    all-`r` vector a zero one, skipped alike: Eq. 5's
-//!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
-//!    `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction folded
-//!    into the re-centring — and the output starts at it. On a build with
-//!    the dot product (`core::dot`) the raw `u8` LO planes are read
-//!    straight from the [`SlicedActivation`] as k-quads instead, with each
-//!    block's column sums: at every tile width one 64-byte quad of its 16
-//!    columns per four `k` (one `vpermb` of four 16-byte rows, the columns
-//!    past a narrow tile's width masked to zero), whose every fourth word
-//!    its n-groups' walks read. The HO plane, then the only one widened,
-//!    is the one activation plane the `i16` tile reads.
+//!    with the bitset of `k` where the HO vectors are not all compressed
+//!    and its k-quads (one bit per four `k`), from which the sweep also
+//!    counts each `k`'s compressed n-groups for step 4. The HO plane is
+//!    stored re-centred, `x_HO − r`, making an all-`r` vector a zero one,
+//!    skipped alike: Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one
+//!    per-row constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ`
+//!    correction folded into the re-centring — and the output starts at
+//!    it. On a build with the dot product (`core::dot`) every plane of a
+//!    `u8` stack is read straight from the [`SlicedActivation`] as k-quads
+//!    instead, the HO plane re-centred alike, with each block's column
+//!    sums: at every tile width one 64-byte quad of its 16 columns per
+//!    four `k` (one `vpermb` and one masked `vpsubb`, the bytes past a
+//!    narrow tile's width or past `K` zero), whose every fourth word its
+//!    n-groups' walks read. There only the HO plane is widened, for the
+//!    `i16` tile's HO×HO, and a full tile keeps only its n-groups'
+//!    bitsets, cutting no pairs.
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
 //!    by `8^i·c_j`, into the output. On a build that targets AVX-512
-//!    VNNI and VBMI, pairs of a `u8` LO activation plane sum in `i32`
+//!    VNNI and VBMI, every pair of a `u8` stack but HO×HO sums in `i32`
 //!    lanes on `vpdpbusd` instead, to the same block sum, scaled and
-//!    added alike: LO_w×LO_x in every walk below (eight `k` a chunk,
-//!    unpacked with an AND and a shift-AND); in a narrow walk HO_w×LO_x
-//!    too, over every `k` (a compressed HO weight vector is stored as
-//!    zeros, so the dense sum is exact); and on a full tile HO_w×LO_x
-//!    per m-group over its **live k-quads** only, those where any of its
-//!    four HO vectors is uncompressed (read off its bitset, so no second
-//!    index): the paper's weight skipping four `k` a step, at the cost of
-//!    the few zeros a live quad holds. There each row's four slices — its
+//!    added alike. Lanes along M the weight nibble (`slice + 8`, eight `k`
+//!    a chunk, split with an AND and a shift-AND) is the unsigned operand
+//!    and a column's activation quad the signed broadcast one, the `+ 8`
+//!    taken back by starting at `−8·Σx`: LO_w×LO_x over every `k`; in a
+//!    narrow walk HO_w×LO_x too (a compressed HO weight vector is stored
+//!    as zeros, so the dense sum is exact); and LO_w×HO_x over each
+//!    n-group's **live k-quads** only, those where any of its four HO
+//!    vectors is uncompressed — the paper's activation skipping four `k`
+//!    a step, exact because a dead quad is zeros, so `Σx` stays the
+//!    block's. On a full tile HO_w×LO_x runs per m-group over its live
+//!    k-quads, the weight side's skipping: each row's four slices — its
 //!    chunk word's nibble half with the `+ 8` taken back, signed once per
-//!    block into a `RowQuad` for the chunks some m-group reads — are one
-//!    broadcast operand against the 16 columns' quad. The `i16` tile reads
-//!    lanes along N those signed rows (a full tile's HO×HO, where both
-//!    sides are live; any pair of a build or a stack without the dot
-//!    product), and lanes along M k-major `[i8; 16]` columns. The
-//!    re-centred HO activation plane, Sibia's signed activations and every
-//!    pair of a build without the two extensions stay on the `i16` tile. A
-//!    pair's lanes run along the side it does not skip, so each side skips
-//!    at the paper's granularity: on a full tile the HO weight plane's
-//!    pairs run **lanes along N** (`products_lanes_n` and
-//!    `dot::lanes_n`: the 4 rows of an m-group × 16 columns, under the
-//!    m-group's 4×1 bitset), every other pair **lanes along M**
-//!    (`products_lanes_m`: the 16 rows of a panel × one n-group, under the
-//!    n-group's 1×4 bitset). A narrower tile — every decode step — runs
-//!    every pair lanes along M. There an n-group of `C` columns fills the
-//!    tile's four rows with `P = 4 / C` panels (Goto & van de Geijn's
-//!    register blocking): one **walk** of `k` reads those panels' runs
-//!    side by side, four at N = 1, two at N = 2, one from three columns on
-//!    and on every whole n-group. Its HO×HO pair runs under the union of
-//!    the walked panels' bitsets (a compressed vector in a live union is
-//!    stored as zeros). **One loop nest runs every tile**, full or
-//!    narrow: per stretch of panels (the widest walk's, so one on a full
-//!    tile), per `k` block, per weight plane; a full tile's HO weight plane
-//!    lanes along N, every other plane in the stretch's walks, whose
-//!    register tiles reach the output once, at the end of the stretch.
-//!    There a block's runs are unpacked once for all the stretch's walks
-//!    (Goto & van de Geijn's rule: pack a panel once, reuse it for every
-//!    micro-tile) where the `k` their `i16` pairs read are at least half
-//!    the block's, and read packed at those `k` elsewhere — so an
-//!    N = 8 / 12 tile unpacks each panel once, not once per n-group.
-//!    Lanes along M broadcast a column's pair with one load
-//!    (`vpbroadcastd ymm, m32`); the `i16` tile's lanes along N broadcast
-//!    a weight slice from a register (`movsbl` + `vpbroadcastw ymm, r32`,
-//!    shuffle-port uops, four per `k`). Every pair lanes along M would
-//!    spare those but skip weights only per 16-row union, where ρ = 0.5
-//!    costs nearly what ρ = 0 does. A set holding every `k` of a block
-//!    (LO×LO's where it stays on the `i16` tile; any on a side the plan
-//!    does not skip; a bitset that happens to be full) is walked in a
-//!    straight loop — lanes along M only on a whole n-group or a
-//!    one-column walk of four panels: for two or three columns LLVM
-//!    vectorises it along `k`, 2–3× slower. In ms per call at 768 × 768,
-//!    w7 × a8, vector-level ρ, 2-core AVX-512 host with VNNI and VBMI
-//!    (`tests/tile_cost.rs`, min of 22 runs of 40 alternated rounds × 8
-//!    calls; the tree before the one loop nest, whose narrow walks each
-//!    unpacked their own runs and whose `i32` tile sums compiled to
-//!    gathers and scatters, read 0.073 / 0.069 / 0.026 at N = 1, 0.347 /
-//!    0.330 / 0.129 at N = 8, 0.506 / 0.494 / 0.194 at N = 12 and 0.768 /
-//!    0.578 / 0.205 at N = 16 on the same host in the same minutes; the
+//!    block into a `RowQuad` for the quads some m-group reads — are one
+//!    broadcast operand against the 16 columns' quad. The `i16` tile
+//!    reads lanes along N those signed rows (a full tile's HO×HO, where
+//!    both sides are live; any pair of a build or a stack without the dot
+//!    product), and lanes along M k-major `[i8; 16]` columns (a narrow
+//!    walk's HO×HO, Sibia's signed activations, every pair of a build
+//!    without the two extensions). A pair's lanes run along the side it
+//!    does not skip, so each side skips at the paper's granularity: on a
+//!    full tile the HO weight plane's pairs run **lanes along N**
+//!    (`products_lanes_n` and `dot::lanes_n`: the 4 rows of an m-group ×
+//!    16 columns, under the m-group's 4×1 bitset), every other pair
+//!    **lanes along M** (the 16 rows of a panel × the n-groups' columns,
+//!    under each n-group's 1×4 bitset). On a dot build a full tile walks
+//!    an LO activation plane's 16 columns at once per panel and block
+//!    (`dot::panel`), so each chunk is split once for the 16 columns, and
+//!    the HO plane per n-group straight into its four columns of the same
+//!    column-major tile, which reaches the panel's rows through one
+//!    in-register transpose. Elsewhere (`products_lanes_m`) a walk carries one
+//!    n-group, and a narrower tile — every decode step — runs every pair
+//!    that way: an n-group of `C` columns fills the tile's four rows with
+//!    `P = 4 / C` panels (Goto & van de Geijn's register blocking), one
+//!    **walk** of `k` reading those panels' runs side by side, four at
+//!    N = 1, two at N = 2, one from three columns on and on every whole
+//!    n-group. Its HO×HO pair runs under the union of the walked panels'
+//!    bitsets (a compressed vector in a live union is stored as zeros).
+//!    **One loop nest runs every tile**, full or narrow: per stretch of
+//!    panels (the widest walk's, so one on a full tile), per `k` block,
+//!    per weight plane; a full tile's HO weight plane lanes along N, every
+//!    other plane in the stretch's walks, whose register tiles reach the
+//!    output once, at the end of the stretch. There a block's runs are
+//!    unpacked once for all the stretch's walks (Goto & van de Geijn's
+//!    rule: pack a panel once, reuse it for every micro-tile) where the
+//!    `k` their `i16` pairs read are at least half the block's, and read
+//!    packed at those `k` elsewhere. The `i16` lanes along M broadcast a
+//!    column's pair with one load (`vpbroadcastd ymm, m32`); its lanes
+//!    along N broadcast a weight slice from a register (`movsbl` +
+//!    `vpbroadcastw ymm, r32`, shuffle-port uops, four per `k`). A set
+//!    holding every `k` of a block (any on a side the plan does not skip;
+//!    a bitset that happens to be full) is walked in a straight loop —
+//!    lanes along M only on a whole n-group or a one-column walk of four
+//!    panels: for two or three columns LLVM vectorises it along `k`, 2–3×
+//!    slower. In ms per call at 768 × 768, w7 × a8, vector-level ρ, 2-core
+//!    AVX-512 host with VNNI and VBMI (`tests/tile_cost.rs`, min of 12
+//!    runs of 40 alternated rounds × 8 calls; in parentheses the tree
+//!    whose LO_w×HO_x ran on the `i16` tile and whose full tile walked its
+//!    four n-groups apart, timed in the same minutes, alternated; the
 //!    served row is a ρ_w 0.93 layer on the ρ 0.95 inputs, its one cell
-//!    under ρ 0.95):
+//!    under ρ 0.95, and the ρ 1 row compresses every HO vector of both
+//!    sides, the floor of every ρ):
 //!
-//!    | N  | ρ 0   | ρ 0.5 | ρ 0.95 |
-//!    |----|-------|-------|--------|
-//!    | 1  | 0.069 | 0.066 | 0.022  |
-//!    | 2  | 0.121 | 0.089 | 0.032  |
-//!    | 4  | 0.168 | 0.153 | 0.054  |
-//!    | 8  | 0.319 | 0.241 | 0.101  |
-//!    | 12 | 0.463 | 0.358 | 0.147  |
-//!    | 16 | 0.739 | 0.534 | 0.168  |
-//!    | 1, 3072 × 768 per 768² | 0.076 | 0.072 | 0.027 |
-//!    | 16, 3072 × 768 per 768² | 0.748 | 0.544 | 0.207 |
-//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.023 |
-//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.193 |
+//!    | N  | ρ 0           | ρ 0.5         | ρ 0.95        |
+//!    |----|---------------|---------------|---------------|
+//!    | 1  | 0.044 (0.067) | 0.045 (0.062) | 0.019 (0.019) |
+//!    | 2  | 0.069 (0.107) | 0.060 (0.079) | 0.026 (0.027) |
+//!    | 4  | 0.100 (0.142) | 0.099 (0.127) | 0.040 (0.045) |
+//!    | 8  | 0.183 (0.267) | 0.166 (0.203) | 0.076 (0.083) |
+//!    | 12 | 0.274 (0.394) | 0.243 (0.307) | 0.110 (0.124) |
+//!    | 16 | 0.421 (0.630) | 0.346 (0.457) | 0.108 (0.146) |
+//!    | 1, 3072 × 768 per 768² | 0.047 (0.070) | 0.049 (0.065) | 0.023 (0.023) |
+//!    | 16, 3072 × 768 per 768² | 0.442 (0.661) | 0.364 (0.478) | 0.122 (0.187) |
+//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.019 (0.021) |
+//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.124 (0.169) |
+//!    | 1, ρ 1 | | | 0.015 (0.016) |
+//!    | 16, ρ 1 | | | 0.057 (0.094) |
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -159,7 +165,7 @@ use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::dot::{self, LanesN, LoLo};
+use crate::dot::{self, Kernels, LanesM};
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
@@ -181,28 +187,41 @@ const MAX_W_SLICE: usize = 8;
 /// by `r` (`[-15, 15]`).
 const MAX_X_SLICE: usize = 15;
 // One block of slice products cannot leave the `i16` register tile. The
-// dot product sums a block of an LO activation plane in `i32` lanes, a
-// chunk at a time (chunks tile a block): that sum is in `i16` range too,
-// so it is the `i16` tile's exactly, and `plan::accumulator_bound`
-// covers both paths.
+// dot product sums a block of a `u8` stack's plane in `i32` lanes, a
+// chunk at a time (chunks tile a block), with the weight as the offset
+// operand: a lane holds `Σ(w + 8)·x` — `w + 8 ≤ 2·MAX_W_SLICE − 1`, and
+// it starts at `−8·Σx` — before the correction leaves `Σ w·x`, which is
+// in `i16` range too, so it is the `i16` tile's exactly, and
+// `plan::accumulator_bound` covers both paths.
 const _: () = assert!(
     K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize && K_BLOCK.is_multiple_of(VECTOR_LEN)
 );
+const _: () = assert!(K_BLOCK * (3 * MAX_W_SLICE - 1) * MAX_X_SLICE <= i32::MAX as usize);
 const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
 /// The walks of a stretch unpack a block's runs of a weight plane once
 /// for them all when their `i16` pairs read at least `1 / UNPACK_SHARE`
-/// of its `k`, and read them packed when they read fewer. Both halves pay:
-/// in an in-process ablation at 768 × 768 (2-core AVX-512 VNNI + VBMI
-/// host, `tests/tile_cost.rs`'s layers, 60 alternated rounds), reading
-/// every block packed made the ρ 0 cells 1.2–1.6× slower (N = 16:
-/// 1.26×), and unpacking every block made N = 1 / 2 / 4 at ρ 0.95 1.38× /
-/// 1.26× / 1.12× slower.
+/// of its `k`, and read them packed when they read fewer. On a dot build
+/// with a `u8` stack the only such pair is a narrow walk's HO×HO (a full
+/// tile runs no walks there), so the rule governs that pair and every
+/// pair of the fallback build and of Sibia's signed stacks. Both halves
+/// pay: in an in-process ablation at 768 × 768 (2-core AVX-512 VNNI +
+/// VBMI host, `tests/tile_cost.rs`'s layers, 60 alternated rounds),
+/// reading every block packed made the ρ 0 cells 1.2–1.6× slower (N =
+/// 16: 1.26×), and unpacking every block made N = 1 / 2 / 4 at ρ 0.95
+/// 1.38× / 1.26× / 1.12× slower; with only HO×HO left on the `i16` tile
+/// of a dot build, unpacking every block still makes those cells ≈ 1.3× /
+/// 1.25× / 1.2× slower, and N = 2 / 4 at ρ 0.5 only 2–4 % faster.
 const UNPACK_SHARE: usize = 2;
 /// One bit per `k` of a block.
 pub(crate) type KMask = [u64; K_BLOCK / 64];
 /// No `k` of a block.
 const NONE: KMask = [0; K_BLOCK / 64];
+/// One bit per k-quad of a block (`k = 4q .. 4q + 4`): a [`KMask`] with
+/// each quad's four bits folded into bit `q`, so a walk of the live
+/// quads is one loop per block.
+pub(crate) type QuadMask = u64;
+const _: () = assert!(K_BLOCK / VECTOR_LEN == QuadMask::BITS as usize);
 /// `k` positions of one [`Chunk`]: two k-quads, one per nibble.
 pub(crate) const CHUNK_K: usize = 2 * VECTOR_LEN;
 const _: () = assert!(K_BLOCK.is_multiple_of(CHUNK_K));
@@ -237,6 +256,9 @@ pub(crate) type WideQuad = [u32; LANES];
 pub(crate) type Runs<'a> = [&'a [Chunk]; VECTOR_LEN];
 /// A register tile's sum in `i32`, laid out as [`ProductTile`].
 pub(crate) type AccTile = [[i32; LANES]; VECTOR_LEN];
+/// A full tile's lanes-along-M sum over one panel, column-major: `[c][r]`
+/// is column `c` × row `r`.
+pub(crate) type PanelTile = [[i32; PANEL_ROWS]; LANES];
 
 /// Per-tile scheduling statistics consumed by the accelerator simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -374,6 +396,8 @@ pub(crate) struct PackedWeight {
     /// Per (m-group, `k` block), m-group major: bit `o` is set iff the HO
     /// vector at `k = block·K_BLOCK + o` is uncompressed.
     ho_live: Vec<KMask>,
+    /// Per (m-group, `k` block): the k-quads of its `ho_live`.
+    ho_quads: Vec<QuadMask>,
     /// Per (panel, `k` block): the union of its m-groups' `ho_live`.
     panel_live: Vec<KMask>,
     /// Per `k`: how many m-groups have a compressed HO vector there.
@@ -460,6 +484,7 @@ impl PackedWeight {
         PackedWeight {
             panels,
             plane_weights: (0..planes).map(|i| w.plane_weight(i)).collect(),
+            ho_quads: ho_live.iter().map(quads).collect(),
             ho_live,
             panel_live,
             compressed_per_k,
@@ -539,10 +564,14 @@ impl PackedWeight {
     /// along N ([`Self::block_lanes_n`]). Every other plane runs lanes
     /// along M, in walks of an n-group's columns × `4 / C` of the
     /// stretch's panels side by side, filling the tile's four rows (one
-    /// panel a walk on a whole n-group); the block's runs are unpacked
-    /// once for all the stretch's walks where the `k` their `i16` pairs
-    /// read are [`dense`], and read packed elsewhere. Each register tile
-    /// is added to the output once, at the end of its stretch.
+    /// panel a walk on a whole n-group) — on a full tile of a dot build,
+    /// with no walks: an LO activation plane's 16 columns at once, which
+    /// splits each chunk once, and the HO plane per n-group over its live
+    /// k-quads, both into one column-major tile of the panel.
+    /// The block's runs are unpacked once for all the stretch's walks
+    /// where the `k` their `i16` pairs read are [`dense`], and read packed
+    /// elsewhere. Each register tile is added to the output once, at the
+    /// end of its stretch: a full tile's as the panel's 16 rows.
     fn tile<const C: usize>(
         &self,
         plan: &KernelPlan,
@@ -560,14 +589,17 @@ impl PackedWeight {
         let k_dim = self.compressed_per_k.len();
         let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), k_dim.div_ceil(K_BLOCK));
         let (w_ho, x_ho) = (self.plane_weights.len() - 1, plan.x_scales().len() - 1);
-        let (m, last, dot) = (out.rows(), act.groups.len() - 1, act.lanes_n.is_some());
+        let (m, last, dot) = (out.rows(), act.groups.len() - 1, act.kernels.is_some());
         let width = |g: usize| if g == last { C } else { VECTOR_LEN };
-        let lo: [Option<LoQuads>; GROUPS] = std::array::from_fn(|g| act.lo(g, width(g)));
+        let dots: [Option<DotQuads>; GROUPS] = std::array::from_fn(|g| act.dot(g, width(g)));
+        // A full tile of a dot build walks all 16 columns of a panel at
+        // once, so it runs no n-group walks.
+        let full_walk = act.kernels.filter(|_| full).map(|k| k.panel);
         let m_panels = m.div_ceil(PANEL_ROWS);
         for p0 in (0..m_panels).step_by(VECTOR_LEN / C) {
             let stretch = p0..m_panels.min(p0 + VECTOR_LEN / C);
             walks.clear();
-            for g in 0..=last {
+            for g in (0..=last).filter(|_| full_walk.is_none()) {
                 let step = VECTOR_LEN / width(g);
                 for p in (p0..stretch.end).step_by(step) {
                     let panels = p..stretch.end.min(p + step);
@@ -578,14 +610,16 @@ impl PackedWeight {
                     });
                 }
             }
-            // A full tile's lanes along N: its panel's m-groups' tiles.
-            let mut acc_n = full.then(|| [AccTile::default(); GROUPS]);
+            // A full tile's sums: lanes along N by row, the 16-column
+            // walk's by column.
+            let mut acc_n = [AccTile::default(); GROUPS];
+            let mut acc_m = PanelTile::default();
             for kb in 0..k_blocks {
                 let k0 = kb * K_BLOCK;
                 let len = K_BLOCK.min(k_dim - k0);
                 let all = first_ks(len);
-                if let Some(acc) = &mut acc_n {
-                    self.block_lanes_n(plan, act, p0, kb, rows, acc);
+                if full {
+                    self.block_lanes_n(plan, act, p0, kb, rows, &mut acc_n);
                 }
                 // A side the plan does not skip executes every `k`.
                 let panel_live = |p: usize| &self.panel_live[p * k_blocks + kb];
@@ -603,10 +637,46 @@ impl PackedWeight {
                     w.live = [all, w_live, x_live, both];
                     union = std::array::from_fn(|p| or(&union[p], &w.live[p]));
                 }
+                // An n-group's walk of `runs` × activation plane `j` on the
+                // dot product: the HO plane's over the n-group's live
+                // quads, a dead block adding nothing.
+                let dot_walk = |g: usize, runs: &Runs, j: usize, scale: i32, acc: &mut AccTile| {
+                    let dot = dots[g].expect("a pair off the i16 tile");
+                    let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
+                    let x = &dot.quads[at..][..2 * runs[0].len() * VECTOR_LEN];
+                    let sums = &dot.sums[(j * k_blocks + kb) * VECTOR_LEN];
+                    let (group, skips) = (&act.groups[g], j == x_ho && plan.skips_activation());
+                    let live = (skips && group.ho_live[kb] != all).then_some(group.ho_quads[kb]);
+                    if live != Some(0) {
+                        (dot.kernel)(runs, x, sums, live, scale, acc);
+                    }
+                };
                 for i in 0..w_ho + usize::from(!full) {
-                    // The `k` the walks' `i16` pairs read: the runs'
-                    // unpack rule.
-                    let pairs = (0..=x_ho).filter_map(|j| pair((i == w_ho, j == x_ho), dot));
+                    if let Some(full_walk) = full_walk {
+                        // The LO activation planes over every `k` of the 16
+                        // columns at once, the HO plane per n-group into
+                        // its four columns.
+                        let run = self.run(p0, kb, i);
+                        for j in 0..=x_ho {
+                            let scale = self.plane_weights[i] * plan.x_scales()[j];
+                            if j < x_ho {
+                                let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..];
+                                let sums = &act.sums[j * k_blocks + kb];
+                                full_walk(run, &x[..2 * run.len()], sums, scale, &mut acc_m);
+                                continue;
+                            }
+                            for (g, acc) in acc_m.as_chunks_mut().0.iter_mut().enumerate() {
+                                dot_walk(g, &[run; VECTOR_LEN], j, scale, acc);
+                            }
+                        }
+                        continue;
+                    }
+                    // The `k` the walks' `i16` pairs read, the runs' unpack
+                    // rule: the LO activation planes' pair (where there are
+                    // any) and the HO plane's — a fold over every plane
+                    // compiles to gathers.
+                    let lo = pair((i == w_ho, false), dot).filter(|_| x_ho > 0);
+                    let pairs = [lo, pair((i == w_ho, true), dot)].into_iter().flatten();
                     let need = &pairs.fold(NONE, |need, p| or(&need, &union[p]));
                     let unpacked = dense(need, len);
                     if unpacked {
@@ -632,11 +702,7 @@ impl PackedWeight {
                         for j in 0..=x_ho {
                             let scale = self.plane_weights[i] * plan.x_scales()[j];
                             let Some(p) = pair((i == w_ho, j == x_ho), dot) else {
-                                let lo = lo[w.g].expect("a pair off the i16 tile");
-                                let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
-                                let x = &lo.quads[at..][..2 * packed[0].len() * VECTOR_LEN];
-                                let sums = &lo.sums[(j * k_blocks + kb) * VECTOR_LEN];
-                                add_scaled(&mut w.acc, &(lo.kernel)(&packed, x, sums), scale);
+                                dot_walk(w.g, &packed, j, scale, &mut w.acc);
                                 continue;
                             };
                             let at = stream.planes.len() - (x_ho + 1 - j) * k_dim + k0;
@@ -650,10 +716,17 @@ impl PackedWeight {
                     }
                 }
             }
-            let panel = p0 * PANEL_ROWS..m.min((p0 + 1) * PANEL_ROWS);
-            for (row, acc) in panel.zip(acc_n.iter().flatten().flatten()) {
-                for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc) {
-                    *o += a;
+            if full {
+                // The column-major sums beside lanes along N, then the
+                // panel's rows, each added once.
+                if let Some(kernels) = act.kernels {
+                    (kernels.transpose)(&acc_m, &mut acc_n);
+                }
+                let panel = p0 * PANEL_ROWS..m.min((p0 + 1) * PANEL_ROWS);
+                for (row, acc) in panel.zip(acc_n.as_flattened()) {
+                    for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc) {
+                        *o += a;
+                    }
                 }
             }
             for w in walks.iter() {
@@ -706,29 +779,29 @@ impl PackedWeight {
         } else {
             &all
         };
+        let w_quads = |mg: usize| match plan.skips_weight() {
+            true => self.ho_quads[mg * k_blocks + kb],
+            false => quads(&all),
+        };
         let run = self.run(p, kb, w_ho);
-        let union = groups.clone().fold(NONE, |u, mg| or(&u, w_live(mg)));
-        if union == NONE {
+        // The quads some m-group reads, each signed once for them all.
+        let union = groups.clone().fold(0, |u, mg| u | w_quads(mg));
+        if union == 0 {
             return;
         }
         if rows.len() < 2 * run.len() {
             rows.resize(2 * run.len(), RowQuad::default());
         }
-        for (t, (chunk, dst)) in run.iter().zip(rows.as_chunks_mut::<2>().0).enumerate() {
-            if union[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
-                *dst = signed_quads(chunk);
-            }
-        }
+        for_each_quad(union, |q| rows[q] = signed_quad(&run[q / 2], q % 2));
         let rows = &rows[..2 * run.len()];
         let acc = &mut acc[..groups.len()];
         for j in 0..=x_ho {
             let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
-            if let (false, Some(lanes_n)) = (j == x_ho, act.lanes_n) {
-                let quads: [KMask; GROUPS] = std::array::from_fn(|g| {
-                    groups.clone().nth(g).map_or(NONE, |mg| quads(w_live(mg)))
-                });
+            if let (false, Some(kernels)) = (j == x_ho, act.kernels) {
+                let quads: [QuadMask; GROUPS] =
+                    std::array::from_fn(|g| groups.clone().nth(g).map_or(0, w_quads));
                 let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
-                lanes_n(rows, x, &quads[..acc.len()], scale, acc);
+                (kernels.lanes_n)(rows, x, &quads[..acc.len()], scale, acc);
                 continue;
             }
             let planes = &act.wide.planes;
@@ -841,6 +914,8 @@ impl PackedWeight {
 struct Stream<T> {
     planes: Vec<T>,
     ho_live: Vec<KMask>,
+    /// Per `k` block: the k-quads of `ho_live`.
+    ho_quads: Vec<QuadMask>,
 }
 
 impl<T: Default + PartialEq> Stream<T> {
@@ -848,15 +923,27 @@ impl<T: Default + PartialEq> Stream<T> {
     fn fill(&mut self, k_dim: usize, extend: impl FnOnce(&mut Vec<T>)) {
         self.planes.clear();
         extend(&mut self.planes);
-        let word = |rows: &[T]| {
-            rows.iter()
-                .rfold(0, |w, r| w << 1 | u64::from(*r != T::default()))
-        };
-        let block = |b: &[T]| std::array::from_fn(|w| b.chunks(64).nth(w).map_or(0, word));
         let ho = &self.planes[self.planes.len() - k_dim..];
-        self.ho_live.clear();
-        self.ho_live.extend(ho.chunks(K_BLOCK).map(block));
+        mark(&mut self.ho_live, &mut self.ho_quads, ho, |row| {
+            *row != T::default()
+        });
     }
+}
+
+/// Refills a stream's bitsets with the `k` of `ho` (one element a `k`)
+/// where `live` holds, per `k` block, and their k-quads.
+fn mark<U>(
+    ho_live: &mut Vec<KMask>,
+    ho_quads: &mut Vec<QuadMask>,
+    ho: &[U],
+    live: impl Fn(&U) -> bool,
+) {
+    let word = |rows: &[U]| rows.iter().rfold(0, |w, r| w << 1 | u64::from(live(r)));
+    let block = |b: &[U]| std::array::from_fn(|w| b.chunks(64).nth(w).map_or(0, &word));
+    ho_live.clear();
+    ho_live.extend(ho.chunks(K_BLOCK).map(block));
+    ho_quads.clear();
+    ho_quads.extend(ho_live.iter().map(quads));
 }
 
 thread_local! {
@@ -917,9 +1004,9 @@ struct Walk {
 /// The index in [`Walk`]'s `live` of the `k` a pair of a weight and an
 /// activation plane executes on the `i16` tile, given whether each is
 /// its stack's HO plane; `None` where the pair runs on the dot product
-/// (`dot`: an LO activation plane of a tile with quads).
+/// (`dot`: a tile with quads, where only HO×HO stays on the `i16` tile).
 fn pair((w_ho, x_ho): (bool, bool), dot: bool) -> Option<usize> {
-    (x_ho || !dot).then_some(usize::from(w_ho) | usize::from(x_ho) << 1)
+    (w_ho && x_ho || !dot).then_some(usize::from(w_ho) | usize::from(x_ho) << 1)
 }
 
 /// The runs of one block and plane as a walk's `i16` pairs read them:
@@ -944,34 +1031,34 @@ fn or(a: &KMask, b: &KMask) -> KMask {
     std::array::from_fn(|i| a[i] | b[i])
 }
 
-/// The activation side of one n-tile: per n-group for lanes along M, on a
-/// full 16-column tile its rows for lanes along N and, on a dot build
-/// with a `u8` stack, its LO planes as [`WideQuad`]s at any width, which
-/// both orientations' dot-product kernels read.
+/// The activation side of one n-tile: per n-group for lanes along M (on
+/// a full tile of a dot build only its bitsets), on a full 16-column tile
+/// its rows for lanes along N and, on a dot build with a `u8` stack, its
+/// planes as [`WideQuad`]s at any width, the HO plane re-centred, which
+/// the dot-product kernels read.
 #[derive(Default)]
 struct ActTile {
     groups: Vec<Stream<PairedCols>>,
     wide: Stream<[i16; LANES]>,
     /// The tile's quads, from word `at` on (so each starts on a 64-byte
-    /// line): per LO plane `2⌈K / 8⌉` of them, zero past `K` and `N`, then
+    /// line): per plane `2⌈K / 8⌉` of them, zero past `K` and `N`, then
     /// three [`Quad`]s of zeros, so an n-group's view of every fourth
     /// `Quad` from its own ends in bounds.
     words: Vec<u32>,
     at: usize,
-    /// Per LO plane and `k` block: the 16 columns' sums of their slices.
+    /// Per plane and `k` block: the 16 columns' sums of their slices.
     sums: Vec<[i32; LANES]>,
-    /// The lanes-along-N kernel where the quads are filled (a narrow tile
-    /// runs none).
-    lanes_n: Option<LanesN>,
+    /// The dot-product kernels where the quads are filled.
+    kernels: Option<Kernels>,
 }
 
-/// A lanes-along-M walk's LO planes at dot-product width: its kernel,
-/// its quads from its first on, every fourth [`Quad`] its own (per LO
-/// plane `2⌈K / 8⌉` of them), and per LO plane and `k` block its columns'
-/// sums, every fourth too.
+/// A lanes-along-M walk's planes at dot-product width: its kernel, its
+/// quads from its first on, every fourth [`Quad`] its own (per plane
+/// `2⌈K / 8⌉` of them), and per plane and `k` block its columns' sums,
+/// every fourth too.
 #[derive(Clone, Copy)]
-struct LoQuads<'a> {
-    kernel: LoLo,
+struct DotQuads<'a> {
+    kernel: LanesM,
     quads: &'a [Quad],
     sums: &'a [[i32; VECTOR_LEN]],
 }
@@ -994,27 +1081,42 @@ impl Compressed {
 
 impl ActTile {
     /// Refills the streams for columns `c0 ..` of `x`; true (and `wide`
-    /// refilled) on a full tile. The LO planes are quads where the dot
-    /// product reads them, at every width, and widened where it does not.
+    /// refilled) on a full tile. Every plane is quads where the dot
+    /// product reads them, at every width; the LO planes are widened
+    /// where it does not.
     fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
         let (k, n) = x.plane(0).shape();
         let x_ho = x.num_planes() - 1;
-        let dot = dot::lanes_n().filter(|_| x.unsigned_plane(0).is_some());
-        let from = if dot.is_some() { x_ho } else { 0 };
+        let kernels = dot::kernels().filter(|_| x.unsigned_plane(0).is_some());
+        let from = if kernels.is_some() { x_ho } else { 0 };
         let full = n - c0 >= LANES;
         let ActTile { groups, wide, .. } = self;
         groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
         if full {
-            // A full tile: its planes widened once, the n-groups' pairs
+            // A full tile: its planes widened once (in a loop: an
+            // `array::map` compiles to a call per row), the n-groups' pairs
             // cut from its rows.
             let row = |s: &[X::Slice], r| {
                 let s: &[_; LANES] = s.try_into().expect("a full tile");
-                s.map(|s| s.into() - r)
+                let mut lanes = [0; LANES];
+                for (lane, &s) in lanes.iter_mut().zip(s) {
+                    *lane = s.into() - r;
+                }
+                lanes
             };
             wide.fill(k, |p| widen(p, x, plan, from, c0..c0 + LANES, row));
             for (i, g) in groups.iter_mut().enumerate() {
-                let cut = |row: &[i16; LANES]| row.as_chunks().0[i].map(|s| [s; 2]);
-                g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
+                let group = |row: &[i16; LANES]| row.as_chunks::<VECTOR_LEN>().0[i];
+                if kernels.is_some() {
+                    // No walk reads the pairs: only the bitsets.
+                    g.planes.clear();
+                    let ho = &wide.planes[wide.planes.len() - k..];
+                    let live = |row: &[i16; LANES]| group(row) != [0; VECTOR_LEN];
+                    mark(&mut g.ho_live, &mut g.ho_quads, ho, live);
+                } else {
+                    let cut = |row: &[i16; LANES]| group(row).map(|s| [s; 2]);
+                    g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
+                }
             }
         } else {
             // A narrow tile: each n-group's pairs straight from `x`.
@@ -1026,24 +1128,29 @@ impl ActTile {
                 g.fill(k, |p| widen(p, x, plan, from, cols, pairs));
             }
         }
-        self.lanes_n = None;
-        if let Some((kernel, intake)) = dot {
+        self.kernels = kernels;
+        if let Some(kernels) = kernels {
             let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
-            let words = x_ho * k_quads * LANES + 3 * VECTOR_LEN;
-            self.words.clear();
-            self.words.resize(words + LANES - 1, 0);
+            // The intake writes every quad: only the pad past them is
+            // zeroed, not the whole buffer.
+            let words = (x_ho + 1) * k_quads * LANES;
+            if self.words.len() < words + 3 * VECTOR_LEN + LANES - 1 {
+                self.words.resize(words + 3 * VECTOR_LEN + LANES - 1, 0);
+            }
             self.at = (64 - self.words.as_ptr() as usize % 64) % 64 / 4;
+            self.words[self.at + words..][..3 * VECTOR_LEN].fill(0);
             self.sums.clear();
-            self.sums.resize(x_ho * k_blocks, [0; LANES]);
+            self.sums.resize((x_ho + 1) * k_blocks, [0; LANES]);
             let quads = self.words[self.at..].as_chunks_mut().0;
             let planes = quads
                 .chunks_mut(k_quads)
                 .zip(self.sums.chunks_mut(k_blocks));
-            for (j, (quads, sums)) in planes.take(x_ho).enumerate() {
+            for (j, (quads, sums)) in planes.take(x_ho + 1).enumerate() {
                 let plane = x.unsigned_plane(j).expect("a u8 stack").as_slice();
-                intake(plane, n, c0, quads, sums);
+                // The HO plane re-centred, as the `i16` tile reads it.
+                let r = if j == x_ho { plan.r() as u8 } else { 0 };
+                (kernels.intake)(plane, n, c0, r, quads, sums);
             }
-            self.lanes_n = Some(kernel);
         }
         full
     }
@@ -1053,20 +1160,13 @@ impl ActTile {
         self.words[self.at..].as_chunks().0
     }
 
-    /// The LO planes of n-group `g`, of `cols` columns, at dot-product
+    /// The planes of n-group `g`, of `cols` columns, at dot-product
     /// width, if the tile has them: every fourth of its quads.
-    fn lo(&self, g: usize, cols: usize) -> Option<LoQuads<'_>> {
-        Some(LoQuads {
-            kernel: self.lanes_n.and(dot::lo_lo(cols))?,
+    fn dot(&self, g: usize, cols: usize) -> Option<DotQuads<'_>> {
+        Some(DotQuads {
+            kernel: self.kernels?.lanes_m[cols - 1],
             quads: &self.words[self.at..].as_chunks().0[g..],
-            // Empty where the stack has no LO plane.
-            sums: self
-                .sums
-                .as_flattened()
-                .as_chunks()
-                .0
-                .get(g..)
-                .unwrap_or(&[]),
+            sums: &self.sums.as_flattened().as_chunks().0[g..],
         })
     }
 
@@ -1189,24 +1289,42 @@ fn products_lanes_n(
     }
 }
 
-/// A chunk's two nibble halves as signed [`RowQuad`]s: each byte
-/// `b ∈ [0, 15]` to `b − 8`, four at a time with no borrow between
-/// them (`b | 0x80` stays at least 8).
-fn signed_quads(chunk: &Chunk) -> [RowQuad; 2] {
-    const NIBBLES: u32 = 0x0F0F_0F0F;
-    let signed = |b: u32| ((b | 0x8080_8080) - 0x0808_0808) ^ 0x8080_8080;
-    let mut quads = [RowQuad::default(); 2];
-    for (r, &word) in chunk.0.iter().enumerate() {
-        quads[0].0[r] = signed(word & NIBBLES).to_le_bytes().map(|s| s as i8);
-        quads[1].0[r] = signed(word >> 4 & NIBBLES).to_le_bytes().map(|s| s as i8);
+/// Nibble half `half` of a chunk (its `k`-quad `2t + half`) as a signed
+/// [`RowQuad`]: each byte `b ∈ [0, 15]` to `b − 8`, four at a time with
+/// no borrow between them (`b | 0x80` stays at least 8). A loop, not
+/// `array::map`, which compiles to a call per quad.
+fn signed_quad(chunk: &Chunk, half: usize) -> RowQuad {
+    let shift = 4 * half as u32;
+    let mut quad = RowQuad::default();
+    for (row, &word) in quad.0.iter_mut().zip(&chunk.0) {
+        let b = word >> shift & 0x0F0F_0F0F;
+        let [s0, s1, s2, s3] = (((b | 0x8080_8080) - 0x0808_0808) ^ 0x8080_8080).to_le_bytes();
+        *row = [s0 as i8, s1 as i8, s2 as i8, s3 as i8];
     }
-    quads
+    quad
 }
 
-/// The k-quads of a block holding a `k` of `ks`, each as the bit of its
-/// first `k`.
-fn quads(ks: &KMask) -> KMask {
-    ks.map(|w| (w | w >> 1 | w >> 2 | w >> 3) & 0x1111_1111_1111_1111)
+/// The k-quads of a block holding a `k` of `ks`.
+fn quads(ks: &KMask) -> QuadMask {
+    ks.iter().enumerate().fold(0, |quads, (i, &w)| {
+        // Bit `4j` for the word's quad `j`, then the 16 bits folded down.
+        let x = (w | w >> 1 | w >> 2 | w >> 3) & 0x1111_1111_1111_1111;
+        let x = (x | x >> 3) & 0x0303_0303_0303_0303;
+        let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+        let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+        let x = (x | x >> 24) & 0xFFFF;
+        quads | x << (16 * i)
+    })
+}
+
+/// Calls `f` on each quad set in `quads`, ascending.
+#[inline(always)]
+fn for_each_quad(quads: QuadMask, mut f: impl FnMut(usize)) {
+    let mut bits = quads;
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
 }
 
 /// Column `o` of m-group `g`'s rows of a block's [`RowQuad`]s.
@@ -1606,41 +1724,42 @@ mod tests {
     /// The dot build's one intake at narrow widths — 1, 5 and 15 columns
     /// and N = 21's 5-column tail tile, at a `K` inside one block and one
     /// past it — lays out a full tile's quads: byte `4c + j` of quad `q`
-    /// holds column `c` at `k = 4q + j`, every byte past the tile's width
-    /// or past `K` is 0, and each block's column sums are the plane's.
+    /// holds column `c` at `k = 4q + j` (on the HO plane as `x_HO − r`),
+    /// every byte past the tile's width or past `K` is 0 (not `−r`), and
+    /// each block's column sums are the plane's, signed on the HO plane.
     #[test]
     #[cfg(all(target_feature = "avx512vnni", target_feature = "avx512vbmi"))]
     fn the_intake_lays_out_narrow_tiles_as_a_full_one() {
         let mut rng = panacea_tensor::seeded_rng(111);
+        let r = 9;
         for (n, c0) in [(1, 0), (5, 0), (15, 0), (21, 16)] {
             for k in [5, 257] {
-                // 12-bit codes: two LO planes.
+                // 12-bit codes: two LO planes and the HO plane.
                 let x = Matrix::from_fn(k, n, |_, _| rng.gen_range(0i32..4096));
                 let sx = SlicedActivation::from_uint(&x, 2, DbsType::Type1).unwrap();
                 let sw = SlicedWeight::from_int(&random_weight(4, k, 1, 0.5, 112), 1).unwrap();
                 let mut act = ActTile::default();
-                assert!(!act.prepare(&sx, &KernelPlan::for_operands(&sw, &sx, 0, None), c0));
+                assert!(!act.prepare(&sx, &KernelPlan::for_operands(&sw, &sx, r, None), c0));
                 let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
                 // Column `c` of the tile at `k`, 0 where the plane has none.
                 let slice = |j: usize, kk: usize, c: usize| match (kk < k, c0 + c < n) {
-                    (true, true) => sx.plane(j)[(kk, c0 + c)],
+                    (true, true) => i32::from(sx.plane(j)[(kk, c0 + c)]) - [0, 0, r.into()][j],
                     _ => 0,
                 };
-                for j in 0..2 {
+                for j in 0..3 {
                     let what = format!("N={n} c0={c0} K={k} plane {j}");
                     let quads = &act.wide_quads()[j * k_quads..][..k_quads];
                     for (q, quad) in quads.iter().enumerate() {
                         let bytes = quad.map(u32::to_le_bytes);
                         let want = std::array::from_fn(|c| {
-                            std::array::from_fn(|i| slice(j, 4 * q + i, c))
+                            std::array::from_fn(|i| slice(j, 4 * q + i, c) as i8 as u8)
                         });
                         assert_eq!(bytes, want, "{what} quad {q}");
                     }
                     for (kb, sums) in act.sums[j * k_blocks..][..k_blocks].iter().enumerate() {
                         let ks = kb * K_BLOCK..k.min((kb + 1) * K_BLOCK);
-                        let want: [i32; LANES] = std::array::from_fn(|c| {
-                            ks.clone().map(|kk| i32::from(slice(j, kk, c))).sum()
-                        });
+                        let want: [i32; LANES] =
+                            std::array::from_fn(|c| ks.clone().map(|kk| slice(j, kk, c)).sum());
                         assert_eq!(*sums, want, "{what} block {kb}");
                     }
                 }

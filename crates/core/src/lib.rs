@@ -14,10 +14,11 @@
 //! sides' compressed counts; the loop nests that count per outer product
 //! live in `tests/oracle` as the references of the differential tests.
 //! The resident weight stores every plane nibble-packed, in the order
-//! `vpdpbusd` reads it. On a build that targets AVX-512 VNNI and VBMI the
-//! tile's static pair, LO_w×LO_x of unsigned activations, and in a decode
-//! step's narrow walk HO_w×LO_x too, run on `vpdpbusd` (`dot`, private,
-//! the crate's only module allowed `unsafe`), to the same bits.
+//! `vpdpbusd` reads it. On a build that targets AVX-512 VNNI and VBMI
+//! every plane pair of unsigned activations but HO×HO — the static
+//! LO_w×LO_x, HO_w×LO_x over the weight's live k-quads and LO_w×HO_x over
+//! the activation's — runs on `vpdpbusd` (`dot`, private, the crate's
+//! only module allowed `unsafe`), to the same bits.
 //!
 //! * [`dense`] — plain integer GEMM with workload accounting (what the
 //!   SA-WS / SA-OS / SIMD baselines execute);

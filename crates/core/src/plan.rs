@@ -29,10 +29,14 @@ fn sbr_planes(w_bits: u8) -> Option<usize> {
 /// the planes' own worst cases (`|slice| ≤ 8`), slightly above
 /// `max|w| = 2^{w_bits−1}`, because the kernel sums plane by plane.
 /// Within a 256-`k` block each plane pair's raw slice products sum in an
-/// `i16` register tile or, for a pair of an LO activation plane on a
-/// build with the dot product, in `i32` lanes; the block sum is in `i16`
-/// range either way (the `const` assertions in `aqs`), so both hold the
-/// same exact value and this one bound covers both paths.
+/// `i16` register tile or, for a pair of a `u8` activation stack on a
+/// build with the dot product (every pair but a narrow walk's HO×HO), in
+/// `i32` lanes with the weight as the offset operand: such a lane holds
+/// `Σ(w + 8)·x` of the block, at most `256 · 23 · 15` in magnitude,
+/// before the `−8·Σx` correction leaves `Σ w·x`. The block sum is in
+/// `i16` range either way (the `const` assertions in `aqs`), so both
+/// paths end a block at the same exact value and this one bound covers
+/// both.
 ///
 /// # Panics
 ///

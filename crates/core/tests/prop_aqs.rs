@@ -800,6 +800,81 @@ fn full_tile_quad_skip_matches_oracle() {
     }
 }
 
+/// An `n_lo`-plane SBR weight whose LO slices are all 7 (`seven`, HO
+/// slice `ho ≥ 0`) or all −8 (`ho ≤ 0`): the slicing puts 7 only above a
+/// non-negative rest and −8 only above a non-positive one.
+fn extreme_weight(n_lo: usize, seven: bool, ho: i32) -> i32 {
+    (0..n_lo).fold(ho, |rest, _| match seven {
+        true => 8 * rest + 7,
+        false => 8 * (rest - 1),
+    })
+}
+
+/// LO_w×HO_x, which skips on the activation side, at its signed
+/// extremes: every LO weight slice −8 or 7, every re-centred HO
+/// activation slice ±15 or 0 (`r` = 0 with `x_HO` 15, `r` = 15 with
+/// `x_HO` 0), so a walk that drops or adds a quad, or a byte past `K` or
+/// `N` that keeps its `−r`, moves the output by a multiple of 15 × 8 ×
+/// `c_HO`. `K` ends inside a k-quad (5, 7, 257, 769) or one short of a
+/// block (255), so a live quad straddles `K`, × `N` of one to three
+/// columns, a whole and a partial n-group, a full tile and a full tile
+/// with one column or a whole tile after it × `M` that no 16-row panel
+/// divides × w7 / w10 × 8- and 12-bit codes, with the n-groups of one
+/// tile all dead, all live and half live in turn, under the AQS plan.
+#[test]
+fn lo_w_ho_x_matches_oracle_at_the_signed_extremes() {
+    let mut seed = 33000u64;
+    for k in [5, 7, 255, 257, 769] {
+        for n in [1, 2, 3, 5, 16, 17, 33] {
+            for (w_lo, x_lo) in [(1, 1), (2, 2)] {
+                seed += 1;
+                let mut rng = panacea_tensor::seeded_rng(seed);
+                let m = [20, 36, 68][seed as usize % 3];
+                let w = Matrix::from_fn(m, k, |_, _| {
+                    let seven = rng.gen::<bool>();
+                    // HO 0 (a compressed vector where all four are) or
+                    // near the extreme of its side (−7 would leave w10's
+                    // range under LO slices of −8).
+                    let ho = match (rng.gen::<bool>(), seven) {
+                        (false, _) => 0,
+                        (true, true) => 7,
+                        (true, false) => -6,
+                    };
+                    extreme_weight(w_lo, seven, ho)
+                });
+                let r: u8 = if seed.is_multiple_of(2) { 0 } else { 15 };
+                // The HO slice that re-centres to ±15, the code's lower
+                // slices in `[0, 2^shift)`.
+                let (far, shift) = (15 - i32::from(r), 4 * x_lo as u32);
+                let dead = i32::from(r) << shift;
+                let x = Matrix::from_fn(k, n, |_, c| {
+                    let live = match (c / 4 + seed as usize) % 3 {
+                        0 => false,
+                        1 => true,
+                        _ => rng.gen::<bool>(),
+                    };
+                    let ho = if live { far << shift } else { dead };
+                    ho + rng.gen_range(0..1i32 << shift)
+                });
+                let sw = SlicedWeight::from_int(&w, w_lo).expect("weights in range");
+                for i in 0..w_lo {
+                    assert!(sw.plane(i).as_slice().iter().all(|&s| s == 7 || s == -8));
+                }
+                let c = Case {
+                    sw,
+                    sx: SlicedActivation::from_uint(&x, x_lo, DbsType::Type1).expect("codes"),
+                    r,
+                    x,
+                    x_lo,
+                    ty: DbsType::Type1,
+                    pad_code: dead,
+                };
+                assert_matches_oracle(&c, &format!("M={m} K={k} N={n} w_lo={w_lo} r={r}"));
+            }
+        }
+    }
+}
+
 /// Widths that are not a multiple of 4, which the kernel takes since it
 /// owns its padding — a lone partial n-group, one or more whole ones
 /// before it, and a full 16-column tile followed by a partial edge — ×

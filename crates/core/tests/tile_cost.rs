@@ -24,7 +24,11 @@
 //! layer, fc1's shape, whose packed weight no longer fits a 2 MiB L2, at
 //! N = 1 and 16, per 768² — and a row at the sparsity the server runs
 //! (ρ_w 0.93 × ρ_x 0.95, the qkv / fc1 point of a traced `infer_bert`
-//! run) at N = 1 and 16, neither of which it gates:
+//! run) and a row at ρ = 1 (every HO vector of both sides compressed, so
+//! only the static pair, the intake and the output run: the floor of
+//! every ρ), each at N = 1 and 16, none of which it gates, and per N = 1
+//! and 16 cell the sparse share s(ρ) = (t(ρ) − t(1)) / (t(0) − t(1)), the
+//! part of the work above that floor that sparsity leaves:
 //!
 //! ```text
 //! cargo test --release -p panacea-core --test tile_cost -- --nocapture
@@ -131,12 +135,15 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
         .collect();
     // Prepared after the gated cases, so their operands do not move.
     let served = prepare(D, SERVED_RHO_W, &mut rng);
+    let (floor, floor_x) = (prepare(D, 1.0, &mut rng), codes(1.0, r, &mut rng));
+    let floor_inputs = [1, 16].map(|n| floor_x.submatrix(0, 0, D, n));
 
     // Per round, per cell: ms per call, per 768² for the fc1 shape, and
-    // ms per call at the served sparsity.
+    // ms per call at the served sparsity and at ρ = 1.
     let mut rounds = Vec::with_capacity(ROUNDS);
     let mut past_l2 = Vec::with_capacity(ROUNDS / 4);
     let mut at_served = Vec::with_capacity(ROUNDS / 4);
+    let mut at_floor = Vec::with_capacity(ROUNDS / 4);
     // One untimed call first: a cell's weights are not the last cell's,
     // and a cold first call would weigh on a short cell most.
     let time = |layer: &QuantizedLinear, x: &Matrix<i32>, calls: usize| {
@@ -169,6 +176,7 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
             })
         }));
         at_served.push([0, NS.len() - 1].map(|ni| time(&served, &cases[2].2[ni], CALLS)));
+        at_floor.push([0, 1].map(|i| time(&floor, &floor_inputs[i], CALLS)));
     }
 
     let min = |cell: &dyn Fn(&[[f64; 3]; 6]) -> f64| {
@@ -202,6 +210,19 @@ fn tile_time_grows_with_columns_and_falls_with_sparsity() {
             .map(|cells| cells[i])
             .fold(f64::INFINITY, f64::min);
         println!("| {n:<2} | {t:.3} at ρ_w {SERVED_RHO_W} × ρ_x {}", RHOS[2]);
+    }
+    for (i, n) in [1, 16].iter().enumerate() {
+        let ni = NS.iter().position(|m| m == n).expect("a timed width");
+        let t1 = at_floor
+            .iter()
+            .map(|cells| cells[i])
+            .fold(f64::INFINITY, f64::min);
+        let t = [0, 1, 2].map(|ri| min(&|cells| cells[ni][ri]));
+        let s = t.map(|t_rho| (t_rho - t1) / (t[0] - t1));
+        println!(
+            "| {n:<2} | {t1:.3} at ρ 1; s(ρ) = (t(ρ) − t(1)) / (t(0) − t(1)): {:.2} / {:.2} / {:.2}",
+            s[0], s[1], s[2]
+        );
     }
     let at = |n: usize| NS.iter().position(|&m| m == n).expect("a timed width");
     let ratio = |(n, ri): (usize, usize), (m, rj): (usize, usize)| {
