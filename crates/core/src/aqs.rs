@@ -48,16 +48,16 @@
 //!    sums: at every tile width one 64-byte quad of its 16 columns per
 //!    four `k` (one `vpermb` and one masked `vpsubb`, the bytes past a
 //!    narrow tile's width or past `K` zero), whose every fourth word its
-//!    n-groups' walks read. There only the HO plane is widened, for the
-//!    `i16` tile's HO×HO, and a full tile keeps only its n-groups'
-//!    bitsets, cutting no pairs.
+//!    n-groups' walks read. There nothing is widened: each n-group's
+//!    bitsets are read off the HO plane's quads (a byte not zero is a
+//!    live slice).
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
 //!    by `8^i·c_j`, into the output. On a build that targets AVX-512
-//!    VNNI and VBMI, every pair of a `u8` stack but HO×HO sums in `i32`
-//!    lanes on `vpdpbusd` instead, to the same block sum, scaled and
+//!    VNNI and VBMI, every pair of a `u8` stack sums in `i32` lanes on
+//!    `vpdpbusd` instead, to the same block sum, scaled and
 //!    added alike. Lanes along M the weight nibble (`slice + 8`, eight `k`
 //!    a chunk, split with an AND and a shift-AND) is the unsigned operand
 //!    and a column's activation quad the signed broadcast one, the `+ 8`
@@ -68,15 +68,19 @@
 //!    vectors is uncompressed — the paper's activation skipping four `k`
 //!    a step, exact because a dead quad is zeros, so `Σx` stays the
 //!    block's. On a full tile HO_w×LO_x runs per m-group over its live
-//!    k-quads, the weight side's skipping: each row's four slices — its
+//!    k-quads, the weight side's skipping, and HO×HO alike on the raw HO
+//!    plane (`r` added back to its quads in-register, exact because a dead
+//!    weight quad is zeros; the extra `r·c_HO·8^{w_ho}·ΣW_HO` of each row
+//!    is taken back once, where the tile writes its rows, from the HO row
+//!    sums kept at pack): each row's four slices — its
 //!    chunk word's nibble half with the `+ 8` taken back, signed once per
 //!    block into a `RowQuad` for the quads some m-group reads — are one
 //!    broadcast operand against the 16 columns' quad. The `i16` tile
-//!    reads lanes along N those signed rows (a full tile's HO×HO, where
-//!    both sides are live; any pair of a build or a stack without the dot
-//!    product), and lanes along M k-major `[i8; 16]` columns (a narrow
-//!    walk's HO×HO, Sibia's signed activations, every pair of a build
-//!    without the two extensions). A pair's lanes run along the side it
+//!    serves only Sibia's signed stacks and builds without the two
+//!    extensions: lanes along N it reads those signed rows, lanes along M
+//!    k-major `[i8; 16]` columns. A narrow walk's HO×HO runs on the walks'
+//!    `vpdpbusd` kernel over the n-group's live k-quads, as LO_w×HO_x
+//!    does. A pair's lanes run along the side it
 //!    does not skip, so each side skips at the paper's granularity: on a
 //!    full tile the HO weight plane's pairs run **lanes along N**
 //!    (`products_lanes_n` and `dot::lanes_n`: the 4 rows of an m-group ×
@@ -191,8 +195,10 @@ const MAX_X_SLICE: usize = 15;
 // chunk at a time (chunks tile a block), with the weight as the offset
 // operand: a lane holds `Σ(w + 8)·x` — `w + 8 ≤ 2·MAX_W_SLICE − 1`, and
 // it starts at `−8·Σx` — before the correction leaves `Σ w·x`, which is
-// in `i16` range too, so it is the `i16` tile's exactly, and
-// `plan::accumulator_bound` covers both paths.
+// in `i16` range too, so it is the `i16` tile's exactly. A full tile's
+// HO×HO reads the raw HO plane (`x_HO ∈ [0, 15]`, inside the same bound)
+// until the tile takes back `r·c_HO·8^{w_ho}·ΣW_HO` per row, so
+// `plan::accumulator_bound` covers every path.
 const _: () = assert!(
     K_BLOCK * MAX_W_SLICE * MAX_X_SLICE <= i16::MAX as usize && K_BLOCK.is_multiple_of(VECTOR_LEN)
 );
@@ -201,10 +207,9 @@ const _: () = assert!(K_BLOCK.is_multiple_of(64));
 
 /// The walks of a stretch unpack a block's runs of a weight plane once
 /// for them all when their `i16` pairs read at least `1 / UNPACK_SHARE`
-/// of its `k`, and read them packed when they read fewer. On a dot build
-/// with a `u8` stack the only such pair is a narrow walk's HO×HO (a full
-/// tile runs no walks there), so the rule governs that pair and every
-/// pair of the fallback build and of Sibia's signed stacks. Both halves
+/// of its `k`, and read them packed when they read fewer. A dot build
+/// with a `u8` stack has no such pair, so the rule serves only the
+/// fallback build and Sibia's signed stacks. Both halves
 /// pay: in an in-process ablation at 768 × 768 (2-core AVX-512 VNNI +
 /// VBMI host, `tests/tile_cost.rs`'s layers, 60 alternated rounds),
 /// reading every block packed made the ρ 0 cells 1.2–1.6× slower (N =
@@ -404,6 +409,10 @@ pub(crate) struct PackedWeight {
     compressed_per_k: Vec<u32>,
     /// Per row: `Σ_k W[m][k]`.
     row_sums: Vec<i64>,
+    /// Per row: `Σ_k` of its HO plane's slices, which a full tile of a
+    /// dot build takes back `r·c_HO·8^{w_ho}` times (its HO×HO pair reads
+    /// the raw HO plane).
+    ho_sums: Vec<i32>,
 }
 
 impl PackedWeight {
@@ -481,6 +490,15 @@ impl PackedWeight {
                     .sum()
             })
             .collect();
+        let ho_sums = (0..m)
+            .map(|row| {
+                w.plane(planes - 1)
+                    .row(row)
+                    .iter()
+                    .map(|&s| i32::from(s))
+                    .sum()
+            })
+            .collect();
         PackedWeight {
             panels,
             plane_weights: (0..planes).map(|i| w.plane_weight(i)).collect(),
@@ -489,6 +507,7 @@ impl PackedWeight {
             panel_live,
             compressed_per_k,
             row_sums,
+            ho_sums,
         }
     }
 
@@ -621,10 +640,26 @@ impl PackedWeight {
                 if full {
                     self.block_lanes_n(plan, act, p0, kb, rows, &mut acc_n);
                 }
-                // A side the plan does not skip executes every `k`.
+                // An n-group's walk of `runs` × activation plane `j` on the
+                // dot product: the HO plane's over the n-group's live
+                // quads, a dead block adding nothing.
+                let dot_walk = |g: usize, runs: &Runs, j: usize, scale: i32, acc: &mut AccTile| {
+                    let dot = dots[g].expect("a tile with quads");
+                    let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
+                    let x = &dot.quads[at..][..2 * runs[0].len() * VECTOR_LEN];
+                    let sums = &dot.sums[(j * k_blocks + kb) * VECTOR_LEN];
+                    let (group, skips) = (&act.groups[g], j == x_ho && plan.skips_activation());
+                    let live = (skips && group.ho_live[kb] != all).then_some(group.ho_quads[kb]);
+                    if live != Some(0) {
+                        (dot.kernel)(runs, x, sums, live, scale, acc);
+                    }
+                };
+                // The `k` each walk's `i16` pairs execute, and their union
+                // over the walks. A side the plan does not skip executes
+                // every `k`.
                 let panel_live = |p: usize| &self.panel_live[p * k_blocks + kb];
                 let mut union = [NONE; 4];
-                for w in walks.iter_mut() {
+                for w in walks.iter_mut().filter(|_| !dot) {
                     let w_live = match plan.skips_weight() {
                         true => w.panels.clone().fold(NONE, |u, p| or(&u, panel_live(p))),
                         false => all,
@@ -637,20 +672,6 @@ impl PackedWeight {
                     w.live = [all, w_live, x_live, both];
                     union = std::array::from_fn(|p| or(&union[p], &w.live[p]));
                 }
-                // An n-group's walk of `runs` × activation plane `j` on the
-                // dot product: the HO plane's over the n-group's live
-                // quads, a dead block adding nothing.
-                let dot_walk = |g: usize, runs: &Runs, j: usize, scale: i32, acc: &mut AccTile| {
-                    let dot = dots[g].expect("a pair off the i16 tile");
-                    let at = (j * k_quads + k0 / VECTOR_LEN) * VECTOR_LEN;
-                    let x = &dot.quads[at..][..2 * runs[0].len() * VECTOR_LEN];
-                    let sums = &dot.sums[(j * k_blocks + kb) * VECTOR_LEN];
-                    let (group, skips) = (&act.groups[g], j == x_ho && plan.skips_activation());
-                    let live = (skips && group.ho_live[kb] != all).then_some(group.ho_quads[kb]);
-                    if live != Some(0) {
-                        (dot.kernel)(runs, x, sums, live, scale, acc);
-                    }
-                };
                 for i in 0..w_ho + usize::from(!full) {
                     if let Some(full_walk) = full_walk {
                         // The LO activation planes over every `k` of the 16
@@ -671,13 +692,33 @@ impl PackedWeight {
                         }
                         continue;
                     }
-                    // The `k` the walks' `i16` pairs read, the runs' unpack
-                    // rule: the LO activation planes' pair (where there are
-                    // any) and the HO plane's — a fold over every plane
-                    // compiles to gathers.
-                    let lo = pair((i == w_ho, false), dot).filter(|_| x_ho > 0);
-                    let pairs = [lo, pair((i == w_ho, true), dot)].into_iter().flatten();
-                    let need = &pairs.fold(NONE, |need, p| or(&need, &union[p]));
+                    // A walk's runs, packed: past the last of its panels, it
+                    // repeats it.
+                    let packed = |w: &Walk| -> Runs {
+                        let (start, last_q) = (w.panels.start, w.panels.len() - 1);
+                        std::array::from_fn(|q| self.run(start + q.min(last_q), kb, i))
+                    };
+                    if dot {
+                        // Every pair on the dot product, reading the runs
+                        // packed.
+                        for w in walks.iter_mut() {
+                            let runs = packed(w);
+                            for j in 0..=x_ho {
+                                let scale = self.plane_weights[i] * plan.x_scales()[j];
+                                dot_walk(w.g, &runs, j, scale, &mut w.acc);
+                            }
+                        }
+                        continue;
+                    }
+                    // The `k` the walks' pairs read, the runs' unpack rule:
+                    // the LO activation planes' pair (where there are any)
+                    // and the HO plane's — a fold over every plane compiles
+                    // to gathers.
+                    let ho = &union[pair(i == w_ho, true)];
+                    let need = &match x_ho {
+                        0 => *ho,
+                        _ => or(&union[pair(i == w_ho, false)], ho),
+                    };
                     let unpacked = dense(need, len);
                     if unpacked {
                         grow(cols, stretch.len() * K_BLOCK / CHUNK_K);
@@ -687,26 +728,20 @@ impl PackedWeight {
                         }
                     }
                     for w in walks.iter_mut() {
-                        // Past the last of its panels, a walk repeats it.
-                        let (start, last_q) = (w.panels.start, w.panels.len() - 1);
-                        let panel = |q: usize| start + q.min(last_q);
-                        let packed: Runs = std::array::from_fn(|q| self.run(panel(q), kb, i));
                         let runs = match unpacked {
                             true => ColRuns::Unpacked(std::array::from_fn(|q| {
-                                let at = (panel(q) - p0) * K_BLOCK / CHUNK_K;
+                                let panel = w.panels.start + q.min(w.panels.len() - 1);
+                                let at = (panel - p0) * K_BLOCK / CHUNK_K;
                                 &cols[at..].as_flattened()[..len]
                             })),
-                            false => ColRuns::Packed(packed),
+                            false => ColRuns::Packed(packed(w)),
                         };
                         let stream = &act.groups[w.g];
                         for j in 0..=x_ho {
                             let scale = self.plane_weights[i] * plan.x_scales()[j];
-                            let Some(p) = pair((i == w_ho, j == x_ho), dot) else {
-                                dot_walk(w.g, &packed, j, scale, &mut w.acc);
-                                continue;
-                            };
                             let at = stream.planes.len() - (x_ho + 1 - j) * k_dim + k0;
-                            let (x, ks) = (&stream.planes[at..][..len], &w.live[p]);
+                            let x = &stream.planes[at..][..len];
+                            let ks = &w.live[pair(i == w_ho, j == x_ho)];
                             let tile = match w.g == last {
                                 true => products_lanes_m::<C>(runs, x, ks),
                                 false => products_lanes_m::<VECTOR_LEN>(runs, x, ks),
@@ -718,14 +753,19 @@ impl PackedWeight {
             }
             if full {
                 // The column-major sums beside lanes along N, then the
-                // panel's rows, each added once.
+                // panel's rows, each added once — on a dot build less the
+                // `r·c_HO·8^{w_ho}·ΣW_HO` its HO×HO pair summed on the raw
+                // HO plane.
+                let mut back = 0;
                 if let Some(kernels) = act.kernels {
                     (kernels.transpose)(&acc_m, &mut acc_n);
+                    back = i32::from(plan.r()) * self.plane_weights[w_ho] * plan.x_scales()[x_ho];
                 }
                 let panel = p0 * PANEL_ROWS..m.min((p0 + 1) * PANEL_ROWS);
                 for (row, acc) in panel.zip(acc_n.as_flattened()) {
+                    let back = back * self.ho_sums[row];
                     for (o, &a) in out.row_mut(row)[c0..c0 + LANES].iter_mut().zip(acc) {
-                        *o += a;
+                        *o += a - back;
                     }
                 }
             }
@@ -749,10 +789,11 @@ impl PackedWeight {
     /// `acc`, its m-groups' tiles of a full n-tile, lanes along N: the
     /// chunks of the block some m-group reads, signed into `rows`, then
     /// per m-group a 4-row × 16-column tile under its own bitset — on the
-    /// dot product over its live k-quads where the tile has an LO plane's
-    /// quads, and on the `i16` tile otherwise (the HO activation plane
-    /// under both sides' bitsets, any plane of a build or a stack without
-    /// the dot product under the m-group's).
+    /// dot product over its live k-quads where the tile has quads (the HO
+    /// activation plane raw, `r` added back to its re-centred quads, so
+    /// the caller takes back `r·c_HO·8^{w_ho}·ΣW_HO`), and on the `i16`
+    /// tile otherwise (the HO activation plane under both sides'
+    /// bitsets, an LO plane under the m-group's).
     fn block_lanes_n(
         &self,
         plan: &KernelPlan,
@@ -774,11 +815,6 @@ impl PackedWeight {
             true => &self.ho_live[mg * k_blocks + kb],
             false => &all,
         };
-        let x_live = if plan.skips_activation() {
-            &act.wide.ho_live[kb]
-        } else {
-            &all
-        };
         let w_quads = |mg: usize| match plan.skips_weight() {
             true => self.ho_quads[mg * k_blocks + kb],
             false => quads(&all),
@@ -795,15 +831,23 @@ impl PackedWeight {
         for_each_quad(union, |q| rows[q] = signed_quad(&run[q / 2], q % 2));
         let rows = &rows[..2 * run.len()];
         let acc = &mut acc[..groups.len()];
+        if let Some(kernels) = act.kernels {
+            let quads: [QuadMask; GROUPS] =
+                std::array::from_fn(|g| groups.clone().nth(g).map_or(0, w_quads));
+            for j in 0..=x_ho {
+                let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
+                let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
+                let add = if j == x_ho { plan.r() as u8 } else { 0 };
+                (kernels.lanes_n)(rows, x, add, &quads[..acc.len()], scale, acc);
+            }
+            return;
+        }
+        let x_live = match plan.skips_activation() {
+            true => &act.wide.ho_live[kb],
+            false => &all,
+        };
         for j in 0..=x_ho {
             let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
-            if let (false, Some(kernels)) = (j == x_ho, act.kernels) {
-                let quads: [QuadMask; GROUPS] =
-                    std::array::from_fn(|g| groups.clone().nth(g).map_or(0, w_quads));
-                let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
-                (kernels.lanes_n)(rows, x, &quads[..acc.len()], scale, acc);
-                continue;
-            }
             let planes = &act.wide.planes;
             let x = &planes[planes.len() - (x_ho + 1 - j) * k_dim + k0..][..len];
             let ks: [KMask; GROUPS] = std::array::from_fn(|g| match groups.clone().nth(g) {
@@ -1003,13 +1047,13 @@ struct Walk {
 
 /// The index in [`Walk`]'s `live` of the `k` a pair of a weight and an
 /// activation plane executes on the `i16` tile, given whether each is
-/// its stack's HO plane; `None` where the pair runs on the dot product
-/// (`dot`: a tile with quads, where only HO×HO stays on the `i16` tile).
-fn pair((w_ho, x_ho): (bool, bool), dot: bool) -> Option<usize> {
-    (w_ho && x_ho || !dot).then_some(usize::from(w_ho) | usize::from(x_ho) << 1)
+/// its stack's HO plane.
+fn pair(w_ho: bool, x_ho: bool) -> usize {
+    usize::from(w_ho) | usize::from(x_ho) << 1
 }
 
-/// The runs of one block and plane as a walk's `i16` pairs read them:
+/// The runs of one block and plane as a walk's `i16` pairs read them
+/// (the fallback build and Sibia's signed stacks only):
 /// unpacked, where the `k` the stretch's walks read are [`dense`], or
 /// packed, reading only those `k`. Where fewer are live, unpacking whole
 /// runs costs more than reading the packed slices at those `k`.
@@ -1080,77 +1124,91 @@ impl Compressed {
 }
 
 impl ActTile {
-    /// Refills the streams for columns `c0 ..` of `x`; true (and `wide`
-    /// refilled) on a full tile. Every plane is quads where the dot
-    /// product reads them, at every width; the LO planes are widened
-    /// where it does not.
+    /// Refills the streams for columns `c0 ..` of `x`; true on a full
+    /// tile. Where the dot product reads the planes (a `u8` stack on a
+    /// build with it) they are quads at every width, and the n-groups'
+    /// bitsets are read off the HO plane's; elsewhere the planes are
+    /// widened, on a full tile also as `wide`'s rows.
     fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
         let (k, n) = x.plane(0).shape();
         let x_ho = x.num_planes() - 1;
         let kernels = dot::kernels().filter(|_| x.unsigned_plane(0).is_some());
-        let from = if kernels.is_some() { x_ho } else { 0 };
         let full = n - c0 >= LANES;
+        self.kernels = kernels;
         let ActTile { groups, wide, .. } = self;
         groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
-        if full {
-            // A full tile: its planes widened once (in a loop: an
-            // `array::map` compiles to a call per row), the n-groups' pairs
-            // cut from its rows.
-            let row = |s: &[X::Slice], r| {
-                let s: &[_; LANES] = s.try_into().expect("a full tile");
-                let mut lanes = [0; LANES];
-                for (lane, &s) in lanes.iter_mut().zip(s) {
-                    *lane = s.into() - r;
-                }
-                lanes
-            };
-            wide.fill(k, |p| widen(p, x, plan, from, c0..c0 + LANES, row));
-            for (i, g) in groups.iter_mut().enumerate() {
-                let group = |row: &[i16; LANES]| row.as_chunks::<VECTOR_LEN>().0[i];
-                if kernels.is_some() {
-                    // No walk reads the pairs: only the bitsets.
-                    g.planes.clear();
-                    let ho = &wide.planes[wide.planes.len() - k..];
-                    let live = |row: &[i16; LANES]| group(row) != [0; VECTOR_LEN];
-                    mark(&mut g.ho_live, &mut g.ho_quads, ho, live);
-                } else {
-                    let cut = |row: &[i16; LANES]| group(row).map(|s| [s; 2]);
+        let Some(kernels) = kernels else {
+            if full {
+                // A full tile: its planes widened once (in a loop: an
+                // `array::map` compiles to a call per row), the n-groups'
+                // pairs cut from its rows.
+                let row = |s: &[X::Slice], r| {
+                    let s: &[_; LANES] = s.try_into().expect("a full tile");
+                    let mut lanes = [0; LANES];
+                    for (lane, &s) in lanes.iter_mut().zip(s) {
+                        *lane = s.into() - r;
+                    }
+                    lanes
+                };
+                wide.fill(k, |p| widen(p, x, plan, c0..c0 + LANES, row));
+                for (i, g) in groups.iter_mut().enumerate() {
+                    let cut =
+                        |row: &[i16; LANES]| row.as_chunks::<VECTOR_LEN>().0[i].map(|s| [s; 2]);
                     g.fill(k, |p| p.extend(wide.planes.iter().map(cut)));
                 }
+            } else {
+                // A narrow tile: each n-group's pairs straight from `x`.
+                let pairs = |s: &[X::Slice], r| {
+                    std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
+                };
+                for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
+                    let cols = c..n.min(c + VECTOR_LEN);
+                    g.fill(k, |p| widen(p, x, plan, cols, pairs));
+                }
             }
-        } else {
-            // A narrow tile: each n-group's pairs straight from `x`.
-            let pairs = |s: &[X::Slice], r| {
-                std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
-            };
-            for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
-                let cols = c..n.min(c + VECTOR_LEN);
-                g.fill(k, |p| widen(p, x, plan, from, cols, pairs));
-            }
+            return full;
+        };
+        let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
+        // The intake writes every quad: only the pad past them is zeroed,
+        // not the whole buffer.
+        let words = (x_ho + 1) * k_quads * LANES;
+        if self.words.len() < words + 3 * VECTOR_LEN + LANES - 1 {
+            self.words.resize(words + 3 * VECTOR_LEN + LANES - 1, 0);
         }
-        self.kernels = kernels;
-        if let Some(kernels) = kernels {
-            let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
-            // The intake writes every quad: only the pad past them is
-            // zeroed, not the whole buffer.
-            let words = (x_ho + 1) * k_quads * LANES;
-            if self.words.len() < words + 3 * VECTOR_LEN + LANES - 1 {
-                self.words.resize(words + 3 * VECTOR_LEN + LANES - 1, 0);
-            }
-            self.at = (64 - self.words.as_ptr() as usize % 64) % 64 / 4;
-            self.words[self.at + words..][..3 * VECTOR_LEN].fill(0);
-            self.sums.clear();
-            self.sums.resize((x_ho + 1) * k_blocks, [0; LANES]);
-            let quads = self.words[self.at..].as_chunks_mut().0;
-            let planes = quads
-                .chunks_mut(k_quads)
-                .zip(self.sums.chunks_mut(k_blocks));
-            for (j, (quads, sums)) in planes.take(x_ho + 1).enumerate() {
-                let plane = x.unsigned_plane(j).expect("a u8 stack").as_slice();
-                // The HO plane re-centred, as the `i16` tile reads it.
-                let r = if j == x_ho { plan.r() as u8 } else { 0 };
-                (kernels.intake)(plane, n, c0, r, quads, sums);
-            }
+        self.at = (64 - self.words.as_ptr() as usize % 64) % 64 / 4;
+        self.words[self.at + words..][..3 * VECTOR_LEN].fill(0);
+        self.sums.clear();
+        self.sums.resize((x_ho + 1) * k_blocks, [0; LANES]);
+        let tile_quads = self.words[self.at..].as_chunks_mut().0;
+        let planes = tile_quads
+            .chunks_mut(k_quads)
+            .zip(self.sums.chunks_mut(k_blocks));
+        for (j, (quads, sums)) in planes.take(x_ho + 1).enumerate() {
+            let plane = x.unsigned_plane(j).expect("a u8 stack").as_slice();
+            // The HO plane re-centred, as the `i16` tile reads it.
+            let r = if j == x_ho { plan.r() as u8 } else { 0 };
+            (kernels.intake)(plane, n, c0, r, quads, sums);
+        }
+        // Each n-group's bitsets from its bytes of the HO plane's quads.
+        let ActTile {
+            groups, words, at, ..
+        } = self;
+        let ho = &words[*at..].as_chunks::<LANES>().0[x_ho * k_quads..][..k_quads];
+        for (g, group) in groups.iter_mut().enumerate() {
+            group.planes.clear();
+            group.ho_live.clear();
+            group
+                .ho_live
+                .extend(ho.chunks(K_BLOCK / VECTOR_LEN).map(|block| {
+                    let mut live = NONE;
+                    for (q, quad) in block.iter().enumerate() {
+                        live[q / 16] |=
+                            live_ks(&quad[VECTOR_LEN * g..][..VECTOR_LEN]) << (q % 16 * 4);
+                    }
+                    live
+                }));
+            group.ho_quads.clear();
+            group.ho_quads.extend(group.ho_live.iter().map(quads));
         }
         full
     }
@@ -1200,19 +1258,17 @@ impl ActTile {
     }
 }
 
-/// Appends each plane of `x` from plane `from` on to `planes`: its rows
-/// cut to `cols`, made elements by `lanes`, which also gets the plane's
-/// re-centring.
+/// Appends each plane of `x` to `planes`: its rows cut to `cols`, made
+/// elements by `lanes`, which also gets the plane's re-centring.
 fn widen<X: Planes, T>(
     planes: &mut Vec<T>,
     x: &X,
     plan: &KernelPlan,
-    from: usize,
     cols: Range<usize>,
     lanes: impl Fn(&[X::Slice], i16) -> T,
 ) {
     let x_ho = x.num_planes() - 1;
-    for j in from..=x_ho {
+    for j in 0..=x_ho {
         let (plane, r) = (x.plane(j), if j == x_ho { plan.r() } else { 0 });
         let rows = plane.as_slice().chunks_exact(plane.cols());
         planes.extend(rows.map(|row| lanes(&row[cols.clone()], r)));
@@ -1262,7 +1318,8 @@ fn for_each_k(ks: &KMask, mut f: impl FnMut(usize)) {
 /// the weights read from a block's [`RowQuad`]s. At most [`K_BLOCK`] of
 /// them, so the `i16` sums cannot wrap (the `const` assertion above). A
 /// full set is walked in a straight loop, an empty one not at all. Kept
-/// out of line: so each tile stays in registers all block.
+/// out of line: so each tile stays in registers all block. Serves only
+/// the fallback build and Sibia's signed stacks.
 #[inline(never)]
 fn products_lanes_n(
     w: &[RowQuad],
@@ -1317,6 +1374,17 @@ fn quads(ks: &KMask) -> QuadMask {
     })
 }
 
+/// The `k` of one quad (bit `j` for `k = 4q + j`) where one of the
+/// columns' re-centred HO slices is not zero: byte `j` of a column's word
+/// is its slice at `4q + j`.
+fn live_ks(cols: &[u32]) -> u64 {
+    let any = cols.iter().fold(0, |any, &word| any | word);
+    any.to_le_bytes()
+        .iter()
+        .enumerate()
+        .fold(0, |ks, (j, &slice)| ks | u64::from(slice != 0) << j)
+}
+
 /// Calls `f` on each quad set in `quads`, ascending.
 #[inline(always)]
 fn for_each_quad(quads: QuadMask, mut f: impl FnMut(usize)) {
@@ -1345,7 +1413,8 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
     }
 }
 
-/// A run of one panel's weight columns as the `i16` tile reads it, one
+/// A run of one panel's weight columns as the `i16` tile reads it (the
+/// fallback build and Sibia's signed stacks only), one
 /// `k` at a time: unpacked, or packed, reading only the `k` of a block
 /// whose `i16` pairs are sparse — unpacking whole runs for those few `k`
 /// is what makes the narrow ρ 0.95 cells slower (see [`UNPACK_SHARE`]).
@@ -1384,11 +1453,9 @@ impl Run for &[Chunk] {
 /// first `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`,
 /// under the same `i16` bound; any other row of the tile stays 0. Only a
 /// walk of one column (four runs) or of a whole n-group takes the
-/// straight loop: LLVM vectorises the others along `k`. On a dot-product
-/// build no pair of an LO activation plane comes here, so a full `ks`
-/// means a side the plan does not skip or a bitset that happens to be
-/// full, and two- and three-column walks step bit by bit only on the
-/// sparse pairs. The runs are unpacked or packed (see [`Run`]).
+/// straight loop: LLVM vectorises the others along `k`. Serves only the
+/// fallback build and Sibia's signed stacks. The runs are unpacked or
+/// packed (see [`Run`]).
 fn products_lanes_m<const C: usize>(w: ColRuns, x: &[PairedCols], ks: &KMask) -> ProductTile {
     match w {
         ColRuns::Unpacked(w) => products_lanes_m_of::<C, _>(&w, x, ks),

@@ -28,9 +28,10 @@
 //! carries an LO plane's 16 columns × one panel, so each chunk is split
 //! once for the 16; [`Transpose`] adds the tile to the panel's rows once.
 //!
-//! [`LanesN`], lanes along N: a full tile's HO weight plane × an LO
-//! activation plane, the paper's DWO work on uncompressed 4×1 weight
-//! vectors. One `i32` accumulator per m-group row holds the 16 columns,
+//! [`LanesN`], lanes along N: a full tile's HO weight plane × every
+//! activation plane (the HO plane raw: `r` is added back to its
+//! re-centred quads in-register), the paper's DWO work on uncompressed
+//! 4×1 weight vectors. One `i32` accumulator per m-group row holds the 16 columns,
 //! and each live k-quad adds one `vpdpbusd` per row: the row's four
 //! slices, signed (a [`RowQuad`] word, broadcast from memory), against
 //! the 16 columns' [`WideQuad`]. It walks only the quads where one of
@@ -45,9 +46,10 @@
 //! `K` zeroed), with each block's column sums from one `vpdpbusd` a quad
 //! against ones. Every dot-product walk of a `u8` stack reads them.
 //!
-//! [`unpack`]: the `i16` tile's lanes along M, which run HO×HO in a
-//! narrow walk, Sibia's signed activations and every pair of a build
-//! without the two extensions, read k-major [`PanelCol`]s, and a chunk
+//! [`unpack`]: the `i16` tile's lanes along M, which run only Sibia's
+//! signed activations (a `u8` stack runs every pair on the dot product)
+//! and every pair of a build without the two extensions, read k-major
+//! [`PanelCol`]s, and a chunk
 //! becomes eight of them with one `vpermb` per nibble half (a safe
 //! shift-and-mask elsewhere).
 //!
@@ -87,9 +89,10 @@ pub(crate) type Transpose = fn(&PanelTile, &mut [AccTile; VECTOR_LEN]);
 
 /// The dot-product kernel of a full tile's HO weight plane: per m-group
 /// of a panel, `Σ_k` of its rows of a block's [`RowQuad`]s × the block's
-/// [`WideQuad`]s of an LO activation plane, over the quads whose first
-/// `k` is set in its mask, scaled and added to its tile.
-pub(crate) type LanesN = fn(&[RowQuad], &[WideQuad], &[QuadMask], i32, &mut [AccTile]);
+/// [`WideQuad`]s of an activation plane with a `u8` added back to every
+/// byte (`r` on the re-centred HO plane, 0 on an LO one), over the quads
+/// whose first `k` is set in its mask, scaled and added to its tile.
+pub(crate) type LanesN = fn(&[RowQuad], &[WideQuad], u8, &[QuadMask], i32, &mut [AccTile]);
 
 /// A tile's intake of one `u8` activation plane (`K` rows of `N` slices)
 /// re-centred by `r`: the [`WideQuad`]s of its columns `c0 .. c0 + 16`,
@@ -194,6 +197,9 @@ mod vnni {
     /// The bytes `4c + j` of a [`WideQuad`], per `j`: bit `4c + j` set.
     const BYTE_J: u64 = 0x1111_1111_1111_1111;
 
+    /// The k-quads of a block a chunk's low nibbles hold: the even ones.
+    const LOW_QUADS: QuadMask = 0x5555_5555_5555_5555;
+
     /// The kernels, chosen by width where that matters.
     pub(crate) fn kernels() -> Option<Kernels> {
         Some(Kernels {
@@ -251,18 +257,6 @@ mod vnni {
         let low = _mm512_and_si512(w, nibble);
         let high = _mm512_and_si512(_mm512_srli_epi16::<4>(w), nibble);
         (low, high)
-    }
-
-    /// The nibble half of `chunk` that holds k-quad `q`: a shift by 0 or 4
-    /// and an AND.
-    #[inline]
-    #[target_feature(enable = "avx512vnni,avx512vbmi")]
-    fn half(chunk: &Chunk, q: usize) -> __m512i {
-        let shift = _mm_cvtsi32_si128(4 * (q % 2) as i32);
-        _mm512_and_si512(
-            _mm512_srl_epi16(words(chunk.0), shift),
-            _mm512_set1_epi8(0xF),
-        )
     }
 
     /// Calls `f` on each k-quad set in `live`, ascending, with whether it
@@ -337,7 +331,12 @@ mod vnni {
         let mut odd = [_mm512_setzero_si512(); VECTOR_LEN];
         // The walk's quads: `x[q][0]`.
         let (x, _) = x.as_chunks::<VECTOR_LEN>();
-        match live {
+        // A live quad costs the walk ≈ 1.4× a quad of the dense walk (its
+        // bit scan and address, and an exit it mispredicts per nibble
+        // half), so a block whose live quads leave at most a quarter of
+        // its quads dead walks dense: as exact, a dead quad being zeros.
+        let quads = 2 * chunks;
+        match live.filter(|live| 4 * (quads - live.count_ones() as usize) > quads) {
             // Every quad: a chunk's low nibbles hold its first quad, into
             // the even set, the high ones its second, into the odd set —
             // a weight load and split per run, a broadcast per column and
@@ -354,22 +353,32 @@ mod vnni {
                     }
                 }
             }
-            // The live quads, the sets taking them in turn.
-            Some(live) => for_each_quad(live, |q, turn| {
-                let quad = |acc: &mut [__m512i; VECTOR_LEN]| {
-                    for (r, run) in runs.iter().take(walked).enumerate() {
-                        let w = half(&run[q / 2], q);
-                        for c in 0..C {
-                            let row = r * C + c;
-                            acc[row] = mac(acc[row], w, x[q][0][c]);
+            // The live quads of the low nibble halves (an AND a run), then
+            // those of the high ones (a shift by 4 and an AND), two at a
+            // time, the sets taking them in turn.
+            Some(live) => {
+                for (high, mut bits) in [(false, live & LOW_QUADS), (true, live & !LOW_QUADS)] {
+                    let quad = |acc: &mut [__m512i; VECTOR_LEN], bits: &mut QuadMask| {
+                        let q = bits.trailing_zeros() as usize;
+                        *bits &= *bits - 1;
+                        for (r, run) in runs.iter().take(walked).enumerate() {
+                            let w = words(run[q / 2].0);
+                            let w = if high { _mm512_srli_epi16::<4>(w) } else { w };
+                            let w = _mm512_and_si512(w, _mm512_set1_epi8(0xF));
+                            for c in 0..C {
+                                let row = r * C + c;
+                                acc[row] = mac(acc[row], w, x[q][0][c]);
+                            }
+                        }
+                    };
+                    while bits != 0 {
+                        quad(&mut even, &mut bits);
+                        if bits != 0 {
+                            quad(&mut odd, &mut bits);
                         }
                     }
-                };
-                match turn {
-                    true => quad(&mut odd),
-                    false => quad(&mut even),
                 }
-            }),
+            }
         }
         let (rows, scale) = (tile_rows(*acc), _mm512_set1_epi32(scale));
         *acc = acc_tile(std::array::from_fn(|row| {
@@ -494,23 +503,26 @@ mod vnni {
     }
 
     /// Per m-group `g` of the panel: `acc[g] += scale · Σ_{q: bit q of
-    /// quads[g]} x[q] ⊗ w[q][4g .. 4g + 4]`, the m-group's four rows × 16
-    /// columns over its live quads of one block.
+    /// quads[g]} (x[q] + add) ⊗ w[q][4g .. 4g + 4]`, the m-group's four
+    /// rows × 16 columns over its live quads of one block. A byte past
+    /// `K` reads `add`, against a weight slice that is zero there.
     fn lanes_n_of(
         w: &[RowQuad],
         x: &[WideQuad],
+        add: u8,
         quads: &[QuadMask],
         scale: i32,
         acc: &mut [AccTile],
     ) {
         // SAFETY: as for `products`.
-        unsafe { lanes_n_vnni(w, x, quads, scale, acc) }
+        unsafe { lanes_n_vnni(w, x, add, quads, scale, acc) }
     }
 
     #[target_feature(enable = "avx512vnni,avx512vbmi")]
     fn lanes_n_vnni(
         w: &[RowQuad],
         x: &[WideQuad],
+        add: u8,
         quads: &[QuadMask],
         scale: i32,
         acc: &mut [AccTile],
@@ -518,10 +530,11 @@ mod vnni {
         // Two slices of one length: the bounds check on `x` covers both.
         let w = &w[..x.len()];
         assert!(quads.len() <= VECTOR_LEN, "the m-groups of a panel");
-        let scale = _mm512_set1_epi32(scale);
+        let (add, scale) = (_mm512_set1_epi8(add as i8), _mm512_set1_epi32(scale));
         for (g, (quads, acc)) in quads.iter().zip(acc).enumerate() {
             let mac = |sum: &mut [__m512i; VECTOR_LEN], q: usize| {
-                let x_quad = words(x[q]);
+                // Slices in `[0, 15]`: the unsigned operand.
+                let x_quad = _mm512_add_epi8(words(x[q]), add);
                 let rows = &w[q].0.as_chunks::<VECTOR_LEN>().0[g];
                 for (sum, row) in sum.iter_mut().zip(rows) {
                     let slices = _mm512_set1_epi32(i32::from_le_bytes(row.map(|s| s as u8)));

@@ -944,3 +944,72 @@ proptest! {
         );
     }
 }
+
+/// HO×HO, which a full tile of a dot build runs on the raw HO plane and
+/// then takes `r·c_HO·8^{w_ho}·ΣW_HO` back from each row, at its
+/// extremes: `r` 0 or 15, raw `x_HO` 0 or 15, each m-group's HO weight
+/// slices all −7 or all 7 (both signs of `ΣW_HO`; SBR never slices a w7
+/// or w10 value to an HO slice of −8) × `K` inside a quad,
+/// past a block and past three × `N` of one to three columns, a whole and
+/// a partial n-group, a full tile and a full tile with one column or a
+/// whole tile after it × `M` of 20 and 36 (a partial bottom panel, whose
+/// missing rows the take-back must not touch) and 68, with the m-groups
+/// and the n-groups each all dead, all live or half live in turn, under
+/// the AQS plan. Dropping the take-back, or applying it to a narrow
+/// tile's rows, moves the output by a multiple of `15 · 8 · c_HO`.
+#[test]
+fn ho_ho_matches_oracle_at_the_extremes() {
+    let mut seed = 37000u64;
+    for k in [5, 257, 769] {
+        for n in [1, 2, 3, 5, 16, 17, 33] {
+            for m in [20, 36, 68] {
+                seed += 1;
+                let mut rng = panacea_tensor::seeded_rng(seed);
+                // Per m-group: dead, live or half live, and its HO sign.
+                let mut w = Matrix::<i32>::zeros(m, k);
+                for mg in 0..m / 4 {
+                    let negative = (mg + seed as usize).is_multiple_of(2);
+                    for kk in 0..k {
+                        let live = match (mg + seed as usize / 2) % 3 {
+                            0 => false,
+                            1 => true,
+                            _ => rng.gen::<bool>(),
+                        };
+                        for mm in 0..4 {
+                            // HO −7 (−64) or 7 (63); a dead vector in ±7.
+                            w[(4 * mg + mm, kk)] = match (live, negative) {
+                                (false, _) => rng.gen_range(-7i32..=7),
+                                (true, true) => -64,
+                                (true, false) => 63,
+                            };
+                        }
+                    }
+                }
+                let r: u8 = if seed.is_multiple_of(2) { 0 } else { 15 };
+                let (far, dead) = ((15 - i32::from(r)) << 4, i32::from(r) << 4);
+                let x = Matrix::from_fn(k, n, |_, c| {
+                    let live = match (c / 4 + seed as usize) % 3 {
+                        0 => false,
+                        1 => true,
+                        _ => rng.gen::<bool>(),
+                    };
+                    (if live { far } else { dead }) + rng.gen_range(0..16)
+                });
+                let sw = SlicedWeight::from_int(&w, 1).expect("weights in range");
+                for (i, &v) in sw.plane(1).as_slice().iter().enumerate() {
+                    assert!(matches!(v, -7 | 0 | 7), "HO slice {v} at {i}");
+                }
+                let c = Case {
+                    sw,
+                    sx: SlicedActivation::from_uint(&x, 1, DbsType::Type1).expect("codes"),
+                    r,
+                    x,
+                    x_lo: 1,
+                    ty: DbsType::Type1,
+                    pad_code: dead,
+                };
+                assert_matches_oracle(&c, &format!("M={m} K={k} N={n} r={r}"));
+            }
+        }
+    }
+}
