@@ -1834,6 +1834,47 @@ mod tests {
         }
     }
 
+    /// A full tile's HO×HO lane before its take-back (`Σ w·x_HO`, raw
+    /// `x_HO` 15) at the largest `K` a w7 × a8 layer admits, on worst-case
+    /// operands: rows of 63 (HO 7) and −64 (HO −7), every code 255, `r` 0
+    /// and 15. A debug build overflow-checks the tile's scalar writes.
+    #[test]
+    fn the_raw_ho_lane_fits_at_the_largest_admitted_k() {
+        use panacea_quant::{AsymmetricQuantizer, LayerQuantConfig};
+        let act = |r: u8| LayerQuantConfig {
+            quantizer: AsymmetricQuantizer::from_params(1.0, 0, 8).expect("8-bit"),
+            dbs_type: DbsType::Type1,
+            frequent_ho_slice: r,
+            skip_lo: 0,
+            skip_hi: 0,
+            coverage: 0.0,
+        };
+        let k = (i64::from(i32::MAX) / crate::plan::accumulator_bound(1, 7, 8)) as usize;
+        assert!(KernelPlan::for_layer(7, &act(0), k + 1).is_err());
+        let w = Matrix::from_fn(16, k, |m, _| if m % 2 == 0 { 63 } else { -64 });
+        let sw = SlicedWeight::from_int(&w, 1).unwrap();
+        let sx =
+            SlicedActivation::from_uint(&Matrix::from_fn(k, 16, |_, _| 255), 1, DbsType::Type1)
+                .unwrap();
+        let packed = PackedWeight::pack(&sw);
+        for r in [0u8, 15] {
+            let plan = KernelPlan::for_layer(7, &act(r), k).expect("admitted");
+            // With no row constant the output is `Σ w·(x − 16r)`.
+            let (out, _) = packed.gemm(&plan, &sx, &[0; 16]);
+            for m in 0..16 {
+                let want: i64 = w
+                    .row(m)
+                    .iter()
+                    .map(|&v| i64::from(v) * (255 - 16 * i64::from(r)))
+                    .sum();
+                assert!(
+                    out.row(m).iter().all(|&o| i64::from(o) == want),
+                    "r={r} row {m}"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "multiple of")]
     fn rejects_non_vector_aligned_shapes() {
