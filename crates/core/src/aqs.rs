@@ -48,9 +48,10 @@
 //!    sums: at every tile width one 64-byte quad of its 16 columns per
 //!    four `k` (one `vpermb` and one masked `vpsubb`, the bytes past a
 //!    narrow tile's width or past `K` zero), whose every fourth word its
-//!    n-groups' walks read. There nothing is widened: each n-group's
-//!    bitsets are read off the HO plane's quads (a byte not zero is a
-//!    live slice).
+//!    n-groups' walks read; a full tile also takes the HO plane raw, in a
+//!    second pass with `r` 0, for its HO×HO. There nothing is widened:
+//!    each n-group's bitsets are read off the re-centred HO plane's quads
+//!    (a byte not zero is a live slice).
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
@@ -69,9 +70,9 @@
 //!    a step, exact because a dead quad is zeros, so `Σx` stays the
 //!    block's. On a full tile HO_w×LO_x runs per m-group over its live
 //!    k-quads, the weight side's skipping, and HO×HO alike on the raw HO
-//!    plane (`r` added back to its quads in-register, exact because a dead
-//!    weight quad is zeros; the extra `r·c_HO·8^{w_ho}·ΣW_HO` of each row
-//!    is taken back once, where the tile writes its rows, from the HO row
+//!    plane (a second intake pass with `r` 0, exact because a dead weight
+//!    quad is zeros; the extra `r·c_HO·8^{w_ho}·ΣW_HO` of each row is
+//!    taken back once, where the tile writes its rows, from the HO row
 //!    sums kept at pack): each row's four slices — its
 //!    chunk word's nibble half with the `+ 8` taken back, signed once per
 //!    block into a `RowQuad` for the quads some m-group reads — are one
@@ -97,8 +98,9 @@
 //!    `P = 4 / C` panels (Goto & van de Geijn's register blocking), one
 //!    **walk** of `k` reading those panels' runs side by side, four at
 //!    N = 1, two at N = 2, one from three columns on and on every whole
-//!    n-group. Its HO×HO pair runs under the union of the walked panels'
-//!    bitsets (a compressed vector in a live union is stored as zeros).
+//!    n-group. On the `i16` tile its HO×HO pair runs under the union of
+//!    the walked panels' bitsets (a compressed vector in a live union is
+//!    stored as zeros).
 //!    **One loop nest runs every tile**, full or narrow: per stretch of
 //!    panels (the widest walk's, so one on a full tile), per `k` block,
 //!    per weight plane; a full tile's HO weight plane lanes along N, every
@@ -116,28 +118,32 @@
 //!    lanes along M only on a whole n-group or a one-column walk of four
 //!    panels: for two or three columns LLVM vectorises it along `k`, 2–3×
 //!    slower. In ms per call at 768 × 768, w7 × a8, vector-level ρ, 2-core
-//!    AVX-512 host with VNNI and VBMI (`tests/tile_cost.rs`, min of 12
+//!    AVX-512 host with VNNI and VBMI (`tests/tile_cost.rs`, min of 20
 //!    runs of 40 alternated rounds × 8 calls; in parentheses the tree
-//!    whose LO_w×HO_x ran on the `i16` tile and whose full tile walked its
-//!    four n-groups apart, timed in the same minutes, alternated; the
-//!    served row is a ρ_w 0.93 layer on the ρ 0.95 inputs, its one cell
-//!    under ρ 0.95, and the ρ 1 row compresses every HO vector of both
-//!    sides, the floor of every ρ):
+//!    whose HO×HO still ran on the `i16` tile, timed in the same minutes,
+//!    alternated; the served row is a ρ_w 0.93 layer on the ρ 0.95
+//!    inputs, its one cell under ρ 0.95, and the ρ 1 row compresses every
+//!    HO vector of both sides, the floor of every ρ):
 //!
 //!    | N  | ρ 0           | ρ 0.5         | ρ 0.95        |
 //!    |----|---------------|---------------|---------------|
-//!    | 1  | 0.044 (0.067) | 0.045 (0.062) | 0.019 (0.019) |
-//!    | 2  | 0.069 (0.107) | 0.060 (0.079) | 0.026 (0.027) |
-//!    | 4  | 0.100 (0.142) | 0.099 (0.127) | 0.040 (0.045) |
-//!    | 8  | 0.183 (0.267) | 0.166 (0.203) | 0.076 (0.083) |
-//!    | 12 | 0.274 (0.394) | 0.243 (0.307) | 0.110 (0.124) |
-//!    | 16 | 0.421 (0.630) | 0.346 (0.457) | 0.108 (0.146) |
-//!    | 1, 3072 × 768 per 768² | 0.047 (0.070) | 0.049 (0.065) | 0.023 (0.023) |
-//!    | 16, 3072 × 768 per 768² | 0.442 (0.661) | 0.364 (0.478) | 0.122 (0.187) |
-//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.019 (0.021) |
-//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.124 (0.169) |
-//!    | 1, ρ 1 | | | 0.015 (0.016) |
-//!    | 16, ρ 1 | | | 0.057 (0.094) |
+//!    | 1  | 0.023 (0.046) | 0.023 (0.046) | 0.017 (0.019) |
+//!    | 2  | 0.034 (0.072) | 0.034 (0.063) | 0.026 (0.027) |
+//!    | 4  | 0.052 (0.103) | 0.052 (0.107) | 0.040 (0.043) |
+//!    | 8  | 0.099 (0.194) | 0.099 (0.177) | 0.075 (0.081) |
+//!    | 12 | 0.147 (0.284) | 0.147 (0.264) | 0.112 (0.121) |
+//!    | 16 | 0.205 (0.459) | 0.210 (0.371) | 0.110 (0.113) |
+//!    | 1, 3072 × 768 per 768² | 0.027 (0.050) | 0.027 (0.051) | 0.021 (0.024) |
+//!    | 16, 3072 × 768 per 768² | 0.213 (0.489) | 0.222 (0.384) | 0.123 (0.130) |
+//!    | 1, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.016 (0.021) |
+//!    | 16, served: ρ_w 0.93 × ρ_x 0.95 | | | 0.124 (0.125) |
+//!    | 1, ρ 1 | | | 0.014 (0.016) |
+//!    | 16, ρ 1 | | | 0.058 (0.061) |
+//!
+//!    With dense HO work this cheap, ρ 0.5 no longer beats ρ 0: the test
+//!    kills each 4-vector independently per `k`, so a k-quad, the dot
+//!    product's skipping step, is dead with probability ρ⁴ (6 % at
+//!    ρ 0.5).
 //!
 //!    `N` is any width: only the last n-group can hold fewer than four
 //!    columns, and it multiplies only those; an absent lane is 0 in every
@@ -790,8 +796,8 @@ impl PackedWeight {
     /// chunks of the block some m-group reads, signed into `rows`, then
     /// per m-group a 4-row × 16-column tile under its own bitset — on the
     /// dot product over its live k-quads where the tile has quads (the HO
-    /// activation plane raw, `r` added back to its re-centred quads, so
-    /// the caller takes back `r·c_HO·8^{w_ho}·ΣW_HO`), and on the `i16`
+    /// activation plane raw, so the caller takes back
+    /// `r·c_HO·8^{w_ho}·ΣW_HO`), and on the `i16`
     /// tile otherwise (the HO activation plane under both sides'
     /// bitsets, an LO plane under the m-group's).
     fn block_lanes_n(
@@ -836,9 +842,10 @@ impl PackedWeight {
                 std::array::from_fn(|g| groups.clone().nth(g).map_or(0, w_quads));
             for j in 0..=x_ho {
                 let scale = self.plane_weights[w_ho] * plan.x_scales()[j];
-                let x = &act.wide_quads()[j * k_quads + k0 / VECTOR_LEN..][..rows.len()];
-                let add = if j == x_ho { plan.r() as u8 } else { 0 };
-                (kernels.lanes_n)(rows, x, add, &quads[..acc.len()], scale, acc);
+                // The HO plane's raw copy, after the re-centred one.
+                let at = (j + usize::from(j == x_ho)) * k_quads + k0 / VECTOR_LEN;
+                let x = &act.wide_quads()[at..][..rows.len()];
+                (kernels.lanes_n)(rows, x, &quads[..acc.len()], scale, acc);
             }
             return;
         }
@@ -1169,23 +1176,30 @@ impl ActTile {
             return full;
         };
         let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
+        // A full tile also takes the HO plane raw, after the others.
+        let planes = x_ho + 1 + usize::from(full);
         // The intake writes every quad: only the pad past them is zeroed,
         // not the whole buffer.
-        let words = (x_ho + 1) * k_quads * LANES;
+        let words = planes * k_quads * LANES;
         if self.words.len() < words + 3 * VECTOR_LEN + LANES - 1 {
             self.words.resize(words + 3 * VECTOR_LEN + LANES - 1, 0);
         }
         self.at = (64 - self.words.as_ptr() as usize % 64) % 64 / 4;
         self.words[self.at + words..][..3 * VECTOR_LEN].fill(0);
         self.sums.clear();
-        self.sums.resize((x_ho + 1) * k_blocks, [0; LANES]);
+        self.sums.resize(planes * k_blocks, [0; LANES]);
         let tile_quads = self.words[self.at..].as_chunks_mut().0;
-        let planes = tile_quads
+        let outs = tile_quads
             .chunks_mut(k_quads)
             .zip(self.sums.chunks_mut(k_blocks));
-        for (j, (quads, sums)) in planes.take(x_ho + 1).enumerate() {
-            let plane = x.unsigned_plane(j).expect("a u8 stack").as_slice();
-            // The HO plane re-centred, as the `i16` tile reads it.
+        for (j, (quads, sums)) in outs.take(planes).enumerate() {
+            let plane = x
+                .unsigned_plane(j.min(x_ho))
+                .expect("a u8 stack")
+                .as_slice();
+            // The HO plane re-centred, which the walks' products kernel
+            // and the n-groups' bitsets read; its raw copy is for a full
+            // tile's HO×HO on `lanes_n`.
             let r = if j == x_ho { plan.r() as u8 } else { 0 };
             (kernels.intake)(plane, n, c0, r, quads, sums);
         }
@@ -1213,7 +1227,8 @@ impl ActTile {
         full
     }
 
-    /// The tile's [`WideQuad`]s, per LO plane.
+    /// The tile's [`WideQuad`]s, per plane (the HO one re-centred), then
+    /// on a full tile the HO plane raw.
     fn wide_quads(&self) -> &[WideQuad] {
         self.words[self.at..].as_chunks().0
     }

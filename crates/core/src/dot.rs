@@ -29,12 +29,12 @@
 //! once for the 16; [`Transpose`] adds the tile to the panel's rows once.
 //!
 //! [`LanesN`], lanes along N: a full tile's HO weight plane × every
-//! activation plane (the HO plane raw: `r` is added back to its
-//! re-centred quads in-register), the paper's DWO work on uncompressed
-//! 4×1 weight vectors. One `i32` accumulator per m-group row holds the 16 columns,
-//! and each live k-quad adds one `vpdpbusd` per row: the row's four
-//! slices, signed (a [`RowQuad`] word, broadcast from memory), against
-//! the 16 columns' [`WideQuad`]. It walks only the quads where one of
+//! activation plane (the HO one raw, from a second intake pass with `r`
+//! 0), the paper's DWO work on uncompressed 4×1 weight vectors. One
+//! `i32` accumulator per m-group row holds the 16 columns, and each live
+//! k-quad adds one `vpdpbusd` per row: the row's four slices, signed (a
+//! [`RowQuad`] word, broadcast from memory), against the 16 columns'
+//! [`WideQuad`]. It walks only the quads where one of
 //! the m-group's four HO vectors is uncompressed, so it skips weights at
 //! four `k` a step and executes the few zeros a live quad holds.
 //!
@@ -42,16 +42,16 @@
 //! from 1 to 16 columns, one `vpermb` per four `k` (the 64 bytes from the
 //! quad's first row of the `u8` plane where `N ≤ 16`, four 16-byte rows
 //! past that, column by column) and one masked `vpsubb` (by `r` on the
-//! HO plane, 0 on an LO one, the bytes past a narrow tile's width or past
-//! `K` zeroed), with each block's column sums from one `vpdpbusd` a quad
-//! against ones. Every dot-product walk of a `u8` stack reads them.
+//! HO plane, 0 on an LO one and on a full tile's raw copy of the HO
+//! plane, the bytes past a narrow tile's width or past `K` zeroed), with
+//! each block's column sums from one `vpdpbusd` a quad against ones.
+//! Every dot-product walk of a `u8` stack reads them.
 //!
 //! [`unpack`]: the `i16` tile's lanes along M, which run only Sibia's
 //! signed activations (a `u8` stack runs every pair on the dot product)
 //! and every pair of a build without the two extensions, read k-major
-//! [`PanelCol`]s, and a chunk
-//! becomes eight of them with one `vpermb` per nibble half (a safe
-//! shift-and-mask elsewhere).
+//! [`PanelCol`]s, and a chunk becomes eight of them with one `vpermb` per
+//! nibble half (a safe shift-and-mask elsewhere).
 //!
 //! Every sum is the `i16` tile's exactly: before the correction an `i32`
 //! lane holds `Σ(w + 8)·x` of a block, well inside `i32`, and after it
@@ -89,10 +89,10 @@ pub(crate) type Transpose = fn(&PanelTile, &mut [AccTile; VECTOR_LEN]);
 
 /// The dot-product kernel of a full tile's HO weight plane: per m-group
 /// of a panel, `Σ_k` of its rows of a block's [`RowQuad`]s × the block's
-/// [`WideQuad`]s of an activation plane with a `u8` added back to every
-/// byte (`r` on the re-centred HO plane, 0 on an LO one), over the quads
-/// whose first `k` is set in its mask, scaled and added to its tile.
-pub(crate) type LanesN = fn(&[RowQuad], &[WideQuad], u8, &[QuadMask], i32, &mut [AccTile]);
+/// [`WideQuad`]s of an activation plane (an LO one, or the HO one raw),
+/// over the quads whose first `k` is set in its mask, scaled and added
+/// to its tile.
+pub(crate) type LanesN = fn(&[RowQuad], &[WideQuad], &[QuadMask], i32, &mut [AccTile]);
 
 /// A tile's intake of one `u8` activation plane (`K` rows of `N` slices)
 /// re-centred by `r`: the [`WideQuad`]s of its columns `c0 .. c0 + 16`,
@@ -503,26 +503,23 @@ mod vnni {
     }
 
     /// Per m-group `g` of the panel: `acc[g] += scale · Σ_{q: bit q of
-    /// quads[g]} (x[q] + add) ⊗ w[q][4g .. 4g + 4]`, the m-group's four
-    /// rows × 16 columns over its live quads of one block. A byte past
-    /// `K` reads `add`, against a weight slice that is zero there.
+    /// quads[g]} x[q] ⊗ w[q][4g .. 4g + 4]`, the m-group's four rows × 16
+    /// columns over its live quads of one block.
     fn lanes_n_of(
         w: &[RowQuad],
         x: &[WideQuad],
-        add: u8,
         quads: &[QuadMask],
         scale: i32,
         acc: &mut [AccTile],
     ) {
         // SAFETY: as for `products`.
-        unsafe { lanes_n_vnni(w, x, add, quads, scale, acc) }
+        unsafe { lanes_n_vnni(w, x, quads, scale, acc) }
     }
 
     #[target_feature(enable = "avx512vnni,avx512vbmi")]
     fn lanes_n_vnni(
         w: &[RowQuad],
         x: &[WideQuad],
-        add: u8,
         quads: &[QuadMask],
         scale: i32,
         acc: &mut [AccTile],
@@ -530,11 +527,11 @@ mod vnni {
         // Two slices of one length: the bounds check on `x` covers both.
         let w = &w[..x.len()];
         assert!(quads.len() <= VECTOR_LEN, "the m-groups of a panel");
-        let (add, scale) = (_mm512_set1_epi8(add as i8), _mm512_set1_epi32(scale));
+        let scale = _mm512_set1_epi32(scale);
         for (g, (quads, acc)) in quads.iter().zip(acc).enumerate() {
             let mac = |sum: &mut [__m512i; VECTOR_LEN], q: usize| {
                 // Slices in `[0, 15]`: the unsigned operand.
-                let x_quad = _mm512_add_epi8(words(x[q]), add);
+                let x_quad = words(x[q]);
                 let rows = &w[q].0.as_chunks::<VECTOR_LEN>().0[g];
                 for (sum, row) in sum.iter_mut().zip(rows) {
                     let slices = _mm512_set1_epi32(i32::from_le_bytes(row.map(|s| s as u8)));
