@@ -272,6 +272,11 @@ impl SlicedActivation {
         &self.planes[i]
     }
 
+    /// Every plane, least significant first.
+    pub fn planes(&self) -> &[Matrix<u8>] {
+        &self.planes
+    }
+
     /// The high-order plane.
     pub fn ho(&self) -> &Matrix<u8> {
         self.planes

@@ -32,32 +32,33 @@
 //!    and pack it on every call.
 //! 2. **Streams** (per call and 16-column n-tile, in buffers each thread
 //!    reuses, filled in one sweep over the activation): the activation
-//!    planes (`u8`, or `i8` for Sibia's SBR activations) widened to `i16`
-//!    — per n-group as `[i16; 2]` pairs (each slice twice), on a full
-//!    tile also as 16-column rows, widened once and cut into the pairs —
-//!    with the bitset of `k` where the HO vectors are not all compressed
-//!    and its k-quads (one bit per four `k`), from which the sweep also
-//!    counts each `k`'s compressed n-groups for step 4. The HO plane is
-//!    stored re-centred, `x_HO − r`, making an all-`r` vector a zero one,
-//!    skipped alike: Eq. 5's `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one
-//!    per-row constant `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ`
-//!    correction folded into the re-centring — and the output starts at
-//!    it. On a build with the dot product (`core::dot`) every plane of a
-//!    `u8` stack is read straight from the [`SlicedActivation`] as k-quads
-//!    instead, the HO plane re-centred alike, with each block's column
-//!    sums: at every tile width one 64-byte quad of its 16 columns per
-//!    four `k` (one `vpermb` and one masked `vpsubb`, the bytes past a
+//!    planes — the tile's one operand, `u8` planes LO first: a
+//!    [`SlicedActivation`]'s, or Sibia's SBR slices as `s + 8` with `r = 8`
+//!    ([`sibia`](crate::sibia)) — widened to `i16`, per n-group as
+//!    `[i16; 2]` pairs (each slice twice), on a full tile also as 16-column
+//!    rows, widened once and cut into the pairs, with the bitset of `k`
+//!    where the HO vectors are not all compressed and its k-quads (one bit
+//!    per four `k`), from which the sweep also counts each `k`'s compressed
+//!    n-groups for step 4. The HO plane is stored re-centred, `x_HO − r`,
+//!    making an all-`r` vector a zero one, skipped alike: Eq. 5's
+//!    `W·x_HO = W·(x_HO − r) + r·(ΣW)` leaves one per-row constant
+//!    `b' = r·c_HO·ΣW` — Eq. 6's `b'`, with its `Jᵁ` correction folded into
+//!    the re-centring — and the output starts at it. On a build with the
+//!    dot product (`core::dot`) every plane is read straight from the stack
+//!    as k-quads instead, the HO plane re-centred alike, with each block's
+//!    column sums: at every tile width one 64-byte quad of its 16 columns
+//!    per four `k` (one `vpermb` and one masked `vpsubb`, the bytes past a
 //!    narrow tile's width or past `K` zero), whose every fourth word its
 //!    n-groups' walks read; a full tile also takes the HO plane raw, in a
-//!    second pass with `r` 0, for its HO×HO. There nothing is widened:
-//!    each n-group's bitsets are read off the re-centred HO plane's quads
-//!    (a byte not zero is a live slice).
+//!    second pass with `r` 0, for its HO×HO. There nothing is widened: each
+//!    n-group's bitsets are read off the re-centred HO plane's quads (a
+//!    byte not zero is a live slice).
 //! 3. **Tile**: per `k` block and plane pair, *raw slice products* sum
 //!    into a 4 × 16 `i16` register tile over exactly the `k` the pair
 //!    executes — all for LO×LO, the weight bitset for HO_w×LO_x, the
 //!    activation bitset for LO_w×HO_x, both for HO×HO — and then, scaled
 //!    by `8^i·c_j`, into the output. On a build that targets AVX-512
-//!    VNNI and VBMI, every pair of a `u8` stack sums in `i32` lanes on
+//!    VNNI and VBMI, every pair of every plan sums in `i32` lanes on
 //!    `vpdpbusd` instead, to the same block sum, scaled and
 //!    added alike. Lanes along M the weight nibble (`slice + 8`, eight `k`
 //!    a chunk, split with an AND and a shift-AND) is the unsigned operand
@@ -77,11 +78,11 @@
 //!    chunk word's nibble half with the `+ 8` taken back, signed once per
 //!    block into a `RowQuad` for the quads some m-group reads — are one
 //!    broadcast operand against the 16 columns' quad. The `i16` tile
-//!    serves only Sibia's signed stacks and builds without the two
-//!    extensions: lanes along N it reads those signed rows, lanes along M
-//!    k-major `[i8; 16]` columns. A narrow walk's HO×HO runs on the walks'
-//!    `vpdpbusd` kernel over the n-group's live k-quads, as LO_w×HO_x
-//!    does. A pair's lanes run along the side it
+//!    serves only builds without the two extensions: lanes along N it
+//!    reads those signed rows, lanes along M k-major `[i8; 16]` columns.
+//!    A narrow walk's HO×HO runs on the walks' `vpdpbusd` kernel over the
+//!    n-group's live k-quads, as LO_w×HO_x does. A pair's lanes run along
+//!    the side it
 //!    does not skip, so each side skips at the paper's granularity: on a
 //!    full tile the HO weight plane's pairs run **lanes along N**
 //!    (`products_lanes_n` and `dot::lanes_n`: the 4 rows of an m-group ×
@@ -175,7 +176,7 @@ use panacea_bitslice::{SlicedActivation, SlicedWeight, VECTOR_LEN};
 use panacea_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::dot::{self, Kernels, LanesM};
+use crate::dot::{self, LanesM};
 use crate::plan::KernelPlan;
 use crate::workload::Workload;
 
@@ -197,7 +198,7 @@ const MAX_W_SLICE: usize = 8;
 /// by `r` (`[-15, 15]`).
 const MAX_X_SLICE: usize = 15;
 // One block of slice products cannot leave the `i16` register tile. The
-// dot product sums a block of a `u8` stack's plane in `i32` lanes, a
+// dot product sums a block of an activation plane in `i32` lanes, a
 // chunk at a time (chunks tile a block), with the weight as the offset
 // operand: a lane holds `Σ(w + 8)·x` — `w + 8 ≤ 2·MAX_W_SLICE − 1`, and
 // it starts at `−8·Σx` — before the correction leaves `Σ w·x`, which is
@@ -214,15 +215,12 @@ const _: () = assert!(K_BLOCK.is_multiple_of(64));
 /// The walks of a stretch unpack a block's runs of a weight plane once
 /// for them all when their `i16` pairs read at least `1 / UNPACK_SHARE`
 /// of its `k`, and read them packed when they read fewer. A dot build
-/// with a `u8` stack has no such pair, so the rule serves only the
-/// fallback build and Sibia's signed stacks. Both halves
-/// pay: in an in-process ablation at 768 × 768 (2-core AVX-512 VNNI +
-/// VBMI host, `tests/tile_cost.rs`'s layers, 60 alternated rounds),
-/// reading every block packed made the ρ 0 cells 1.2–1.6× slower (N =
-/// 16: 1.26×), and unpacking every block made N = 1 / 2 / 4 at ρ 0.95
-/// 1.38× / 1.26× / 1.12× slower; with only HO×HO left on the `i16` tile
-/// of a dot build, unpacking every block still makes those cells ≈ 1.3× /
-/// 1.25× / 1.2× slower, and N = 2 / 4 at ρ 0.5 only 2–4 % faster.
+/// has no such pair, so the rule serves only the fallback build. Both
+/// halves pay: in an in-process ablation at 768 × 768 (2-core AVX-512
+/// VNNI + VBMI host, `tests/tile_cost.rs`'s layers, 60 alternated
+/// rounds), reading every block packed made the ρ 0 cells 1.2–1.6×
+/// slower (N = 16: 1.26×), and unpacking every block made N = 1 / 2 / 4
+/// at ρ 0.95 1.38× / 1.26× / 1.12× slower.
 const UNPACK_SHARE: usize = 2;
 /// One bit per `k` of a block.
 pub(crate) type KMask = [u64; K_BLOCK / 64];
@@ -234,7 +232,7 @@ const NONE: KMask = [0; K_BLOCK / 64];
 pub(crate) type QuadMask = u64;
 const _: () = assert!(K_BLOCK / VECTOR_LEN == QuadMask::BITS as usize);
 /// `k` positions of one [`Chunk`]: two k-quads, one per nibble.
-pub(crate) const CHUNK_K: usize = 2 * VECTOR_LEN;
+const CHUNK_K: usize = 2 * VECTOR_LEN;
 const _: () = assert!(K_BLOCK.is_multiple_of(CHUNK_K));
 /// Eight `k` of a panel at four bits a slice, in the order the dot
 /// product reads them: word `r` (bytes `4r .. 4r + 4`, little-endian)
@@ -244,7 +242,7 @@ const _: () = assert!(K_BLOCK.is_multiple_of(CHUNK_K));
 #[repr(C, align(64))]
 pub(crate) struct Chunk(pub(crate) [u32; PANEL_ROWS]);
 /// One `k` of a panel unpacked: a weight slice per row.
-pub(crate) type PanelCol = [i8; PANEL_ROWS];
+type PanelCol = [i8; PANEL_ROWS];
 /// Four `k` of a panel's weight slices, signed, row-major: `.0[r]` is
 /// row `r`'s slices at `k = 4q .. 4q + 4`, ascending — one nibble half of
 /// a [`Chunk`] with its `+ 8` taken back, in the order `vpdpbusd` reads.
@@ -326,71 +324,35 @@ impl TileStats {
 /// See the crate-level example; the central invariant is
 /// `aqs_gemm(W, X, r).0 == W·X` for every `r`.
 pub fn aqs_gemm(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> (Matrix<i32>, Workload) {
-    run_sliced(&KernelPlan::for_operands(w, x, r.into(), None), w, x)
+    run_sliced(&plan(w, x, r), w, x.planes(), |_, _| 0)
 }
 
 /// Scheduling-level statistics only — the closed forms, no GEMM: the
 /// vector-level `ρ_w` / `ρ_x` the figures' profile feeds the simulator,
 /// and what `perf` and the workload-model tests count.
 pub fn aqs_tile_stats(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> TileStats {
-    PackedWeight::pack(w).tile_stats(&KernelPlan::for_operands(w, x, r.into(), None), x)
+    PackedWeight::pack(w).tile_stats(&plan(w, x, r), x.planes())
 }
 
-/// `W·X` under `plan` for operands sliced by the caller: the weight is
-/// packed for this one call and the row constant is Eq. 6's `b'` alone.
-pub(crate) fn run_sliced<X: Planes>(
+/// The AQS plan of operands sliced by the caller.
+fn plan(w: &SlicedWeight, x: &SlicedActivation, r: u8) -> KernelPlan {
+    let x_scales = (0..x.num_planes()).map(|j| x.plane_weight(j));
+    KernelPlan::for_operands(w, x_scales, r.into(), None)
+}
+
+/// `W·X` under `plan` for a weight sliced by the caller and the tile's
+/// activation operand `x` (its `u8` planes, LO first): the weight is
+/// packed for this one call and each row's constant is `extra(m, ΣW[m])`
+/// plus Eq. 6's `b'`.
+pub(crate) fn run_sliced(
     plan: &KernelPlan,
     w: &SlicedWeight,
-    x: &X,
+    x: &[Matrix<u8>],
+    extra: impl Fn(usize, i64) -> i64,
 ) -> (Matrix<i32>, Workload) {
     let packed = PackedWeight::pack(w);
-    let b_prime = plan.row_consts(packed.row_sums(), |_, _| 0);
-    packed.gemm(plan, x, &b_prime.expect("compensation term exceeds i32"))
-}
-
-/// A stack of 4-bit slice planes the tile can read as its activation
-/// operand: [`SlicedActivation`] (`u8`), or [`SlicedWeight`] (`i8`) for
-/// Sibia's symmetric SBR activations.
-pub(crate) trait Planes {
-    type Slice: Copy + Into<i16>;
-    fn num_planes(&self) -> usize;
-    fn plane(&self, j: usize) -> &Matrix<Self::Slice>;
-    fn plane_weight(&self, j: usize) -> i32;
-    /// Plane `j` as the dot product's `u8` side, if the slices are
-    /// unsigned.
-    fn unsigned_plane(&self, j: usize) -> Option<&Matrix<u8>>;
-}
-
-impl Planes for SlicedActivation {
-    type Slice = u8;
-    fn num_planes(&self) -> usize {
-        SlicedActivation::num_planes(self)
-    }
-    fn plane(&self, j: usize) -> &Matrix<u8> {
-        SlicedActivation::plane(self, j)
-    }
-    fn plane_weight(&self, j: usize) -> i32 {
-        SlicedActivation::plane_weight(self, j)
-    }
-    fn unsigned_plane(&self, j: usize) -> Option<&Matrix<u8>> {
-        Some(self.plane(j))
-    }
-}
-
-impl Planes for SlicedWeight {
-    type Slice = i8;
-    fn num_planes(&self) -> usize {
-        SlicedWeight::num_planes(self)
-    }
-    fn plane(&self, j: usize) -> &Matrix<i8> {
-        SlicedWeight::plane(self, j)
-    }
-    fn plane_weight(&self, j: usize) -> i32 {
-        SlicedWeight::plane_weight(self, j)
-    }
-    fn unsigned_plane(&self, _j: usize) -> Option<&Matrix<u8>> {
-        None
-    }
+    let row_const = plan.row_consts(packed.row_sums(), extra);
+    packed.gemm(plan, x, &row_const.expect("compensation term exceeds i32"))
 }
 
 /// The weight side of the kernel — slices and index — computed once per
@@ -532,28 +494,29 @@ impl PackedWeight {
         &self.row_sums
     }
 
-    /// Runs the kernel: `W·X + row_const` (one constant per output row,
-    /// which must already contain `b'`), and the closed-form workload,
-    /// from the compressed counts the intake takes.
+    /// Runs the kernel on the activation planes `x` (`u8`, LO first):
+    /// `W·X + row_const` (one constant per output row, which must already
+    /// contain `b'`), and the closed-form workload, from the compressed
+    /// counts the intake takes.
     ///
     /// # Panics
     ///
     /// Panics if the operands are not in the plan's formats or shapes are
     /// incompatible.
-    pub(crate) fn gemm<X: Planes>(
+    pub(crate) fn gemm(
         &self,
         plan: &KernelPlan,
-        x: &X,
+        x: &[Matrix<u8>],
         row_const: &[i32],
     ) -> (Matrix<i32>, Workload) {
-        let (m, n) = (self.row_sums.len(), x.plane(0).cols());
+        let (m, n) = (self.row_sums.len(), x[0].cols());
         assert_eq!(self.plane_weights.len(), plan.w_planes(), "weight format");
         assert_eq!(
             self.compressed_per_k.len(),
-            x.plane(0).rows(),
+            x[0].rows(),
             "inner dimensions differ"
         );
-        assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
+        assert_eq!(x.len(), plan.x_scales().len(), "activation format");
         assert_eq!(row_const.len(), m, "one constant per output row");
         // Both orientations add into the output, from its row constants.
         let mut out = vec![0; m * n];
@@ -575,10 +538,7 @@ impl PackedWeight {
                 }
             });
         }
-        (
-            out,
-            self.closed_form(plan, n, x.num_planes(), counts).workload(),
-        )
+        (out, self.closed_form(plan, n, counts).workload())
     }
 
     /// Adds the pairs of the n-tile at `c0` (its streams in `scratch`'s
@@ -614,12 +574,12 @@ impl PackedWeight {
         let k_dim = self.compressed_per_k.len();
         let (k_quads, k_blocks) = (2 * k_dim.div_ceil(CHUNK_K), k_dim.div_ceil(K_BLOCK));
         let (w_ho, x_ho) = (self.plane_weights.len() - 1, plan.x_scales().len() - 1);
-        let (m, last, dot) = (out.rows(), act.groups.len() - 1, act.kernels.is_some());
+        let (m, last, dot) = (out.rows(), act.groups.len() - 1, dot::kernels().is_some());
         let width = |g: usize| if g == last { C } else { VECTOR_LEN };
         let dots: [Option<DotQuads>; GROUPS] = std::array::from_fn(|g| act.dot(g, width(g)));
         // A full tile of a dot build walks all 16 columns of a panel at
         // once, so it runs no n-group walks.
-        let full_walk = act.kernels.filter(|_| full).map(|k| k.panel);
+        let full_walk = dot::kernels().filter(|_| full).map(|k| k.panel);
         let m_panels = m.div_ceil(PANEL_ROWS);
         for p0 in (0..m_panels).step_by(VECTOR_LEN / C) {
             let stretch = p0..m_panels.min(p0 + VECTOR_LEN / C);
@@ -763,7 +723,7 @@ impl PackedWeight {
                 // `r·c_HO·8^{w_ho}·ΣW_HO` its HO×HO pair summed on the raw
                 // HO plane.
                 let mut back = 0;
-                if let Some(kernels) = act.kernels {
+                if let Some(kernels) = dot::kernels() {
                     (kernels.transpose)(&acc_m, &mut acc_n);
                     back = i32::from(plan.r()) * self.plane_weights[w_ho] * plan.x_scales()[x_ho];
                 }
@@ -837,7 +797,7 @@ impl PackedWeight {
         for_each_quad(union, |q| rows[q] = signed_quad(&run[q / 2], q % 2));
         let rows = &rows[..2 * run.len()];
         let acc = &mut acc[..groups.len()];
-        if let Some(kernels) = act.kernels {
+        if let Some(kernels) = dot::kernels() {
             let quads: [QuadMask; GROUPS] =
                 std::array::from_fn(|g| groups.clone().nth(g).map_or(0, w_quads));
             for j in 0..=x_ho {
@@ -870,42 +830,36 @@ impl PackedWeight {
     /// vectors counted from `x` itself: per `k`, the PE array's `⌈N/4⌉`
     /// n-groups, a partial last group compressed iff its present
     /// columns' HO slices all equal `r`.
-    pub(crate) fn tile_stats<X: Planes>(&self, plan: &KernelPlan, x: &X) -> TileStats {
-        let n = x.plane(0).cols();
+    pub(crate) fn tile_stats(&self, plan: &KernelPlan, x: &[Matrix<u8>]) -> TileStats {
+        let n = x[0].cols();
         assert_eq!(
             self.compressed_per_k.len(),
-            x.plane(0).rows(),
+            x[0].rows(),
             "inner dimensions differ"
         );
-        assert_eq!(x.num_planes(), plan.x_scales().len(), "activation format");
+        assert_eq!(x.len(), plan.x_scales().len(), "activation format");
         let r = plan.r();
-        let x_ho = x.plane(x.num_planes() - 1).as_slice().chunks(n.max(1));
+        let x_ho = x[x.len() - 1].as_slice().chunks(n.max(1));
         let mut counts = Compressed::default();
         for (&wc, row) in self.compressed_per_k.iter().zip(x_ho) {
             let xc = row
                 .chunks(VECTOR_LEN)
-                .filter(|v| v.iter().all(|&s| s.into() == r))
+                .filter(|v| v.iter().all(|&s| i16::from(s) == r))
                 .count() as u64;
             counts.add(&Compressed {
                 x: xc,
                 both: u64::from(wc) * xc,
             });
         }
-        self.closed_form(plan, n, x.num_planes(), counts)
+        self.closed_form(plan, n, counts)
     }
 
     /// [`TileStats`] from the two sides' per-`k` compressed counts, over
-    /// the PE array's `⌈N/4⌉` n-groups of `p_x` planes: the weight's
-    /// resident ones and `counts` of the activation's.
-    fn closed_form(
-        &self,
-        plan: &KernelPlan,
-        n: usize,
-        p_x: usize,
-        counts: Compressed,
-    ) -> TileStats {
+    /// the PE array's `⌈N/4⌉` n-groups: the weight's resident ones and
+    /// `counts` of the activation's.
+    fn closed_form(&self, plan: &KernelPlan, n: usize, counts: Compressed) -> TileStats {
         let k_dim = self.compressed_per_k.len();
-        let (p_w, p_x) = (plan.w_planes() as u64, p_x as u64);
+        let (p_w, p_x) = (plan.w_planes() as u64, plan.x_scales().len() as u64);
         let m_groups = (self.row_sums.len() / VECTOR_LEN) as u64;
         let n_groups = n.div_ceil(VECTOR_LEN) as u64;
         let w_vectors = m_groups * k_dim as u64;
@@ -1032,9 +986,18 @@ fn grow(cols: &mut Vec<Unpacked>, len: usize) {
 fn unpack_run(cols: &mut [Unpacked], run: &[Chunk], need: &KMask) {
     for (t, (dst, chunk)) in cols.iter_mut().zip(run).enumerate() {
         if need[t / 8] >> (t % 8 * CHUNK_K) & 0xFF != 0 {
-            *dst = dot::unpack(chunk);
+            *dst = unpack(chunk);
         }
     }
+}
+
+/// A chunk's eight `k` as k-major columns, each slice back in `[-8, 7]`.
+fn unpack(chunk: &Chunk) -> Unpacked {
+    std::array::from_fn(|o| {
+        chunk
+            .0
+            .map(|word| (word >> nibble_shift(o) & 0xF) as i8 - 8)
+    })
 }
 
 /// One lanes-along-M walk of a stretch: n-group `g`'s `C` columns ×
@@ -1059,11 +1022,11 @@ fn pair(w_ho: bool, x_ho: bool) -> usize {
     usize::from(w_ho) | usize::from(x_ho) << 1
 }
 
-/// The runs of one block and plane as a walk's `i16` pairs read them
-/// (the fallback build and Sibia's signed stacks only):
-/// unpacked, where the `k` the stretch's walks read are [`dense`], or
-/// packed, reading only those `k`. Where fewer are live, unpacking whole
-/// runs costs more than reading the packed slices at those `k`.
+/// The runs of one block and plane as a walk's `i16` pairs read them (the
+/// fallback build only): unpacked, where the `k` the stretch's walks read
+/// are [`dense`], or packed, reading only those `k`. Where fewer are live,
+/// unpacking whole runs costs more than reading the packed slices at those
+/// `k`.
 #[derive(Clone, Copy)]
 enum ColRuns<'a> {
     Unpacked([&'a [PanelCol]; VECTOR_LEN]),
@@ -1084,9 +1047,9 @@ fn or(a: &KMask, b: &KMask) -> KMask {
 
 /// The activation side of one n-tile: per n-group for lanes along M (on
 /// a full tile of a dot build only its bitsets), on a full 16-column tile
-/// its rows for lanes along N and, on a dot build with a `u8` stack, its
-/// planes as [`WideQuad`]s at any width, the HO plane re-centred, which
-/// the dot-product kernels read.
+/// its rows for lanes along N and, on a dot build, its planes as
+/// [`WideQuad`]s at any width, the HO plane re-centred, which the
+/// dot-product kernels read.
 #[derive(Default)]
 struct ActTile {
     groups: Vec<Stream<PairedCols>>,
@@ -1099,8 +1062,6 @@ struct ActTile {
     at: usize,
     /// Per plane and `k` block: the 16 columns' sums of their slices.
     sums: Vec<[i32; LANES]>,
-    /// The dot-product kernels where the quads are filled.
-    kernels: Option<Kernels>,
 }
 
 /// A lanes-along-M walk's planes at dot-product width: its kernel, its
@@ -1131,29 +1092,26 @@ impl Compressed {
 }
 
 impl ActTile {
-    /// Refills the streams for columns `c0 ..` of `x`; true on a full
-    /// tile. Where the dot product reads the planes (a `u8` stack on a
-    /// build with it) they are quads at every width, and the n-groups'
-    /// bitsets are read off the HO plane's; elsewhere the planes are
-    /// widened, on a full tile also as `wide`'s rows.
-    fn prepare<X: Planes>(&mut self, x: &X, plan: &KernelPlan, c0: usize) -> bool {
-        let (k, n) = x.plane(0).shape();
-        let x_ho = x.num_planes() - 1;
-        let kernels = dot::kernels().filter(|_| x.unsigned_plane(0).is_some());
+    /// Refills the streams for columns `c0 ..` of `x`; true on a full tile.
+    /// On a build with the dot product the planes are quads at every width,
+    /// and the n-groups' bitsets are read off the HO plane's; elsewhere the
+    /// planes are widened, on a full tile also as `wide`'s rows.
+    fn prepare(&mut self, x: &[Matrix<u8>], plan: &KernelPlan, c0: usize) -> bool {
+        let (k, n) = x[0].shape();
+        let x_ho = x.len() - 1;
         let full = n - c0 >= LANES;
-        self.kernels = kernels;
         let ActTile { groups, wide, .. } = self;
         groups.resize_with((n - c0).min(LANES).div_ceil(VECTOR_LEN), Stream::default);
-        let Some(kernels) = kernels else {
+        let Some(kernels) = dot::kernels() else {
             if full {
                 // A full tile: its planes widened once (in a loop: an
                 // `array::map` compiles to a call per row), the n-groups'
                 // pairs cut from its rows.
-                let row = |s: &[X::Slice], r| {
+                let row = |s: &[u8], r| {
                     let s: &[_; LANES] = s.try_into().expect("a full tile");
                     let mut lanes = [0; LANES];
                     for (lane, &s) in lanes.iter_mut().zip(s) {
-                        *lane = s.into() - r;
+                        *lane = i16::from(s) - r;
                     }
                     lanes
                 };
@@ -1165,8 +1123,8 @@ impl ActTile {
                 }
             } else {
                 // A narrow tile: each n-group's pairs straight from `x`.
-                let pairs = |s: &[X::Slice], r| {
-                    std::array::from_fn(|c| [s.get(c).map_or(0, |&s| s.into() - r); 2])
+                let pairs = |s: &[u8], r| {
+                    std::array::from_fn(|c| [s.get(c).map_or(0, |&s| i16::from(s) - r); 2])
                 };
                 for (g, c) in groups.iter_mut().zip((c0..n).step_by(VECTOR_LEN)) {
                     let cols = c..n.min(c + VECTOR_LEN);
@@ -1193,10 +1151,7 @@ impl ActTile {
             .chunks_mut(k_quads)
             .zip(self.sums.chunks_mut(k_blocks));
         for (j, (quads, sums)) in outs.take(planes).enumerate() {
-            let plane = x
-                .unsigned_plane(j.min(x_ho))
-                .expect("a u8 stack")
-                .as_slice();
+            let plane = x[j.min(x_ho)].as_slice();
             // The HO plane re-centred, which the walks' products kernel
             // and the n-groups' bitsets read; its raw copy is for a full
             // tile's HO×HO on `lanes_n`.
@@ -1237,7 +1192,7 @@ impl ActTile {
     /// width, if the tile has them: every fourth of its quads.
     fn dot(&self, g: usize, cols: usize) -> Option<DotQuads<'_>> {
         Some(DotQuads {
-            kernel: self.kernels?.lanes_m[cols - 1],
+            kernel: dot::kernels()?.lanes_m[cols - 1],
             quads: &self.words[self.at..].as_chunks().0[g..],
             sums: &self.sums.as_flattened().as_chunks().0[g..],
         })
@@ -1275,16 +1230,16 @@ impl ActTile {
 
 /// Appends each plane of `x` to `planes`: its rows cut to `cols`, made
 /// elements by `lanes`, which also gets the plane's re-centring.
-fn widen<X: Planes, T>(
+fn widen<T>(
     planes: &mut Vec<T>,
-    x: &X,
+    x: &[Matrix<u8>],
     plan: &KernelPlan,
     cols: Range<usize>,
-    lanes: impl Fn(&[X::Slice], i16) -> T,
+    lanes: impl Fn(&[u8], i16) -> T,
 ) {
-    let x_ho = x.num_planes() - 1;
-    for j in 0..=x_ho {
-        let (plane, r) = (x.plane(j), if j == x_ho { plan.r() } else { 0 });
+    let x_ho = x.len() - 1;
+    for (j, plane) in x.iter().enumerate() {
+        let r = if j == x_ho { plan.r() } else { 0 };
         let rows = plane.as_slice().chunks_exact(plane.cols());
         planes.extend(rows.map(|row| lanes(&row[cols.clone()], r)));
     }
@@ -1311,7 +1266,7 @@ fn first_ks(len: usize) -> KMask {
 
 /// The bit offset of the slice at `k = 8t + o` in a row's word of chunk
 /// `t`.
-pub(crate) const fn nibble_shift(o: usize) -> u32 {
+const fn nibble_shift(o: usize) -> u32 {
     (8 * (o % VECTOR_LEN) + 4 * (o / VECTOR_LEN % 2)) as u32
 }
 
@@ -1334,7 +1289,7 @@ fn for_each_k(ks: &KMask, mut f: impl FnMut(usize)) {
 /// them, so the `i16` sums cannot wrap (the `const` assertion above). A
 /// full set is walked in a straight loop, an empty one not at all. Kept
 /// out of line: so each tile stays in registers all block. Serves only
-/// the fallback build and Sibia's signed stacks.
+/// the fallback build.
 #[inline(never)]
 fn products_lanes_n(
     w: &[RowQuad],
@@ -1429,10 +1384,10 @@ fn mac_lanes_n(tile: &mut ProductTile, w: &[i8; VECTOR_LEN], x: &[i16; LANES]) {
 }
 
 /// A run of one panel's weight columns as the `i16` tile reads it (the
-/// fallback build and Sibia's signed stacks only), one
-/// `k` at a time: unpacked, or packed, reading only the `k` of a block
-/// whose `i16` pairs are sparse — unpacking whole runs for those few `k`
-/// is what makes the narrow ρ 0.95 cells slower (see [`UNPACK_SHARE`]).
+/// fallback build only), one `k` at a time: unpacked, or packed, reading
+/// only the `k` of a block whose `i16` pairs are sparse — unpacking whole
+/// runs for those few `k` is what makes the narrow ρ 0.95 cells slower (see
+/// [`UNPACK_SHARE`]).
 trait Run: Copy {
     /// The run's length in columns, at least the `k` it holds.
     fn len(self) -> usize;
@@ -1463,14 +1418,13 @@ impl Run for &[Chunk] {
     }
 }
 
-/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[q][o]`, the
-/// first `C` (1 to 4) columns of one n-group × the 16 rows of each of the
-/// first `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`,
-/// under the same `i16` bound; any other row of the tile stays 0. Only a
-/// walk of one column (four runs) or of a whole n-group takes the
-/// straight loop: LLVM vectorises the others along `k`. Serves only the
-/// fallback build and Sibia's signed stacks. The runs are unpacked or
-/// packed (see [`Run`]).
+/// The inner kernel, lanes along M: `Σ_{o ∈ ks} x[o] ⊗ w[q][o]`, the first
+/// `C` (1 to 4) columns of one n-group × the 16 rows of each of the first
+/// `P = 4 / C` runs, tile row `q·C + c` for run `q`, column `c`, under the
+/// same `i16` bound; any other row of the tile stays 0. Only a walk of one
+/// column (four runs) or of a whole n-group takes the straight loop: LLVM
+/// vectorises the others along `k`. Serves only the fallback build. The
+/// runs are unpacked or packed (see [`Run`]).
 fn products_lanes_m<const C: usize>(w: ColRuns, x: &[PairedCols], ks: &KMask) -> ProductTile {
     match w {
         ColRuns::Unpacked(w) => products_lanes_m_of::<C, _>(&w, x, ks),
@@ -1773,9 +1727,9 @@ mod tests {
             let x = random_weight(n.next_multiple_of(4), k, 1, 0.6, seed + 50).transposed();
             let sx = SlicedWeight::from_int(&x.submatrix(0, 0, k, n), 1).unwrap();
             for side in [SkipSide::Weight, SkipSide::Activation] {
-                let plan = KernelPlan::for_operands(&sw, &sx, 0, Some(side));
-                let (_, workload) = run_sliced(&plan, &sw, &sx);
-                let stats = PackedWeight::pack(&sw).tile_stats(&plan, &sx);
+                let (plan, stack) = crate::sibia::operands(&sw, &sx, Some(side));
+                let (_, workload) = run_sliced(&plan, &sw, &stack, |_, _| 0);
+                let stats = PackedWeight::pack(&sw).tile_stats(&plan, &stack);
                 assert_eq!(workload, stats.workload(), "N={n} {side:?}");
             }
         }
@@ -1821,7 +1775,7 @@ mod tests {
                 let sx = SlicedActivation::from_uint(&x, 2, DbsType::Type1).unwrap();
                 let sw = SlicedWeight::from_int(&random_weight(4, k, 1, 0.5, 112), 1).unwrap();
                 let mut act = ActTile::default();
-                assert!(!act.prepare(&sx, &KernelPlan::for_operands(&sw, &sx, r, None), c0));
+                assert!(!act.prepare(sx.planes(), &plan(&sw, &sx, r), c0));
                 let (k_quads, k_blocks) = (2 * k.div_ceil(CHUNK_K), k.div_ceil(K_BLOCK));
                 // Column `c` of the tile at `k`, 0 where the plane has none.
                 let slice = |j: usize, kk: usize, c: usize| match (kk < k, c0 + c < n) {
@@ -1875,7 +1829,7 @@ mod tests {
         for r in [0u8, 15] {
             let plan = KernelPlan::for_layer(7, &act(r), k).expect("admitted");
             // With no row constant the output is `Σ w·(x − 16r)`.
-            let (out, _) = packed.gemm(&plan, &sx, &[0; 16]);
+            let (out, _) = packed.gemm(&plan, sx.planes(), &[0; 16]);
             for m in 0..16 {
                 let want: i64 = w
                     .row(m)

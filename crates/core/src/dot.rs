@@ -3,10 +3,10 @@
 //! is 16 rows × 8 `k` in 64 bytes, byte `4r + j` holding row `r`'s slice
 //! at `k = 8t + j` in its low nibble and at `k = 8t + 4 + j` in its high
 //! one, each as `slice + 8`. On builds that target AVX-512 VNNI and VBMI
-//! the module holds the tile's dot-product kernels ([`Kernels`]) and the
-//! `i16` tile's unpack; `vpdpbusd` sums four `u8 · i8` products into
-//! each `i32` lane, 64 slice MACs an instruction, where the `i16` tile
-//! takes a multiply and an add for 16.
+//! the module holds the tile's five dot-product kernels ([`Kernels`]);
+//! `vpdpbusd` sums four `u8 · i8` products into each `i32` lane, 64 slice
+//! MACs an instruction, where the `i16` tile takes a multiply and an add
+//! for 16.
 //!
 //! Lanes along M ([`LanesM`] walks and a full tile's [`Panel`]): the
 //! weight nibble, `slice + 8` ∈ [0, 15], is the unsigned operand, and an
@@ -15,9 +15,9 @@
 //! AND and a shift-AND into its two nibble halves, each four `k` × 16
 //! rows, row-major, as the dot product wants them; the `+ 8` is taken
 //! back at once, by starting each row's sum at `−8 · Σx` of its column
-//! over the block. Every activation plane of a `u8` stack is read this
-//! way: the LO planes raw (`[0, 15]`), the HO plane re-centred
-//! (`x_HO − r` ∈ [−15, 15]). A walk of the HO plane covers only the
+//! over the block. Every activation plane is read this way: the LO planes
+//! raw (`[0, 15]`), the HO plane re-centred (`x_HO − r` ∈ [−15, 15]). A
+//! walk of the HO plane covers only the
 //! n-group's live k-quads: a dead quad is zeros in every column, so the
 //! correction stays the block's column sum. A [`LanesM`] walk carries
 //! `C` (1 to 4) columns of one n-group × `4 / C` panels (tile row
@@ -45,13 +45,12 @@
 //! HO plane, 0 on an LO one and on a full tile's raw copy of the HO
 //! plane, the bytes past a narrow tile's width or past `K` zeroed), with
 //! each block's column sums from one `vpdpbusd` a quad against ones.
-//! Every dot-product walk of a `u8` stack reads them.
+//! Every dot-product walk reads them.
 //!
-//! [`unpack`]: the `i16` tile's lanes along M, which run only Sibia's
-//! signed activations (a `u8` stack runs every pair on the dot product)
-//! and every pair of a build without the two extensions, read k-major
-//! [`PanelCol`]s, and a chunk becomes eight of them with one `vpermb` per
-//! nibble half (a safe shift-and-mask elsewhere).
+//! These five run every plane pair of every plan, AQS-GEMM's and both of
+//! Sibia's, whose SBR activation slices enter as the `u8` stack `s + 8`
+//! (`sibia`). The `i16` tile and its unpack (`aqs`) serve only builds
+//! without the two extensions.
 //!
 //! Every sum is the `i16` tile's exactly: before the correction an `i32`
 //! lane holds `Σ(w + 8)·x` of a block, well inside `i32`, and after it
@@ -61,12 +60,6 @@
 //! crate's only `unsafe`: the calls into the `#[target_feature]` kernels
 //! and the register transmutes.
 
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx512vnni",
-    target_feature = "avx512vbmi"
-)))]
-use crate::aqs::{nibble_shift, PanelCol, CHUNK_K};
 use crate::aqs::{AccTile, Chunk, PanelTile, Quad, QuadMask, RowQuad, Runs, WideQuad};
 use panacea_bitslice::VECTOR_LEN;
 
@@ -115,7 +108,7 @@ pub(crate) struct Kernels {
     target_feature = "avx512vnni",
     target_feature = "avx512vbmi"
 ))]
-pub(crate) use vnni::{kernels, unpack};
+pub(crate) use vnni::kernels;
 
 /// A build without the dot product has none: the `i16` tile reads the
 /// widened planes.
@@ -128,20 +121,6 @@ pub(crate) fn kernels() -> Option<Kernels> {
     None
 }
 
-/// A chunk's eight `k` as k-major columns, each slice back in `[-8, 7]`.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx512vnni",
-    target_feature = "avx512vbmi"
-)))]
-pub(crate) fn unpack(chunk: &Chunk) -> [PanelCol; CHUNK_K] {
-    std::array::from_fn(|o| {
-        chunk
-            .0
-            .map(|word| (word >> nibble_shift(o) & 0xF) as i8 - 8)
-    })
-}
-
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512vnni",
@@ -151,24 +130,8 @@ mod vnni {
     use std::arch::x86_64::*;
 
     use super::Kernels;
-    use crate::aqs::{
-        AccTile, Chunk, PanelCol, PanelTile, Quad, QuadMask, RowQuad, Runs, WideQuad, CHUNK_K,
-        K_BLOCK,
-    };
+    use crate::aqs::{AccTile, Chunk, PanelTile, Quad, QuadMask, RowQuad, Runs, WideQuad, K_BLOCK};
     use panacea_bitslice::VECTOR_LEN;
-
-    /// `vpermb` indices from a chunk's nibble half (16 rows × 4 `k`,
-    /// row-major) to four k-major columns: byte `l` ← byte
-    /// `4·(l % 16) + l / 16`.
-    const K_MAJOR: [u32; 16] = {
-        let mut idx = [0; 64];
-        let mut l = 0;
-        while l < 64 {
-            idx[l] = (4 * (l % 16) + l / 16) as u8;
-            l += 1;
-        }
-        little_endian(idx)
-    };
 
     /// `vpermb` indices from four `k` × 16 columns, row `j` from byte
     /// `stride · j`, to a [`WideQuad`]: byte `4c + j` ← byte
@@ -209,24 +172,6 @@ mod vnni {
             lanes_n: lanes_n_of,
             intake: intake_of,
         })
-    }
-
-    /// A chunk's eight `k` as k-major columns, each slice back in
-    /// `[-8, 7]`: one `vpermb` per nibble half.
-    pub(crate) fn unpack(chunk: &Chunk) -> [PanelCol; CHUNK_K] {
-        // SAFETY: as for `products`.
-        unsafe { unpack_vbmi(chunk) }
-    }
-
-    #[target_feature(enable = "avx512vnni,avx512vbmi")]
-    fn unpack_vbmi(chunk: &Chunk) -> [PanelCol; CHUNK_K] {
-        let (low, high) = nibbles(chunk);
-        let eight = _mm512_set1_epi8(8);
-        let cols = [low, high]
-            .map(|half| _mm512_sub_epi8(_mm512_permutexvar_epi8(words(K_MAJOR), half), eight));
-        // SAFETY: two 64-byte vectors into eight columns of sixteen `i8`,
-        // by value: same size, and every bit pattern is a valid `i8`.
-        unsafe { std::mem::transmute::<[__m512i; 2], [PanelCol; CHUNK_K]>(cols) }
     }
 
     /// 16 words as a vector.

@@ -15,17 +15,17 @@
 //! live in `tests/oracle` as the references of the differential tests.
 //! The resident weight stores every plane nibble-packed, in the order
 //! `vpdpbusd` reads it. On a build that targets AVX-512 VNNI and VBMI
-//! every plane pair of unsigned activations but HO×HO — the static
-//! LO_w×LO_x, HO_w×LO_x over the weight's live k-quads and LO_w×HO_x over
-//! the activation's — runs on `vpdpbusd` (`dot`, private, the crate's
-//! only module allowed `unsafe`), to the same bits.
+//! every plane pair of every plan — the static LO_w×LO_x, the HO pairs
+//! over each side's live k-quads — runs on `vpdpbusd` (`dot`, private,
+//! the crate's only module allowed `unsafe`), to the same bits.
 //!
 //! * [`dense`] — plain integer GEMM with workload accounting (what the
 //!   SA-WS / SA-OS / SIMD baselines execute);
 //! * [`sibia`] — the Sibia bit-slice GEMM: SBR slicing for both operands,
 //!   skipping of all-zero HO slice-vectors of *one* operand (the paper's
-//!   `max(ρ_w, ρ_x)` limitation) — the tile with `r = 0`, no compensation
-//!   and the other side's mask all-ones;
+//!   `max(ρ_w, ρ_x)` limitation) — the tile with the SBR activation
+//!   slices as the `u8` stack `s + 8` re-centred by `r = 8`, no
+//!   compensation counted and the other side's mask all-ones;
 //! * [`aqs`] — the **asymmetrically-quantized bit-slice GEMM**: SBR
 //!   weights × straightforward-sliced unsigned activations, compression of
 //!   all-zero weight HO vectors *and* all-`r` activation HO vectors, MAC

@@ -202,7 +202,7 @@ impl QuantizedLinear {
         let x_lo = self.plan.x_scales().len() - 1;
         let sx = SlicedActivation::from_uint(x_codes, x_lo, self.act.dbs_type)
             .expect("input codes exceed the calibrated activation format");
-        self.weight.gemm(&self.plan, &sx, &self.row_const)
+        self.weight.gemm(&self.plan, sx.planes(), &self.row_const)
     }
 
     /// Quantizes a float input, runs the layer, and dequantizes the

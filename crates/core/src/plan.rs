@@ -6,14 +6,14 @@
 //! refused, or from operands the caller already sliced by
 //! [`KernelPlan::for_operands`]. It fixes the plane counts, the activation
 //! plane weights `c_j`, the value `r` the HO activation plane is
-//! re-centred by, and whose compressed HO vectors are skipped — the only
+//! re-centred by (`zp_HO` for AQS-GEMM, the `u8` offset 8 for Sibia's SBR
+//! slices), and whose compressed HO vectors are skipped — the only
 //! difference between AQS-GEMM and the two Sibia configurations.
 
 use panacea_bitslice::{activation_plane_weight, SliceError, SlicedWeight};
 use panacea_quant::dbs::DbsType;
 use panacea_quant::{LayerQuantConfig, Quantizer};
 
-use crate::aqs::Planes;
 use crate::pipeline::PipelineError;
 use crate::sibia::SkipSide;
 
@@ -29,11 +29,11 @@ fn sbr_planes(w_bits: u8) -> Option<usize> {
 /// the planes' own worst cases (`|slice| ≤ 8`), slightly above
 /// `max|w| = 2^{w_bits−1}`, because the kernel sums plane by plane.
 /// Within a 256-`k` block each plane pair's raw slice products sum in an
-/// `i16` register tile or, for every pair of a `u8` activation stack on
-/// a build with the dot product, in `i32` lanes: lanes along M with the
-/// weight as the offset operand, a lane holding `Σ(w + 8)·x` of the
-/// block, at most `256 · 23 · 15` in magnitude, before the `−8·Σx`
-/// correction leaves `Σ w·x`; a full tile's HO×HO on the raw HO plane,
+/// `i16` register tile on a build without the dot product or, on a build
+/// with it, in `i32` lanes: lanes along M with the weight as the offset
+/// operand, a lane holding `Σ(w + 8)·x` of the block, at most
+/// `256 · 23 · 15` in magnitude, before the `−8·Σx` correction leaves
+/// `Σ w·x`; a full tile's HO×HO on the raw HO plane,
 /// a lane holding `Σ w·x_HO` with `x_HO ∈ [0, 15]` — inside this bound's
 /// `(2^act_bits − 1)` factor — until the tile takes back
 /// `r·c_HO·8^{w_ho}·ΣW_HO` per row as it writes it. The block sum is in
@@ -96,15 +96,15 @@ impl KernelPlan {
         ))
     }
 
-    /// The plan of operands sliced by the caller: formats read off the
-    /// stacks themselves, so they cannot disagree with them.
-    pub(crate) fn for_operands<X: Planes>(
+    /// The plan of operands sliced by the caller: the weight's format
+    /// read off its stack, so they cannot disagree, and the activation
+    /// planes' weights `x_scales`, LO first.
+    pub(crate) fn for_operands(
         w: &SlicedWeight,
-        x: &X,
+        x_scales: impl Iterator<Item = i32>,
         r: i16,
         only: Option<SkipSide>,
     ) -> Self {
-        let x_scales = (0..x.num_planes()).map(|j| x.plane_weight(j));
         Self::new(w.num_planes(), x_scales.collect(), r, only, None)
     }
 

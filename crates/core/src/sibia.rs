@@ -10,10 +10,18 @@
 //!
 //! It is the same machine, so it is the same code: one tile
 //! ([`aqs`](crate::aqs)), three skip policies — both sides for AQS-GEMM,
-//! either single side here, with `r = 0`, no compensation and the other
-//! side's mask all-ones — and statistics in closed form. The loop nest
-//! that tests a flag and counts per outer product lives in
-//! `tests/oracle` as the reference of the differential tests.
+//! either single side here, the other side's mask all-ones — and statistics
+//! in closed form. The tile takes one activation operand, a stack of `u8`
+//! planes, so each SBR activation slice `s ∈ [−8, 7]` enters as `s + 8`. A
+//! zero HO vector becomes an all-8 one, so the plan re-centres the HO plane
+//! by `r = 8`, as AQS-GEMM re-centres by `zp_HO`, which leaves its products
+//! exact; each row's constant takes back the LO planes' `+ 8` and Eq. 6's
+//! `b'`, which the tile adds for any `r`, so the output is exact. The
+//! offset is the host's, not the PE array's: Sibia compensates nothing, and
+//! its counts say so although `r ≠ 0`. On a build with the dot product
+//! every pair runs on it, as AQS-GEMM's do. The loop nest that tests a flag
+//! and counts per outer product lives in `tests/oracle` as the reference of
+//! the differential tests.
 
 use panacea_bitslice::SlicedWeight;
 use panacea_tensor::Matrix;
@@ -22,6 +30,10 @@ use serde::{Deserialize, Serialize};
 use crate::aqs::{run_sliced, PackedWeight, TileStats};
 use crate::plan::KernelPlan;
 use crate::workload::{pe_padded_cols, Workload};
+
+/// What an SBR activation slice is offset by to enter the tile as a `u8`
+/// plane, and so the `r` the HO plane is re-centred by.
+const OFFSET: i8 = 8;
 
 /// Which operand's zero HO vectors Sibia compresses and skips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,7 +72,12 @@ pub enum SkipSide {
 /// assert_eq!(out, w.gemm(&x).unwrap());
 /// ```
 pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix<i32>, Workload) {
-    let (out, executed) = run_sliced(&KernelPlan::for_operands(w, x, 0, Some(side)), w, x);
+    let (plan, stack) = operands(w, x, Some(side));
+    // Each LO plane's `+ 8` adds `8·c_j·ΣW` to a row, and `row_consts`
+    // adds `b' = 8·c_HO·ΣW`: one take-back of `8·(Σ_j c_j)·ΣW` for all.
+    let c_sum: i64 = plan.x_scales().iter().map(|&c| i64::from(c)).sum();
+    let take_back = |_, sum| -i64::from(OFFSET) * c_sum * sum;
+    let (out, executed) = run_sliced(&plan, w, &stack, take_back);
     // The PE array moves the padding of a partial last vector too.
     let (k_dim, n) = x.plane(0).shape();
     let x_elems = k_dim * (n + pe_padded_cols(n));
@@ -68,22 +85,43 @@ pub fn sibia_gemm(w: &SlicedWeight, x: &SlicedWeight, side: SkipSide) -> (Matrix
         w.plane(0).len() as u64 * u64::from(w.bits()) + x_elems as u64 * u64::from(x.bits());
     let workload = Workload {
         ema_slices: packed_bits.div_ceil(4),
+        comp_mul: 0,
+        comp_add: 0,
         ..executed
     };
     (out, workload)
 }
 
-/// The closed-form [`TileStats`] of the tile at `r = 0` on Sibia's
-/// operands, with neither side restricted: `ρ_w` / `ρ_x` are the zero HO
-/// vector sparsities of the two sides, which Sibia's scheduler compares.
-/// The counts are those of skipping both sides; [`sibia_gemm`] returns
-/// the one-sided [`Workload`].
+/// The closed-form [`TileStats`] of the tile on Sibia's operands, with
+/// neither side restricted: `ρ_w` / `ρ_x` are the zero HO vector
+/// sparsities of the two sides, which Sibia's scheduler compares. The
+/// counts are those of skipping both sides, with no compensation;
+/// [`sibia_gemm`] returns the one-sided [`Workload`].
 ///
 /// # Panics
 ///
 /// As [`sibia_gemm`].
 pub fn sibia_tile_stats(w: &SlicedWeight, x: &SlicedWeight) -> TileStats {
-    PackedWeight::pack(w).tile_stats(&KernelPlan::for_operands(w, x, 0, None), x)
+    let (plan, stack) = operands(w, x, None);
+    TileStats {
+        comp_adds: 0,
+        comp_muls: 0,
+        ..PackedWeight::pack(w).tile_stats(&plan, &stack)
+    }
+}
+
+/// The plan of Sibia's operands, skipping on `only`'s side (both where
+/// `None`), and `x` as the tile's activation operand: each slice `s` as
+/// `s + 8`, LO first.
+pub(crate) fn operands(
+    w: &SlicedWeight,
+    x: &SlicedWeight,
+    only: Option<SkipSide>,
+) -> (KernelPlan, Vec<Matrix<u8>>) {
+    let x_scales = (0..x.num_planes()).map(|j| x.plane_weight(j));
+    let plan = KernelPlan::for_operands(w, x_scales, OFFSET.into(), only);
+    let stack = (0..x.num_planes()).map(|j| x.plane(j).map(|&s| (s + OFFSET) as u8));
+    (plan, stack.collect())
 }
 
 /// Measures the HO vector sparsities and picks the better [`SkipSide`],

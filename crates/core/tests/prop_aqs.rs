@@ -9,7 +9,7 @@ mod oracle;
 use panacea_bitslice::{SlicedActivation, SlicedWeight};
 use panacea_core::aqs::{aqs_gemm, aqs_tile_stats};
 use panacea_core::pipeline::QuantizedLinear;
-use panacea_core::sibia::{sibia_gemm, SkipSide};
+use panacea_core::sibia::{sibia_gemm, sibia_tile_stats, SkipSide};
 use panacea_quant::dbs::{dbs_truncate, DbsConfig, DbsType};
 use panacea_quant::{ActivationCalibrator, Quantizer, SymmetricQuantizer};
 use panacea_tensor::dist::DistributionKind;
@@ -464,11 +464,9 @@ fn forward_is_unchanged_on_the_pipeline_fixtures() {
     }
 }
 
-/// Sibia plan of the tile ≡ the seed's nest ≡ `Matrix::gemm` on outputs,
-/// and the closed-form [`Workload`](panacea_core::Workload) ≡ the nest's
-/// counted one. The activation is an SBR stack whose 1×4 vectors run
-/// along `N`: a weight-shaped matrix, transposed, and cut to `N` columns.
-/// The nest runs on it padded with code 0 (`r = 0`) to whole vectors.
+/// [`assert_sibia_operands_match_oracle`] on generated operands. The
+/// activation is an SBR stack whose 1×4 vectors run along `N`: a
+/// weight-shaped matrix, transposed, and cut to `N` columns.
 fn assert_sibia_matches_oracle(
     (m, k, n): (usize, usize, usize),
     w_lo: usize,
@@ -482,14 +480,31 @@ fn assert_sibia_matches_oracle(
     let x = sbr_matrix(n.next_multiple_of(4), k, x_lo, x_fill, &mut rng)
         .transposed()
         .submatrix(0, 0, k, n);
-    let sw = SlicedWeight::from_int(&w, w_lo).expect("weights in range");
-    let sx = SlicedWeight::from_int(&x, x_lo).expect("activations in range");
-    let sx_padded = SlicedWeight::from_int(&pad_to_vectors(&x, 0), x_lo).expect("in range");
-    let dense = w.gemm(&x).expect("shapes");
+    let what =
+        format!("M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {w_fill:?}/{x_fill:?} seed={seed}");
+    assert_sibia_operands_match_oracle(&w, w_lo, &x, x_lo, &what);
+}
+
+/// Both Sibia plans of the tile ≡ the seed's nest ≡ `Matrix::gemm` on
+/// outputs, and the closed-form [`Workload`](panacea_core::Workload) ≡
+/// the nest's counted one, which compensates nothing; so does
+/// `sibia_tile_stats`, although the tile re-centres the activation's
+/// offset stack (`s + 8`) by `r = 8`. The nest runs on `x` padded with
+/// code 0 to whole vectors.
+fn assert_sibia_operands_match_oracle(
+    w: &Matrix<i32>,
+    w_lo: usize,
+    x: &Matrix<i32>,
+    x_lo: usize,
+    what: &str,
+) {
+    let (m, n) = (w.rows(), x.cols());
+    let sw = SlicedWeight::from_int(w, w_lo).expect("weights in range");
+    let sx = SlicedWeight::from_int(x, x_lo).expect("activations in range");
+    let sx_padded = SlicedWeight::from_int(&pad_to_vectors(x, 0), x_lo).expect("in range");
+    let dense = w.gemm(x).expect("shapes");
     for side in [SkipSide::Weight, SkipSide::Activation] {
-        let what = format!(
-            "{side:?} M={m} K={k} N={n} w_lo={w_lo} x_lo={x_lo} {w_fill:?}/{x_fill:?} seed={seed}"
-        );
+        let what = format!("{side:?} {what}");
         let (want, counted) = oracle::sibia::sibia_gemm(&sw, &sx_padded, side);
         let want = want.submatrix(0, 0, m, n);
         assert_eq!(want, dense, "oracle vs dense: {what}");
@@ -497,6 +512,8 @@ fn assert_sibia_matches_oracle(
         assert_eq!(got, want, "outputs: {what}");
         assert_eq!(wl, counted, "workload: {what}");
     }
+    let stats = sibia_tile_stats(&sw, &sx);
+    assert_eq!((stats.comp_adds, stats.comp_muls), (0, 0), "{what}");
 }
 
 /// Both skip sides × 1–3 weight planes × both sides of the 256-`k` block
@@ -957,6 +974,14 @@ proptest! {
 /// and the n-groups each all dead, all live or half live in turn, under
 /// the AQS plan. Dropping the take-back, or applying it to a narrow
 /// tile's rows, moves the output by a multiple of `15 · 8 · c_HO`.
+///
+/// Then both Sibia plans, on the same weights and activations of 2 and
+/// 3 SBR planes in turn whose every LO slice is −8 or 7, entering the
+/// tile as `s + 8` = 0 or 15, and whose HO slice is 0 or near the
+/// extreme of its side (7; −7, or −6 where −7 under LO slices of −8
+/// would leave a10's range), the n-groups dead, live or half live as
+/// above. Dropping an LO plane's take-back of its `+ 8` moves the output
+/// by `8 · c_j · ΣW`.
 #[test]
 fn ho_ho_matches_oracle_at_the_extremes() {
     let mut seed = 37000u64;
@@ -1009,6 +1034,27 @@ fn ho_ho_matches_oracle_at_the_extremes() {
                     pad_code: dead,
                 };
                 assert_matches_oracle(&c, &format!("M={m} K={k} N={n} r={r}"));
+                let x_lo = 1 + seed as usize % 2;
+                let x = Matrix::from_fn(k, n, |_, c| {
+                    let live = match (c / 4 + seed as usize) % 3 {
+                        0 => false,
+                        1 => true,
+                        _ => rng.gen::<bool>(),
+                    };
+                    let seven = rng.gen::<bool>();
+                    let ho = match (live, seven) {
+                        (false, _) => 0,
+                        (true, true) => 7,
+                        (true, false) => [-7, -6][x_lo - 1],
+                    };
+                    extreme_weight(x_lo, seven, ho)
+                });
+                let sx = SlicedWeight::from_int(&x, x_lo).expect("activations in range");
+                for i in 0..x_lo {
+                    assert!(sx.plane(i).as_slice().iter().all(|&s| s == 7 || s == -8));
+                }
+                let what = format!("M={m} K={k} N={n} x_lo={x_lo}");
+                assert_sibia_operands_match_oracle(&w, 1, &x, x_lo, &what);
             }
         }
     }
